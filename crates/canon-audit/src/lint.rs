@@ -1392,7 +1392,7 @@ mod tests {
         let in_test = "#[cfg(test)]\nmod tests {\n    use std::time::Instant;\n}\n";
         assert!(lint("canon", in_test).is_empty(), "test code is exempt");
         let annotated = "// audit: allow(wall-clock)\nuse std::time::Instant;\n";
-        assert!(lint("canon-netsim", annotated).is_empty());
+        assert!(lint("canon-sim", annotated).is_empty());
     }
 
     #[test]
@@ -1551,7 +1551,7 @@ mod tests {
     #[test]
     fn greedy_outside_engine_flags_private_router() {
         let src = "fn next_hop(g: &G, cur: N, t: Id) -> Option<N> {\n    let mut best = None;\n    for &nb in g.neighbors(cur) {\n        let d = metric.distance(g.id(nb), t);\n        if d < best_d { best = Some(nb); }\n    }\n    best\n}\n";
-        let f = lint("canon-netsim", src);
+        let f = lint("canon-sim", src);
         assert_eq!(rules(&f), vec!["greedy-outside-engine"], "{f:?}");
         assert_eq!(f[0].line, 3);
     }

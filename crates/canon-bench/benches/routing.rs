@@ -8,7 +8,7 @@ use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::{Clockwise, Xor};
 use canon_id::rng::Seed;
 use canon_kademlia::BucketChoice;
-use canon_netsim::{LookupSim, SimConfig};
+use canon_overlay::faults::{lookup_with_faults, FaultModel};
 use canon_overlay::{route, NodeIndex};
 use canon_symphony::{build_symphony, route_with_lookahead};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -69,15 +69,20 @@ fn bench_routing(c: &mut Criterion) {
             }
         });
     });
-    g.bench_function("netsim_256timed_lookups", |b| {
+    g.bench_function("timed_256lookups", |b| {
         b.iter(|| {
-            let mut sim =
-                LookupSim::new(cresc.graph(), Clockwise, SimConfig::default(), |_, _| 1.0);
             for (i, &(x, _)) in ps.iter().enumerate() {
-                sim.inject_lookup(i as f64, x, cresc.graph().id(ps[(i + 7) % ps.len()].1));
+                let key = cresc.graph().id(ps[(i + 7) % ps.len()].1);
+                black_box(lookup_with_faults(
+                    cresc.graph(),
+                    Clockwise,
+                    FaultModel::default(),
+                    x,
+                    key,
+                    |_| true,
+                    |_, _| 1.0,
+                ));
             }
-            sim.run();
-            black_box(sim.outcomes().len());
         });
     });
     g.finish();

@@ -11,8 +11,8 @@ use canon::crescendo::build_crescendo;
 use canon::proximity::{build_chord_prox, ProxParams};
 use canon_bench::{banner, f, row, BenchConfig};
 use canon_id::metric::Clockwise;
-use canon_overlay::multicast::MulticastTree;
-use canon_overlay::{NodeIndex, Route};
+use canon_overlay::multicast::MulticastGroup;
+use canon_overlay::{route, NodeIndex, Route};
 use canon_topology::{attach, LatencyModel, TopologyParams, TransitStubTopology};
 use rand::Rng;
 
@@ -48,13 +48,16 @@ fn main() {
             .filter(|&s| s != dest)
             .collect();
 
-        let tree_c =
-            MulticastTree::build(cresc.graph(), Clockwise, &srcs, dest).expect("crescendo routes");
+        let routes: Vec<Route> = srcs
+            .iter()
+            .map(|&s| route(cresc.graph(), Clockwise, s, dest).expect("crescendo routes"))
+            .collect();
+        let tree_c = MulticastGroup::from_routes(cresc.graph(), dest, &routes);
         let routes: Vec<Route> = srcs
             .iter()
             .map(|&s| chord_px.route(s, dest).expect("prox route"))
             .collect();
-        let tree_p = MulticastTree::from_routes(dest, routes.iter());
+        let tree_p = MulticastGroup::from_routes(chord_px.graph(), dest, &routes);
 
         for (li, depth) in (1..=3u32).enumerate() {
             let dom_c = |x: NodeIndex| cresc.domain_at_depth(&h, x, depth);

@@ -14,8 +14,7 @@ use canon_bench::{banner, f, row, BenchConfig};
 use canon_chord::build_chord;
 use canon_id::metric::Clockwise;
 use canon_id::NodeId;
-use canon_netsim::iterative::iterative_lookup;
-use canon_netsim::{LookupSim, SimConfig};
+use canon_overlay::faults::{iterative_lookup, lookup_with_faults, FaultModel};
 use canon_overlay::{NodeIndex, OverlayGraph};
 use canon_topology::{attach, Attachment, LatencyModel, TopologyParams, TransitStubTopology};
 use rand::Rng;
@@ -37,34 +36,20 @@ fn mean_times(
         })
         .collect();
 
-    let mut sim = LookupSim::new(g, Clockwise, SimConfig::default(), |a, b| {
-        att.latency(g.id(a), g.id(b))
-    });
-    for (i, &(from, key)) in jobs.iter().enumerate() {
-        sim.inject_lookup(i as f64, from, key);
-    }
-    sim.run();
-    let recursive = sim
-        .outcomes()
-        .iter()
-        .filter_map(|o| o.duration())
-        .sum::<f64>()
-        / lookups as f64;
-
-    let iterative = jobs
+    let lat = |a: NodeIndex, b: NodeIndex| att.latency(g.id(a), g.id(b));
+    let model = FaultModel::default();
+    // Recursive: per-hop link latencies plus the answer's leg back.
+    let recursive = jobs
         .iter()
         .map(|&(from, key)| {
-            iterative_lookup(
-                g,
-                Clockwise,
-                500.0,
-                from,
-                key,
-                |_| true,
-                |a, b| att.latency(g.id(a), g.id(b)),
-            )
-            .time
+            let r = lookup_with_faults(g, Clockwise, model, from, key, |_| true, lat);
+            r.time + lat(r.terminal, from)
         })
+        .sum::<f64>()
+        / lookups as f64;
+    let iterative = jobs
+        .iter()
+        .map(|&(from, key)| iterative_lookup(g, Clockwise, model, from, key, |_| true, lat).time)
         .sum::<f64>()
         / lookups as f64;
     (recursive, iterative)

@@ -1,17 +1,20 @@
-//! Timed lookups under crash failures (discrete-event simulation): mean
-//! lookup completion time and success rate on the transit-stub internet,
-//! Crescendo vs flat Chord, as the crash fraction grows.
+//! Timed lookups under crash failures: mean lookup completion time and
+//! success rate on the transit-stub internet, Crescendo vs flat Chord, as
+//! the crash fraction grows.
 //!
 //! Unlike the structural fault experiments, this prices the *time* cost of
 //! failures — every attempt to contact a crashed node burns a
-//! retransmission timeout before falling back.
+//! retransmission timeout before falling back. Each lookup is one walk of
+//! the shared routing engine under the crash mask (`lookup_with_faults`)
+//! plus the answer's leg back to the origin; `rt` counts dead neighbours
+//! tried per lookup.
 
 use canon::crescendo::build_crescendo;
 use canon_bench::{banner, f, row, BenchConfig};
 use canon_chord::build_chord;
 use canon_id::metric::Clockwise;
 use canon_id::NodeId;
-use canon_netsim::{LookupSim, SimConfig};
+use canon_overlay::faults::{lookup_with_faults, FaultModel};
 use canon_overlay::{NodeIndex, OverlayGraph};
 use canon_topology::{attach, Attachment, LatencyModel, TopologyParams, TransitStubTopology};
 use rand::Rng;
@@ -23,41 +26,44 @@ fn run_system(
     lookups: usize,
     seed: canon_id::rng::Seed,
 ) -> (f64, f64, f64) {
-    let mut sim = LookupSim::new(
-        g,
-        Clockwise,
-        SimConfig {
-            retry_timeout: 1000.0,
-            max_events: 5_000_000,
-        },
-        |a, b| att.latency(g.id(a), g.id(b)),
-    );
     let n = g.len();
     let mut rng = seed.rng();
     // Crash a fraction of the nodes.
     let quota = n * crash_pct / 100;
     let mut dead = std::collections::HashSet::new();
     while dead.len() < quota {
-        let v = NodeIndex(rng.gen_range(0..n) as u32);
-        if dead.insert(v) {
-            sim.kill(v);
-        }
+        dead.insert(NodeIndex(rng.gen_range(0..n) as u32));
     }
-    // Inject lookups from live origins.
+    // Look up random keys from live origins.
+    let lat = |a: NodeIndex, b: NodeIndex| att.latency(g.id(a), g.id(b));
+    let model = FaultModel { timeout: 1000.0 };
+    let mut done = Vec::new();
+    let mut retries = 0usize;
     let mut injected = 0usize;
     while injected < lookups {
         let origin = NodeIndex(rng.gen_range(0..n) as u32);
         if dead.contains(&origin) {
             continue;
         }
-        sim.inject_lookup(injected as f64, origin, NodeId::new(rng.gen()));
+        let key = NodeId::new(rng.gen());
+        let r = lookup_with_faults(
+            g,
+            Clockwise,
+            model,
+            origin,
+            key,
+            |v| !dead.contains(&v),
+            lat,
+        );
+        retries += r.timeouts;
+        if r.completed {
+            // The responsible node reports back to the origin.
+            done.push(r.time + lat(r.terminal, origin));
+        }
         injected += 1;
     }
-    sim.run();
-    let done: Vec<f64> = sim.outcomes().iter().filter_map(|o| o.duration()).collect();
     let success = done.len() as f64 / lookups as f64;
     let mean = done.iter().sum::<f64>() / done.len().max(1) as f64;
-    let retries: usize = sim.outcomes().iter().map(|o| o.retries).sum();
     (success, mean, retries as f64 / lookups as f64)
 }
 

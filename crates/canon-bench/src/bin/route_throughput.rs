@@ -1,27 +1,23 @@
-//! Routing hot-path microbenchmark: lookups per second through four
+//! Routing hot-path microbenchmark: lookups per second through three
 //! executors on one Crescendo network —
 //!
-//! * **prechange**: the pre-change engine reconstructed exactly — the
-//!   seed's per-node `Vec<Vec<NodeIndex>>` adjacency and its per-hop
-//!   algorithm (collect every neighbor into a fresh candidate vector,
-//!   sort, take the best on strict progress);
-//! * **generic**: the candidates-then-sort executor `drive` on today's
-//!   CSR graph (the same per-hop algorithm, faster layout);
+//! * **generic**: the candidates-then-sort executor `drive` (per hop,
+//!   collect every neighbor into a candidate vector, sort, take the best
+//!   on strict progress) — the in-run route-equality reference;
 //! * **indexed**: the fast-path executor `execute`, one binary/linear
 //!   probe of the graph's `NextHopIndex` per hop;
 //! * **sweep**: `route_to_key_sweep`, the indexed fast path with a window
 //!   of lookups interleaved so their per-hop cache misses overlap
 //!   (single-thread memory-level parallelism).
 //!
-//! All four are driven over the *same* pre-drawn `(origin, key)` lookup
+//! All three are driven over the *same* pre-drawn `(origin, key)` lookup
 //! set and must realize identical routes — the run fails if any terminal
 //! or hop count diverges, so the speedups are measured on provably
 //! equivalent work. Construction cost is excluded; only the routing loops
 //! are timed, each as the best of [`PASSES`] repeats (the standard guard
 //! against scheduler noise, applied identically to every executor).
-//! `speedup` is sweep vs prechange (the headline number: batched lookups
-//! against the engine this change replaced); `speedup_generic` and
-//! `speedup_indexed` isolate the layout and index contributions.
+//! `speedup_generic` is sweep vs generic and `speedup_indexed` is indexed
+//! vs generic.
 //!
 //! `--json` emits one machine-readable JSON object (the committed baseline
 //! `results/BENCH_route_throughput.json`); the default is an aligned
@@ -32,7 +28,7 @@
 use canon::crescendo::build_crescendo;
 use canon_bench::{banner, emit_row, row, BenchConfig, PhaseTimer};
 use canon_hierarchy::{Hierarchy, Placement};
-use canon_id::metric::{Clockwise, Metric};
+use canon_id::metric::Clockwise;
 use canon_id::NodeId;
 use canon_overlay::engine::unrestricted;
 use canon_overlay::{drive, execute, route_to_key_sweep, Greedy, NodeIndex, NullObserver};
@@ -58,40 +54,6 @@ fn timed<T>(best: &mut std::time::Duration, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// One greedy lookup exactly as the pre-change engine performed it: the
-/// per-node `Vec<Vec<_>>` adjacency the seed's graph stored, and a fresh
-/// candidate vector collected and sorted on every hop. Reconstructed here
-/// so the number this change is judged against lives in the same run (and
-/// the same noise epoch) as the new executors.
-fn prechange_route(
-    adj: &[Vec<NodeIndex>],
-    ids: &[NodeId],
-    from: NodeIndex,
-    key: NodeId,
-) -> (NodeIndex, usize) {
-    let mut at = from;
-    // audit: allow(greedy-outside-engine) — deliberate replica of the
-    // replaced engine, measured against the real one for equality.
-    let mut dist = Clockwise.distance(ids[at.index()], key);
-    let mut hops = 0usize;
-    loop {
-        let mut cands: Vec<(u64, NodeIndex)> = adj[at.index()]
-            .iter()
-            // audit: allow(greedy-outside-engine)
-            .map(|&nb| (Clockwise.distance(ids[nb.index()], key), nb))
-            .collect();
-        cands.sort_unstable();
-        match cands.first() {
-            Some(&(d, nb)) if d < dist => {
-                at = nb;
-                dist = d;
-                hops += 1;
-            }
-            _ => return (at, hops),
-        }
-    }
-}
-
 fn main() {
     let cfg = BenchConfig::from_args(65536, 1);
     let n = cfg.max_n;
@@ -112,7 +74,7 @@ fn main() {
     });
     let graph = net.graph();
 
-    // Pre-draw every lookup so both timed loops route identical work and
+    // Pre-draw every lookup so all timed loops route identical work and
     // RNG cost stays outside the measurement.
     let mut rng = seed.derive("lookups").rng();
     let drawn: Vec<(NodeIndex, NodeId)> = (0..LOOKUPS)
@@ -124,29 +86,13 @@ fn main() {
         })
         .collect();
 
-    // The seed's graph layout, rebuilt for the prechange executor: one
-    // heap vector per node (construction order matches CSR segment order).
-    let legacy_adj: Vec<Vec<NodeIndex>> = (0..n)
-        .map(|i| graph.neighbors(NodeIndex(i as u32)).to_vec())
-        .collect();
-    let ids = graph.ids();
-
-    let mut prechange = Vec::new();
     let mut generic = Vec::new();
     let mut indexed = Vec::new();
     let mut sweep = Vec::new();
-    let mut prechange_time = std::time::Duration::MAX;
     let mut generic_time = std::time::Duration::MAX;
     let mut indexed_time = std::time::Duration::MAX;
     let mut sweep_time = std::time::Duration::MAX;
     for _ in 0..PASSES {
-        // The engine this PR replaced, measured in the same noise epoch.
-        prechange = timed(&mut prechange_time, || {
-            drawn
-                .iter()
-                .map(|&(origin, key)| prechange_route(&legacy_adj, ids, origin, key))
-                .collect::<Vec<(NodeIndex, usize)>>()
-        });
         // Generic path: the pre-index engine — per hop, collect candidates
         // into a Vec, sort by (rank, next), probe in order.
         generic = timed(&mut generic_time, || {
@@ -202,10 +148,6 @@ fn main() {
     }
 
     assert_eq!(
-        prechange, generic,
-        "prechange replica must realize the same routes as the generic executor"
-    );
-    assert_eq!(
         generic, indexed,
         "fast path must realize the same routes as the generic executor"
     );
@@ -215,7 +157,6 @@ fn main() {
     );
     let mean_hops =
         indexed.iter().map(|&(_, h)| h as f64).sum::<f64>() / indexed.len().max(1) as f64;
-    let prechange_lps = LOOKUPS as f64 / prechange_time.as_secs_f64();
     let generic_lps = LOOKUPS as f64 / generic_time.as_secs_f64();
     let indexed_lps = LOOKUPS as f64 / indexed_time.as_secs_f64();
     let sweep_lps = LOOKUPS as f64 / sweep_time.as_secs_f64();
@@ -224,11 +165,9 @@ fn main() {
         ("nodes", n.to_string()),
         ("lookups", LOOKUPS.to_string()),
         ("mean_hops", format!("{mean_hops:.2}")),
-        ("prechange_lps", format!("{prechange_lps:.0}")),
         ("generic_lps", format!("{generic_lps:.0}")),
         ("indexed_lps", format!("{indexed_lps:.0}")),
         ("sweep_lps", format!("{sweep_lps:.0}")),
-        ("speedup", format!("{:.2}", sweep_lps / prechange_lps)),
         ("speedup_generic", format!("{:.2}", sweep_lps / generic_lps)),
         (
             "speedup_indexed",
@@ -237,10 +176,6 @@ fn main() {
         (
             "construct_s",
             format!("{:.3}", times.construct.as_secs_f64()),
-        ),
-        (
-            "prechange_s",
-            format!("{:.3}", prechange_time.as_secs_f64()),
         ),
         ("generic_s", format!("{:.3}", generic_time.as_secs_f64())),
         ("indexed_s", format!("{:.3}", indexed_time.as_secs_f64())),

@@ -21,11 +21,8 @@
 //!   **tombstone** remembers the floor, so a slower in-flight fill stamped
 //!   below it cannot resurrect the overwritten value.
 //!
-//! Hit/miss/fill/invalidate traffic streams through the
-//! [`CacheObserver`] sink trait (the cache-layer sibling of
-//! [`canon_overlay::RouteObserver`] and the framing layer's
-//! `FrameObserver`); [`CacheTally`] is the counting sink behind
-//! `Runtime::cache_summary()`.
+//! Hit/miss/fill/invalidate/evict traffic is counted per node in a
+//! [`CacheTally`], aggregated by `Runtime::cache_summary()`.
 
 use canon_id::NodeId;
 use canon_store::ContentId;
@@ -54,62 +51,7 @@ impl CacheConfig {
     }
 }
 
-/// One cache-layer event, streamed to a [`CacheObserver`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheEvent {
-    /// A GET was answered from this node's cache.
-    Hit {
-        /// The key served.
-        key: u64,
-        /// The entry's level annotation (hops from the owner at fill time).
-        level: u32,
-    },
-    /// A GET consulted the cache and found nothing fresh.
-    Miss {
-        /// The key looked up.
-        key: u64,
-    },
-    /// A fill was accepted (inserted or refreshed an entry).
-    Fill {
-        /// The key filled.
-        key: u64,
-        /// The entry's level annotation.
-        level: u32,
-    },
-    /// A fill arrived stamped below the key's invalidation floor (or below
-    /// an already-cached newer version) and was dropped.
-    StaleFill {
-        /// The key the stale fill was for.
-        key: u64,
-    },
-    /// A fill's value bytes did not hash to its content id; dropped.
-    CorruptFill {
-        /// The key the corrupt fill was for.
-        key: u64,
-    },
-    /// An owner invalidation was applied.
-    Invalidate {
-        /// The key invalidated.
-        key: u64,
-    },
-    /// An entry was evicted to make room.
-    Evict {
-        /// The key evicted.
-        key: u64,
-        /// The evicted entry's level annotation.
-        level: u32,
-    },
-}
-
-/// A sink for [`CacheEvent`]s — the cache layer's observer seam, mirroring
-/// [`canon_overlay::RouteObserver`] on the routing side and the framing
-/// layer's `FrameObserver` on the wire side.
-pub trait CacheObserver {
-    /// Called once per cache-layer event, in the order they occur.
-    fn on_cache_event(&mut self, event: &CacheEvent);
-}
-
-/// The counting [`CacheObserver`]: one counter per event kind.
+/// Per-node cache counters: one per kind of cache-layer event.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheTally {
     /// GETs answered from cache.
@@ -127,20 +69,6 @@ pub struct CacheTally {
     pub invalidations: u64,
     /// Entries evicted for capacity.
     pub evictions: u64,
-}
-
-impl CacheObserver for CacheTally {
-    fn on_cache_event(&mut self, event: &CacheEvent) {
-        match event {
-            CacheEvent::Hit { .. } => self.hits += 1,
-            CacheEvent::Miss { .. } => self.misses += 1,
-            CacheEvent::Fill { .. } => self.fills += 1,
-            CacheEvent::StaleFill { .. } => self.stale_fills += 1,
-            CacheEvent::CorruptFill { .. } => self.corrupt_fills += 1,
-            CacheEvent::Invalidate { .. } => self.invalidations += 1,
-            CacheEvent::Evict { .. } => self.evictions += 1,
-        }
-    }
 }
 
 /// Cluster-wide cache accounting, aggregated by `Runtime::cache_summary()`.
@@ -249,12 +177,11 @@ impl NodeCache {
         match self.entries.get_mut(&key) {
             Some(e) => {
                 e.last_used = tick;
-                let (value, level) = (e.value, e.level);
-                self.tally.on_cache_event(&CacheEvent::Hit { key, level });
-                Some(value)
+                self.tally.hits += 1;
+                Some(e.value)
             }
             None => {
-                self.tally.on_cache_event(&CacheEvent::Miss { key });
+                self.tally.misses += 1;
                 None
             }
         }
@@ -278,19 +205,19 @@ impl NodeCache {
             return FillOutcome::Disabled;
         }
         if !ContentId::from_raw(cid).verifies(&value.to_le_bytes()) {
-            self.tally.on_cache_event(&CacheEvent::CorruptFill { key });
+            self.tally.corrupt_fills += 1;
             return FillOutcome::Corrupt;
         }
         if let Some(&(t_owner, floor)) = self.tombstones.get(&key) {
             if t_owner == owner && stamp < floor {
-                self.tally.on_cache_event(&CacheEvent::StaleFill { key });
+                self.tally.stale_fills += 1;
                 return FillOutcome::Stale;
             }
             self.tombstones.remove(&key);
         }
         if let Some(e) = self.entries.get(&key) {
             if e.owner == owner && stamp < e.stamp {
-                self.tally.on_cache_event(&CacheEvent::StaleFill { key });
+                self.tally.stale_fills += 1;
                 return FillOutcome::Stale;
             }
         }
@@ -305,7 +232,7 @@ impl NodeCache {
         if self.entries.insert(key, entry).is_none() && self.entries.len() > self.capacity {
             self.evict(key);
         }
-        self.tally.on_cache_event(&CacheEvent::Fill { key, level });
+        self.tally.fills += 1;
         FillOutcome::Accepted
     }
 
@@ -327,7 +254,7 @@ impl NodeCache {
         if self.tombstones.len() > TOMBSTONE_CAP {
             self.tombstones.pop_first();
         }
-        self.tally.on_cache_event(&CacheEvent::Invalidate { key });
+        self.tally.invalidations += 1;
     }
 
     /// Evicts one entry (never the just-inserted `keep`): largest level
@@ -339,11 +266,10 @@ impl NodeCache {
             .iter()
             .filter(|(&k, _)| k != keep)
             .max_by_key(|(_, e)| (e.level, u64::MAX - e.last_used))
-            .map(|(&k, e)| (k, e.level));
-        if let Some((k, level)) = victim {
+            .map(|(&k, _)| k);
+        if let Some(k) = victim {
             self.entries.remove(&k);
-            self.tally
-                .on_cache_event(&CacheEvent::Evict { key: k, level });
+            self.tally.evictions += 1;
         }
     }
 

@@ -64,32 +64,6 @@ pub struct LinkBytes {
     pub bytes: u64,
 }
 
-/// One frame-level event streamed to a [`FrameObserver`].
-#[derive(Clone, Copy, Debug)]
-pub struct FrameEvent {
-    /// The sending node.
-    pub from: NodeId,
-    /// The destination node.
-    pub to: NodeId,
-    /// The frame's delivery tick, or `None` if the transport dropped it.
-    pub deliver_at: Option<Tick>,
-    /// Messages coalesced into the frame.
-    pub msgs: u64,
-    /// Encoded frame bytes (zero for dropped frames, which are never
-    /// encoded).
-    pub bytes: u64,
-}
-
-/// An observer sink for frame-level events, mirroring the runtime's other
-/// observer sinks. Events arrive in worker-completion order, which is not
-/// deterministic across thread counts — order-independent aggregation
-/// (counters, keyed maps) is; the built-in [`FrameLedger`] is exactly
-/// that.
-pub trait FrameObserver: Send {
-    /// Called once per frame, delivered or dropped.
-    fn on_frame(&mut self, event: &FrameEvent);
-}
-
 /// Order-independent aggregation state behind the ledger's mutex.
 #[derive(Debug, Default)]
 struct Tally {
@@ -109,18 +83,9 @@ struct Tally {
 /// counters, batching counterfactuals, and loss accounting. All updates
 /// are commutative, so the ledger reads identically regardless of worker
 /// scheduling — the framed determinism tests rely on that.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct FrameLedger {
     tally: Mutex<Tally>,
-    observer: Mutex<Option<Box<dyn FrameObserver>>>,
-}
-
-impl std::fmt::Debug for FrameLedger {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrameLedger")
-            .field("tally", &lock_unpoisoned(&self.tally))
-            .finish_non_exhaustive()
-    }
 }
 
 impl FrameLedger {
@@ -128,65 +93,35 @@ impl FrameLedger {
         let Some(first) = envs.first() else { return };
         let link_bytes = frame.bytes.len() as u64;
         let payload_bytes: u64 = frame.per_msg.iter().map(|&(_, len)| len as u64).sum();
-        {
-            let mut t = lock_unpoisoned(&self.tally);
-            let link = t
-                .links
-                .entry((first.from.raw(), first.to.raw()))
-                .or_default();
-            link.frames += 1;
-            link.msgs += envs.len() as u64;
-            link.bytes += link_bytes;
-            t.total.frames += 1;
-            t.total.msgs += envs.len() as u64;
-            t.total.bytes += link_bytes;
-            t.header_bytes += link_bytes - payload_bytes;
-            t.payload_bytes += payload_bytes;
-            t.unbatched_bytes += frame.unbatched as u64;
-            for &(kind, len) in &frame.per_msg {
-                let k = t.kinds.entry(kind).or_default();
-                k.0 += 1;
-                k.1 += len as u64;
-            }
+        let mut t = lock_unpoisoned(&self.tally);
+        let link = t
+            .links
+            .entry((first.from.raw(), first.to.raw()))
+            .or_default();
+        link.frames += 1;
+        link.msgs += envs.len() as u64;
+        link.bytes += link_bytes;
+        t.total.frames += 1;
+        t.total.msgs += envs.len() as u64;
+        t.total.bytes += link_bytes;
+        t.header_bytes += link_bytes - payload_bytes;
+        t.payload_bytes += payload_bytes;
+        t.unbatched_bytes += frame.unbatched as u64;
+        for &(kind, len) in &frame.per_msg {
+            let k = t.kinds.entry(kind).or_default();
+            k.0 += 1;
+            k.1 += len as u64;
         }
-        self.observe(FrameEvent {
-            from: first.from,
-            to: first.to,
-            deliver_at: Some(first.deliver_at),
-            msgs: envs.len() as u64,
-            bytes: link_bytes,
-        });
     }
 
-    fn record_lost(&self, from: NodeId, to: NodeId, msgs: usize) {
-        {
-            let mut t = lock_unpoisoned(&self.tally);
-            t.frames_lost += 1;
-            t.msgs_lost += msgs as u64;
-        }
-        self.observe(FrameEvent {
-            from,
-            to,
-            deliver_at: None,
-            msgs: msgs as u64,
-            bytes: 0,
-        });
+    fn record_lost(&self, msgs: usize) {
+        let mut t = lock_unpoisoned(&self.tally);
+        t.frames_lost += 1;
+        t.msgs_lost += msgs as u64;
     }
 
     fn record_decode_error(&self) {
         lock_unpoisoned(&self.tally).decode_errors += 1;
-    }
-
-    fn observe(&self, event: FrameEvent) {
-        if let Some(obs) = lock_unpoisoned(&self.observer).as_mut() {
-            obs.on_frame(&event);
-        }
-    }
-
-    /// Installs an observer sink for frame events (replacing any previous
-    /// one).
-    pub fn set_observer(&self, observer: Box<dyn FrameObserver>) {
-        *lock_unpoisoned(&self.observer) = Some(observer);
     }
 
     /// Snapshot of the aggregated wire accounting.
@@ -463,7 +398,7 @@ pub(crate) fn flush_outbox(
                 None => {
                     // The whole frame is lost atomically.
                     state.stats.network_drops += envs.len() as u64;
-                    view.ledger.record_lost(from, to, envs.len());
+                    view.ledger.record_lost(envs.len());
                 }
                 Some(deliver_at) => {
                     for env in &mut envs {
@@ -593,7 +528,7 @@ mod tests {
         ];
         let frame = encode_frame(&envs);
         ledger.record_frame(&envs, &frame);
-        ledger.record_lost(NodeId::new(10), NodeId::new(30), 3);
+        ledger.record_lost(3);
         let s = ledger.summary();
         assert_eq!((s.frames, s.msgs), (1, 2));
         assert_eq!(s.bytes, frame.bytes.len() as u64);

@@ -28,7 +28,7 @@
 //!
 //! * [`cache`] — the en-route read cache on the GET path: level-annotated
 //!   entries filled along converged routes, owner-driven invalidation,
-//!   observer-sink accounting;
+//!   per-node event counters;
 //! * [`clock`] — the [`clock::Clock`] trait and the virtual lock-step
 //!   clock;
 //! * [`transport`] — envelopes, mailboxes, the in-process channel
@@ -69,10 +69,10 @@ pub mod shard;
 pub mod transport;
 pub mod wire;
 
-pub use cache::{CacheConfig, CacheEvent, CacheObserver, CacheSummary, CacheTally, NodeCache};
+pub use cache::{CacheConfig, CacheSummary, CacheTally, NodeCache};
 pub use clock::{Clock, Tick, VirtualClock};
 pub use cluster::from_graph;
-pub use framed::{FrameEvent, FrameLedger, FrameObserver, FramedTransport, LinkBytes, WireSummary};
+pub use framed::{FrameLedger, FramedTransport, LinkBytes, WireSummary};
 pub use msg::{Command, Completion, JoinGrant, Op, OpKind, Outcome, Payload, RpcResult};
 pub use node::{LatencySink, NodeStats};
 pub use remote::RemoteShard;

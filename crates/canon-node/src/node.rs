@@ -89,7 +89,7 @@ pub struct NodeStats {
 }
 
 /// One routed request as it travels hop to hop (and as parked in
-/// [`NodeState::deferred`]): `(origin, req, attempt, hops, op, path)`.
+/// `NodeState::deferred`): `(origin, req, attempt, hops, op, path)`.
 pub type RoutedRequest = (NodeId, u64, u32, u32, Op, Vec<NodeId>);
 
 /// The network context a node handles messages in: shared mailboxes, the

@@ -449,7 +449,7 @@ impl Runtime {
     }
 
     /// Aggregates cluster-wide cache accounting from every node's
-    /// [`crate::cache::CacheTally`] sink. Kept out of [`Summary`] (like
+    /// [`crate::cache::CacheTally`]. Kept out of [`Summary`] (like
     /// [`Runtime::wire_summary`]) so cached and uncached runs of the same
     /// workload produce byte-identical core summaries.
     pub fn cache_summary(&self) -> CacheSummary {

@@ -256,42 +256,6 @@ where
     })
 }
 
-/// The candidates `policy` would offer at `at`, in the executor's try
-/// order `(rank, next)`. Empty when `at` is terminal or a local minimum.
-///
-/// This is the hook for simulators ([`canon-netsim`]) that interleave many
-/// lookups and therefore drive routing one hop at a time instead of
-/// calling [`drive`].
-///
-/// [`canon-netsim`]: crate::engine
-pub fn ordered_candidates<P: RoutingPolicy>(
-    graph: &OverlayGraph,
-    policy: &P,
-    at: NodeIndex,
-) -> Vec<Candidate<P::Key, P::Rank>> {
-    let mut out = Vec::new();
-    ordered_candidates_into(graph, policy, at, &mut out);
-    out
-}
-
-/// Like [`ordered_candidates`], but reusing `out` (cleared first) — the
-/// allocation-free variant for per-hop drivers that expand many nodes in a
-/// loop (canon-netsim's forwarding loop).
-pub fn ordered_candidates_into<P: RoutingPolicy>(
-    graph: &OverlayGraph,
-    policy: &P,
-    at: NodeIndex,
-    out: &mut Vec<Candidate<P::Key, P::Rank>>,
-) {
-    out.clear();
-    let key = policy.key(graph, at);
-    if policy.is_terminal(key) {
-        return;
-    }
-    policy.candidates(graph, at, key, out);
-    out.sort_unstable_by_key(|c| (c.rank, c.next));
-}
-
 /// Drives `policy` with the [`NullObserver`] in a fault-free environment
 /// (the common "just give me the route" case).
 pub fn execute_unobserved<P: RoutingPolicy>(
@@ -430,16 +394,5 @@ mod tests {
             &[HopEvent::Terminal { at: NodeIndex(3) }],
             "routing to self emits only the terminal event"
         );
-    }
-
-    #[test]
-    fn ordered_candidates_match_executor_choice() {
-        let g = ring();
-        let p = Greedy::new(Clockwise, id(6));
-        let cands = ordered_candidates(&g, &p, NodeIndex(0));
-        assert!(!cands.is_empty());
-        let d = execute_unobserved(&g, &p, NodeIndex(0)).expect("routes");
-        assert_eq!(d.route.path()[1], cands[0].next);
-        assert!(ordered_candidates(&g, &p, NodeIndex(6)).is_empty());
     }
 }

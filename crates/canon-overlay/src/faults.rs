@@ -8,9 +8,19 @@
 //! successful hop costs the link latency, and candidates at every step are
 //! tried in increasing metric distance to the destination.
 //!
-//! This is now a thin wrapper over the shared executor: a
-//! [`FaultFallback`] policy driven under a liveness mask, with a
-//! [`FaultTally`] sink accumulating the time/hop/timeout accounting.
+//! Both lookup styles are the shared executor under a liveness mask: a
+//! [`FaultFallback`] policy driven with a [`FaultTally`] sink accumulating
+//! the time/hop/timeout accounting. [`lookup_with_faults`] is *recursive*
+//! routing — the query is forwarded hop by hop and each hop costs its link;
+//! [`iterative_lookup`] is Kademlia's deployment style — the origin contacts
+//! every intermediate node itself and pays a full round trip per step. The
+//! choice interacts with hierarchy: recursive hops inside a domain are
+//! cheap under Canon, while iterative steps always pay origin-to-
+//! intermediate round trips, so locality benefits shrink (the
+//! `iterative_vs_recursive` experiment quantifies the gap).
+//!
+//! Lookups share no state, so a concurrent workload is just one call per
+//! lookup: a lookup's timeline is the sum of its own hops and timeouts.
 
 use crate::engine::{drive, DriveConfig};
 use crate::graph::{NodeIndex, OverlayGraph};
@@ -37,9 +47,14 @@ impl Default for FaultModel {
 pub struct FaultyLookup {
     /// Whether the lookup reached the responsible node.
     pub completed: bool,
-    /// Total time spent (link latencies plus timeouts).
+    /// Node where forwarding stopped: the responsible node when
+    /// `completed`, otherwise the node whose closer candidates were all
+    /// dead. Callers that model the answer travelling back add the
+    /// `terminal → from` leg themselves.
+    pub terminal: NodeIndex,
+    /// Total time spent (hop costs plus timeouts).
     pub time: f64,
-    /// Successful hops taken.
+    /// Successful hops taken (round trips, for [`iterative_lookup`]).
     pub hops: usize,
     /// Dead neighbors attempted along the way.
     pub timeouts: usize,
@@ -76,18 +91,44 @@ where
         stop: |_: NodeIndex| false,
     };
     let policy = FaultFallback::new(metric, target);
-    let completed = match drive(graph, &policy, from, cfg, &mut tally) {
-        Ok(d) => !d.exhausted,
+    let (completed, terminal) = match drive(graph, &policy, from, cfg, &mut tally) {
+        Ok(d) => (!d.exhausted, d.route.target()),
         // Strict progress makes the hop limit unreachable on any graph the
         // builders produce; treat it as a failed lookup rather than panic.
-        Err(_) => false,
+        Err(_) => (false, from),
     };
     FaultyLookup {
         completed,
+        terminal,
         time: tally.time,
         hops: tally.hops,
         timeouts: tally.timeouts,
     }
+}
+
+/// Runs an *iterative* lookup for `target` from `origin`: the same
+/// fault-fallback walk as [`lookup_with_faults`], but the origin probes
+/// every candidate directly, so each successful step costs a round trip
+/// `2 × lat(origin, candidate)` instead of a link traversal, and each dead
+/// probe costs one timeout. (Strict progress means the walk never returns
+/// to the origin, so every probe is a real round trip.)
+pub fn iterative_lookup<M, A, L>(
+    graph: &OverlayGraph,
+    metric: M,
+    model: FaultModel,
+    origin: NodeIndex,
+    target: NodeId,
+    alive: A,
+    lat: L,
+) -> FaultyLookup
+where
+    M: Metric,
+    A: Fn(NodeIndex) -> bool,
+    L: Fn(NodeIndex, NodeIndex) -> f64,
+{
+    lookup_with_faults(graph, metric, model, origin, target, alive, |_, nb| {
+        2.0 * lat(origin, nb)
+    })
 }
 
 #[cfg(test)]
@@ -125,6 +166,7 @@ mod tests {
         assert_eq!(r.timeouts, 0);
         // Greedy: 0 → 4 → 5.
         assert_eq!(r.hops, 2);
+        assert_eq!(r.terminal, NodeIndex(5));
         assert!((r.time - 2.0).abs() < 1e-9);
     }
 
@@ -147,6 +189,7 @@ mod tests {
         // completion. This is exactly the failure mode leaf sets exist to
         // repair (§2.3) — this ring has none.
         assert!(!r.completed);
+        assert_eq!(r.terminal, NodeIndex(3));
         assert_eq!(r.timeouts, 2);
         assert_eq!(r.hops, 2);
         assert!((r.time - (2.0 * 10.0 + 2.0)).abs() < 1e-9);

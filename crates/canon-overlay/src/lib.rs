@@ -29,9 +29,11 @@
 //! * [`stats`] — degree and hop-count statistics (Figures 3–5);
 //! * [`paths`] — path-overlap metrics (Figure 8) and latency evaluation of
 //!   routes (Figures 6–7);
-//! * [`multicast`] — reverse-path multicast trees and inter-domain link
-//!   counting (Figure 9);
-//! * [`faults`] — timeout-priced lookups under node-failure masks.
+//! * [`multicast`] — rendezvous multicast groups: subscription by
+//!   drive-then-graft, reverse-path trees from recorded routes,
+//!   dissemination cost and inter-domain link counting (Figure 9);
+//! * [`faults`] — timeout-priced recursive and iterative lookups under
+//!   node-failure masks.
 
 #![forbid(unsafe_code)]
 
@@ -47,9 +49,7 @@ pub mod policy;
 pub mod route;
 pub mod stats;
 
-pub use engine::{
-    drive, execute, ordered_candidates, ordered_candidates_into, DriveConfig, Driven,
-};
+pub use engine::{drive, execute, DriveConfig, Driven};
 pub use graph::{GraphBuilder, NodeIndex, OverlayGraph};
 pub use index::NextHopIndex;
 pub use observe::{

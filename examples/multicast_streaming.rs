@@ -12,7 +12,7 @@ use canon_chord::build_chord;
 use canon_id::hash::hash_name;
 use canon_id::metric::Clockwise;
 use canon_id::rng::Seed;
-use canon_multicast::MulticastGroup;
+use canon_overlay::multicast::MulticastGroup;
 use canon_overlay::NodeIndex;
 use canon_topology::{attach, LatencyModel, TopologyParams, TransitStubTopology};
 use rand::Rng;

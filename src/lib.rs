@@ -10,8 +10,6 @@ pub use canon_chord;
 pub use canon_hierarchy;
 pub use canon_id;
 pub use canon_kademlia;
-pub use canon_multicast;
-pub use canon_netsim;
 pub use canon_overlay;
 pub use canon_pastry;
 pub use canon_sim;

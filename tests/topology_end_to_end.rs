@@ -178,7 +178,7 @@ fn locality_collapses_latency_for_crescendo_only() {
 
 #[test]
 fn multicast_crosses_far_fewer_domains_on_crescendo() {
-    use canon_overlay::multicast::MulticastTree;
+    use canon_overlay::multicast::MulticastGroup;
     let att = small_attachment(1200);
     let h = att.hierarchy().clone();
     let p = att.placement().clone();
@@ -194,12 +194,16 @@ fn multicast_crosses_far_fewer_domains_on_crescendo() {
         .filter(|&s| s != dest)
         .collect();
 
-    let tree_c = MulticastTree::build(cresc.graph(), Clockwise, &sources, dest).expect("routes");
+    let routes: Vec<_> = sources
+        .iter()
+        .map(|&s| route(cresc.graph(), Clockwise, s, dest).expect("routes"))
+        .collect();
+    let tree_c = MulticastGroup::from_routes(cresc.graph(), dest, &routes);
     let routes: Vec<_> = sources
         .iter()
         .map(|&s| chord_px.route(s, dest).expect("prox route"))
         .collect();
-    let tree_p = MulticastTree::from_routes(dest, routes.iter());
+    let tree_p = MulticastGroup::from_routes(chord_px.graph(), dest, &routes);
 
     let dom_of_c = |x: NodeIndex| cresc.domain_at_depth(&h, x, 1);
     let crossings_c = tree_c.inter_domain_links(dom_of_c) as f64;
