@@ -61,12 +61,14 @@
 //!   runtime but unknown to the codec would make the framed transport
 //!   panic or mis-frame; the codec must grow in lock-step with the
 //!   vocabulary.
-//! * **`rebuild-on-churn`** — crates sitting on the churn path (`canon-sim`,
-//!   `canon-node`) must absorb join/leave events as O(links) patches
-//!   through `PatchedOverlay`, never by rebuilding the network: any
-//!   full-construction token (`build_canonical`, the family builders,
-//!   `GraphBuilder`, `from_per_node_links`) in their non-test code is
-//!   flagged unless annotated `// audit: full-rebuild` with a reason.
+//! * **`rebuild-on-churn`** — crates sitting on the churn path must
+//!   absorb join/leave events in O(links), never by rebuilding the
+//!   network: `canon-sim` applies them as patches through
+//!   `PatchedOverlay`; `canon-node` holds no overlay (a node routes from
+//!   its link table) and must not construct one. Any full-construction
+//!   token (`build_canonical`, the family builders, `GraphBuilder`,
+//!   `from_per_node_links`) in their non-test code is flagged unless
+//!   annotated `// audit: full-rebuild` with a reason.
 //!
 //! # Annotations
 //!
@@ -138,9 +140,11 @@ pub const WIRE_VOCAB_CRATES: &[&str] = &["canon-node"];
 /// its enum.
 pub const WIRE_VOCAB_ENUMS: &[&str] = &["Op", "Command", "Payload", "RpcResult"];
 
-/// Crates sitting on the churn path: join/leave must land as `OverlayPatch`
-/// applications on a `PatchedOverlay` (O(links) per event), never as a full
-/// reconstruction of the network or its CSR graph (rule `rebuild-on-churn`).
+/// Crates sitting on the churn path (rule `rebuild-on-churn`): a join/leave
+/// costs O(links) per event, never a full reconstruction of the network or
+/// its CSR graph. `canon-sim` lands it as `OverlayPatch` applications on a
+/// `PatchedOverlay`; `canon-node` holds no overlay and must not construct
+/// one.
 pub const CHURN_PATH_CRATES: &[&str] = &["canon-sim", "canon-node"];
 
 /// The one crate allowed to contain `unsafe` code.
@@ -1235,8 +1239,9 @@ fn collect_impl_mentions(
 
 /// Tokens that construct a network or CSR graph from scratch. Any of these
 /// on a churn-path crate means a join/leave is being absorbed by rebuilding
-/// the world (O(n log n) work and a full reallocation) instead of patching
-/// it (O(links) via `PatchedOverlay`).
+/// the world (O(n log n) work and a full reallocation) instead of in
+/// O(links): a `PatchedOverlay` patch in canon-sim, a link-table edit in
+/// canon-node.
 const REBUILD_TOKENS: &[&str] = &[
     "build_canonical",
     "build_crescendo",
@@ -1265,11 +1270,13 @@ fn check_rebuild_on_churn(file: &SourceFile<'_>, pre: &Preprocessed, findings: &
                     rule: "rebuild-on-churn",
                     message: format!(
                         "`{tok}` in churn-path crate `{}`: join/leave must be \
-                         absorbed as O(links) patches via `PatchedOverlay` \
+                         absorbed in O(links), not by rebuilding the network \
+                         — canon-sim patches a `PatchedOverlay` \
                          (`apply_join`/`apply_leave`/`relink` + periodic \
-                         `compact()`), not by rebuilding the network; if this \
-                         construction is deliberate, annotate it \
-                         `// audit: full-rebuild` with a reason",
+                         `compact()`); canon-node holds no overlay (a node \
+                         routes from its link table) and must not construct \
+                         one; if this construction is deliberate, annotate \
+                         it `// audit: full-rebuild` with a reason",
                         file.crate_name
                     ),
                 });

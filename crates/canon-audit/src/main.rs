@@ -15,8 +15,8 @@
 //!   storage probes (replica sets vs. replication policy across store,
 //!   sim and node);
 //! * `protocol` — exhaustively explore the message-delivery interleavings
-//!   of the five scripted churn scenarios (join/leave/handover under
-//!   crashes and partitions), checking the ring invariant, acked-write
+//!   of the six scripted churn scenarios (join/leave/handover and cache
+//!   invalidation under crashes and partitions), checking the ring invariant, acked-write
 //!   durability, pin conservation and RPC-id sanity after every delivery;
 //! * `all` (default) — everything above.
 //!

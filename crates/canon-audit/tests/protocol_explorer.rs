@@ -3,7 +3,7 @@
 //! The unreduced explorer must agree with the closed-form interleaving
 //! count from the mini-loom module on a scenario whose delivery streams
 //! are pure FIFO queues; DPOR must then explore strictly fewer states
-//! while reaching the same invariant verdict; and the five shipped
+//! while reaching the same invariant verdict; and the six shipped
 //! scenarios must pass exhaustively within the default bounds.
 
 use canon_audit::loom::interleaving_count;

@@ -25,7 +25,7 @@
 //! [`CacheTally`], aggregated by `Runtime::cache_summary()`.
 
 use canon_id::NodeId;
-use canon_store::ContentId;
+use canon_store::{victim_rank, ContentId};
 use std::collections::BTreeMap;
 
 /// Tombstones kept per node: one per key with an outstanding invalidation
@@ -257,15 +257,15 @@ impl NodeCache {
         self.tally.invalidations += 1;
     }
 
-    /// Evicts one entry (never the just-inserted `keep`): largest level
-    /// first — a copy far from the owner serves only its own locality —
-    /// breaking ties by least-recent use, exactly canon-store's §4.2 rule.
+    /// Evicts one entry (never the just-inserted `keep`) in canon-store's
+    /// §4.2 order ([`victim_rank`]): largest level first — a copy far from
+    /// the owner serves only its own locality — then least recently used.
     fn evict(&mut self, keep: u64) {
         let victim = self
             .entries
             .iter()
             .filter(|(&k, _)| k != keep)
-            .max_by_key(|(_, e)| (e.level, u64::MAX - e.last_used))
+            .max_by_key(|(_, e)| victim_rank(e.level, e.last_used))
             .map(|(&k, _)| k);
         if let Some(k) = victim {
             self.entries.remove(&k);
@@ -398,10 +398,9 @@ mod tests {
         assert_eq!(filled(&mut c, 3, 30, 0, 2), FillOutcome::Accepted);
         assert_eq!(c.lookup(2), None);
         assert!(c.lookup(1).is_some() && c.lookup(3).is_some());
-        // Levels now tie at {1: level 1→ no; entries are 1(level 1), 3(level 2)}.
-        // Insert another level-2 entry: key 3 is the deepest; between
-        // equal-level victims the least recently used loses — touch 3 so
-        // it survives over a colder equal-level peer.
+        // Entries are now 1 (level 1) and 3 (level 2). Another level-2
+        // fill evicts key 3: it is the deepest entry apart from the fill
+        // itself, which is never its own victim.
         assert_eq!(filled(&mut c, 4, 40, 0, 2), FillOutcome::Accepted);
         assert_eq!(
             c.lookup(3),

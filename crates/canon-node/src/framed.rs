@@ -382,43 +382,30 @@ pub(crate) fn flush_outbox(
     if state.outbox.is_empty() {
         return;
     }
-    let staged = std::mem::take(&mut state.outbox);
-    if view.per_frame {
-        // Fates are per frame: coalesce everything to one destination this
-        // round, then ask the transport once, keyed by the frame's first
-        // (lowest) sequence number.
-        let mut groups: BTreeMap<usize, Vec<Envelope<Payload>>> = BTreeMap::new();
-        for (slot, env) in staged {
-            groups.entry(slot).or_default().push(env);
-        }
-        for (slot, mut envs) in groups {
+    // Group by (destination, delivery tick). With per-message fates the
+    // tick was quoted at send time, so only survivors that arrive together
+    // coalesce; with per-frame fates every staged envelope still carries
+    // tick 0, so this is one group per destination.
+    let mut groups: BTreeMap<(usize, Tick), Vec<Envelope<Payload>>> = BTreeMap::new();
+    for (slot, env) in std::mem::take(&mut state.outbox) {
+        groups.entry((slot, env.deliver_at)).or_default().push(env);
+    }
+    for ((slot, _), mut envs) in groups {
+        if view.per_frame {
+            // Ask the transport once per frame, keyed by the frame's first
+            // (lowest) sequence number.
             let Some(first) = envs.first() else { continue };
-            let (from, to, frame_seq) = (first.from, first.to, first.seq);
-            match transport.schedule(now, from, to, frame_seq) {
-                None => {
-                    // The whole frame is lost atomically.
-                    state.stats.network_drops += envs.len() as u64;
-                    view.ledger.record_lost(envs.len());
-                }
-                Some(deliver_at) => {
-                    for env in &mut envs {
-                        env.deliver_at = deliver_at;
-                    }
-                    deliver_frame(boxes, view.ledger, slot, &envs);
-                }
+            let Some(deliver_at) = transport.schedule(now, first.from, first.to, first.seq) else {
+                // The whole frame is lost atomically.
+                state.stats.network_drops += envs.len() as u64;
+                view.ledger.record_lost(envs.len());
+                continue;
+            };
+            for env in &mut envs {
+                env.deliver_at = deliver_at;
             }
         }
-    } else {
-        // Fates were already decided per message at send time (so loss and
-        // jitter match an unframed run exactly); coalesce the survivors
-        // that share a delivery tick.
-        let mut groups: BTreeMap<(usize, Tick), Vec<Envelope<Payload>>> = BTreeMap::new();
-        for (slot, env) in staged {
-            groups.entry((slot, env.deliver_at)).or_default().push(env);
-        }
-        for ((slot, _), envs) in groups {
-            deliver_frame(boxes, view.ledger, slot, &envs);
-        }
+        deliver_frame(boxes, view.ledger, slot, &envs);
     }
 }
 

@@ -7,9 +7,10 @@
 //! and communicating **only** through a [`transport::Transport`]. On top
 //! of the actor substrate sit a small RPC layer and three protocols:
 //!
-//! * recursive key lookup, forwarded hop by hop through the same
-//!   [`canon_overlay::RoutingPolicy`] engine the simulators use — each
-//!   node routes from its own partial view;
+//! * recursive key lookup, forwarded hop by hop by the same greedy rule
+//!   the simulators' routing engine applies ([`canon_overlay::closest`]
+//!   plus strict progress) — each node routes from its own link table
+//!   and holds no overlay;
 //! * replicated GET/PUT placed by `canon-store`'s shared
 //!   [`canon_store::Policy`] engine, with per-key replication status and
 //!   pin/unpin in the RPC table, over pluggable content-addressed
@@ -74,7 +75,7 @@ pub use clock::{Clock, Tick, VirtualClock};
 pub use cluster::from_graph;
 pub use framed::{FrameLedger, FramedTransport, LinkBytes, WireSummary};
 pub use msg::{Command, Completion, JoinGrant, Op, OpKind, Outcome, Payload, RpcResult};
-pub use node::{LatencySink, NodeStats};
+pub use node::NodeStats;
 pub use remote::RemoteShard;
 pub use rpc::{RetryDecision, RpcConfig, RpcTable};
 pub use runtime::{ReplicationStatus, Runtime, RuntimeConfig, Summary};

@@ -7,16 +7,17 @@
 //! argument rests on.
 //!
 //! Routing is *recursive*: a [`Payload::Request`] is forwarded greedily
-//! hop by hop. Each node keeps a [`PatchedOverlay`] over its own link
-//! table (its partial view of the overlay, maintained incrementally —
-//! joins, leaves and relinks land as O(links) patches, never a graph
-//! rebuild) and asks [`PatchedOverlay::next_toward`] under the clockwise
-//! metric, keeping the hop only when it makes strict progress — exactly
-//! the greedy rule the shared routing engine applies. No strictly-closer
-//! link means this node is the key's responsible node (greedy local
-//! minimum = clockwise predecessor), and it answers the origin directly.
-//! Because every hop strictly decreases the clockwise distance to the
-//! key, requests cannot cycle even across stale link tables mid-churn.
+//! hop by hop, and a node's forwarding decision is a function of its link
+//! table alone (paper §2.2: "the link closest to, but not past, the
+//! key"). The node holds no overlay and no derived copy of the table:
+//! it applies canon-overlay's candidate rule, [`closest`], to `links`
+//! under the clockwise metric and keeps the hop only when it makes
+//! strict progress — exactly the greedy rule the shared routing engine
+//! applies. No strictly-closer link means this node is the key's
+//! responsible node (greedy local minimum = clockwise predecessor), and
+//! it answers the origin directly. Because every hop strictly decreases
+//! the clockwise distance to the key, requests cannot cycle even across
+//! stale link tables mid-churn.
 
 use crate::cache::NodeCache;
 use crate::clock::Tick;
@@ -24,12 +25,12 @@ use crate::msg::{Command, Completion, JoinGrant, Op, Outcome, Payload, RpcResult
 use crate::rpc::{RetryDecision, RpcTable};
 use crate::runtime::RuntimeConfig;
 use crate::shard::Shard;
-use crate::transport::{Envelope, Mailboxes, Transport};
+use crate::transport::{Envelope, FramingView, Mailboxes, Transport};
 use canon_id::metric::Clockwise;
 use canon_id::ring::SortedRing;
 use canon_id::NodeId;
+use canon_overlay::closest;
 use canon_overlay::engine::HOP_LIMIT;
-use canon_overlay::{HopCount, HopEvent, NodeIndex, PatchedOverlay, RouteObserver};
 use canon_store::{ContentId, Policy};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -40,36 +41,14 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 /// coherence.
 const CACHE_REGISTRY_CAP: usize = 32;
 
-/// A [`RouteObserver`] sink collecting latency samples from
-/// [`HopEvent::Hop`] events — request origins stream one synthetic hop
-/// per completed RPC (origin → responder, priced at the round-trip time),
-/// so percentile reporting in the load harness runs off the same observer
-/// machinery as every other measurement in the workspace.
-#[derive(Clone, Debug, Default)]
-pub struct LatencySink {
-    samples: Vec<f64>,
-}
-
-impl LatencySink {
-    /// The collected samples, in arrival order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
-
-impl RouteObserver for LatencySink {
-    fn on_event(&mut self, event: &HopEvent) {
-        if let HopEvent::Hop { latency, .. } = event {
-            self.samples.push(*latency);
-        }
-    }
-}
-
 /// Per-node message accounting.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NodeStats {
     /// Requests forwarded to a next hop.
     pub forwarded: u64,
+    /// Request messages sent toward a next hop: first hops and
+    /// retransmissions at the origin plus every intermediate forward.
+    pub requests_sent: u64,
     /// Requests served as the responsible node.
     pub served: u64,
     /// Replica writes accepted.
@@ -93,10 +72,13 @@ pub struct NodeStats {
 pub type RoutedRequest = (NodeId, u64, u32, u32, Op, Vec<NodeId>);
 
 /// The network context a node handles messages in: shared mailboxes, the
-/// transport, the id → slot directory, and the current tick.
+/// transport and its framing mode (resolved once per round), the id → slot
+/// directory, and the current tick.
 pub(crate) struct Net<'a> {
     pub boxes: &'a Mailboxes<Payload>,
     pub transport: &'a dyn Transport,
+    /// [`Transport::framing`] of `transport`.
+    pub framing: Option<FramingView<'a>>,
     pub directory: &'a BTreeMap<u64, usize>,
     pub now: Tick,
 }
@@ -105,19 +87,14 @@ pub(crate) struct Net<'a> {
 #[derive(Debug)]
 pub(crate) struct NodeState {
     pub id: NodeId,
-    /// This node's mailbox slot (also its [`NodeIndex`] in hop events).
-    pub slot: usize,
-    /// Out-links (the Crescendo link table).
+    /// Out-links (the Crescendo link table) — the only routing state:
+    /// [`NodeState::next_hop`] reads it directly.
     pub links: BTreeSet<NodeId>,
     /// Global-ring successors, nearest first (the root-level leaf set;
     /// replication targets and leave-repair fallback).
     pub succ_list: Vec<NodeId>,
     /// Global-ring predecessor.
     pub pred: Option<NodeId>,
-    /// Patch overlay over `{self} ∪ links`: the node's partial view of
-    /// the network, maintained by O(links) patches as the link table
-    /// evolves and compacted periodically.
-    view: PatchedOverlay,
     /// The store shard (a content-addressed backend behind a `u64` façade).
     pub shard: Shard,
     /// Keys pinned at this node: join handovers copy them instead of
@@ -135,17 +112,17 @@ pub(crate) struct NodeState {
     pub dead: bool,
     /// Whether this node is an acknowledged ring member. Seeded nodes
     /// start joined; a blank spawn becomes joined when its join grant
-    /// arrives ([`NodeState::apply_grant`]). Until then its view is empty,
-    /// so greedy routing would declare it responsible for *every* key —
-    /// routed requests that arrive early are parked in `deferred` instead
-    /// of being served from the empty view.
+    /// arrives ([`NodeState::apply_grant`]). Until then its link table is
+    /// empty, so greedy routing would declare it responsible for *every*
+    /// key — routed requests that arrive early are parked in `deferred`
+    /// instead of being served from the empty table.
     pub joined: bool,
     /// Routed requests that arrived before this node joined, replayed in
     /// arrival order by [`NodeState::apply_grant`].
     pub deferred: Vec<RoutedRequest>,
     /// Messages staged for the framing layer this round as
     /// `(destination slot, envelope)`. Only used when the transport stack
-    /// frames ([`Transport::framing`] returns a view); the runtime flushes
+    /// frames ([`Net::framing`] is a view); the runtime flushes
     /// it into coalesced frames at the end of the node's round. Always
     /// empty between rounds.
     pub outbox: Vec<(usize, Envelope<Payload>)>,
@@ -165,10 +142,6 @@ pub(crate) struct NodeState {
     /// Owner side of cache coherence: the cachers registered per key —
     /// the invalidation fan-out set, capped at [`CACHE_REGISTRY_CAP`].
     cache_registry: BTreeMap<u64, BTreeSet<NodeId>>,
-    /// Forwarding-side observer sink.
-    pub hop_sink: HopCount,
-    /// Origin-side RTT observer sink.
-    pub rtt_sink: LatencySink,
     pub completions: Vec<Completion>,
     /// Deterministic event log (only populated when recording).
     pub events: Vec<String>,
@@ -181,20 +154,17 @@ pub(crate) struct NodeState {
 impl NodeState {
     pub fn new(
         id: NodeId,
-        slot: usize,
         links: BTreeSet<NodeId>,
         succ_list: Vec<NodeId>,
         pred: Option<NodeId>,
         joined: bool,
         cfg: &RuntimeConfig,
     ) -> NodeState {
-        let mut state = NodeState {
+        NodeState {
             id,
-            slot,
             links,
             succ_list,
             pred,
-            view: PatchedOverlay::empty(),
             shard: Shard::new(cfg.backend.create(id)),
             pinned: BTreeSet::new(),
             rpc: RpcTable::new(cfg.rpc),
@@ -211,16 +181,12 @@ impl NodeState {
             cache: NodeCache::new(cfg.cache),
             write_stamps: BTreeMap::new(),
             cache_registry: BTreeMap::new(),
-            hop_sink: HopCount::default(),
-            rtt_sink: LatencySink::default(),
             completions: Vec::new(),
             events: Vec::new(),
             record: cfg.record_events,
             policy: cfg.policy,
             succ_len: cfg.succ_list_len,
-        };
-        state.sync_view();
-        state
+        }
     }
 
     /// Earliest *live* armed timer, if any. Timers for already-answered
@@ -244,38 +210,12 @@ impl NodeState {
         }
     }
 
-    /// Reconciles the patch-overlay view with the link table: newly
-    /// learned peers join, dropped peers leave, and `self`'s row is
-    /// relinked — a handful of O(links) patches against a view of size
-    /// `links + 1`, compacted once the patch list outgrows the base.
-    fn sync_view(&mut self) {
-        if !self.view.contains(self.id) {
-            self.view.apply_join(self.id, Vec::new());
-        }
-        for peer in self.view.ids() {
-            if peer != self.id && !self.links.contains(&peer) {
-                self.view.apply_leave(peer);
-            }
-        }
-        for &l in &self.links {
-            if !self.view.contains(l) {
-                self.view.apply_join(l, Vec::new());
-            }
-        }
-        self.view
-            .relink(self.id, self.links.iter().copied().collect());
-        if self.view.should_compact() {
-            self.view.compact();
-        }
-    }
-
-    /// The greedy next hop toward `key` from this node's partial view:
-    /// the distance-minimizing link, kept only on strict progress — the
-    /// same rule the shared routing engine's greedy policy applies, read
-    /// straight off the patch overlay. `None` means this node is
+    /// The greedy next hop toward `key`: the distance-minimizing link,
+    /// kept only on strict progress — the same rule the shared routing
+    /// engine's greedy policy applies. `None` means this node is
     /// responsible.
     fn next_hop(&self, key: NodeId) -> Option<NodeId> {
-        match self.view.next_toward(Clockwise, self.id, key) {
+        match closest(Clockwise, self.links.iter().copied(), key) {
             Some((nb, d)) if d < self.id.clockwise_to(key) => Some(nb),
             _ => None,
         }
@@ -289,7 +229,7 @@ impl NodeState {
             return None;
         };
         self.seq += 1;
-        let env = Envelope {
+        let mut env = Envelope {
             from: self.id,
             to,
             sent_at: net.now,
@@ -297,36 +237,30 @@ impl NodeState {
             seq: self.seq,
             payload,
         };
-        let sent = match net.transport.framing() {
-            // Unframed stack: straight into the destination mailbox.
-            None => net.boxes.send(net.transport, slot, env),
-            // Faults sit *outside* the framing layer, so fate is decided
-            // per frame, not per message: stage unconditionally and let
-            // the end-of-round flush ask the transport once per frame.
-            // Delivery is reported optimistically (a dropped frame
-            // surfaces as a timeout and retransmit at the origin).
-            Some(view) if view.per_frame => {
-                self.outbox.push((slot, env));
-                return Some(net.now + 1);
-            }
-            // Faults (if any) sit *inside* the framing layer: decide this
-            // message's fate and delivery tick now, with its own sequence
-            // number — exactly as an unframed run would — and stage the
-            // survivors for coalescing by delivery tick.
-            Some(_) => match net.transport.schedule(net.now, self.id, to, self.seq) {
-                Some(t) => {
-                    let mut env = env;
-                    env.deliver_at = t;
-                    self.outbox.push((slot, env));
-                    Some(t)
-                }
-                None => None,
-            },
-        };
-        if sent.is_none() {
-            self.stats.network_drops += 1;
+        // Faults sit *outside* the framing layer, so fate is decided per
+        // frame, not per message: stage unconditionally and let the
+        // end-of-round flush ask the transport once per frame. Delivery is
+        // reported optimistically (a dropped frame surfaces as a timeout
+        // and retransmit at the origin).
+        if net.framing.is_some_and(|view| view.per_frame) {
+            self.outbox.push((slot, env));
+            return Some(net.now + 1);
         }
-        sent
+        // Otherwise this message's fate and delivery tick are decided now,
+        // with its own sequence number, framed or not — so a framed run
+        // loses and delays exactly what an unframed run would.
+        let Some(t) = net.transport.schedule(net.now, self.id, to, self.seq) else {
+            self.stats.network_drops += 1;
+            return None;
+        };
+        env.deliver_at = t;
+        match net.framing {
+            // Unframed stack: straight into the destination mailbox.
+            None => net.boxes.push(slot, env),
+            // Staged for coalescing by delivery tick.
+            Some(_) => self.outbox.push((slot, env)),
+        }
+        Some(t)
     }
 
     /// Handles one delivered message.
@@ -431,7 +365,7 @@ impl NodeState {
             }
         }
         // A joining node has no links yet: its join request enters the
-        // overlay through the bootstrap contact instead of its own view.
+        // overlay through the bootstrap contact instead of its own links.
         let via_bootstrap = match (&op, self.bootstrap) {
             (Op::Join { .. }, Some(b)) if self.links.is_empty() => Some(b),
             _ => None,
@@ -446,7 +380,7 @@ impl NodeState {
                 self.on_response(net, req, 0, result);
             }
             Some(nb) => {
-                self.observe_forward(net, nb);
+                self.stats.requests_sent += 1;
                 // GETs accumulate the hop path so the responsible node can
                 // plant fills along it (paper §4.2).
                 let path = if self.cache.enabled() && matches!(op, Op::Get { .. }) {
@@ -531,17 +465,6 @@ impl NodeState {
         if let RpcResult::Granted(grant) = result {
             self.apply_grant(net, grant);
         }
-        // Stream the round trip into the origin-side observer sink: one
-        // synthetic hop origin → responder priced at the RTT.
-        let to = responder
-            .and_then(|r| net.directory.get(&r.raw()))
-            .map_or(NodeIndex(self.slot as u32), |&s| NodeIndex(s as u32));
-        let rtt = (net.now - p.issued_at) as f64;
-        self.rtt_sink.on_event(&HopEvent::Hop {
-            from: NodeIndex(self.slot as u32),
-            to,
-            latency: rtt,
-        });
         self.log(net.now, || {
             format!("done req={req} {outcome:?} hops={hops}")
         });
@@ -570,9 +493,9 @@ impl NodeState {
         }
         // A neighbor can learn of a joiner (via `RepairJoin` from the
         // granter) and route to it before the joiner's own grant response
-        // has arrived. Serving from the still-empty view would claim
+        // has arrived. Serving from the still-empty link table would claim
         // responsibility for every key; park the request until the grant
-        // installs a real view.
+        // installs real links.
         if !self.joined && origin != self.id {
             self.deferred.push((origin, req, attempt, hops, op, path));
             return;
@@ -598,7 +521,7 @@ impl NodeState {
         match self.next_hop(op.key_point()) {
             Some(nb) => {
                 self.stats.forwarded += 1;
-                self.observe_forward(net, nb);
+                self.stats.requests_sent += 1;
                 if self.cache.enabled() && matches!(op, Op::Get { .. }) {
                     path.push(self.id);
                 }
@@ -697,20 +620,6 @@ impl NodeState {
                 },
             );
         }
-    }
-
-    fn observe_forward(&mut self, net: &Net<'_>, to: NodeId) {
-        let from = NodeIndex(self.slot as u32);
-        let to = net
-            .directory
-            .get(&to.raw())
-            .map_or(from, |&s| NodeIndex(s as u32));
-        self.hop_sink.on_event(&HopEvent::Attempt { from, to });
-        self.hop_sink.on_event(&HopEvent::Hop {
-            from,
-            to,
-            latency: 1.0,
-        });
     }
 
     /// Replica targets for a key this node is responsible for, from the
@@ -871,7 +780,6 @@ impl NodeState {
         // head of the list.
         self.insert_succ(joiner);
         self.links.insert(joiner);
-        self.sync_view();
         self.log(net.now, || format!("grant join {joiner}"));
         for n in notify {
             self.send(net, n, Payload::RepairJoin { joined: joiner });
@@ -895,11 +803,10 @@ impl NodeState {
             .take(self.succ_len)
             .collect();
         self.shard.extend(grant.shard);
-        self.sync_view();
         self.joined = true;
         self.log(net.now, || format!("joined after {}", grant.predecessor));
         // Replay requests that were routed here before the grant arrived,
-        // in arrival order, now that the view can actually route them.
+        // in arrival order, now that the link table can actually route them.
         for request in std::mem::take(&mut self.deferred) {
             self.route_or_serve(net, request);
         }
@@ -915,13 +822,13 @@ impl NodeState {
             None => true,
             Some(p) => p != joined && p.clockwise_to(joined) < p.clockwise_to(self.id),
         };
-        if better_pred && joined != self.id {
+        if better_pred {
             self.pred = Some(joined);
         }
         // If the newcomer became the immediate successor it must be
         // linked, or the ring has a gap.
-        if self.succ_list.first() == Some(&joined) && self.links.insert(joined) {
-            self.sync_view();
+        if self.succ_list.first() == Some(&joined) {
+            self.links.insert(joined);
         }
     }
 
@@ -935,12 +842,8 @@ impl NodeState {
         predecessor: NodeId,
     ) {
         self.log(net.now, || format!("leave notice {departing}"));
-        let mut relink = false;
-        if self.links.remove(&departing) {
-            if successor != self.id {
-                self.links.insert(successor);
-            }
-            relink = true;
+        if self.links.remove(&departing) && successor != self.id {
+            self.links.insert(successor);
         }
         if let Some(pos) = self.succ_list.iter().position(|&s| s == departing) {
             self.succ_list.remove(pos);
@@ -950,9 +853,6 @@ impl NodeState {
         }
         if self.pred == Some(departing) {
             self.pred = (predecessor != self.id).then_some(predecessor);
-        }
-        if relink {
-            self.sync_view();
         }
     }
 

@@ -257,7 +257,6 @@ impl Runtime {
         let slot = self.boxes.grow();
         self.states.push(Mutex::new(NodeState::new(
             id,
-            slot,
             links,
             succ_list,
             pred,
@@ -313,12 +312,7 @@ impl Runtime {
     fn process_cell(&self, slot: usize, now: Tick) -> usize {
         let envs = self.boxes.drain_due(slot, now);
         let mut state = lock_unpoisoned(&self.states[slot]);
-        let net = Net {
-            boxes: &self.boxes,
-            transport: self.transport.as_ref(),
-            directory: &self.directory,
-            now,
-        };
+        let net = self.net(now);
         let mut n = envs.len();
         for env in envs {
             state.handle(&net, env);
@@ -329,10 +323,22 @@ impl Runtime {
         // frame through the wire codec and deliver the decoded envelopes —
         // all while this node's lock is still held, so the round stays one
         // atomic unit per node.
-        if let Some(view) = self.transport.framing() {
+        if let Some(view) = net.framing {
             framed::flush_outbox(&self.boxes, self.transport.as_ref(), view, &mut state, now);
         }
         n
+    }
+
+    /// The network context for handling messages at tick `now`; resolves
+    /// the transport stack's framing mode once for the whole call.
+    fn net(&self, now: Tick) -> Net<'_> {
+        Net {
+            boxes: &self.boxes,
+            transport: self.transport.as_ref(),
+            framing: self.transport.framing(),
+            directory: &self.directory,
+            now,
+        }
     }
 
     /// The earliest pending event (mailbox delivery or armed timer) across
@@ -390,23 +396,36 @@ impl Runtime {
             .collect()
     }
 
-    /// Round-trip latency samples from every origin's observer sink, in
-    /// slot order.
+    /// Round-trip latency samples in ticks, derived from
+    /// [`Runtime::completions`]: `completed_at − issued_at` of every
+    /// answered request (timed-out requests have no round trip), in the
+    /// same slot-then-issue order.
     pub fn rtt_samples(&self) -> Vec<f64> {
-        self.states
-            .iter()
-            .flat_map(|s| lock_unpoisoned(s).rtt_sink.samples().to_vec())
-            .collect()
+        let mut samples = Vec::new();
+        for s in &self.states {
+            let state = lock_unpoisoned(s);
+            samples.extend(
+                state
+                    .completions
+                    .iter()
+                    .filter(|c| c.outcome != Outcome::TimedOut)
+                    .map(|c| (c.completed_at - c.issued_at) as f64),
+            );
+        }
+        samples
     }
 
-    /// Total forwarding-side hop events across the cluster, as
-    /// `(attempts, hops)` from the per-node [`canon_overlay::HopCount`]
-    /// sinks.
+    /// Request messages sent toward a next hop across the cluster
+    /// ([`NodeStats::requests_sent`]), as `(attempts, hops)`. The two are
+    /// equal: a live node only ever attempts hops over links it holds, so
+    /// there is no dead-candidate attempt to tell apart from a hop taken.
     pub fn hop_totals(&self) -> (usize, usize) {
-        self.states.iter().fold((0, 0), |(a, h), s| {
-            let sink = lock_unpoisoned(s).hop_sink;
-            (a + sink.attempts, h + sink.hops)
-        })
+        let sent: u64 = self
+            .states
+            .iter()
+            .map(|s| lock_unpoisoned(s).stats.requests_sent)
+            .sum();
+        (sent as usize, sent as usize)
     }
 
     /// Aggregates the cluster-wide [`Summary`].
@@ -419,6 +438,7 @@ impl Runtime {
             let state = lock_unpoisoned(s);
             let NodeStats {
                 forwarded,
+                requests_sent: _,
                 served,
                 replicas_stored: _,
                 duplicate_responses,
@@ -603,17 +623,12 @@ impl Runtime {
         };
         self.clock.advance_to(env.deliver_at);
         let now = self.clock.now();
-        let net = Net {
-            boxes: &self.boxes,
-            transport: self.transport.as_ref(),
-            directory: &self.directory,
-            now,
-        };
+        let net = self.net(now);
         let mut state = lock_unpoisoned(&self.states[slot]);
         state.handle(&net, env);
         // A framing transport stages sends; flush so the checker sees the
         // handler's outgoing messages queued, same as a stepped round.
-        if let Some(view) = self.transport.framing() {
+        if let Some(view) = net.framing {
             framed::flush_outbox(&self.boxes, self.transport.as_ref(), view, &mut state, now);
         }
         true

@@ -3,7 +3,9 @@
 //! and retry behavior.
 
 use canon::crescendo::build_crescendo;
+use canon::CanonicalNetwork;
 use canon_hierarchy::{Hierarchy, Placement};
+use canon_id::metric::Clockwise;
 use canon_id::ring::SortedRing;
 use canon_id::rng::Seed;
 use canon_id::NodeId;
@@ -11,15 +13,20 @@ use canon_node::{
     from_graph, ChannelTransport, Command, FaultyTransport, Op, Outcome, Runtime, RuntimeConfig,
     VirtualClock,
 };
+use canon_overlay::route_to_key;
 use std::sync::Arc;
 
-/// A live cluster over the deterministic Crescendo graph for `n` nodes.
-fn cluster(n: usize, seed: u64, config: RuntimeConfig) -> Runtime {
+/// The deterministic Crescendo network for `n` nodes.
+fn network(n: usize, seed: u64) -> CanonicalNetwork {
     let h = Hierarchy::balanced(4, 2);
     let p = Placement::uniform(&h, n, Seed(seed));
-    let net = build_crescendo(&h, &p);
+    build_crescendo(&h, &p)
+}
+
+/// A live cluster over [`network`]'s graph.
+fn cluster(n: usize, seed: u64, config: RuntimeConfig) -> Runtime {
     from_graph(
-        net.graph(),
+        network(n, seed).graph(),
         Arc::new(VirtualClock::new()),
         Arc::new(ChannelTransport::new(1)),
         config,
@@ -38,6 +45,7 @@ fn stream(seed: u64) -> impl FnMut() -> u64 {
 
 #[test]
 fn lookup_storm_finds_the_ring_responsible() {
+    let net = network(64, 7);
     let mut rt = cluster(64, 7, RuntimeConfig::default());
     let ids = rt.ids();
     let ring = SortedRing::new(ids.clone());
@@ -71,7 +79,23 @@ fn lookup_storm_finds_the_ring_responsible() {
             c.key
         );
         assert_eq!(c.outcome, Outcome::Ok);
+        // Static ≡ live: a node routing from its bare link table takes
+        // exactly the hops the offline engine takes on the full graph.
+        let graph = net.graph();
+        let from = graph.index_of(c.origin).expect("origin is in the graph");
+        let route = route_to_key(graph, Clockwise, from, NodeId::new(c.key)).expect("routes");
+        assert_eq!(graph.id(route.target()), *want);
+        assert_eq!(
+            c.hops as usize,
+            route.hops(),
+            "lookup for {} from {} took a different route live",
+            c.key,
+            c.origin
+        );
     }
+    // One request message per hop taken: no retries on a clean channel.
+    let hops: usize = completions.iter().map(|c| c.hops as usize).sum();
+    assert_eq!(rt.hop_totals(), (hops, hops));
 }
 
 #[test]

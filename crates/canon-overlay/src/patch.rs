@@ -344,9 +344,12 @@ fn normalize(me: NodeId, mut links: Vec<NodeId>) -> Vec<NodeId> {
 }
 
 /// The id (and distance) among `ids` minimizing the metric distance to
-/// `target`. The minimum is unique because distances to a fixed target are
-/// injective in the id.
-fn closest<M: Metric>(
+/// `target` — the greedy candidate rule over a bare link set. `None` iff
+/// `ids` is empty. The minimum is unique because distances to a fixed
+/// target are injective in the id. [`PatchedOverlay::next_toward`] applies
+/// it to patched rows; a live node that holds only its own link table
+/// (canon-node) applies it to that table directly.
+pub fn closest<M: Metric>(
     metric: M,
     ids: impl Iterator<Item = NodeId>,
     target: NodeId,
@@ -360,6 +363,7 @@ fn closest<M: Metric>(
 mod tests {
     use super::*;
     use canon_id::metric::{Clockwise, Xor};
+    use proptest::prelude::*;
 
     fn id(raw: u64) -> NodeId {
         NodeId::new(raw)
@@ -596,6 +600,54 @@ mod tests {
         p.compact();
         assert!(!p.should_compact());
         assert_eq!(p.len(), 64);
+    }
+
+    /// The star view canon-node used to keep per actor: `{me} ∪ links`
+    /// grown by joins with `me`'s row relinked to the link set.
+    fn star_view(me: NodeId, links: &BTreeSet<NodeId>) -> PatchedOverlay {
+        let mut view = PatchedOverlay::empty();
+        view.apply_join(me, Vec::new());
+        for &l in links {
+            view.apply_join(l, Vec::new());
+        }
+        view.relink(me, links.iter().copied().collect());
+        view
+    }
+
+    proptest! {
+        /// `closest` over a bare link set is `next_toward` on the
+        /// equivalent star view, under both metrics — including keys that
+        /// wrap past every link, keys equal to a link id, and no links.
+        #[test]
+        fn closest_over_a_link_set_is_next_toward_on_its_star_view(
+            me in any::<u64>(),
+            raw_links in proptest::collection::btree_set(any::<u64>(), 0..24),
+            key in any::<u64>(),
+            pick in any::<u16>(),
+        ) {
+            let me = id(me);
+            let links: BTreeSet<NodeId> =
+                raw_links.into_iter().map(id).filter(|&l| l != me).collect();
+            let view = star_view(me, &links);
+            let mut keys = vec![id(key), id(0), id(u64::MAX), me];
+            if let Some(&l) = links.iter().nth(pick as usize % links.len().max(1)) {
+                keys.extend([l, id(l.raw().wrapping_sub(1)), id(l.raw().wrapping_add(1))]);
+            }
+            for key in keys {
+                prop_assert_eq!(
+                    closest(Clockwise, links.iter().copied(), key),
+                    view.next_toward(Clockwise, me, key)
+                );
+                prop_assert_eq!(
+                    closest(Xor, links.iter().copied(), key),
+                    view.next_toward(Xor, me, key)
+                );
+            }
+            prop_assert_eq!(
+                closest(Clockwise, links.iter().copied(), id(key)).is_none(),
+                links.is_empty()
+            );
+        }
     }
 
     #[test]

@@ -195,6 +195,15 @@ impl Default for CachePolicy {
     }
 }
 
+/// The §4.2 replacement order, defined once: the cached entry with the
+/// *largest* rank is evicted first — largest level annotation (deepest
+/// domain, or farthest from the owner), then least recently used. Both
+/// this crate's proxy caches and `canon-node`'s en-route cache rank their
+/// victims with it.
+pub fn victim_rank(level: u32, last_used: u64) -> (u32, u64) {
+    (level, u64::MAX - last_used)
+}
+
 #[derive(Clone, Debug)]
 struct CacheEntry<V> {
     key: Key,
@@ -246,7 +255,7 @@ impl<V: Clone> NodeCache<V> {
                 .enumerate()
                 .max_by_key(|(i, e)| {
                     let dup = policy.coordinated && covered_above.get(*i).copied().unwrap_or(false);
-                    (dup, e.level, u64::MAX - e.last_used)
+                    (dup, victim_rank(e.level, e.last_used))
                 })
                 .map(|(i, _)| i)
             {
