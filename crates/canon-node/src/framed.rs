@@ -8,13 +8,38 @@
 //! destination mailbox. Framing therefore lives in the runtime's send
 //! path: with a [`FramedTransport`] in the stack, a node's sends are
 //! staged in its outbox instead of entering mailboxes directly, and at the
-//! end of the node's round the runtime flushes the outbox — coalescing
-//! same-destination messages into frames, encoding each frame through
-//! [`canon_wire`], accounting its bytes, then **decoding the frame and
-//! delivering the decoded envelopes**. Every delivered message has round-
-//! tripped through the codec, so a framed run exercises encode *and*
-//! decode end to end; the equivalence tests pin that its event log is
-//! byte-identical to an unframed run.
+//! end of the node's round the runtime flushes the outbox
+//! (`flush_outbox`):
+//!
+//! 1. sort the staged `(slot, envelope)` vector in place by `(destination
+//!    slot, delivery tick)`; each run of equal keys is one frame;
+//! 2. encode the run through [`canon_wire`] into one reusable frame buffer
+//!    ([`encode_frame`]);
+//! 3. **decode the frame** into a reusable envelope vector
+//!    ([`decode_frame`]) — all of it or none of it;
+//! 4. only if the whole frame decoded, account its bytes and deliver the
+//!    *decoded* envelopes to the destination mailbox under one lock.
+//!
+//! Every delivered message has round-tripped through the codec, so a
+//! framed run exercises encode *and* decode end to end; the equivalence
+//! tests pin that its event log is byte-identical to an unframed run.
+//!
+//! # Where the bytes are counted, and who owns the buffers
+//!
+//! Each node tallies the frames *it sends* in its own state (a
+//! `WireTally`: links keyed by destination, payload kinds in a fixed
+//! array), which the flush already holds exclusively — no shared ledger,
+//! no lock. [`Runtime::wire_summary`](crate::runtime::Runtime::wire_summary)
+//! and [`Runtime::link_bytes`](crate::runtime::Runtime::link_bytes) sum
+//! the per-node tallies; every update is an addition, so the totals do
+//! not depend on worker scheduling.
+//!
+//! The buffers a flush works in (the staged vector, the frame and payload
+//! bytes, the decoded envelopes — `FlushScratch`) belong to the *worker
+//! thread*, not the node: a node's burst-sized outbox would otherwise be
+//! retained once per node, a thousand times over, for a buffer only one
+//! node per worker uses at a time. The worker lends its staging vector to
+//! the node for the round and takes it back at the flush.
 //!
 //! # Frame layout
 //!
@@ -26,8 +51,9 @@
 //!
 //! The header is hoisted: messages in one frame share `from`, `to`,
 //! `sent_at` and `deliver_at`, so batching saves one header per coalesced
-//! message. The ledger tracks the counterfactual unbatched size, which is
-//! where the reported batching savings come from.
+//! message. The tally tracks the counterfactual unbatched size — every
+//! message as a frame of its own — which is where the reported batching
+//! savings come from.
 //!
 //! # Fault granularity is wrapper order
 //!
@@ -46,11 +72,13 @@
 use crate::clock::Tick;
 use crate::msg::Payload;
 use crate::node::NodeState;
-use crate::transport::{lock_unpoisoned, Envelope, FramingView, Mailboxes, Transport};
+use crate::transport::{Envelope, FramingView, Mailboxes, Transport};
 use canon_id::NodeId;
-use canon_wire::{varint_len, Decoder, Encoder, WireDecode, WireError};
+use canon_wire::{Decoder, Encoder, WireDecode, WireError};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+
+/// Number of [`Payload`] variants, the length of per-kind counter arrays.
+const KINDS: usize = Payload::KIND_NAMES.len();
 
 /// Per-link byte counters: frames and messages delivered over a directed
 /// `(from, to)` link, and the frame bytes that carried them.
@@ -64,95 +92,55 @@ pub struct LinkBytes {
     pub bytes: u64,
 }
 
-/// Order-independent aggregation state behind the ledger's mutex.
+/// What decoding one frame found, for the sender's tally.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FrameFacts {
+    /// Per payload kind (indexed by [`Payload::kind_index`]): messages
+    /// and encoded payload bytes.
+    pub kinds: [(u64, u64); KINDS],
+    /// Total bytes had each message shipped as a frame of its own.
+    pub unbatched: u64,
+}
+
+/// One node's wire accounting: the frames it sent that were delivered,
+/// the frames the transport dropped, and decode failures. Counters only
+/// ever grow by addition, so summing tallies over nodes is independent of
+/// the order rounds ran in.
 #[derive(Debug, Default)]
-struct Tally {
-    links: BTreeMap<(u64, u64), LinkBytes>,
-    /// Payload-kind label → (messages, payload bytes).
-    kinds: BTreeMap<&'static str, (u64, u64)>,
-    total: LinkBytes,
-    header_bytes: u64,
-    payload_bytes: u64,
+pub(crate) struct WireTally {
+    /// Delivered traffic per destination identifier.
+    links: BTreeMap<u64, LinkBytes>,
+    /// Per payload kind: messages and encoded payload bytes.
+    kinds: [(u64, u64); KINDS],
     unbatched_bytes: u64,
     frames_lost: u64,
     msgs_lost: u64,
     decode_errors: u64,
 }
 
-/// The framing layer's byte ledger: per-link and per-payload-kind
-/// counters, batching counterfactuals, and loss accounting. All updates
-/// are commutative, so the ledger reads identically regardless of worker
-/// scheduling — the framed determinism tests rely on that.
-#[derive(Debug, Default)]
-pub struct FrameLedger {
-    tally: Mutex<Tally>,
-}
-
-impl FrameLedger {
-    fn record_frame(&self, envs: &[Envelope<Payload>], frame: &FrameBytes) {
-        let Some(first) = envs.first() else { return };
-        let link_bytes = frame.bytes.len() as u64;
-        let payload_bytes: u64 = frame.per_msg.iter().map(|&(_, len)| len as u64).sum();
-        let mut t = lock_unpoisoned(&self.tally);
-        let link = t
-            .links
-            .entry((first.from.raw(), first.to.raw()))
-            .or_default();
+impl WireTally {
+    fn record_frame(&mut self, to: NodeId, frame_len: usize, facts: &FrameFacts) {
+        let link = self.links.entry(to.raw()).or_default();
         link.frames += 1;
-        link.msgs += envs.len() as u64;
-        link.bytes += link_bytes;
-        t.total.frames += 1;
-        t.total.msgs += envs.len() as u64;
-        t.total.bytes += link_bytes;
-        t.header_bytes += link_bytes - payload_bytes;
-        t.payload_bytes += payload_bytes;
-        t.unbatched_bytes += frame.unbatched as u64;
-        for &(kind, len) in &frame.per_msg {
-            let k = t.kinds.entry(kind).or_default();
-            k.0 += 1;
-            k.1 += len as u64;
+        link.bytes += frame_len as u64;
+        for (kind, seen) in self.kinds.iter_mut().zip(&facts.kinds) {
+            link.msgs += seen.0;
+            kind.0 += seen.0;
+            kind.1 += seen.1;
         }
+        self.unbatched_bytes += facts.unbatched;
     }
 
-    fn record_lost(&self, msgs: usize) {
-        let mut t = lock_unpoisoned(&self.tally);
-        t.frames_lost += 1;
-        t.msgs_lost += msgs as u64;
+    fn record_lost(&mut self, msgs: usize) {
+        self.frames_lost += 1;
+        self.msgs_lost += msgs as u64;
     }
 
-    fn record_decode_error(&self) {
-        lock_unpoisoned(&self.tally).decode_errors += 1;
-    }
-
-    /// Snapshot of the aggregated wire accounting.
-    pub fn summary(&self) -> WireSummary {
-        let t = lock_unpoisoned(&self.tally);
-        WireSummary {
-            frames: t.total.frames,
-            msgs: t.total.msgs,
-            bytes: t.total.bytes,
-            header_bytes: t.header_bytes,
-            payload_bytes: t.payload_bytes,
-            unbatched_bytes: t.unbatched_bytes,
-            frames_lost: t.frames_lost,
-            msgs_lost: t.msgs_lost,
-            decode_errors: t.decode_errors,
-            links: t.links.len() as u64,
-            per_kind: t
-                .kinds
-                .iter()
-                .map(|(&k, &(msgs, bytes))| (k.to_owned(), msgs, bytes))
-                .collect(),
-        }
-    }
-
-    /// Per-link counters, keyed by directed `(from, to)` node pairs.
-    pub fn link_bytes(&self) -> BTreeMap<(NodeId, NodeId), LinkBytes> {
-        lock_unpoisoned(&self.tally)
-            .links
+    /// This node's per-link counters, by destination.
+    pub(crate) fn links(&self) -> impl Iterator<Item = (NodeId, LinkBytes)> + '_ {
+        self.links
             .iter()
-            .map(|(&(f, t), &v)| ((NodeId::new(f), NodeId::new(t)), v))
-            .collect()
+            .map(|(&to, &link)| (NodeId::new(to), link))
     }
 }
 
@@ -195,6 +183,38 @@ pub struct WireSummary {
 }
 
 impl WireSummary {
+    /// Sums per-node tallies into the cluster-wide summary.
+    pub(crate) fn sum<'a>(tallies: impl IntoIterator<Item = &'a WireTally>) -> WireSummary {
+        let mut sum = WireSummary::default();
+        let mut kinds = [(0u64, 0u64); KINDS];
+        for t in tallies {
+            for link in t.links.values() {
+                sum.frames += link.frames;
+                sum.msgs += link.msgs;
+                sum.bytes += link.bytes;
+            }
+            sum.links += t.links.len() as u64;
+            for (kind, seen) in kinds.iter_mut().zip(&t.kinds) {
+                kind.0 += seen.0;
+                kind.1 += seen.1;
+            }
+            sum.unbatched_bytes += t.unbatched_bytes;
+            sum.frames_lost += t.frames_lost;
+            sum.msgs_lost += t.msgs_lost;
+            sum.decode_errors += t.decode_errors;
+        }
+        sum.payload_bytes = kinds.iter().map(|k| k.1).sum();
+        sum.header_bytes = sum.bytes - sum.payload_bytes;
+        sum.per_kind = Payload::KIND_NAMES
+            .iter()
+            .zip(kinds)
+            .filter(|(_, (msgs, _))| *msgs > 0)
+            .map(|(&name, (msgs, bytes))| (name.to_owned(), msgs, bytes))
+            .collect();
+        sum.per_kind.sort();
+        sum
+    }
+
     /// Mean encoded frame bytes per delivered message.
     pub fn bytes_per_msg(&self) -> f64 {
         if self.msgs == 0 {
@@ -231,21 +251,12 @@ impl WireSummary {
 #[derive(Debug, Default)]
 pub struct FramedTransport<T> {
     inner: T,
-    ledger: FrameLedger,
 }
 
 impl<T: Transport> FramedTransport<T> {
     /// Frames every message crossing `inner`.
     pub fn new(inner: T) -> FramedTransport<T> {
-        FramedTransport {
-            inner,
-            ledger: FrameLedger::default(),
-        }
-    }
-
-    /// The byte ledger this layer accounts frames against.
-    pub fn ledger(&self) -> &FrameLedger {
-        &self.ledger
+        FramedTransport { inner }
     }
 
     /// The wrapped transport.
@@ -259,75 +270,65 @@ impl<T: Transport> Transport for FramedTransport<T> {
         self.inner.schedule(now, from, to, seq)
     }
 
-    fn framing(&self) -> Option<FramingView<'_>> {
-        Some(FramingView {
-            ledger: &self.ledger,
-            per_frame: false,
-        })
+    fn framing(&self) -> Option<FramingView> {
+        Some(FramingView { per_frame: false })
     }
-}
-
-/// An encoded frame plus the accounting facts gathered while encoding.
-pub(crate) struct FrameBytes {
-    /// The full frame: length prefix, header, messages.
-    pub bytes: Vec<u8>,
-    /// Per-message `(payload kind, encoded payload length)`.
-    pub per_msg: Vec<(&'static str, usize)>,
-    /// Total bytes had each message shipped as its own frame.
-    pub unbatched: usize,
 }
 
 /// Fixed frame-header bytes besides the varints: the `u32` length prefix
 /// plus the two 8-byte node identifiers.
 const FRAME_FIXED_HEADER: usize = 4 + 8 + 8;
 
-/// Encodes one frame. Every envelope must share `from`, `to`, `sent_at`
-/// and `deliver_at` (the caller groups by exactly those); the shared
-/// values are read from the first envelope.
-pub(crate) fn encode_frame(envs: &[Envelope<Payload>]) -> FrameBytes {
-    let mut body = Vec::new();
-    let mut per_msg = Vec::with_capacity(envs.len());
-    let mut unbatched = 0usize;
-    let mut e = Encoder::new(&mut body);
-    if let Some(first) = envs.first() {
+/// Encodes one frame into `frame`, replacing its contents. Every envelope
+/// must share `from`, `to`, `sent_at` and `deliver_at` (the flush groups by
+/// exactly those); the shared values are read from the first envelope.
+/// `payload` is scratch space for one message's payload bytes.
+pub fn encode_frame<'a, I>(envs: I, frame: &mut Vec<u8>, payload: &mut Vec<u8>)
+where
+    I: IntoIterator<Item = &'a Envelope<Payload>>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut envs = envs.into_iter().peekable();
+    frame.clear();
+    // The body length, patched in below once the body is written.
+    frame.extend_from_slice(&[0; 4]);
+    let mut e = Encoder::new(frame);
+    if let Some(first) = envs.peek() {
         e.encode(&first.from);
         e.encode(&first.to);
         e.varint(first.sent_at);
         e.varint(first.deliver_at);
         e.varint(envs.len() as u64);
-        for env in envs {
-            e.varint(env.seq);
-            let before = e.written();
-            // Length-prefixed so a decoder can skip payloads it cannot
-            // parse and so the payload length is an accounting fact.
-            let mut payload = Vec::new();
-            Encoder::new(&mut payload).encode(&env.payload);
-            e.bytes(&payload);
-            let written = e.written() - before;
-            per_msg.push((env.payload.kind_name(), payload.len()));
-            // The same message as a singleton frame: fixed header, its own
-            // copies of the shared varints, count = 1, then the message.
-            unbatched += FRAME_FIXED_HEADER
-                + varint_len(first.sent_at)
-                + varint_len(first.deliver_at)
-                + 1
-                + written;
-        }
     }
-    let mut bytes = Vec::with_capacity(4 + body.len());
-    bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&body);
-    FrameBytes {
-        bytes,
-        per_msg,
-        unbatched,
+    for env in envs {
+        e.varint(env.seq);
+        // Length-prefixed so a decoder can skip payloads it cannot parse
+        // and so the payload length is an accounting fact.
+        payload.clear();
+        Encoder::new(payload).encode(&env.payload);
+        e.bytes(payload);
     }
+    let body = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&body.to_le_bytes());
 }
 
-/// Decodes a frame back into envelopes. Total: truncation, bad tags,
-/// length-prefix mismatches and trailing bytes all surface as
-/// [`WireError`], never a panic.
-pub(crate) fn decode_frame(bytes: &[u8]) -> Result<Vec<Envelope<Payload>>, WireError> {
+/// Decodes a frame, appending its envelopes to `out`. Total: truncation,
+/// bad tags, length-prefix mismatches and trailing bytes all surface as
+/// [`WireError`], never a panic — and all-or-nothing: on `Err`, `out` is
+/// exactly as it was.
+pub fn decode_frame(
+    bytes: &[u8],
+    out: &mut Vec<Envelope<Payload>>,
+) -> Result<FrameFacts, WireError> {
+    let before = out.len();
+    let facts = decode_into(bytes, out);
+    if facts.is_err() {
+        out.truncate(before);
+    }
+    facts
+}
+
+fn decode_into(bytes: &[u8], out: &mut Vec<Envelope<Payload>>) -> Result<FrameFacts, WireError> {
     let (prefix, body) = bytes.split_at_checked(4).ok_or(WireError::Truncated)?;
     let mut len = [0u8; 4];
     len.copy_from_slice(prefix);
@@ -341,8 +342,13 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> Result<Vec<Envelope<Payload>>, WireE
     let mut d = Decoder::new(body);
     let from = NodeId::decode(&mut d)?;
     let to = NodeId::decode(&mut d)?;
+    let ticks_start = d.remaining();
     let sent_at = d.varint()?;
     let deliver_at = d.varint()?;
+    // The same message as a singleton frame: fixed header, its own copies
+    // of the shared varints, count = 1, then its sequence number and
+    // length-prefixed payload.
+    let singleton_header = FRAME_FIXED_HEADER + (ticks_start - d.remaining()) + 1;
     let count = d.varint()?;
     let count = usize::try_from(count).map_err(|_| WireError::Truncated)?;
     // Each message takes at least two bytes (seq + length prefix), so an
@@ -350,11 +356,17 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> Result<Vec<Envelope<Payload>>, WireE
     if count > d.remaining() {
         return Err(WireError::Truncated);
     }
-    let mut out = Vec::with_capacity(count);
+    out.reserve(count);
+    let mut facts = FrameFacts::default();
     for _ in 0..count {
+        let msg_start = d.remaining();
         let seq = d.varint()?;
         let payload_bytes = d.bytes()?;
         let payload: Payload = canon_wire::from_bytes(payload_bytes)?;
+        let kind = &mut facts.kinds[payload.kind_index()];
+        kind.0 += 1;
+        kind.1 += payload_bytes.len() as u64;
+        facts.unbatched += (singleton_header + (msg_start - d.remaining())) as u64;
         out.push(Envelope {
             from,
             to,
@@ -365,74 +377,93 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> Result<Vec<Envelope<Payload>>, WireE
         });
     }
     d.finish()?;
-    Ok(out)
+    Ok(facts)
+}
+
+/// The buffers one flush works in, reused from flush to flush. Owned by
+/// the worker thread (see the module docs), and empty between flushes.
+#[derive(Debug, Default)]
+pub(crate) struct FlushScratch {
+    /// The outbox being flushed — the same vector the node staged into.
+    staged: Vec<(usize, Envelope<Payload>)>,
+    /// The encoded frame.
+    frame: Vec<u8>,
+    /// One message's encoded payload.
+    payload: Vec<u8>,
+    /// The frame's envelopes, decoded.
+    decoded: Vec<Envelope<Payload>>,
+}
+
+impl FlushScratch {
+    /// Lends the staging vector to `state` as its outbox for the round, so
+    /// its sends land in capacity the worker keeps; [`flush_outbox`] takes
+    /// it back.
+    pub(crate) fn lend_outbox(&mut self, state: &mut NodeState) {
+        std::mem::swap(&mut state.outbox, &mut self.staged);
+    }
 }
 
 /// Flushes a node's staged outbox at the end of its round: groups staged
-/// messages into frames, runs each frame through encode → account →
-/// decode, and delivers the decoded envelopes into the destination
+/// messages into frames, runs each frame through encode → decode →
+/// account, and delivers the decoded envelopes into the destination
 /// mailboxes. See the module docs for the two fault granularities.
 pub(crate) fn flush_outbox(
     boxes: &Mailboxes<Payload>,
     transport: &dyn Transport,
-    view: FramingView<'_>,
+    view: FramingView,
     state: &mut NodeState,
+    scratch: &mut FlushScratch,
     now: Tick,
 ) {
-    if state.outbox.is_empty() {
-        return;
-    }
+    std::mem::swap(&mut state.outbox, &mut scratch.staged);
+    let FlushScratch {
+        staged,
+        frame,
+        payload,
+        decoded,
+    } = scratch;
     // Group by (destination, delivery tick). With per-message fates the
     // tick was quoted at send time, so only survivors that arrive together
     // coalesce; with per-frame fates every staged envelope still carries
-    // tick 0, so this is one group per destination.
-    let mut groups: BTreeMap<(usize, Tick), Vec<Envelope<Payload>>> = BTreeMap::new();
-    for (slot, env) in std::mem::take(&mut state.outbox) {
-        groups.entry((slot, env.deliver_at)).or_default().push(env);
-    }
-    for ((slot, _), mut envs) in groups {
+    // tick 0, so this is one group per destination. Sequence numbers rise
+    // in staging order, so with them in the key an unstable sort (which
+    // never allocates) keeps each group in the order it was staged.
+    staged.sort_unstable_by_key(|(slot, env)| (*slot, env.deliver_at, env.seq));
+    for run in staged
+        .chunk_by_mut(|(a_slot, a), (b_slot, b)| a_slot == b_slot && a.deliver_at == b.deliver_at)
+    {
+        let Some((slot, first)) = run.first() else {
+            continue;
+        };
+        let (slot, to) = (*slot, first.to);
         if view.per_frame {
             // Ask the transport once per frame, keyed by the frame's first
             // (lowest) sequence number.
-            let Some(first) = envs.first() else { continue };
-            let Some(deliver_at) = transport.schedule(now, first.from, first.to, first.seq) else {
+            let Some(deliver_at) = transport.schedule(now, first.from, to, first.seq) else {
                 // The whole frame is lost atomically.
-                state.stats.network_drops += envs.len() as u64;
-                view.ledger.record_lost(envs.len());
+                state.stats.network_drops += run.len() as u64;
+                state.wire.record_lost(run.len());
                 continue;
             };
-            for env in &mut envs {
+            for (_, env) in run.iter_mut() {
                 env.deliver_at = deliver_at;
             }
         }
-        deliver_frame(boxes, view.ledger, slot, &envs);
-    }
-}
-
-/// Encode → account → decode-validate → deliver one frame.
-fn deliver_frame(
-    boxes: &Mailboxes<Payload>,
-    ledger: &FrameLedger,
-    slot: usize,
-    envs: &[Envelope<Payload>],
-) {
-    let frame = encode_frame(envs);
-    match decode_frame(&frame.bytes) {
-        Ok(decoded) => {
-            ledger.record_frame(envs, &frame);
-            // Deliver the *decoded* envelopes: every message a framed run
-            // processes has round-tripped through the codec.
-            for env in decoded {
-                boxes.push(slot, env);
+        encode_frame(run.iter().map(|(_, env)| env), frame, payload);
+        match decode_frame(frame, decoded) {
+            Ok(facts) => {
+                state.wire.record_frame(to, frame.len(), &facts);
+                // Deliver the *decoded* envelopes: every message a framed
+                // run processes has round-tripped through the codec.
+                boxes.push_batch(slot, decoded);
             }
-        }
-        Err(_) => {
             // Unreachable for bytes this module just encoded; surfaced as
             // a counter (the equivalence tests assert it stays zero)
             // rather than a panic, per the crate's no-panic policy.
-            ledger.record_decode_error();
+            Err(_) => state.wire.decode_errors += 1,
         }
     }
+    staged.clear();
 }
 
 #[cfg(test)]
@@ -452,6 +483,12 @@ mod tests {
         }
     }
 
+    fn encode(envs: &[Envelope<Payload>]) -> Vec<u8> {
+        let (mut frame, mut payload) = (Vec::new(), Vec::new());
+        encode_frame(envs, &mut frame, &mut payload);
+        frame
+    }
+
     #[test]
     fn frames_roundtrip_and_batching_beats_singletons() {
         let envs = vec![
@@ -464,8 +501,9 @@ mod tests {
             ),
             env(3, Payload::Client(Command::Issue(Op::Lookup { key: 4 }))),
         ];
-        let frame = encode_frame(&envs);
-        let decoded = decode_frame(&frame.bytes).expect("decode");
+        let frame = encode(&envs);
+        let mut decoded = Vec::new();
+        let facts = decode_frame(&frame, &mut decoded).expect("decode");
         assert_eq!(decoded.len(), 3);
         for (d, e) in decoded.iter().zip(&envs) {
             assert_eq!(d.payload, e.payload);
@@ -476,23 +514,60 @@ mod tests {
         }
         // Three coalesced messages share one header: strictly smaller than
         // three singleton frames.
-        assert!(frame.bytes.len() < frame.unbatched);
+        assert!((frame.len() as u64) < facts.unbatched);
         // Re-encoding the decoded envelopes is byte-identical.
-        assert_eq!(encode_frame(&decoded).bytes, frame.bytes);
+        assert_eq!(encode(&decoded), frame);
     }
 
     #[test]
-    fn frame_decode_is_total() {
-        let frame = encode_frame(&[env(1, Payload::Replicate { key: 1, value: 2 })]);
-        for cut in 0..frame.bytes.len() {
-            assert!(
-                decode_frame(&frame.bytes[..cut]).is_err(),
-                "prefix {cut} decoded"
-            );
+    fn a_singleton_frame_is_its_own_counterfactual() {
+        // Sequence numbers on both sides of the one-byte varint boundary,
+        // and a payload long enough for a two-byte length prefix.
+        let shard = (0..20).map(|k| (k, k)).collect();
+        for (seq, payload) in [
+            (1, Payload::Replicate { key: 1, value: 2 }),
+            (300, Payload::Replicate { key: 1, value: 2 }),
+            (
+                1 << 40,
+                Payload::LeaveHandoff {
+                    departing: NodeId::new(4),
+                    shard,
+                },
+            ),
+        ] {
+            let frame = encode(&[env(seq, payload)]);
+            let facts = decode_frame(&frame, &mut Vec::new()).expect("decode");
+            assert_eq!(facts.unbatched, frame.len() as u64, "seq {seq}");
         }
-        let mut extended = frame.bytes;
+    }
+
+    #[test]
+    fn frame_decode_is_total_and_all_or_nothing() {
+        let frame = encode(&[
+            env(1, Payload::Replicate { key: 1, value: 2 }),
+            env(2, Payload::Replicate { key: 3, value: 4 }),
+        ]);
+        // The output vector already holds a delivered envelope; every
+        // failure must leave exactly that.
+        let mut out = vec![env(99, Payload::Replicate { key: 0, value: 0 })];
+        let mut check = |bytes: &[u8], what: &str| {
+            let err = decode_frame(bytes, &mut out).expect_err(what);
+            assert_eq!(out.len(), 1, "{what}: output grew");
+            assert_eq!(out[0].seq, 99, "{what}: output changed");
+            err
+        };
+        for cut in 0..frame.len() {
+            check(&frame[..cut], &format!("prefix {cut}"));
+        }
+        let mut extended = frame.clone();
         extended.push(0);
-        assert!(decode_frame(&extended).is_err());
+        assert_eq!(check(&extended, "trailing byte"), WireError::TrailingBytes);
+        // A second message cut short *inside* an honest length prefix: the
+        // first message decodes before the failure is found.
+        let mut short = frame[..frame.len() - 1].to_vec();
+        let body = (short.len() - 4) as u32;
+        short[..4].copy_from_slice(&body.to_le_bytes());
+        assert_eq!(check(&short, "short second message"), WireError::Truncated);
         // Over-claimed message count with an honest length prefix.
         let mut body = Vec::new();
         let mut e = Encoder::new(&mut body);
@@ -503,22 +578,26 @@ mod tests {
         e.varint(1 << 40); // count
         let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
         bytes.extend_from_slice(&body);
-        assert_eq!(decode_frame(&bytes), Err(WireError::Truncated));
+        assert_eq!(check(&bytes, "over-claimed count"), WireError::Truncated);
+        // And the intact frame still appends after all that.
+        assert!(decode_frame(&frame, &mut out).is_ok());
+        assert_eq!(out.len(), 3);
     }
 
     #[test]
-    fn ledger_aggregates_links_kinds_and_losses() {
-        let ledger = FrameLedger::default();
+    fn tally_aggregates_links_kinds_and_losses() {
+        let mut tally = WireTally::default();
         let envs = vec![
             env(1, Payload::Replicate { key: 1, value: 2 }),
             env(2, Payload::Replicate { key: 3, value: 4 }),
         ];
-        let frame = encode_frame(&envs);
-        ledger.record_frame(&envs, &frame);
-        ledger.record_lost(3);
-        let s = ledger.summary();
+        let frame = encode(&envs);
+        let facts = decode_frame(&frame, &mut Vec::new()).expect("decode");
+        tally.record_frame(NodeId::new(20), frame.len(), &facts);
+        tally.record_lost(3);
+        let s = WireSummary::sum([&tally]);
         assert_eq!((s.frames, s.msgs), (1, 2));
-        assert_eq!(s.bytes, frame.bytes.len() as u64);
+        assert_eq!(s.bytes, frame.len() as u64);
         assert_eq!(s.header_bytes + s.payload_bytes, s.bytes);
         assert_eq!((s.frames_lost, s.msgs_lost), (1, 3));
         assert_eq!(s.decode_errors, 0);
@@ -529,15 +608,83 @@ mod tests {
         );
         assert!(s.msgs_per_frame() > 1.9);
         assert!(s.batching_savings() > 0.0);
-        let links = ledger.link_bytes();
         assert_eq!(
-            links.get(&(NodeId::new(10), NodeId::new(20))),
-            Some(&LinkBytes {
-                frames: 1,
-                msgs: 2,
-                bytes: frame.bytes.len() as u64
-            })
+            tally.links().collect::<Vec<_>>(),
+            vec![(
+                NodeId::new(20),
+                LinkBytes {
+                    frames: 1,
+                    msgs: 2,
+                    bytes: frame.len() as u64
+                }
+            )]
         );
+        // Summing is per node: the same tally twice is two links' worth.
+        let twice = WireSummary::sum([&tally, &tally]);
+        assert_eq!((twice.frames, twice.links, twice.msgs_lost), (2, 2, 6));
+    }
+
+    /// A node with a staged outbox, and mailboxes for `slots` peers.
+    fn staged_node(
+        slots: usize,
+        staged: Vec<(usize, Envelope<Payload>)>,
+    ) -> (Mailboxes<Payload>, NodeState) {
+        let mut state = NodeState::new(
+            NodeId::new(10),
+            Default::default(),
+            Vec::new(),
+            None,
+            true,
+            &crate::runtime::RuntimeConfig::default(),
+        );
+        state.outbox = staged;
+        (Mailboxes::new(slots), state)
+    }
+
+    #[test]
+    fn a_run_that_never_coalesces_saves_nothing() {
+        // No two messages share (destination, tick): every frame is a
+        // singleton, so the counterfactual is the run itself.
+        let at = |slot: usize, seq, deliver_at| {
+            let mut e = env(seq, Payload::Replicate { key: seq, value: 1 });
+            e.to = NodeId::new(20 + slot as u64);
+            e.deliver_at = deliver_at;
+            (slot, e)
+        };
+        let staged = vec![at(0, 1, 6), at(1, 2, 6), at(0, 300, 7), at(1, 301, 8)];
+        let (boxes, mut state) = staged_node(2, staged);
+        let transport = FramedTransport::new(ChannelTransport::new(1));
+        let view = transport.framing().expect("framing");
+        let mut scratch = FlushScratch::default();
+        flush_outbox(&boxes, &transport, view, &mut state, &mut scratch, 5);
+        let s = WireSummary::sum([&state.wire]);
+        assert_eq!((s.frames, s.msgs, s.links), (4, 4, 2));
+        assert_eq!(s.bytes, s.unbatched_bytes);
+        assert_eq!(s.batching_savings(), 0.0);
+        assert_eq!(boxes.queued(), 4);
+        assert!(state.outbox.is_empty());
+    }
+
+    #[test]
+    fn flush_groups_by_destination_and_tick_in_staging_order() {
+        let to = |slot: usize, seq, key| {
+            let mut e = env(seq, Payload::Replicate { key, value: 0 });
+            e.to = NodeId::new(20 + slot as u64);
+            (slot, e)
+        };
+        // Interleaved destinations; slot 1's messages must coalesce into
+        // one frame, in the order they were staged.
+        let staged = vec![to(1, 1, 100), to(0, 2, 200), to(1, 3, 300), to(1, 4, 400)];
+        let (boxes, mut state) = staged_node(2, staged);
+        let transport = FramedTransport::new(ChannelTransport::new(1));
+        let view = transport.framing().expect("framing");
+        let mut scratch = FlushScratch::default();
+        flush_outbox(&boxes, &transport, view, &mut state, &mut scratch, 5);
+        let s = WireSummary::sum([&state.wire]);
+        assert_eq!((s.frames, s.msgs, s.links), (2, 4, 2));
+        let seqs: Vec<u64> = boxes.drain_due(1, 6).iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 3, 4]);
+        assert_eq!(boxes.drain_due(0, 6).len(), 1);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod wire;
 pub use cache::{CacheConfig, CacheSummary, CacheTally, NodeCache};
 pub use clock::{Clock, Tick, VirtualClock};
 pub use cluster::from_graph;
-pub use framed::{FrameLedger, FramedTransport, LinkBytes, WireSummary};
+pub use framed::{FramedTransport, LinkBytes, WireSummary};
 pub use msg::{Command, Completion, JoinGrant, Op, OpKind, Outcome, Payload, RpcResult};
 pub use node::NodeStats;
 pub use remote::RemoteShard;

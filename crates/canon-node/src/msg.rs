@@ -292,20 +292,39 @@ pub enum Payload {
 }
 
 impl Payload {
+    /// A stable label per variant, indexed by [`Payload::kind_index`].
+    pub const KIND_NAMES: [&'static str; 9] = [
+        "client",
+        "request",
+        "response",
+        "replicate",
+        "repair-join",
+        "leave-handoff",
+        "leave-notice",
+        "cache-fill",
+        "cache-invalidate",
+    ];
+
+    /// The variant's position in declaration order — the index the wire
+    /// layer's per-payload-kind byte accounting keeps its counters under.
+    pub fn kind_index(&self) -> usize {
+        match self {
+            Payload::Client(_) => 0,
+            Payload::Request { .. } => 1,
+            Payload::Response { .. } => 2,
+            Payload::Replicate { .. } => 3,
+            Payload::RepairJoin { .. } => 4,
+            Payload::LeaveHandoff { .. } => 5,
+            Payload::LeaveNotice { .. } => 6,
+            Payload::CacheFill { .. } => 7,
+            Payload::CacheInvalidate { .. } => 8,
+        }
+    }
+
     /// A stable label for the payload's variant, used by the wire layer's
     /// per-payload-kind byte accounting.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            Payload::Client(_) => "client",
-            Payload::Request { .. } => "request",
-            Payload::Response { .. } => "response",
-            Payload::Replicate { .. } => "replicate",
-            Payload::RepairJoin { .. } => "repair-join",
-            Payload::LeaveHandoff { .. } => "leave-handoff",
-            Payload::LeaveNotice { .. } => "leave-notice",
-            Payload::CacheFill { .. } => "cache-fill",
-            Payload::CacheInvalidate { .. } => "cache-invalidate",
-        }
+        Payload::KIND_NAMES[self.kind_index()]
     }
 }
 
@@ -385,5 +404,20 @@ mod tests {
             completed_at: 25,
         };
         assert_eq!(c.latency(), 15);
+    }
+
+    #[test]
+    fn every_payload_variant_has_its_own_kind_index_and_label() {
+        use crate::wire::samples::sample_payloads;
+        let mut seen = [false; Payload::KIND_NAMES.len()];
+        for p in sample_payloads(canon_id::rng::Seed(1), 1) {
+            assert!(!seen[p.kind_index()], "{} indexed twice", p.kind_name());
+            seen[p.kind_index()] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "a kind index has no variant");
+        let mut names = Payload::KIND_NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), seen.len(), "duplicate kind label");
     }
 }

@@ -21,6 +21,7 @@
 
 use crate::cache::NodeCache;
 use crate::clock::Tick;
+use crate::framed::WireTally;
 use crate::msg::{Command, Completion, JoinGrant, Op, Outcome, Payload, RpcResult};
 use crate::rpc::{RetryDecision, RpcTable};
 use crate::runtime::RuntimeConfig;
@@ -78,7 +79,7 @@ pub(crate) struct Net<'a> {
     pub boxes: &'a Mailboxes<Payload>,
     pub transport: &'a dyn Transport,
     /// [`Transport::framing`] of `transport`.
-    pub framing: Option<FramingView<'a>>,
+    pub framing: Option<FramingView>,
     pub directory: &'a BTreeMap<u64, usize>,
     pub now: Tick,
 }
@@ -124,8 +125,12 @@ pub(crate) struct NodeState {
     /// `(destination slot, envelope)`. Only used when the transport stack
     /// frames ([`Net::framing`] is a view); the runtime flushes
     /// it into coalesced frames at the end of the node's round. Always
-    /// empty between rounds.
+    /// empty between rounds, and without capacity of its own: the vector
+    /// is the worker's, lent for the round (see [`crate::framed`]).
     pub outbox: Vec<(usize, Envelope<Payload>)>,
+    /// Wire accounting for the frames this node sent (all zero unless the
+    /// transport stack frames).
+    pub wire: WireTally,
     /// Model-checking fault: grant joins but "forget" to attach the
     /// handed-over shard entries (they are still removed locally) — the
     /// seeded lost-key-range bug the protocol checker's regression test
@@ -175,6 +180,7 @@ impl NodeState {
             joined,
             deferred: Vec::new(),
             outbox: Vec::new(),
+            wire: WireTally::default(),
             #[cfg(feature = "model")]
             broken_handover: false,
             stats: NodeStats::default(),
@@ -202,6 +208,11 @@ impl NodeState {
             return Some(t);
         }
         None
+    }
+
+    /// Whether [`NodeState::fire_timers`] would pop anything at `now`.
+    pub fn timer_due(&self, now: Tick) -> bool {
+        self.timers.peek().is_some_and(|&Reverse((t, _))| t <= now)
     }
 
     fn log(&mut self, now: Tick, line: impl FnOnce() -> String) {

@@ -19,7 +19,7 @@
 //! 1. transports quote delivery at least one tick in the future, so the
 //!    set of messages due in round *t* is fixed before the round starts —
 //!    no worker can add same-round work;
-//! 2. mailbox heaps order delivery by the arrival-order-independent key
+//! 2. mailboxes drain in the arrival-order-independent key order
 //!    `(deliver_at, from, seq)`, so a node drains the same messages in the
 //!    same order no matter how sends interleaved;
 //! 3. nodes share no state — each is locked by exactly one worker per
@@ -31,7 +31,7 @@
 
 use crate::cache::{CacheConfig, CacheSummary};
 use crate::clock::{Clock, Tick};
-use crate::framed::{self, LinkBytes, WireSummary};
+use crate::framed::{self, FlushScratch, LinkBytes, WireSummary};
 use crate::msg::{Command, Completion, Outcome, Payload};
 use crate::node::{Net, NodeState, NodeStats};
 use crate::rpc::RpcConfig;
@@ -41,8 +41,15 @@ use canon_id::ring::SortedRing;
 use canon_id::NodeId;
 use canon_par::par_map;
 use canon_store::Policy;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
+
+thread_local! {
+    /// The flush buffers of the worker thread running a node's round (see
+    /// [`crate::framed`] for why they are the worker's and not the node's).
+    static FLUSH_SCRATCH: RefCell<FlushScratch> = RefCell::default();
+}
 
 /// Cluster-wide node parameters.
 #[derive(Clone, Copy, Debug)]
@@ -312,33 +319,47 @@ impl Runtime {
     fn process_cell(&self, slot: usize, now: Tick) -> usize {
         let envs = self.boxes.drain_due(slot, now);
         let mut state = lock_unpoisoned(&self.states[slot]);
-        let net = self.net(now);
-        let mut n = envs.len();
-        for env in envs {
-            state.handle(&net, env);
+        // Most nodes are idle in most rounds.
+        if envs.is_empty() && !state.timer_due(now) {
+            return 0;
         }
-        n += state.fire_timers(&net);
-        // With a framing transport in the stack, sends were staged instead
-        // of entering mailboxes; coalesce them into frames, round-trip each
-        // frame through the wire codec and deliver the decoded envelopes —
-        // all while this node's lock is still held, so the round stays one
-        // atomic unit per node.
-        if let Some(view) = net.framing {
-            framed::flush_outbox(&self.boxes, self.transport.as_ref(), view, &mut state, now);
-        }
-        n
+        self.node_round(&mut state, now, |state, net| {
+            let handled = envs.len();
+            for env in envs {
+                state.handle(net, env);
+            }
+            handled + state.fire_timers(net)
+        })
     }
 
-    /// The network context for handling messages at tick `now`; resolves
-    /// the transport stack's framing mode once for the whole call.
-    fn net(&self, now: Tick) -> Net<'_> {
-        Net {
+    /// Runs `body` on a locked node as one atomic unit. With a framing
+    /// transport in the stack the node's sends are staged instead of
+    /// entering mailboxes; when `body` returns they are coalesced into
+    /// frames, each frame round-trips through the wire codec and the
+    /// decoded envelopes are delivered — all while the caller holds the
+    /// node's lock.
+    fn node_round<R>(
+        &self,
+        state: &mut NodeState,
+        now: Tick,
+        body: impl FnOnce(&mut NodeState, &Net<'_>) -> R,
+    ) -> R {
+        let net = Net {
             boxes: &self.boxes,
             transport: self.transport.as_ref(),
             framing: self.transport.framing(),
             directory: &self.directory,
             now,
-        }
+        };
+        let Some(view) = net.framing else {
+            return body(state, &net);
+        };
+        FLUSH_SCRATCH.with_borrow_mut(|scratch| {
+            scratch.lend_outbox(state);
+            let out = body(state, &net);
+            framed::flush_outbox(net.boxes, net.transport, view, state, scratch, now);
+            out
+        })
     }
 
     /// The earliest pending event (mailbox delivery or armed timer) across
@@ -500,19 +521,28 @@ impl Runtime {
     }
 
     /// Aggregated wire-layer accounting when the transport stack frames
-    /// (see [`crate::framed`]), or `None` for an unframed stack. Kept out
-    /// of [`Summary`] so framed and unframed runs of the same workload
+    /// (see [`crate::framed`]), or `None` for an unframed stack: the sum of
+    /// every node's tally of the frames it sent, as
+    /// [`Runtime::cache_summary`] sums cache tallies. Kept out of
+    /// [`Summary`] so framed and unframed runs of the same workload
     /// produce byte-identical summaries.
     pub fn wire_summary(&self) -> Option<WireSummary> {
-        self.transport.framing().map(|view| view.ledger.summary())
+        self.transport.framing()?;
+        let states: Vec<_> = self.states.iter().map(lock_unpoisoned).collect();
+        Some(WireSummary::sum(states.iter().map(|state| &state.wire)))
     }
 
     /// Per-link wire byte counters when the transport stack frames, keyed
-    /// by directed `(from, to)` node pairs; `None` for an unframed stack.
+    /// by directed `(from, to)` node pairs — each sender's per-destination
+    /// tally under its own identifier; `None` for an unframed stack.
     pub fn link_bytes(&self) -> Option<BTreeMap<(NodeId, NodeId), LinkBytes>> {
-        self.transport
-            .framing()
-            .map(|view| view.ledger.link_bytes())
+        self.transport.framing()?;
+        let mut links = BTreeMap::new();
+        for s in &self.states {
+            let state = lock_unpoisoned(s);
+            links.extend(state.wire.links().map(|(to, link)| ((state.id, to), link)));
+        }
+        Some(links)
     }
 
     fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&mut NodeState) -> R) -> R {
@@ -622,15 +652,13 @@ impl Runtime {
             return false;
         };
         self.clock.advance_to(env.deliver_at);
-        let now = self.clock.now();
-        let net = self.net(now);
+        // A framing transport stages sends; `node_round` flushes them, so
+        // the checker sees the handler's outgoing messages queued, same as
+        // a stepped round.
         let mut state = lock_unpoisoned(&self.states[slot]);
-        state.handle(&net, env);
-        // A framing transport stages sends; flush so the checker sees the
-        // handler's outgoing messages queued, same as a stepped round.
-        if let Some(view) = net.framing {
-            framed::flush_outbox(&self.boxes, self.transport.as_ref(), view, &mut state, now);
-        }
+        self.node_round(&mut state, self.clock.now(), |state, net| {
+            state.handle(net, env)
+        });
         true
     }
 

@@ -17,19 +17,23 @@
 //!   OS entropy, so a faulty run is exactly as reproducible as a clean
 //!   one.
 //!
-//! Mailboxes are min-heaps ordered by `(deliver_at, from, seq)`. The key is
-//! unique per message and independent of *arrival* order, so concurrent
-//! senders cannot perturb the order a node drains its mailbox in — the
-//! second half of the determinism argument. For a fixed ordered pair of
-//! nodes the key is monotone in the send order whenever the transport's
-//! latency is constant per pair, which is the FIFO property the channel
-//! transport guarantees (see `tests/transport_fifo.rs`).
+//! Mailboxes drain in `(deliver_at, from, seq)` order. A mailbox is a map
+//! from delivery tick to the bucket of messages due at that tick: a push
+//! appends to its tick's bucket in whatever order senders arrive, and a
+//! drain removes the due buckets — almost always one — and sorts what it
+//! removed, so a message is moved once in and once out, and sorted once,
+//! among the messages it is due with. The key is unique per message
+//! and independent of *arrival* order, so concurrent senders cannot
+//! perturb the order a node drains its mailbox in — the second half of the
+//! determinism argument. For a fixed ordered pair of nodes the key is
+//! monotone in the send order whenever the transport's latency is constant
+//! per pair, which is the FIFO property the channel transport guarantees
+//! (see `tests/transport_fifo.rs`).
 
 use crate::clock::Tick;
 use canon_id::rng::Seed;
 use canon_id::NodeId;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks a runtime mutex under the crate's poisoned-lock policy: recover
@@ -111,19 +115,18 @@ pub trait Transport: Send + Sync {
     /// that delegate `schedule` must forward this too, adjusting
     /// [`FramingView::per_frame`] if they inject faults *outside* the
     /// framing layer.
-    fn framing(&self) -> Option<FramingView<'_>> {
+    fn framing(&self) -> Option<FramingView> {
         None
     }
 }
 
-/// A borrowed view of the framing layer inside a transport stack: the
-/// frame ledger to account bytes against, and whether fault decisions are
-/// taken per frame (a [`FaultyTransport`] wraps the framer) or per message
-/// (the framer wraps the faults).
-#[derive(Clone, Copy)]
-pub struct FramingView<'a> {
-    /// The framing layer's byte ledger and loss accounting.
-    pub ledger: &'a crate::framed::FrameLedger,
+/// What a transport stack says about its framing layer: whether fault
+/// decisions are taken per frame (a [`FaultyTransport`] wraps the framer)
+/// or per message (the framer wraps the faults). The bytes a framed run
+/// moves are tallied by the sending nodes, not here (see
+/// [`crate::framed`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FramingView {
     /// `true` when a fault-injecting wrapper sits *outside* the framing
     /// layer: the runtime then schedules one transport decision per frame,
     /// so a loss drops every coalesced message atomically. `false` means
@@ -244,19 +247,18 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 
     /// Faults injected outside a framing layer act on whole frames: one
     /// loss/jitter decision per frame, not per coalesced message.
-    fn framing(&self) -> Option<FramingView<'_>> {
-        self.inner.framing().map(|view| FramingView {
-            per_frame: true,
-            ..view
-        })
+    fn framing(&self) -> Option<FramingView> {
+        self.inner
+            .framing()
+            .map(|_| FramingView { per_frame: true })
     }
 }
 
-/// One bounded-order mailbox per node: a min-heap keyed by
-/// `(deliver_at, from, seq)` behind a mutex.
+/// One mailbox per node: the messages queued for it, bucketed by
+/// delivery tick, behind a mutex. Buckets are never left empty.
 #[derive(Debug, Default)]
 pub struct Mailboxes<M> {
-    slots: Vec<Mutex<BinaryHeap<Reverse<Envelope<M>>>>>,
+    slots: Vec<Mutex<BTreeMap<Tick, Vec<Envelope<M>>>>>,
 }
 
 impl<M> Mailboxes<M> {
@@ -264,7 +266,7 @@ impl<M> Mailboxes<M> {
     pub fn new(n: usize) -> Mailboxes<M> {
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
-            slots.push(Mutex::new(BinaryHeap::new()));
+            slots.push(Mutex::new(BTreeMap::new()));
         }
         Mailboxes { slots }
     }
@@ -281,7 +283,7 @@ impl<M> Mailboxes<M> {
 
     /// Adds a mailbox for a newly spawned node, returning its slot.
     pub fn grow(&mut self) -> usize {
-        self.slots.push(Mutex::new(BinaryHeap::new()));
+        self.slots.push(Mutex::new(BTreeMap::new()));
         self.slots.len() - 1
     }
 
@@ -297,7 +299,7 @@ impl<M> Mailboxes<M> {
     ) -> Option<Tick> {
         let deliver_at = transport.schedule(env.sent_at, env.from, env.to, env.seq)?;
         env.deliver_at = deliver_at;
-        lock_unpoisoned(&self.slots[slot]).push(Reverse(env));
+        self.push(slot, env);
         Some(deliver_at)
     }
 
@@ -305,48 +307,60 @@ impl<M> Mailboxes<M> {
     /// transport — client command injection uses this, so injected work
     /// can never be lost to the network.
     pub fn push(&self, slot: usize, env: Envelope<M>) {
-        lock_unpoisoned(&self.slots[slot]).push(Reverse(env));
+        lock_unpoisoned(&self.slots[slot])
+            .entry(env.deliver_at)
+            .or_default()
+            .push(env);
+    }
+
+    /// Moves every envelope out of `envs` into `slot` under one lock — a
+    /// decoded frame is delivered this way. `envs` is left empty, with its
+    /// capacity.
+    pub fn push_batch(&self, slot: usize, envs: &mut Vec<Envelope<M>>) {
+        let mut buckets = lock_unpoisoned(&self.slots[slot]);
+        for env in envs.drain(..) {
+            buckets.entry(env.deliver_at).or_default().push(env);
+        }
     }
 
     /// Pops every message due at or before `now` from `slot`, in
     /// `(deliver_at, from, seq)` order.
     pub fn drain_due(&self, slot: usize, now: Tick) -> Vec<Envelope<M>> {
-        let mut heap = lock_unpoisoned(&self.slots[slot]);
         let mut out = Vec::new();
-        while let Some(Reverse(head)) = heap.peek() {
-            if head.deliver_at > now {
-                break;
+        {
+            let mut buckets = lock_unpoisoned(&self.slots[slot]);
+            while let Some(first) = buckets.first_entry() {
+                if *first.key() > now {
+                    break;
+                }
+                let mut bucket = first.remove();
+                if out.is_empty() {
+                    // The common case, one due tick: the bucket is the answer.
+                    out = bucket;
+                } else {
+                    out.append(&mut bucket);
+                }
             }
-            let Some(Reverse(env)) = heap.pop() else {
-                break;
-            };
-            out.push(env);
         }
+        // Sorted with the lock released, so senders are not held up. Keys
+        // are unique, so an unstable sort has one possible result.
+        out.sort_unstable();
         out
     }
 
     /// The earliest pending delivery tick in `slot`, if any.
     pub fn next_due(&self, slot: usize) -> Option<Tick> {
         lock_unpoisoned(&self.slots[slot])
-            .peek()
-            .map(|Reverse(env)| env.deliver_at)
+            .first_key_value()
+            .map(|(&tick, _)| tick)
     }
 
     /// Total queued messages across all mailboxes.
     pub fn queued(&self) -> usize {
-        self.slots.iter().map(|s| lock_unpoisoned(s).len()).sum()
-    }
-}
-
-impl<M: Clone> Mailboxes<M> {
-    /// Snapshots every message queued at `slot`, in `(deliver_at, from,
-    /// seq)` order, without disturbing the heap. The protocol model
-    /// checker uses this to enumerate a state's pending deliveries.
-    pub fn peek_all(&self, slot: usize) -> Vec<Envelope<M>> {
-        let heap = lock_unpoisoned(&self.slots[slot]);
-        let mut out: Vec<Envelope<M>> = heap.iter().map(|Reverse(env)| env.clone()).collect();
-        out.sort();
-        out
+        self.slots
+            .iter()
+            .map(|s| lock_unpoisoned(s).values().map(Vec::len).sum::<usize>())
+            .sum()
     }
 
     /// Removes and returns the unique message at `slot` with the given
@@ -355,18 +369,34 @@ impl<M: Clone> Mailboxes<M> {
     /// an explorer pop one chosen envelope out of `(deliver_at, from, seq)`
     /// order, modeling an adversarial network schedule.
     pub fn take(&self, slot: usize, from: NodeId, seq: u64) -> Option<Envelope<M>> {
-        let mut heap = lock_unpoisoned(&self.slots[slot]);
-        let mut rest: Vec<Reverse<Envelope<M>>> = Vec::with_capacity(heap.len());
-        let mut found = None;
-        for Reverse(env) in heap.drain() {
-            if found.is_none() && env.from == from && env.seq == seq {
-                found = Some(env);
-            } else {
-                rest.push(Reverse(env));
-            }
+        let mut buckets = lock_unpoisoned(&self.slots[slot]);
+        let (tick, env, emptied) = buckets.iter_mut().find_map(|(&tick, bucket)| {
+            let at = bucket
+                .iter()
+                .position(|env| env.from == from && env.seq == seq)?;
+            // A bucket is unordered until it is drained.
+            let env = bucket.swap_remove(at);
+            Some((tick, env, bucket.is_empty()))
+        })?;
+        if emptied {
+            buckets.remove(&tick);
         }
-        heap.extend(rest);
-        found
+        Some(env)
+    }
+}
+
+impl<M: Clone> Mailboxes<M> {
+    /// Snapshots every message queued at `slot`, in `(deliver_at, from,
+    /// seq)` order, without disturbing the mailbox. The protocol model
+    /// checker uses this to enumerate a state's pending deliveries.
+    pub fn peek_all(&self, slot: usize) -> Vec<Envelope<M>> {
+        let mut out: Vec<Envelope<M>> = lock_unpoisoned(&self.slots[slot])
+            .values()
+            .flatten()
+            .cloned()
+            .collect();
+        out.sort_unstable();
+        out
     }
 }
 
@@ -473,5 +503,121 @@ mod tests {
         assert_eq!(boxes.len(), 3);
         assert!(!boxes.is_empty());
         assert_eq!(boxes.next_due(2), None);
+    }
+
+    /// What the mailbox order *is*, independently of how `Mailboxes`
+    /// stores messages: an ordered map keyed by `(deliver_at, from, seq)`.
+    type Model = BTreeMap<(Tick, u64, u64), u32>;
+
+    fn keys_and_payloads(envs: &[Envelope<u32>]) -> Vec<((Tick, u64, u64), u32)> {
+        envs.iter().map(|e| (e.key(), e.payload)).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn mailboxes_agree_with_an_ordered_map_under_any_interleaving(
+            ops in proptest::collection::vec(
+                (0u8..8, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+                1..160,
+            )
+        ) {
+            use proptest::prop_assert_eq;
+            const SLOTS: usize = 2;
+            let boxes: Mailboxes<u32> = Mailboxes::new(SLOTS);
+            let mut model: [Model; SLOTS] = Default::default();
+            // Jitter spreads sends over several ticks; loss exercises the
+            // dropped branch of `send`.
+            let lossy = FaultyTransport::new(ChannelTransport::new(1), Seed(99), 200, 4);
+            let mut now: Tick = 0;
+            let mut next_payload = 0u32;
+            // `(from, seq)` names a message for `take`, so a pair is used
+            // at most once per mailbox; sequence numbers are drawn, not
+            // counted, so one sender's arrive out of order.
+            let mut used: [BTreeSet<(u64, u64)>; SLOTS] = Default::default();
+            for (op, a, b) in ops {
+                let slot = (a % SLOTS as u64) as usize;
+                let mut draft = |word: u64, sent_at: Tick| {
+                    let (from, seq) = (1 + word % 3, (word >> 8) % 48);
+                    if !used[slot].insert((from, seq)) {
+                        return None;
+                    }
+                    next_payload += 1;
+                    Some(env(sent_at, id(from), id(0), seq, next_payload))
+                };
+                match op {
+                    0 => {
+                        // May already be due, or several ticks out.
+                        if let Some(mut e) = draft(b, now) {
+                            e.deliver_at = now + (b >> 16) % 5;
+                            model[slot].insert(e.key(), e.payload);
+                            boxes.push(slot, e);
+                        }
+                    }
+                    1 => {
+                        let mut batch = Vec::new();
+                        for i in 0..1 + (b >> 16) % 4 {
+                            let word = b.rotate_left(13 * i as u32 + 7);
+                            if let Some(mut e) = draft(word, now) {
+                                e.deliver_at = now + (word >> 20) % 3;
+                                model[slot].insert(e.key(), e.payload);
+                                batch.push(e);
+                            }
+                        }
+                        boxes.push_batch(slot, &mut batch);
+                        prop_assert_eq!(batch.len(), 0);
+                    }
+                    2 => {
+                        if let Some(e) = draft(b, now) {
+                            let (from, seq, payload) = (e.from, e.seq, e.payload);
+                            let quoted = lossy.schedule(now, from, id(0), seq);
+                            prop_assert_eq!(boxes.send(&lossy, slot, e), quoted);
+                            if let Some(t) = quoted {
+                                model[slot].insert((t, from.raw(), seq), payload);
+                            }
+                        }
+                    }
+                    3 => {
+                        // Time only moves forward; a drain at `now` leaves
+                        // every later bucket behind.
+                        now += b % 3;
+                        let later = model[slot].split_off(&(now + 1, 0, 0));
+                        let due = std::mem::replace(&mut model[slot], later);
+                        let drained = boxes.drain_due(slot, now);
+                        prop_assert_eq!(
+                            keys_and_payloads(&drained),
+                            due.into_iter().collect::<Vec<_>>()
+                        );
+                    }
+                    4 => {
+                        // Take a queued message (any position), or miss.
+                        let queued = model[slot].len() as u64;
+                        let target = model[slot].keys().nth((b % (queued + 1)) as usize).copied();
+                        let (tick, from, seq) = target.unwrap_or((0, 9, b % 48));
+                        let expect = model[slot].remove(&(tick, from, seq));
+                        let got = boxes.take(slot, id(from), seq);
+                        prop_assert_eq!(got.as_ref().map(|e| (e.key(), e.payload)), expect.map(|p| ((tick, from, seq), p)));
+                    }
+                    5 => {
+                        let first = model[slot].keys().next().map(|k| k.0);
+                        prop_assert_eq!(boxes.next_due(slot), first);
+                    }
+                    6 => {
+                        let total: usize = model.iter().map(BTreeMap::len).sum();
+                        prop_assert_eq!(boxes.queued(), total);
+                    }
+                    _ => {
+                        let all: Vec<_> = model[slot].iter().map(|(&k, &p)| (k, p)).collect();
+                        prop_assert_eq!(keys_and_payloads(&boxes.peek_all(slot)), all);
+                    }
+                }
+            }
+            // Whatever is left drains in model order, and nothing more.
+            for (slot, left) in model.iter().enumerate() {
+                let rest = boxes.drain_due(slot, Tick::MAX);
+                let all: Vec<_> = left.iter().map(|(&k, &p)| (k, p)).collect();
+                prop_assert_eq!(keys_and_payloads(&rest), all);
+            }
+            prop_assert_eq!(boxes.queued(), 0);
+        }
     }
 }
