@@ -1,11 +1,11 @@
 //! Model-checking support for canon-audit's protocol explorer (only
 //! compiled under the `model` feature).
 //!
-//! The production runtime executes *rounds*: every node drains all due
-//! messages at once, in mailbox-heap order. The model checker instead
-//! wants to pick **one** pending message at a time and explore every
-//! delivery order. This module supplies the pieces that make that
-//! exploration deterministic and comparable:
+//! The production runtime executes *rounds*: every node with due work
+//! drains all its due messages at once, in `(deliver_at, from, seq)`
+//! order. The model checker instead wants to pick **one** pending message
+//! at a time and explore every delivery order. This module supplies the
+//! pieces that make that exploration deterministic and comparable:
 //!
 //! * [`ModelClock`] — a lock-step counter (the virtual clock, re-badged
 //!   for the checker's single-step discipline);

@@ -210,9 +210,10 @@ impl NodeState {
         None
     }
 
-    /// Whether [`NodeState::fire_timers`] would pop anything at `now`.
-    pub fn timer_due(&self, now: Tick) -> bool {
-        self.timers.peek().is_some_and(|&Reverse((t, _))| t <= now)
+    /// Whether a live timer is due at `now` — a stale head is discarded,
+    /// never counted: it cannot wake the node.
+    pub fn timer_due(&mut self, now: Tick) -> bool {
+        self.next_timer().is_some_and(|t| t <= now)
     }
 
     fn log(&mut self, now: Tick, line: impl FnOnce() -> String) {
@@ -332,18 +333,16 @@ impl NodeState {
         }
     }
 
-    /// Fires every timer due at or before `now`.
+    /// Fires every live timer due at or before `now`, returning how many
+    /// fired. Deadlines of answered requests and of a departed node are
+    /// dropped uncounted: nothing happens when they pass.
     pub fn fire_timers(&mut self, net: &Net<'_>) -> usize {
         let mut fired = 0;
-        while let Some(&Reverse((t, req))) = self.timers.peek() {
-            if t > net.now {
+        while self.timer_due(net.now) {
+            let Some(Reverse((_, req))) = self.timers.pop() else {
                 break;
-            }
-            self.timers.pop();
+            };
             fired += 1;
-            if self.dead {
-                continue;
-            }
             self.on_timer(net, req);
         }
         fired

@@ -4,16 +4,27 @@
 //! # Execution model
 //!
 //! The runtime repeatedly executes **rounds**. One round, at tick *t*:
-//! every node — in parallel over `canon-par` workers — drains the messages
-//! due at or before *t* from its mailbox, handles them, and fires its due
-//! RPC timers. Between rounds the runtime finds the earliest pending event
-//! (mailbox delivery or timer) and advances the [`Clock`] to it, so a
-//! virtual clock jumps straight from event to event while a real clock
-//! waits out the gap.
+//! every node with due work — in parallel over `canon-par` workers —
+//! drains the messages due at or before *t* from its mailbox, handles
+//! them, and fires its due RPC timers. Between rounds the runtime finds
+//! the earliest pending event (mailbox delivery or timer) and advances the
+//! [`Clock`] to it, so a virtual clock jumps straight from event to event
+//! while a real clock waits out the gap.
+//!
+//! Which nodes have due work, and when the next event is, are read off a
+//! **wake-up index** rather than asked of every node: [`Mailboxes`] keeps
+//! one `(tick, slot)` entry per non-empty delivery bucket, and the runtime
+//! keeps one `(tick, slot)` entry per node with a live RPC deadline,
+//! republished whenever a node's round (or a crash) moves it. A round
+//! visits the slots either half lists at or before *t*; the next event is
+//! the earlier of the two fronts. A round therefore costs what it
+//! delivers, and an idle round costs two map look-ups, whatever the
+//! cluster's size. Debug builds check both answers against a scan of every
+//! node, so every test run is a differential test of the index.
 //!
 //! # Why this is deterministic
 //!
-//! Three properties make a run a pure function of its inputs, independent
+//! Four properties make a run a pure function of its inputs, independent
 //! of the number of worker threads:
 //!
 //! 1. transports quote delivery at least one tick in the future, so the
@@ -24,7 +35,11 @@
 //!    same order no matter how sends interleaved;
 //! 3. nodes share no state — each is locked by exactly one worker per
 //!    round, and everything it does is a function of its own state and the
-//!    drained messages.
+//!    drained messages;
+//! 4. the list of nodes a round visits is a sorted function of mailbox
+//!    contents and published deadlines at the start of the round — both
+//!    fixed by (1) and (3) — never of the order entries arrived in the
+//!    index or of the worker count.
 //!
 //! `tests/determinism.rs` checks the consequence: the same seed produces a
 //! byte-identical event log on 1, 4 and 8 worker threads.
@@ -152,8 +167,11 @@ pub struct Runtime {
     boxes: Mailboxes<Payload>,
     /// Identifier → mailbox slot.
     directory: BTreeMap<u64, usize>,
-    /// Slot indices, cached for the per-round parallel map.
-    slots: Vec<usize>,
+    /// Each node's earliest live RPC deadline as `(tick, slot)` — the
+    /// timer half of the wake-up index (the mail half is inside
+    /// [`Mailboxes`]). Kept equal to [`NodeState::next_timer`] by
+    /// [`Runtime::republishing`].
+    deadlines: Mutex<BTreeSet<(Tick, usize)>>,
     /// Sequence counter for injected client envelopes.
     client_seq: u64,
     /// Client requests injected so far.
@@ -185,7 +203,7 @@ impl Runtime {
             states: Vec::new(),
             boxes: Mailboxes::new(0),
             directory: BTreeMap::new(),
-            slots: Vec::new(),
+            deadlines: Mutex::default(),
             client_seq: 0,
             injected: 0,
         }
@@ -271,7 +289,6 @@ impl Runtime {
             &self.config,
         )));
         self.directory.insert(id.raw(), slot);
-        self.slots.push(slot);
         slot
     }
 
@@ -306,12 +323,22 @@ impl Runtime {
         );
     }
 
-    /// Executes one round at the current tick: every node, in parallel,
-    /// drains its due messages and fires its due timers. Returns the
-    /// number of events processed.
+    /// Executes one round at the current tick: every node with due work,
+    /// in parallel, drains its due messages and fires its due timers.
+    /// Returns the number of events processed.
     pub fn step(&self) -> usize {
         let now = self.clock.now();
-        par_map(&self.slots, |_, &slot| self.process_cell(slot, now))
+        let mut active = self.boxes.due_slots(now);
+        active.extend(
+            lock_unpoisoned(&self.deadlines)
+                .range(..=(now, usize::MAX))
+                .map(|&(_, slot)| slot),
+        );
+        active.sort_unstable();
+        active.dedup();
+        #[cfg(debug_assertions)]
+        self.assert_active_is_exact(&active, now);
+        par_map(&active, |_, &slot| self.process_cell(slot, now))
             .into_iter()
             .sum()
     }
@@ -319,11 +346,7 @@ impl Runtime {
     fn process_cell(&self, slot: usize, now: Tick) -> usize {
         let envs = self.boxes.drain_due(slot, now);
         let mut state = lock_unpoisoned(&self.states[slot]);
-        // Most nodes are idle in most rounds.
-        if envs.is_empty() && !state.timer_due(now) {
-            return 0;
-        }
-        self.node_round(&mut state, now, |state, net| {
+        self.node_round(slot, &mut state, now, |state, net| {
             let handled = envs.len();
             for env in envs {
                 state.handle(net, env);
@@ -340,6 +363,7 @@ impl Runtime {
     /// node's lock.
     fn node_round<R>(
         &self,
+        slot: usize,
         state: &mut NodeState,
         now: Tick,
         body: impl FnOnce(&mut NodeState, &Net<'_>) -> R,
@@ -351,36 +375,90 @@ impl Runtime {
             directory: &self.directory,
             now,
         };
-        let Some(view) = net.framing else {
-            return body(state, &net);
-        };
-        FLUSH_SCRATCH.with_borrow_mut(|scratch| {
-            scratch.lend_outbox(state);
-            let out = body(state, &net);
-            framed::flush_outbox(net.boxes, net.transport, view, state, scratch, now);
-            out
+        self.republishing(slot, state, |state| {
+            let Some(view) = net.framing else {
+                return body(state, &net);
+            };
+            FLUSH_SCRATCH.with_borrow_mut(|scratch| {
+                scratch.lend_outbox(state);
+                let out = body(state, &net);
+                framed::flush_outbox(net.boxes, net.transport, view, state, scratch, now);
+                out
+            })
         })
     }
 
-    /// The earliest pending event (mailbox delivery or armed timer) across
-    /// the cluster, or `None` if the cluster is idle.
-    pub fn next_event(&self) -> Option<Tick> {
-        let mut next: Option<Tick> = None;
-        let mut fold = |t: Option<Tick>| {
-            if let Some(t) = t {
-                next = Some(next.map_or(t, |n| n.min(t)));
+    /// Runs `change` on a locked node and, if it moved the node's earliest
+    /// live deadline, moves the node's entry in `deadlines` with it. Every
+    /// path that can arm, answer or kill a timer goes through here (a
+    /// node's round, and the model checker's crash), so between calls the
+    /// published deadline *is* [`NodeState::next_timer`].
+    fn republishing<R>(
+        &self,
+        slot: usize,
+        state: &mut NodeState,
+        change: impl FnOnce(&mut NodeState) -> R,
+    ) -> R {
+        let before = state.next_timer();
+        let out = change(state);
+        let after = state.next_timer();
+        if before != after {
+            let mut deadlines = lock_unpoisoned(&self.deadlines);
+            if let Some(t) = before {
+                deadlines.remove(&(t, slot));
             }
-        };
-        for &slot in &self.slots {
-            fold(self.boxes.next_due(slot));
-            fold(lock_unpoisoned(&self.states[slot]).next_timer());
+            if let Some(t) = after {
+                deadlines.insert((t, slot));
+            }
         }
+        out
+    }
+
+    /// The earliest pending event (mailbox delivery or armed timer) across
+    /// the cluster, or `None` if the cluster is idle: the earlier front of
+    /// the wake-up index's two halves.
+    pub fn next_event(&self) -> Option<Tick> {
+        let timer = lock_unpoisoned(&self.deadlines).first().map(|&(t, _)| t);
+        let next = self.boxes.earliest_due().into_iter().chain(timer).min();
+        #[cfg(debug_assertions)]
+        assert_eq!(next, self.scan_next_event(), "wake-up index out of date");
         next
     }
 
+    /// The reference [`Runtime::step`] is checked against in debug builds:
+    /// scanning every node, exactly the members of `active` have mail or a
+    /// live timer due at `now`.
+    #[cfg(debug_assertions)]
+    fn assert_active_is_exact(&self, active: &[usize], now: Tick) {
+        for (slot, state) in self.states.iter().enumerate() {
+            let due = self.boxes.next_due(slot).is_some_and(|t| t <= now)
+                || lock_unpoisoned(state).timer_due(now);
+            assert_eq!(
+                due,
+                active.binary_search(&slot).is_ok(),
+                "slot {slot} at tick {now}: wake-up index disagrees with the scan"
+            );
+        }
+    }
+
+    /// The reference [`Runtime::next_event`] is checked against in debug
+    /// builds: the earliest mailbox delivery or live timer found by asking
+    /// every node.
+    #[cfg(debug_assertions)]
+    fn scan_next_event(&self) -> Option<Tick> {
+        self.states
+            .iter()
+            .enumerate()
+            .flat_map(|(slot, state)| {
+                let timer = lock_unpoisoned(state).next_timer();
+                self.boxes.next_due(slot).into_iter().chain(timer)
+            })
+            .min()
+    }
+
     /// Runs rounds, advancing the clock between them, until no message is
-    /// queued and no timer is armed — the graceful-shutdown drain. Returns
-    /// the number of rounds executed.
+    /// queued and no live timer is armed — the graceful-shutdown drain.
+    /// Returns the number of rounds in which anything happened.
     pub fn run_until_idle(&self) -> u64 {
         let mut rounds = 0;
         loop {
@@ -633,7 +711,7 @@ impl Runtime {
     /// pairs, slot-major, each slot in `(deliver_at, from, seq)` order.
     pub fn model_pending(&self) -> Vec<(usize, Envelope<Payload>)> {
         let mut out = Vec::new();
-        for &slot in &self.slots {
+        for slot in 0..self.states.len() {
             for env in self.boxes.peek_all(slot) {
                 out.push((slot, env));
             }
@@ -656,7 +734,7 @@ impl Runtime {
         // the checker sees the handler's outgoing messages queued, same as
         // a stepped round.
         let mut state = lock_unpoisoned(&self.states[slot]);
-        self.node_round(&mut state, self.clock.now(), |state, net| {
+        self.node_round(slot, &mut state, self.clock.now(), |state, net| {
             state.handle(net, env)
         });
         true
@@ -674,7 +752,9 @@ impl Runtime {
     /// node remain queued; delivering them is counted as `dropped_dead`.
     pub fn model_crash(&self, id: NodeId) {
         if let Some(&slot) = self.directory.get(&id.raw()) {
-            lock_unpoisoned(&self.states[slot]).dead = true;
+            let mut state = lock_unpoisoned(&self.states[slot]);
+            // A dead node's timers are all stale: its deadline goes too.
+            self.republishing(slot, &mut state, |state| state.dead = true);
         }
     }
 

@@ -29,10 +29,22 @@
 //! monotone in the send order whenever the transport's latency is constant
 //! per pair, which is the FIFO property the channel transport guarantees
 //! (see `tests/transport_fifo.rs`).
+//!
+//! Beside the slots, [`Mailboxes`] keeps a **wake-up index**: the ordered
+//! set of `(tick, slot)` pairs naming every bucket that exists. A push
+//! that creates a bucket enters the pair — once per bucket, however many
+//! messages follow it in — and the drain or `take` that removes the bucket
+//! removes the pair, so the index is exact after every call, on a bare
+//! `Mailboxes` as much as inside the runtime. The runtime reads the slots
+//! with due mail and the cluster's earliest delivery off its front instead
+//! of locking every slot to ask (see [`crate::runtime`]); being an ordered
+//! set of facts about mailbox *contents*, it is as blind to arrival order
+//! as the drain is.
 
 use crate::clock::Tick;
 use canon_id::rng::Seed;
 use canon_id::NodeId;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -254,11 +266,19 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 }
 
+/// One slot's queued messages, bucketed by delivery tick.
+type Buckets<M> = BTreeMap<Tick, Vec<Envelope<M>>>;
+
 /// One mailbox per node: the messages queued for it, bucketed by
 /// delivery tick, behind a mutex. Buckets are never left empty.
 #[derive(Debug, Default)]
 pub struct Mailboxes<M> {
-    slots: Vec<Mutex<BTreeMap<Tick, Vec<Envelope<M>>>>>,
+    slots: Vec<Mutex<Buckets<M>>>,
+    /// The wake-up index: `(tick, slot)` for exactly the buckets in
+    /// `slots`. Only written while the slot's own lock is held (slot
+    /// before index, never the reverse), by whichever call creates or
+    /// removes the bucket.
+    index: Mutex<BTreeSet<(Tick, usize)>>,
 }
 
 impl<M> Mailboxes<M> {
@@ -268,7 +288,10 @@ impl<M> Mailboxes<M> {
         for _ in 0..n {
             slots.push(Mutex::new(BTreeMap::new()));
         }
-        Mailboxes { slots }
+        Mailboxes {
+            slots,
+            index: Mutex::default(),
+        }
     }
 
     /// Number of mailboxes.
@@ -307,10 +330,26 @@ impl<M> Mailboxes<M> {
     /// transport — client command injection uses this, so injected work
     /// can never be lost to the network.
     pub fn push(&self, slot: usize, env: Envelope<M>) {
-        lock_unpoisoned(&self.slots[slot])
-            .entry(env.deliver_at)
-            .or_default()
-            .push(env);
+        let mut buckets = lock_unpoisoned(&self.slots[slot]);
+        self.bucket(&mut buckets, slot, env.deliver_at).push(env);
+    }
+
+    /// The bucket for `tick` in `slot`'s locked mailbox. Creating it is
+    /// what enters `(tick, slot)` in the wake-up index, so the index costs
+    /// one insertion per bucket, not per message.
+    fn bucket<'a>(
+        &self,
+        buckets: &'a mut Buckets<M>,
+        slot: usize,
+        tick: Tick,
+    ) -> &'a mut Vec<Envelope<M>> {
+        match buckets.entry(tick) {
+            Entry::Occupied(bucket) => bucket.into_mut(),
+            Entry::Vacant(gap) => {
+                lock_unpoisoned(&self.index).insert((tick, slot));
+                gap.insert(Vec::new())
+            }
+        }
     }
 
     /// Moves every envelope out of `envs` into `slot` under one lock — a
@@ -319,7 +358,7 @@ impl<M> Mailboxes<M> {
     pub fn push_batch(&self, slot: usize, envs: &mut Vec<Envelope<M>>) {
         let mut buckets = lock_unpoisoned(&self.slots[slot]);
         for env in envs.drain(..) {
-            buckets.entry(env.deliver_at).or_default().push(env);
+            self.bucket(&mut buckets, slot, env.deliver_at).push(env);
         }
     }
 
@@ -329,10 +368,16 @@ impl<M> Mailboxes<M> {
         let mut out = Vec::new();
         {
             let mut buckets = lock_unpoisoned(&self.slots[slot]);
+            // Locked on the first bucket removed: an empty drain never
+            // touches the index.
+            let mut index = None;
             while let Some(first) = buckets.first_entry() {
                 if *first.key() > now {
                     break;
                 }
+                index
+                    .get_or_insert_with(|| lock_unpoisoned(&self.index))
+                    .remove(&(*first.key(), slot));
                 let mut bucket = first.remove();
                 if out.is_empty() {
                     // The common case, one due tick: the bucket is the answer.
@@ -380,8 +425,25 @@ impl<M> Mailboxes<M> {
         })?;
         if emptied {
             buckets.remove(&tick);
+            lock_unpoisoned(&self.index).remove(&(tick, slot));
         }
         Some(env)
+    }
+
+    /// The slots holding mail due at or before `now`, read off the wake-up
+    /// index in `(tick, slot)` order — a slot with several due ticks
+    /// appears once per tick.
+    pub(crate) fn due_slots(&self, now: Tick) -> Vec<usize> {
+        lock_unpoisoned(&self.index)
+            .range(..=(now, usize::MAX))
+            .map(|&(_, slot)| slot)
+            .collect()
+    }
+
+    /// The earliest pending delivery tick across all mailboxes, if any:
+    /// the front of the wake-up index.
+    pub(crate) fn earliest_due(&self) -> Option<Tick> {
+        lock_unpoisoned(&self.index).first().map(|&(tick, _)| tick)
     }
 }
 
@@ -513,6 +575,16 @@ mod tests {
         envs.iter().map(|e| (e.key(), e.payload)).collect()
     }
 
+    /// What the wake-up index must hold for `model`: one `(tick, slot)`
+    /// per distinct delivery tick queued at each slot.
+    fn index_of(model: &[Model]) -> BTreeSet<(Tick, usize)> {
+        model
+            .iter()
+            .enumerate()
+            .flat_map(|(slot, queued)| queued.keys().map(move |key| (key.0, slot)))
+            .collect()
+    }
+
     proptest::proptest! {
         #[test]
         fn mailboxes_agree_with_an_ordered_map_under_any_interleaving(
@@ -546,9 +618,10 @@ mod tests {
                 };
                 match op {
                     0 => {
-                        // May already be due, or several ticks out.
+                        // Several ticks out, already due, or late: at a
+                        // tick the slot was drained past.
                         if let Some(mut e) = draft(b, now) {
-                            e.deliver_at = now + (b >> 16) % 5;
+                            e.deliver_at = (now + (b >> 16) % 5).saturating_sub((b >> 24) % 3);
                             model[slot].insert(e.key(), e.payload);
                             boxes.push(slot, e);
                         }
@@ -610,6 +683,17 @@ mod tests {
                         prop_assert_eq!(keys_and_payloads(&boxes.peek_all(slot)), all);
                     }
                 }
+                // Whatever the operation was, the index is exactly the
+                // model's buckets, and so are its two read-outs.
+                let want = index_of(&model);
+                prop_assert_eq!(&*lock_unpoisoned(&boxes.index), &want);
+                prop_assert_eq!(boxes.earliest_due(), want.first().map(|&(tick, _)| tick));
+                let due: Vec<usize> = want
+                    .iter()
+                    .take_while(|&&(tick, _)| tick <= now)
+                    .map(|&(_, slot)| slot)
+                    .collect();
+                prop_assert_eq!(boxes.due_slots(now), due);
             }
             // Whatever is left drains in model order, and nothing more.
             for (slot, left) in model.iter().enumerate() {
@@ -618,6 +702,37 @@ mod tests {
                 prop_assert_eq!(keys_and_payloads(&rest), all);
             }
             prop_assert_eq!(boxes.queued(), 0);
+            prop_assert_eq!(lock_unpoisoned(&boxes.index).len(), 0);
         }
+    }
+
+    /// The serving benchmark's transport probe drives a bare `Mailboxes`
+    /// through `push` and `drain_due` alone; the index must follow that
+    /// too, and end empty rather than grow with the traffic.
+    #[test]
+    fn index_stays_exact_and_bounded_under_bare_push_and_drain() {
+        const SLOTS: usize = 1024;
+        const MESSAGES: u64 = 100_000;
+        let boxes: Mailboxes<u32> = Mailboxes::new(SLOTS);
+        for i in 0..MESSAGES {
+            let slot = (Seed(5).derive_index(i).0 % SLOTS as u64) as usize;
+            let mut e = env(0, id(i % SLOTS as u64), id(slot as u64), i, 0);
+            e.deliver_at = 1 + i % 4;
+            boxes.push(slot, e);
+        }
+        // One entry per (slot, tick) bucket, however many messages share it.
+        assert_eq!(lock_unpoisoned(&boxes.index).len(), 4 * SLOTS);
+        assert_eq!(boxes.earliest_due(), Some(1));
+        let mut drained = 0;
+        for tick in 1..=4 {
+            assert_eq!(boxes.due_slots(tick), (0..SLOTS).collect::<Vec<_>>());
+            for slot in 0..SLOTS {
+                drained += boxes.drain_due(slot, tick).len();
+            }
+            assert!(boxes.due_slots(tick).is_empty());
+            assert_eq!(boxes.earliest_due(), (tick < 4).then_some(tick + 1));
+        }
+        assert_eq!(drained as u64, MESSAGES);
+        assert_eq!(lock_unpoisoned(&boxes.index).len(), 0);
     }
 }

@@ -471,3 +471,136 @@ fn lossy_network_is_covered_by_retries() {
     );
     assert!(rt.next_event().is_none());
 }
+
+/// A 24-node cluster on ten-tick links — slow enough that the rounds
+/// between deliveries are empty — plus two origins and, for each, a key one
+/// hop away that the other origin's traffic never touches.
+fn slow_cluster() -> (Runtime, [(NodeId, u64); 2]) {
+    let rt = from_graph(
+        network(24, 37).graph(),
+        Arc::new(VirtualClock::new()),
+        Arc::new(ChannelTransport::new(10)),
+        RuntimeConfig::default(),
+    );
+    let ids = rt.ids();
+    let (a, b) = (ids[0], ids[1]);
+    let neighbor_of = |origin: NodeId, avoid: NodeId| {
+        let links = rt.links_of(origin);
+        let hop = links.iter().find(|&&n| n != avoid).expect("has a link");
+        hop.raw()
+    };
+    let pairs = [(a, neighbor_of(a, b)), (b, neighbor_of(b, a))];
+    (rt, pairs)
+}
+
+#[test]
+fn the_deadline_of_an_answered_request_is_not_an_event() {
+    let (mut rt, [(a, key_a), (b, key_b)]) = slow_cluster();
+    let deadline = RuntimeConfig::default().rpc.timeout;
+    assert_eq!(deadline, 64);
+
+    // Driven tick by tick with `step` alone (`next_event` is free to
+    // discard stale timers it meets, which would hide them from the
+    // rounds): `a` opens a request at tick 0 that is answered at tick 20,
+    // one hop out and one response back; unrelated traffic from `b`,
+    // opened at tick 60, keeps the cluster running across `a`'s old
+    // deadline.
+    let mut busy_rounds = Vec::new();
+    rt.inject(a, Command::Issue(Op::Lookup { key: key_a }));
+    for tick in 0..=90 {
+        rt.clock().advance_to(tick);
+        if tick == 60 {
+            rt.inject(b, Command::Issue(Op::Lookup { key: key_b }));
+        }
+        match rt.step() {
+            0 => {}
+            events => busy_rounds.push((tick, events)),
+        }
+    }
+    // Command, hop, response — twice. The round at tick 64 is not among
+    // them: nothing was due then but a stale timer.
+    assert_eq!(
+        busy_rounds,
+        [(0, 1), (10, 1), (20, 1), (60, 1), (70, 1), (80, 1)]
+    );
+    assert!(rt.next_event().is_none(), "traffic has drained");
+    let summary = rt.summary();
+    assert!(summary.zero_loss(), "{summary:?}");
+    assert_eq!((summary.completed, summary.retransmits), (2, 0));
+}
+
+/// A cluster whose one request can never be answered: its origin is cut
+/// off from everyone. Returns the runtime, clock at tick 0 with the first
+/// round run, and the origin.
+fn cluster_waiting_on_one_deadline() -> (Runtime, NodeId) {
+    let transport = Arc::new(FaultyTransport::new(
+        ChannelTransport::new(1),
+        Seed(41),
+        0,
+        0,
+    ));
+    let mut rt = from_graph(
+        network(24, 43).graph(),
+        Arc::new(VirtualClock::new()),
+        Arc::clone(&transport) as Arc<dyn canon_node::Transport>,
+        RuntimeConfig::default(),
+    );
+    let ids = rt.ids();
+    transport.partition(&ids[..1], &ids[1..]);
+    let key = ids[12].raw();
+    rt.inject(ids[0], Command::Issue(Op::Lookup { key }));
+    assert_eq!(rt.step(), 1, "the command; its first hop is lost");
+    (rt, ids[0])
+}
+
+#[test]
+fn a_lone_armed_deadline_is_the_next_event() {
+    let (rt, _) = cluster_waiting_on_one_deadline();
+    let rpc = RuntimeConfig::default().rpc;
+    assert_eq!(rt.next_event(), Some(rpc.timeout));
+    for tick in 1..rpc.timeout {
+        rt.clock().advance_to(tick);
+        assert_eq!(rt.step(), 0, "nothing is due at tick {tick}");
+    }
+    rt.clock().advance_to(rpc.timeout);
+    assert_eq!(rt.step(), 1, "the deadline fires: one retransmission");
+    assert_eq!(rt.summary().retransmits, 1);
+    // The retry re-armed the timer with a doubled deadline.
+    assert_eq!(rt.next_event(), Some(rpc.timeout + 2 * rpc.timeout));
+}
+
+#[cfg(feature = "model")]
+#[test]
+fn crashing_the_only_waiting_node_idles_the_cluster() {
+    let (rt, origin) = cluster_waiting_on_one_deadline();
+    assert!(rt.next_event().is_some());
+    rt.model_crash(origin);
+    assert!(rt.next_event().is_none(), "a dead node's deadline is stale");
+    rt.clock().advance_to(RuntimeConfig::default().rpc.timeout);
+    assert_eq!(rt.step(), 0);
+    assert_eq!(rt.run_until_idle(), 0);
+}
+
+#[test]
+fn a_node_spawned_after_rounds_have_run_is_woken_by_its_first_message() {
+    let mut rt = cluster(16, 47, RuntimeConfig::default());
+    let ids = rt.ids();
+    rt.inject(ids[3], Command::Issue(Op::Lookup { key: ids[9].raw() }));
+    assert!(rt.run_until_idle() > 0);
+
+    let mut next = stream(7);
+    let joiner = loop {
+        let candidate = NodeId::new(next());
+        if !ids.contains(&candidate) {
+            break candidate;
+        }
+    };
+    let slot = rt.spawn(joiner);
+    assert_eq!(slot, ids.len(), "the joiner's mailbox is new");
+    rt.inject(joiner, Command::Join { bootstrap: ids[5] });
+    assert_eq!(rt.next_event(), Some(rt.clock().now()));
+    assert_eq!(rt.step(), 1, "the joiner handles its own join command");
+    rt.run_until_idle();
+    assert!(rt.pred_of(joiner).is_some(), "the grant reached the joiner");
+    assert!(rt.summary().zero_loss());
+}
