@@ -94,7 +94,6 @@ pub const CONSTRUCTION_CRATES: &[&str] = &[
     "canon-chord",
     "canon-symphony",
     "canon-kademlia",
-    "canon-can",
     "canon-pastry",
     "canon-skipnet",
     "canon-topology",

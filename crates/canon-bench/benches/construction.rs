@@ -3,17 +3,15 @@
 //! a serial-vs-parallel comparison of the construction pipeline at
 //! n ∈ {4096, 16384} (threads pinned to 1 vs all available cores).
 
-use canon::cacophony::build_cacophony;
+use canon::cacophony::{build_cacophony, build_symphony};
 use canon::cancan::build_cancan;
-use canon::crescendo::build_crescendo;
-use canon::kandy::build_kandy;
-use canon_chord::build_chord;
+use canon::crescendo::{build_chord, build_crescendo};
+use canon::kandy::{build_kademlia, build_kandy};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::rng::Seed;
-use canon_kademlia::{build_kademlia, BucketChoice};
+use canon_kademlia::BucketChoice;
 use canon_pastry::{build_canonical_pastry, build_pastry, PastryParams};
 use canon_skipnet::SkipNet;
-use canon_symphony::build_symphony;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 

@@ -1,16 +1,16 @@
 //! Criterion micro-benches: greedy routing throughput on flat and
 //! Canonical networks (n = 4096), plus the Symphony lookahead router.
 
-use canon::crescendo::build_crescendo;
+use canon::cacophony::build_symphony;
+use canon::crescendo::{build_chord, build_crescendo};
 use canon::kandy::build_kandy;
-use canon_chord::build_chord;
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::{Clockwise, Xor};
 use canon_id::rng::Seed;
 use canon_kademlia::BucketChoice;
 use canon_overlay::faults::{lookup_with_faults, FaultModel};
 use canon_overlay::{route, NodeIndex};
-use canon_symphony::{build_symphony, route_with_lookahead};
+use canon_symphony::route_with_lookahead;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::Rng;
 use std::hint::black_box;

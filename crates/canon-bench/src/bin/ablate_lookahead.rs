@@ -1,12 +1,12 @@
 //! Ablation of Symphony/Cacophony's lookahead routing (§3.1): the paper
 //! reports ≈40% fewer hops from 1-step lookahead "for most network sizes".
 
-use canon::cacophony::build_cacophony;
+use canon::cacophony::{build_cacophony, build_symphony};
 use canon_bench::{banner, f, row, BenchConfig};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::Clockwise;
 use canon_overlay::{route, NodeIndex};
-use canon_symphony::{build_symphony, route_with_lookahead};
+use canon_symphony::route_with_lookahead;
 use rand::Rng;
 
 fn measure(g: &canon_overlay::OverlayGraph, pairs: usize, seed: canon_id::rng::Seed) -> (f64, f64) {

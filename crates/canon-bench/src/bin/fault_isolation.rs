@@ -5,9 +5,8 @@
 //! so success stays at 100% for any outside failure rate; flat Chord's
 //! intra-domain routes criss-cross the world and fail increasingly.
 
-use canon::crescendo::build_crescendo;
+use canon::crescendo::{build_chord, build_crescendo};
 use canon_bench::{banner, f, row, BenchConfig};
-use canon_chord::build_chord;
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::Clockwise;
 use canon_overlay::{route_with_filter, NodeIndex, OverlayGraph};

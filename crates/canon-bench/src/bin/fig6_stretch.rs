@@ -6,10 +6,9 @@
 //! (~2–3); Chord (Prox.) improves but still grows; Crescendo (Prox.) is
 //! best with a roughly constant stretch (~1.3–2).
 
-use canon::crescendo::build_crescendo;
+use canon::crescendo::{build_chord, build_crescendo};
 use canon::proximity::{build_chord_prox, build_crescendo_prox, ProxParams};
 use canon_bench::{banner, f, row, BenchConfig};
-use canon_chord::build_chord;
 use canon_id::metric::Clockwise;
 use canon_overlay::{route, NodeIndex};
 use canon_par::par_map;

@@ -9,9 +9,8 @@
 //! the board, Chord's penalty slightly larger, and Crescendo keeps its
 //! absolute advantage in both modes.
 
-use canon::crescendo::build_crescendo;
+use canon::crescendo::{build_chord, build_crescendo};
 use canon_bench::{banner, f, row, BenchConfig};
-use canon_chord::build_chord;
 use canon_id::metric::Clockwise;
 use canon_id::NodeId;
 use canon_overlay::faults::{iterative_lookup, lookup_with_faults, FaultModel};

@@ -9,9 +9,8 @@
 //! plus the answer's leg back to the origin; `rt` counts dead neighbours
 //! tried per lookup.
 
-use canon::crescendo::build_crescendo;
+use canon::crescendo::{build_chord, build_crescendo};
 use canon_bench::{banner, f, row, BenchConfig};
-use canon_chord::build_chord;
 use canon_id::metric::Clockwise;
 use canon_id::NodeId;
 use canon_overlay::faults::{lookup_with_faults, FaultModel};

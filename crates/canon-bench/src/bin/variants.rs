@@ -6,19 +6,17 @@
 //! its flat baseline — the paper's central claim of "the same routing
 //! state v/s routing hops trade-off".
 
-use canon::cacophony::build_cacophony;
+use canon::cacophony::{build_cacophony, build_symphony};
 use canon::cancan::build_cancan;
-use canon::crescendo::{build_crescendo, build_nondet_crescendo};
-use canon::kandy::build_kandy;
+use canon::crescendo::{build_chord, build_crescendo, build_nondet_chord, build_nondet_crescendo};
+use canon::kandy::{build_kademlia, build_kandy};
 use canon_bench::{banner, f, row, BenchConfig};
-use canon_chord::{build_chord, build_nondet_chord};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::{Clockwise, Xor};
-use canon_kademlia::{build_kademlia, BucketChoice};
+use canon_kademlia::BucketChoice;
 use canon_overlay::stats::{hop_stats, DegreeStats};
 use canon_overlay::OverlayGraph;
 use canon_pastry::{build_canonical_pastry, build_pastry, PastryParams};
-use canon_symphony::build_symphony;
 
 fn main() {
     let cfg = BenchConfig::from_args(4096, 1);

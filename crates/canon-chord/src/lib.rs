@@ -1,4 +1,4 @@
-//! Flat Chord and nondeterministic Chord (paper §2.1, §3.2 baselines).
+//! The Chord and nondeterministic-Chord link rules (paper §2.1, §3.2).
 //!
 //! Chord hashes nodes onto a circular identifier space; each node `m` keeps
 //! a link to the closest node at clockwise distance at least `2^k`, for each
@@ -7,35 +7,28 @@
 //! relaxes the rule: for each `k`, `m` may link to *any* node at distance in
 //! `[2^k, 2^(k+1))`.
 //!
-//! Both rules are exposed in two forms:
-//!
-//! * whole-network constructors ([`build_chord`], [`build_nondet_chord`])
-//!   returning an [`OverlayGraph`] routable with the clockwise metric;
-//! * per-node *bounded* rule functions ([`chord_links_bounded`],
-//!   [`nondet_links_bounded`]) that also accept the own-ring distance bound
-//!   of Canon merge condition (b) — the `canon` crate builds Crescendo and
-//!   nondeterministic Crescendo from exactly these functions, mirroring how
-//!   the paper derives the hierarchical designs from the flat rules.
+//! This crate holds the rules only, as per-node *bounded* functions
+//! ([`chord_links_bounded`], [`nondet_links_bounded`]) that accept the
+//! own-ring distance bound of Canon merge condition (b). The `canon` crate
+//! builds every network from exactly these functions — Crescendo and
+//! nondeterministic Crescendo over a hierarchy, flat Chord
+//! (`canon::crescendo::build_chord`) over a single domain — mirroring how
+//! the paper derives the hierarchical designs from the flat rules.
 //!
 //! # Example
 //!
 //! ```
-//! use canon_chord::build_chord;
-//! use canon_id::{metric::Clockwise, rng::{random_ids, Seed}};
-//! use canon_overlay::route;
+//! use canon_chord::chord_links;
+//! use canon_id::{ring::SortedRing, NodeId};
 //!
-//! let ids = random_ids(Seed(1), 64);
-//! let g = build_chord(&ids);
-//! let r = route(&g, Clockwise, canon_overlay::NodeIndex(0),
-//!               canon_overlay::NodeIndex(63))?;
-//! assert!(r.hops() <= 12); // O(log n) with small constants
-//! # Ok::<(), canon_overlay::RouteError>(())
+//! // Ring A of the paper's Figure 2.
+//! let ring = SortedRing::new([0, 5, 10, 12].map(NodeId::new).to_vec());
+//! assert_eq!(chord_links(&ring, NodeId::new(0)), [5, 10].map(NodeId::new));
 //! ```
 
 #![forbid(unsafe_code)]
 
 use canon_id::{ring::SortedRing, rng::DetRng, NodeId, RingDistance, ID_BITS};
-use canon_overlay::{GraphBuilder, OverlayGraph};
 use rand::Rng;
 
 /// The deterministic Chord link rule over `ring`, restricted to links
@@ -151,51 +144,10 @@ fn choose_in_band(
     Some(cand)
 }
 
-/// Builds a flat deterministic Chord network over `ids`.
-///
-/// Routing on the result uses the clockwise metric. Every node links to its
-/// successor (the `k = 0` rule), so greedy clockwise routing always
-/// terminates at the destination. Per-node link sets are computed in
-/// parallel (thread count from `canon_par`) and merged in ring order.
-pub fn build_chord(ids: &[NodeId]) -> OverlayGraph {
-    let ring = SortedRing::new(ids.to_vec());
-    let per_node = canon_par::par_map(ring.as_slice(), |_, &me| chord_links(&ring, me));
-    GraphBuilder::from_per_node_links(ring.as_slice(), &per_node)
-}
-
-/// Builds a flat nondeterministic Chord network over `ids`.
-///
-/// For each distance band `[2^k, 2^(k+1))` every node links to one
-/// uniformly random member. The successor link (band `k = 0`… the smallest
-/// nonempty band) is additionally forced so that greedy routing is always
-/// live, matching deployed nondeterministic-Chord systems.
-///
-/// Each node draws from an RNG seeded by `(seed, node)` alone
-/// ([`canon_id::rng::Seed::derive_node`]), so the graph is a pure function
-/// of `(ids, seed)` no matter how many threads compute it.
-pub fn build_nondet_chord(ids: &[NodeId], seed: canon_id::rng::Seed) -> OverlayGraph {
-    let ring = SortedRing::new(ids.to_vec());
-    let base = seed.derive("nondet-chord");
-    let per_node = canon_par::par_map(ring.as_slice(), |_, &me| {
-        let mut rng = base.derive_node(me).rng();
-        let mut links = nondet_links_bounded(&ring, me, RingDistance::FULL_CIRCLE, &mut rng);
-        // Force the successor link for routing liveness.
-        if let Some(s) = ring.strict_successor(me) {
-            if s != me && !links.contains(&s) {
-                links.push(s);
-            }
-        }
-        links
-    });
-    GraphBuilder::from_per_node_links(ring.as_slice(), &per_node)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canon_id::metric::Clockwise;
     use canon_id::rng::{random_ids, Seed};
-    use canon_overlay::stats;
 
     fn ring_of(raws: &[u64]) -> SortedRing {
         SortedRing::new(raws.iter().copied().map(NodeId::new).collect())
@@ -262,30 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn chord_degree_is_logarithmic() {
-        // Theorem 1: expected degree <= log2(n-1) + 1.
-        let n = 2048;
-        let g = build_chord(&random_ids(Seed(3), n));
-        let d = stats::DegreeStats::of(&g);
-        let bound = ((n - 1) as f64).log2() + 1.0;
-        assert!(
-            d.summary.mean <= bound,
-            "mean degree {} exceeds Theorem 1 bound {bound}",
-            d.summary.mean
-        );
-        // And it should not be wildly below either (sanity: > half).
-        assert!(d.summary.mean > bound / 2.0);
-    }
-
-    #[test]
-    fn chord_routing_reaches_all_sampled_destinations() {
-        let g = build_chord(&random_ids(Seed(4), 512));
-        let s = stats::hop_stats(&g, Clockwise, 500, Seed(5)).unwrap();
-        // Theorem 4: expected hops <= 0.5*log2(n-1) + 0.5 = 5.0 for n = 512.
-        assert!(s.mean <= 5.0 + 0.5, "mean hops {}", s.mean);
-    }
-
-    #[test]
     fn chord_links_are_exactly_distinct_finger_successors() {
         // Cross-check the rule against a brute-force implementation.
         let ids = random_ids(Seed(6), 100);
@@ -321,38 +249,6 @@ mod tests {
                 (d as u128) < bound.as_u128(),
                 "link at distance {d} violates bound"
             );
-        }
-    }
-
-    #[test]
-    fn nondet_chord_routes_correctly() {
-        let ids = random_ids(Seed(9), 256);
-        let g = build_nondet_chord(&ids, Seed(10));
-        let s = stats::hop_stats(&g, Clockwise, 300, Seed(11)).unwrap();
-        assert!(s.mean < 10.0, "nondet chord mean hops {}", s.mean);
-    }
-
-    #[test]
-    fn nondet_construction_is_seed_deterministic() {
-        let ids = random_ids(Seed(12), 128);
-        let a = build_nondet_chord(&ids, Seed(1));
-        let b = build_nondet_chord(&ids, Seed(1));
-        let c = build_nondet_chord(&ids, Seed(2));
-        assert_eq!(a.link_count(), b.link_count());
-        let ea: Vec<_> = a.edges().collect();
-        let eb: Vec<_> = b.edges().collect();
-        assert_eq!(ea, eb);
-        // Different seeds should (overwhelmingly) differ.
-        let ec: Vec<_> = c.edges().collect();
-        assert_ne!(ea, ec);
-    }
-
-    #[test]
-    fn two_node_network_is_mutually_linked() {
-        let g = build_chord(&[NodeId::new(10), NodeId::new(1 << 40)]);
-        assert_eq!(g.len(), 2);
-        for i in g.node_indices() {
-            assert_eq!(g.degree(i), 1);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Flat Kademlia (paper §3.3 baseline): XOR-metric bucket links.
+//! Kademlia's bucket choice (paper §3.3).
 //!
 //! Kademlia defines the distance between two nodes as the integer value of
 //! the XOR of their identifiers. Each node keeps, for every distance band
@@ -8,16 +8,12 @@
 //! bits left to right. (Real Kademlia keeps several links per bucket for
 //! resilience; like the paper, we ignore replication here.)
 //!
-//! The bucket rule is exposed in bounded form ([`kademlia_links_bounded`])
-//! for the `canon` crate to assemble Kandy: at higher hierarchy levels a
-//! node "throws away any candidate whose distance is larger than the
-//! shortest distance link it possesses at the lower level" (§3.3).
+//! "One link per non-empty bucket" has a single implementation,
+//! `canon::kandy::KandyRule`: over a hierarchy it builds Kandy, over one
+//! domain flat Kademlia (`canon::kandy::build_kademlia`). What remains here
+//! is the one parameter of that rule.
 
 #![forbid(unsafe_code)]
-
-use canon_id::{ring::SortedRing, rng::DetRng, NodeId, RingDistance, ID_BITS};
-use canon_overlay::{GraphBuilder, OverlayGraph};
-use rand::Rng;
 
 /// How a node picks its link within a bucket.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -27,233 +23,6 @@ pub enum BucketChoice {
     /// on).
     #[default]
     Closest,
-    /// A randomly sampled member (Kademlia's nondeterministic freedom).
-    /// Sampling probes a bounded number of random bucket members, falling
-    /// back to the closest when none satisfies the distance bound.
+    /// A uniformly random member (Kademlia's nondeterministic freedom).
     Random,
-}
-
-/// The Kademlia link rule over `ring`, restricted to links with XOR
-/// distance strictly below `bound`.
-///
-/// For each bucket `k` with `2^k < bound`, one member at distance `< bound`
-/// is linked if such a member exists. With `bound ==
-/// RingDistance::FULL_CIRCLE` this is the flat Kademlia rule.
-pub fn kademlia_links_bounded(
-    ring: &SortedRing,
-    me: NodeId,
-    bound: RingDistance,
-    choice: BucketChoice,
-    rng: &mut DetRng,
-) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    for k in 0..ID_BITS {
-        if (1u128 << k) >= bound.as_u128() {
-            break;
-        }
-        let picked = match choice {
-            BucketChoice::Closest => ring
-                .xor_bucket_closest(me, k)
-                .filter(|&c| (me.xor_to(c) as u128) < bound.as_u128()),
-            BucketChoice::Random => {
-                let bucket = ring.xor_bucket(me, k);
-                pick_random_in_bucket(bucket, me, bound, rng).or_else(|| {
-                    ring.xor_bucket_closest(me, k)
-                        .filter(|&c| (me.xor_to(c) as u128) < bound.as_u128())
-                })
-            }
-        };
-        if let Some(c) = picked {
-            debug_assert_ne!(c, me);
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Probes up to eight random members of `bucket` for one whose XOR distance
-/// from `me` is below `bound`.
-fn pick_random_in_bucket(
-    bucket: &[NodeId],
-    me: NodeId,
-    bound: RingDistance,
-    rng: &mut DetRng,
-) -> Option<NodeId> {
-    if bucket.is_empty() {
-        return None;
-    }
-    for _ in 0..8 {
-        let c = bucket[rng.gen_range(0..bucket.len())];
-        if c != me && (me.xor_to(c) as u128) < bound.as_u128() {
-            return Some(c);
-        }
-    }
-    None
-}
-
-/// Builds a flat Kademlia network over `ids`.
-///
-/// Routable with [`canon_id::metric::Xor`]; greedy routing reaches the
-/// exact destination because every non-empty bucket holds a link.
-///
-/// Each node's bucket sampling draws from an RNG seeded by `(seed, node)`
-/// alone ([`canon_id::rng::Seed::derive_node`]), so the graph is a pure
-/// function of `(ids, choice, seed)` no matter how many threads compute it.
-pub fn build_kademlia(
-    ids: &[NodeId],
-    choice: BucketChoice,
-    seed: canon_id::rng::Seed,
-) -> OverlayGraph {
-    let ring = SortedRing::new(ids.to_vec());
-    let base = seed.derive("kademlia");
-    let per_node = canon_par::par_map(ring.as_slice(), |_, &me| {
-        let mut rng = base.derive_node(me).rng();
-        kademlia_links_bounded(&ring, me, RingDistance::FULL_CIRCLE, choice, &mut rng)
-    });
-    GraphBuilder::from_per_node_links(ring.as_slice(), &per_node)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use canon_id::metric::{Metric, Xor};
-    use canon_id::rng::{random_ids, Seed};
-    use canon_overlay::{route, stats, NodeIndex};
-
-    #[test]
-    fn every_nonempty_bucket_gets_a_link() {
-        let ids = random_ids(Seed(1), 200);
-        let ring = SortedRing::new(ids);
-        let mut rng = Seed(2).rng();
-        for &me in ring.as_slice().iter().take(25) {
-            let links = kademlia_links_bounded(
-                &ring,
-                me,
-                RingDistance::FULL_CIRCLE,
-                BucketChoice::Closest,
-                &mut rng,
-            );
-            for k in 0..ID_BITS {
-                let bucket = ring.xor_bucket(me, k);
-                let has_link = links.iter().any(|&l| {
-                    let d = me.xor_to(l);
-                    d >= (1u64 << k) && (k == 63 || d < (1u64 << (k + 1)))
-                });
-                assert_eq!(!bucket.is_empty(), has_link, "bucket {k} of {me}");
-            }
-        }
-    }
-
-    #[test]
-    fn closest_choice_picks_bucket_minimum() {
-        let ids = random_ids(Seed(3), 300);
-        let ring = SortedRing::new(ids);
-        let me = ring.as_slice()[50];
-        let mut rng = Seed(4).rng();
-        let links = kademlia_links_bounded(
-            &ring,
-            me,
-            RingDistance::FULL_CIRCLE,
-            BucketChoice::Closest,
-            &mut rng,
-        );
-        for &l in &links {
-            let d = me.xor_to(l);
-            let k = 63 - d.leading_zeros();
-            let best = ring
-                .xor_bucket(me, k)
-                .iter()
-                .map(|&b| me.xor_to(b))
-                .min()
-                .unwrap();
-            assert_eq!(d, best, "bucket {k} link is not the closest member");
-        }
-    }
-
-    #[test]
-    fn bound_excludes_far_buckets() {
-        let ids = random_ids(Seed(5), 300);
-        let ring = SortedRing::new(ids);
-        let me = ring.as_slice()[10];
-        let bound = RingDistance::from_u64(1u64 << 40);
-        let mut rng = Seed(6).rng();
-        for choice in [BucketChoice::Closest, BucketChoice::Random] {
-            let links = kademlia_links_bounded(&ring, me, bound, choice, &mut rng);
-            for &l in &links {
-                assert!((me.xor_to(l) as u128) < bound.as_u128());
-            }
-        }
-    }
-
-    #[test]
-    fn greedy_xor_routing_reaches_every_destination() {
-        let ids = random_ids(Seed(7), 256);
-        let g = build_kademlia(&ids, BucketChoice::Closest, Seed(8));
-        for a in [0usize, 17, 100, 255] {
-            for b in [3usize, 42, 200] {
-                if a == b {
-                    continue;
-                }
-                let r = route(&g, Xor, NodeIndex(a as u32), NodeIndex(b as u32)).unwrap();
-                assert_eq!(r.target(), NodeIndex(b as u32));
-                // Each hop fixes at least the top differing bit, so hops are
-                // bounded by the bit length of the initial distance.
-                let d0 = Xor.distance(g.id(NodeIndex(a as u32)), g.id(NodeIndex(b as u32)));
-                assert!(r.hops() as u32 <= 64 - d0.leading_zeros());
-            }
-        }
-    }
-
-    #[test]
-    fn random_choice_also_routes() {
-        let ids = random_ids(Seed(9), 256);
-        let g = build_kademlia(&ids, BucketChoice::Random, Seed(10));
-        let s = stats::hop_stats(&g, Xor, 300, Seed(11)).unwrap();
-        assert!(s.mean < 10.0, "mean hops {}", s.mean);
-    }
-
-    #[test]
-    fn hop_count_is_logarithmic() {
-        let ids = random_ids(Seed(12), 1024);
-        let g = build_kademlia(&ids, BucketChoice::Closest, Seed(13));
-        let s = stats::hop_stats(&g, Xor, 500, Seed(14)).unwrap();
-        // Expected hops ≈ half the log of n (each hop fixes one of the
-        // log2(n) significant prefix bits, often more).
-        assert!(s.mean < 8.0, "mean hops {}", s.mean);
-        assert!(s.mean > 2.0, "mean hops suspiciously low: {}", s.mean);
-    }
-
-    #[test]
-    fn degree_is_logarithmic() {
-        let n = 1024;
-        let g = build_kademlia(&random_ids(Seed(15), n), BucketChoice::Closest, Seed(16));
-        let d = stats::DegreeStats::of(&g);
-        // Roughly log2(n) non-empty buckets per node.
-        assert!(
-            d.summary.mean > 7.0 && d.summary.mean < 14.0,
-            "mean {}",
-            d.summary.mean
-        );
-    }
-
-    #[test]
-    fn closest_construction_is_deterministic() {
-        let ids = random_ids(Seed(17), 128);
-        let a = build_kademlia(&ids, BucketChoice::Closest, Seed(1));
-        let b = build_kademlia(&ids, BucketChoice::Closest, Seed(99));
-        // Closest choice ignores the seed entirely.
-        assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn two_node_network_links_mutually() {
-        let g = build_kademlia(
-            &[NodeId::new(5), NodeId::new(1 << 50)],
-            BucketChoice::Closest,
-            Seed(0),
-        );
-        for i in g.node_indices() {
-            assert_eq!(g.degree(i), 1);
-        }
-    }
 }

@@ -33,7 +33,10 @@
 #![forbid(unsafe_code)]
 
 use canon_hierarchy::{DomainMembership, Hierarchy, Placement};
-use canon_id::{ring::SortedRing, NodeId, ID_BITS};
+use canon_id::{
+    ring::{xor_closest_sorted, SortedRing},
+    NodeId, ID_BITS,
+};
 use canon_overlay::{GraphBuilder, OverlayGraph};
 use std::collections::BTreeSet;
 
@@ -134,10 +137,10 @@ pub fn routing_table_links(
             // XOR-closest within the cell to `me` = closest to the
             // bit-fixed target (me with row digit replaced by d).
             let target = NodeId::new(lo | (me.raw() & (span - 1)));
-            let Some(pick) = xor_best_in(cell, target) else {
+            let Some(pick) = xor_closest_sorted(cell, target) else {
                 continue;
             };
-            out.push((row, d, pick));
+            out.push((row, d, cell[pick]));
             if let Some(unc) = uncovered.as_deref_mut() {
                 unc.remove(&(row, d));
             }
@@ -146,11 +149,6 @@ pub fn routing_table_links(
         // never fill; keep scanning anyway — cost is bounded by rows*radix.
     }
     out
-}
-
-/// XOR-closest element of a sorted shared-prefix slice to `target`.
-fn xor_best_in(slice: &[NodeId], target: NodeId) -> Option<NodeId> {
-    SortedRing::from_sorted(slice.to_vec()).xor_closest(target)
 }
 
 /// The leaf set of `me` over `ring`: `leaf_half` numeric successors and
@@ -180,24 +178,24 @@ pub fn leaf_set(ring: &SortedRing, me: NodeId, leaf_half: usize) -> Vec<NodeId> 
     out
 }
 
-/// Builds flat Pastry over `ids`: routing-table links plus leaf-set links.
+/// Builds flat Pastry over `ids`: routing-table links plus leaf-set links —
+/// [`build_canonical_pastry`] over one domain. Duplicate identifiers are
+/// collapsed; no identifiers give the empty graph.
 ///
 /// Routable with [`canon_id::metric::Xor`] greedy routing (digit fixing):
 /// for any destination `t`, the cell for the first differing digit is
 /// non-empty (it contains `t`), so greedy progress is guaranteed.
 pub fn build_pastry(ids: &[NodeId], params: PastryParams) -> OverlayGraph {
     params.validate();
-    let ring = SortedRing::new(ids.to_vec());
-    let mut b = GraphBuilder::with_nodes(ring.as_slice());
-    for &me in ring.as_slice() {
-        for (_, _, n) in routing_table_links(&ring, me, params, None) {
-            b.add_link(me, n);
-        }
-        for n in leaf_set(&ring, me, params.leaf_half) {
-            b.add_link(me, n);
-        }
+    if ids.is_empty() {
+        return GraphBuilder::new().build();
     }
-    b.build()
+    let hierarchy = Hierarchy::new();
+    // SortedRing::new collapses duplicates, which `from_pairs` rejects.
+    let ring = SortedRing::new(ids.to_vec());
+    let pairs = ring.iter().map(|&id| (id, hierarchy.root())).collect();
+    let placement = Placement::from_pairs(&hierarchy, pairs);
+    build_canonical_pastry(&hierarchy, &placement, params).graph
 }
 
 /// A constructed Canonical Pastry network.
@@ -487,19 +485,22 @@ mod tests {
     }
 
     #[test]
-    fn one_level_canonical_equals_flat() {
-        let h = Hierarchy::balanced(4, 1);
-        let p = Placement::uniform(&h, 200, Seed(11));
-        let params = PastryParams {
-            digit_bits: 2,
-            leaf_half: 4,
-        };
-        let canonical = build_canonical_pastry(&h, &p, params);
-        let flat = build_pastry(p.ids(), params);
-        assert_eq!(
-            canonical.graph().edges().collect::<Vec<_>>(),
-            flat.edges().collect::<Vec<_>>()
-        );
+    fn flat_pastry_edge_inputs() {
+        for digit_bits in [1, 2, 4] {
+            let params = PastryParams {
+                digit_bits,
+                ..PastryParams::default()
+            };
+            // The canonical builder rejects an empty placement, and
+            // `Placement::from_pairs` duplicate ids; the flat one takes both.
+            assert!(build_pastry(&[], params).is_empty());
+            let dup = build_pastry(&[7u64, 3, 7].map(NodeId::new), params);
+            assert_eq!(dup.ids(), [3u64, 7].map(NodeId::new));
+            let one = build_pastry(&[NodeId::new(9)], params);
+            assert_eq!((one.len(), one.link_count()), (1, 0));
+            let two = build_pastry(&[NodeId::new(10), NodeId::new(1 << 40)], params);
+            assert_eq!((two.len(), two.link_count()), (2, 2));
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Flat Symphony (paper §3.1 baseline): a randomized small-world ring.
+//! The Symphony link rule (paper §3.1): a randomized small-world ring.
 //!
 //! Symphony (Manku, Bawa, Raghavan — USITS 2003) gives each node
 //! `⌊log2 n⌋` long links, each drawn independently with probability
@@ -9,21 +9,20 @@
 //! `O(log n / log log n)` — about 40% fewer hops in practice, a property
 //! Cacophony inherits (§3.1).
 //!
-//! As with Chord, the per-ring rule is exposed in bounded form
-//! ([`symphony_links_bounded`]) so the `canon` crate can assemble Cacophony
-//! from it.
+//! As with Chord, this crate holds the per-ring rule in bounded form
+//! ([`symphony_links_bounded`]) plus the lookahead router; the `canon` crate
+//! assembles Cacophony from the rule over a hierarchy and flat Symphony
+//! (`canon::cacophony::build_symphony`) from it over a single domain.
 
 #![forbid(unsafe_code)]
 
 use canon_id::{
     ring::SortedRing,
-    rng::{harmonic_distance, DetRng, Seed},
+    rng::{harmonic_distance, DetRng},
     NodeId, RingDistance,
 };
 use canon_overlay::policy::Lookahead1;
-use canon_overlay::{
-    execute, GraphBuilder, NodeIndex, NullObserver, OverlayGraph, Route, RouteError,
-};
+use canon_overlay::{execute, NodeIndex, NullObserver, OverlayGraph, Route, RouteError};
 
 /// Number of long links Symphony grants a node in a ring of `n` nodes:
 /// `⌊log2 n⌋` (zero for `n < 2`).
@@ -75,24 +74,6 @@ pub fn symphony_links_bounded(
     out
 }
 
-/// Builds a flat Symphony network over `ids`.
-///
-/// Routable with [`canon_id::metric::Clockwise`]; see
-/// [`route_with_lookahead`] for the improved router.
-///
-/// Each node's harmonic draws come from an RNG seeded by `(seed, node)`
-/// alone ([`Seed::derive_node`]), so the graph is a pure function of
-/// `(ids, seed)` no matter how many threads compute it.
-pub fn build_symphony(ids: &[NodeId], seed: Seed) -> OverlayGraph {
-    let ring = SortedRing::new(ids.to_vec());
-    let base = seed.derive("symphony");
-    let per_node = canon_par::par_map(ring.as_slice(), |_, &me| {
-        let mut rng = base.derive_node(me).rng();
-        symphony_links_bounded(&ring, me, RingDistance::FULL_CIRCLE, &mut rng)
-    });
-    GraphBuilder::from_per_node_links(ring.as_slice(), &per_node)
-}
-
 /// Greedy clockwise routing with one step of lookahead (paper §3.1).
 ///
 /// At each hop the node examines every pair (neighbor, neighbor's neighbor)
@@ -125,10 +106,7 @@ pub fn route_with_lookahead(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canon_id::metric::Clockwise;
-    use canon_id::rng::random_ids;
-    use canon_overlay::stats;
-    use rand::Rng;
+    use canon_id::rng::{random_ids, Seed};
 
     #[test]
     fn link_budget_is_floor_log2() {
@@ -178,69 +156,5 @@ mod tests {
         let links =
             symphony_links_bounded(&two, NodeId::new(9), RingDistance::FULL_CIRCLE, &mut rng);
         assert_eq!(links, vec![NodeId::new(1 << 30)]);
-    }
-
-    #[test]
-    fn symphony_routes_greedily() {
-        let g = build_symphony(&random_ids(Seed(6), 512), Seed(7));
-        let s = stats::hop_stats(&g, Clockwise, 300, Seed(8)).unwrap();
-        // Symphony routes in O(log^2 n / log n) = O(log n)-ish hops with
-        // log n links; allow a loose ceiling.
-        assert!(s.mean < 25.0, "mean hops {}", s.mean);
-    }
-
-    #[test]
-    fn lookahead_beats_greedy_on_average() {
-        let ids = random_ids(Seed(9), 1024);
-        let g = build_symphony(&ids, Seed(10));
-        let mut greedy_total = 0usize;
-        let mut look_total = 0usize;
-        let pairs = 200;
-        let mut rng = Seed(11).rng();
-        for _ in 0..pairs {
-            let a = NodeIndex(rng.gen_range(0..g.len()) as u32);
-            let b = NodeIndex(rng.gen_range(0..g.len()) as u32);
-            if a == b {
-                continue;
-            }
-            let r1 = canon_overlay::route(&g, Clockwise, a, b).unwrap();
-            let r2 = route_with_lookahead(&g, a, b).unwrap();
-            greedy_total += r1.hops();
-            look_total += r2.hops();
-            assert_eq!(r2.target(), b);
-        }
-        assert!(
-            (look_total as f64) < 0.9 * greedy_total as f64,
-            "lookahead {look_total} vs greedy {greedy_total}"
-        );
-    }
-
-    #[test]
-    fn lookahead_route_to_self() {
-        let g = build_symphony(&random_ids(Seed(12), 64), Seed(13));
-        let n = NodeIndex(5);
-        let r = route_with_lookahead(&g, n, n).unwrap();
-        assert_eq!(r.hops(), 0);
-    }
-
-    #[test]
-    fn construction_is_reproducible() {
-        let ids = random_ids(Seed(14), 128);
-        let a = build_symphony(&ids, Seed(1));
-        let b = build_symphony(&ids, Seed(1));
-        assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn degree_tracks_log_n() {
-        let n = 1024;
-        let g = build_symphony(&random_ids(Seed(15), n), Seed(16));
-        let d = stats::DegreeStats::of(&g);
-        // budget = 10 draws (with duplicates/collisions) + successor.
-        assert!(
-            d.summary.mean > 5.0 && d.summary.mean < 12.0,
-            "mean {}",
-            d.summary.mean
-        );
     }
 }

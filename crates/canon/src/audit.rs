@@ -265,8 +265,7 @@ pub fn verify_structure<M: Metric>(
     let mut violations = Vec::new();
     let members = DomainMembership::build(hierarchy, placement);
     let graph = net.graph();
-    let report = audit_structure(hierarchy, &members, metric, net, graph, &mut violations);
-    let _ = report;
+    audit_structure(hierarchy, &members, metric, net, graph, &mut violations);
     violations
 }
 

@@ -5,9 +5,10 @@
 //! and retains only those closer than its successor at the lower level,
 //! adding a link to its successor at the new level. Both Symphony and
 //! Cacophony support greedy routing with a one-step lookahead
-//! ([`canon_symphony::route_with_lookahead`]) for ~40% fewer hops.
+//! ([`canon_symphony::route_with_lookahead`]) for ~40% fewer hops. Flat
+//! Symphony is the one-domain case ([`build_symphony`]).
 
-use crate::engine::{build_canonical, CanonicalNetwork, LevelCtx, LinkRule};
+use crate::engine::{build_canonical, build_flat, CanonicalNetwork, LevelCtx, LinkRule};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::{
     metric::Clockwise,
@@ -15,6 +16,7 @@ use canon_id::{
     rng::{DetRng, Seed},
     NodeId, RingDistance,
 };
+use canon_overlay::OverlayGraph;
 use canon_symphony::symphony_links_bounded;
 
 /// The Cacophony link rule: Symphony's harmonic rule in bounded form.
@@ -59,6 +61,14 @@ pub fn build_cacophony(
         &CacophonyRule,
         seed.derive("cacophony"),
     )
+}
+
+/// Builds flat Symphony over `ids`: Cacophony over one domain.
+///
+/// Routable with [`Clockwise`]; see [`canon_symphony::route_with_lookahead`]
+/// for the improved router. The graph is a pure function of `(ids, seed)`.
+pub fn build_symphony(ids: &[NodeId], seed: Seed) -> OverlayGraph {
+    build_flat(ids, &CacophonyRule, seed.derive("symphony"))
 }
 
 #[cfg(test)]

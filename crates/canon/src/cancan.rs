@@ -19,10 +19,10 @@
 //! bit-fixing routability, and points links into the lowest (most local)
 //! possible domain.
 //!
-//! The faithful flat CAN — with join-time zone splitting, variable-length
-//! zone identifiers and zone-based key responsibility — lives in the
-//! `canon-can` crate; the paper notes the two formulations have almost
-//! identical properties.
+//! Flat CAN is this rule over a single domain ([`build_cancan`] on a
+//! one-level hierarchy). The paper's other formulation — join-time zone
+//! splitting with variable-length zone identifiers — has, as it notes,
+//! almost identical properties, and is not built here.
 
 use crate::engine::{build_canonical, CanonicalNetwork, LevelCtx, LinkRule};
 use canon_hierarchy::{Hierarchy, Placement};

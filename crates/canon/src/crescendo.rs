@@ -1,7 +1,8 @@
 //! Crescendo — the Canonical version of Chord (paper §2) — and
-//! nondeterministic Crescendo (§3.2).
+//! nondeterministic Crescendo (§3.2), with flat Chord and nondeterministic
+//! Chord as their one-domain cases.
 
-use crate::engine::{build_canonical, CanonicalNetwork, LevelCtx, LinkRule};
+use crate::engine::{build_canonical, build_flat, CanonicalNetwork, LevelCtx, LinkRule};
 use canon_chord::{chord_links_bounded, nondet_links_bounded};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::{
@@ -10,6 +11,7 @@ use canon_id::{
     rng::{DetRng, Seed},
     NodeId, RingDistance,
 };
+use canon_overlay::OverlayGraph;
 
 /// The Crescendo link rule: deterministic Chord's rule in bounded form.
 ///
@@ -48,6 +50,15 @@ impl LinkRule for CrescendoRule {
 /// (§2.2). The rule is deterministic, so no seed is taken.
 pub fn build_crescendo(hierarchy: &Hierarchy, placement: &Placement) -> CanonicalNetwork {
     build_canonical(hierarchy, placement, &CrescendoRule, Seed(0))
+}
+
+/// Builds flat deterministic Chord over `ids`: Crescendo over one domain.
+///
+/// Routing on the result uses the clockwise metric. Every node links to its
+/// successor (the `k = 0` rule), so greedy clockwise routing always
+/// terminates at the destination.
+pub fn build_chord(ids: &[NodeId]) -> OverlayGraph {
+    build_flat(ids, &CrescendoRule, Seed(0))
 }
 
 /// The nondeterministic Crescendo rule (§3.2): for each `k` a uniformly
@@ -100,10 +111,21 @@ pub fn build_nondet_crescendo(
     )
 }
 
+/// Builds flat nondeterministic Chord over `ids`: nondeterministic
+/// Crescendo over one domain.
+///
+/// For each distance band `[2^k, 2^(k+1))` every node links to one
+/// uniformly random member; the successor link is additionally forced so
+/// that greedy routing is always live, matching deployed
+/// nondeterministic-Chord systems. The graph is a pure function of
+/// `(ids, seed)`.
+pub fn build_nondet_chord(ids: &[NodeId], seed: Seed) -> OverlayGraph {
+    build_flat(ids, &NondetCrescendoRule, seed.derive("nondet-chord"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canon_chord::build_chord;
     use canon_hierarchy::DomainMembership;
 
     use canon_overlay::{route, route_with_filter, stats, NodeIndex};
@@ -114,17 +136,6 @@ mod tests {
         let p = Placement::zipf(&h, n, Seed(seed));
         let net = build_crescendo(&h, &p);
         (h, p, net)
-    }
-
-    #[test]
-    fn one_level_crescendo_is_exactly_chord() {
-        let h = Hierarchy::balanced(10, 1);
-        let p = Placement::uniform(&h, 300, Seed(1));
-        let net = build_crescendo(&h, &p);
-        let chord = build_chord(p.ids());
-        let a: Vec<_> = net.graph().edges().collect();
-        let b: Vec<_> = chord.edges().collect();
-        assert_eq!(a, b, "flat Crescendo must coincide with Chord");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! domain link freely, exactly as the paper prescribes.
 //!
 //! The engine is generic over a [`LinkRule`]; the four Canonical DHTs of
-//! the paper are rule instantiations in sibling modules.
+//! the paper are rule instantiations in sibling modules, and each flat DHT
+//! is the same rule over a single domain ([`build_flat`]).
 //!
 //! # Parallel construction
 //!
@@ -281,6 +282,31 @@ pub fn build_canonical<R: LinkRule>(
     }
 
     net
+}
+
+/// The one-domain world every flat network is built over: a hierarchy that
+/// is only its root, with each distinct identifier of `ids` placed there.
+pub(crate) fn one_domain(ids: &[NodeId]) -> (Hierarchy, Placement) {
+    let hierarchy = Hierarchy::new();
+    // SortedRing::new collapses duplicates, which `from_pairs` rejects.
+    let ring = SortedRing::new(ids.to_vec());
+    let pairs = ring.iter().map(|&id| (id, hierarchy.root())).collect();
+    let placement = Placement::from_pairs(&hierarchy, pairs);
+    (hierarchy, placement)
+}
+
+/// Builds the flat DHT of `rule` over `ids`: [`build_canonical`] over a
+/// single domain, where the walk has one level and the bound stays the full
+/// circle. Every flat constructor of the workspace is a call of this, so a
+/// flat network is by construction the one-level case of its Canonical
+/// sibling. Duplicate identifiers are collapsed; no identifiers give the
+/// empty graph.
+pub fn build_flat<R: LinkRule>(ids: &[NodeId], rule: &R, seed: Seed) -> OverlayGraph {
+    if ids.is_empty() {
+        return GraphBuilder::new().build();
+    }
+    let (hierarchy, placement) = one_domain(ids);
+    build_canonical(&hierarchy, &placement, rule, seed).graph
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //! every destination the way a clockwise successor is, and measured
 //! networks built that way strand 20%+ of greedy routes. See DESIGN.md.
 
-use crate::engine::{build_canonical, CanonicalNetwork, LevelCtx, LinkRule};
+use crate::engine::{build_canonical, build_flat, CanonicalNetwork, LevelCtx, LinkRule};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::{
     metric::Xor,
@@ -34,6 +34,7 @@ use canon_id::{
     NodeId, RingDistance, ID_BITS,
 };
 use canon_kademlia::BucketChoice;
+use canon_overlay::OverlayGraph;
 use rand::Rng;
 
 /// The Kandy link rule: per-bucket, lowest-level-first Kademlia links.
@@ -113,12 +114,21 @@ pub fn build_kandy(
     )
 }
 
+/// Builds flat Kademlia over `ids`: Kandy over one domain, where no bucket
+/// is covered yet and every non-empty one gets its link.
+///
+/// Routable with [`Xor`]; greedy routing reaches the exact destination
+/// because every non-empty bucket holds a link. The graph is a pure
+/// function of `(ids, choice, seed)`.
+pub fn build_kademlia(ids: &[NodeId], choice: BucketChoice, seed: Seed) -> OverlayGraph {
+    build_flat(ids, &KandyRule::new(choice), seed.derive("kademlia"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use canon_hierarchy::DomainMembership;
     use canon_id::rng::Seed;
-    use canon_kademlia::build_kademlia;
     use canon_overlay::{route, route_with_filter, stats, NodeIndex};
     use rand::Rng;
 
@@ -127,18 +137,6 @@ mod tests {
         let p = Placement::zipf(&h, n, Seed(31));
         let net = build_kandy(&h, &p, BucketChoice::Closest, Seed(32));
         (h, p, net)
-    }
-
-    #[test]
-    fn one_level_kandy_is_exactly_kademlia() {
-        let h = Hierarchy::balanced(10, 1);
-        let p = Placement::uniform(&h, 256, Seed(33));
-        let net = build_kandy(&h, &p, BucketChoice::Closest, Seed(0));
-        let flat = build_kademlia(p.ids(), BucketChoice::Closest, Seed(0));
-        assert_eq!(
-            net.graph().edges().collect::<Vec<_>>(),
-            flat.edges().collect::<Vec<_>>()
-        );
     }
 
     #[test]

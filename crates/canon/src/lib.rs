@@ -23,12 +23,15 @@
 //! Modules:
 //!
 //! * [`engine`] — the generic bottom-up merge ([`engine::build_canonical`])
-//!   parameterized by a [`engine::LinkRule`];
-//! * [`crescendo`] — Canonical Chord and nondeterministic Chord (§2, §3.2);
-//! * [`cacophony`] — Canonical Symphony (§3.1);
-//! * [`kandy`] — Canonical Kademlia (§3.3);
+//!   parameterized by a [`engine::LinkRule`], and [`engine::build_flat`]:
+//!   the same merge over a single domain, which is how every flat DHT of
+//!   the workspace is built;
+//! * [`crescendo`] — Canonical Chord and nondeterministic Chord (§2, §3.2),
+//!   with flat Chord beside them;
+//! * [`cacophony`] — Canonical Symphony (§3.1) and flat Symphony;
+//! * [`kandy`] — Canonical Kademlia (§3.3) and flat Kademlia;
 //! * [`cancan`] — Canonical CAN in the equal-length-identifier hypercube
-//!   form (§3.4);
+//!   form (§3.4); flat CAN is Can-Can over one domain;
 //! * [`mixed`] — heterogeneous per-level structures (§3.5: e.g. a complete
 //!   graph on each LAN at the leaf level);
 //! * [`proximity`] — group-based adaptation to physical-network proximity
@@ -65,4 +68,4 @@ pub mod mixed;
 pub mod proximity;
 
 pub use audit::{verify_canonical, verify_structure, AuditReport, Violation};
-pub use engine::{build_canonical, CanonicalNetwork, LevelCtx, LinkRule};
+pub use engine::{build_canonical, build_flat, CanonicalNetwork, LevelCtx, LinkRule};

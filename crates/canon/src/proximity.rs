@@ -12,20 +12,22 @@
 //!
 //! Two constructions are provided:
 //!
-//! * [`build_chord_prox`] — flat Chord over groups (the paper's
-//!   *Chord (Prox.)*);
 //! * [`build_crescendo_prox`] — Crescendo with group-based construction at
 //!   the top level only (*Crescendo (Prox.)*), lower levels built exactly
-//!   as normal.
+//!   as normal;
+//! * [`build_chord_prox`] — flat Chord over groups (the paper's
+//!   *Chord (Prox.)*): the same construction over one domain, where the
+//!   top level is the only level.
 //!
 //! Routing is group-aware ([`ProxNetwork::route`]): greedily minimize the
 //! clockwise *group* distance first, then the clockwise identifier
 //! distance within the destination group (where the dense intra-group
 //! graph guarantees a final direct hop).
 
+use crate::engine::one_domain;
 use canon_chord::chord_links_bounded;
 use canon_hierarchy::{DomainId, DomainMembership, Hierarchy, Placement};
-use canon_id::{ring::SortedRing, rng::Seed, NodeId, RingDistance, ID_BITS};
+use canon_id::{rng::Seed, NodeId, RingDistance, ID_BITS};
 use canon_overlay::policy::{ProximityAware, RoutingPolicy};
 use canon_overlay::{
     execute, GraphBuilder, NodeIndex, NullObserver, OverlayGraph, Route, RouteError,
@@ -134,9 +136,7 @@ impl Groups {
         for &id in ids {
             members.entry(id.prefix(bits)).or_default().push(id);
         }
-        let mut prefixes: Vec<u64> = members.keys().copied().collect();
-        prefixes.sort_unstable();
-        let _ = bits;
+        let prefixes = members.keys().copied().collect();
         Groups { prefixes, members }
     }
 
@@ -191,46 +191,22 @@ impl Groups {
 
 /// Builds *Chord (Prox.)*: the Chord rule applied to T-bit groups, each
 /// group link satisfied by the lowest-latency sampled member, plus complete
-/// intra-group graphs.
+/// intra-group graphs — Crescendo (Prox.) over one domain. Duplicate
+/// identifiers are collapsed; no identifiers give the empty network.
 pub fn build_chord_prox<L: Fn(NodeId, NodeId) -> f64 + Sync>(
     ids: &[NodeId],
     lat: &L,
     params: ProxParams,
     seed: Seed,
 ) -> ProxNetwork {
-    let ring = SortedRing::new(ids.to_vec());
-    let t = group_bits(ring.len(), params.target_group_size);
-    let groups = Groups::build(ring.as_slice(), t);
-    let mut b = GraphBuilder::with_nodes(ring.as_slice());
-    let base = seed.derive("chord-prox");
-
-    groups.add_intra_group_links(&mut b);
-    let per_node = canon_par::par_map(ring.as_slice(), |_, &me| {
-        let mut rng = base.derive_node(me).rng();
-        let gme = me.prefix(t);
-        let mut links = Vec::new();
-        for k in 0..t {
-            let target = (gme.wrapping_add(1u64 << k)) & mask(t);
-            let g = groups.successor_group(target);
-            if g == gme {
-                continue;
-            }
-            if let Some(m) = groups.pick_member(g, me, lat, params.samples, &mut rng) {
-                links.push(m);
-            }
-        }
-        links
-    });
-    for (&me, links) in ring.as_slice().iter().zip(&per_node) {
-        b.add_links_batch(me, links);
-    }
-
-    let leaf_of = vec![Hierarchy::new().root(); ring.len()];
-    ProxNetwork {
-        graph: b.build(),
-        group_bits: t,
-        leaf_of,
-    }
+    let (hierarchy, placement) = one_domain(ids);
+    build_prox(
+        &hierarchy,
+        &placement,
+        lat,
+        params,
+        seed.derive("chord-prox"),
+    )
 }
 
 /// Builds *Crescendo (Prox.)*: ordinary Crescendo below the root, with the
@@ -240,7 +216,8 @@ pub fn build_chord_prox<L: Fn(NodeId, NodeId) -> f64 + Sync>(
 ///
 /// A top-level group link is kept only when the distance to the target
 /// group's start is below the node's own-ring bound — the group-granular
-/// reading of Canon condition (b).
+/// reading of Canon condition (b). A node placed at the root itself has no
+/// child ring, so its bound is the full circle.
 ///
 /// # Panics
 ///
@@ -256,12 +233,29 @@ pub fn build_crescendo_prox<L: Fn(NodeId, NodeId) -> f64 + Sync>(
         !placement.is_empty(),
         "cannot build a network with no nodes"
     );
+    build_prox(
+        hierarchy,
+        placement,
+        lat,
+        params,
+        seed.derive("crescendo-prox"),
+    )
+}
+
+/// The group construction behind both public builders; `base` is the
+/// already-labelled seed each node's sampling stream derives from.
+fn build_prox<L: Fn(NodeId, NodeId) -> f64 + Sync>(
+    hierarchy: &Hierarchy,
+    placement: &Placement,
+    lat: &L,
+    params: ProxParams,
+    base: Seed,
+) -> ProxNetwork {
     let members = DomainMembership::build(hierarchy, placement);
     let all = members.ring(hierarchy.root());
     let t = group_bits(all.len(), params.target_group_size);
     let groups = Groups::build(all.as_slice(), t);
     let mut b = GraphBuilder::with_nodes(all.as_slice());
-    let base = seed.derive("crescendo-prox");
 
     let mut leaf_of = vec![hierarchy.root(); all.len()];
     for (id, leaf) in placement.iter() {
@@ -278,11 +272,9 @@ pub fn build_crescendo_prox<L: Fn(NodeId, NodeId) -> f64 + Sync>(
         let mut links = Vec::new();
         let mut bound = RingDistance::FULL_CIRCLE;
         let path = hierarchy.path_from_root(leaf);
-        // Ordinary Crescendo below the root (deepest first, root excluded).
-        for &domain in path.iter().rev() {
-            if domain == hierarchy.root() && path.len() > 1 {
-                break;
-            }
+        // Ordinary Crescendo below the root (deepest first); the root
+        // level, path[0], always takes the group construction.
+        for &domain in path[1..].iter().rev() {
             let ring = members.ring(domain);
             links.extend(chord_links_bounded(ring, id, bound));
             bound = ring.clockwise_gap(id);
@@ -432,6 +424,27 @@ mod tests {
 
     fn same_group(net: &ProxNetwork, a: NodeId, b: NodeId) -> bool {
         a.prefix(net.group_bits()) == b.prefix(net.group_bits())
+    }
+
+    #[test]
+    fn one_domain_crescendo_prox_is_chord_prox() {
+        // A node whose leaf is the root has no child ring: its one level
+        // takes the group construction with a full-circle bound, not the
+        // plain Chord rule followed by groups bounded by the successor gap.
+        // Sampling every member of a group takes the two builders' seed
+        // labels (the only difference left) out of play.
+        let params = ProxParams {
+            samples: usize::MAX,
+            ..ProxParams::default()
+        };
+        let (h, p) = one_domain(&random_ids(Seed(74), 1024));
+        let crescendo = build_crescendo_prox(&h, &p, &synth_lat, params, Seed(75));
+        let chord = build_chord_prox(p.ids(), &synth_lat, params, Seed(75));
+        assert_eq!(crescendo.group_bits(), chord.group_bits());
+        assert_eq!(
+            crescendo.graph().edges().collect::<Vec<_>>(),
+            chord.graph().edges().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Property tests for Kademlia's bucket machinery and routing.
+//! Property tests for flat Kademlia — Kandy's bucket rule over one domain.
 
-use canon_id::{metric::Xor, ring::SortedRing, rng::Seed, NodeId, RingDistance};
-use canon_kademlia::{build_kademlia, kademlia_links_bounded, BucketChoice};
+use canon::kandy::build_kademlia;
+use canon_id::{metric::Xor, rng::Seed, NodeId};
+use canon_kademlia::BucketChoice;
 use canon_overlay::{route, NodeIndex};
 use proptest::prelude::*;
 
@@ -15,20 +16,13 @@ proptest! {
     /// closest-choice link is the bucket minimum.
     #[test]
     fn one_closest_link_per_nonempty_bucket(ids in ids_strategy()) {
-        let ring = SortedRing::new(ids.clone());
+        let g = build_kademlia(&ids, BucketChoice::Closest, Seed(1));
         let me = ids[0];
-        let mut rng = Seed(1).rng();
-        let links = kademlia_links_bounded(
-            &ring,
-            me,
-            RingDistance::FULL_CIRCLE,
-            BucketChoice::Closest,
-            &mut rng,
-        );
         let mut per_bucket = std::collections::HashMap::new();
-        for l in &links {
-            let k = 63 - me.xor_to(*l).leading_zeros();
-            prop_assert!(per_bucket.insert(k, *l).is_none(), "two links in bucket {k}");
+        for &l in g.neighbors(g.index_of(me).expect("built over ids")) {
+            let l = g.id(l);
+            let k = 63 - me.xor_to(l).leading_zeros();
+            prop_assert!(per_bucket.insert(k, l).is_none(), "two links in bucket {k}");
         }
         for k in 0..64u32 {
             let bucket_min = ids

@@ -6,9 +6,8 @@
 //!
 //! Run with: `cargo run --release --example campus_network`
 
-use canon::crescendo::build_crescendo;
+use canon::crescendo::{build_chord, build_crescendo};
 use canon::proximity::{build_chord_prox, build_crescendo_prox, ProxParams};
-use canon_chord::build_chord;
 use canon_id::metric::Clockwise;
 use canon_id::rng::Seed;
 use canon_overlay::{route, NodeIndex};

@@ -4,18 +4,16 @@
 //!
 //! Run with: `cargo run --release --example four_dhts`
 
-use canon::cacophony::build_cacophony;
+use canon::cacophony::{build_cacophony, build_symphony};
 use canon::cancan::build_cancan;
-use canon::crescendo::build_crescendo;
-use canon::kandy::build_kandy;
-use canon_chord::build_chord;
+use canon::crescendo::{build_chord, build_crescendo};
+use canon::kandy::{build_kademlia, build_kandy};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::{Clockwise, Xor};
 use canon_id::rng::Seed;
-use canon_kademlia::{build_kademlia, BucketChoice};
+use canon_kademlia::BucketChoice;
 use canon_overlay::stats::{hop_stats, DegreeStats};
 use canon_overlay::OverlayGraph;
-use canon_symphony::build_symphony;
 
 fn show(name: &str, g: &OverlayGraph, clockwise: bool) {
     let deg = DegreeStats::of(g);

@@ -7,8 +7,7 @@
 //!
 //! Run with: `cargo run --release --example multicast_streaming`
 
-use canon::crescendo::build_crescendo;
-use canon_chord::build_chord;
+use canon::crescendo::{build_chord, build_crescendo};
 use canon_id::hash::hash_name;
 use canon_id::metric::Clockwise;
 use canon_id::rng::Seed;

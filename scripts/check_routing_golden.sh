@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Golden-output regression for the routing refactor: reruns the five
-# routing-sensitive figure binaries and diffs them against the committed
+# Golden-output regression for the routing and construction refactors:
+# reruns the figure binaries whose tables depend on the routing engine or
+# on a flat constructor and diffs them against the committed
 # results/full_run.txt sections. Any drift means the routing engine no
-# longer reproduces the pre-refactor paths byte for byte.
+# longer reproduces the pre-refactor paths byte for byte, or a flat network
+# (every one is `build_canonical` over a single domain) moved.
 #
 # Wall-clock lines (`# wall-clock: ...`) are excluded — they are the only
 # nondeterministic output. Everything else must match exactly.
@@ -13,7 +15,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BINARIES=(fig5_hops fig7_locality fig8_overlap fault_isolation lookup_latency_sim)
+BINARIES=(fig5_hops fig6_stretch fig7_locality fig8_overlap fig9_multicast
+  variants fault_isolation ablate_prox_samples ablate_lookahead
+  lookup_latency_sim iterative_vs_recursive)
 THREADS_LIST=${THREADS_LIST:-"1 4"}
 GOLDEN=results/full_run.txt
 WORK=$(mktemp -d)

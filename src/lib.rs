@@ -5,7 +5,6 @@
 
 pub use canon;
 pub use canon_balance;
-pub use canon_can;
 pub use canon_chord;
 pub use canon_hierarchy;
 pub use canon_id;

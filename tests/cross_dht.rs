@@ -149,13 +149,13 @@ fn flat_one_level_hierarchy_reduces_every_design_to_its_baseline() {
     let h = Hierarchy::balanced(10, 1);
     let p = Placement::uniform(&h, 300, Seed(21));
     let cresc = build_crescendo(&h, &p);
-    let chord = canon_chord::build_chord(p.ids());
+    let chord = canon::crescendo::build_chord(p.ids());
     assert_eq!(
         cresc.graph().edges().collect::<Vec<_>>(),
         chord.edges().collect::<Vec<_>>()
     );
     let kandy = build_kandy(&h, &p, BucketChoice::Closest, Seed(0));
-    let kademlia = canon_kademlia::build_kademlia(p.ids(), BucketChoice::Closest, Seed(0));
+    let kademlia = canon::kandy::build_kademlia(p.ids(), BucketChoice::Closest, Seed(0));
     assert_eq!(
         kandy.graph().edges().collect::<Vec<_>>(),
         kademlia.edges().collect::<Vec<_>>()

@@ -2,9 +2,8 @@
 //! flat Chord on physical latency; proximity adaptation helps) holds on a
 //! clustered Euclidean plane, not just the transit-stub model.
 
-use canon::crescendo::build_crescendo;
+use canon::crescendo::{build_chord, build_crescendo};
 use canon::proximity::{build_chord_prox, ProxParams};
-use canon_chord::build_chord;
 use canon_id::metric::Clockwise;
 use canon_id::rng::Seed;
 use canon_overlay::{route, NodeIndex};

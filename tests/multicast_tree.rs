@@ -5,9 +5,8 @@
 //! (node, destination), so "union of route edges" and "graft until on the
 //! tree" coincide. Checked on Crescendo, flat Chord and Chord (Prox.).
 
-use canon::crescendo::build_crescendo;
+use canon::crescendo::{build_chord, build_crescendo};
 use canon::proximity::{build_chord_prox, ProxParams};
-use canon_chord::build_chord;
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::Clockwise;
 use canon_id::rng::Seed;

@@ -3,7 +3,7 @@
 //! caller adds the report-to-origin leg from `terminal`) and iteratively
 //! (origin round trips).
 
-use canon_chord::build_chord;
+use canon::crescendo::build_chord;
 use canon_id::metric::Clockwise;
 use canon_id::rng::{random_ids, Seed};
 use canon_id::NodeId;

@@ -2,9 +2,8 @@
 //! end-to-end at reduced scale (small topology, 1500 nodes) so they run in
 //! test time.
 
-use canon::crescendo::build_crescendo;
+use canon::crescendo::{build_chord, build_crescendo};
 use canon::proximity::{build_chord_prox, build_crescendo_prox, ProxParams};
-use canon_chord::build_chord;
 use canon_id::metric::Clockwise;
 use canon_id::rng::Seed;
 use canon_overlay::{route, NodeIndex};
