@@ -11,14 +11,18 @@
 //! end of the node's round the runtime flushes the outbox
 //! (`flush_outbox`):
 //!
-//! 1. sort the staged `(slot, envelope)` vector in place by `(destination
-//!    slot, delivery tick)`; each run of equal keys is one frame;
-//! 2. encode the run through [`canon_wire`] into one reusable frame buffer
-//!    ([`encode_frame`]);
+//! 1. sort a scratch vector of `(destination slot, delivery tick, staging
+//!    index)` keys — 24 bytes each; the staged envelopes, six times that,
+//!    are not moved — and take each run of equal `(slot, tick)` as one
+//!    frame;
+//! 2. encode the run, read through its indices, into one reusable frame
+//!    buffer ([`encode_frame`]); each payload is encoded once, straight
+//!    into the frame behind its length prefix;
 //! 3. **decode the frame** into a reusable envelope vector
 //!    ([`decode_frame`]) — all of it or none of it;
 //! 4. only if the whole frame decoded, account its bytes and deliver the
-//!    *decoded* envelopes to the destination mailbox under one lock.
+//!    *decoded* envelopes to the destination mailbox under one lock and
+//!    one bucket look-up (a frame shares its delivery tick).
 //!
 //! Every delivered message has round-tripped through the codec, so a
 //! framed run exercises encode *and* decode end to end; the equivalence
@@ -34,9 +38,9 @@
 //! the per-node tallies; every update is an addition, so the totals do
 //! not depend on worker scheduling.
 //!
-//! The buffers a flush works in (the staged vector, the frame and payload
-//! bytes, the decoded envelopes — `FlushScratch`) belong to the *worker
-//! thread*, not the node: a node's burst-sized outbox would otherwise be
+//! The buffers a flush works in (the staged vector and its sort keys, the
+//! frame bytes, the decoded envelopes — `FlushScratch`) belong to the
+//! *worker thread*, not the node: a node's burst-sized outbox would otherwise be
 //! retained once per node, a thousand times over, for a buffer only one
 //! node per worker uses at a time. The worker lends its staging vector to
 //! the node for the round and takes it back at the flush.
@@ -282,8 +286,7 @@ const FRAME_FIXED_HEADER: usize = 4 + 8 + 8;
 /// Encodes one frame into `frame`, replacing its contents. Every envelope
 /// must share `from`, `to`, `sent_at` and `deliver_at` (the flush groups by
 /// exactly those); the shared values are read from the first envelope.
-/// `payload` is scratch space for one message's payload bytes.
-pub fn encode_frame<'a, I>(envs: I, frame: &mut Vec<u8>, payload: &mut Vec<u8>)
+pub fn encode_frame<'a, I>(envs: I, frame: &mut Vec<u8>)
 where
     I: IntoIterator<Item = &'a Envelope<Payload>>,
     I::IntoIter: ExactSizeIterator,
@@ -292,8 +295,8 @@ where
     frame.clear();
     // The body length, patched in below once the body is written.
     frame.extend_from_slice(&[0; 4]);
-    let mut e = Encoder::new(frame);
     if let Some(first) = envs.peek() {
+        let mut e = Encoder::new(frame);
         e.encode(&first.from);
         e.encode(&first.to);
         e.varint(first.sent_at);
@@ -301,12 +304,25 @@ where
         e.varint(envs.len() as u64);
     }
     for env in envs {
+        let mut e = Encoder::new(frame);
         e.varint(env.seq);
         // Length-prefixed so a decoder can skip payloads it cannot parse
-        // and so the payload length is an accounting fact.
-        payload.clear();
-        Encoder::new(payload).encode(&env.payload);
-        e.bytes(payload);
+        // and so the payload length is an accounting fact. The payload is
+        // encoded in place behind a one-byte slot for its length, which
+        // is all the varint of a length below 128 takes.
+        e.tag(0);
+        let start = e.written();
+        e.encode(&env.payload);
+        let len = e.written() - start;
+        if len < 0x80 {
+            frame[start - 1] = len as u8;
+        } else {
+            // A shard-carrying payload (join grant, leave handoff): the
+            // prefix needs more than the slot, so write it again in full.
+            let payload = frame.split_off(start);
+            frame.pop();
+            Encoder::new(frame).bytes(&payload);
+        }
     }
     let body = (frame.len() - 4) as u32;
     frame[..4].copy_from_slice(&body.to_le_bytes());
@@ -386,10 +402,11 @@ fn decode_into(bytes: &[u8], out: &mut Vec<Envelope<Payload>>) -> Result<FrameFa
 pub(crate) struct FlushScratch {
     /// The outbox being flushed — the same vector the node staged into.
     staged: Vec<(usize, Envelope<Payload>)>,
+    /// `(destination slot, delivery tick, index into staged)` per staged
+    /// envelope: what the flush sorts in the envelopes' stead.
+    keys: Vec<(usize, Tick, usize)>,
     /// The encoded frame.
     frame: Vec<u8>,
-    /// One message's encoded payload.
-    payload: Vec<u8>,
     /// The frame's envelopes, decoded.
     decoded: Vec<Envelope<Payload>>,
 }
@@ -418,24 +435,29 @@ pub(crate) fn flush_outbox(
     std::mem::swap(&mut state.outbox, &mut scratch.staged);
     let FlushScratch {
         staged,
+        keys,
         frame,
-        payload,
         decoded,
     } = scratch;
     // Group by (destination, delivery tick). With per-message fates the
     // tick was quoted at send time, so only survivors that arrive together
     // coalesce; with per-frame fates every staged envelope still carries
-    // tick 0, so this is one group per destination. Sequence numbers rise
-    // in staging order, so with them in the key an unstable sort (which
-    // never allocates) keeps each group in the order it was staged.
-    staged.sort_unstable_by_key(|(slot, env)| (*slot, env.deliver_at, env.seq));
-    for run in staged
-        .chunk_by_mut(|(a_slot, a), (b_slot, b)| a_slot == b_slot && a.deliver_at == b.deliver_at)
-    {
-        let Some((slot, first)) = run.first() else {
+    // tick 0, so this is one group per destination. The staging index
+    // rises in staging order, so with it in the key an unstable sort
+    // (which never allocates) keeps each group in the order it was staged.
+    keys.extend(
+        staged
+            .iter()
+            .enumerate()
+            .map(|(at, (slot, env))| (*slot, env.deliver_at, at)),
+    );
+    keys.sort_unstable();
+    for run in keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let Some(&(slot, _, first)) = run.first() else {
             continue;
         };
-        let (slot, to) = (*slot, first.to);
+        let first = &staged[first].1;
+        let to = first.to;
         if view.per_frame {
             // Ask the transport once per frame, keyed by the frame's first
             // (lowest) sequence number.
@@ -445,11 +467,11 @@ pub(crate) fn flush_outbox(
                 state.wire.record_lost(run.len());
                 continue;
             };
-            for (_, env) in run.iter_mut() {
-                env.deliver_at = deliver_at;
+            for &(_, _, at) in run {
+                staged[at].1.deliver_at = deliver_at;
             }
         }
-        encode_frame(run.iter().map(|(_, env)| env), frame, payload);
+        encode_frame(run.iter().map(|&(_, _, at)| &staged[at].1), frame);
         match decode_frame(frame, decoded) {
             Ok(facts) => {
                 state.wire.record_frame(to, frame.len(), &facts);
@@ -463,6 +485,7 @@ pub(crate) fn flush_outbox(
             Err(_) => state.wire.decode_errors += 1,
         }
     }
+    keys.clear();
     staged.clear();
 }
 
@@ -484,8 +507,8 @@ mod tests {
     }
 
     fn encode(envs: &[Envelope<Payload>]) -> Vec<u8> {
-        let (mut frame, mut payload) = (Vec::new(), Vec::new());
-        encode_frame(envs, &mut frame, &mut payload);
+        let mut frame = Vec::new();
+        encode_frame(envs, &mut frame);
         frame
     }
 
@@ -539,6 +562,83 @@ mod tests {
             let facts = decode_frame(&frame, &mut Vec::new()).expect("decode");
             assert_eq!(facts.unbatched, frame.len() as u64, "seq {seq}");
         }
+    }
+
+    /// The frame layout spelled out the long way: every payload encoded
+    /// into a buffer of its own, then copied in behind its length.
+    fn reference_frame(envs: &[Envelope<Payload>]) -> Vec<u8> {
+        let mut body = Vec::new();
+        let mut e = Encoder::new(&mut body);
+        let first = &envs[0];
+        e.encode(&first.from);
+        e.encode(&first.to);
+        e.varint(first.sent_at);
+        e.varint(first.deliver_at);
+        e.varint(envs.len() as u64);
+        for env in envs {
+            e.varint(env.seq);
+            e.bytes(&canon_wire::to_bytes(&env.payload));
+        }
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        frame
+    }
+
+    /// A join-grant response whose encoding is exactly `len` bytes: 8 per
+    /// link, and the width of the request id's varint for the remainder.
+    fn grant_of_len(len: usize) -> Payload {
+        // Tags, hop count, predecessor and the three list counts.
+        let room = len - 14;
+        let req_width = 1 + (room - 1) % 8;
+        let payload = Payload::Response {
+            req: 1 << (7 * (req_width - 1)),
+            hops: 2,
+            result: crate::msg::RpcResult::Granted(crate::msg::JoinGrant {
+                predecessor: NodeId::new(3),
+                links: (0..(room - req_width) / 8)
+                    .map(|l| NodeId::new(l as u64))
+                    .collect(),
+                succ_list: Vec::new(),
+                shard: Vec::new(),
+            }),
+        };
+        assert_eq!(canon_wire::to_bytes(&payload).len(), len);
+        payload
+    }
+
+    #[test]
+    fn in_place_payloads_keep_the_frame_layout_at_every_prefix_width() {
+        let short = Payload::Replicate { key: 7, value: 8 };
+        // One byte either side of the one-byte length prefix, and a
+        // handoff that needs three.
+        let (fits, spills) = (grant_of_len(0x7f), grant_of_len(0x80));
+        let long = Payload::LeaveHandoff {
+            departing: NodeId::new(4),
+            shard: (0..1100).map(|k| (k, k * k)).collect(),
+        };
+        assert!(canon_wire::to_bytes(&long).len() >= 0x4000);
+        let all = [&short, &fits, &spills, &long];
+        for payload in all {
+            let envs = [env(300, payload.clone())];
+            assert_eq!(encode(&envs), reference_frame(&envs));
+        }
+        // Short and long payloads in one frame, a short one after each
+        // long one (which is where a misplaced prefix would land).
+        let mixed: Vec<_> = all
+            .into_iter()
+            .flat_map(|p| [p.clone(), short.clone()])
+            .zip(1..)
+            .map(|(payload, seq)| env(seq, payload))
+            .collect();
+        let frame = encode(&mixed);
+        assert_eq!(frame, reference_frame(&mixed));
+        let mut decoded = Vec::new();
+        decode_frame(&frame, &mut decoded).expect("decode");
+        assert_eq!(decoded.len(), mixed.len());
+        for (d, e) in decoded.iter().zip(&mixed) {
+            assert_eq!((d.seq, &d.payload), (e.seq, &e.payload));
+        }
+        assert_eq!(encode(&decoded), frame);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! hop by hop, and a node's forwarding decision is a function of its link
 //! table alone (paper §2.2: "the link closest to, but not past, the
 //! key"). The node holds no overlay and no derived copy of the table:
-//! it applies canon-overlay's candidate rule, [`closest`], to `links`
-//! under the clockwise metric and keeps the hop only when it makes
-//! strict progress — exactly the greedy rule the shared routing engine
-//! applies. No strictly-closer link means this node is the key's
-//! responsible node (greedy local minimum = clockwise predecessor), and
-//! it answers the origin directly. Because every hop strictly decreases
-//! the clockwise distance to the key, requests cannot cycle even across
-//! stale link tables mid-churn.
+//! it applies canon-overlay's candidate rule under the clockwise metric
+//! ([`closest_clockwise`]: one ordered-range query on `links`, not a
+//! scan) and keeps the hop only when it makes strict progress — exactly
+//! the greedy rule the shared routing engine applies. No strictly-closer
+//! link means this node is the key's responsible node (greedy local
+//! minimum = clockwise predecessor), and it answers the origin directly.
+//! Because every hop strictly decreases the clockwise distance to the
+//! key, requests cannot cycle even across stale link tables mid-churn.
 
 use crate::cache::NodeCache;
 use crate::clock::Tick;
@@ -27,14 +27,13 @@ use crate::rpc::{RetryDecision, RpcTable};
 use crate::runtime::RuntimeConfig;
 use crate::shard::Shard;
 use crate::transport::{Envelope, FramingView, Mailboxes, Transport};
-use canon_id::metric::Clockwise;
 use canon_id::ring::SortedRing;
 use canon_id::NodeId;
-use canon_overlay::closest;
+use canon_overlay::closest_clockwise;
 use canon_overlay::engine::HOP_LIMIT;
 use canon_store::{ContentId, Policy};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
 /// Cachers the owner tracks per key for invalidation fan-out. A node is
 /// never filled without being registered first — the bound trades fill
@@ -80,7 +79,8 @@ pub(crate) struct Net<'a> {
     pub transport: &'a dyn Transport,
     /// [`Transport::framing`] of `transport`.
     pub framing: Option<FramingView>,
-    pub directory: &'a BTreeMap<u64, usize>,
+    // audit: membership-only
+    pub directory: &'a HashMap<u64, usize>,
     pub now: Tick,
 }
 
@@ -227,7 +227,7 @@ impl NodeState {
     /// engine's greedy policy applies. `None` means this node is
     /// responsible.
     fn next_hop(&self, key: NodeId) -> Option<NodeId> {
-        match closest(Clockwise, self.links.iter().copied(), key) {
+        match closest_clockwise(&self.links, key) {
             Some((nb, d)) if d < self.id.clockwise_to(key) => Some(nb),
             _ => None,
         }
@@ -578,9 +578,10 @@ impl NodeState {
         let stamp = self.write_stamps.get(&key).copied().unwrap_or(0);
         let cid = ContentId::of(&value.to_le_bytes()).raw();
         let total = path.len() as u32;
-        let mut seen = BTreeSet::new();
         for (i, &cacher) in path.iter().enumerate() {
-            if cacher == self.id || !seen.insert(cacher) {
+            // A path is a handful of hops: a scan finds a repeat sooner
+            // than a set could be built.
+            if cacher == self.id || path[..i].contains(&cacher) {
                 continue;
             }
             {
@@ -655,9 +656,12 @@ impl NodeState {
                 responsible: self.id,
             },
             Op::Put { key, value } => {
-                let prev = self.shard.get(key);
+                // The old value only matters to cache coherence (a verified
+                // read, so not taken when nothing will look at it).
+                let caching = self.cache.enabled();
+                let prev = if caching { self.shard.get(key) } else { None };
                 self.shard.insert(key, value);
-                if self.cache.enabled() && prev != Some(value) {
+                if caching && prev != Some(value) {
                     // Bump the key's version; on an overwrite, tell every
                     // registered cacher *before* the Stored ack is sent, so
                     // on a FIFO link the invalidation is never behind the

@@ -57,7 +57,7 @@ use canon_id::NodeId;
 use canon_par::par_map;
 use canon_store::Policy;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 thread_local! {
@@ -165,8 +165,13 @@ pub struct Runtime {
     config: RuntimeConfig,
     states: Vec<Mutex<NodeState>>,
     boxes: Mailboxes<Payload>,
-    /// Identifier → mailbox slot.
-    directory: BTreeMap<u64, usize>,
+    /// Identifier → mailbox slot, asked once per message sent. Hashed, and
+    /// outside the determinism argument above all the same: it is only
+    /// ever looked up (`get`, `contains_key`, `insert`), never iterated, so
+    /// no order can leak out of it, and it is not part of the model
+    /// checker's snapshot.
+    // audit: membership-only
+    directory: HashMap<u64, usize>,
     /// Each node's earliest live RPC deadline as `(tick, slot)` — the
     /// timer half of the wake-up index (the mail half is inside
     /// [`Mailboxes`]). Kept equal to [`NodeState::next_timer`] by
@@ -202,7 +207,7 @@ impl Runtime {
             config,
             states: Vec::new(),
             boxes: Mailboxes::new(0),
-            directory: BTreeMap::new(),
+            directory: Default::default(),
             deadlines: Mutex::default(),
             client_seq: 0,
             injected: 0,

@@ -353,12 +353,17 @@ impl<M> Mailboxes<M> {
     }
 
     /// Moves every envelope out of `envs` into `slot` under one lock — a
-    /// decoded frame is delivered this way. `envs` is left empty, with its
-    /// capacity.
+    /// decoded frame is delivered this way. The bucket is looked up once
+    /// per run of equal delivery ticks and the run appended whole; a frame
+    /// shares one tick, so it costs one look-up. `envs` is left empty,
+    /// with its capacity.
     pub fn push_batch(&self, slot: usize, envs: &mut Vec<Envelope<M>>) {
         let mut buckets = lock_unpoisoned(&self.slots[slot]);
-        for env in envs.drain(..) {
-            self.bucket(&mut buckets, slot, env.deliver_at).push(env);
+        while let Some(first) = envs.first() {
+            let tick = first.deliver_at;
+            let run = envs.iter().take_while(|e| e.deliver_at == tick).count();
+            self.bucket(&mut buckets, slot, tick)
+                .extend(envs.drain(..run));
         }
     }
 
@@ -593,7 +598,7 @@ mod tests {
                 1..160,
             )
         ) {
-            use proptest::prop_assert_eq;
+            use proptest::{prop_assert, prop_assert_eq};
             const SLOTS: usize = 2;
             let boxes: Mailboxes<u32> = Mailboxes::new(SLOTS);
             let mut model: [Model; SLOTS] = Default::default();
@@ -627,11 +632,18 @@ mod tests {
                         }
                     }
                     1 => {
+                        // A batch under jitter: runs of one delivery tick
+                        // (two draws in three repeat the last) between
+                        // switches, so a bucket is revisited mid-batch.
                         let mut batch = Vec::new();
-                        for i in 0..1 + (b >> 16) % 4 {
+                        let mut tick = now;
+                        for i in 0..1 + (b >> 16) % 8 {
                             let word = b.rotate_left(13 * i as u32 + 7);
+                            if (word >> 24) % 3 == 0 {
+                                tick = now + (word >> 20) % 3;
+                            }
                             if let Some(mut e) = draft(word, now) {
-                                e.deliver_at = now + (word >> 20) % 3;
+                                e.deliver_at = tick;
                                 model[slot].insert(e.key(), e.payload);
                                 batch.push(e);
                             }
@@ -694,6 +706,9 @@ mod tests {
                     .map(|&(_, slot)| slot)
                     .collect();
                 prop_assert_eq!(boxes.due_slots(now), due);
+                for slot in &boxes.slots {
+                    prop_assert!(lock_unpoisoned(slot).values().all(|bucket| !bucket.is_empty()));
+                }
             }
             // Whatever is left drains in model order, and nothing more.
             for (slot, left) in model.iter().enumerate() {

@@ -38,8 +38,8 @@ fn hex(bytes: &[u8]) -> String {
 /// Encodes `envs`, checks the bytes against `golden`, and checks the
 /// frame decodes back to `envs`.
 fn assert_frame(envs: &[Envelope<Payload>], golden: &str) {
-    let (mut frame, mut payload) = (Vec::new(), Vec::new());
-    encode_frame(envs, &mut frame, &mut payload);
+    let mut frame = Vec::new();
+    encode_frame(envs, &mut frame);
     assert_eq!(hex(&frame), golden);
     let mut decoded = Vec::new();
     decode_frame(&frame, &mut decoded).expect("golden frame decodes");

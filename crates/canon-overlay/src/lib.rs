@@ -55,7 +55,7 @@ pub use index::NextHopIndex;
 pub use observe::{
     EventLog, FaultTally, HopCount, HopEvent, NullObserver, RouteObserver, VisitTally,
 };
-pub use patch::{closest, OverlayPatch, PatchedOverlay};
+pub use patch::{closest, closest_clockwise, OverlayPatch, PatchedOverlay};
 pub use policy::{
     Candidate, FaultFallback, Filtered, Greedy, IndexedNextHop, Lookahead1, ProximityAware,
     RoutingPolicy,

@@ -359,6 +359,20 @@ pub fn closest<M: Metric>(
         .map(|(d, id)| (id, d))
 }
 
+/// [`closest`] under the clockwise metric over an *ordered* link set, as
+/// one predecessor query instead of a scan: the largest link at or below
+/// `target`, else (every link is past the target, so the nearest one
+/// counter-clockwise is reached by wrapping) the largest link — the unique
+/// minimiser of `link.clockwise_to(target)`. This is the paper's "link
+/// closest to, but not past, the key" (§2.2) on a sorted table.
+pub fn closest_clockwise(links: &BTreeSet<NodeId>, target: NodeId) -> Option<(NodeId, u64)> {
+    let link = links
+        .range(..=target)
+        .next_back()
+        .or_else(|| links.last())?;
+    Some((*link, link.clockwise_to(target)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,6 +662,58 @@ mod tests {
                 links.is_empty()
             );
         }
+
+        /// The predecessor query is the scan it replaces, for any link set
+        /// and key — including a key on a link, one either side of it, and
+        /// the two ends of the identifier space.
+        #[test]
+        fn closest_clockwise_is_the_clockwise_scan(
+            raw_links in proptest::collection::btree_set(any::<u64>(), 0..24),
+            key in any::<u64>(),
+        ) {
+            let links: BTreeSet<NodeId> = raw_links.into_iter().map(id).collect();
+            let mut keys = vec![key, 0, u64::MAX];
+            for l in &links {
+                keys.extend([l.raw(), l.raw().wrapping_sub(1), l.raw().wrapping_add(1)]);
+            }
+            for key in keys {
+                prop_assert_eq!(
+                    closest_clockwise(&links, id(key)),
+                    closest(Clockwise, links.iter().copied(), id(key))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn closest_clockwise_edge_cases() {
+        let set = |raw: &[u64]| raw.iter().map(|&r| id(r)).collect::<BTreeSet<_>>();
+        // No links: no candidate.
+        assert_eq!(closest_clockwise(&set(&[]), id(5)), None);
+        // One link is the answer wherever the key is, wrapping if need be.
+        assert_eq!(closest_clockwise(&set(&[9]), id(9)), Some((id(9), 0)));
+        assert_eq!(closest_clockwise(&set(&[9]), id(12)), Some((id(9), 3)));
+        assert_eq!(
+            closest_clockwise(&set(&[9]), id(8)),
+            Some((id(9), u64::MAX))
+        );
+        let links = set(&[10, 20, 30]);
+        // A key equal to a link is at distance zero from it.
+        assert_eq!(closest_clockwise(&links, id(20)), Some((id(20), 0)));
+        assert_eq!(closest_clockwise(&links, id(29)), Some((id(20), 9)));
+        // Below the smallest link: wrap to the largest.
+        assert_eq!(
+            closest_clockwise(&links, id(3)),
+            Some((id(30), id(30).clockwise_to(id(3))))
+        );
+        assert_eq!(
+            closest_clockwise(&links, id(u64::MAX)),
+            Some((id(30), u64::MAX - 30))
+        );
+        assert_eq!(
+            closest_clockwise(&set(&[0, u64::MAX]), id(u64::MAX)),
+            Some((id(u64::MAX), 0))
+        );
     }
 
     #[test]

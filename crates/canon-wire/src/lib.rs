@@ -81,23 +81,27 @@ pub struct Encoder<'a> {
 
 impl<'a> Encoder<'a> {
     /// An encoder appending to `buf`.
+    #[inline]
     pub fn new(buf: &'a mut Vec<u8>) -> Encoder<'a> {
         Encoder { buf }
     }
 
     /// Bytes written so far (including any the buffer held before this
     /// encoder was created) — callers diff this to size sub-encodings.
+    #[inline]
     pub fn written(&self) -> usize {
         self.buf.len()
     }
 
     /// Appends one raw byte — the variant-tag primitive.
+    #[inline]
     pub fn tag(&mut self, b: u8) {
         self.buf.push(b);
     }
 
     /// Appends a `u64` as 8 little-endian bytes (identifier-space points:
     /// node ids, keys, values — uniform hashes that varints would bloat).
+    #[inline]
     pub fn u64_fixed(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -117,17 +121,20 @@ impl<'a> Encoder<'a> {
     }
 
     /// Appends a length-prefixed byte slice (varint length + raw bytes).
+    #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
         self.varint(b.len() as u64);
         self.buf.extend_from_slice(b);
     }
 
     /// Appends a `bool` as a 0/1 tag byte.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.tag(u8::from(v));
     }
 
     /// Encodes a value through its [`WireEncode`] impl.
+    #[inline]
     pub fn encode<T: WireEncode + ?Sized>(&mut self, v: &T) {
         v.encode(self);
     }
@@ -143,16 +150,19 @@ pub struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// A decoder reading from the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Decoder<'a> {
         Decoder { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Reads one raw byte — the variant-tag primitive.
+    #[inline]
     pub fn tag(&mut self) -> Result<u8, WireError> {
         let b = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
         self.pos += 1;
@@ -160,6 +170,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a `u64` from 8 little-endian bytes.
+    #[inline]
     pub fn u64_fixed(&mut self) -> Result<u64, WireError> {
         let end = self.pos.checked_add(8).ok_or(WireError::Truncated)?;
         let chunk = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
@@ -225,6 +236,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a `bool` from a 0/1 tag byte.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, WireError> {
         match self.tag()? {
             0 => Ok(false),
@@ -234,12 +246,14 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decodes a value through its [`WireDecode`] impl.
+    #[inline]
     pub fn decode<T: WireDecode>(&mut self) -> Result<T, WireError> {
         T::decode(self)
     }
 
     /// Asserts the input is fully consumed ([`WireError::TrailingBytes`]
     /// otherwise).
+    #[inline]
     pub fn finish(self) -> Result<(), WireError> {
         if self.remaining() == 0 {
             Ok(())
@@ -270,6 +284,7 @@ pub fn to_bytes<T: WireEncode + ?Sized>(v: &T) -> Vec<u8> {
 }
 
 /// Decodes exactly one value, rejecting trailing bytes.
+#[inline]
 pub fn from_bytes<T: WireDecode>(b: &[u8]) -> Result<T, WireError> {
     let mut d = Decoder::new(b);
     let v = T::decode(&mut d)?;

@@ -1,0 +1,171 @@
+#!/usr/bin/env bash
+# The paired protocol for a change that claims (or must not lose) speed on
+# the serving benchmark: builds bench/ at a parent commit and at the work
+# tree, copies both binaries out so a rebuild cannot change them
+# mid-series, and runs N alternating pairs per workload — pair i on seed i,
+# odd pairs parent first, even pairs change first — so both sides see the
+# same machine. Prints, per workload and end-to-end metric, each side's
+# median and quartiles and the pairs the change won (ties count for
+# neither side), and writes the two results/history/BENCHMARK.jsonl rows
+# per workload (parent, change) to target/pair_bench/rows.jsonl for the PR
+# to append. Exits non-zero if any run fails or is not `correct` with zero
+# failed operations.
+#
+#   scripts/pair_bench.sh <parent-ref> [--pairs N] [--seconds S] [--smoke] [workload ...]
+#
+# Defaults: 10 pairs, BENCHMARK.json's run_seconds, every workload.
+# --smoke runs 64-node smoke cycles instead of timed runs (CI: timings mean
+# nothing there, both sides must still be correct) and writes no rows.
+# The parent is a `git archive` of <parent-ref> under target/pair_bench/,
+# so .git is left alone and nothing needs cleaning up but target/.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage() {
+    echo "usage: scripts/pair_bench.sh <parent-ref> [--pairs N] [--seconds S] [--smoke] [workload ...]" >&2
+    exit 2
+}
+
+PARENT_REF=""
+PAIRS=10
+SECONDS_PER_RUN="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
+SMOKE=0
+WORKLOADS=()
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --pairs) PAIRS="${2:?--pairs needs a value}"; shift 2 ;;
+        --seconds) SECONDS_PER_RUN="${2:?--seconds needs a value}"; shift 2 ;;
+        --smoke) SMOKE=1; shift ;;
+        -*) usage ;;
+        # The first bare word is the parent, the rest are workloads.
+        *) if [ -z "$PARENT_REF" ]; then PARENT_REF="$1"; else WORKLOADS+=("$1"); fi; shift ;;
+    esac
+done
+[ -n "$PARENT_REF" ] || usage
+if [ ${#WORKLOADS[@]} -eq 0 ]; then
+    mapfile -t WORKLOADS < <(python3 -c 'import json; print("\n".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+fi
+
+OUT=target/pair_bench
+PARENT_SHA="$(git rev-parse --short "$PARENT_REF^{commit}")"
+rm -rf "$OUT/parent" "$OUT/bin" "$OUT/runs" "$OUT/rows.jsonl"
+mkdir -p "$OUT/parent" "$OUT/bin" "$OUT/runs"
+
+# Each side builds into a target directory of its own, kept between
+# invocations, so neither build can reuse the other's artefacts.
+git archive "$PARENT_SHA" | tar -x -C "$OUT/parent"
+CARGO_TARGET_DIR="$OUT/parent-target" cargo build --release --offline --quiet \
+    --manifest-path "$OUT/parent/bench/Cargo.toml"
+cp "$OUT/parent-target/release/canon-serving-bench" "$OUT/bin/parent"
+CARGO_TARGET_DIR="$OUT/change-target" cargo build --release --offline --quiet \
+    --manifest-path bench/Cargo.toml
+cp "$OUT/change-target/release/canon-serving-bench" "$OUT/bin/change"
+
+if [ "$SMOKE" -eq 1 ]; then
+    RUN_ARGS=(--smoke)
+else
+    RUN_ARGS=(--seconds "$SECONDS_PER_RUN" --trace 0)
+fi
+
+status=0
+for w in "${WORKLOADS[@]}"; do
+    for i in $(seq 1 "$PAIRS"); do
+        if [ $((i % 2)) -eq 1 ]; then order=(parent change); else order=(change parent); fi
+        for side in "${order[@]}"; do
+            echo "run: $w pair $i $side" >&2
+            # The hard timeout turns a wedged cycle into a fast failure.
+            if ! timeout 600 "$OUT/bin/$side" --workload "$w" --seed "$i" "${RUN_ARGS[@]}" \
+                    > "$OUT/runs/$w.$side.$i.out"; then
+                echo "FAILED: $w pair $i $side" >&2
+                status=1
+            fi
+        done
+    done
+done
+
+PR="$(sed -n '1s/^# ISSUE \([0-9]*\).*/\1/p' ISSUE.md 2>/dev/null || true)"
+python3 - "$OUT" "$PAIRS" "$SECONDS_PER_RUN" "$SMOKE" "${PR:-null}" "$PARENT_SHA" "${WORKLOADS[@]}" <<'EOF' || status=1
+import json, re, statistics, sys
+
+out, pairs, seconds, smoke, pr, parent_sha = sys.argv[1:7]
+workloads = sys.argv[7:]
+pairs, smoke = int(pairs), smoke == "1"
+bench = json.load(open("BENCHMARK.json"))
+metrics = bench["end_to_end"]
+# Digits each metric is recorded with in BENCHMARK.jsonl; the two exact
+# counts are recorded in full.
+digits = {"setup_s": 6, "capacity_rps": 1, "lat_lo_p50_us": 2, "lat_lo_p90_us": 2,
+          "lat_hi_p50_us": 2, "peak_rss_mb": 2}
+
+def read(workload, side, i):
+    text = open(f"{out}/runs/{workload}.{side}.{i}.out").read()
+    lines = text.strip().splitlines()
+    if not lines:
+        return None
+    try:
+        run = json.loads(lines[-1])
+    except ValueError:
+        return None
+    yard = re.search(r"the yardstick took ([0-9.]+) ms here", text)
+    run["yardstick_ms"] = float(yard.group(1)) if yard else None
+    return run
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+bad = False
+rows = []
+for w in workloads:
+    runs = {side: [read(w, side, i) for i in range(1, pairs + 1)] for side in ("parent", "change")}
+    for side, got in runs.items():
+        for i, run in enumerate(got, 1):
+            if run is None or run["correct"] is not True or run["failed"] != 0:
+                print(f"FAIL {w} pair {i} {side}: " + ("no result line" if run is None else
+                      f"correct {run['correct']} ops_failed {run['failed']} of {run['attempted']}"))
+                bad = True
+    if any(run is None for got in runs.values() for run in got):
+        continue
+    print(f"\n{w}: {pairs} pairs, parent {parent_sha} vs work tree"
+          + (" (smoke: timings mean nothing)" if smoke else f", {seconds} s runs"))
+    print(f"  {'metric':<20} {'parent q1':>12} {'median':>12} {'q3':>12}   "
+          f"{'change q1':>12} {'median':>12} {'q3':>12}  {'delta':>8}  won")
+    medians = {"parent": {}, "change": {}}
+    for m in metrics:
+        name = m["name"]
+        vals = {side: [run["metrics"][name]["value"] for run in got] for side, got in runs.items()}
+        sign = 1 if m["better"] == "higher" else -1
+        won = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
+        tied = sum(c == p for p, c in zip(vals["parent"], vals["change"]))
+        (p1, p2, p3), (c1, c2, c3) = quartiles(vals["parent"]), quartiles(vals["change"])
+        medians["parent"][name], medians["change"][name] = p2, c2
+        delta = f"{(c2 / p2 - 1) * 100:+.1f}%" if p2 else "n/a"
+        note = ("  exact" if tied == pairs else "" if pairs < 2 else
+                f"  gap {'>' if abs(c2 - p2) > p3 - p1 else '<='} parent IQR")
+        print(f"  {name:<20} {p1:>12.4f} {p2:>12.4f} {p3:>12.4f}   {c1:>12.4f} {c2:>12.4f} {c3:>12.4f}"
+              f"  {delta:>8}  {won}/{pairs - tied}{note}")
+    if smoke:
+        continue
+    for side, got in runs.items():
+        yards = [run["yardstick_ms"] for run in got if run["yardstick_ms"] is not None]
+        row = {"pr": None if pr == "null" else int(pr), "side": side, "workload": w, "runs": pairs,
+               "seconds": float(seconds) if "." in seconds else int(seconds),
+               "yardstick_ms": round(statistics.median(yards), 2) if yards else None}
+        for m in metrics:
+            value = medians[side][m["name"]]
+            row[m["name"]] = round(value, digits[m["name"]]) if m["name"] in digits else value
+        row["source"] = (f"scripts/pair_bench.sh {parent_sha}: {pairs} paired {seconds} s runs, seeds 1-{pairs}, "
+                         "alternating which side runs first; timed metrics are medians of the runs' "
+                         "yardstick-scaled values, yardstick_ms the median reading (reference 26 ms)")
+        rows.append(row)
+
+if rows:
+    with open(f"{out}/rows.jsonl", "w") as f:
+        for row in rows:
+            f.write(json.dumps(row) + "\n")
+    print(f"\nrows for results/history/BENCHMARK.jsonl: {out}/rows.jsonl")
+sys.exit(1 if bad else 0)
+EOF
+exit $status
