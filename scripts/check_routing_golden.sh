@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Golden-output regression for the routing and construction refactors:
-# reruns the figure binaries whose tables depend on the routing engine or
-# on a flat constructor and diffs them against the committed
-# results/full_run.txt sections. Any drift means the routing engine no
-# longer reproduces the pre-refactor paths byte for byte, or a flat network
-# (every one is `build_canonical` over a single domain) moved.
+# Golden-output regression for the routing, construction and maintenance
+# refactors: reruns the figure binaries whose tables depend on the routing
+# engine, on a flat constructor or on the maintenance simulator and diffs
+# them against the committed results/full_run.txt sections. Any drift means
+# the routing engine no longer reproduces the pre-refactor paths byte for
+# byte, a flat network (every one is `build_canonical` over a single
+# domain) moved, or `CrescendoSim` counts or walks differently (`join_cost`
+# and `churn_resilience` are its only golden: every `OpReport` count and
+# every `lookup_hops` / `lookup_surviving` walk lands in their tables).
 #
 # Wall-clock lines (`# wall-clock: ...`) are excluded — they are the only
 # nondeterministic output. Everything else must match exactly.
@@ -17,7 +20,7 @@ cd "$(dirname "$0")/.."
 
 BINARIES=(fig5_hops fig6_stretch fig7_locality fig8_overlap fig9_multicast
   variants fault_isolation ablate_prox_samples ablate_lookahead
-  lookup_latency_sim iterative_vs_recursive)
+  lookup_latency_sim iterative_vs_recursive join_cost churn_resilience)
 THREADS_LIST=${THREADS_LIST:-"1 4"}
 GOLDEN=results/full_run.txt
 WORK=$(mktemp -d)
