@@ -1,13 +1,12 @@
 //! Static analysis for the Canon workspace: a dependency-free source lint
 //! pass ([`lint`]), an exhaustive `par_map` schedule-exploration harness
 //! ([`loom`]), the figure-graph invariant audit driver ([`graphs`],
-//! wrapping [`canon::audit`]), the incremental-maintenance churn probe
-//! ([`churn`], patched overlays vs from-scratch rebuilds), the storage
-//! invariant probe ([`storage`], checking replica placement against the
-//! policy engine across store, sim and node), and the protocol model
-//! checker ([`protocol`], exhaustive interleaving exploration of
-//! canon-node's join/leave/handover protocols under a Zave-style
-//! ring-invariant auditor).
+//! wrapping [`canon::audit`]), the storage invariant probe ([`storage`],
+//! checking replica placement against the policy engine across store,
+//! sim and node), and the protocol model checker ([`protocol`],
+//! exhaustive interleaving exploration of canon-node's
+//! join/leave/handover protocols under a Zave-style ring-invariant
+//! auditor).
 //!
 //! The `canon-audit` binary wires all of them into one CI entry point:
 //!
@@ -20,7 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod churn;
 pub mod graphs;
 pub mod lint;
 pub mod loom;

@@ -63,9 +63,9 @@
 //!   vocabulary.
 //! * **`rebuild-on-churn`** — crates sitting on the churn path must
 //!   absorb join/leave events in O(links), never by rebuilding the
-//!   network: `canon-sim` applies them as patches through
-//!   `PatchedOverlay`; `canon-node` holds no overlay (a node routes from
-//!   its link table) and must not construct one. Any full-construction
+//!   network: a node — simulated (`canon-sim`) or live (`canon-node`) —
+//!   is its link table, an event edits the tables it invalidates, and
+//!   neither crate keeps a graph object. Any full-construction
 //!   token (`build_canonical`, the family builders, `GraphBuilder`,
 //!   `from_per_node_links`) in their non-test code is flagged unless
 //!   annotated `// audit: full-rebuild` with a reason.
@@ -141,9 +141,9 @@ pub const WIRE_VOCAB_ENUMS: &[&str] = &["Op", "Command", "Payload", "RpcResult"]
 
 /// Crates sitting on the churn path (rule `rebuild-on-churn`): a join/leave
 /// costs O(links) per event, never a full reconstruction of the network or
-/// its CSR graph. `canon-sim` lands it as `OverlayPatch` applications on a
-/// `PatchedOverlay`; `canon-node` holds no overlay and must not construct
-/// one.
+/// its CSR graph. Both crates keep per-node link tables and no graph
+/// object; `canon-sim`'s `snapshot()` export is the one annotated
+/// exception.
 pub const CHURN_PATH_CRATES: &[&str] = &["canon-sim", "canon-node"];
 
 /// The one crate allowed to contain `unsafe` code.
@@ -1239,8 +1239,7 @@ fn collect_impl_mentions(
 /// Tokens that construct a network or CSR graph from scratch. Any of these
 /// on a churn-path crate means a join/leave is being absorbed by rebuilding
 /// the world (O(n log n) work and a full reallocation) instead of in
-/// O(links): a `PatchedOverlay` patch in canon-sim, a link-table edit in
-/// canon-node.
+/// O(links) by editing the link tables of the nodes it invalidates.
 const REBUILD_TOKENS: &[&str] = &[
     "build_canonical",
     "build_crescendo",
@@ -1270,12 +1269,8 @@ fn check_rebuild_on_churn(file: &SourceFile<'_>, pre: &Preprocessed, findings: &
                     message: format!(
                         "`{tok}` in churn-path crate `{}`: join/leave must be \
                          absorbed in O(links), not by rebuilding the network \
-                         — canon-sim patches a `PatchedOverlay` \
-                         (`apply_join`/`apply_leave`/`relink` + periodic \
-                         `compact()`); canon-node holds no overlay (a node \
-                         routes from its link table) and must not construct \
-                         one; if this construction is deliberate, annotate \
-                         it `// audit: full-rebuild` with a reason",
+                         — edit the node's link table; a whole-graph export \
+                         is annotated `// audit: full-rebuild` with a reason",
                         file.crate_name
                     ),
                 });
@@ -1465,7 +1460,7 @@ mod tests {
         let f = lint("canon-sim", src);
         assert_eq!(rules(&f), vec!["rebuild-on-churn", "rebuild-on-churn"]);
         assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), vec![2, 3]);
-        assert!(f[0].message.contains("PatchedOverlay"), "{}", f[0].message);
+        assert!(f[0].message.contains("link table"), "{}", f[0].message);
     }
 
     #[test]

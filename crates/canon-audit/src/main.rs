@@ -10,10 +10,8 @@
 //! * `loom` — exhaustively explore `par_map` interleavings at width ≤ 4;
 //! * `verify` — build the figure-experiment graph families at smoke size
 //!   and check Canon conditions (a)/(b), ring completeness, and level
-//!   accounting on each; run the churn probe (patched overlays must read
-//!   and compact byte-identically to from-scratch rebuilds); then run the
-//!   storage probes (replica sets vs. replication policy across store,
-//!   sim and node);
+//!   accounting on each; then run the storage probes (replica sets vs.
+//!   replication policy across store, sim and node);
 //! * `protocol` — exhaustively explore the message-delivery interleavings
 //!   of the six scripted churn scenarios (join/leave/handover and cache
 //!   invalidation under crashes and partitions), checking the ring invariant, acked-write
@@ -27,7 +25,6 @@
 
 #![forbid(unsafe_code)]
 
-use canon_audit::churn::verify_churn;
 use canon_audit::graphs::verify_figure_graphs;
 use canon_audit::lint::{findings_to_json, lint_workspace, Finding};
 use canon_audit::loom::run_suite;
@@ -151,30 +148,6 @@ fn main() -> ExitCode {
             }
             Err(f) => {
                 eprintln!("verify: {} FAILED:", f.label);
-                for v in &f.violations {
-                    eprintln!("  {v}");
-                }
-                failed = true;
-            }
-        }
-
-        match verify_churn(opts.nodes, Seed(opts.seed)) {
-            Ok(reports) => {
-                if !opts.json {
-                    let probes: usize = reports.iter().map(|r| r.probes).sum();
-                    let relinks: usize = reports.iter().map(|r| r.relinks).sum();
-                    println!(
-                        "churn: {} families patched join+leave, compacted \
-                         byte-identical ({} next-hop probes vs exhaustive scan, \
-                         {} rows relinked)",
-                        reports.len(),
-                        probes,
-                        relinks
-                    );
-                }
-            }
-            Err(f) => {
-                eprintln!("churn: {} FAILED:", f.label);
                 for v in &f.violations {
                     eprintln!("  {v}");
                 }

@@ -1,11 +1,11 @@
 //! Million-node scale validation: construction, memory and routing at
 //! n = 2^20 on one machine.
 //!
-//! The memory-compact refactor (SoA node tables, u32 indices, patch-based
-//! maintenance) exists so a full-size Canon network fits comfortably in
-//! RAM and keeps its logarithmic shape at the paper's "millions of nodes"
-//! scale (§1). This binary measures, on a 3-level fan-out-10 Crescendo
-//! network at sizes doubling up to `--max-n` (default 2^20):
+//! The memory-compact refactor (SoA node tables, u32 indices) exists so a
+//! full-size Canon network fits comfortably in RAM and keeps its
+//! logarithmic shape at the paper's "millions of nodes" scale (§1). This
+//! binary measures, on a 3-level fan-out-10 Crescendo network at sizes
+//! doubling up to `--max-n` (default 2^20):
 //!
 //! * **construct_s** — from-scratch build time (placement excluded);
 //! * **bytes_per_node** — audited resident bytes per node from
@@ -15,11 +15,7 @@
 //! * **mean_degree / mean_hops** — the O(log n) shape checks (Theorems
 //!   1–2): both must grow linearly in log2(n), not in n;
 //! * **routes_per_s** — interleaved-sweep lookup throughput over
-//!   [`LOOKUPS`] pre-drawn `(origin, key)` pairs;
-//! * **churn_ops_per_s** — at the top size only: [`CHURN_OPS`]
-//!   leave+rejoin round-trips applied as `PatchedOverlay` patches, then
-//!   one timed `compact()` whose output must equal the untouched graph
-//!   byte for byte (`churn_roundtrip: pass`).
+//!   [`LOOKUPS`] pre-drawn `(origin, key)` pairs.
 //!
 //! `--json` emits one object per size (the committed
 //! `results/BENCH_million_node.json`); the default is an aligned table.
@@ -32,15 +28,12 @@ use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::Clockwise;
 use canon_id::NodeId;
 use canon_overlay::stats::DegreeStats;
-use canon_overlay::{route_to_key_sweep, NodeIndex, PatchedOverlay};
+use canon_overlay::{route_to_key_sweep, NodeIndex};
 use rand::Rng;
 use std::time::Instant;
 
 /// Routed lookups per size (pre-drawn; RNG cost stays untimed).
 const LOOKUPS: usize = 50_000;
-
-/// Leave+rejoin round-trips in the churn microbenchmark.
-const CHURN_OPS: usize = 256;
 
 fn main() {
     let cfg = BenchConfig::from_args(1 << 20, 1);
@@ -61,8 +54,7 @@ fn main() {
         ]);
     }
 
-    let top = cfg.max_n;
-    for n in cfg.sizes((top / 8).max(1024)) {
+    for n in cfg.sizes((cfg.max_n / 8).max(1024)) {
         let seed = cfg.trial_seed("million-node", 0);
         let mut times = PhaseTimer::default();
         let net = times.construct(|| {
@@ -93,34 +85,7 @@ fn main() {
             routes.iter().map(|r| r.hops() as f64).sum::<f64>() / routes.len().max(1) as f64;
         let routes_per_s = LOOKUPS as f64 / route_s;
 
-        // Churn microbenchmark at the top size: every op is an O(links)
-        // patch, and compaction must round-trip to the untouched graph.
-        let (churn_ops_per_s, compact_s, roundtrip) = if n == top {
-            let mut overlay = PatchedOverlay::new(graph.clone());
-            let victims: Vec<NodeId> = {
-                let mut r = seed.derive("churn").rng();
-                (0..CHURN_OPS)
-                    .map(|_| graph.id(NodeIndex(r.gen_range(0..n) as u32)))
-                    .collect()
-            };
-            let churn_start = Instant::now();
-            for &id in &victims {
-                let links = overlay.links_of(id).expect("victim is a member");
-                overlay.apply_leave(id);
-                overlay.apply_join(id, links);
-            }
-            let churn_s = churn_start.elapsed().as_secs_f64();
-            let compact_start = Instant::now();
-            let compacted = overlay.compacted();
-            let compact_s = compact_start.elapsed().as_secs_f64();
-            let ok = &compacted == graph;
-            assert!(ok, "leave+rejoin round-trips must compact to the original");
-            ((2 * CHURN_OPS) as f64 / churn_s, compact_s, ok)
-        } else {
-            (0.0, 0.0, true)
-        };
-
-        let mut pairs = vec![
+        let pairs = [
             ("n", n.to_string()),
             ("construct_s", f(times.construct.as_secs_f64())),
             ("bytes_per_node", f(bytes_per_node)),
@@ -129,14 +94,6 @@ fn main() {
             ("log2_n", f((n as f64).log2())),
             ("routes_per_s", format!("{routes_per_s:.0}")),
         ];
-        if n == top {
-            pairs.push(("churn_ops_per_s", format!("{churn_ops_per_s:.0}")));
-            pairs.push(("compact_s", f(compact_s)));
-            pairs.push((
-                "churn_roundtrip",
-                if roundtrip { "pass" } else { "fail" }.to_string(),
-            ));
-        }
         emit_row(&cfg, &pairs);
     }
 }

@@ -292,7 +292,7 @@ impl GraphBuilder {
 
     /// Builds a graph directly from per-node link sets, one `Vec` per node
     /// of `ids` in order — the merge step of a parallel construction and
-    /// the fold step of patch compaction. The result is identical to
+    /// of a simulator's snapshot export. The result is identical to
     /// adding each node's links serially in `ids` order, so it is
     /// independent of how the per-node sets were computed.
     ///
@@ -498,8 +498,8 @@ mod tests {
     fn per_node_links_match_builder_byte_for_byte() {
         // The direct CSR path and the incremental builder must produce
         // *equal* graphs (same ids, permutation, offsets, targets, ring
-        // and next-hop index), not just the same edge sets — compaction
-        // correctness rests on this.
+        // and next-hop index), not just the same edge sets — the sim's
+        // snapshot ≡ static-build tests rest on this.
         let ids = [id(5), id(1), id(9), id(3)];
         let per_node = vec![
             vec![id(1), id(9), id(1)],

@@ -20,12 +20,11 @@
 //! * [`observe`] — hop-level observability: [`observe::HopEvent`] streams
 //!   and pluggable [`observe::RouteObserver`] sinks (hop counters, fault
 //!   tallies, per-node visit counts, event logs);
-//! * [`patch`] — incremental maintenance: [`patch::PatchedOverlay`]
-//!   layers O(links) join/leave patches over the immutable graph and
-//!   folds them back into flat CSR via exact compaction;
 //! * [`route`](mod@route) — greedy routing entry points over the engine, with full
 //!   path recording, node-filtered routing (for fault-isolation
-//!   experiments) and key lookup semantics per metric;
+//!   experiments) and key lookup semantics per metric; plus the same
+//!   greedy rule over a bare link set ([`closest`], [`closest_clockwise`])
+//!   for nodes that hold a link table and no graph;
 //! * [`stats`] — degree and hop-count statistics (Figures 3–5);
 //! * [`paths`] — path-overlap metrics (Figure 8) and latency evaluation of
 //!   routes (Figures 6–7);
@@ -43,7 +42,6 @@ pub mod graph;
 pub mod index;
 pub mod multicast;
 pub mod observe;
-pub mod patch;
 pub mod paths;
 pub mod policy;
 pub mod route;
@@ -55,12 +53,11 @@ pub use index::NextHopIndex;
 pub use observe::{
     EventLog, FaultTally, HopCount, HopEvent, NullObserver, RouteObserver, VisitTally,
 };
-pub use patch::{closest, closest_clockwise, OverlayPatch, PatchedOverlay};
 pub use policy::{
     Candidate, FaultFallback, Filtered, Greedy, IndexedNextHop, Lookahead1, ProximityAware,
     RoutingPolicy,
 };
 pub use route::{
-    route, route_observed, route_to_key, route_to_key_from, route_to_key_sweep, route_with_filter,
-    Route, RouteError,
+    closest, closest_clockwise, route, route_observed, route_to_key, route_to_key_from,
+    route_to_key_sweep, route_with_filter, Route, RouteError,
 };

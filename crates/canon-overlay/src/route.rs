@@ -20,6 +20,7 @@ use crate::graph::{NodeIndex, OverlayGraph};
 use crate::observe::{NullObserver, RouteObserver};
 use crate::policy::{Filtered, Greedy, IndexedNextHop, RoutingPolicy};
 use canon_id::{metric::Metric, NodeId};
+use std::collections::BTreeSet;
 
 /// A recorded route through the overlay.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -370,11 +371,43 @@ pub fn route_to_key_from<M: Metric>(
     route_to_key(graph, metric, start, key)
 }
 
+/// The id (and distance) among `ids` minimizing the metric distance to
+/// `target` — the greedy candidate rule over a bare link set, for a node
+/// that holds only its own link table (canon-node, canon-sim) rather than
+/// a graph. `None` iff `ids` is empty. The minimum is unique because
+/// distances to a fixed target are injective in the id, so this agrees
+/// with [`NextHopIndex::next_toward`](crate::index::NextHopIndex::next_toward)
+/// on a graph row holding the same ids.
+pub fn closest<M: Metric>(
+    metric: M,
+    ids: impl Iterator<Item = NodeId>,
+    target: NodeId,
+) -> Option<(NodeId, u64)> {
+    ids.map(|id| (metric.distance(id, target), id))
+        .min()
+        .map(|(d, id)| (id, d))
+}
+
+/// [`closest`] under the clockwise metric over an *ordered* link set, as
+/// one predecessor query instead of a scan: the largest link at or below
+/// `target`, else (every link is past the target, so the nearest one
+/// counter-clockwise is reached by wrapping) the largest link — the unique
+/// minimiser of `link.clockwise_to(target)`. This is the paper's "link
+/// closest to, but not past, the key" (§2.2) on a sorted table.
+pub fn closest_clockwise(links: &BTreeSet<NodeId>, target: NodeId) -> Option<(NodeId, u64)> {
+    let link = links
+        .range(..=target)
+        .next_back()
+        .or_else(|| links.last())?;
+    Some((*link, link.clockwise_to(target)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
     use canon_id::metric::{Clockwise, Xor};
+    use proptest::prelude::*;
 
     fn id(raw: u64) -> NodeId {
         NodeId::new(raw)
@@ -540,5 +573,101 @@ mod tests {
         assert!(e.to_string().contains('7'));
         let e = RouteError::UnknownNode { id: id(3) };
         assert!(e.to_string().contains("not in overlay"));
+    }
+
+    proptest! {
+        /// `closest` over a bare link set is the engine's indexed rule on
+        /// the star graph `me -> links`, under both metrics — including
+        /// keys that wrap past every link, keys equal to a link id, and no
+        /// links.
+        #[test]
+        fn closest_over_a_link_set_is_next_toward_on_its_star_graph(
+            me in any::<u64>(),
+            raw_links in proptest::collection::btree_set(any::<u64>(), 0..24),
+            key in any::<u64>(),
+            pick in any::<u16>(),
+        ) {
+            let me = id(me);
+            let links: BTreeSet<NodeId> =
+                raw_links.into_iter().map(id).filter(|&l| l != me).collect();
+            let mut b = GraphBuilder::with_nodes(&[me]);
+            for &l in &links {
+                b.add_node(l);
+                b.add_link(me, l);
+            }
+            let g = b.build();
+            let at = g.index_of(me).unwrap();
+            let mut keys = vec![id(key), id(0), id(u64::MAX), me];
+            if let Some(&l) = links.iter().nth(pick as usize % links.len().max(1)) {
+                keys.extend([l, id(l.raw().wrapping_sub(1)), id(l.raw().wrapping_add(1))]);
+            }
+            for key in keys {
+                let indexed = |(nb, d)| (g.id(nb), d);
+                prop_assert_eq!(
+                    closest(Clockwise, links.iter().copied(), key),
+                    g.next_hop_index().next_toward(Clockwise, at, key).map(indexed)
+                );
+                prop_assert_eq!(
+                    closest(Xor, links.iter().copied(), key),
+                    g.next_hop_index().next_toward(Xor, at, key).map(indexed)
+                );
+            }
+            prop_assert_eq!(
+                closest(Clockwise, links.iter().copied(), id(key)).is_none(),
+                links.is_empty()
+            );
+        }
+
+        /// The predecessor query is the scan it replaces, for any link set
+        /// and key — including a key on a link, one either side of it, and
+        /// the two ends of the identifier space.
+        #[test]
+        fn closest_clockwise_is_the_clockwise_scan(
+            raw_links in proptest::collection::btree_set(any::<u64>(), 0..24),
+            key in any::<u64>(),
+        ) {
+            let links: BTreeSet<NodeId> = raw_links.into_iter().map(id).collect();
+            let mut keys = vec![key, 0, u64::MAX];
+            for l in &links {
+                keys.extend([l.raw(), l.raw().wrapping_sub(1), l.raw().wrapping_add(1)]);
+            }
+            for key in keys {
+                prop_assert_eq!(
+                    closest_clockwise(&links, id(key)),
+                    closest(Clockwise, links.iter().copied(), id(key))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn closest_clockwise_edge_cases() {
+        let set = |raw: &[u64]| raw.iter().map(|&r| id(r)).collect::<BTreeSet<_>>();
+        // No links: no candidate.
+        assert_eq!(closest_clockwise(&set(&[]), id(5)), None);
+        // One link is the answer wherever the key is, wrapping if need be.
+        assert_eq!(closest_clockwise(&set(&[9]), id(9)), Some((id(9), 0)));
+        assert_eq!(closest_clockwise(&set(&[9]), id(12)), Some((id(9), 3)));
+        assert_eq!(
+            closest_clockwise(&set(&[9]), id(8)),
+            Some((id(9), u64::MAX))
+        );
+        let links = set(&[10, 20, 30]);
+        // A key equal to a link is at distance zero from it.
+        assert_eq!(closest_clockwise(&links, id(20)), Some((id(20), 0)));
+        assert_eq!(closest_clockwise(&links, id(29)), Some((id(20), 9)));
+        // Below the smallest link: wrap to the largest.
+        assert_eq!(
+            closest_clockwise(&links, id(3)),
+            Some((id(30), id(30).clockwise_to(id(3))))
+        );
+        assert_eq!(
+            closest_clockwise(&links, id(u64::MAX)),
+            Some((id(30), u64::MAX - 30))
+        );
+        assert_eq!(
+            closest_clockwise(&set(&[0, u64::MAX]), id(u64::MAX)),
+            Some((id(u64::MAX), 0))
+        );
     }
 }

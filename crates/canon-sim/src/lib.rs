@@ -40,8 +40,9 @@
 #![forbid(unsafe_code)]
 
 use canon_hierarchy::{DomainId, Hierarchy, Placement};
-use canon_id::{NodeId, RingDistance, ID_BITS};
-use canon_overlay::{OverlayGraph, PatchedOverlay};
+use canon_id::{metric::Clockwise, NodeId, RingDistance, ID_BITS};
+// audit: full-rebuild — `GraphBuilder` is for `snapshot()`, a one-off export
+use canon_overlay::{closest, closest_clockwise, GraphBuilder, OverlayGraph};
 use std::collections::{BTreeSet, HashMap};
 
 /// Per-node protocol state.
@@ -102,12 +103,6 @@ pub struct CrescendoSim {
     members: Vec<BTreeSet<u64>>,
     nodes: HashMap<NodeId, SimNode>,
     leaf_set_size: usize,
-    /// The routable overlay, maintained incrementally: every join, leave,
-    /// crash and relink lands here as an O(links) patch, and the patch
-    /// list is folded into flat CSR once it outgrows
-    /// [`PatchedOverlay::should_compact`]. No churn path rebuilds the
-    /// graph from the full census.
-    overlay: PatchedOverlay,
 }
 
 impl CrescendoSim {
@@ -125,7 +120,6 @@ impl CrescendoSim {
             members,
             nodes: HashMap::new(),
             leaf_set_size,
-            overlay: PatchedOverlay::empty(),
         }
     }
 
@@ -245,24 +239,15 @@ impl CrescendoSim {
         let mut cur = from;
         let mut hops = 0u64;
         let mut dist = cur.clockwise_to(target);
-        loop {
-            let node = &self.nodes[&cur];
-            let mut best: Option<(u64, NodeId)> = None;
-            for &nb in &node.links {
-                let d = nb.clockwise_to(target);
-                if d < dist && best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, nb));
-                }
-            }
-            match best {
-                Some((d, nb)) => {
-                    cur = nb;
-                    dist = d;
-                    hops += 1;
-                }
-                None => return hops,
-            }
+        // Strict progress: stop where no link is closer than the current node.
+        while let Some((next, d)) =
+            closest_clockwise(&self.nodes[&cur].links, target).filter(|&(_, d)| d < dist)
+        {
+            cur = next;
+            dist = d;
+            hops += 1;
         }
+        hops
     }
 
     /// Nodes whose links or bounds may change when `id` appears in (or
@@ -337,13 +322,11 @@ impl CrescendoSim {
             self.members[d.index()].insert(id.raw());
         }
 
-        // 4. The newcomer sets up its own links and leaf sets. The overlay
-        // absorbs the join as an O(links) patch.
+        // 4. The newcomer sets up its own links and leaf sets.
         let links = self.compute_links(id, leaf);
         report.link_messages += links.len() as u64;
         let leaf_sets = self.compute_leaf_sets(id, leaf);
         report.leaf_set_messages += path.len() as u64; // successor notification per level
-        self.overlay.apply_join(id, links.iter().copied().collect());
         self.nodes.insert(
             id,
             SimNode {
@@ -360,7 +343,6 @@ impl CrescendoSim {
             report.link_messages += self.refresh_links(x);
             report.leaf_set_messages += self.refresh_leaf_sets(x);
         }
-        self.maybe_compact();
         report
     }
 
@@ -392,14 +374,12 @@ impl CrescendoSim {
         for &d in &path {
             self.members[d.index()].remove(&id.raw());
         }
-        self.overlay.apply_leave(id);
 
         report.nodes_touched = affected.len();
         for x in affected {
             report.link_messages += self.refresh_links(x);
             report.leaf_set_messages += self.refresh_leaf_sets(x);
         }
-        self.maybe_compact();
         report
     }
 
@@ -453,7 +433,6 @@ impl CrescendoSim {
             report.link_messages += self.refresh_links(id);
             report.leaf_set_messages += self.refresh_leaf_sets(id);
         }
-        self.maybe_compact();
         (children, report)
     }
 
@@ -474,10 +453,6 @@ impl CrescendoSim {
         for &d in &self.hierarchy.path_from_root(node.leaf) {
             self.members[d.index()].remove(&id.raw());
         }
-        // The overlay records the departure; surviving nodes' stale rows
-        // stay in place (nobody was notified) and reads filter them out.
-        self.overlay.apply_leave(id);
-        self.maybe_compact();
     }
 
     /// Greedy clockwise lookup from `from` toward `target` that skips dead
@@ -498,23 +473,13 @@ impl CrescendoSim {
         let mut hops = 0u64;
         while dist != 0 {
             let node = &self.nodes[&cur];
-            let mut best: Option<(u64, NodeId)> = None;
-            let candidates = node
-                .links
-                .iter()
-                .copied()
-                .chain(node.leaf_sets.iter().flat_map(|(_, ls)| ls.iter().copied()));
-            for nb in candidates {
-                if !self.nodes.contains_key(&nb) {
-                    continue; // dead neighbor: timeout, try the next one
-                }
-                let d = nb.clockwise_to(target);
-                if d < dist && best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, nb));
-                }
-            }
-            let (d, nb) = best?;
-            cur = nb;
+            // A dead neighbor times out and the next candidate is tried.
+            let live = node
+                .links()
+                .chain(node.leaf_sets.iter().flat_map(|(_, ls)| ls.iter().copied()))
+                .filter(|nb| self.nodes.contains_key(nb));
+            let (next, d) = closest(Clockwise, live, target).filter(|&(_, d)| d < dist)?;
+            cur = next;
             dist = d;
             hops += 1;
         }
@@ -557,7 +522,6 @@ impl CrescendoSim {
             messages += self.refresh_links(x);
             messages += self.refresh_leaf_sets(x);
         }
-        self.maybe_compact();
         messages
     }
 
@@ -577,17 +541,13 @@ impl CrescendoSim {
         messages
     }
 
-    /// Recomputes `x`'s links; returns the number of changed links. Any
-    /// change lands in the overlay as an O(links) relink patch.
+    /// Recomputes `x`'s links; returns the number of changed links.
     fn refresh_links(&mut self, x: NodeId) -> u64 {
         let leaf = self.nodes[&x].leaf;
         let new = self.compute_links(x, leaf);
-        let old = &self.nodes[&x].links;
-        let changed = new.symmetric_difference(old).count() as u64;
-        if changed > 0 {
-            self.overlay.relink(x, new.iter().copied().collect());
-        }
-        self.nodes.get_mut(&x).expect("x is live").links = new;
+        let node = self.nodes.get_mut(&x).expect("x is live");
+        let changed = new.symmetric_difference(&node.links).count() as u64;
+        node.links = new;
         changed
     }
 
@@ -604,30 +564,22 @@ impl CrescendoSim {
         }
     }
 
-    /// The incrementally maintained overlay: the flat base plus any
-    /// pending patches. Routable without compaction via
-    /// [`PatchedOverlay::next_toward`] / [`PatchedOverlay::route_ids`].
-    pub fn overlay(&self) -> &PatchedOverlay {
-        &self.overlay
-    }
-
-    /// Snapshot of the maintained overlay as a flat graph: folds the
-    /// pending patches ([`PatchedOverlay::compacted`]), yielding bytes
-    /// identical to a from-scratch build over the current membership and
-    /// link sets. After uncompensated crashes, stale links to dead nodes
-    /// are filtered out (the old census-rebuild snapshot would have
-    /// rejected them).
+    /// Snapshot of the live nodes' link tables as a flat graph, in
+    /// ascending id order — the one place the simulator builds a graph,
+    /// through the static builders' own constructor, so after any
+    /// notified churn it equals [`canon::crescendo::build_crescendo`] on
+    /// the surviving census byte for byte. After uncompensated crashes,
+    /// stale links to dead nodes are left out (the graph has no node to
+    /// point them at).
     pub fn snapshot(&self) -> OverlayGraph {
-        self.overlay.compacted()
-    }
-
-    /// Folds the overlay's patch list into its flat base once it passes
-    /// the compaction threshold — the periodic step of the patch/compact
-    /// lifecycle, keeping amortized churn cost at O(links) per operation.
-    fn maybe_compact(&mut self) {
-        if self.overlay.should_compact() {
-            self.overlay.compact();
-        }
+        let ids: Vec<NodeId> = self.ids().collect();
+        let live = |to: &NodeId| self.nodes.contains_key(to);
+        let rows: Vec<Vec<NodeId>> = ids
+            .iter()
+            .map(|id| self.nodes[id].links().filter(live).collect())
+            .collect();
+        // audit: full-rebuild — one-off snapshot export, not a churn event
+        GraphBuilder::from_per_node_links(&ids, &rows)
     }
 
     /// The current membership as a [`Placement`] (for comparison with the
@@ -686,10 +638,7 @@ mod tests {
     use super::*;
     use canon::crescendo::build_crescendo;
     use canon_hierarchy::Hierarchy;
-    use canon_id::{
-        metric::Clockwise,
-        rng::{random_ids, Seed},
-    };
+    use canon_id::rng::{random_ids, Seed};
     use canon_overlay::route;
     use rand::Rng;
 
@@ -745,12 +694,12 @@ mod tests {
         assert_eq!(edges_of(&sim.snapshot()), edges_of(static_net.graph()));
     }
 
-    /// The tentpole invariant in its strongest form: the *incrementally
-    /// maintained* overlay, compacted, is byte-identical to the static
-    /// construction — same node order, CSR arrays, ring and next-hop
-    /// index, not merely the same edge sets.
+    /// The central invariant in its strongest form: the maintained link
+    /// tables, exported, are byte-identical to the static construction —
+    /// same node order, CSR arrays, ring and next-hop index, not merely
+    /// the same edge sets.
     #[test]
-    fn maintained_overlay_compacts_byte_identically_to_static_build() {
+    fn snapshot_is_byte_identical_to_static_build() {
         let h = Hierarchy::balanced(3, 3);
         let leaves = h.leaves();
         let mut sim = CrescendoSim::new(h.clone(), 4);
@@ -765,26 +714,70 @@ mod tests {
             sim.join(id, leaves[rng.gen_range(0..leaves.len())]);
             live.push(id);
         }
-        assert!(
-            sim.overlay().patched_nodes() > 0 || !sim.overlay().base().is_empty(),
-            "churn must have flowed through the overlay"
-        );
         let static_net = build_crescendo(&h, &sim.placement());
-        assert_eq!(sim.overlay().compacted(), *static_net.graph());
-        // The uncompacted overlay already routes identically: next_toward
-        // agrees with the static graph's index for sampled probes.
-        let g = static_net.graph();
-        for &at in sim.overlay().ids().iter().take(40) {
-            let gi = g.index_of(at).unwrap();
-            for probe in [at.offset(1), at.offset(u64::MAX / 2)] {
-                let via_patch = sim.overlay().next_toward(Clockwise, at, probe);
-                let via_flat = g
-                    .next_hop_index()
-                    .next_toward(Clockwise, gi, probe)
-                    .map(|(nb, d)| (g.id(nb), d));
-                assert_eq!(via_patch, via_flat, "at {at}");
+        assert_eq!(sim.snapshot(), *static_net.graph());
+    }
+
+    /// Between `crash` and `repair` the link tables still name the dead;
+    /// the exported graph must not: exactly the live ids, no edge to a
+    /// dead one, and routable as far as the surviving links go.
+    #[test]
+    fn snapshot_between_crash_and_repair_holds_only_the_living() {
+        let h = Hierarchy::balanced(3, 2);
+        let leaves = h.leaves();
+        let mut sim = CrescendoSim::new(h, 4);
+        let ids = random_ids(Seed(120), 160);
+        let mut rng = Seed(121).rng();
+        for &id in &ids {
+            sim.join(id, leaves[rng.gen_range(0..leaves.len())]);
+        }
+        let (dead, alive) = ids.split_at(40);
+        for &id in dead {
+            sim.crash(id);
+        }
+        let stale = alive
+            .iter()
+            .flat_map(|&id| sim.node(id).unwrap().links())
+            .filter(|l| dead.contains(l))
+            .count();
+        assert!(stale > 0, "crashes must leave stale links behind");
+
+        let g = sim.snapshot();
+        let mut live = alive.to_vec();
+        live.sort_unstable();
+        assert_eq!(g.ids(), live);
+        let survivors: usize = alive
+            .iter()
+            .map(|&id| sim.node(id).unwrap().links().count())
+            .sum();
+        assert_eq!(g.link_count(), survivors - stale, "only dead targets drop");
+        for (_, to) in g.edges() {
+            assert!(sim.node(g.id(to)).is_some(), "edge to dead {}", g.id(to));
+        }
+
+        // Wherever the protocol's own lookup gets through, the engine's
+        // walk over the snapshot ends too: at the target, or stuck at a
+        // live node whose only way on was a leaf-set entry the graph does
+        // not carry — never an unknown node or an exhausted hop budget.
+        let mut reached = 0;
+        for (i, &from) in alive.iter().enumerate().take(60) {
+            let to = alive[(i * 37 + 11) % alive.len()];
+            if from == to || sim.lookup_surviving(from, to).is_none() {
+                continue;
+            }
+            let (a, b) = (g.index_of(from).unwrap(), g.index_of(to).unwrap());
+            match route(&g, Clockwise, a, b) {
+                Ok(r) => {
+                    assert_eq!(r.target(), b);
+                    reached += 1;
+                }
+                Err(e) => assert!(
+                    matches!(e, canon_overlay::RouteError::Stuck { .. }),
+                    "{from} -> {to}: {e}"
+                ),
             }
         }
+        assert!(reached > 0, "some sampled route must get through");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper (see EXPERIMENTS.md).
-# Pass --quick for a fast smoke run; output lands in results/.
+# With no arguments the full-size run rewrites results/full_run.txt, the
+# committed record scripts/check_routing_golden.sh diffs against. With any
+# argument (--quick for a fast smoke run, --seed, --max-n, ...) the tables
+# are not that record, so they land in target/experiments_run.txt instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ARGS=("$@")
-mkdir -p results
 cargo build --release -p canon-bench
 BINARIES=(
   fig3_links fig4_degree_pdf fig5_hops fig6_stretch fig7_locality
@@ -14,7 +16,7 @@ BINARIES=(
   lookup_latency_sim cache_hits iterative_vs_recursive replication_availability
   shape_robustness
 )
-OUT=results/full_run.txt
+if [ "$#" -eq 0 ]; then OUT=results/full_run.txt; else OUT=target/experiments_run.txt; fi
 : > "$OUT"
 for b in "${BINARIES[@]}"; do
   echo "=== $b ===" | tee -a "$OUT"

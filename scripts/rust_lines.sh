@@ -13,6 +13,9 @@
 #   scripts/rust_lines.sh --json   the total as one JSON object: the row a
 #                                  PR appends (with its "pr" and "side")
 #                                  to results/history/RUST_LINES.jsonl
+#   scripts/rust_lines.sh --check  exit 1 unless the last "side": "change"
+#                                  row of that file is the tree's --json
+#                                  total (CI: the tracked number is current)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +42,16 @@ total = {
 }
 if sys.argv[1] == "--json":
     print(json.dumps(total))
+elif sys.argv[1] == "--check":
+    history = pathlib.Path("results/history/RUST_LINES.jsonl")
+    rows = [json.loads(line) for line in history.read_text().splitlines() if line.strip()]
+    last = [r for r in rows if r["side"] == "change"][-1]
+    recorded = {k: last[k] for k in total}
+    if recorded != total:
+        sys.exit(f"{history} is stale: last change row (pr {last['pr']}) says\n"
+                 f"  {json.dumps(recorded)}\nthe tree says\n  {json.dumps(total)}\n"
+                 "append this PR's parent/change rows (scripts/rust_lines.sh --json)")
+    print(f"rust_lines: {history} is current (pr {last['pr']}: {json.dumps(total)})")
 else:
     print(f"{'(unit)':<18} {'non-test':>8} {'test':>8} {'all':>8}")
     for u in units:

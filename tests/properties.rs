@@ -106,9 +106,10 @@ proptest! {
     }
 
     /// Dynamic maintenance equals static construction after arbitrary
-    /// join/leave interleavings.
+    /// join/leave/crash-then-repair interleavings — byte for byte: ids,
+    /// CSR arrays, ring and `NextHopIndex`, not merely the edge sets.
     #[test]
-    fn churn_equivalence(ops in proptest::collection::vec(0u8..4, 10..60), seed in 0u64..500) {
+    fn churn_equivalence(ops in proptest::collection::vec(0u8..5, 10..60), seed in 0u64..500) {
         let h = Hierarchy::balanced(3, 2);
         let leaves = h.leaves();
         let mut sim = CrescendoSim::new(h.clone(), 3);
@@ -119,6 +120,10 @@ proptest! {
             if op == 3 && live.len() > 2 {
                 let gone = live.remove(live.len() / 2);
                 sim.leave(gone);
+            } else if op == 4 && live.len() > 2 {
+                let gone = live.remove(live.len() / 3);
+                sim.crash(gone);
+                sim.repair();
             } else if next < ids.len() {
                 let leaf = leaves[(op as usize) % leaves.len()];
                 sim.join(ids[next], leaf);
@@ -128,15 +133,7 @@ proptest! {
         }
         if live.is_empty() { return Ok(()); }
         let static_net = build_crescendo(&h, &sim.placement());
-        let a: BTreeSet<(u64, u64)> = {
-            let g = sim.snapshot();
-            g.edges().map(|(x, y)| (g.id(x).raw(), g.id(y).raw())).collect()
-        };
-        let b: BTreeSet<(u64, u64)> = {
-            let g = static_net.graph();
-            g.edges().map(|(x, y)| (g.id(x).raw(), g.id(y).raw())).collect()
-        };
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(&sim.snapshot(), static_net.graph());
     }
 
     /// Degree stays within Theorem 2's bound on random shapes. The theorem
