@@ -106,8 +106,9 @@ pub const CLOCK_EXEMPT_CRATES: &[&str] = &["canon-bench", "criterion-shim"];
 /// Crates where all time must flow through the `canon-node` `Clock` trait:
 /// the wall-clock rule applies even to `#[cfg(test)]` code there, because a
 /// test that reads real time cannot be byte-deterministic across worker
-/// threads. (The real-time `MonotonicClock` implementation lives in
-/// `canon-bench`, which is clock-exempt, precisely so this can hold.)
+/// threads. (No crate in the workspace implements `Clock` over a wall
+/// clock: the one real-time implementor is `WallClock` in the serving
+/// benchmark, `bench/src/clock.rs`, a package of its own.)
 pub const CLOCK_TRAIT_CRATES: &[&str] = &["canon-node"];
 
 /// Core crates under the no-panic policy. `canon-node` and `canon-store`
@@ -652,8 +653,8 @@ fn check_wall_clock(file: &SourceFile<'_>, pre: &Preprocessed, findings: &mut Ve
                 let message = if strict {
                     format!(
                         "`{tok}` in Clock-trait crate `{}`: all time must flow through \
-                         the `Clock` trait (even in tests — use `VirtualClock`, or \
-                         `canon_bench::MonotonicClock` from the exempt harness crate)",
+                         the `Clock` trait (even in tests — use `VirtualClock`; the one \
+                         wall-clock `Clock` is `WallClock` in `bench/src/clock.rs`)",
                         file.crate_name
                     )
                 } else {

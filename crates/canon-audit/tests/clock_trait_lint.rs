@@ -42,8 +42,8 @@ fn strict_rule_flags_every_violation_in_the_fixture() {
     );
     for f in &findings {
         assert!(
-            f.message.contains("Clock"),
-            "strict findings must steer to the Clock trait: {}",
+            f.message.contains("`VirtualClock`"),
+            "strict findings must steer to the in-tree Clock: {}",
             f.message
         );
     }

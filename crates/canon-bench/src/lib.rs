@@ -12,10 +12,7 @@
 //! * `--threads <T>` — worker threads for parallel construction and the
 //!   trial matrix (default: all cores; `0` also means all cores);
 //! * `--json` — emit machine-readable JSON Lines (one object per record)
-//!   instead of aligned text tables, for committed perf baselines;
-//! * `--transport <channel|framed>` — transport stack for the node-runtime
-//!   load harnesses (`node_throughput`, `wire_throughput`); static
-//!   experiments ignore it.
+//!   instead of aligned text tables, for committed perf baselines.
 //!
 //! `--threads` is wired straight into [`canon_par::set_global_threads`],
 //! which both the construction pipeline (`canon::engine::build_canonical`,
@@ -41,52 +38,6 @@ use canon_overlay::{NodeIndex, OverlayGraph};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Which transport stack a node-runtime load harness drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransportChoice {
-    /// The in-process channel transport: payloads move as enum values.
-    Channel,
-    /// The channel transport wrapped in `canon_node::FramedTransport`:
-    /// every message round-trips through the wire codec in
-    /// length-prefixed, batched frames with byte accounting.
-    Framed,
-}
-
-impl TransportChoice {
-    /// The flag spelling (`channel` / `framed`), as emitted in rows.
-    pub fn name(self) -> &'static str {
-        match self {
-            TransportChoice::Channel => "channel",
-            TransportChoice::Framed => "framed",
-        }
-    }
-}
-
-/// Which key-popularity stream a node-runtime load harness injects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkloadChoice {
-    /// Independent uniform keys (the historical default).
-    Uniform,
-    /// Zipf-skewed popularity over a fixed universe
-    /// (`canon_workloads::ZipfKeys`).
-    Zipf,
-    /// A Zipf stream with a mid-run hot-key spike
-    /// (`canon_workloads::FlashCrowd`).
-    Flash,
-}
-
-impl WorkloadChoice {
-    /// The flag spelling (`uniform` / `zipf` / `flash`), as emitted in
-    /// rows.
-    pub fn name(self) -> &'static str {
-        match self {
-            WorkloadChoice::Uniform => "uniform",
-            WorkloadChoice::Zipf => "zipf",
-            WorkloadChoice::Flash => "flash",
-        }
-    }
-}
-
 /// Command-line configuration shared by the experiment binaries.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchConfig {
@@ -100,12 +51,6 @@ pub struct BenchConfig {
     pub threads: usize,
     /// Emit machine-readable JSON Lines instead of aligned text tables.
     pub json: bool,
-    /// Transport stack for node-runtime harnesses (`--transport`; ignored
-    /// by the static binaries, which never open a transport).
-    pub transport: TransportChoice,
-    /// Key-popularity stream for node-runtime harnesses (`--workload`;
-    /// ignored by binaries that generate their own traffic).
-    pub workload: WorkloadChoice,
 }
 
 impl BenchConfig {
@@ -122,8 +67,6 @@ impl BenchConfig {
             base_seed: 42,
             threads: 0,
             json: false,
-            transport: TransportChoice::Channel,
-            workload: WorkloadChoice::Uniform,
         };
         let args: Vec<String> = std::env::args().skip(1).collect();
         fn value<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
@@ -153,27 +96,10 @@ impl BenchConfig {
                     cfg.threads = value(&args, i, "--threads");
                 }
                 "--json" => cfg.json = true,
-                "--transport" => {
-                    i += 1;
-                    cfg.transport = match args.get(i).map(String::as_str) {
-                        Some("channel") => TransportChoice::Channel,
-                        Some("framed") => TransportChoice::Framed,
-                        _ => panic!("--transport takes `channel` or `framed`"),
-                    };
-                }
-                "--workload" => {
-                    i += 1;
-                    cfg.workload = match args.get(i).map(String::as_str) {
-                        Some("uniform") => WorkloadChoice::Uniform,
-                        Some("zipf") => WorkloadChoice::Zipf,
-                        Some("flash") => WorkloadChoice::Flash,
-                        _ => panic!("--workload takes `uniform`, `zipf` or `flash`"),
-                    };
-                }
                 other => {
                     panic!(
                         "unknown argument {other}; try \
-                         --quick/--max-n/--seeds/--seed/--threads/--json/--transport/--workload"
+                         --quick/--max-n/--seeds/--seed/--threads/--json"
                     )
                 }
             }
@@ -425,55 +351,6 @@ pub fn secs(d: Duration) -> String {
     format!("{:.3}s", d.as_secs_f64())
 }
 
-/// A real-time [`canon_node::Clock`]: maps a monotonic OS clock onto the
-/// node runtime's ticks.
-///
-/// This lives in `canon-bench` — the one crate with a wall-clock allowance
-/// under the `wall-clock` audit lint — so that `canon-node` itself stays
-/// free of `Instant`/`SystemTime` (its lint is strict even in tests; see
-/// `canon-audit`'s `CLOCK_TRAIT_CRATES`). The load harness drives exactly
-/// the same runtime code the deterministic tests run under the virtual
-/// clock, swapping only this time source.
-#[derive(Clone, Copy, Debug)]
-pub struct MonotonicClock {
-    start: Instant,
-    tick: Duration,
-}
-
-impl MonotonicClock {
-    /// A clock starting at tick 0 now, with one tick per `tick` of real
-    /// time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` is zero.
-    pub fn new(tick: Duration) -> MonotonicClock {
-        assert!(!tick.is_zero(), "tick duration must be positive");
-        MonotonicClock {
-            start: Instant::now(),
-            tick,
-        }
-    }
-
-    /// The real-time length of one tick.
-    pub fn tick(&self) -> Duration {
-        self.tick
-    }
-}
-
-impl canon_node::Clock for MonotonicClock {
-    fn now(&self) -> canon_node::Tick {
-        (self.start.elapsed().as_nanos() / self.tick.as_nanos()) as canon_node::Tick
-    }
-
-    fn advance_to(&self, t: canon_node::Tick) {
-        // A real clock advances itself; just wait for it.
-        while self.now() < t {
-            std::thread::yield_now();
-        }
-    }
-}
-
 /// Groups graph node indices by their ancestor domain at `depth`.
 ///
 /// Nodes whose leaf is shallower than `depth` are grouped under the leaf
@@ -505,8 +382,6 @@ mod tests {
             base_seed: 7,
             threads: 0,
             json: false,
-            transport: TransportChoice::Channel,
-            workload: WorkloadChoice::Uniform,
         }
     }
 
@@ -594,16 +469,6 @@ mod tests {
             "{\"n\": 1024, \"p50_us\": 13.25, \"mode\": \"channel\", \
              \"note\": \"a \\\"quoted\\\" value\", \"nan\": \"NaN\"}"
         );
-    }
-
-    #[test]
-    fn monotonic_clock_ticks_forward() {
-        use canon_node::Clock;
-        let c = MonotonicClock::new(Duration::from_micros(50));
-        let t0 = c.now();
-        c.advance_to(t0 + 3);
-        assert!(c.now() >= t0 + 3);
-        assert_eq!(c.tick(), Duration::from_micros(50));
     }
 
     #[test]

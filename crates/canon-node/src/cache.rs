@@ -82,17 +82,6 @@ pub struct CacheSummary {
     pub tally: CacheTally,
 }
 
-impl CacheSummary {
-    /// Hit rate over all cache consultations, or 0 when none happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.tally.hits + self.tally.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.tally.hits as f64 / total as f64
-    }
-}
-
 /// What [`NodeCache::fill`] did with an offered entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FillOutcome {

@@ -21,9 +21,8 @@
 //! ([`clock::Clock`]), delivery order is a pure function of send
 //! coordinates, and rounds execute in lock-step — so a run under the
 //! [`clock::VirtualClock`] is byte-identical across worker-thread counts,
-//! while the same binary code serves real throughput benchmarks under a
-//! monotonic clock in `canon-bench`. See [`runtime`] for the full
-//! argument.
+//! while the same code serves the timed benchmark in `bench/` under a
+//! wall clock. See [`runtime`] for the full argument.
 //!
 //! Module map:
 //!

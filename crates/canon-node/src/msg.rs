@@ -14,7 +14,7 @@
 //! ([`crate::rpc`]) matches responses, detects duplicates, and drives
 //! retries. A finished request becomes a [`Completion`] record — the unit
 //! of the zero-loss accounting (`injected == completed`, zero duplicates)
-//! that the load harness checks.
+//! that the tests and the serving benchmark check.
 
 use crate::clock::Tick;
 use canon_id::NodeId;

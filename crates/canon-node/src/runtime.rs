@@ -150,8 +150,8 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// The zero-loss invariant the load harness asserts: every injected
-    /// request completed exactly once and nothing completed twice.
+    /// The zero-loss invariant: every injected request completed exactly
+    /// once and nothing completed twice.
     pub fn zero_loss(&self) -> bool {
         self.injected == self.completed && self.duplicates == 0
     }
@@ -500,25 +500,6 @@ impl Runtime {
             .collect()
     }
 
-    /// Round-trip latency samples in ticks, derived from
-    /// [`Runtime::completions`]: `completed_at − issued_at` of every
-    /// answered request (timed-out requests have no round trip), in the
-    /// same slot-then-issue order.
-    pub fn rtt_samples(&self) -> Vec<f64> {
-        let mut samples = Vec::new();
-        for s in &self.states {
-            let state = lock_unpoisoned(s);
-            samples.extend(
-                state
-                    .completions
-                    .iter()
-                    .filter(|c| c.outcome != Outcome::TimedOut)
-                    .map(|c| (c.completed_at - c.issued_at) as f64),
-            );
-        }
-        samples
-    }
-
     /// Request messages sent toward a next hop across the cluster
     /// ([`NodeStats::requests_sent`]), as `(attempts, hops)`. The two are
     /// equal: a live node only ever attempts hops over links it holds, so
@@ -594,8 +575,8 @@ impl Runtime {
     }
 
     /// Per-node forwarding load (requests forwarded as an intermediate
-    /// hop), in slot order — the hot-spot measurement the flash-crowd
-    /// bench reports max/mean over.
+    /// hop), in slot order — the hot-spot measurement: its
+    /// maximum is the node a flash crowd funnels through.
     pub fn forwarding_loads(&self) -> Vec<u64> {
         self.states
             .iter()
@@ -645,11 +626,6 @@ impl Runtime {
     /// Panics if `id` is not hosted (as do the other per-node inspectors).
     pub fn links_of(&self, id: NodeId) -> BTreeSet<NodeId> {
         self.with_node(id, |n| n.links.clone())
-    }
-
-    /// A node's current successor list, nearest first.
-    pub fn succ_of(&self, id: NodeId) -> Vec<NodeId> {
-        self.with_node(id, |n| n.succ_list.clone())
     }
 
     /// A node's current predecessor.

@@ -294,7 +294,6 @@ fn cached_storm_digest(threads: usize, framed: bool) -> String {
         }
         out.push_str(&format!("{:?}\n", rt.summary()));
         out.push_str(&format!("{:?}\n", rt.cache_summary()));
-        out.push_str(&format!("rtt={:?}\n", rt.rtt_samples()));
         out
     })
 }

@@ -62,7 +62,6 @@ fn storm_digest(threads: usize, lossy: bool) -> String {
             out.push_str(&format!("{c:?}\n"));
         }
         out.push_str(&format!("{:?}\n", rt.summary()));
-        out.push_str(&format!("rtt={:?}\n", rt.rtt_samples()));
         out.push_str(&format!("hops={:?}\n", rt.hop_totals()));
         out
     })
