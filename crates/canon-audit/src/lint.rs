@@ -8,6 +8,14 @@
 //! policies where the occasional manual `// audit: allow(...)` annotation is
 //! cheaper than an AST-accurate analyzer.
 //!
+//! The pass reads `crates/*/src` and the root `src/` only — not `tests/`,
+//! `benches/`, `examples/` or `bench/`. The policies a general tool can
+//! state — no `unwrap`/`expect`/`panic!` in the core crates, no wall clock
+//! outside the timing harness, no `unsafe` — are not here: the root
+//! `clippy.toml`, six crate-root `#![deny(clippy::..)]` attributes and
+//! `-F unsafe_code` on the clippy command line carry them, over every
+//! target. What stays is what only this repo knows.
+//!
 //! # Rules
 //!
 //! * **`hash-iteration`** — in graph-construction crates, `HashMap`/`HashSet`
@@ -18,21 +26,6 @@
 //!   `.keys()`, `.values()`, `.drain()`, `for _ in set`, …) on such a binding
 //!   is flagged regardless of annotation. Code that needs to iterate must use
 //!   `BTreeMap`/`BTreeSet`.
-//! * **`wall-clock`** — `Instant`, `SystemTime` and `thread_rng` must not
-//!   appear in result-affecting crates: results must be pure functions of
-//!   seeds. Only the bench harness (`canon-bench`, `criterion-shim`) may
-//!   read clocks. For the node runtime (`canon-node`) the rule is *strict*:
-//!   time may flow only through its `Clock` trait, so the tokens are banned
-//!   even inside `#[cfg(test)]` code — a test that reads the wall clock
-//!   directly forfeits the byte-determinism the virtual clock guarantees.
-//! * **`panic-site`** — `.unwrap()`, `.expect(` and `panic!` are banned in
-//!   non-test code of the core library crates; fallible APIs return
-//!   `Result`/`Option` instead. (`assert!`/`debug_assert!` stay allowed:
-//!   stating invariants is policy, swallowing errors is not.)
-//! * **`forbid-unsafe`** — every library crate except `canon-par` must carry
-//!   `#![forbid(unsafe_code)]`; `canon-par` must carry
-//!   `#![deny(unsafe_op_in_unsafe_fn)]`, and any `unsafe` token outside
-//!   `canon-par` is flagged directly.
 //! * **`greedy-outside-engine`** — exactly one greedy next-hop enumeration
 //!   may exist in the workspace: the `RoutingPolicy` implementations in
 //!   `canon-overlay/src/policy.rs` (annotated as the allowlist). Any other
@@ -78,8 +71,8 @@
 //!   membership tests and key lookups, never iterated;
 //! * `// audit: full-rebuild` — this construction call on a churn-path crate
 //!   is deliberate (e.g. a one-off snapshot export), not a per-event rebuild;
-//! * `// audit: allow(<rule>)` — suppress `<rule>` findings here (used for
-//!   provably unreachable panic sites and similar).
+//! * `// audit: allow(<rule>)` — suppress `<rule>` findings here (the
+//!   routing engine's own neighbor loops, for `greedy-outside-engine`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -98,31 +91,6 @@ pub const CONSTRUCTION_CRATES: &[&str] = &[
     "canon-skipnet",
     "canon-topology",
     "canon-balance",
-];
-
-/// Crates allowed to read wall clocks (the timing harness itself).
-pub const CLOCK_EXEMPT_CRATES: &[&str] = &["canon-bench", "criterion-shim"];
-
-/// Crates where all time must flow through the `canon-node` `Clock` trait:
-/// the wall-clock rule applies even to `#[cfg(test)]` code there, because a
-/// test that reads real time cannot be byte-deterministic across worker
-/// threads. (No crate in the workspace implements `Clock` over a wall
-/// clock: the one real-time implementor is `WallClock` in the serving
-/// benchmark, `bench/src/clock.rs`, a package of its own.)
-pub const CLOCK_TRAIT_CRATES: &[&str] = &["canon-node"];
-
-/// Core crates under the no-panic policy. `canon-node` and `canon-store`
-/// joined with the protocol model checker: a panic in the node runtime or
-/// the storage engine aborts an exploration mid-trace, so both burn down
-/// to `Result`/`Option` (or the documented poisoned-lock policy, annotated
-/// at the site).
-pub const PANIC_POLICY_CRATES: &[&str] = &[
-    "canon",
-    "canon-overlay",
-    "canon-id",
-    "canon-par",
-    "canon-node",
-    "canon-store",
 ];
 
 /// Crates whose message-handling paths must be iteration-order
@@ -147,9 +115,6 @@ pub const WIRE_VOCAB_ENUMS: &[&str] = &["Op", "Command", "Payload", "RpcResult"]
 /// exception.
 pub const CHURN_PATH_CRATES: &[&str] = &["canon-sim", "canon-node"];
 
-/// The one crate allowed to contain `unsafe` code.
-pub const UNSAFE_EXEMPT_CRATES: &[&str] = &["canon-par"];
-
 /// One lint finding, printable as `file:line: [rule] message`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
@@ -157,8 +122,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier (`hash-iteration`, `wall-clock`, `panic-site`,
-    /// `forbid-unsafe`).
+    /// Rule identifier (`hash-iteration`, `reply-obligation`, …).
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -334,16 +298,9 @@ pub fn lint_file(file: &SourceFile<'_>) -> Vec<Finding> {
             "message-handling",
         );
     }
-    if !CLOCK_EXEMPT_CRATES.contains(&file.crate_name) {
-        check_wall_clock(file, &pre, &mut findings);
-    }
-    if PANIC_POLICY_CRATES.contains(&file.crate_name) {
-        check_panic_sites(file, &pre, &mut findings);
-    }
     if CHURN_PATH_CRATES.contains(&file.crate_name) {
         check_rebuild_on_churn(file, &pre, &mut findings);
     }
-    check_unsafe(file, &pre, &mut findings);
     check_greedy_outside_engine(file, &pre, &mut findings);
 
     findings
@@ -631,88 +588,6 @@ fn word_positions(line: &str, tok: &str) -> Vec<usize> {
         from = pos + tok.len().max(1);
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Rule: wall-clock
-// ---------------------------------------------------------------------------
-
-const CLOCK_TOKENS: &[&str] = &["Instant", "SystemTime", "thread_rng"];
-
-fn check_wall_clock(file: &SourceFile<'_>, pre: &Preprocessed, findings: &mut Vec<Finding>) {
-    // In Clock-trait crates the rule is strict: even test code must get time
-    // through the trait, or the virtual clock's determinism guarantee dies.
-    let strict = CLOCK_TRAIT_CRATES.contains(&file.crate_name);
-    for (idx, line) in pre.masked.iter().enumerate() {
-        let lineno = idx + 1;
-        if (!strict && pre.in_test(lineno)) || pre.is_allowed(lineno, "wall-clock") {
-            continue;
-        }
-        for tok in CLOCK_TOKENS {
-            for _pos in word_positions(line, tok) {
-                let message = if strict {
-                    format!(
-                        "`{tok}` in Clock-trait crate `{}`: all time must flow through \
-                         the `Clock` trait (even in tests — use `VirtualClock`; the one \
-                         wall-clock `Clock` is `WallClock` in `bench/src/clock.rs`)",
-                        file.crate_name
-                    )
-                } else {
-                    format!(
-                        "`{tok}` in result-affecting crate `{}`: results must be pure \
-                         functions of seeds, never of wall-clock or OS entropy",
-                        file.crate_name
-                    )
-                };
-                findings.push(Finding {
-                    file: file.path.to_owned(),
-                    line: lineno,
-                    rule: "wall-clock",
-                    message,
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: panic-site
-// ---------------------------------------------------------------------------
-
-fn check_panic_sites(file: &SourceFile<'_>, pre: &Preprocessed, findings: &mut Vec<Finding>) {
-    for (idx, line) in pre.masked.iter().enumerate() {
-        let lineno = idx + 1;
-        if pre.in_test(lineno) || pre.is_allowed(lineno, "panic-site") {
-            continue;
-        }
-        for (tok, what) in [
-            (".unwrap()", "`.unwrap()`"),
-            (".expect(", "`.expect(..)`"),
-            ("panic!", "`panic!`"),
-        ] {
-            let mut from = 0;
-            while let Some(p) = line[from..].find(tok) {
-                let pos = from + p;
-                // `panic!` must be a word on its own (not `debug_panic!` or
-                // similar); method tokens are already anchored by the dot.
-                let word_ok = !tok.starts_with("panic") || is_word_at(line, pos, "panic");
-                if word_ok {
-                    findings.push(Finding {
-                        file: file.path.to_owned(),
-                        line: lineno,
-                        rule: "panic-site",
-                        message: format!(
-                            "{what} in non-test code of core crate `{}`: return \
-                             Result/Option (or state the invariant with assert!)",
-                            file.crate_name
-                        ),
-                    });
-                    break; // one finding per token kind per line
-                }
-                from = pos + tok.len();
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1280,71 +1155,10 @@ fn check_rebuild_on_churn(file: &SourceFile<'_>, pre: &Preprocessed, findings: &
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rule: forbid-unsafe
-// ---------------------------------------------------------------------------
-
-fn check_unsafe(file: &SourceFile<'_>, pre: &Preprocessed, findings: &mut Vec<Finding>) {
-    let exempt = UNSAFE_EXEMPT_CRATES.contains(&file.crate_name);
-    let is_lib_root = file.path.ends_with("src/lib.rs");
-
-    if is_lib_root {
-        let joined = pre.masked.join("\n");
-        if exempt {
-            if !joined.contains("#![deny(unsafe_op_in_unsafe_fn)]") {
-                findings.push(Finding {
-                    file: file.path.to_owned(),
-                    line: 1,
-                    rule: "forbid-unsafe",
-                    message: format!(
-                        "crate `{}` is unsafe-exempt but must carry \
-                         `#![deny(unsafe_op_in_unsafe_fn)]`",
-                        file.crate_name
-                    ),
-                });
-            }
-        } else if !joined.contains("#![forbid(unsafe_code)]") {
-            findings.push(Finding {
-                file: file.path.to_owned(),
-                line: 1,
-                rule: "forbid-unsafe",
-                message: format!(
-                    "crate `{}` is missing `#![forbid(unsafe_code)]`",
-                    file.crate_name
-                ),
-            });
-        }
-    }
-
-    if !exempt {
-        for (idx, line) in pre.masked.iter().enumerate() {
-            let lineno = idx + 1;
-            // `forbid(unsafe_code)` attribute lines mention the word.
-            if line.contains("forbid(unsafe_code)") || pre.is_allowed(lineno, "forbid-unsafe") {
-                continue;
-            }
-            if !word_positions(line, "unsafe").is_empty() {
-                findings.push(Finding {
-                    file: file.path.to_owned(),
-                    line: lineno,
-                    rule: "forbid-unsafe",
-                    message: format!(
-                        "`unsafe` outside the exempt crate(s) {UNSAFE_EXEMPT_CRATES:?} \
-                         (crate `{}`)",
-                        file.crate_name
-                    ),
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Lints `content` as a non-root source file (so the lib.rs-only
-    /// attribute-presence check stays out of the way of the other rules).
     fn lint(crate_name: &str, content: &str) -> Vec<Finding> {
         lint_file(&SourceFile {
             crate_name,
@@ -1353,104 +1167,8 @@ mod tests {
         })
     }
 
-    /// Lints `content` as a crate's `src/lib.rs`.
-    fn lint_lib(crate_name: &str, content: &str) -> Vec<Finding> {
-        lint_file(&SourceFile {
-            crate_name,
-            path: "crates/x/src/lib.rs",
-            content,
-        })
-    }
-
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
-    }
-
-    // ---- wall-clock -------------------------------------------------------
-
-    #[test]
-    fn wall_clock_flags_instant_in_result_affecting_crate() {
-        let f = lint("canon", "fn t() { let s = std::time::Instant::now(); }\n");
-        assert!(rules(&f).contains(&"wall-clock"), "{f:?}");
-        assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
-    fn wall_clock_flags_thread_rng_and_system_time() {
-        let src =
-            "fn a() { let r = rand::thread_rng(); }\nfn b() -> SystemTime { SystemTime::now() }\n";
-        let f = lint("canon-sim", src);
-        assert_eq!(
-            f.iter().filter(|x| x.rule == "wall-clock").count(),
-            3,
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn wall_clock_exempts_bench_crates_tests_and_annotations() {
-        assert!(lint("canon-bench", "use std::time::Instant;\n").is_empty());
-        assert!(lint("criterion-shim", "use std::time::Instant;\n").is_empty());
-        let in_test = "#[cfg(test)]\nmod tests {\n    use std::time::Instant;\n}\n";
-        assert!(lint("canon", in_test).is_empty(), "test code is exempt");
-        let annotated = "// audit: allow(wall-clock)\nuse std::time::Instant;\n";
-        assert!(lint("canon-sim", annotated).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_is_strict_in_clock_trait_crates_even_for_tests() {
-        let in_test = "#[cfg(test)]\nmod tests {\n    use std::time::Instant;\n}\n";
-        let f = lint("canon-node", in_test);
-        assert_eq!(rules(&f), vec!["wall-clock"], "{f:?}");
-        assert_eq!(f[0].line, 3);
-        assert!(
-            f[0].message.contains("Clock"),
-            "strict finding must point at the Clock trait: {}",
-            f[0].message
-        );
-        // The explicit annotation still works as the escape hatch.
-        let annotated =
-            "#[cfg(test)]\nmod tests {\n    // audit: allow(wall-clock)\n    use std::time::Instant;\n}\n";
-        assert!(lint("canon-node", annotated).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_ignores_comments_and_strings() {
-        let src = "// Instant is banned\nfn f() -> &'static str { \"SystemTime\" }\n";
-        assert!(lint("canon", src).is_empty());
-    }
-
-    // ---- panic-site -------------------------------------------------------
-
-    #[test]
-    fn panic_site_flags_unwrap_expect_panic() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    let a = x.unwrap();\n    let b = x.expect(\"msg\");\n    if a == b { panic!(\"boom\") }\n    a\n}\n";
-        let f = lint("canon-overlay", src);
-        assert_eq!(rules(&f), vec!["panic-site", "panic-site", "panic-site"]);
-        assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn panic_site_out_of_scope_crates_and_tests_exempt() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        assert!(lint("canon-bench", src).is_empty(), "bench not in policy");
-        assert!(lint("canon-sim", src).is_empty(), "sim not in policy");
-        let test_src =
-            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u8>.unwrap(); }\n}\n";
-        assert!(lint("canon", test_src).is_empty());
-    }
-
-    #[test]
-    fn panic_site_allows_unwrap_or_and_assert() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    assert!(true);\n    x.unwrap_or_default()\n}\n";
-        assert!(lint("canon-id", src).is_empty());
-    }
-
-    #[test]
-    fn panic_site_annotation_suppresses() {
-        let src =
-            "fn f(x: Option<u8>) -> u8 {\n    // audit: allow(panic-site)\n    x.unwrap()\n}\n";
-        assert!(lint("canon-par", src).is_empty());
     }
 
     // ---- rebuild-on-churn -------------------------------------------------
@@ -1493,12 +1211,6 @@ mod tests {
         );
         let src2 = "fn f() { my_build_crescendo_helper(); }\n";
         assert!(lint("canon-sim", src2).is_empty());
-    }
-
-    #[test]
-    fn panic_site_ignores_doc_examples() {
-        let src = "/// ```\n/// x.unwrap();\n/// ```\nfn f() {}\n";
-        assert!(lint("canon", src).is_empty());
     }
 
     // ---- hash-iteration ---------------------------------------------------
@@ -1614,44 +1326,6 @@ mod tests {
         assert!(lint("canon", &src).is_empty());
     }
 
-    // ---- forbid-unsafe ----------------------------------------------------
-
-    #[test]
-    fn forbid_unsafe_requires_attribute_in_lib_root() {
-        let f = lint_lib("canon-store", "pub fn f() {}\n");
-        assert_eq!(rules(&f), vec!["forbid-unsafe"]);
-        assert!(lint_lib("canon-store", "#![forbid(unsafe_code)]\npub fn f() {}\n").is_empty());
-    }
-
-    #[test]
-    fn forbid_unsafe_flags_unsafe_token_outside_exempt_crate() {
-        let src = "#![forbid(unsafe_code)]\npub fn f() { let p = 0u8; let _ = unsafe { *(&p as *const u8) }; }\n";
-        let f = lint_lib("canon-store", src);
-        assert_eq!(rules(&f), vec!["forbid-unsafe"]);
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn forbid_unsafe_exempt_crate_needs_deny_attr() {
-        let f = lint_lib("canon-par", "pub fn f() {}\n");
-        assert_eq!(rules(&f), vec!["forbid-unsafe"]);
-        assert!(lint_lib(
-            "canon-par",
-            "#![deny(unsafe_op_in_unsafe_fn)]\npub fn f() { unsafe { } }\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn non_lib_files_skip_attribute_check() {
-        let f = lint_file(&SourceFile {
-            crate_name: "canon-store",
-            path: "crates/canon-store/src/other.rs",
-            content: "pub fn f() {}\n",
-        });
-        assert!(f.is_empty());
-    }
-
     // ---- infrastructure ---------------------------------------------------
 
     #[test]
@@ -1666,10 +1340,10 @@ mod tests {
 
     #[test]
     fn nested_test_mod_braces_matched() {
-        let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn helper() { { } }\n    #[test]\n    fn t() {}\n}\nfn b(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        let f = lint("canon", src);
-        // Only the unwrap *after* the test mod is flagged.
-        assert_eq!(rules(&f), vec!["panic-site"]);
+        let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn helper() { { } }\n    #[test]\n    fn t() { build_kandy(&h, &p, 7); }\n}\nfn b() { build_kandy(&h, &p, 7); }\n";
+        let f = lint("canon-sim", src);
+        // Only the rebuild *after* the test mod is flagged.
+        assert_eq!(rules(&f), vec!["rebuild-on-churn"]);
         assert_eq!(f[0].line, 8);
     }
 
@@ -1678,7 +1352,7 @@ mod tests {
         let f = Finding {
             file: "a \"b\"\\c.rs".to_owned(),
             line: 3,
-            rule: "wall-clock",
+            rule: "hash-iteration",
             message: "tab\there".to_owned(),
         };
         let j = f.to_json();
@@ -1693,12 +1367,12 @@ mod tests {
         let f = Finding {
             file: "crates/canon/src/engine.rs".to_owned(),
             line: 12,
-            rule: "panic-site",
+            rule: "hash-iteration",
             message: "m".to_owned(),
         };
         assert_eq!(
             f.to_string(),
-            "crates/canon/src/engine.rs:12: [panic-site] m"
+            "crates/canon/src/engine.rs:12: [hash-iteration] m"
         );
     }
 }

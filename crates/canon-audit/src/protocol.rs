@@ -51,11 +51,12 @@
 //! `(destination slot, sender, sequence)`, which a fresh scenario run
 //! reproduces deterministically.
 
+use canon_id::rng::Seed;
 use canon_id::NodeId;
-use canon_node::model::{ModelTransport, NodeSnapshot};
+use canon_node::model::NodeSnapshot;
 use canon_node::{
-    CacheConfig, Command, Envelope, Op, OpKind, Outcome, Payload, RpcConfig, RpcResult, Runtime,
-    RuntimeConfig, ShardBackend, VirtualClock,
+    CacheConfig, ChannelTransport, Command, Envelope, FaultyTransport, Op, OpKind, Outcome,
+    Payload, RpcConfig, RpcResult, Runtime, RuntimeConfig, ShardBackend, VirtualClock,
 };
 use canon_store::Policy;
 use std::collections::{BTreeMap, BTreeSet};
@@ -258,7 +259,9 @@ pub struct Replay {
 struct Run<'a> {
     scenario: &'a Scenario,
     rt: Runtime,
-    transport: Arc<ModelTransport>,
+    /// One-tick channel, no loss, no jitter: only its partitions are used,
+    /// so the checker's delivery choice is the one source of nondeterminism.
+    transport: Arc<FaultyTransport<ChannelTransport>>,
     /// Per-trigger matching-delivery counters.
     counts: Vec<u64>,
     /// Per-trigger fired flags.
@@ -267,7 +270,12 @@ struct Run<'a> {
 
 impl<'a> Run<'a> {
     fn start(scenario: &'a Scenario) -> Run<'a> {
-        let transport = Arc::new(ModelTransport::new());
+        let transport = Arc::new(FaultyTransport::new(
+            ChannelTransport::new(1),
+            Seed(0),
+            0,
+            0,
+        ));
         let clock = Arc::new(VirtualClock::new());
         let config = RuntimeConfig {
             rpc: RpcConfig {

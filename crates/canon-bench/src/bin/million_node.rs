@@ -22,6 +22,11 @@
 //! CI runs the same binary at a smoke size (`--max-n 16384`); the
 //! committed baseline is a full `--threads 1` run at 2^20.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the timing harness reads the wall clock"
+)]
+
 use canon::crescendo::build_crescendo;
 use canon_bench::{banner, emit_row, f, row, BenchConfig, PhaseTimer};
 use canon_hierarchy::{Hierarchy, Placement};

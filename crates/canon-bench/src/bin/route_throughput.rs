@@ -25,6 +25,11 @@
 //! the executors themselves are serial; thread count only affects
 //! construction.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the timing harness reads the wall clock"
+)]
+
 use canon::crescendo::build_crescendo;
 use canon_bench::{banner, emit_row, row, BenchConfig, PhaseTimer};
 use canon_hierarchy::{Hierarchy, Placement};

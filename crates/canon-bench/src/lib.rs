@@ -31,6 +31,10 @@
 //! size, in deterministic (size-major, trial-minor) order.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the timing harness reads the wall clock"
+)]
 
 use canon_hierarchy::{DomainId, Hierarchy, Placement};
 use canon_id::rng::Seed;

@@ -29,19 +29,6 @@ impl SortedRing {
         SortedRing { ids }
     }
 
-    /// Builds a ring from identifiers already sorted and duplicate-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the input is not strictly increasing.
-    pub fn from_sorted(ids: Vec<NodeId>) -> Self {
-        debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "ids not strictly sorted"
-        );
-        SortedRing { ids }
-    }
-
     /// Merges several rings into one (the node set of a parent domain).
     pub fn merged<'a, I>(rings: I) -> Self
     where

@@ -1,18 +1,18 @@
 //! Time as a capability: the [`Clock`] trait and the virtual lock-step
 //! clock.
 //!
-//! Nothing in `canon-node` reads wall-clock time directly — the
-//! `wall-clock` audit lint enforces this for the whole crate, *including*
-//! its tests (see `canon-audit`'s `CLOCK_TRAIT_CRATES`). Every time read
-//! goes through a [`Clock`]. The workspace implements it once, as
-//! [`VirtualClock`]: a lock-step counter that only moves when the runtime
-//! explicitly advances it to the next scheduled event. Under it a whole
-//! cluster run is a pure function of its seeds — byte-identical across
-//! worker-thread counts — which is what the determinism tests rely on.
-//! (The `model` feature's `ModelClock` is the same idea stepped by the
-//! model checker.) The one wall-clock implementor is `WallClock` in the
-//! serving benchmark (`bench/src/clock.rs`, a package outside the
-//! workspace), which paces the same runtime in real time.
+//! Nothing in `canon-node` reads wall-clock time directly — clippy's
+//! `disallowed_types` (the root `clippy.toml` bans `Instant` and
+//! `SystemTime`) enforces this for the whole crate, *including* its unit
+//! and integration tests. Every time read goes through a [`Clock`]. The
+//! workspace implements it once, as [`VirtualClock`]: a lock-step counter
+//! that only moves when the runtime explicitly advances it to the next
+//! scheduled event. Under it a whole cluster run is a pure function of its
+//! seeds — byte-identical across worker-thread counts — which is what the
+//! determinism tests rely on. (The model checker steps the same clock, one
+//! delivered message at a time.) The one wall-clock implementor is
+//! `WallClock` in the serving benchmark (`bench/src/clock.rs`, a package
+//! outside the workspace), which paces the same runtime in real time.
 //!
 //! A **tick** is the runtime's abstract time unit. Transports quote
 //! delivery times in ticks, RPC deadlines and backoffs are ticks, and the

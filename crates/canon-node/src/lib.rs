@@ -52,6 +52,7 @@
 //!   and fault hooks for canon-audit's protocol model checker.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(missing_docs)]
 
 pub mod cache;

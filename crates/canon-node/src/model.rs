@@ -7,109 +7,29 @@
 //! at a time and explore every delivery order. This module supplies the
 //! pieces that make that exploration deterministic and comparable:
 //!
-//! * [`ModelClock`] — a lock-step counter (the virtual clock, re-badged
-//!   for the checker's single-step discipline);
-//! * [`ModelTransport`] — fixed one-tick latency, no loss, no jitter,
-//!   plus an explicit partition set. The *only* nondeterminism left in a
-//!   model run is the checker's choice of which pending message to
-//!   deliver next;
+//! * the clock and transport are the production ones: a
+//!   [`crate::clock::VirtualClock`], which the single-step hook advances
+//!   to each delivered message's quoted tick, and a
+//!   [`crate::transport::FaultyTransport`] with loss 0 and jitter 0 over a
+//!   one-tick channel — fixed latency plus an explicit partition set. The
+//!   *only* nondeterminism left in a model run is the checker's choice of
+//!   which pending message to deliver next;
 //! * [`NodeSnapshot`] — a per-node protocol-state extract used both for
 //!   invariant checking and for state fingerprints;
 //! * [`fingerprint`] — an order-insensitive, tick-insensitive hash of the
 //!   whole cluster state, so the explorer can recognize that two delivery
 //!   orders converged and prune the duplicate subtree.
 //!
-//! Fingerprints deliberately exclude every [`Tick`] and every absolute
-//! sequence number: those vary with the delivery order even when the
-//! protocol state is identical. Per-pair FIFO *order* of pending messages
+//! Fingerprints deliberately exclude every [`crate::clock::Tick`] and every
+//! absolute sequence number: those vary with the delivery order even when
+//! the protocol state is identical. Per-pair FIFO *order* of pending messages
 //! is preserved (messages are hashed grouped by `(to, from)` in send
 //! order), because it determines which future schedules are possible.
 
-use crate::clock::{Clock, Tick, VirtualClock};
 use crate::msg::{Command, Completion, JoinGrant, Op, Payload, RpcResult};
 use crate::rpc::Pending;
-use crate::transport::{lock_unpoisoned, Envelope, Transport};
+use crate::transport::Envelope;
 use canon_id::NodeId;
-use std::collections::BTreeSet;
-use std::sync::Mutex;
-
-/// The model checker's clock: a deterministic lock-step counter the
-/// runtime's single-step delivery hook advances to each delivered
-/// message's quoted tick. Identical in behavior to [`VirtualClock`];
-/// the distinct type documents that a runtime driven by the checker never
-/// advances time past an undelivered message (so RPC deadlines, set far
-/// beyond any explored trace, can never fire mid-exploration).
-#[derive(Debug, Default)]
-pub struct ModelClock {
-    inner: VirtualClock,
-}
-
-impl ModelClock {
-    /// A model clock starting at tick 0.
-    pub fn new() -> ModelClock {
-        ModelClock::default()
-    }
-}
-
-impl Clock for ModelClock {
-    fn now(&self) -> Tick {
-        self.inner.now()
-    }
-
-    fn advance_to(&self, t: Tick) {
-        self.inner.advance_to(t);
-    }
-}
-
-/// The model checker's transport: every message arrives after exactly one
-/// tick unless a partition currently severs the directed pair, in which
-/// case it is dropped at send time (exactly like
-/// [`crate::transport::FaultyTransport`]'s partitions, but with no seeded
-/// loss or jitter — the checker itself is the only source of schedule
-/// nondeterminism).
-#[derive(Debug, Default)]
-pub struct ModelTransport {
-    /// Directed `(from, to)` pairs the partition currently severs.
-    blocked: Mutex<BTreeSet<(u64, u64)>>,
-}
-
-impl ModelTransport {
-    /// A fully connected model network.
-    pub fn new() -> ModelTransport {
-        ModelTransport::default()
-    }
-
-    /// Severs every link between the two groups, in both directions, until
-    /// [`ModelTransport::heal`] is called.
-    pub fn partition(&self, a: &[NodeId], b: &[NodeId]) {
-        let mut blocked = lock_unpoisoned(&self.blocked);
-        for &x in a {
-            for &y in b {
-                blocked.insert((x.raw(), y.raw()));
-                blocked.insert((y.raw(), x.raw()));
-            }
-        }
-    }
-
-    /// Removes every partition.
-    pub fn heal(&self) {
-        lock_unpoisoned(&self.blocked).clear();
-    }
-
-    /// Whether the directed pair is currently severed.
-    pub fn is_blocked(&self, from: NodeId, to: NodeId) -> bool {
-        lock_unpoisoned(&self.blocked).contains(&(from.raw(), to.raw()))
-    }
-}
-
-impl Transport for ModelTransport {
-    fn schedule(&self, now: Tick, from: NodeId, to: NodeId, _seq: u64) -> Option<Tick> {
-        if self.is_blocked(from, to) {
-            return None;
-        }
-        Some(now + 1)
-    }
-}
 
 /// One node's protocol-visible state, extracted by
 /// [`crate::runtime::Runtime::model_snapshot`] for invariant checking and
@@ -515,18 +435,6 @@ pub fn fingerprint(snaps: &[NodeSnapshot], pending: &[(usize, Envelope<Payload>)
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn model_transport_has_unit_latency_and_partitions() {
-        let t = ModelTransport::new();
-        let (a, b) = (NodeId::new(1), NodeId::new(2));
-        assert_eq!(t.schedule(5, a, b, 0), Some(6));
-        t.partition(&[a], &[b]);
-        assert_eq!(t.schedule(5, a, b, 0), None);
-        assert_eq!(t.schedule(5, b, a, 0), None);
-        t.heal();
-        assert_eq!(t.schedule(5, a, b, 9), Some(6));
-    }
 
     #[test]
     fn fingerprint_ignores_ticks_and_absolute_seq() {

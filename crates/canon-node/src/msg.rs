@@ -320,12 +320,6 @@ impl Payload {
             Payload::CacheInvalidate { .. } => 8,
         }
     }
-
-    /// A stable label for the payload's variant, used by the wire layer's
-    /// per-payload-kind byte accounting.
-    pub fn kind_name(&self) -> &'static str {
-        Payload::KIND_NAMES[self.kind_index()]
-    }
 }
 
 /// How a request ended.
@@ -411,7 +405,8 @@ mod tests {
         use crate::wire::samples::sample_payloads;
         let mut seen = [false; Payload::KIND_NAMES.len()];
         for p in sample_payloads(canon_id::rng::Seed(1), 1) {
-            assert!(!seen[p.kind_index()], "{} indexed twice", p.kind_name());
+            let name = Payload::KIND_NAMES[p.kind_index()];
+            assert!(!seen[p.kind_index()], "{name} indexed twice");
             seen[p.kind_index()] = true;
         }
         assert!(seen.iter().all(|&s| s), "a kind index has no variant");

@@ -304,11 +304,11 @@ impl Runtime {
     ///
     /// Panics if `origin` is not hosted.
     pub fn inject(&mut self, origin: NodeId, cmd: Command) {
+        #[allow(clippy::panic, reason = "the documented `# Panics` contract")]
         let slot = *self
             .directory
             .get(&origin.raw())
             // Injecting at an unhosted node is harness misuse, not a runtime state.
-            // audit: allow(panic-site) — the documented `# Panics` contract.
             .unwrap_or_else(|| panic!("unknown origin {origin}"));
         if matches!(cmd, Command::Issue(_) | Command::Join { .. }) {
             self.injected += 1;
@@ -610,11 +610,11 @@ impl Runtime {
     }
 
     fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&mut NodeState) -> R) -> R {
+        #[allow(clippy::panic, reason = "the documented `# Panics` contract")]
         let slot = *self
             .directory
             .get(&id.raw())
             // Asking about an unhosted id is harness misuse (see `# Panics`).
-            // audit: allow(panic-site) — the documented `# Panics` contract.
             .unwrap_or_else(|| panic!("unknown node {id}"));
         f(&mut lock_unpoisoned(&self.states[slot]))
     }

@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The single abort point of the shard I/O policy (see the module docs):
 /// backend errors are unrecoverable mid-protocol and end the process with
 /// the failing operation named.
+#[allow(clippy::panic, reason = "the documented shard I/O abort policy")]
 fn shard_io<T>(result: Result<T, BackendError>, what: &str) -> T {
-    // audit: allow(panic-site) — the documented shard I/O abort policy.
     result.unwrap_or_else(|e| panic!("shard {what} failed: {e}"))
 }
 
@@ -90,7 +90,7 @@ impl Shard {
         // stores `u64` values, so a decode failure is on-disk corruption.
         match u64::from_bytes(&stored.bytes) {
             Some(v) => Some(v),
-            // audit: allow(panic-site) — the documented shard I/O abort policy.
+            #[allow(clippy::panic, reason = "the documented shard I/O abort policy")]
             None => panic!("shard value under key {key} is not a u64"),
         }
     }

@@ -554,6 +554,37 @@ mod tests {
         assert!(t.schedule(0, id(1), id(2), 0).is_some());
     }
 
+    /// What the protocol model checker relies on: with loss 0 and jitter 0
+    /// the wrapper adds nothing but its partition set.
+    #[test]
+    fn lossless_jitterless_faulty_transport_is_its_inner_plus_partitions() {
+        let inner = ChannelTransport::new(3);
+        let t = FaultyTransport::new(inner, Seed(0), 0, 0);
+        let cut = |from: u64, to: u64| (from <= 2) != (to <= 2);
+        for partitioned in [false, true, false] {
+            if partitioned {
+                t.partition(&[id(1), id(2)], &[id(3), id(4)]);
+            } else {
+                t.heal();
+            }
+            for (from, to) in (1..=4).flat_map(|f| (1..=4).map(move |t| (f, t))) {
+                for seq in 0..64 {
+                    let now = seq * 7;
+                    let want = if partitioned && cut(from, to) {
+                        None
+                    } else {
+                        inner.schedule(now, id(from), id(to), seq)
+                    };
+                    assert_eq!(
+                        t.schedule(now, id(from), id(to), seq),
+                        want,
+                        "{from}->{to} seq {seq} partitioned {partitioned}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn jitter_stays_within_bounds() {
         let t = FaultyTransport::new(ChannelTransport::new(1), Seed(5), 0, 4);

@@ -18,7 +18,7 @@
 //! * every candidate was dead ([`Driven::exhausted`] is set).
 
 use crate::graph::{NodeIndex, OverlayGraph};
-use crate::observe::{HopEvent, NullObserver, RouteObserver};
+use crate::observe::{HopEvent, RouteObserver};
 use crate::policy::{Candidate, IndexedNextHop, RoutingPolicy};
 use crate::route::{Route, RouteError};
 
@@ -256,21 +256,11 @@ where
     })
 }
 
-/// Drives `policy` with the [`NullObserver`] in a fault-free environment
-/// (the common "just give me the route" case).
-pub fn execute_unobserved<P: RoutingPolicy>(
-    graph: &OverlayGraph,
-    policy: &P,
-    from: NodeIndex,
-) -> Result<Driven, RouteError> {
-    execute(graph, policy, from, NullObserver)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-    use crate::observe::{EventLog, FaultTally, HopCount};
+    use crate::observe::{EventLog, FaultTally, HopCount, NullObserver};
     use crate::policy::Greedy;
     use canon_id::metric::Clockwise;
     use canon_id::NodeId;
@@ -293,8 +283,13 @@ mod tests {
     #[test]
     fn execute_reaches_target_greedily() {
         let g = ring();
-        let d =
-            execute_unobserved(&g, &Greedy::new(Clockwise, id(6)), NodeIndex(0)).expect("routes");
+        let d = execute(
+            &g,
+            &Greedy::new(Clockwise, id(6)),
+            NodeIndex(0),
+            NullObserver,
+        )
+        .expect("routes");
         assert_eq!(d.route.source(), NodeIndex(0));
         assert_eq!(d.route.target(), NodeIndex(6));
         assert!(!d.exhausted);

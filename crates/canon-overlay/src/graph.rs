@@ -163,22 +163,6 @@ impl OverlayGraph {
             self.neighbors(from).iter().map(move |&t| (from, t))
         })
     }
-
-    /// Renders the graph in Graphviz DOT format, labeling each node with
-    /// `label`. Handy for debugging small overlays
-    /// (`dot -Tsvg graph.dot -o graph.svg`).
-    pub fn to_dot<F: Fn(NodeIndex) -> String>(&self, label: F) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("digraph overlay {\n  rankdir=LR;\n");
-        for i in self.node_indices() {
-            let _ = writeln!(out, "  n{} [label=\"{}\"];", i.0, label(i));
-        }
-        for (a, b) in self.edges() {
-            let _ = writeln!(out, "  n{} -> n{};", a.0, b.0);
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 /// Incremental builder for [`OverlayGraph`].
@@ -450,18 +434,6 @@ mod tests {
         let g = b.build();
         assert_eq!(g.ring().len(), 3);
         assert_eq!(g.ring().successor(id(15)), Some(id(20)));
-    }
-
-    #[test]
-    fn dot_export_lists_nodes_and_edges() {
-        let mut b = GraphBuilder::with_nodes(&[id(1), id(2)]);
-        b.add_link(id(1), id(2));
-        let g = b.build();
-        let dot = g.to_dot(|i| format!("{}", g.id(i).raw()));
-        assert!(dot.starts_with("digraph overlay {"));
-        assert!(dot.contains("n0 [label=\"1\"]"));
-        assert!(dot.contains("n0 -> n1;"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //!   node-failure masks.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod engine;
 pub mod faults;

@@ -22,12 +22,11 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 //!
-//! The crate is the only one in the workspace allowed to grow `unsafe`
-//! blocks (it would be the place for hand-rolled synchronization); per repo
-//! policy each such block must carry a `// SAFETY:` comment, and unsafe
-//! operations inside unsafe fns still need their own blocks.
+//! Like every crate in the workspace it contains no `unsafe`: the fork/join
+//! is `std::thread::scope`.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,19 +155,6 @@ pub fn chunk_bounds(len: usize, threads: usize) -> Vec<usize> {
     bounds
 }
 
-/// Maps `f` over the index range `0..n` in parallel, preserving order.
-///
-/// Convenience wrapper over [`par_map`] for loops that index into shared
-/// state instead of iterating a slice.
-pub fn par_map_range<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    par_map(&indices, |_, &i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,13 +218,6 @@ mod tests {
                 assert!(hi - lo <= 1, "len={len} threads={threads}: {sizes:?}");
             }
         }
-    }
-
-    #[test]
-    fn range_map_matches_loop() {
-        let got = with_threads(3, || par_map_range(10, |i| i * i));
-        let expect: Vec<usize> = (0..10).map(|i| i * i).collect();
-        assert_eq!(got, expect);
     }
 
     #[test]

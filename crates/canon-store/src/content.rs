@@ -19,7 +19,6 @@
 //! backends.
 
 use canon_id::hash::hash_bytes;
-use canon_id::Key;
 use std::fmt;
 
 /// The content address of a byte string: its hash on the 64-bit circle.
@@ -41,12 +40,6 @@ impl ContentId {
     /// The raw 64-bit value.
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// The id viewed as a key on the identifier circle (content ids and
-    /// content keys share the space, per the paper's §4.1 hashing scheme).
-    pub const fn as_key(self) -> Key {
-        Key::new(self.0)
     }
 
     /// Whether `bytes` hashes to this id — the per-read integrity check.
@@ -134,7 +127,6 @@ mod tests {
         assert!(a.verifies(b"hello"));
         assert!(!a.verifies(b"hellO"));
         assert_ne!(a, ContentId::of(b"hello "));
-        assert_eq!(a.as_key().raw(), a.raw());
     }
 
     #[test]

@@ -44,12 +44,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod backend;
 pub mod content;
 pub mod policy;
 pub mod replication;
-pub mod routed;
 
 pub use backend::{
     BackendError, BackendKind, FileBackend, MemoryBackend, StorageBackend, Stored, Usage,
@@ -319,11 +319,11 @@ impl<V: Clone + PartialEq> HierarchicalStore<V> {
     /// # Panics
     ///
     /// Panics if the domain has no members.
+    #[allow(clippy::expect_used, reason = "the documented `# Panics` contract")]
     pub fn responsible_in(&self, key: Key, domain: DomainId) -> NodeId {
         self.membership
             .ring(domain)
             .responsible(key.as_point())
-            // audit: allow(panic-site) — the documented `# Panics` contract.
             .expect("domain has members")
     }
 

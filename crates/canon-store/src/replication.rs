@@ -31,8 +31,11 @@ use std::marker::PhantomData;
 /// the poisoned-lock policy behind it, the documented policy is one
 /// labeled abort here rather than `Result` plumbing through the placement
 /// engine. The in-memory backend (the default) is infallible.
+#[allow(
+    clippy::panic,
+    reason = "the documented replica-shard I/O abort policy"
+)]
 fn store_io<T>(result: Result<T, crate::BackendError>, what: &str) -> T {
-    // audit: allow(panic-site) — the documented replica-shard I/O abort policy.
     result.unwrap_or_else(|e| panic!("replica shard {what} failed: {e}"))
 }
 
@@ -201,8 +204,11 @@ impl<V: BlobValue> ReplicatedStore<V> {
         let stored = store_io(self.shards.get_mut(&server)?.get(at), "verified read")?;
         // Content addressing already verified the bytes, so a decode
         // failure is stored-type confusion — the abort policy applies.
+        #[allow(
+            clippy::panic,
+            reason = "the documented replica-shard I/O abort policy"
+        )]
         let Some(value) = V::from_bytes(&stored.bytes) else {
-            // audit: allow(panic-site) — the documented replica-shard I/O abort policy.
             panic!("replica bytes for key {:#018x} do not decode", key.raw())
         };
         Some((value, server))
@@ -267,12 +273,15 @@ impl<V: BlobValue> ReplicatedStore<V> {
                 continue;
             }
             let at = slot(key, domain);
+            #[allow(
+                clippy::expect_used,
+                reason = "the documented replica-shard I/O abort policy"
+            )]
             let stored = self
                 .shards
                 .get_mut(&source)
                 .and_then(|s| store_io(s.get(at), "verified read"))
                 // `source` was chosen among live holders above.
-                // audit: allow(panic-site) — the documented replica-shard I/O abort policy.
                 .expect("surviving replica holds the bytes");
             for &node in &fresh {
                 if !holders.contains(&node) {

@@ -322,7 +322,6 @@ pub struct Attachment {
     topology: TransitStubTopology,
     hierarchy: Hierarchy,
     placement: Placement,
-    stub_router_of: Vec<RouterId>,
     // audit: membership-only
     router_of_id: HashMap<NodeId, RouterId>,
 }
@@ -361,22 +360,18 @@ pub fn attach(topology: TransitStubTopology, n: usize, seed: Seed) -> Attachment
     let ids = random_ids(seed.derive("attach-ids"), n);
     let mut rng = seed.derive("attach-placement").rng();
     let mut pairs = Vec::with_capacity(n);
-    let mut stub_router_of = Vec::with_capacity(n);
     // audit: membership-only
     let mut router_of_id = HashMap::with_capacity(n);
     for &id in &ids {
         let pos = rng.gen_range(0..topology.stub_routers().len());
         pairs.push((id, leaf_domains[pos]));
-        let router = topology.stub_routers()[pos];
-        stub_router_of.push(router);
-        router_of_id.insert(id, router);
+        router_of_id.insert(id, topology.stub_routers()[pos]);
     }
     let placement = Placement::from_pairs(&h, pairs);
     Attachment {
         topology,
         hierarchy: h,
         placement,
-        stub_router_of,
         router_of_id,
     }
 }
@@ -395,15 +390,6 @@ impl Attachment {
     /// The node placement over the hierarchy's leaves.
     pub fn placement(&self) -> &Placement {
         &self.placement
-    }
-
-    /// The stub router of the `i`-th placed node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn stub_router_of_index(&self, i: usize) -> RouterId {
-        self.stub_router_of[i]
     }
 
     /// End-to-end latency between two DHT nodes, in ms: 0 for the same
@@ -542,7 +528,7 @@ mod tests {
         let mut found = false;
         'outer: for i in 0..ids.len() {
             for j in (i + 1)..ids.len() {
-                if att.stub_router_of_index(i) == att.stub_router_of_index(j) {
+                if att.router_of_id[&ids[i]] == att.router_of_id[&ids[j]] {
                     assert_eq!(att.latency(ids[i], ids[j]), 2.0);
                     found = true;
                     break 'outer;

@@ -292,12 +292,6 @@ pub fn from_bytes<T: WireDecode>(b: &[u8]) -> Result<T, WireError> {
     Ok(v)
 }
 
-/// The encoded length of `v` as a LEB128 varint, without encoding.
-pub fn varint_len(v: u64) -> usize {
-    // Bit width 0 (v == 0) still takes one byte.
-    (64 - v.leading_zeros()).max(1).div_ceil(7) as usize
-}
-
 impl WireEncode for u8 {
     fn encode(&self, e: &mut Encoder<'_>) {
         e.tag(*self);
@@ -461,22 +455,6 @@ mod tests {
         assert_eq!(to_bytes(&128u64), [0x80, 0x01]);
         assert_eq!(to_bytes(&300u64), [0xac, 0x02]);
         assert_eq!(to_bytes(&u64::MAX).len(), 10);
-    }
-
-    #[test]
-    fn varint_len_matches_encoding() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            16383,
-            16384,
-            u64::from(u32::MAX),
-            u64::MAX,
-        ] {
-            assert_eq!(varint_len(v), to_bytes(&v).len(), "varint_len({v})");
-        }
     }
 
     #[test]

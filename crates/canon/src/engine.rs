@@ -190,8 +190,10 @@ pub fn build_canonical<R: LinkRule>(
     // leaf_of aligned with the (sorted) graph node order.
     let mut leaf_of = vec![hierarchy.root(); all.len()];
     for (id, leaf) in placement.iter() {
-        // Every placed id is in the root ring by DomainMembership::build.
-        // audit: allow(panic-site)
+        #[allow(
+            clippy::expect_used,
+            reason = "every placed id is in the root ring by DomainMembership::build"
+        )]
         let idx = all.index_of(id).expect("placed node is in the root ring");
         leaf_of[idx] = leaf;
     }
@@ -253,7 +255,10 @@ pub fn build_canonical<R: LinkRule>(
             }
             links_per_level[d] += added as usize;
         }
-        // audit: allow(panic-site)
+        #[allow(
+            clippy::expect_used,
+            reason = "every placed id is in the root ring by DomainMembership::build"
+        )]
         let idx = all.index_of(*id).expect("placed node is in the root ring");
         per_index[idx] = flat;
     }

@@ -259,8 +259,10 @@ fn build_prox<L: Fn(NodeId, NodeId) -> f64 + Sync>(
 
     let mut leaf_of = vec![hierarchy.root(); all.len()];
     for (id, leaf) in placement.iter() {
-        // Every placed id is in the root ring by DomainMembership::build.
-        // audit: allow(panic-site)
+        #[allow(
+            clippy::expect_used,
+            reason = "every placed id is in the root ring by DomainMembership::build"
+        )]
         let idx = all.index_of(id).expect("placed node is in the root ring");
         leaf_of[idx] = leaf;
     }

@@ -11,6 +11,10 @@
 //! (e.g. serial vs. parallel construction) on the same machine.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the timing harness reads the wall clock"
+)]
 
 pub use std::hint::black_box;
 use std::time::{Duration, Instant};
