@@ -36,7 +36,7 @@ use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::Clockwise;
 use canon_id::NodeId;
 use canon_overlay::engine::unrestricted;
-use canon_overlay::{drive, execute, route_to_key_sweep, Greedy, NodeIndex, NullObserver};
+use canon_overlay::{drive, execute, route_to_key_sweep, Greedy, NodeIndex};
 use rand::Rng;
 use std::time::Instant;
 
@@ -104,14 +104,8 @@ fn main() {
             drawn
                 .iter()
                 .map(|&(origin, key)| {
-                    let d = drive(
-                        graph,
-                        &Greedy::new(Clockwise, key),
-                        origin,
-                        unrestricted(),
-                        &mut NullObserver,
-                    )
-                    .expect("generic route");
+                    let d = drive(graph, &Greedy::new(Clockwise, key), origin, unrestricted())
+                        .expect("generic route");
                     (
                         *d.route.path().last().expect("nonempty route"),
                         d.route.hops(),
@@ -126,13 +120,8 @@ fn main() {
             drawn
                 .iter()
                 .map(|&(origin, key)| {
-                    let d = execute(
-                        graph,
-                        &Greedy::new(Clockwise, key),
-                        origin,
-                        &mut NullObserver,
-                    )
-                    .expect("indexed route");
+                    let d = execute(graph, &Greedy::new(Clockwise, key), origin)
+                        .expect("indexed route");
                     (
                         *d.route.path().last().expect("nonempty route"),
                         d.route.hops(),

@@ -3,11 +3,11 @@
 //! [`drive`] runs a [`RoutingPolicy`] from a start node: it enumerates the
 //! policy's candidates, orders them by `(rank, next)`, tries them in order
 //! against a liveness oracle (paying one priced timeout per dead
-//! candidate), takes the first live one, and streams every step to a
-//! [`RouteObserver`]. Strict progress is the policy contract (every
-//! candidate's landing key is smaller than the current key), so the walk
-//! terminates; the hop budget [`HOP_LIMIT`] is a defensive backstop against
-//! a policy that violates it.
+//! candidate), takes the first live one, and returns the realized route
+//! with its timeout count and elapsed time ([`Driven`]). Strict progress is
+//! the policy contract (every candidate's landing key is smaller than the
+//! current key), so the walk terminates; the hop budget [`HOP_LIMIT`] is a
+//! defensive backstop against a policy that violates it.
 //!
 //! Termination cases, all reported as `Ok`:
 //!
@@ -18,22 +18,27 @@
 //! * every candidate was dead ([`Driven::exhausted`] is set).
 
 use crate::graph::{NodeIndex, OverlayGraph};
-use crate::observe::{HopEvent, RouteObserver};
-use crate::policy::{Candidate, IndexedNextHop, RoutingPolicy};
+use crate::policy::{Candidate, Greedy, RoutingPolicy};
 use crate::route::{Route, RouteError};
+use canon_id::metric::Metric;
 
 /// Defensive hop budget: no route in any evaluated network comes close,
 /// so exceeding it means a policy violated strict progress.
 pub const HOP_LIMIT: usize = 4096;
 
-/// The result of driving a policy: the realized route plus whether the
-/// walk stopped early because every candidate at the last node was dead.
-#[derive(Clone, Debug)]
+/// What a walk measured: the realized route, whether it stopped because
+/// every candidate at the last node was dead, and what it paid for dead
+/// candidates and hops.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Driven {
     /// The realized route (always at least the start node).
     pub route: Route,
     /// True when routing stopped because all candidates timed out.
     pub exhausted: bool,
+    /// Dead candidates attempted along the way.
+    pub timeouts: usize,
+    /// Total time: hop latencies plus timeout costs, summed in walk order.
+    pub time: f64,
 }
 
 /// Execution environment for [`drive`]: liveness, pricing, and an external
@@ -43,11 +48,10 @@ pub struct DriveConfig<A, L, S> {
     /// Liveness oracle; dead candidates cost `timeout_cost` and are
     /// skipped.
     pub alive: A,
-    /// Time charged per dead candidate (reported via
-    /// [`HopEvent::Timeout`]).
+    /// Time charged per dead candidate (added to [`Driven::time`]).
     pub timeout_cost: f64,
-    /// Latency oracle pricing each successful hop (reported via
-    /// [`HopEvent::Hop`]).
+    /// Latency oracle pricing each successful hop (added to
+    /// [`Driven::time`]).
     pub latency: L,
     /// Fires *before* expanding a node to stop routing there (the node is
     /// kept as the route's last hop).
@@ -80,99 +84,59 @@ pub fn unrestricted() -> Unrestricted {
     }
 }
 
-/// Drives `policy` from `from` in a fault-free, unpriced environment.
+/// Routes greedily from `from` in a fault-free, unpriced environment.
 ///
-/// This is the engine's **fast path**: when the policy supports indexed
-/// next-hop selection ([`RoutingPolicy::indexed_next`], e.g.
-/// [`crate::policy::Greedy`] via the graph's
-/// [`NextHopIndex`](crate::index::NextHopIndex)), each hop is selected
-/// with zero allocation and no sort, and the realized route and observer
-/// event stream are identical to [`drive`] under [`unrestricted`] (every
-/// hop: one `Attempt`, one `Hop` with latency `0.0`; one `Terminal` at the
-/// end) — tested, and asserted per hop in debug builds. Policies that
-/// decline indexing fall back to the generic candidates-then-sort path.
-pub fn execute<P, O>(
+/// This is the engine's **fast path**: each hop is selected from the
+/// graph's [`NextHopIndex`](crate::index::NextHopIndex) with zero
+/// allocation and no sort, and the result is identical to [`drive`] under
+/// [`unrestricted`] (no timeouts, zero time) — tested, and asserted per hop
+/// in debug builds.
+pub fn execute<M: Metric>(
     graph: &OverlayGraph,
-    policy: &P,
+    policy: &Greedy<M>,
     from: NodeIndex,
-    mut observer: O,
-) -> Result<Driven, RouteError>
-where
-    P: RoutingPolicy,
-    O: RouteObserver,
-{
+) -> Result<Driven, RouteError> {
     // Sized for the longest route any evaluated network produces
     // (~log2 n hops), so the hot loop never reallocates.
     let mut path = Vec::with_capacity(32);
     path.push(from);
     let mut cur = from;
     let mut cur_key = policy.key(graph, cur);
-    loop {
-        if policy.is_terminal(cur_key) {
+    while !policy.is_terminal(cur_key) {
+        let best = policy.next_hop(graph, cur, cur_key);
+        debug_assert!(
+            indexed_matches_generic(graph, policy, cur, cur_key, best.map(|(next, _)| next)),
+            "indexed next hop diverges from the generic candidate order"
+        );
+        let Some((next, landing)) = best else {
             break;
-        }
-        match policy.indexed_next(graph, cur, cur_key) {
-            IndexedNextHop::Best { next, landing } => {
-                debug_assert!(
-                    indexed_matches_generic(graph, policy, cur, cur_key, Some(next)),
-                    "indexed next hop diverges from the generic candidate order"
-                );
-                observer.on_event(&HopEvent::Attempt {
-                    from: cur,
-                    to: next,
-                });
-                observer.on_event(&HopEvent::Hop {
-                    from: cur,
-                    to: next,
-                    latency: 0.0,
-                });
-                path.push(next);
-                cur = next;
-                cur_key = landing;
-                if path.len() > HOP_LIMIT {
-                    return Err(RouteError::HopLimit { limit: HOP_LIMIT });
-                }
-            }
-            IndexedNextHop::LocalMinimum => {
-                debug_assert!(
-                    indexed_matches_generic(graph, policy, cur, cur_key, None),
-                    "index reports a local minimum but generic candidates exist"
-                );
-                break;
-            }
-            IndexedNextHop::Unsupported => {
-                // Generic policy: finish the walk on the candidates-and-sort
-                // path and splice its route onto the prefix walked so far
-                // (for a policy that is uniformly unsupported, the prefix is
-                // just `from` and this is the pre-index behavior verbatim).
-                let d = drive(graph, policy, cur, unrestricted(), observer)?;
-                path.pop();
-                path.extend_from_slice(d.route.path());
-                return Ok(Driven {
-                    route: Route::from_path(path),
-                    exhausted: d.exhausted,
-                });
-            }
+        };
+        path.push(next);
+        cur = next;
+        cur_key = landing;
+        if path.len() > HOP_LIMIT {
+            return Err(RouteError::HopLimit { limit: HOP_LIMIT });
         }
     }
-    observer.on_event(&HopEvent::Terminal { at: cur });
     Ok(Driven {
         route: Route::from_path(path),
         exhausted: false,
+        timeouts: 0,
+        time: 0.0,
     })
 }
 
 /// Debug-build cross-check of the fast path: the indexed selection must
 /// equal the `(rank, next)` minimum of the generic candidate enumeration
 /// (`None` = the enumeration must be empty).
-fn indexed_matches_generic<P: RoutingPolicy>(
+fn indexed_matches_generic<M: Metric>(
     graph: &OverlayGraph,
-    policy: &P,
+    policy: &Greedy<M>,
     at: NodeIndex,
-    key: P::Key,
+    key: u64,
     chosen: Option<NodeIndex>,
 ) -> bool {
-    let mut cands: Vec<Candidate<P::Key, P::Rank>> = Vec::new();
+    let mut cands = Vec::new();
     policy.candidates(graph, at, key, &mut cands);
     cands
         .iter()
@@ -181,21 +145,18 @@ fn indexed_matches_generic<P: RoutingPolicy>(
         == chosen
 }
 
-/// Drives `policy` from `from` under `cfg`, streaming events to
-/// `observer`.
+/// Drives `policy` from `from` under `cfg`.
 ///
 /// Errors only with [`RouteError::HopLimit`], and only if the policy
 /// violates strict progress.
-pub fn drive<P, O, A, L, S>(
+pub fn drive<P, A, L, S>(
     graph: &OverlayGraph,
     policy: &P,
     from: NodeIndex,
     cfg: DriveConfig<A, L, S>,
-    mut observer: O,
 ) -> Result<Driven, RouteError>
 where
     P: RoutingPolicy,
-    O: RouteObserver,
     A: Fn(NodeIndex) -> bool,
     L: Fn(NodeIndex, NodeIndex) -> f64,
     S: Fn(NodeIndex) -> bool,
@@ -204,6 +165,8 @@ where
     let mut cur = from;
     let mut cur_key = policy.key(graph, cur);
     let mut exhausted = false;
+    let mut timeouts = 0;
+    let mut time = 0.0;
     let mut cands: Vec<Candidate<P::Key, P::Rank>> = Vec::new();
     loop {
         if policy.is_terminal(cur_key) || (cfg.stop)(cur) {
@@ -216,43 +179,32 @@ where
             break;
         }
         cands.sort_unstable_by_key(|c| (c.rank, c.next));
-        let mut advanced = false;
+        let mut live = None;
         for c in &cands {
-            observer.on_event(&HopEvent::Attempt {
-                from: cur,
-                to: c.next,
-            });
             if (cfg.alive)(c.next) {
-                let latency = (cfg.latency)(cur, c.next);
-                observer.on_event(&HopEvent::Hop {
-                    from: cur,
-                    to: c.next,
-                    latency,
-                });
-                path.push(c.next);
-                cur = c.next;
-                cur_key = c.landing;
-                advanced = true;
+                live = Some(c);
                 break;
             }
-            observer.on_event(&HopEvent::Timeout {
-                from: cur,
-                to: c.next,
-                cost: cfg.timeout_cost,
-            });
+            timeouts += 1;
+            time += cfg.timeout_cost;
         }
-        if !advanced {
+        let Some(c) = live else {
             exhausted = true;
             break;
-        }
+        };
+        time += (cfg.latency)(cur, c.next);
+        path.push(c.next);
+        cur = c.next;
+        cur_key = c.landing;
         if path.len() > HOP_LIMIT {
             return Err(RouteError::HopLimit { limit: HOP_LIMIT });
         }
     }
-    observer.on_event(&HopEvent::Terminal { at: cur });
     Ok(Driven {
         route: Route::from_path(path),
         exhausted,
+        timeouts,
+        time,
     })
 }
 
@@ -260,8 +212,6 @@ where
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-    use crate::observe::{EventLog, FaultTally, HopCount, NullObserver};
-    use crate::policy::Greedy;
     use canon_id::metric::Clockwise;
     use canon_id::NodeId;
 
@@ -283,13 +233,7 @@ mod tests {
     #[test]
     fn execute_reaches_target_greedily() {
         let g = ring();
-        let d = execute(
-            &g,
-            &Greedy::new(Clockwise, id(6)),
-            NodeIndex(0),
-            NullObserver,
-        )
-        .expect("routes");
+        let d = execute(&g, &Greedy::new(Clockwise, id(6)), NodeIndex(0)).expect("routes");
         assert_eq!(d.route.source(), NodeIndex(0));
         assert_eq!(d.route.target(), NodeIndex(6));
         assert!(!d.exhausted);
@@ -298,43 +242,35 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_one_attempt_and_hop_per_step() {
+    fn execute_is_drive_unrestricted() {
         let g = ring();
-        let mut count = HopCount::default();
-        let d =
-            execute(&g, &Greedy::new(Clockwise, id(6)), NodeIndex(0), &mut count).expect("routes");
-        assert_eq!(count.hops, d.route.hops());
-        assert_eq!(count.attempts, d.route.hops());
-        assert_eq!(count.timeouts, 0);
+        for target in 0u64..8 {
+            let p = Greedy::new(Clockwise, id(target));
+            let fast = execute(&g, &p, NodeIndex(0)).expect("routes");
+            let generic = drive(&g, &p, NodeIndex(0), unrestricted()).expect("routes");
+            assert_eq!(fast, generic);
+            assert_eq!((fast.timeouts, fast.time), (0, 0.0));
+        }
     }
 
     #[test]
     fn dead_candidates_cost_timeouts_then_fall_back() {
         let g = ring();
-        let mut tally = FaultTally::default();
         let cfg = DriveConfig {
             alive: |n: NodeIndex| n != NodeIndex(4),
             timeout_cost: 500.0,
             latency: |_, _| 1.0,
             stop: |_: NodeIndex| false,
         };
-        let d = drive(
-            &g,
-            &Greedy::new(Clockwise, id(6)),
-            NodeIndex(0),
-            cfg,
-            &mut tally,
-        )
-        .expect("routes");
+        let d = drive(&g, &Greedy::new(Clockwise, id(6)), NodeIndex(0), cfg).expect("routes");
         // Best candidate 4 is dead: a timeout at 0, fall back to 2, hop to
         // 3 — whose only closer neighbor is 4 again (dead), so the walk
         // exhausts there. A finger-poor ring has no other repair path.
         assert!(d.exhausted);
         assert_eq!(d.route.target(), NodeIndex(3));
-        assert_eq!(tally.timeouts, 2);
-        assert_eq!(tally.hops, d.route.hops());
-        assert_eq!(tally.hops, 2);
-        assert!((tally.time - (2.0 * 500.0 + 2.0)).abs() < 1e-9);
+        assert_eq!(d.timeouts, 2);
+        assert_eq!(d.route.hops(), 2);
+        assert!((d.time - (2.0 * 500.0 + 2.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -346,14 +282,7 @@ mod tests {
             latency: |_, _| 0.0,
             stop: |_: NodeIndex| false,
         };
-        let d = drive(
-            &g,
-            &Greedy::new(Clockwise, id(6)),
-            NodeIndex(0),
-            cfg,
-            NullObserver,
-        )
-        .expect("terminates");
+        let d = drive(&g, &Greedy::new(Clockwise, id(6)), NodeIndex(0), cfg).expect("terminates");
         assert!(d.exhausted);
         assert_eq!(d.route.hops(), 0);
     }
@@ -367,27 +296,16 @@ mod tests {
             latency: |_, _| 0.0,
             stop: |n: NodeIndex| n == NodeIndex(4),
         };
-        let d = drive(
-            &g,
-            &Greedy::new(Clockwise, id(6)),
-            NodeIndex(0),
-            cfg,
-            NullObserver,
-        )
-        .expect("routes");
+        let d = drive(&g, &Greedy::new(Clockwise, id(6)), NodeIndex(0), cfg).expect("routes");
         assert_eq!(d.route.target(), NodeIndex(4));
         assert_eq!(d.route.hops(), 1);
     }
 
     #[test]
-    fn terminal_event_closes_every_stream() {
+    fn routing_to_self_is_the_empty_walk() {
         let g = ring();
-        let mut log = EventLog::default();
-        execute(&g, &Greedy::new(Clockwise, id(3)), NodeIndex(3), &mut log).expect("routes");
-        assert_eq!(
-            log.events(),
-            &[HopEvent::Terminal { at: NodeIndex(3) }],
-            "routing to self emits only the terminal event"
-        );
+        let d = execute(&g, &Greedy::new(Clockwise, id(3)), NodeIndex(3)).expect("routes");
+        assert_eq!(d.route.path(), &[NodeIndex(3)]);
+        assert_eq!((d.exhausted, d.timeouts, d.time), (false, 0, 0.0));
     }
 }

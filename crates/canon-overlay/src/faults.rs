@@ -9,8 +9,9 @@
 //! tried in increasing metric distance to the destination.
 //!
 //! Both lookup styles are the shared executor under a liveness mask: a
-//! [`FaultFallback`] policy driven with a [`FaultTally`] sink accumulating
-//! the time/hop/timeout accounting. [`lookup_with_faults`] is *recursive*
+//! [`Greedy`] policy [`drive`]n with the fault model's timeout, whose
+//! [`Driven`](crate::engine::Driven) result carries the timeout count and
+//! elapsed time. [`lookup_with_faults`] is *recursive*
 //! routing — the query is forwarded hop by hop and each hop costs its link;
 //! [`iterative_lookup`] is Kademlia's deployment style — the origin contacts
 //! every intermediate node itself and pays a full round trip per step. The
@@ -24,8 +25,7 @@
 
 use crate::engine::{drive, DriveConfig};
 use crate::graph::{NodeIndex, OverlayGraph};
-use crate::observe::FaultTally;
-use crate::policy::FaultFallback;
+use crate::policy::Greedy;
 use canon_id::{metric::Metric, NodeId};
 
 /// Timing parameters of the failure model.
@@ -83,31 +83,34 @@ where
     L: Fn(NodeIndex, NodeIndex) -> f64,
 {
     debug_assert!(alive(from), "lookups start at a live node");
-    let mut tally = FaultTally::default();
     let cfg = DriveConfig {
         alive,
         timeout_cost: model.timeout,
         latency: lat,
         stop: |_: NodeIndex| false,
     };
-    let policy = FaultFallback::new(metric, target);
-    let (completed, terminal) = match drive(graph, &policy, from, cfg, &mut tally) {
-        Ok(d) => (!d.exhausted, d.route.target()),
+    match drive(graph, &Greedy::new(metric, target), from, cfg) {
+        Ok(d) => FaultyLookup {
+            completed: !d.exhausted,
+            terminal: d.route.target(),
+            time: d.time,
+            hops: d.route.hops(),
+            timeouts: d.timeouts,
+        },
         // Strict progress makes the hop limit unreachable on any graph the
         // builders produce; treat it as a failed lookup rather than panic.
-        Err(_) => (false, from),
-    };
-    FaultyLookup {
-        completed,
-        terminal,
-        time: tally.time,
-        hops: tally.hops,
-        timeouts: tally.timeouts,
+        Err(_) => FaultyLookup {
+            completed: false,
+            terminal: from,
+            time: 0.0,
+            hops: 0,
+            timeouts: 0,
+        },
     }
 }
 
 /// Runs an *iterative* lookup for `target` from `origin`: the same
-/// fault-fallback walk as [`lookup_with_faults`], but the origin probes
+/// fault-priced walk as [`lookup_with_faults`], but the origin probes
 /// every candidate directly, so each successful step costs a round trip
 /// `2 × lat(origin, candidate)` instead of a link traversal, and each dead
 /// probe costs one timeout. (Strict progress means the walk never returns

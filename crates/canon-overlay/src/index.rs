@@ -26,9 +26,9 @@
 //!
 //! The index is built once inside
 //! [`GraphBuilder::build`](crate::graph::GraphBuilder::build) and consulted
-//! by the engine's fault-free fast path
-//! ([`crate::policy::RoutingPolicy::indexed_next`]) — zero allocation, no
-//! sort, per hop.
+//! by the engine's fault-free fast path ([`crate::engine::execute`] and
+//! [`crate::route::route_to_key_sweep`]) — zero allocation, no sort, per
+//! hop.
 
 use crate::graph::NodeIndex;
 use canon_id::{metric::Metric, NodeId};

@@ -11,15 +11,13 @@
 //! * [`index::NextHopIndex`] — per-node neighbor ids in sorted order,
 //!   giving the engine's fault-free fast path its logarithmic next-hop
 //!   selection (one binary search per hop, zero allocation);
-//! * [`policy`] — pluggable [`policy::RoutingPolicy`] implementations
-//!   (greedy, fault-fallback, one-hop lookahead, group-aware proximity,
-//!   filtered) describing candidate enumeration and ranking;
+//! * [`policy`] — the three [`policy::RoutingPolicy`] implementations
+//!   (greedy, one-hop lookahead, group-aware proximity) describing
+//!   candidate enumeration and ranking;
 //! * [`engine`] — the single shared route executor: strict-progress walk,
 //!   liveness filtering with timeout pricing, deterministic tie-breaking,
-//!   hop budget;
-//! * [`observe`] — hop-level observability: [`observe::HopEvent`] streams
-//!   and pluggable [`observe::RouteObserver`] sinks (hop counters, fault
-//!   tallies, per-node visit counts, event logs);
+//!   hop budget; a walk returns its route plus its timeout count and
+//!   elapsed time ([`engine::Driven`]);
 //! * [`route`](mod@route) — greedy routing entry points over the engine, with full
 //!   path recording, node-filtered routing (for fault-isolation
 //!   experiments) and key lookup semantics per metric; plus the same
@@ -42,7 +40,6 @@ pub mod faults;
 pub mod graph;
 pub mod index;
 pub mod multicast;
-pub mod observe;
 pub mod paths;
 pub mod policy;
 pub mod route;
@@ -51,14 +48,8 @@ pub mod stats;
 pub use engine::{drive, execute, DriveConfig, Driven};
 pub use graph::{GraphBuilder, NodeIndex, OverlayGraph};
 pub use index::NextHopIndex;
-pub use observe::{
-    EventLog, FaultTally, HopCount, HopEvent, NullObserver, RouteObserver, VisitTally,
-};
-pub use policy::{
-    Candidate, FaultFallback, Filtered, Greedy, IndexedNextHop, Lookahead1, ProximityAware,
-    RoutingPolicy,
-};
+pub use policy::{Candidate, Greedy, Lookahead1, ProximityAware, RoutingPolicy};
 pub use route::{
-    closest, closest_clockwise, route, route_observed, route_to_key, route_to_key_from,
-    route_to_key_sweep, route_with_filter, Route, RouteError,
+    closest, closest_clockwise, route, route_to_key, route_to_key_from, route_to_key_sweep,
+    route_with_filter, Route, RouteError,
 };

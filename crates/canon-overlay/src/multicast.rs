@@ -49,7 +49,6 @@
 
 use crate::engine::{drive, DriveConfig};
 use crate::graph::{NodeIndex, OverlayGraph};
-use crate::observe::NullObserver;
 use crate::policy::Greedy;
 use crate::route::{route_to_key, Route, RouteError};
 use canon_id::{metric::Metric, Key};
@@ -184,7 +183,7 @@ impl MulticastGroup {
             stop: |n: NodeIndex| self.on_tree(n),
         };
         let policy = Greedy::new(metric, self.key.as_point());
-        let route = drive(graph, &policy, member, cfg, NullObserver)?.route;
+        let route = drive(graph, &policy, member, cfg)?.route;
         Ok(self.graft(&route))
     }
 

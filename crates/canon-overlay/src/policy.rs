@@ -5,15 +5,13 @@
 //! candidates and *how* they are ranked. A [`RoutingPolicy`] captures
 //! exactly that variation, and the [`engine`](crate::engine) supplies
 //! everything else (strict-progress checking, liveness filtering with
-//! timeout pricing, tie-breaking, hop budget, observability).
+//! timeout pricing, tie-breaking, hop budget).
 //!
 //! | Policy | Key (progress measure) | Rank | Origin |
 //! |---|---|---|---|
-//! | [`Greedy`] | metric distance | distance | `route_greedy` |
-//! | [`FaultFallback`] | metric distance | distance | `faults.rs` retry order |
+//! | [`Greedy`] | metric distance | distance | Chord/Kademlia routing, timed and filtered lookups |
 //! | [`Lookahead1`] | clockwise distance | (pair-end, first-step) | Symphony lookahead |
 //! | [`ProximityAware`] | (group dist, clockwise dist) | the key | group routing (§3.6) |
-//! | [`Filtered`] | inner policy's | inner policy's | `route_with_filter` |
 //!
 //! Determinism: the engine orders candidates by `(rank, next)`; every
 //! policy here has a rank that is injective in the candidate node (metric
@@ -35,27 +33,6 @@ pub struct Candidate<K, R> {
     /// Selection rank: the executor tries candidates in increasing
     /// `(rank, next)` order.
     pub rank: R,
-}
-
-/// The outcome of indexed next-hop selection
-/// ([`RoutingPolicy::indexed_next`]), the engine's fault-free fast path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndexedNextHop<K> {
-    /// The policy has no index-backed selection; the engine must fall back
-    /// to the generic candidates-then-sort path.
-    Unsupported,
-    /// No neighbor improves on the current key: the current node is the
-    /// local minimum (the node responsible for the routed key).
-    LocalMinimum,
-    /// The unique best next hop — by contract identical to the first
-    /// candidate of the generic path under an all-alive liveness oracle.
-    Best {
-        /// The node to forward to.
-        next: NodeIndex,
-        /// The policy key at `next` (strictly smaller than the current
-        /// key).
-        landing: K,
-    },
 }
 
 /// A routing policy: a totally ordered progress measure (`Key`) plus a
@@ -83,10 +60,6 @@ pub trait RoutingPolicy {
     /// Whether a node with this key is the routing destination.
     fn is_terminal(&self, key: Self::Key) -> bool;
 
-    /// The scalar "remaining distance" of a key, for diagnostics
-    /// ([`crate::route::RouteError::Stuck`]).
-    fn remaining(&self, key: Self::Key) -> u64;
-
     /// Appends every admissible next hop from `at` (whose key is `key`)
     /// to `out`.
     fn candidates(
@@ -96,27 +69,6 @@ pub trait RoutingPolicy {
         key: Self::Key,
         out: &mut Vec<Candidate<Self::Key, Self::Rank>>,
     );
-
-    /// Index-backed selection of the single best next hop from `at`, used
-    /// by the engine's fault-free fast path ([`crate::engine::execute`]).
-    ///
-    /// Contract: when this returns [`IndexedNextHop::Best`], `next` must
-    /// be exactly the first element of [`candidates`] sorted by
-    /// `(rank, next)` (the engine asserts this in debug builds); when it
-    /// returns [`IndexedNextHop::LocalMinimum`], `candidates` must be
-    /// empty. The default declines ([`IndexedNextHop::Unsupported`]),
-    /// which sends the engine down the generic path.
-    ///
-    /// [`candidates`]: RoutingPolicy::candidates
-    fn indexed_next(
-        &self,
-        graph: &OverlayGraph,
-        at: NodeIndex,
-        key: Self::Key,
-    ) -> IndexedNextHop<Self::Key> {
-        let _ = (graph, at, key);
-        IndexedNextHop::Unsupported
-    }
 }
 
 /// Plain greedy routing: every strictly closer neighbor is a candidate,
@@ -133,6 +85,32 @@ impl<M: Metric> Greedy<M> {
     pub fn new(metric: M, target: NodeId) -> Greedy<M> {
         Greedy { metric, target }
     }
+
+    /// The index-backed best next hop from `at` (whose key is `key`) and
+    /// its landing key, or `None` at a local minimum — the engine's
+    /// fault-free fast path ([`crate::engine::execute`],
+    /// [`crate::route::route_to_key_sweep`]).
+    ///
+    /// rank == landing == distance, and distances to a fixed target are
+    /// injective in the identifier, so the distance-minimizing neighbor
+    /// from the [`NextHopIndex`](crate::index::NextHopIndex) is the first
+    /// of [`candidates`](RoutingPolicy::candidates) in `(rank, next)` order
+    /// whenever it beats the current key (`execute` asserts this in debug
+    /// builds).
+    // Without the hint the sweep's per-hop call is not inlined and
+    // `route_to_key_sweep` loses ~8% of its lookups/s.
+    #[inline]
+    pub(crate) fn next_hop(
+        &self,
+        graph: &OverlayGraph,
+        at: NodeIndex,
+        key: u64,
+    ) -> Option<(NodeIndex, u64)> {
+        graph
+            .next_hop_index()
+            .next_toward(self.metric, at, self.target)
+            .filter(|&(_, d)| d < key)
+    }
 }
 
 impl<M: Metric> RoutingPolicy for Greedy<M> {
@@ -145,10 +123,6 @@ impl<M: Metric> RoutingPolicy for Greedy<M> {
 
     fn is_terminal(&self, key: u64) -> bool {
         key == 0
-    }
-
-    fn remaining(&self, key: u64) -> u64 {
-        key
     }
 
     fn candidates(
@@ -170,66 +144,6 @@ impl<M: Metric> RoutingPolicy for Greedy<M> {
                 });
             }
         }
-    }
-
-    fn indexed_next(&self, graph: &OverlayGraph, at: NodeIndex, key: u64) -> IndexedNextHop<u64> {
-        // rank == landing == distance, and distances to a fixed target are
-        // injective in the identifier, so the distance-minimizing neighbor
-        // from the index is the generic path's unique `(rank, next)`
-        // minimum whenever it beats the current key.
-        match graph
-            .next_hop_index()
-            .next_toward(self.metric, at, self.target)
-        {
-            Some((next, d)) if d < key => IndexedNextHop::Best { next, landing: d },
-            _ => IndexedNextHop::LocalMinimum,
-        }
-    }
-}
-
-/// Greedy candidates in fault-fallback order: identical enumeration and
-/// ranking to [`Greedy`], named for its role under a liveness mask — the
-/// executor tries the ranked candidates in order, paying one timeout per
-/// dead node before falling back to the next (the `faults.rs` retry
-/// discipline).
-#[derive(Clone, Copy, Debug)]
-pub struct FaultFallback<M> {
-    inner: Greedy<M>,
-}
-
-impl<M: Metric> FaultFallback<M> {
-    /// Fault-tolerant greedy routing toward `target` under `metric`.
-    pub fn new(metric: M, target: NodeId) -> FaultFallback<M> {
-        FaultFallback {
-            inner: Greedy::new(metric, target),
-        }
-    }
-}
-
-impl<M: Metric> RoutingPolicy for FaultFallback<M> {
-    type Key = u64;
-    type Rank = u64;
-
-    fn key(&self, graph: &OverlayGraph, node: NodeIndex) -> u64 {
-        self.inner.key(graph, node)
-    }
-
-    fn is_terminal(&self, key: u64) -> bool {
-        self.inner.is_terminal(key)
-    }
-
-    fn remaining(&self, key: u64) -> u64 {
-        self.inner.remaining(key)
-    }
-
-    fn candidates(
-        &self,
-        graph: &OverlayGraph,
-        at: NodeIndex,
-        key: u64,
-        out: &mut Vec<Candidate<u64, u64>>,
-    ) {
-        self.inner.candidates(graph, at, key, out);
     }
 }
 
@@ -261,10 +175,6 @@ impl RoutingPolicy for Lookahead1 {
 
     fn is_terminal(&self, key: u64) -> bool {
         key == 0
-    }
-
-    fn remaining(&self, key: u64) -> u64 {
-        key
     }
 
     fn candidates(
@@ -344,10 +254,6 @@ impl RoutingPolicy for ProximityAware {
         key == (0, 0)
     }
 
-    fn remaining(&self, key: (u64, u64)) -> u64 {
-        key.1
-    }
-
     fn candidates(
         &self,
         graph: &OverlayGraph,
@@ -364,58 +270,6 @@ impl RoutingPolicy for ProximityAware {
                     landing: k,
                     rank: k,
                 });
-            }
-        }
-    }
-}
-
-/// Restricts an inner policy's candidates to nodes satisfying a predicate
-/// (the fault-isolation primitive behind
-/// [`crate::route::route_with_filter`]).
-#[derive(Clone, Copy, Debug)]
-pub struct Filtered<P, F> {
-    inner: P,
-    allowed: F,
-}
-
-impl<P: RoutingPolicy, F: Fn(NodeIndex) -> bool> Filtered<P, F> {
-    /// Wraps `inner`, admitting only candidates for which `allowed` holds.
-    pub fn new(inner: P, allowed: F) -> Filtered<P, F> {
-        Filtered { inner, allowed }
-    }
-}
-
-impl<P: RoutingPolicy, F: Fn(NodeIndex) -> bool> RoutingPolicy for Filtered<P, F> {
-    type Key = P::Key;
-    type Rank = P::Rank;
-
-    fn key(&self, graph: &OverlayGraph, node: NodeIndex) -> P::Key {
-        self.inner.key(graph, node)
-    }
-
-    fn is_terminal(&self, key: P::Key) -> bool {
-        self.inner.is_terminal(key)
-    }
-
-    fn remaining(&self, key: P::Key) -> u64 {
-        self.inner.remaining(key)
-    }
-
-    fn candidates(
-        &self,
-        graph: &OverlayGraph,
-        at: NodeIndex,
-        key: P::Key,
-        out: &mut Vec<Candidate<P::Key, P::Rank>>,
-    ) {
-        let start = out.len();
-        self.inner.candidates(graph, at, key, out);
-        let mut i = start;
-        while i < out.len() {
-            if (self.allowed)(out[i].next) {
-                i += 1;
-            } else {
-                out.swap_remove(i);
             }
         }
     }
@@ -465,22 +319,6 @@ mod tests {
         let p = Greedy::new(Xor, id(3));
         assert!(p.is_terminal(p.key(&g, NodeIndex(3))));
         assert!(!p.is_terminal(p.key(&g, NodeIndex(2))));
-        assert_eq!(p.remaining(6), 6);
-    }
-
-    #[test]
-    fn fault_fallback_matches_greedy_enumeration() {
-        let g = ring();
-        let target = id(6);
-        let gp = Greedy::new(Clockwise, target);
-        let fp = FaultFallback::new(Clockwise, target);
-        for i in 0..8u32 {
-            let at = NodeIndex(i);
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            gp.candidates(&g, at, gp.key(&g, at), &mut a);
-            fp.candidates(&g, at, fp.key(&g, at), &mut b);
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -517,19 +355,5 @@ mod tests {
             let b: Vec<NodeIndex> = b.iter().map(|c| c.next).collect();
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn filtered_drops_disallowed_candidates() {
-        let g = ring();
-        let p = Filtered::new(Greedy::new(Clockwise, id(5)), |n: NodeIndex| {
-            n != NodeIndex(4)
-        });
-        let at = NodeIndex(0);
-        let key = p.key(&g, at);
-        let mut out = Vec::new();
-        p.candidates(&g, at, key, &mut out);
-        assert!(out.iter().all(|c| c.next != NodeIndex(4)));
-        assert_eq!(out.len(), 2);
     }
 }

@@ -15,10 +15,9 @@
 //! Canonical DHT never leaves it (path locality, §2.2), which
 //! [`route_with_filter`] lets tests verify directly.
 
-use crate::engine::{execute, HOP_LIMIT};
+use crate::engine::{drive, execute, DriveConfig, HOP_LIMIT};
 use crate::graph::{NodeIndex, OverlayGraph};
-use crate::observe::{NullObserver, RouteObserver};
-use crate::policy::{Filtered, Greedy, IndexedNextHop, RoutingPolicy};
+use crate::policy::{Greedy, RoutingPolicy};
 use canon_id::{metric::Metric, NodeId};
 use std::collections::BTreeSet;
 
@@ -102,33 +101,6 @@ impl std::fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
-/// Routes greedily from `from` toward the identifier point `target`,
-/// terminating at the node of minimum metric distance to `target` along the
-/// greedy path (for a well-formed DHT graph: the responsible node).
-///
-/// `allowed` restricts which nodes may be used as next hops (the source is
-/// always allowed); pass `|_| true` for unrestricted routing.
-///
-/// # Errors
-///
-/// * [`RouteError::HopLimit`] if the route exceeds an internal hop limit
-///   (only possible on malformed graphs, since every hop strictly decreases
-///   the distance).
-pub fn route_greedy<M, F>(
-    graph: &OverlayGraph,
-    metric: M,
-    from: NodeIndex,
-    target: NodeId,
-    allowed: F,
-) -> Result<Route, RouteError>
-where
-    M: Metric,
-    F: Fn(NodeIndex) -> bool,
-{
-    let policy = Filtered::new(Greedy::new(metric, target), allowed);
-    Ok(execute(graph, &policy, from, NullObserver)?.route)
-}
-
 /// Routes from node `from` to node `to` (both must be graph members).
 ///
 /// # Errors
@@ -142,9 +114,8 @@ pub fn route<M: Metric>(
     from: NodeIndex,
     to: NodeIndex,
 ) -> Result<Route, RouteError> {
-    // Plain greedy (no filter wrapper) so the engine's indexed fast path
-    // engages; `route_with_filter(.., |_| true)` is equivalent but generic.
-    route_observed(graph, metric, from, to, NullObserver)
+    let r = execute(graph, &Greedy::new(metric, graph.id(to)), from)?.route;
+    reached(graph, metric, r, to)
 }
 
 /// Routes from `from` to `to` using only nodes satisfying `allowed` as
@@ -169,13 +140,31 @@ where
     M: Metric,
     F: Fn(NodeIndex) -> bool,
 {
-    let target = graph.id(to);
-    let r = route_greedy(graph, metric, from, target, allowed)?;
-    if r.target() != to {
-        let at = r.target();
+    // A disallowed candidate is a dead one that costs nothing: the walk
+    // skips it and takes the nearest allowed one (the source is always
+    // allowed).
+    let cfg = DriveConfig {
+        alive: allowed,
+        timeout_cost: 0.0,
+        latency: |_: NodeIndex, _: NodeIndex| 0.0,
+        stop: |_: NodeIndex| false,
+    };
+    let r = drive(graph, &Greedy::new(metric, graph.id(to)), from, cfg)?.route;
+    reached(graph, metric, r, to)
+}
+
+/// `r` if it ends at `to`, else [`RouteError::Stuck`] at its last node.
+fn reached<M: Metric>(
+    graph: &OverlayGraph,
+    metric: M,
+    r: Route,
+    to: NodeIndex,
+) -> Result<Route, RouteError> {
+    let at = r.target();
+    if at != to {
         return Err(RouteError::Stuck {
             at,
-            remaining: metric.distance(graph.id(at), target),
+            remaining: metric.distance(graph.id(at), graph.id(to)),
         });
     }
     Ok(r)
@@ -193,9 +182,7 @@ pub fn route_to_key<M: Metric>(
     from: NodeIndex,
     key: NodeId,
 ) -> Result<Route, RouteError> {
-    // Plain greedy for the same reason as [`route`]: the unfiltered policy
-    // rides the engine's indexed fast path.
-    Ok(execute(graph, &Greedy::new(metric, key), from, NullObserver)?.route)
+    Ok(execute(graph, &Greedy::new(metric, key), from)?.route)
 }
 
 /// Number of walks a [`route_to_key_sweep`] keeps in flight at once.
@@ -208,7 +195,7 @@ const SWEEP_WIDTH: usize = 32;
 /// returning the realized routes in query order.
 ///
 /// Each walk takes exactly the hops [`route_to_key`] takes — the same
-/// per-hop [`RoutingPolicy::indexed_next`] selection against the graph's
+/// per-hop index selection against the graph's
 /// [`NextHopIndex`](crate::index::NextHopIndex) — but up to `SWEEP_WIDTH`
 /// (32) walks advance in round-robin lockstep. On graphs too large for cache,
 /// a single walk serializes one memory stall per hop (the next segment
@@ -280,34 +267,22 @@ pub fn route_to_key_sweep<M: Metric>(
                 w.started = true;
             }
             // One hop, mirroring `execute`'s fast path exactly.
-            let done = if w.policy.is_terminal(w.key) {
-                true
+            let best = if w.policy.is_terminal(w.key) {
+                None
             } else {
-                match w.policy.indexed_next(graph, w.cur, w.key) {
-                    IndexedNextHop::Best { next, landing } => {
-                        w.path.push(next);
-                        w.cur = next;
-                        w.key = landing;
-                        // Start the next segment's line fills now; they
-                        // complete while the other walks advance.
-                        warmth ^= index.warm(next);
-                        if w.path.len() > HOP_LIMIT {
-                            return Err(RouteError::HopLimit { limit: HOP_LIMIT });
-                        }
-                        false
-                    }
-                    IndexedNextHop::LocalMinimum => true,
-                    IndexedNextHop::Unsupported => {
-                        // Greedy never declines indexing; stay total by
-                        // finishing the walk on the engine.
-                        let d = execute(graph, &w.policy, w.cur, NullObserver)?;
-                        w.path.pop();
-                        w.path.extend_from_slice(d.route.path());
-                        true
-                    }
-                }
+                w.policy.next_hop(graph, w.cur, w.key)
             };
-            if done {
+            if let Some((next, landing)) = best {
+                w.path.push(next);
+                w.cur = next;
+                w.key = landing;
+                // Start the next segment's line fills now; they complete
+                // while the other walks advance.
+                warmth ^= index.warm(next);
+                if w.path.len() > HOP_LIMIT {
+                    return Err(RouteError::HopLimit { limit: HOP_LIMIT });
+                }
+            } else {
                 out[w.qi] = Some(Route::from_path(std::mem::take(&mut w.path)));
                 *slot = None;
                 live -= 1;
@@ -321,34 +296,6 @@ pub fn route_to_key_sweep<M: Metric>(
         "every sweep walk terminates with a route"
     );
     Ok(routes)
-}
-
-/// Like [`route`], but streams hop events to `observer`.
-///
-/// # Errors
-///
-/// See [`route`].
-pub fn route_observed<M, O>(
-    graph: &OverlayGraph,
-    metric: M,
-    from: NodeIndex,
-    to: NodeIndex,
-    observer: O,
-) -> Result<Route, RouteError>
-where
-    M: Metric,
-    O: RouteObserver,
-{
-    let target = graph.id(to);
-    let r = execute(graph, &Greedy::new(metric, target), from, observer)?.route;
-    if r.target() != to {
-        let at = r.target();
-        return Err(RouteError::Stuck {
-            at,
-            remaining: metric.distance(graph.id(at), target),
-        });
-    }
-    Ok(r)
 }
 
 /// Like [`route_to_key`], but resolves the source from its identifier —

@@ -1,8 +1,8 @@
 //! Degree and hop-count statistics (the measurements behind Figures 3–5).
 //!
-//! Hop counts and routing load are observer sinks over the shared routing
-//! engine's event stream ([`HopCount`], [`VisitTally`]) rather than ad-hoc
-//! per-route bookkeeping.
+//! Hop counts and routing load are read off the routes the shared routing
+//! engine returns: a route's hop count is [`Route::hops`](crate::Route::hops),
+//! and the nodes it loads are its path after the source.
 //!
 //! The query sweeps fan their routing work across [`canon_par::par_map`]
 //! and stay **byte-deterministic at any thread count**: the random pairs
@@ -12,7 +12,6 @@
 //! same order as the serial code.
 
 use crate::graph::{NodeIndex, OverlayGraph};
-use crate::observe::{HopCount, VisitTally};
 use crate::route::{self, RouteError};
 use canon_id::{metric::Metric, rng::Seed};
 use canon_par::par_map;
@@ -138,9 +137,7 @@ pub fn hop_stats<M: Metric>(
     assert!(graph.len() >= 2, "hop sampling needs at least two nodes");
     let drawn = draw_pairs(graph.len(), pairs, seed);
     let routed = par_map(&drawn, |_, &(a, b)| {
-        let mut counter = HopCount::default();
-        route::route_observed(graph, metric, a, b, &mut counter)?;
-        Ok(counter.hops as f64)
+        Ok(route::route(graph, metric, a, b)?.hops() as f64)
     });
     let samples: Vec<f64> = routed.into_iter().collect::<Result<_, _>>()?;
     Ok(Summary::of(samples))
@@ -169,23 +166,15 @@ pub fn routing_load_stats<M: Metric>(
     assert!(graph.len() >= 2, "load sampling needs at least two nodes");
     let n = graph.len();
     let drawn = draw_pairs(n, pairs, seed);
-    let routed = par_map(&drawn, |_, &(a, b)| {
-        route::route_observed(graph, metric, a, b, crate::observe::NullObserver)
-    });
-    // Replaying each route's hops into one tally in index order feeds the
-    // observer the same `Hop` events as the serial shared-tally loop.
-    let mut tally = VisitTally::new(n);
+    let routed = par_map(&drawn, |_, &(a, b)| route::route(graph, metric, a, b));
+    // Every node a route enters after its source is visited once.
+    let mut visits = vec![0u64; n];
     for r in routed {
-        for (from, to) in r?.edges() {
-            use crate::observe::RouteObserver;
-            tally.on_event(&crate::observe::HopEvent::Hop {
-                from,
-                to,
-                latency: 0.0,
-            });
+        for &to in &r?.path()[1..] {
+            visits[to.index()] += 1;
         }
     }
-    Ok(Summary::of(tally.visits().iter().map(|&v| v as f64)))
+    Ok(Summary::of(visits.iter().map(|&v| v as f64)))
 }
 
 #[cfg(test)]

@@ -21,8 +21,9 @@ use canon_id::{
     rng::{harmonic_distance, DetRng},
     NodeId, RingDistance,
 };
+use canon_overlay::engine::unrestricted;
 use canon_overlay::policy::Lookahead1;
-use canon_overlay::{execute, NodeIndex, NullObserver, OverlayGraph, Route, RouteError};
+use canon_overlay::{drive, NodeIndex, OverlayGraph, Route, RouteError};
 
 /// Number of long links Symphony grants a node in a ring of `n` nodes:
 /// `⌊log2 n⌋` (zero for `n < 2`).
@@ -92,7 +93,7 @@ pub fn route_with_lookahead(
     to: NodeIndex,
 ) -> Result<Route, RouteError> {
     let target = graph.id(to);
-    let r = execute(graph, &Lookahead1::new(target), from, NullObserver)?.route;
+    let r = drive(graph, &Lookahead1::new(target), from, unrestricted())?.route;
     if r.target() != to {
         let at = r.target();
         return Err(RouteError::Stuck {

@@ -28,10 +28,9 @@ use crate::engine::one_domain;
 use canon_chord::chord_links_bounded;
 use canon_hierarchy::{DomainId, DomainMembership, Hierarchy, Placement};
 use canon_id::{rng::Seed, NodeId, RingDistance, ID_BITS};
+use canon_overlay::engine::unrestricted;
 use canon_overlay::policy::{ProximityAware, RoutingPolicy};
-use canon_overlay::{
-    execute, GraphBuilder, NodeIndex, NullObserver, OverlayGraph, Route, RouteError,
-};
+use canon_overlay::{drive, GraphBuilder, NodeIndex, OverlayGraph, Route, RouteError};
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -104,12 +103,12 @@ impl ProxNetwork {
     /// * [`RouteError::HopLimit`] on malformed graphs.
     pub fn route(&self, from: NodeIndex, to: NodeIndex) -> Result<Route, RouteError> {
         let policy = ProximityAware::new(self.group_bits, self.graph.id(to));
-        let r = execute(&self.graph, &policy, from, NullObserver)?.route;
+        let r = drive(&self.graph, &policy, from, unrestricted())?.route;
         if r.target() != to {
             let at = r.target();
             return Err(RouteError::Stuck {
                 at,
-                remaining: policy.remaining(policy.key(&self.graph, at)),
+                remaining: policy.key(&self.graph, at).1,
             });
         }
         Ok(r)

@@ -1,9 +1,10 @@
 //! Property tests for the engine's indexed fast path: `execute` over a
 //! plain `Greedy` policy (which selects each hop from the graph's
-//! `NextHopIndex` with no allocation or sort) must produce routes — and
-//! observer event streams — identical to the generic candidates-then-sort
-//! executor `drive`, across Crescendo, Cacophony and Kandy on random
-//! hierarchies, for both node-to-node routing and arbitrary-key lookups.
+//! `NextHopIndex` with no allocation or sort) must return a `Driven` —
+//! route, exhaustion flag, timeout count and time — identical to the
+//! generic candidates-then-sort executor `drive` under `unrestricted()`,
+//! across Crescendo, Cacophony and Kandy on random hierarchies, for both
+//! node-to-node routing and arbitrary-key lookups.
 
 use canon::cacophony::build_cacophony;
 use canon::crescendo::build_crescendo;
@@ -14,9 +15,7 @@ use canon_id::rng::Seed;
 use canon_id::NodeId;
 use canon_kademlia::BucketChoice;
 use canon_overlay::engine::unrestricted;
-use canon_overlay::{
-    drive, execute, route_to_key_sweep, EventLog, Greedy, NodeIndex, OverlayGraph,
-};
+use canon_overlay::{drive, execute, route_to_key_sweep, Greedy, NodeIndex, OverlayGraph};
 use proptest::prelude::*;
 
 /// A random hierarchy: up to 3 levels below the root with fan-outs 1..=4.
@@ -52,30 +51,23 @@ fn sample_targets(g: &OverlayGraph) -> Vec<NodeId> {
     targets
 }
 
-/// The fast path and the generic path must agree on the realized route
-/// and on every observer event, from every sampled start toward every
-/// sampled target.
+/// The fast path and the generic path must return the same `Driven` — the
+/// same route, no exhaustion, no timeouts, zero time — from every sampled
+/// start toward every sampled target.
 fn check_fast_path_matches_generic<M: Metric>(g: &OverlayGraph, metric: M) {
     let mut queries = Vec::new();
     let mut expected = Vec::new();
     for start in (0..g.len().min(8)).map(|i| NodeIndex(i as u32)) {
         for &target in &sample_targets(g) {
             let policy = Greedy::new(metric, target);
-            let mut fast_log = EventLog::default();
-            let fast = execute(g, &policy, start, &mut fast_log).expect("fast path routes");
-            let mut generic_log = EventLog::default();
-            let generic = drive(g, &policy, start, unrestricted(), &mut generic_log)
-                .expect("generic path routes");
+            let fast = execute(g, &policy, start).expect("fast path routes");
+            let generic = drive(g, &policy, start, unrestricted()).expect("generic path routes");
+            assert_eq!(fast, generic, "fast/generic divergence toward {target}");
+            assert!(!fast.exhausted, "fault-free routing never exhausts");
             assert_eq!(
-                fast.route.path(),
-                generic.route.path(),
-                "fast/generic route divergence toward {target}"
-            );
-            assert_eq!(fast.exhausted, generic.exhausted);
-            assert_eq!(
-                fast_log.events(),
-                generic_log.events(),
-                "fast/generic event-stream divergence toward {target}"
+                (fast.timeouts, fast.time),
+                (0, 0.0),
+                "fault-free walks are free"
             );
             queries.push((start, target));
             expected.push(fast.route);
