@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Golden-output regression for the routing, construction and maintenance
-# refactors: reruns the figure binaries whose tables depend on the routing
-# engine, on a flat constructor or on the maintenance simulator and diffs
-# them against the committed results/full_run.txt sections. Any drift means
-# the routing engine no longer reproduces the pre-refactor paths byte for
-# byte, a flat network (every one is `build_canonical` over a single
-# domain) moved, or `CrescendoSim` counts or walks differently (`join_cost`
-# and `churn_resilience` are its only golden: every `OpReport` count and
-# every `lookup_hops` / `lookup_surviving` walk lands in their tables).
+# Golden-output regression for every committed figure: reruns all 22
+# binaries of results/full_run.txt and diffs them against their committed
+# sections. Any drift means the routing engine no longer reproduces the
+# pre-refactor paths byte for byte, a construction moved (a flat network is
+# `build_canonical` over a single domain; fig3_links, fig4_degree_pdf,
+# balance_ratio, hierarchy_balance, ablate_condition_b, skipnet_compare
+# and shape_robustness print the hierarchical ones), `CrescendoSim` counts
+# or walks differently (`join_cost` and `churn_resilience` are its only
+# golden: every `OpReport` count and every `lookup_hops` /
+# `lookup_surviving` walk lands in their tables), or the canon-store
+# placement or cache engine did (`cache_hits`, `replication_availability`).
 #
 # Wall-clock lines (`# wall-clock: ...`) are excluded — they are the only
 # nondeterministic output. Everything else must match exactly.
@@ -18,8 +20,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BINARIES=(fig5_hops fig6_stretch fig7_locality fig8_overlap fig9_multicast
-  variants fault_isolation ablate_prox_samples ablate_lookahead
+BINARIES=(fig3_links fig4_degree_pdf fig5_hops fig6_stretch fig7_locality
+  fig8_overlap fig9_multicast variants fault_isolation ablate_prox_samples
+  ablate_lookahead ablate_condition_b balance_ratio hierarchy_balance
+  skipnet_compare shape_robustness cache_hits replication_availability
   lookup_latency_sim iterative_vs_recursive join_cost churn_resilience)
 THREADS_LIST=${THREADS_LIST:-"1 4"}
 GOLDEN=results/full_run.txt
