@@ -10,34 +10,24 @@
 //!
 //! The pass reads `crates/*/src` and the root `src/` only — not `tests/`,
 //! `benches/`, `examples/` or `bench/`. The policies a general tool can
-//! state — no `unwrap`/`expect`/`panic!` in the core crates, no wall clock
-//! outside the timing harness, no `unsafe` — are not here: the root
-//! `clippy.toml`, six crate-root `#![deny(clippy::..)]` attributes and
-//! `-F unsafe_code` on the clippy command line carry them, over every
-//! target. What stays is what only this repo knows.
+//! state are not here: no `unwrap`/`expect`/`panic!` in the core crates,
+//! no wall clock outside the timing harness, no `unsafe`, and no walk over
+//! a `HashMap`/`HashSet` (its order follows a per-process random seed, and
+//! results must be pure functions of theirs). The root `clippy.toml`
+//! (`disallowed-types`, `disallowed-methods`), six crate-root
+//! `#![deny(clippy::..)]` attributes and `-F unsafe_code -W
+//! clippy::iter_over_hash_type` on the clippy command line carry them, over
+//! every target. That every wire variant decodes what it encodes is a test
+//! (`canon-node/tests/wire_roundtrip.rs`). What stays is what only this
+//! repo knows, plus the one hash walk no clippy path names.
 //!
 //! # Rules
 //!
-//! * **`hash-iteration`** — in graph-construction crates, `HashMap`/`HashSet`
-//!   iteration order is a determinism hazard (seeded runs must be
-//!   bit-reproducible), so every `HashMap`/`HashSet` binding or field must
-//!   carry a `// audit: membership-only` annotation asserting it is only used
-//!   for membership/lookup — and any iteration-style call (`.iter()`,
-//!   `.keys()`, `.values()`, `.drain()`, `for _ in set`, …) on such a binding
-//!   is flagged regardless of annotation. Code that needs to iterate must use
-//!   `BTreeMap`/`BTreeSet`.
 //! * **`greedy-outside-engine`** — exactly one greedy next-hop enumeration
 //!   may exist in the workspace: the `RoutingPolicy` implementations in
 //!   `canon-overlay/src/policy.rs` (annotated as the allowlist). Any other
 //!   non-test code that iterates `.neighbors(..)` and compares metric
 //!   distances nearby is re-growing a private router and is flagged.
-//! * **`mailbox-nondeterminism`** — the node runtime's message-handling
-//!   paths must be iteration-order deterministic (the protocol model
-//!   checker's fingerprints and replayable counterexamples depend on it),
-//!   so `HashMap`/`HashSet` use in `canon-node` follows the same regime as
-//!   `hash-iteration`: bindings must be annotated `// audit:
-//!   membership-only`, and any iteration-style use is flagged outright —
-//!   ordered state lives in `BTreeMap`/`BTreeSet` or sorted vectors.
 //! * **`reply-obligation`** — every variant of `canon-node`'s `Payload`
 //!   enum must discharge its reply obligation: `Client` is local and
 //!   `Response` *is* the reply; the `Request` variant requires a
@@ -46,14 +36,12 @@
 //!   annotation on its declaration, and every non-`Client` variant must be
 //!   handled (matched) somewhere outside its defining file. New two-way
 //!   message kinds ride inside `Request`/`Op`, not as sibling variants.
-//! * **`codec-coverage`** — every variant of `canon-node`'s wire
-//!   vocabulary enums (`Op`, `Command`, `Payload`, `RpcResult`) must have
-//!   a matching arm in both the `impl WireEncode for <Enum>` and
-//!   `impl WireDecode for <Enum>` blocks (the `Enum::Variant` token must
-//!   appear inside each block's non-test code). A variant reachable by the
-//!   runtime but unknown to the codec would make the framed transport
-//!   panic or mis-frame; the codec must grow in lock-step with the
-//!   vocabulary.
+//! * **`hash-into-iter`** — `<name>.into_iter()` where `<name>` is bound on
+//!   a `HashMap`/`HashSet` line of the same file, test code included.
+//!   Clippy bans every other hash walk by path, but this call resolves to
+//!   `IntoIterator::into_iter`, which cannot be banned without banning it
+//!   on every `Vec`. Code that walks a collection keeps it in a
+//!   `BTreeMap`/`BTreeSet`.
 //! * **`rebuild-on-churn`** — crates sitting on the churn path must
 //!   absorb join/leave events in O(links), never by rebuilding the
 //!   network: a node — simulated (`canon-sim`) or live (`canon-node`) —
@@ -67,8 +55,6 @@
 //!
 //! An annotation comment applies to its own line and the line below it:
 //!
-//! * `// audit: membership-only` — this `HashMap`/`HashSet` is only used for
-//!   membership tests and key lookups, never iterated;
 //! * `// audit: full-rebuild` — this construction call on a churn-path crate
 //!   is deliberate (e.g. a one-off snapshot export), not a per-event rebuild;
 //! * `// audit: allow(<rule>)` — suppress `<rule>` findings here (the
@@ -77,36 +63,8 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Crates whose construction paths must be iteration-order deterministic.
-pub const CONSTRUCTION_CRATES: &[&str] = &[
-    "canon",
-    "canon-overlay",
-    "canon-id",
-    "canon-hierarchy",
-    "canon-par",
-    "canon-chord",
-    "canon-symphony",
-    "canon-kademlia",
-    "canon-pastry",
-    "canon-skipnet",
-    "canon-topology",
-    "canon-balance",
-];
-
-/// Crates whose message-handling paths must be iteration-order
-/// deterministic (rule `mailbox-nondeterminism`).
-pub const MAILBOX_DETERMINISM_CRATES: &[&str] = &["canon-node"];
-
 /// Crates whose `Payload` enum is audited by the `reply-obligation` rule.
 pub const REPLY_OBLIGATION_CRATES: &[&str] = &["canon-node"];
-
-/// Crates whose wire vocabulary is audited by the `codec-coverage` rule.
-pub const WIRE_VOCAB_CRATES: &[&str] = &["canon-node"];
-
-/// The wire vocabulary enums the `codec-coverage` rule audits: every
-/// variant must appear in both the `WireEncode` and `WireDecode` impl for
-/// its enum.
-pub const WIRE_VOCAB_ENUMS: &[&str] = &["Op", "Command", "Payload", "RpcResult"];
 
 /// Crates sitting on the churn path (rule `rebuild-on-churn`): a join/leave
 /// costs O(links) per event, never a full reconstruction of the network or
@@ -122,7 +80,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier (`hash-iteration`, `reply-obligation`, …).
+    /// Rule identifier (`hash-into-iter`, `reply-obligation`, …).
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -247,18 +205,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, std::io::Error> {
             .collect();
         findings.extend(check_reply_obligation(&crate_files));
     }
-    for crate_name in WIRE_VOCAB_CRATES {
-        let crate_files: Vec<SourceFile<'_>> = loaded
-            .iter()
-            .filter(|(c, _, _)| c == crate_name)
-            .map(|(c, rel, content)| SourceFile {
-                crate_name: c,
-                path: rel,
-                content,
-            })
-            .collect();
-        findings.extend(check_codec_coverage(&crate_files));
-    }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
 }
@@ -286,22 +232,11 @@ pub fn lint_file(file: &SourceFile<'_>) -> Vec<Finding> {
     let pre = Preprocessed::new(file.content);
     let mut findings = Vec::new();
 
-    if CONSTRUCTION_CRATES.contains(&file.crate_name) {
-        check_hash_collections(file, &pre, &mut findings, "hash-iteration", "construction");
-    }
-    if MAILBOX_DETERMINISM_CRATES.contains(&file.crate_name) {
-        check_hash_collections(
-            file,
-            &pre,
-            &mut findings,
-            "mailbox-nondeterminism",
-            "message-handling",
-        );
-    }
     if CHURN_PATH_CRATES.contains(&file.crate_name) {
         check_rebuild_on_churn(file, &pre, &mut findings);
     }
     check_greedy_outside_engine(file, &pre, &mut findings);
+    check_hash_into_iter(file, &pre, &mut findings);
 
     findings
 }
@@ -312,8 +247,6 @@ struct Preprocessed {
     /// Lines with comments and string/char literal *contents* blanked out
     /// (delimiters kept), so token scans cannot match inside either.
     masked: Vec<String>,
-    /// `// audit: membership-only` annotation lines.
-    membership_only: Vec<usize>,
     /// `// audit: fire-and-forget` annotation lines.
     fire_and_forget: Vec<usize>,
     /// `// audit: full-rebuild` annotation lines.
@@ -328,16 +261,13 @@ impl Preprocessed {
     fn new(content: &str) -> Self {
         let raw_lines: Vec<&str> = content.lines().collect();
 
-        let mut membership_only = Vec::new();
         let mut fire_and_forget = Vec::new();
         let mut full_rebuild = Vec::new();
         let mut allows = Vec::new();
         for (i, line) in raw_lines.iter().enumerate() {
             if let Some(pos) = line.find("// audit:") {
                 let directive = line[pos + "// audit:".len()..].trim();
-                if directive.starts_with("membership-only") {
-                    membership_only.push(i + 1);
-                } else if directive.starts_with("fire-and-forget") {
+                if directive.starts_with("fire-and-forget") {
                     fire_and_forget.push(i + 1);
                 } else if directive.starts_with("full-rebuild") {
                     full_rebuild.push(i + 1);
@@ -355,7 +285,6 @@ impl Preprocessed {
 
         Preprocessed {
             masked,
-            membership_only,
             fire_and_forget,
             full_rebuild,
             allows,
@@ -363,13 +292,7 @@ impl Preprocessed {
         }
     }
 
-    fn is_membership_annotated(&self, line: usize) -> bool {
-        // An annotation covers its own line and the one below it.
-        self.membership_only
-            .iter()
-            .any(|&l| l == line || l + 1 == line)
-    }
-
+    // An annotation covers its own line and the one below it.
     fn is_fire_and_forget(&self, line: usize) -> bool {
         self.fire_and_forget
             .iter()
@@ -591,111 +514,42 @@ fn word_positions(line: &str, tok: &str) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: hash-iteration
+// Rule: hash-into-iter
 // ---------------------------------------------------------------------------
 
-/// Method calls on a hash collection that observe iteration order.
-const ITERATION_METHODS: &[&str] = &[
-    ".iter()",
-    ".iter_mut()",
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".into_iter()",
-    ".into_keys()",
-    ".into_values()",
-    ".drain(",
-    ".retain(",
-];
-
-fn check_hash_collections(
-    file: &SourceFile<'_>,
-    pre: &Preprocessed,
-    findings: &mut Vec<Finding>,
-    rule: &'static str,
-    kind: &str,
-) {
-    // Pass 1: find bindings/fields typed as HashMap/HashSet and check the
-    // declaration is annotated. Applies to test code too — a nondeterministic
-    // iteration in a test makes the test flaky.
-    let mut tracked: Vec<String> = Vec::new();
-    for (idx, line) in pre.masked.iter().enumerate() {
-        let lineno = idx + 1;
-        let has_hash = !word_positions(line, "HashMap").is_empty()
-            || !word_positions(line, "HashSet").is_empty();
-        if !has_hash {
+fn check_hash_into_iter(file: &SourceFile<'_>, pre: &Preprocessed, findings: &mut Vec<Finding>) {
+    // Every name a `HashMap`/`HashSet` line binds (imports bind nothing).
+    let mut hashed: Vec<String> = Vec::new();
+    for line in &pre.masked {
+        let t = line.trim_start();
+        if t.starts_with("use ")
+            || t.starts_with("pub use ")
+            || (word_positions(line, "HashMap").is_empty()
+                && word_positions(line, "HashSet").is_empty())
+        {
             continue;
         }
-        let trimmed = line.trim_start();
-        if trimmed.starts_with("use ") || trimmed.starts_with("pub use ") {
-            continue; // imports alone are fine
-        }
         if let Some(name) = bound_identifier(line) {
-            if !tracked.contains(&name) {
-                tracked.push(name);
-            }
-            if !pre.is_membership_annotated(lineno) && !pre.is_allowed(lineno, rule) {
-                findings.push(Finding {
-                    file: file.path.to_owned(),
-                    line: lineno,
-                    rule,
-                    message: format!(
-                        "HashMap/HashSet binding in {kind} crate `{}` without a \
-                         `// audit: membership-only` annotation; if it is ever iterated, \
-                         use BTreeMap/BTreeSet instead",
-                        file.crate_name
-                    ),
-                });
+            if !hashed.contains(&name) {
+                hashed.push(name);
             }
         }
     }
-
-    // Pass 2: iteration-style calls on tracked bindings are violations even
-    // when the binding is annotated (the annotation is an assertion, and
-    // this is its checker).
     for (idx, line) in pre.masked.iter().enumerate() {
         let lineno = idx + 1;
-        if pre.is_allowed(lineno, rule) {
+        if pre.is_allowed(lineno, "hash-into-iter") {
             continue;
         }
-        for name in &tracked {
+        for name in &hashed {
             for pos in word_positions(line, name) {
-                let rest = &line[pos + name.len()..];
-                if let Some(m) = ITERATION_METHODS.iter().find(|m| rest.starts_with(**m)) {
+                if line[pos + name.len()..].starts_with(".into_iter()") {
                     findings.push(Finding {
                         file: file.path.to_owned(),
                         line: lineno,
-                        rule,
+                        rule: "hash-into-iter",
                         message: format!(
-                            "`{name}{m}` iterates a HashMap/HashSet in {kind} \
-                             crate `{}`: iteration order is nondeterministic; use \
-                             BTreeMap/BTreeSet",
-                            file.crate_name
-                        ),
-                    });
-                }
-            }
-            // `for x in map` / `for x in &map` / `for x in &mut s.map`.
-            if let Some(p) = line.find(" in ") {
-                let expr = line[p + 4..]
-                    .split('{')
-                    .next()
-                    .unwrap_or("")
-                    .trim()
-                    .trim_start_matches("&mut ")
-                    .trim_start_matches('&');
-                let for_loop = line.trim_start().starts_with("for ")
-                    || !word_positions(&line[..p], "for").is_empty();
-                if for_loop && (expr == name || expr.ends_with(&format!(".{name}"))) {
-                    findings.push(Finding {
-                        file: file.path.to_owned(),
-                        line: lineno,
-                        rule,
-                        message: format!(
-                            "`for … in {name}` iterates a HashMap/HashSet in {kind} \
-                             crate `{}`: iteration order is nondeterministic; use \
-                             BTreeMap/BTreeSet",
-                            file.crate_name
+                            "`{name}.into_iter()` walks a HashMap/HashSet in per-process \
+                             random order; keep it in a BTreeMap/BTreeSet"
                         ),
                     });
                 }
@@ -807,7 +661,7 @@ pub fn check_reply_obligation(files: &[SourceFile<'_>]) -> Vec<Finding> {
     // Locate `enum Payload` and enumerate its top-level variants.
     let mut enum_file = None; // (file idx, Vec<(line, variant)>)
     for (fi, pre) in pres.iter().enumerate() {
-        if let Some(variants) = payload_variants(&pre.masked) {
+        if let Some(variants) = enum_variants(&pre.masked, "Payload") {
             enum_file = Some((fi, variants));
             break;
         }
@@ -907,16 +761,9 @@ pub fn check_reply_obligation(files: &[SourceFile<'_>]) -> Vec<Finding> {
     findings
 }
 
-/// The top-level variants of `enum Payload` in a masked file, as
-/// `(1-based line, name)` — `None` if the file does not define it.
-fn payload_variants(masked: &[String]) -> Option<Vec<(usize, String)>> {
-    enum_variants(masked, "Payload").map(|(_, v)| v)
-}
-
-/// The declaration line and top-level variants of `enum <name>` in a
-/// masked file, as `(1-based decl line, [(1-based line, variant)])` —
-/// `None` if the file does not define it.
-fn enum_variants(masked: &[String], name: &str) -> Option<(usize, Vec<(usize, String)>)> {
+/// The top-level variants of `enum <name>` in a masked file, as
+/// `(1-based line, variant)` — `None` if the file does not define it.
+fn enum_variants(masked: &[String], name: &str) -> Option<Vec<(usize, String)>> {
     let header = format!("enum {name}");
     let start = masked.iter().position(|l| {
         word_positions(l, "enum").iter().any(|&p| {
@@ -958,154 +805,7 @@ fn enum_variants(masked: &[String], name: &str) -> Option<(usize, Vec<(usize, St
             break;
         }
     }
-    Some((start + 1, variants))
-}
-
-// ---------------------------------------------------------------------------
-// Rule: codec-coverage
-// ---------------------------------------------------------------------------
-
-/// Audits a whole crate's wire codec (all `files` must belong to one
-/// crate): every variant of every [`WIRE_VOCAB_ENUMS`] enum defined in the
-/// crate must have a matching arm in both the enum's `impl WireEncode`
-/// and `impl WireDecode` blocks — the `Enum::Variant` token must appear
-/// inside each block. Decode arms must therefore construct variants by
-/// their qualified literal name (which the hand-rolled codecs do by
-/// style); a variant the codec cannot carry would otherwise surface only
-/// when the framed transport first meets it in flight.
-pub fn check_codec_coverage(files: &[SourceFile<'_>]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let pres: Vec<Preprocessed> = files.iter().map(|f| Preprocessed::new(f.content)).collect();
-
-    for enum_name in WIRE_VOCAB_ENUMS {
-        let mut located = None; // (file idx, decl line, variants)
-        for (fi, pre) in pres.iter().enumerate() {
-            if let Some((decl, variants)) = enum_variants(&pre.masked, enum_name) {
-                located = Some((fi, decl, variants));
-                break;
-            }
-        }
-        let Some((enum_fi, decl_line, variants)) = located else {
-            continue;
-        };
-
-        let mut encode = ImplMentions::default();
-        let mut decode = ImplMentions::default();
-        for pre in &pres {
-            collect_impl_mentions(pre, "WireEncode", enum_name, &mut encode);
-            collect_impl_mentions(pre, "WireDecode", enum_name, &mut decode);
-        }
-
-        let enum_pre = &pres[enum_fi];
-        for (side, mentions) in [("WireEncode", &encode), ("WireDecode", &decode)] {
-            if !mentions.found && !enum_pre.is_allowed(decl_line, "codec-coverage") {
-                findings.push(Finding {
-                    file: files[enum_fi].path.to_owned(),
-                    line: decl_line,
-                    rule: "codec-coverage",
-                    message: format!(
-                        "wire vocabulary enum `{enum_name}` has no `impl {side} for \
-                         {enum_name}` in non-test code of crate `{}`",
-                        files[enum_fi].crate_name
-                    ),
-                });
-            }
-        }
-        if !encode.found || !decode.found {
-            continue;
-        }
-        for (line, variant) in &variants {
-            if enum_pre.is_allowed(*line, "codec-coverage") {
-                continue;
-            }
-            for (side, mentions) in [("encode", &encode), ("decode", &decode)] {
-                if !mentions.variants.contains(variant) {
-                    findings.push(Finding {
-                        file: files[enum_fi].path.to_owned(),
-                        line: *line,
-                        rule: "codec-coverage",
-                        message: format!(
-                            "variant `{enum_name}::{variant}` has no {side} arm \
-                             (`{enum_name}::{variant}` does not appear in the enum's \
-                             `Wire{}` impl)",
-                            if side == "encode" { "Encode" } else { "Decode" }
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    findings
-}
-
-/// What a scan over one trait's impl blocks for one enum turned up.
-#[derive(Default)]
-struct ImplMentions {
-    /// At least one non-test `impl <Trait> for <Enum>` block exists.
-    found: bool,
-    /// `Enum::Variant` tokens mentioned inside those blocks.
-    variants: Vec<String>,
-}
-
-/// Scans a masked file for non-test `impl <trait_name> for <enum_name>`
-/// blocks and records every `enum_name::Variant` token inside them.
-fn collect_impl_mentions(
-    pre: &Preprocessed,
-    trait_name: &str,
-    enum_name: &str,
-    out: &mut ImplMentions,
-) {
-    let qualifier = format!("{enum_name}::");
-    let mut i = 0;
-    while i < pre.masked.len() {
-        let line = &pre.masked[i];
-        let is_impl = !pre.in_test(i + 1)
-            && word_positions(line, "impl").iter().any(|&p| {
-                let rest = &line[p..];
-                !word_positions(rest, trait_name).is_empty()
-                    && word_positions(rest, enum_name)
-                        .iter()
-                        .any(|&q| rest[..q].trim_end().ends_with("for"))
-            });
-        if !is_impl {
-            i += 1;
-            continue;
-        }
-        out.found = true;
-        // Walk the brace-matched impl block, collecting qualified variant
-        // tokens.
-        let mut depth = 0usize;
-        let mut opened = false;
-        while i < pre.masked.len() {
-            let line = &pre.masked[i];
-            for pos in word_positions(line, enum_name) {
-                if let Some(rest) = line[pos..].strip_prefix(&qualifier) {
-                    let v: String = rest
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect();
-                    if !v.is_empty() && !out.variants.contains(&v) {
-                        out.variants.push(v);
-                    }
-                }
-            }
-            for ch in line.chars() {
-                match ch {
-                    '{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    '}' => depth = depth.saturating_sub(1),
-                    _ => {}
-                }
-            }
-            i += 1;
-            if opened && depth == 0 {
-                break;
-            }
-        }
-    }
+    Some(variants)
 }
 
 // ---------------------------------------------------------------------------
@@ -1213,51 +913,33 @@ mod tests {
         assert!(lint("canon-sim", src2).is_empty());
     }
 
-    // ---- hash-iteration ---------------------------------------------------
+    // ---- hash-into-iter ---------------------------------------------------
 
     #[test]
-    fn hash_iteration_flags_unannotated_binding() {
-        let src = "fn f() {\n    let m: std::collections::HashMap<u8, u8> = Default::default();\n    let _ = m.get(&0);\n}\n";
-        let f = lint("canon", src);
-        assert_eq!(rules(&f), vec!["hash-iteration"]);
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn hash_iteration_annotated_membership_binding_is_clean() {
-        let src = "fn f() {\n    // audit: membership-only\n    let m: std::collections::HashMap<u8, u8> = Default::default();\n    let _ = m.contains_key(&0);\n}\n";
-        assert!(lint("canon", src).is_empty());
-    }
-
-    #[test]
-    fn hash_iteration_flags_iteration_even_when_annotated() {
-        let src = "fn f() {\n    // audit: membership-only\n    let m: std::collections::HashMap<u8, u8> = Default::default();\n    for (k, v) in m.iter() { let _ = (k, v); }\n}\n";
-        let f = lint("canon-overlay", src);
-        assert_eq!(rules(&f), vec!["hash-iteration"], "{f:?}");
-        assert_eq!(f[0].line, 4);
-    }
-
-    #[test]
-    fn hash_iteration_flags_for_loop_and_values() {
-        let src = "struct S {\n    // audit: membership-only\n    groups: std::collections::HashSet<u64>,\n}\nfn f(s: &S) {\n    for g in &s.groups { let _ = g; }\n    let v: Vec<_> = s.groups.values().collect();\n}\n";
-        let f = lint("canon-skipnet", src);
-        assert_eq!(rules(&f), vec!["hash-iteration", "hash-iteration"], "{f:?}");
-    }
-
-    #[test]
-    fn hash_iteration_out_of_scope_crate_is_clean() {
-        let src = "fn f() { let m: std::collections::HashMap<u8, u8> = Default::default(); let _ = m.iter(); }\n";
-        assert!(lint("canon-bench", src).is_empty());
+    fn hash_into_iter_flags_a_hashed_binding_and_a_hashed_field() {
+        let local = "fn f() {\n    let s: std::collections::HashSet<u8> = Default::default();\n    let v: Vec<u8> = s.into_iter().collect();\n}\n";
+        let f = lint("canon-bench", local);
+        assert_eq!(rules(&f), vec!["hash-into-iter"], "{f:?}");
+        assert_eq!(f[0].line, 3);
         assert!(
-            lint("canon-store", src).is_empty(),
-            "not a construction crate"
+            f[0].message.contains("BTreeMap/BTreeSet"),
+            "{}",
+            f[0].message
         );
+        let field = "struct S {\n    placements: HashMap<u64, Vec<u64>>,\n}\nimpl S {\n    fn all(self) -> Vec<(u64, Vec<u64>)> {\n        self.placements.into_iter().collect()\n    }\n}\n";
+        let f = lint("canon-store", field);
+        assert_eq!(rules(&f), vec!["hash-into-iter"], "{f:?}");
+        assert_eq!(f[0].line, 6);
     }
 
     #[test]
-    fn hash_iteration_ignores_bare_imports_and_btree() {
-        let src = "use std::collections::HashMap;\nuse std::collections::BTreeMap;\nfn f() {\n    let m: BTreeMap<u8, u8> = BTreeMap::new();\n    for (k, _) in m.iter() { let _ = k; }\n}\n";
-        assert!(lint("canon", src).is_empty());
+    fn hash_into_iter_is_silent_on_btree_lookups_and_allowed_lines() {
+        let btree = "fn f() {\n    let s: std::collections::BTreeSet<u8> = Default::default();\n    let v: Vec<u8> = s.into_iter().collect();\n}\n";
+        assert!(lint("canon", btree).is_empty());
+        let lookup = "use std::collections::HashMap;\nfn f(m: &HashMap<u8, u8>) -> bool {\n    m.contains_key(&0) && m.get(&1).is_some()\n}\n";
+        assert!(lint("canon-node", lookup).is_empty());
+        let allowed = "fn f() {\n    let s: std::collections::HashSet<u8> = Default::default();\n    // audit: allow(hash-into-iter)\n    let n = s.into_iter().count();\n}\n";
+        assert!(lint("canon", allowed).is_empty());
     }
 
     // ---- greedy-outside-engine --------------------------------------------
@@ -1352,7 +1034,7 @@ mod tests {
         let f = Finding {
             file: "a \"b\"\\c.rs".to_owned(),
             line: 3,
-            rule: "hash-iteration",
+            rule: "hash-into-iter",
             message: "tab\there".to_owned(),
         };
         let j = f.to_json();
@@ -1367,12 +1049,12 @@ mod tests {
         let f = Finding {
             file: "crates/canon/src/engine.rs".to_owned(),
             line: 12,
-            rule: "hash-iteration",
+            rule: "hash-into-iter",
             message: "m".to_owned(),
         };
         assert_eq!(
             f.to_string(),
-            "crates/canon/src/engine.rs:12: [hash-iteration] m"
+            "crates/canon/src/engine.rs:12: [hash-into-iter] m"
         );
     }
 }

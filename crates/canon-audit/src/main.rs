@@ -6,9 +6,9 @@
 //!                             [--seed <s>]
 //! ```
 //!
-//! * `lint` — run the six repo-specific source rules over `crates/*/src`
-//!   and `src/` (the generic policies — panic sites, wall clock, `unsafe`
-//!   — are clippy's, see `clippy.toml`);
+//! * `lint` — run the four repo-specific source rules over `crates/*/src`
+//!   and `src/` (the generic policies — panic sites, wall clock, `unsafe`,
+//!   hash-order walks — are clippy's, see `clippy.toml`);
 //! * `loom` — exhaustively explore `par_map` interleavings at width ≤ 4;
 //! * `verify` — build the figure-experiment graph families at smoke size
 //!   and check Canon conditions (a)/(b), ring completeness, and level

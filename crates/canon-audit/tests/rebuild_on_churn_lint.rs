@@ -7,7 +7,7 @@
 //! `// audit: full-rebuild` annotation and `#[cfg(test)]` regions stay
 //! exempt.
 
-use canon_audit::lint::{lint_file, SourceFile, CHURN_PATH_CRATES, CONSTRUCTION_CRATES};
+use canon_audit::lint::{lint_file, SourceFile, CHURN_PATH_CRATES};
 
 const FIXTURE: &str = include_str!("fixtures/sim_rebuild_violation.rs");
 
@@ -20,19 +20,6 @@ fn lint_as(crate_name: &str) -> Vec<canon_audit::lint::Finding> {
     .into_iter()
     .filter(|f| f.rule == "rebuild-on-churn")
     .collect()
-}
-
-#[test]
-fn churn_path_crates_are_not_construction_crates() {
-    for c in CHURN_PATH_CRATES {
-        assert!(
-            !CONSTRUCTION_CRATES.contains(c),
-            "`{c}` cannot be both: construction crates build graphs by \
-             definition, churn-path crates must not"
-        );
-    }
-    assert!(CHURN_PATH_CRATES.contains(&"canon-sim"));
-    assert!(CHURN_PATH_CRATES.contains(&"canon-node"));
 }
 
 #[test]
@@ -71,6 +58,7 @@ fn the_real_churn_path_sources_are_clean() {
     // canon-node source file must pass with zero findings, and the only
     // annotations that buy that are canon-sim's `snapshot()` export (the
     // `GraphBuilder` import and the one call).
+    assert_eq!(CHURN_PATH_CRATES, ["canon-sim", "canon-node"]);
     let crates_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .expect("crates dir")

@@ -242,7 +242,6 @@ pub fn hierarchical_balanced_placement(
     let loglog = (n.max(4) as f64).log2().log2().ceil() as u32;
     let bits = loglog.clamp(1, 8);
     let mut rng = seed.derive("hier-balance").rng();
-    // audit: membership-only
     let mut per_leaf: std::collections::HashMap<canon_hierarchy::DomainId, Vec<NodeId>> =
         Default::default();
     let mut pairs = Vec::with_capacity(n);
@@ -284,7 +283,6 @@ mod tests {
     fn joins_grow_monotonically_and_ids_are_unique() {
         let mut alloc = BalancedAllocator::new();
         let mut rng = Seed(3).rng();
-        // audit: membership-only
         let mut seen = std::collections::HashSet::new();
         for i in 0..500 {
             let id = alloc.join(&mut rng);

@@ -324,7 +324,6 @@ impl Placement {
     /// Panics if any referenced domain is not a leaf of `hierarchy`, or if
     /// identifiers repeat.
     pub fn from_pairs(hierarchy: &Hierarchy, pairs: Vec<(NodeId, DomainId)>) -> Self {
-        // audit: membership-only
         let mut seen = std::collections::HashSet::with_capacity(pairs.len());
         for &(id, leaf) in &pairs {
             assert!(hierarchy.is_leaf(leaf), "{leaf} is not a leaf domain");

@@ -39,7 +39,6 @@ mod tests {
 
     #[test]
     fn distinct_inputs_rarely_collide() {
-        // audit: membership-only
         let keys: std::collections::HashSet<u64> = (0..50_000u32)
             .map(|i| hash_name(&format!("key-{i}")).raw())
             .collect();

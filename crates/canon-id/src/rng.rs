@@ -78,7 +78,6 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// sizes of the paper (≤ 65536 nodes) redraws are vanishingly rare.
 pub fn random_ids(seed: Seed, count: usize) -> Vec<NodeId> {
     let mut rng = seed.rng();
-    // audit: membership-only
     let mut seen = std::collections::HashSet::with_capacity(count * 2);
     let mut out = Vec::with_capacity(count);
     while out.len() < count {
@@ -153,7 +152,6 @@ mod tests {
     #[test]
     fn splitmix_is_a_permutation_sample() {
         // Distinct inputs map to distinct outputs on a sample.
-        // audit: membership-only
         let outs: std::collections::HashSet<u64> = (0..10_000u64).map(splitmix64).collect();
         assert_eq!(outs.len(), 10_000);
     }

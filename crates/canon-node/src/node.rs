@@ -79,7 +79,6 @@ pub(crate) struct Net<'a> {
     pub transport: &'a dyn Transport,
     /// [`Transport::framing`] of `transport`.
     pub framing: Option<FramingView>,
-    // audit: membership-only
     pub directory: &'a HashMap<u64, usize>,
     pub now: Tick,
 }

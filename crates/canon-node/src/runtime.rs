@@ -170,7 +170,6 @@ pub struct Runtime {
     /// ever looked up (`get`, `contains_key`, `insert`), never iterated, so
     /// no order can leak out of it, and it is not part of the model
     /// checker's snapshot.
-    // audit: membership-only
     directory: HashMap<u64, usize>,
     /// Each node's earliest live RPC deadline as `(tick, slot)` — the
     /// timer half of the wake-up index (the mail half is inside

@@ -8,10 +8,10 @@
 //! are part of the wire format — reordering enum declarations must not
 //! change the encoding, so every arm spells its tag literally.
 //!
-//! canon-audit's `codec-coverage` lint cross-checks this module against
-//! `msg.rs`: every variant of `Op`, `Command`, `Payload` and `RpcResult`
-//! must appear in both the `WireEncode` and the `WireDecode` impl here, so
-//! a new message variant cannot land without a wire encoding.
+//! Every encode `match` is exhaustive, so a new message variant does not
+//! compile without a wire encoding; `tests/wire_roundtrip.rs` round-trips
+//! a [`samples`] value of every variant of `Op`, `Command`, `Payload` and
+//! `RpcResult`, so it does not pass without a decode arm either.
 //!
 //! The [`samples`] submodule generates deterministic worst-case values per
 //! variant for the committed size budget in `results/wire_sizes.json`.
@@ -530,6 +530,32 @@ pub mod samples {
         ]
     }
 
+    /// Every [`Command`] variant: `(label, worst case, seeded sample)`.
+    /// Not in the size budget: a command reaches the wire only inside
+    /// `Payload::Client`.
+    fn command_variants(d: &mut Draw) -> Vec<(&'static str, Command, Command)> {
+        vec![
+            (
+                "Command::Issue",
+                Command::Issue(Op::Put {
+                    key: u64::MAX,
+                    value: u64::MAX,
+                }),
+                Command::Issue(Op::Get { key: d.next() }),
+            ),
+            (
+                "Command::Join",
+                Command::Join {
+                    bootstrap: NodeId::new(u64::MAX),
+                },
+                Command::Join {
+                    bootstrap: d.node(),
+                },
+            ),
+            ("Command::Leave", Command::Leave, Command::Leave),
+        ]
+    }
+
     /// Every [`RpcResult`] variant: `(label, worst case, seeded sample)`.
     fn result_variants(d: &mut Draw) -> Vec<(&'static str, RpcResult, RpcResult)> {
         vec![
@@ -757,14 +783,42 @@ pub mod samples {
         out
     }
 
-    /// One seeded sample value per [`Payload`] variant (worst case for
-    /// `round == 0`) — the corpus the round-trip and size tests share.
-    pub fn sample_payloads(seed: Seed, round: u64) -> Vec<Payload> {
+    /// One value per variant of a list: the worst case for `round == 0`,
+    /// a seeded draw otherwise.
+    fn pick<T>(
+        seed: Seed,
+        round: u64,
+        variants: impl Fn(&mut Draw) -> Vec<(&'static str, T, T)>,
+    ) -> Vec<T> {
         let mut d = Draw::new(seed.derive_index(round));
-        payload_variants(&mut d)
+        variants(&mut d)
             .into_iter()
             .map(|(_, worst, drawn)| if round == 0 { worst } else { drawn })
             .collect()
+    }
+
+    /// One seeded sample value per [`Op`] variant (worst case for
+    /// `round == 0`).
+    pub fn sample_ops(seed: Seed, round: u64) -> Vec<Op> {
+        pick(seed, round, op_variants)
+    }
+
+    /// One seeded sample value per [`Command`] variant (worst case for
+    /// `round == 0`).
+    pub fn sample_commands(seed: Seed, round: u64) -> Vec<Command> {
+        pick(seed, round, command_variants)
+    }
+
+    /// One seeded sample value per [`RpcResult`] variant (worst case for
+    /// `round == 0`).
+    pub fn sample_results(seed: Seed, round: u64) -> Vec<RpcResult> {
+        pick(seed, round, result_variants)
+    }
+
+    /// One seeded sample value per [`Payload`] variant (worst case for
+    /// `round == 0`) — the corpus the round-trip and size tests share.
+    pub fn sample_payloads(seed: Seed, round: u64) -> Vec<Payload> {
+        pick(seed, round, payload_variants)
     }
 }
 

@@ -1,11 +1,15 @@
 //! Property tests for the wire codec over the full message vocabulary:
 //! `decode(encode(x)) == x` for every type, encode-after-decode is
 //! byte-identical, every strict prefix of a valid encoding fails to
-//! decode, and decoding arbitrary byte soup never panics.
+//! decode, and decoding arbitrary byte soup never panics. One
+//! deterministic test pins that every variant of every vocabulary enum is
+//! sampled and decodes what it encodes.
 
+use canon_id::rng::Seed;
 use canon_id::NodeId;
 use canon_node::msg::{Command, JoinGrant, Op, Payload, RpcResult};
 use canon_node::transport::Envelope;
+use canon_node::wire::samples;
 use canon_wire::{from_bytes, to_bytes, WireDecode, WireEncode};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -244,4 +248,95 @@ proptest! {
         let _ = from_bytes::<Payload>(&bytes);
         let _ = from_bytes::<Envelope<Payload>>(&bytes);
     }
+}
+
+// Declaration-order variant indices. No wildcard arms: a new variant does
+// not compile until it has an index here, and the test below fails until
+// `wire::samples` draws it and the codec decodes it.
+
+const OP_VARIANTS: usize = 7;
+
+fn op_index(op: &Op) -> usize {
+    match op {
+        Op::Lookup { .. } => 0,
+        Op::Put { .. } => 1,
+        Op::Get { .. } => 2,
+        Op::Join { .. } => 3,
+        Op::Status { .. } => 4,
+        Op::Pin { .. } => 5,
+        Op::Unpin { .. } => 6,
+    }
+}
+
+const COMMAND_VARIANTS: usize = 3;
+
+fn command_index(cmd: &Command) -> usize {
+    match cmd {
+        Command::Issue(_) => 0,
+        Command::Join { .. } => 1,
+        Command::Leave => 2,
+    }
+}
+
+const RESULT_VARIANTS: usize = 6;
+
+fn result_index(result: &RpcResult) -> usize {
+    match result {
+        RpcResult::Found { .. } => 0,
+        RpcResult::Stored { .. } => 1,
+        RpcResult::Value { .. } => 2,
+        RpcResult::Granted(_) => 3,
+        RpcResult::Status { .. } => 4,
+        RpcResult::PinAck { .. } => 5,
+    }
+}
+
+/// Round-trips every sample of rounds `0..8` (the worst cases, then
+/// seeded draws) and checks their variant indices are exactly
+/// `0..variants`.
+fn every_variant_roundtrips<T>(
+    what: &str,
+    sample: impl Fn(Seed, u64) -> Vec<T>,
+    index: impl Fn(&T) -> usize,
+    variants: usize,
+) where
+    T: WireEncode + WireDecode + PartialEq + std::fmt::Debug,
+{
+    let mut seen = std::collections::BTreeSet::new();
+    for round in 0..8 {
+        for value in sample(Seed(27), round) {
+            if let Err(e) = roundtrip(&value) {
+                panic!("{what} sample {value:?} does not round-trip: {e:?}");
+            }
+            seen.insert(index(&value));
+        }
+    }
+    assert_eq!(
+        seen,
+        (0..variants).collect(),
+        "wire::samples must draw every {what} variant"
+    );
+}
+
+#[test]
+fn every_wire_variant_decodes_what_it_encodes() {
+    every_variant_roundtrips("Op", samples::sample_ops, op_index, OP_VARIANTS);
+    every_variant_roundtrips(
+        "Command",
+        samples::sample_commands,
+        command_index,
+        COMMAND_VARIANTS,
+    );
+    every_variant_roundtrips(
+        "RpcResult",
+        samples::sample_results,
+        result_index,
+        RESULT_VARIANTS,
+    );
+    every_variant_roundtrips(
+        "Payload",
+        samples::sample_payloads,
+        Payload::kind_index,
+        Payload::KIND_NAMES.len(),
+    );
 }

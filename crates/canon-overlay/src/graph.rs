@@ -172,13 +172,11 @@ impl OverlayGraph {
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     ids: Vec<NodeId>,
-    // audit: membership-only
     index_of: HashMap<NodeId, NodeIndex>,
     links: Vec<Vec<NodeIndex>>,
     /// Directed links already present, keyed `(from << 32) | to`, so
     /// duplicate detection is O(1) instead of a linear neighbor-list scan
     /// (which made dense-node construction O(d²) per node).
-    // audit: membership-only
     seen: HashSet<u64>,
 }
 

@@ -35,7 +35,6 @@ pub fn overlap<F: Fn(NodeIndex, NodeIndex) -> f64>(
     second: &Route,
     lat: F,
 ) -> Overlap {
-    // audit: membership-only
     let first_edges: HashSet<(NodeIndex, NodeIndex)> = first.edges().collect();
     let mut shared_hops = 0usize;
     let mut shared_lat = 0.0f64;

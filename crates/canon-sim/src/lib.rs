@@ -43,7 +43,7 @@ use canon_hierarchy::{DomainId, Hierarchy, Placement};
 use canon_id::{metric::Clockwise, NodeId, RingDistance, ID_BITS};
 // audit: full-rebuild — `GraphBuilder` is for `snapshot()`, a one-off export
 use canon_overlay::{closest, closest_clockwise, GraphBuilder, OverlayGraph};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-node protocol state.
 #[derive(Clone, Debug)]
@@ -101,7 +101,7 @@ pub struct CrescendoSim {
     hierarchy: Hierarchy,
     /// Member identifiers per domain (subtree membership).
     members: Vec<BTreeSet<u64>>,
-    nodes: HashMap<NodeId, SimNode>,
+    nodes: BTreeMap<NodeId, SimNode>,
     leaf_set_size: usize,
 }
 
@@ -118,7 +118,7 @@ impl CrescendoSim {
         CrescendoSim {
             hierarchy,
             members,
-            nodes: HashMap::new(),
+            nodes: BTreeMap::new(),
             leaf_set_size,
         }
     }
@@ -585,10 +585,7 @@ impl CrescendoSim {
     /// The current membership as a [`Placement`] (for comparison with the
     /// static construction).
     pub fn placement(&self) -> Placement {
-        let pairs: Vec<(NodeId, DomainId)> =
-            self.nodes.iter().map(|(&id, n)| (id, n.leaf)).collect();
-        let mut pairs = pairs;
-        pairs.sort_by_key(|&(id, _)| id);
+        let pairs = self.nodes.iter().map(|(&id, n)| (id, n.leaf)).collect();
         Placement::from_pairs(&self.hierarchy, pairs)
     }
 

@@ -22,7 +22,7 @@ use canon_hierarchy::{DomainId, DomainMembership, Hierarchy, Placement};
 use canon_id::hash::hash_bytes;
 use canon_id::ring::SortedRing;
 use canon_id::{Key, NodeId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::marker::PhantomData;
 
 /// The single abort point of the replica-shard I/O policy: a backend
@@ -61,9 +61,9 @@ pub struct ReplicatedStore<V> {
     policy: Policy,
     backend_kind: BackendKind,
     /// Per-node content-addressed shards, created on first write.
-    shards: HashMap<NodeId, Box<dyn StorageBackend>>,
-    /// Replica holders per (key, storage domain).
-    placements: HashMap<(Key, DomainId), Vec<NodeId>>,
+    shards: BTreeMap<NodeId, Box<dyn StorageBackend>>,
+    /// Replica holders per (key, storage domain), walked in key order.
+    placements: BTreeMap<(Key, DomainId), Vec<NodeId>>,
     /// The writing node's leaf domain per item (anchors geo constraints).
     writers: HashMap<(Key, DomainId), DomainId>,
     leaf_of: HashMap<NodeId, DomainId>,
@@ -99,8 +99,8 @@ impl<V: BlobValue> ReplicatedStore<V> {
             membership,
             policy,
             backend_kind,
-            shards: HashMap::new(),
-            placements: HashMap::new(),
+            shards: BTreeMap::new(),
+            placements: BTreeMap::new(),
             writers: HashMap::new(),
             leaf_of,
             dead: HashSet::new(),
@@ -319,11 +319,9 @@ impl<V: BlobValue> ReplicatedStore<V> {
     /// deterministic (key, domain) order. Empty means the storage
     /// invariant holds; this is what `canon-audit verify` probes.
     pub fn policy_violations(&self) -> Vec<String> {
-        let mut items: Vec<(Key, DomainId)> = self.placements.keys().copied().collect();
-        items.sort_unstable();
         let mut out = Vec::new();
-        for (key, domain) in items {
-            let live: Vec<NodeId> = self.placements[&(key, domain)]
+        for (&(key, domain), holders) in &self.placements {
+            let live: Vec<NodeId> = holders
                 .iter()
                 .copied()
                 .filter(|n| !self.dead.contains(n))

@@ -47,7 +47,6 @@ pub struct EuclideanWorld {
     params: EuclideanParams,
     hierarchy: Hierarchy,
     placement: Placement,
-    // audit: membership-only
     position_of: HashMap<NodeId, (f64, f64)>,
 }
 
@@ -77,7 +76,6 @@ impl EuclideanWorld {
             .collect();
 
         let ids = random_ids(seed.derive("ids"), n);
-        // audit: membership-only
         let mut position_of = HashMap::with_capacity(n);
         let mut pairs = Vec::with_capacity(n);
         for &id in &ids {

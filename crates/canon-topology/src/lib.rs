@@ -322,7 +322,6 @@ pub struct Attachment {
     topology: TransitStubTopology,
     hierarchy: Hierarchy,
     placement: Placement,
-    // audit: membership-only
     router_of_id: HashMap<NodeId, RouterId>,
 }
 
@@ -360,7 +359,6 @@ pub fn attach(topology: TransitStubTopology, n: usize, seed: Seed) -> Attachment
     let ids = random_ids(seed.derive("attach-ids"), n);
     let mut rng = seed.derive("attach-placement").rng();
     let mut pairs = Vec::with_capacity(n);
-    // audit: membership-only
     let mut router_of_id = HashMap::with_capacity(n);
     for &id in &ids {
         let pos = rng.gen_range(0..topology.stub_routers().len());

@@ -161,7 +161,6 @@ mod tests {
             if members.len() < 2 {
                 continue;
             }
-            // audit: membership-only
             let set: std::collections::HashSet<NodeIndex> = members.iter().copied().collect();
             for _ in 0..6 {
                 let a = members[rng.gen_range(0..members.len())];

@@ -265,7 +265,6 @@ mod tests {
             if members.len() < 2 {
                 continue;
             }
-            // audit: membership-only
             let member_set: std::collections::HashSet<NodeIndex> =
                 members.iter().copied().collect();
             for _ in 0..10 {

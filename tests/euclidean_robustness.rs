@@ -60,7 +60,7 @@ fn locality_collapse_also_holds_on_the_plane() {
     let mut rng = Seed(35).rng();
 
     // Intra-cluster queries vs global queries.
-    let mut by_cluster: std::collections::HashMap<_, Vec<NodeIndex>> = Default::default();
+    let mut by_cluster: std::collections::BTreeMap<_, Vec<NodeIndex>> = Default::default();
     for (id, leaf) in p.iter() {
         by_cluster
             .entry(leaf)

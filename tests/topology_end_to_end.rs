@@ -126,7 +126,7 @@ fn locality_collapses_latency_for_crescendo_only() {
     // Compare top-level queries vs queries within the same stub domain
     // (depth 3 of the induced hierarchy).
     let mut rng = Seed(12).rng();
-    let mut by_domain: std::collections::HashMap<_, Vec<NodeIndex>> = Default::default();
+    let mut by_domain: std::collections::BTreeMap<_, Vec<NodeIndex>> = Default::default();
     for (id, leaf) in p.iter() {
         let d3 = h.ancestor_at_depth(leaf, 3);
         by_domain
