@@ -9,7 +9,10 @@
 //! path: with a [`FramedTransport`] in the stack, a node's sends are
 //! staged in its outbox instead of entering mailboxes directly, and at the
 //! end of the node's round the runtime flushes the outbox
-//! (`flush_outbox`):
+//! (`flush_outbox`). Each staged message's fate and delivery tick were
+//! already decided at send time, with its own sequence number, exactly as
+//! in an unframed run and in whichever order `FramedTransport` and
+//! `FaultyTransport` nest; the flush only coalesces the survivors:
 //!
 //! 1. sort a scratch vector of `(destination slot, delivery tick, staging
 //!    index)` keys — 24 bytes each; the staged envelopes, six times that,
@@ -58,25 +61,11 @@
 //! message. The tally tracks the counterfactual unbatched size — every
 //! message as a frame of its own — which is where the reported batching
 //! savings come from.
-//!
-//! # Fault granularity is wrapper order
-//!
-//! * `FramedTransport::new(FaultyTransport::new(..))` — faults *inside*
-//!   the framer: loss and jitter are decided per message at send time with
-//!   the message's own sequence number, exactly as an unframed run would,
-//!   and only survivors are coalesced (by shared delivery tick). This is
-//!   the equivalence configuration: summaries and event logs match the
-//!   unframed faulty run byte for byte.
-//! * `FaultyTransport::new(FramedTransport::new(..))` — faults *outside*
-//!   the framer: the runtime schedules **one** transport decision per
-//!   frame (keyed by the frame's first sequence number), so a loss drops
-//!   every message in the frame atomically and jitter moves the frame as a
-//!   unit — what a real packet network does to a batch.
 
 use crate::clock::Tick;
 use crate::msg::Payload;
 use crate::node::NodeState;
-use crate::transport::{Envelope, FramingView, Mailboxes, Transport};
+use crate::transport::{Envelope, Mailboxes, Transport};
 use canon_id::NodeId;
 use canon_wire::{Decoder, Encoder, WireDecode, WireError};
 use std::collections::BTreeMap;
@@ -107,9 +96,8 @@ pub struct FrameFacts {
 }
 
 /// One node's wire accounting: the frames it sent that were delivered,
-/// the frames the transport dropped, and decode failures. Counters only
-/// ever grow by addition, so summing tallies over nodes is independent of
-/// the order rounds ran in.
+/// and decode failures. Counters only ever grow by addition, so summing
+/// tallies over nodes is independent of the order rounds ran in.
 #[derive(Debug, Default)]
 pub(crate) struct WireTally {
     /// Delivered traffic per destination identifier.
@@ -117,8 +105,6 @@ pub(crate) struct WireTally {
     /// Per payload kind: messages and encoded payload bytes.
     kinds: [(u64, u64); KINDS],
     unbatched_bytes: u64,
-    frames_lost: u64,
-    msgs_lost: u64,
     decode_errors: u64,
 }
 
@@ -133,11 +119,6 @@ impl WireTally {
             kind.1 += seen.1;
         }
         self.unbatched_bytes += facts.unbatched;
-    }
-
-    fn record_lost(&mut self, msgs: usize) {
-        self.frames_lost += 1;
-        self.msgs_lost += msgs as u64;
     }
 
     /// This node's per-link counters, by destination.
@@ -171,10 +152,6 @@ pub struct WireSummary {
     /// What `bytes` would have been with one frame per message — the
     /// batching counterfactual.
     pub unbatched_bytes: u64,
-    /// Frames the transport dropped (per-frame fault mode only).
-    pub frames_lost: u64,
-    /// Messages lost inside dropped frames.
-    pub msgs_lost: u64,
     /// Frames that failed the decode-validate round trip (a codec bug;
     /// always zero in the shipped codec — the equivalence tests assert
     /// it).
@@ -203,8 +180,6 @@ impl WireSummary {
                 kind.1 += seen.1;
             }
             sum.unbatched_bytes += t.unbatched_bytes;
-            sum.frames_lost += t.frames_lost;
-            sum.msgs_lost += t.msgs_lost;
             sum.decode_errors += t.decode_errors;
         }
         sum.payload_bytes = kinds.iter().map(|k| k.1).sum();
@@ -221,9 +196,8 @@ impl WireSummary {
 }
 
 /// A transport-stack layer that makes the runtime serialize every message
-/// into length-prefixed frames (see the module docs for the layout and
-/// for how wrapper order selects the fault granularity). Scheduling
-/// delegates to the wrapped transport unchanged.
+/// into length-prefixed frames (see the module docs for the layout).
+/// Scheduling delegates to the wrapped transport unchanged.
 #[derive(Debug, Default)]
 pub struct FramedTransport<T> {
     inner: T,
@@ -246,8 +220,8 @@ impl<T: Transport> Transport for FramedTransport<T> {
         self.inner.schedule(now, from, to, seq)
     }
 
-    fn framing(&self) -> Option<FramingView> {
-        Some(FramingView { per_frame: false })
+    fn framed(&self) -> bool {
+        true
     }
 }
 
@@ -395,14 +369,11 @@ impl FlushScratch {
 /// Flushes a node's staged outbox at the end of its round: groups staged
 /// messages into frames, runs each frame through encode → decode →
 /// account, and delivers the decoded envelopes into the destination
-/// mailboxes. See the module docs for the two fault granularities.
+/// mailboxes.
 pub(crate) fn flush_outbox(
     boxes: &Mailboxes<Payload>,
-    transport: &dyn Transport,
-    view: FramingView,
     state: &mut NodeState,
     scratch: &mut FlushScratch,
-    now: Tick,
 ) {
     std::mem::swap(&mut state.outbox, &mut scratch.staged);
     let FlushScratch {
@@ -411,11 +382,9 @@ pub(crate) fn flush_outbox(
         frame,
         decoded,
     } = scratch;
-    // Group by (destination, delivery tick). With per-message fates the
-    // tick was quoted at send time, so only survivors that arrive together
-    // coalesce; with per-frame fates every staged envelope still carries
-    // tick 0, so this is one group per destination. The staging index
-    // rises in staging order, so with it in the key an unstable sort
+    // Group by (destination, delivery tick): the tick was quoted at send
+    // time, so only survivors that arrive together coalesce. The staging
+    // index rises in staging order, so with it in the key an unstable sort
     // (which never allocates) keeps each group in the order it was staged.
     keys.extend(
         staged
@@ -428,21 +397,7 @@ pub(crate) fn flush_outbox(
         let Some(&(slot, _, first)) = run.first() else {
             continue;
         };
-        let first = &staged[first].1;
-        let to = first.to;
-        if view.per_frame {
-            // Ask the transport once per frame, keyed by the frame's first
-            // (lowest) sequence number.
-            let Some(deliver_at) = transport.schedule(now, first.from, to, first.seq) else {
-                // The whole frame is lost atomically.
-                state.stats.network_drops += run.len() as u64;
-                state.wire.record_lost(run.len());
-                continue;
-            };
-            for &(_, _, at) in run {
-                staged[at].1.deliver_at = deliver_at;
-            }
-        }
+        let to = staged[first].1.to;
         encode_frame(run.iter().map(|&(_, _, at)| &staged[at].1), frame);
         match decode_frame(frame, decoded) {
             Ok(facts) => {
@@ -657,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn tally_aggregates_links_kinds_and_losses() {
+    fn tally_aggregates_links_and_kinds() {
         let mut tally = WireTally::default();
         let envs = vec![
             env(1, Payload::Replicate { key: 1, value: 2 }),
@@ -666,12 +621,10 @@ mod tests {
         let frame = encode(&envs);
         let facts = decode_frame(&frame, &mut Vec::new()).expect("decode");
         tally.record_frame(NodeId::new(20), frame.len(), &facts);
-        tally.record_lost(3);
         let s = WireSummary::sum([&tally]);
         assert_eq!((s.frames, s.msgs), (1, 2));
         assert_eq!(s.bytes, frame.len() as u64);
         assert_eq!(s.header_bytes + s.payload_bytes, s.bytes);
-        assert_eq!((s.frames_lost, s.msgs_lost), (1, 3));
         assert_eq!(s.decode_errors, 0);
         assert_eq!(s.links, 1);
         assert_eq!(
@@ -692,7 +645,7 @@ mod tests {
         );
         // Summing is per node: the same tally twice is two links' worth.
         let twice = WireSummary::sum([&tally, &tally]);
-        assert_eq!((twice.frames, twice.links, twice.msgs_lost), (2, 2, 6));
+        assert_eq!((twice.frames, twice.links, twice.msgs), (2, 2, 4));
     }
 
     /// A node with a staged outbox, and mailboxes for `slots` peers.
@@ -724,10 +677,7 @@ mod tests {
         };
         let staged = vec![at(0, 1, 6), at(1, 2, 6), at(0, 300, 7), at(1, 301, 8)];
         let (boxes, mut state) = staged_node(2, staged);
-        let transport = FramedTransport::new(ChannelTransport::new(1));
-        let view = transport.framing().expect("framing");
-        let mut scratch = FlushScratch::default();
-        flush_outbox(&boxes, &transport, view, &mut state, &mut scratch, 5);
+        flush_outbox(&boxes, &mut state, &mut FlushScratch::default());
         let s = WireSummary::sum([&state.wire]);
         assert_eq!((s.frames, s.msgs, s.links), (4, 4, 2));
         assert_eq!(s.bytes, s.unbatched_bytes);
@@ -746,10 +696,7 @@ mod tests {
         // one frame, in the order they were staged.
         let staged = vec![to(1, 1, 100), to(0, 2, 200), to(1, 3, 300), to(1, 4, 400)];
         let (boxes, mut state) = staged_node(2, staged);
-        let transport = FramedTransport::new(ChannelTransport::new(1));
-        let view = transport.framing().expect("framing");
-        let mut scratch = FlushScratch::default();
-        flush_outbox(&boxes, &transport, view, &mut state, &mut scratch, 5);
+        flush_outbox(&boxes, &mut state, &mut FlushScratch::default());
         let s = WireSummary::sum([&state.wire]);
         assert_eq!((s.frames, s.msgs, s.links), (2, 4, 2));
         let seqs: Vec<u64> = boxes.drain_due(1, 6).iter().map(|e| e.seq).collect();
@@ -758,31 +705,30 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_order_selects_fault_granularity() {
+    fn both_wrapper_orders_frame_with_per_message_fates() {
         use crate::transport::FaultyTransport;
         use canon_id::rng::Seed;
-        let framed_inside = FramedTransport::new(ChannelTransport::new(1));
-        let view = framed_inside.framing().expect("framing");
-        assert!(!view.per_frame);
-
-        let faulty_outside = FaultyTransport::new(
+        let faulty = || FaultyTransport::new(ChannelTransport::new(1), Seed(1), 100, 3);
+        let faults_inside = FramedTransport::new(faulty());
+        let faults_outside = FaultyTransport::new(
             FramedTransport::new(ChannelTransport::new(1)),
             Seed(1),
             100,
-            0,
+            3,
         );
-        let view = faulty_outside.framing().expect("framing");
-        assert!(view.per_frame);
-
-        let faulty_inside = FramedTransport::new(FaultyTransport::new(
-            ChannelTransport::new(1),
-            Seed(1),
-            100,
-            0,
-        ));
-        let view = faulty_inside.framing().expect("framing");
-        assert!(!view.per_frame);
-
-        assert!(ChannelTransport::new(1).framing().is_none());
+        assert!(FramedTransport::new(ChannelTransport::new(1)).framed());
+        assert!(faults_inside.framed() && faults_outside.framed());
+        assert!(!ChannelTransport::new(1).framed() && !faulty().framed());
+        // Every message's fate is its own, and the nesting order does not
+        // change it: both stacks quote what the bare faulty channel does.
+        let (from, to) = (NodeId::new(1), NodeId::new(2));
+        let fates: Vec<_> = (0..200)
+            .map(|seq| faulty().schedule(9, from, to, seq))
+            .collect();
+        assert!(fates.iter().any(Option::is_none) && fates.iter().any(Option::is_some));
+        for (seq, &fate) in (0..).zip(&fates) {
+            assert_eq!(faults_inside.schedule(9, from, to, seq), fate, "seq {seq}");
+            assert_eq!(faults_outside.schedule(9, from, to, seq), fate, "seq {seq}");
+        }
     }
 }

@@ -37,7 +37,7 @@
 //! * [`wire`] — canon-wire codec impls pinning the binary layout of the
 //!   wire vocabulary, plus size-bound sample generators;
 //! * [`framed`] — the framing layer: length-prefixed frames, batching,
-//!   per-link byte accounting, frame-granular fault semantics;
+//!   per-link byte accounting;
 //! * [`rpc`] — request ids, deadlines, bounded retry with exponential
 //!   backoff, the in-flight table;
 //! * [`node`] — per-node actor state and the protocol state machine;
@@ -46,8 +46,6 @@
 //! * [`runtime`] — round-based lock-step execution and cluster-wide
 //!   accounting;
 //! * [`cluster`] — seeding a runtime from a pre-built overlay graph;
-//! * [`remote`] — a [`canon_store::StorageBackend`] that round-trips
-//!   through the cluster's RPCs, so the DHT itself can serve as a shard;
 //! * `model` (feature `model`) — single-step delivery, state fingerprints
 //!   and fault hooks for canon-audit's protocol model checker.
 
@@ -63,7 +61,6 @@ pub mod framed;
 pub mod model;
 pub mod msg;
 pub mod node;
-pub mod remote;
 pub mod rpc;
 pub mod runtime;
 pub mod shard;
@@ -76,10 +73,7 @@ pub use cluster::from_graph;
 pub use framed::{FramedTransport, LinkBytes, WireSummary};
 pub use msg::{Command, Completion, JoinGrant, Op, OpKind, Outcome, Payload, RpcResult};
 pub use node::NodeStats;
-pub use remote::RemoteShard;
 pub use rpc::{RetryDecision, RpcConfig, RpcTable};
 pub use runtime::{ReplicationStatus, Runtime, RuntimeConfig, Summary};
 pub use shard::{Shard, ShardBackend};
-pub use transport::{
-    ChannelTransport, Envelope, FaultyTransport, FramingView, Mailboxes, Transport,
-};
+pub use transport::{ChannelTransport, Envelope, FaultyTransport, Mailboxes, Transport};

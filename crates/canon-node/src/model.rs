@@ -20,16 +20,21 @@
 //!   whole cluster state, so the explorer can recognize that two delivery
 //!   orders converged and prune the duplicate subtree.
 //!
-//! Fingerprints deliberately exclude every [`crate::clock::Tick`] and every
-//! absolute sequence number: those vary with the delivery order even when
-//! the protocol state is identical. Per-pair FIFO *order* of pending messages
-//! is preserved (messages are hashed grouped by `(to, from)` in send
-//! order), because it determines which future schedules are possible.
+//! Fingerprints deliberately exclude every [`crate::clock::Tick`], every
+//! absolute sequence number and every hop count: those vary with the
+//! delivery order even when the protocol state is identical. Per-pair FIFO
+//! *order* of pending messages is preserved (messages are hashed grouped by
+//! `(to, from)` in send order), because it determines which future
+//! schedules are possible. Wire vocabulary — payloads, operations, parked
+//! requests — is hashed through its codec encoding rather than walked by
+//! hand, so a new variant or field is fingerprinted the moment it can be
+//! sent.
 
-use crate::msg::{Command, Completion, JoinGrant, Op, Payload, RpcResult};
+use crate::msg::{Completion, Payload};
 use crate::rpc::Pending;
 use crate::transport::Envelope;
 use canon_id::NodeId;
+use canon_wire::WireEncode;
 
 /// One node's protocol-visible state, extracted by
 /// [`crate::runtime::Runtime::model_snapshot`] for invariant checking and
@@ -84,11 +89,24 @@ impl Fnv {
         Fnv(Fnv::OFFSET)
     }
 
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(Fnv::PRIME);
         }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    /// Feeds `v`'s wire encoding, behind its length. The codec already
+    /// walks every variant of the wire vocabulary, and what it writes
+    /// decodes back to `v`, so equal encodings mean equal values.
+    fn wire<T: WireEncode>(&mut self, v: &T) {
+        let bytes = canon_wire::to_bytes(v);
+        self.word(bytes.len() as u64);
+        self.bytes(&bytes);
     }
 
     fn finish(self) -> u64 {
@@ -109,201 +127,6 @@ fn hash_opt_id(h: &mut Fnv, id: Option<NodeId>) {
         Some(id) => {
             h.word(0xA1);
             hash_id(h, id);
-        }
-    }
-}
-
-fn hash_op(h: &mut Fnv, op: &Op) {
-    match *op {
-        Op::Lookup { key } => {
-            h.word(1);
-            h.word(key);
-        }
-        Op::Put { key, value } => {
-            h.word(2);
-            h.word(key);
-            h.word(value);
-        }
-        Op::Get { key } => {
-            h.word(3);
-            h.word(key);
-        }
-        Op::Join { joiner } => {
-            h.word(4);
-            hash_id(h, joiner);
-        }
-        Op::Status { key } => {
-            h.word(5);
-            h.word(key);
-        }
-        Op::Pin { key } => {
-            h.word(6);
-            h.word(key);
-        }
-        Op::Unpin { key } => {
-            h.word(7);
-            h.word(key);
-        }
-    }
-}
-
-fn hash_grant(h: &mut Fnv, g: &JoinGrant) {
-    hash_id(h, g.predecessor);
-    h.word(g.links.len() as u64);
-    for &l in &g.links {
-        hash_id(h, l);
-    }
-    h.word(g.succ_list.len() as u64);
-    for &s in &g.succ_list {
-        hash_id(h, s);
-    }
-    h.word(g.shard.len() as u64);
-    for &(k, v) in &g.shard {
-        h.word(k);
-        h.word(v);
-    }
-}
-
-fn hash_result(h: &mut Fnv, r: &RpcResult) {
-    match r {
-        RpcResult::Found { responsible } => {
-            h.word(1);
-            hash_id(h, *responsible);
-        }
-        RpcResult::Stored { primary, replicas } => {
-            h.word(2);
-            hash_id(h, *primary);
-            h.word(u64::from(*replicas));
-        }
-        RpcResult::Value { value, served_by } => {
-            h.word(3);
-            h.word(value.map_or(u64::MAX, |v| v));
-            h.word(u64::from(value.is_some()));
-            hash_id(h, *served_by);
-        }
-        RpcResult::Granted(g) => {
-            h.word(4);
-            hash_grant(h, g);
-        }
-        RpcResult::Status {
-            primary,
-            expected,
-            pinned,
-        } => {
-            h.word(5);
-            hash_id(h, *primary);
-            h.word(u64::from(*expected));
-            h.word(u64::from(*pinned));
-        }
-        RpcResult::PinAck { primary, pinned } => {
-            h.word(6);
-            hash_id(h, *primary);
-            h.word(u64::from(*pinned));
-        }
-    }
-}
-
-fn hash_command(h: &mut Fnv, c: &Command) {
-    match c {
-        Command::Issue(op) => {
-            h.word(1);
-            hash_op(h, op);
-        }
-        Command::Join { bootstrap } => {
-            h.word(2);
-            hash_id(h, *bootstrap);
-        }
-        Command::Leave => h.word(3),
-    }
-}
-
-/// Hashes a payload's protocol content — everything except ticks, absolute
-/// sequence numbers and request-id bookkeeping that varies with delivery
-/// order without changing future behavior.
-fn hash_payload(h: &mut Fnv, p: &Payload) {
-    match p {
-        Payload::Client(c) => {
-            h.word(0x10);
-            hash_command(h, c);
-        }
-        Payload::Request {
-            origin,
-            req,
-            attempt,
-            hops: _,
-            op,
-            path,
-        } => {
-            h.word(0x11);
-            hash_id(h, *origin);
-            h.word(*req);
-            h.word(u64::from(*attempt));
-            hash_op(h, op);
-            // The path determines the eventual fill fan-out, so it is
-            // protocol-relevant state.
-            h.word(path.len() as u64);
-            for &p in path {
-                hash_id(h, p);
-            }
-        }
-        Payload::Response {
-            req,
-            hops: _,
-            result,
-        } => {
-            h.word(0x12);
-            h.word(*req);
-            hash_result(h, result);
-        }
-        Payload::Replicate { key, value } => {
-            h.word(0x13);
-            h.word(*key);
-            h.word(*value);
-        }
-        Payload::RepairJoin { joined } => {
-            h.word(0x14);
-            hash_id(h, *joined);
-        }
-        Payload::LeaveHandoff { departing, shard } => {
-            h.word(0x15);
-            hash_id(h, *departing);
-            h.word(shard.len() as u64);
-            for &(k, v) in shard {
-                h.word(k);
-                h.word(v);
-            }
-        }
-        Payload::LeaveNotice {
-            departing,
-            successor,
-            predecessor,
-        } => {
-            h.word(0x16);
-            hash_id(h, *departing);
-            hash_id(h, *successor);
-            hash_id(h, *predecessor);
-        }
-        Payload::CacheFill {
-            key,
-            value,
-            stamp,
-            owner,
-            cid,
-            level,
-        } => {
-            h.word(0x17);
-            h.word(*key);
-            h.word(*value);
-            h.word(*stamp);
-            hash_id(h, *owner);
-            h.word(*cid);
-            h.word(u64::from(*level));
-        }
-        Payload::CacheInvalidate { key, owner, floor } => {
-            h.word(0x18);
-            h.word(*key);
-            hash_id(h, *owner);
-            h.word(*floor);
         }
     }
 }
@@ -357,18 +180,18 @@ pub fn fingerprint(snaps: &[NodeSnapshot], pending: &[(usize, Envelope<Payload>)
         for (req, p) in &s.inflight {
             h.word(*req);
             h.word(u64::from(p.attempt));
-            hash_op(&mut h, &p.op);
+            h.wire(&p.op);
         }
         h.word(s.deferred.len() as u64);
         for (origin, req, attempt, _hops, op, path) in &s.deferred {
-            hash_id(&mut h, *origin);
-            h.word(*req);
-            h.word(u64::from(*attempt));
-            hash_op(&mut h, op);
-            h.word(path.len() as u64);
-            for &p in path {
-                hash_id(&mut h, p);
-            }
+            h.wire(&Payload::Request {
+                origin: *origin,
+                req: *req,
+                attempt: *attempt,
+                hops: 0,
+                op: op.clone(),
+                path: path.clone(),
+            });
         }
         // Cache state shapes future hits, fills and evictions, so it
         // splits states; the LRU *rank* (not the absolute tick) keeps the
@@ -427,7 +250,11 @@ pub fn fingerprint(snaps: &[NodeSnapshot], pending: &[(usize, Envelope<Payload>)
         h.word(slot as u64);
         h.word(from);
         h.word(pos);
-        hash_payload(&mut h, &env.payload);
+        let mut payload = env.payload.clone();
+        if let Payload::Request { hops, .. } | Payload::Response { hops, .. } = &mut payload {
+            *hops = 0;
+        }
+        h.wire(&payload);
     }
     h.finish()
 }

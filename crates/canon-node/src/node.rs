@@ -26,7 +26,7 @@ use crate::msg::{Command, Completion, JoinGrant, Op, Outcome, Payload, RpcResult
 use crate::rpc::{RetryDecision, RpcTable};
 use crate::runtime::RuntimeConfig;
 use crate::shard::Shard;
-use crate::transport::{Envelope, FramingView, Mailboxes, Transport};
+use crate::transport::{Envelope, Mailboxes, Transport};
 use canon_id::ring::SortedRing;
 use canon_id::NodeId;
 use canon_overlay::closest_clockwise;
@@ -72,13 +72,13 @@ pub struct NodeStats {
 pub type RoutedRequest = (NodeId, u64, u32, u32, Op, Vec<NodeId>);
 
 /// The network context a node handles messages in: shared mailboxes, the
-/// transport and its framing mode (resolved once per round), the id → slot
+/// transport and whether it frames (resolved once per round), the id → slot
 /// directory, and the current tick.
 pub(crate) struct Net<'a> {
     pub boxes: &'a Mailboxes<Payload>,
     pub transport: &'a dyn Transport,
-    /// [`Transport::framing`] of `transport`.
-    pub framing: Option<FramingView>,
+    /// [`Transport::framed`] of `transport`.
+    pub framed: bool,
     pub directory: &'a HashMap<u64, usize>,
     pub now: Tick,
 }
@@ -122,7 +122,7 @@ pub(crate) struct NodeState {
     pub deferred: Vec<RoutedRequest>,
     /// Messages staged for the framing layer this round as
     /// `(destination slot, envelope)`. Only used when the transport stack
-    /// frames ([`Net::framing`] is a view); the runtime flushes
+    /// frames ([`Net::framed`]); the runtime flushes
     /// it into coalesced frames at the end of the node's round. Always
     /// empty between rounds, and without capacity of its own: the vector
     /// is the worker's, lent for the round (see [`crate::framed`]).
@@ -169,7 +169,7 @@ impl NodeState {
             links,
             succ_list,
             pred,
-            shard: Shard::new(cfg.backend.create(id)),
+            shard: cfg.backend.create(id),
             pinned: BTreeSet::new(),
             rpc: RpcTable::new(cfg.rpc),
             timers: BinaryHeap::new(),
@@ -233,45 +233,35 @@ impl NodeState {
     }
 
     /// Sends `payload` to `to`, returning the delivery tick if the message
-    /// entered a mailbox.
+    /// entered a mailbox (or, framed, the outbox that flushes into one).
+    /// The message's fate and delivery tick are decided here, with its own
+    /// sequence number, framed or not — so a framed run loses and delays
+    /// exactly what an unframed run would.
     fn send(&mut self, net: &Net<'_>, to: NodeId, payload: Payload) -> Option<Tick> {
         let Some(&slot) = net.directory.get(&to.raw()) else {
             self.stats.undeliverable += 1;
             return None;
         };
         self.seq += 1;
-        let mut env = Envelope {
-            from: self.id,
-            to,
-            sent_at: net.now,
-            deliver_at: 0,
-            seq: self.seq,
-            payload,
-        };
-        // Faults sit *outside* the framing layer, so fate is decided per
-        // frame, not per message: stage unconditionally and let the
-        // end-of-round flush ask the transport once per frame. Delivery is
-        // reported optimistically (a dropped frame surfaces as a timeout
-        // and retransmit at the origin).
-        if net.framing.is_some_and(|view| view.per_frame) {
-            self.outbox.push((slot, env));
-            return Some(net.now + 1);
-        }
-        // Otherwise this message's fate and delivery tick are decided now,
-        // with its own sequence number, framed or not — so a framed run
-        // loses and delays exactly what an unframed run would.
-        let Some(t) = net.transport.schedule(net.now, self.id, to, self.seq) else {
+        let Some(deliver_at) = net.transport.schedule(net.now, self.id, to, self.seq) else {
             self.stats.network_drops += 1;
             return None;
         };
-        env.deliver_at = t;
-        match net.framing {
-            // Unframed stack: straight into the destination mailbox.
-            None => net.boxes.push(slot, env),
+        let env = Envelope {
+            from: self.id,
+            to,
+            sent_at: net.now,
+            deliver_at,
+            seq: self.seq,
+            payload,
+        };
+        if net.framed {
             // Staged for coalescing by delivery tick.
-            Some(_) => self.outbox.push((slot, env)),
+            self.outbox.push((slot, env));
+        } else {
+            net.boxes.push(slot, env);
         }
-        Some(t)
+        Some(deliver_at)
     }
 
     /// Handles one delivered message.

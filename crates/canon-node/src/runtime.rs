@@ -375,18 +375,18 @@ impl Runtime {
         let net = Net {
             boxes: &self.boxes,
             transport: self.transport.as_ref(),
-            framing: self.transport.framing(),
+            framed: self.transport.framed(),
             directory: &self.directory,
             now,
         };
         self.republishing(slot, state, |state| {
-            let Some(view) = net.framing else {
+            if !net.framed {
                 return body(state, &net);
-            };
+            }
             FLUSH_SCRATCH.with_borrow_mut(|scratch| {
                 scratch.lend_outbox(state);
                 let out = body(state, &net);
-                framed::flush_outbox(net.boxes, net.transport, view, state, scratch, now);
+                framed::flush_outbox(net.boxes, state, scratch);
                 out
             })
         })
@@ -590,7 +590,9 @@ impl Runtime {
     /// [`Summary`] so framed and unframed runs of the same workload
     /// produce byte-identical summaries.
     pub fn wire_summary(&self) -> Option<WireSummary> {
-        self.transport.framing()?;
+        if !self.transport.framed() {
+            return None;
+        }
         let states: Vec<_> = self.states.iter().map(lock_unpoisoned).collect();
         Some(WireSummary::sum(states.iter().map(|state| &state.wire)))
     }
@@ -599,7 +601,9 @@ impl Runtime {
     /// by directed `(from, to)` node pairs — each sender's per-destination
     /// tally under its own identifier; `None` for an unframed stack.
     pub fn link_bytes(&self) -> Option<BTreeMap<(NodeId, NodeId), LinkBytes>> {
-        self.transport.framing()?;
+        if !self.transport.framed() {
+            return None;
+        }
         let mut links = BTreeMap::new();
         for s in &self.states {
             let state = lock_unpoisoned(s);

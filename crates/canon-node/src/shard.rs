@@ -20,9 +20,11 @@
 //! on genuine disk failure or on-disk corruption, where continuing would
 //! serve wrong answers.
 
+use crate::transport::lock_unpoisoned;
 use canon_id::NodeId;
-use canon_store::{BackendError, BackendKind, BlobValue, MemoryBackend, StorageBackend, Usage};
-use std::sync::atomic::{AtomicU64, Ordering};
+use canon_store::{BackendError, BlobValue, FileBackend, MemoryBackend, StorageBackend, Usage};
+use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// The single abort point of the shard I/O policy (see the module docs):
 /// backend errors are unrecoverable mid-protocol and end the process with
@@ -39,27 +41,64 @@ pub enum ShardBackend {
     #[default]
     Memory,
     /// One append-only log file per node under a per-process temp
-    /// directory — exercises the durable path end to end.
+    /// directory — exercises the durable path end to end. A node's log is
+    /// deleted when its shard is dropped, and the directory with the
+    /// process's last log.
     TempFile,
 }
 
-/// Process-local counter so every created shard log gets a fresh file even
-/// when identifiers repeat across runtimes (no wall clock involved).
-static SHARD_SEQ: AtomicU64 = AtomicU64::new(0);
+/// The process's [`ShardBackend::TempFile`] logs. One lock covers creating
+/// a log and deleting one, so a log is never opened in a directory that the
+/// drop of the previous last log is removing.
+struct TempLogs {
+    /// The next log's number: identifiers repeat across runtimes, so each
+    /// log is numbered (no wall clock involved).
+    next: u64,
+    /// Logs alive; the directory goes when this returns to zero.
+    live: u64,
+}
+
+static TEMP_LOGS: Mutex<TempLogs> = Mutex::new(TempLogs { next: 0, live: 0 });
+
+/// A [`ShardBackend::TempFile`] shard's log file, deleted on drop.
+#[derive(Debug)]
+struct TempLog(PathBuf);
+
+impl Drop for TempLog {
+    fn drop(&mut self) {
+        let mut logs = lock_unpoisoned(&TEMP_LOGS);
+        logs.live -= 1;
+        // Best effort: a temp file left behind is not worth a panic in drop.
+        let _ = std::fs::remove_file(&self.0);
+        if logs.live == 0 {
+            if let Some(dir) = self.0.parent() {
+                let _ = std::fs::remove_dir(dir);
+            }
+        }
+    }
+}
 
 impl ShardBackend {
-    /// Creates the backend for one node's shard.
-    pub(crate) fn create(self, id: NodeId) -> Box<dyn StorageBackend> {
+    /// Creates one node's shard.
+    pub(crate) fn create(self, id: NodeId) -> Shard {
         match self {
-            ShardBackend::Memory => Box::new(MemoryBackend::new()),
+            ShardBackend::Memory => Shard::new(Box::new(MemoryBackend::new())),
             ShardBackend::TempFile => {
                 let dir =
                     std::env::temp_dir().join(format!("canon-node-shards-{}", std::process::id()));
-                let n = SHARD_SEQ.fetch_add(1, Ordering::Relaxed);
+                let mut logs = lock_unpoisoned(&TEMP_LOGS);
+                let path = dir.join(format!("shard-{}-{:016x}.log", logs.next, id.raw()));
                 shard_io(
-                    BackendKind::File { dir }.create(&format!("shard-{n}-{:016x}", id.raw())),
+                    std::fs::create_dir_all(&dir).map_err(Into::into),
                     "log creation",
-                )
+                );
+                let backend = shard_io(FileBackend::open(&path), "log creation");
+                logs.next += 1;
+                logs.live += 1;
+                Shard {
+                    backend: Box::new(backend),
+                    _log: Some(TempLog(path)),
+                }
             }
         }
     }
@@ -70,12 +109,18 @@ impl ShardBackend {
 #[derive(Debug)]
 pub struct Shard {
     backend: Box<dyn StorageBackend>,
+    /// The log a [`ShardBackend::TempFile`] shard owns. Declared after
+    /// `backend`, so the log file is closed before it is deleted.
+    _log: Option<TempLog>,
 }
 
 impl Shard {
     /// Wraps a backend as a node shard.
     pub fn new(backend: Box<dyn StorageBackend>) -> Shard {
-        Shard { backend }
+        Shard {
+            backend,
+            _log: None,
+        }
     }
 
     /// Stores `value` under `key` (overwrites).
@@ -151,7 +196,7 @@ mod tests {
 
     #[test]
     fn shard_roundtrips_values_through_the_backend() {
-        let mut s = Shard::new(ShardBackend::Memory.create(NodeId::new(1)));
+        let mut s = ShardBackend::Memory.create(NodeId::new(1));
         assert!(s.is_empty());
         s.insert(5, 50);
         s.insert(3, 30);
@@ -168,10 +213,18 @@ mod tests {
     }
 
     #[test]
-    fn temp_file_shards_persist_within_the_process() {
-        let mut s = Shard::new(ShardBackend::TempFile.create(NodeId::new(42)));
+    fn temp_file_shards_persist_until_dropped() {
+        let mut s = ShardBackend::TempFile.create(NodeId::new(42));
         s.insert(9, 90);
         assert_eq!(s.get(9), Some(90));
         assert_eq!(s.usage().keys, 1);
+        let log = s
+            ._log
+            .as_ref()
+            .map(|log| log.0.clone())
+            .expect("a temp log");
+        assert!(log.exists());
+        drop(s);
+        assert!(!log.exists(), "{} outlived its shard", log.display());
     }
 }

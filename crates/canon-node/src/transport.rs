@@ -17,6 +17,11 @@
 //!   OS entropy, so a faulty run is exactly as reproducible as a clean
 //!   one.
 //!
+//! A message's fate is decided once, when it is sent, with its own
+//! sequence number — whether or not a
+//! [`FramedTransport`](crate::framed::FramedTransport) sits anywhere in
+//! the stack, and in whichever order the wrappers nest.
+//!
 //! Mailboxes drain in `(deliver_at, from, seq)` order. A mailbox is a map
 //! from delivery tick to the bucket of messages due at that tick: a push
 //! appends to its tick's bucket in whatever order senders arrive, and a
@@ -119,32 +124,15 @@ pub trait Transport: Send + Sync {
     /// arrives, or `None` if the network drops it.
     fn schedule(&self, now: Tick, from: NodeId, to: NodeId, seq: u64) -> Option<Tick>;
 
-    /// The framing layer in this transport stack, if any. The default —
-    /// no framing — moves payloads as in-process enum values; a
+    /// Whether this transport stack frames. The default — no framing —
+    /// moves payloads as in-process enum values; a
     /// [`FramedTransport`](crate::framed::FramedTransport) anywhere in the
     /// stack makes the runtime serialize every message through the wire
     /// codec into length-prefixed frames (see [`crate::framed`]). Wrappers
-    /// that delegate `schedule` must forward this too, adjusting
-    /// [`FramingView::per_frame`] if they inject faults *outside* the
-    /// framing layer.
-    fn framing(&self) -> Option<FramingView> {
-        None
+    /// that delegate `schedule` must forward this too.
+    fn framed(&self) -> bool {
+        false
     }
-}
-
-/// What a transport stack says about its framing layer: whether fault
-/// decisions are taken per frame (a [`FaultyTransport`] wraps the framer)
-/// or per message (the framer wraps the faults). The bytes a framed run
-/// moves are tallied by the sending nodes, not here (see
-/// [`crate::framed`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FramingView {
-    /// `true` when a fault-injecting wrapper sits *outside* the framing
-    /// layer: the runtime then schedules one transport decision per frame,
-    /// so a loss drops every coalesced message atomically. `false` means
-    /// fates are decided per message (identically to an unframed run) and
-    /// only surviving messages are coalesced.
-    pub per_frame: bool,
 }
 
 /// The reliable in-process channel: fixed latency, no loss.
@@ -257,12 +245,8 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         Some(base + extra)
     }
 
-    /// Faults injected outside a framing layer act on whole frames: one
-    /// loss/jitter decision per frame, not per coalesced message.
-    fn framing(&self) -> Option<FramingView> {
-        self.inner
-            .framing()
-            .map(|_| FramingView { per_frame: true })
+    fn framed(&self) -> bool {
+        self.inner.framed()
     }
 }
 

@@ -6,10 +6,6 @@
 //! faults, across 1, 4 and 8 worker threads — on the 96-node storm of
 //! `tests/determinism.rs` and, clean, at the serving benchmark's own
 //! scale ([`BENCH_SCALE`]).
-//!
-//! Frame-granular fault semantics (faults *outside* the framer) are a
-//! deliberately different behavior and are pinned separately in
-//! `tests/frame_atomicity.rs`.
 
 use canon::crescendo::build_crescendo;
 use canon_hierarchy::{Hierarchy, Placement};
@@ -156,7 +152,6 @@ fn framed_clean_run_matches_channel_byte_for_byte() {
     assert!(wire.frames > 0, "no frames were accounted");
     assert!(wire.msgs >= wire.frames);
     assert_eq!(wire.decode_errors, 0, "codec round-trip failed in-run");
-    assert_eq!(wire.frames_lost, 0, "clean run lost frames");
     assert!(wire.bytes > 0 && wire.bytes <= wire.unbatched_bytes);
 }
 
@@ -229,10 +224,6 @@ fn framed_lossy_run_matches_faulty_channel_byte_for_byte() {
     let wire = wire.expect("framed stack must report wire accounting");
     assert!(wire.frames > 0);
     assert_eq!(wire.decode_errors, 0);
-    // Per-message fates: the framer only ever sees survivors, so the
-    // frame-level loss counters stay zero even on a lossy network.
-    assert_eq!(wire.frames_lost, 0);
-    assert_eq!(wire.msgs_lost, 0);
 }
 
 #[test]

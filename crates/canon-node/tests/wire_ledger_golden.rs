@@ -98,16 +98,15 @@ fn frame_bytes_match_the_parent_encoder() {
     );
 }
 
-/// The parent's wire accounting for one transport stack over the storm.
+/// The parent's wire accounting for transport stacks over the storm.
 struct Golden {
-    stack: &'static str,
+    /// The stacks that must all reproduce this row.
+    stacks: &'static [&'static str],
     frames: u64,
     msgs: u64,
     bytes: u64,
     header_bytes: u64,
     payload_bytes: u64,
-    frames_lost: u64,
-    msgs_lost: u64,
     links: u64,
     per_kind: [(&'static str, u64, u64); 3],
     /// FNV-1a over every `(from, to, frames, msgs, bytes)` of
@@ -115,16 +114,14 @@ struct Golden {
     link_digest: u64,
 }
 
-const GOLDEN: [Golden; 3] = [
+const GOLDEN: [Golden; 2] = [
     Golden {
-        stack: "Framed<Channel>",
+        stacks: &["Framed<Channel>"],
         frames: 1656,
         msgs: 2932,
         bytes: 106_340,
         header_bytes: 43_952,
         payload_bytes: 62_388,
-        frames_lost: 0,
-        msgs_lost: 0,
         links: 1065,
         per_kind: [
             ("replicate", 400, 6800),
@@ -134,14 +131,14 @@ const GOLDEN: [Golden; 3] = [
         link_digest: 0x1002_e061_9365_8316,
     },
     Golden {
-        stack: "Framed<Faulty>",
+        // A message's fate is decided once, at send, whichever way the
+        // fault and framing wrappers nest.
+        stacks: &["Framed<Faulty>", "Faulty<Framed>"],
         frames: 3093,
         msgs: 3286,
         bytes: 149_581,
         header_bytes: 78_327,
         payload_bytes: 71_254,
-        frames_lost: 0,
-        msgs_lost: 0,
         links: 1057,
         per_kind: [
             ("replicate", 398, 6766),
@@ -150,27 +147,9 @@ const GOLDEN: [Golden; 3] = [
         ],
         link_digest: 0xa1e9_fd1d_de3c_4061,
     },
-    Golden {
-        stack: "Faulty<Framed>",
-        frames: 2343,
-        msgs: 3323,
-        bytes: 133_546,
-        header_bytes: 61_125,
-        payload_bytes: 72_421,
-        frames_lost: 218,
-        msgs_lost: 300,
-        links: 1055,
-        per_kind: [
-            ("replicate", 381, 6477),
-            ("request", 2358, 58_548),
-            ("response", 584, 7396),
-        ],
-        link_digest: 0x2da3_c8fa_652e_114b,
-    },
 ];
 
-/// The three stacks: clean, per-message fates (faults inside the framer)
-/// and per-frame fates (faults outside it).
+/// The three stacks: clean, and faults inside or outside the framer.
 fn stack(name: &str) -> Arc<dyn Transport> {
     let faulty = (Seed(1234), 80, 3);
     match name {
@@ -199,7 +178,7 @@ fn fnv1a(hash: &mut u64, value: u64) {
 }
 
 /// The 96-node, 600-command storm of `framed_equivalence.rs` over `stack`.
-fn assert_storm(golden: &Golden, threads: usize) {
+fn assert_storm(golden: &Golden, stack_name: &str, threads: usize) {
     canon_par::with_threads(threads, || {
         let h = Hierarchy::balanced(4, 2);
         let p = Placement::uniform(&h, 96, Seed(42));
@@ -207,7 +186,7 @@ fn assert_storm(golden: &Golden, threads: usize) {
         let mut rt = from_graph(
             net.graph(),
             Arc::new(VirtualClock::new()),
-            stack(golden.stack),
+            stack(stack_name),
             RuntimeConfig::default(),
         );
         let ids = rt.ids();
@@ -225,7 +204,7 @@ fn assert_storm(golden: &Golden, threads: usize) {
         }
         rt.run_until_idle();
 
-        let what = format!("{} at {threads} threads", golden.stack);
+        let what = format!("{stack_name} at {threads} threads");
         let wire = rt.wire_summary().expect("framed stack");
         assert_eq!(
             (wire.frames, wire.msgs, wire.bytes),
@@ -237,11 +216,7 @@ fn assert_storm(golden: &Golden, threads: usize) {
             (golden.header_bytes, golden.payload_bytes),
             "{what}"
         );
-        assert_eq!(
-            (wire.frames_lost, wire.msgs_lost, wire.decode_errors),
-            (golden.frames_lost, golden.msgs_lost, 0),
-            "{what}"
-        );
+        assert_eq!(wire.decode_errors, 0, "{what}");
         assert_eq!(wire.links, golden.links, "{what}");
         let per_kind: Vec<(&str, u64, u64)> = wire
             .per_kind
@@ -268,8 +243,10 @@ fn assert_storm(golden: &Golden, threads: usize) {
 #[test]
 fn summed_node_tallies_match_the_parent_ledger_at_every_worker_count() {
     for golden in &GOLDEN {
-        for threads in [1, 4, 8] {
-            assert_storm(golden, threads);
+        for stack_name in golden.stacks {
+            for threads in [1, 4, 8] {
+                assert_storm(golden, stack_name, threads);
+            }
         }
     }
 }

@@ -10,16 +10,14 @@
 //! and identical values stored under different keys share one physical
 //! blob.
 //!
-//! Three implementations ship with the workspace:
+//! Two implementations ship with the workspace:
 //!
 //! * [`MemoryBackend`] — ordered in-memory maps; the default everywhere and
-//!   the oracle the other backends are tested against.
+//!   the oracle the file backend is tested against.
 //! * [`FileBackend`] — an append-only log plus an in-memory index, the
 //!   classic bitcask shape. Recovery replays the log and truncates a torn
 //!   tail, so a crash between `flush` calls loses at most the unsynced
 //!   suffix, never previously synced records.
-//! * `RemoteShard` (in canon-node) — round-trips through live node RPCs so
-//!   a process can serve keys it does not hold locally.
 
 use crate::content::ContentId;
 use std::collections::BTreeMap;
@@ -42,9 +40,6 @@ pub enum BackendError {
     },
     /// An I/O failure (file backends) described by its error text.
     Io(String),
-    /// The backend cannot perform this operation (e.g. deletes over a
-    /// remote protocol with no delete verb).
-    Unsupported(&'static str),
 }
 
 impl fmt::Display for BackendError {
@@ -59,7 +54,6 @@ impl fmt::Display for BackendError {
                 "integrity failure on key {key:#x}: stored as {expected}, read back as {actual}"
             ),
             BackendError::Io(e) => write!(f, "backend i/o error: {e}"),
-            BackendError::Unsupported(what) => write!(f, "unsupported backend operation: {what}"),
         }
     }
 }
@@ -109,7 +103,7 @@ impl Usage {
 /// A byte-level, content-addressed key/value shard.
 ///
 /// `get` takes `&mut self` because real backends move state to read (a file
-/// backend seeks, a remote backend drives a protocol round trip).
+/// backend seeks).
 pub trait StorageBackend: fmt::Debug + Send {
     /// Stores `bytes` under `key`, returning their content id. Overwrites
     /// any previous value for the key.
@@ -131,11 +125,6 @@ pub trait StorageBackend: fmt::Debug + Send {
     /// Makes previously acknowledged writes durable (no-op for volatile
     /// backends).
     fn flush(&mut self) -> Result<(), BackendError>;
-}
-
-/// Convenience: whether the backend currently holds `key`.
-pub fn contains(backend: &mut dyn StorageBackend, key: u64) -> Result<bool, BackendError> {
-    Ok(backend.get(key)?.is_some())
 }
 
 /// Factory description of a backend, used where stores need to create one
