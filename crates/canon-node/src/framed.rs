@@ -7,25 +7,34 @@
 //! through it, they move as in-process enum values straight into the
 //! destination mailbox. Framing therefore lives in the runtime's send
 //! path: with a [`FramedTransport`] in the stack, a node's sends are
-//! staged in its outbox instead of entering mailboxes directly, and at the
-//! end of the node's round the runtime flushes the outbox
-//! (`flush_outbox`). Each staged message's fate and delivery tick were
-//! already decided at send time, with its own sequence number, exactly as
-//! in an unframed run and in whichever order `FramedTransport` and
-//! `FaultyTransport` nest; the flush only coalesces the survivors:
+//! encoded into its outbox instead of entering mailboxes directly, and at
+//! the end of the node's round the runtime flushes the outbox
+//! (`flush_outbox`). Each message's fate and delivery tick are decided at
+//! send time, with its own sequence number, exactly as in an unframed run
+//! and in whichever order `FramedTransport` and `FaultyTransport` nest;
+//! only the survivors reach the outbox, and a message is encoded once:
 //!
-//! 1. sort a scratch vector of `(destination slot, delivery tick, staging
-//!    index)` keys — 24 bytes each; the staged envelopes, six times that,
-//!    are not moved — and take each run of equal `(slot, tick)` as one
-//!    frame;
-//! 2. encode the run, read through its indices, into one reusable frame
-//!    buffer ([`encode_frame`]); each payload is encoded once, straight
-//!    into the frame behind its length prefix;
+//! 1. **at send**, its sequence number and length-prefixed payload — the
+//!    bytes it has in a frame body — are encoded straight into the
+//!    outbox's byte arena and linked onto the open frame for its
+//!    `(destination slot, delivery tick)`. A per-slot head finds that
+//!    frame; a second delivery tick to one slot (jitter) chains behind the
+//!    first. No envelope is built;
+//! 2. **at the flush**, each open frame is written into one reusable frame
+//!    buffer: its header ([`encode_frame`]'s header writer — `from` and
+//!    `sent_at` are the node and the round's tick, and the message count
+//!    is already known), then its messages' bytes copied in behind it, in
+//!    send order;
 //! 3. **decode the frame** into a reusable envelope vector
 //!    ([`decode_frame`]) — all of it or none of it;
 //! 4. only if the whole frame decoded, account its bytes and deliver the
 //!    *decoded* envelopes to the destination mailbox under one lock and
 //!    one bucket look-up (a frame shares its delivery tick).
+//!
+//! Frames flush in the order they were opened; nothing is sorted. Frames
+//! to different `(slot, tick)` land in different mailbox buckets, which
+//! drain sorted, and every tally update is an addition, so the flush order
+//! changes nothing anyone can observe.
 //!
 //! Every delivered message has round-tripped through the codec, so a
 //! framed run exercises encode *and* decode end to end; the equivalence
@@ -34,19 +43,23 @@
 //! # Where the bytes are counted, and who owns the buffers
 //!
 //! Each node tallies the frames *it sends* in its own state (a
-//! `WireTally`: links keyed by destination, payload kinds in a fixed
+//! `WireTally`: links sorted by destination, payload kinds in a fixed
 //! array), which the flush already holds exclusively — no shared ledger,
 //! no lock. [`Runtime::wire_summary`](crate::runtime::Runtime::wire_summary)
 //! and [`Runtime::link_bytes`](crate::runtime::Runtime::link_bytes) sum
 //! the per-node tallies; every update is an addition, so the totals do
 //! not depend on worker scheduling.
 //!
-//! The buffers a flush works in (the staged vector and its sort keys, the
-//! frame bytes, the decoded envelopes — `FlushScratch`) belong to the
-//! *worker thread*, not the node: a node's burst-sized outbox would otherwise be
-//! retained once per node, a thousand times over, for a buffer only one
-//! node per worker uses at a time. The worker lends its staging vector to
-//! the node for the round and takes it back at the flush.
+//! The buffers a flush works in (the outbox's arena, message links, open
+//! frames and per-slot heads; the frame bytes; the decoded envelopes —
+//! `FlushScratch`) belong to the *worker thread*, not the node: a node's
+//! burst-sized outbox would otherwise be retained once per node, a
+//! thousand times over, for buffers only one node per worker uses at a
+//! time. The worker lends its outbox to the node for the round and takes
+//! it back at the flush. Nothing is allocated per frame: the arena grows
+//! to the largest round and the one frame buffer to the largest frame,
+//! and both are reused (a buffer per open frame, pooled, would grow each
+//! to the largest frame it ever held).
 //!
 //! # Frame layout
 //!
@@ -68,7 +81,6 @@ use crate::node::NodeState;
 use crate::transport::{Envelope, Mailboxes, Transport};
 use canon_id::NodeId;
 use canon_wire::{Decoder, Encoder, WireDecode, WireError};
-use std::collections::BTreeMap;
 
 /// Number of [`Payload`] variants, the length of per-kind counter arrays.
 const KINDS: usize = Payload::KIND_NAMES.len();
@@ -100,8 +112,12 @@ pub struct FrameFacts {
 /// tallies over nodes is independent of the order rounds ran in.
 #[derive(Debug, Default)]
 pub(crate) struct WireTally {
-    /// Delivered traffic per destination identifier.
-    links: BTreeMap<u64, LinkBytes>,
+    /// The destination identifiers this node's frames went to, sorted. A
+    /// node keeps a few hundred links at most, so a binary search over
+    /// the bare identifiers finds a link, and a new link is one insert.
+    dests: Vec<u64>,
+    /// Delivered traffic to `dests[i]`, at `i`.
+    links: Vec<LinkBytes>,
     /// Per payload kind: messages and encoded payload bytes.
     kinds: [(u64, u64); KINDS],
     unbatched_bytes: u64,
@@ -110,7 +126,15 @@ pub(crate) struct WireTally {
 
 impl WireTally {
     fn record_frame(&mut self, to: NodeId, frame_len: usize, facts: &FrameFacts) {
-        let link = self.links.entry(to.raw()).or_default();
+        let at = match self.dests.binary_search(&to.raw()) {
+            Ok(at) => at,
+            Err(at) => {
+                self.dests.insert(at, to.raw());
+                self.links.insert(at, LinkBytes::default());
+                at
+            }
+        };
+        let link = &mut self.links[at];
         link.frames += 1;
         link.bytes += frame_len as u64;
         for (kind, seen) in self.kinds.iter_mut().zip(&facts.kinds) {
@@ -123,8 +147,9 @@ impl WireTally {
 
     /// This node's per-link counters, by destination.
     pub(crate) fn links(&self) -> impl Iterator<Item = (NodeId, LinkBytes)> + '_ {
-        self.links
+        self.dests
             .iter()
+            .zip(&self.links)
             .map(|(&to, &link)| (NodeId::new(to), link))
     }
 }
@@ -169,7 +194,7 @@ impl WireSummary {
         let mut sum = WireSummary::default();
         let mut kinds = [(0u64, 0u64); KINDS];
         for t in tallies {
-            for link in t.links.values() {
+            for link in &t.links {
                 sum.frames += link.frames;
                 sum.msgs += link.msgs;
                 sum.bytes += link.bytes;
@@ -229,49 +254,91 @@ impl<T: Transport> Transport for FramedTransport<T> {
 /// plus the two 8-byte node identifiers.
 const FRAME_FIXED_HEADER: usize = 4 + 8 + 8;
 
+/// Starts `frame` afresh with a frame header: a slot for the body length
+/// ([`seal_frame`] fills it in), then what the frame's `count` messages
+/// share.
+fn start_frame(
+    frame: &mut Vec<u8>,
+    from: NodeId,
+    to: NodeId,
+    sent_at: Tick,
+    deliver_at: Tick,
+    count: usize,
+) {
+    frame.clear();
+    frame.extend_from_slice(&[0; 4]);
+    let mut e = Encoder::new(frame);
+    e.encode(&from);
+    e.encode(&to);
+    e.varint(sent_at);
+    e.varint(deliver_at);
+    e.varint(count as u64);
+}
+
+/// Writes the body length into the slot [`start_frame`] left for it.
+fn seal_frame(frame: &mut [u8]) {
+    let body = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&body.to_le_bytes());
+}
+
+/// Appends one message's frame-body bytes to `buf`: its sequence number,
+/// then its payload, length-prefixed so a decoder can skip payloads it
+/// cannot parse and so the payload length is an accounting fact.
+fn encode_msg(buf: &mut Vec<u8>, seq: u64, payload: &Payload) {
+    let mut e = Encoder::new(buf);
+    e.varint(seq);
+    // The payload is encoded in place behind a one-byte slot for its
+    // length, which is all the varint of a length below 128 takes.
+    e.tag(0);
+    let start = e.written();
+    e.encode(payload);
+    let len = e.written() - start;
+    if len < 0x80 {
+        buf[start - 1] = len as u8;
+    } else {
+        // A shard-carrying payload (join grant, leave handoff): the prefix
+        // needs more than the slot. Drop the slot, append the prefix in
+        // full and rotate it in front of the payload.
+        buf.remove(start - 1);
+        Encoder::new(buf).varint(len as u64);
+        let width = buf.len() - (start - 1) - len;
+        buf[start - 1..].rotate_right(width);
+    }
+}
+
 /// Encodes one frame into `frame`, replacing its contents. Every envelope
-/// must share `from`, `to`, `sent_at` and `deliver_at` (the flush groups by
-/// exactly those); the shared values are read from the first envelope.
+/// must share `from`, `to`, `sent_at` and `deliver_at` (a frame is one
+/// sender's messages to one destination for one tick); the shared values
+/// are read from the first envelope. The outbox writes its frames through
+/// the same header and message encoders.
 pub fn encode_frame<'a, I>(envs: I, frame: &mut Vec<u8>)
 where
     I: IntoIterator<Item = &'a Envelope<Payload>>,
     I::IntoIter: ExactSizeIterator,
 {
     let mut envs = envs.into_iter().peekable();
-    frame.clear();
-    // The body length, patched in below once the body is written.
-    frame.extend_from_slice(&[0; 4]);
-    if let Some(first) = envs.peek() {
-        let mut e = Encoder::new(frame);
-        e.encode(&first.from);
-        e.encode(&first.to);
-        e.varint(first.sent_at);
-        e.varint(first.deliver_at);
-        e.varint(envs.len() as u64);
-    }
-    for env in envs {
-        let mut e = Encoder::new(frame);
-        e.varint(env.seq);
-        // Length-prefixed so a decoder can skip payloads it cannot parse
-        // and so the payload length is an accounting fact. The payload is
-        // encoded in place behind a one-byte slot for its length, which
-        // is all the varint of a length below 128 takes.
-        e.tag(0);
-        let start = e.written();
-        e.encode(&env.payload);
-        let len = e.written() - start;
-        if len < 0x80 {
-            frame[start - 1] = len as u8;
-        } else {
-            // A shard-carrying payload (join grant, leave handoff): the
-            // prefix needs more than the slot, so write it again in full.
-            let payload = frame.split_off(start);
-            frame.pop();
-            Encoder::new(frame).bytes(&payload);
+    let count = envs.len();
+    match envs.peek() {
+        Some(first) => {
+            start_frame(
+                frame,
+                first.from,
+                first.to,
+                first.sent_at,
+                first.deliver_at,
+                count,
+            );
+        }
+        // No messages, no header: just the (zero) body length.
+        None => {
+            frame.clear();
+            frame.extend_from_slice(&[0; 4]);
         }
     }
-    let body = (frame.len() - 4) as u32;
-    frame[..4].copy_from_slice(&body.to_le_bytes());
+    for env in envs {
+        encode_msg(frame, env.seq, &env.payload);
+    }
+    seal_frame(frame);
 }
 
 /// Decodes a frame, appending its envelopes to `out`. Total: truncation,
@@ -315,7 +382,7 @@ fn decode_into(bytes: &[u8], out: &mut Vec<Envelope<Payload>>) -> Result<FrameFa
     let count = usize::try_from(count).map_err(|_| WireError::Truncated)?;
     // Each message takes at least two bytes (seq + length prefix), so an
     // over-claimed count is truncation, caught before allocating.
-    if count > d.remaining() {
+    if count > d.remaining() / 2 {
         return Err(WireError::Truncated);
     }
     out.reserve(count);
@@ -342,15 +409,119 @@ fn decode_into(bytes: &[u8], out: &mut Vec<Envelope<Payload>>) -> Result<FrameFa
     Ok(facts)
 }
 
+/// "No message" / "no frame" in the outbox's chains.
+const NONE: u32 = u32::MAX;
+
+/// One open frame of an [`Outbox`]: where it goes, and the chain of its
+/// messages.
+#[derive(Debug)]
+struct OpenFrame {
+    slot: usize,
+    to: NodeId,
+    deliver_at: Tick,
+    count: usize,
+    /// First and last message of the chain, as indices into `Outbox::msgs`.
+    first: u32,
+    last: u32,
+    /// The next open frame to the same slot (another delivery tick).
+    next: u32,
+}
+
+/// A node's sends for one round, encoded as they are sent and chained into
+/// the frames they flush as: one per `(destination slot, delivery tick)`.
+/// Empty between rounds; lent by the worker (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct Outbox {
+    /// Every message's frame-body bytes — sequence number, then the
+    /// length-prefixed payload — back to back in send order.
+    arena: Vec<u8>,
+    /// Per message, in send order: where its bytes end in `arena` (they
+    /// start where the previous message's bytes end) and the next message
+    /// of its frame.
+    msgs: Vec<(usize, u32)>,
+    /// The open frames, in the order they were opened.
+    frames: Vec<OpenFrame>,
+    /// Per destination slot: its most recently opened frame, or [`NONE`].
+    /// Only the slots of open frames are set, and [`Outbox::clear`] resets
+    /// exactly those.
+    heads: Vec<u32>,
+}
+
+impl Outbox {
+    /// Encodes a message for `to` at `slot`, due at `deliver_at`, into the
+    /// arena and links it onto the end of its frame, opening the frame if
+    /// this is the first message for that `(slot, tick)` this round.
+    pub(crate) fn stage(
+        &mut self,
+        slot: usize,
+        to: NodeId,
+        deliver_at: Tick,
+        seq: u64,
+        payload: &Payload,
+    ) {
+        encode_msg(&mut self.arena, seq, payload);
+        let msg = self.msgs.len() as u32;
+        self.msgs.push((self.arena.len(), NONE));
+        if slot >= self.heads.len() {
+            self.heads.resize(slot + 1, NONE);
+        }
+        // A slot's chain is one frame long unless jitter spread this
+        // round's messages to it over several ticks.
+        let mut at = self.heads[slot];
+        while at != NONE {
+            let open = &mut self.frames[at as usize];
+            if open.deliver_at == deliver_at {
+                self.msgs[open.last as usize].1 = msg;
+                open.last = msg;
+                open.count += 1;
+                return;
+            }
+            at = open.next;
+        }
+        self.frames.push(OpenFrame {
+            slot,
+            to,
+            deliver_at,
+            count: 1,
+            first: msg,
+            last: msg,
+            next: self.heads[slot],
+        });
+        self.heads[slot] = (self.frames.len() - 1) as u32;
+    }
+
+    /// Writes `open` into `frame`: the header, then its messages' bytes in
+    /// the order they were sent.
+    fn write_frame(&self, open: &OpenFrame, from: NodeId, sent_at: Tick, frame: &mut Vec<u8>) {
+        start_frame(frame, from, open.to, sent_at, open.deliver_at, open.count);
+        let mut at = open.first;
+        while at != NONE {
+            let i = at as usize;
+            let start = i.checked_sub(1).map_or(0, |prev| self.msgs[prev].0);
+            let (end, next) = self.msgs[i];
+            frame.extend_from_slice(&self.arena[start..end]);
+            at = next;
+        }
+        seal_frame(frame);
+    }
+
+    /// Empties the outbox, keeping its capacity.
+    fn clear(&mut self) {
+        for open in &self.frames {
+            self.heads[open.slot] = NONE;
+        }
+        self.frames.clear();
+        self.msgs.clear();
+        self.arena.clear();
+    }
+}
+
 /// The buffers one flush works in, reused from flush to flush. Owned by
 /// the worker thread (see the module docs), and empty between flushes.
 #[derive(Debug, Default)]
 pub(crate) struct FlushScratch {
-    /// The outbox being flushed — the same vector the node staged into.
-    staged: Vec<(usize, Envelope<Payload>)>,
-    /// `(destination slot, delivery tick, index into staged)` per staged
-    /// envelope: what the flush sorts in the envelopes' stead.
-    keys: Vec<(usize, Tick, usize)>,
+    /// The outbox being flushed — the one the node staged into.
+    outbox: Outbox,
     /// The encoded frame.
     frame: Vec<u8>,
     /// The frame's envelopes, decoded.
@@ -358,53 +529,36 @@ pub(crate) struct FlushScratch {
 }
 
 impl FlushScratch {
-    /// Lends the staging vector to `state` as its outbox for the round, so
-    /// its sends land in capacity the worker keeps; [`flush_outbox`] takes
-    /// it back.
+    /// Lends the outbox to `state` for the round, so its sends land in
+    /// capacity the worker keeps; [`flush_outbox`] takes it back.
     pub(crate) fn lend_outbox(&mut self, state: &mut NodeState) {
-        std::mem::swap(&mut state.outbox, &mut self.staged);
+        std::mem::swap(&mut state.outbox, &mut self.outbox);
     }
 }
 
-/// Flushes a node's staged outbox at the end of its round: groups staged
-/// messages into frames, runs each frame through encode → decode →
-/// account, and delivers the decoded envelopes into the destination
-/// mailboxes.
+/// Flushes a node's outbox at the end of its round, sent at `now`: writes
+/// each open frame, runs it through decode → account, and delivers the
+/// decoded envelopes into the destination mailbox.
 pub(crate) fn flush_outbox(
     boxes: &Mailboxes<Payload>,
+    now: Tick,
     state: &mut NodeState,
     scratch: &mut FlushScratch,
 ) {
-    std::mem::swap(&mut state.outbox, &mut scratch.staged);
+    std::mem::swap(&mut state.outbox, &mut scratch.outbox);
     let FlushScratch {
-        staged,
-        keys,
+        outbox,
         frame,
         decoded,
     } = scratch;
-    // Group by (destination, delivery tick): the tick was quoted at send
-    // time, so only survivors that arrive together coalesce. The staging
-    // index rises in staging order, so with it in the key an unstable sort
-    // (which never allocates) keeps each group in the order it was staged.
-    keys.extend(
-        staged
-            .iter()
-            .enumerate()
-            .map(|(at, (slot, env))| (*slot, env.deliver_at, at)),
-    );
-    keys.sort_unstable();
-    for run in keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-        let Some(&(slot, _, first)) = run.first() else {
-            continue;
-        };
-        let to = staged[first].1.to;
-        encode_frame(run.iter().map(|&(_, _, at)| &staged[at].1), frame);
+    for open in &outbox.frames {
+        outbox.write_frame(open, state.id, now, frame);
         match decode_frame(frame, decoded) {
             Ok(facts) => {
-                state.wire.record_frame(to, frame.len(), &facts);
+                state.wire.record_frame(open.to, frame.len(), &facts);
                 // Deliver the *decoded* envelopes: every message a framed
                 // run processes has round-tripped through the codec.
-                boxes.push_batch(slot, decoded);
+                boxes.push_batch(open.slot, decoded);
             }
             // Unreachable for bytes this module just encoded; surfaced as
             // a counter (the equivalence tests assert it stays zero)
@@ -412,8 +566,7 @@ pub(crate) fn flush_outbox(
             Err(_) => state.wire.decode_errors += 1,
         }
     }
-    keys.clear();
-    staged.clear();
+    outbox.clear();
 }
 
 #[cfg(test)]
@@ -612,6 +765,26 @@ mod tests {
     }
 
     #[test]
+    fn an_over_claimed_count_allocates_nothing() {
+        // An honest length prefix, and a count equal to the bytes left
+        // behind it: more messages than those bytes can hold at two bytes
+        // each, so the decode fails before reserving room for them.
+        let mut body = Vec::new();
+        let mut e = Encoder::new(&mut body);
+        e.encode(&NodeId::new(1));
+        e.encode(&NodeId::new(2));
+        e.varint(0);
+        e.varint(1);
+        e.varint(8); // count
+        body.extend_from_slice(&[0; 8]);
+        let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&body);
+        let mut out = Vec::new();
+        assert_eq!(decode_frame(&bytes, &mut out), Err(WireError::Truncated));
+        assert_eq!(out.capacity(), 0);
+    }
+
+    #[test]
     fn tally_aggregates_links_and_kinds() {
         let mut tally = WireTally::default();
         let envs = vec![
@@ -648,60 +821,222 @@ mod tests {
         assert_eq!((twice.frames, twice.links, twice.msgs), (2, 2, 4));
     }
 
-    /// A node with a staged outbox, and mailboxes for `slots` peers.
-    fn staged_node(
-        slots: usize,
-        staged: Vec<(usize, Envelope<Payload>)>,
-    ) -> (Mailboxes<Payload>, NodeState) {
-        let mut state = NodeState::new(
+    /// The sender every outbox test stages for: the `from` of [`env`].
+    fn sender() -> NodeState {
+        NodeState::new(
             NodeId::new(10),
             Default::default(),
             Vec::new(),
             None,
             true,
             &crate::runtime::RuntimeConfig::default(),
-        );
-        state.outbox = staged;
-        (Mailboxes::new(slots), state)
+        )
+    }
+
+    /// [`env`] to the node at `slot` (identifier `20 + slot`), due at
+    /// `deliver_at`.
+    fn env_to(
+        slot: usize,
+        deliver_at: Tick,
+        seq: u64,
+        payload: Payload,
+    ) -> (usize, Envelope<Payload>) {
+        let mut e = env(seq, payload);
+        e.to = NodeId::new(20 + slot as u64);
+        e.deliver_at = deliver_at;
+        (slot, e)
+    }
+
+    /// Stages `sends` the way `NodeState::send` does.
+    fn stage_all(outbox: &mut Outbox, sends: &[(usize, Envelope<Payload>)]) {
+        for (slot, e) in sends {
+            outbox.stage(*slot, e.to, e.deliver_at, e.seq, &e.payload);
+        }
+    }
+
+    /// Stages `sends` into a fresh node's outbox and flushes it at [`env`]'s
+    /// `sent_at` into mailboxes for `slots` peers.
+    fn flushed(
+        slots: usize,
+        sends: &[(usize, Envelope<Payload>)],
+    ) -> (Mailboxes<Payload>, NodeState) {
+        let (boxes, mut state) = (Mailboxes::new(slots), sender());
+        stage_all(&mut state.outbox, sends);
+        flush_outbox(&boxes, 5, &mut state, &mut FlushScratch::default());
+        (boxes, state)
     }
 
     #[test]
     fn a_run_that_never_coalesces_saves_nothing() {
         // No two messages share (destination, tick): every frame is a
         // singleton, so the counterfactual is the run itself.
-        let at = |slot: usize, seq, deliver_at| {
-            let mut e = env(seq, Payload::Replicate { key: seq, value: 1 });
-            e.to = NodeId::new(20 + slot as u64);
-            e.deliver_at = deliver_at;
-            (slot, e)
+        let at = |slot, seq, deliver_at| {
+            env_to(
+                slot,
+                deliver_at,
+                seq,
+                Payload::Replicate { key: seq, value: 1 },
+            )
         };
-        let staged = vec![at(0, 1, 6), at(1, 2, 6), at(0, 300, 7), at(1, 301, 8)];
-        let (boxes, mut state) = staged_node(2, staged);
-        flush_outbox(&boxes, &mut state, &mut FlushScratch::default());
+        let sends = [at(0, 1, 6), at(1, 2, 6), at(0, 300, 7), at(1, 301, 8)];
+        let (boxes, state) = flushed(2, &sends);
         let s = WireSummary::sum([&state.wire]);
         assert_eq!((s.frames, s.msgs, s.links), (4, 4, 2));
         assert_eq!(s.bytes, s.unbatched_bytes);
         assert_eq!(boxes.queued(), 4);
-        assert!(state.outbox.is_empty());
+        assert!(state.outbox.msgs.is_empty());
     }
 
     #[test]
     fn flush_groups_by_destination_and_tick_in_staging_order() {
-        let to = |slot: usize, seq, key| {
-            let mut e = env(seq, Payload::Replicate { key, value: 0 });
-            e.to = NodeId::new(20 + slot as u64);
-            (slot, e)
-        };
+        let to = |slot, seq, key| env_to(slot, 6, seq, Payload::Replicate { key, value: 0 });
         // Interleaved destinations; slot 1's messages must coalesce into
         // one frame, in the order they were staged.
-        let staged = vec![to(1, 1, 100), to(0, 2, 200), to(1, 3, 300), to(1, 4, 400)];
-        let (boxes, mut state) = staged_node(2, staged);
-        flush_outbox(&boxes, &mut state, &mut FlushScratch::default());
+        let sends = [to(1, 1, 100), to(0, 2, 200), to(1, 3, 300), to(1, 4, 400)];
+        let (boxes, state) = flushed(2, &sends);
         let s = WireSummary::sum([&state.wire]);
         assert_eq!((s.frames, s.msgs, s.links), (2, 4, 2));
         let seqs: Vec<u64> = boxes.drain_due(1, 6).iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 3, 4]);
         assert_eq!(boxes.drain_due(0, 6).len(), 1);
+    }
+
+    #[test]
+    fn the_outbox_writes_the_frames_encode_frame_writes() {
+        use canon_id::rng::Seed;
+        const SLOTS: usize = 5;
+        // Slot 0 takes every other message, all due at tick 6: one frame
+        // of 150, whose count needs two bytes. The rest spread over slots
+        // 1-4, and slot 2's alternate between ticks 6 and 8 (jitter).
+        // Sequence numbers cross the one-byte varint boundary, and two
+        // payloads need a two- and a three-byte length prefix.
+        let sends: Vec<_> = (0..300u64)
+            .map(|i| {
+                let word = Seed(29).derive_index(i).0;
+                let slot = if i % 2 == 0 {
+                    0
+                } else {
+                    1 + (word % 4) as usize
+                };
+                let tick = if slot == 2 && word & 16 != 0 { 8 } else { 6 };
+                let payload = match i {
+                    101 => Payload::LeaveHandoff {
+                        departing: NodeId::new(4),
+                        shard: (0..20).map(|k| (k, k)).collect(),
+                    },
+                    201 => Payload::LeaveHandoff {
+                        departing: NodeId::new(4),
+                        shard: (0..1100).map(|k| (k, k * k)).collect(),
+                    },
+                    _ if word & 1 == 0 => Payload::Replicate {
+                        key: word,
+                        value: i,
+                    },
+                    _ => Payload::Client(Command::Issue(Op::Lookup { key: word })),
+                };
+                env_to(slot, tick, i + 1, payload)
+            })
+            .collect();
+        // The reference: each (slot, tick)'s envelopes in send order,
+        // framed by `encode_frame`, frames in the order their first
+        // message was sent.
+        let mut groups: Vec<Vec<Envelope<Payload>>> = Vec::new();
+        for (_, e) in &sends {
+            let key = (e.to, e.deliver_at);
+            match groups
+                .iter_mut()
+                .find(|g| (g[0].to, g[0].deliver_at) == key)
+            {
+                Some(group) => group.push(e.clone()),
+                None => groups.push(vec![e.clone()]),
+            }
+        }
+        let want: Vec<_> = groups.iter().map(|group| encode(group)).collect();
+        assert!(groups.iter().any(|g| g.len() >= 128));
+        for tick in [6, 8] {
+            let key = (NodeId::new(22), tick);
+            assert!(groups.iter().any(|g| (g[0].to, g[0].deliver_at) == key));
+        }
+        let lens: Vec<_> = sends
+            .iter()
+            .map(|(_, e)| canon_wire::to_bytes(&e.payload).len())
+            .collect();
+        assert!(
+            lens.iter().any(|&l| (0x80..0x4000).contains(&l)) && lens.iter().any(|&l| l >= 0x4000)
+        );
+
+        let mut outbox = Outbox::default();
+        stage_all(&mut outbox, &sends);
+        let mut frame = Vec::new();
+        let got: Vec<_> = outbox
+            .frames
+            .iter()
+            .map(|open| {
+                outbox.write_frame(open, NodeId::new(10), 5, &mut frame);
+                frame.clone()
+            })
+            .collect();
+        assert_eq!(got, want);
+
+        // And the flush delivers exactly the framed envelopes, tallied as
+        // those frames.
+        let (boxes, state) = flushed(SLOTS, &sends);
+        let mut tally = WireTally::default();
+        for (group, frame) in groups.iter().zip(&want) {
+            let facts = decode_frame(frame, &mut Vec::new()).expect("decode");
+            tally.record_frame(group[0].to, frame.len(), &facts);
+        }
+        assert_eq!(WireSummary::sum([&state.wire]), WireSummary::sum([&tally]));
+        assert_eq!(
+            state.wire.links().collect::<Vec<_>>(),
+            tally.links().collect::<Vec<_>>()
+        );
+        for slot in 0..SLOTS {
+            let mut sent: Vec<_> = sends
+                .iter()
+                .filter(|(s, _)| *s == slot)
+                .map(|(_, e)| e.clone())
+                .collect();
+            sent.sort_unstable();
+            let got = boxes.drain_due(slot, Tick::MAX);
+            assert_eq!(got.len(), sent.len(), "slot {slot}");
+            for (g, e) in got.iter().zip(&sent) {
+                assert_eq!(
+                    (g.from, g.to, g.sent_at, g.deliver_at, g.seq, &g.payload),
+                    (e.from, e.to, e.sent_at, e.deliver_at, e.seq, &e.payload)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_flushed_outbox_is_empty_and_the_next_round_opens_new_frames() {
+        let (boxes, mut state) = (Mailboxes::new(2), sender());
+        let mut scratch = FlushScratch::default();
+        let replicate = |key| Payload::Replicate { key, value: 0 };
+        for (round, now) in [(0, 5), (1, 9)] {
+            scratch.lend_outbox(&mut state);
+            let sends = [
+                env_to(0, now + 1, 10 * round + 1, replicate(1)),
+                env_to(1, now + 1, 10 * round + 2, replicate(2)),
+                env_to(1, now + 1, 10 * round + 3, replicate(3)),
+            ];
+            stage_all(&mut state.outbox, &sends);
+            assert!(!state.outbox.msgs.is_empty());
+            flush_outbox(&boxes, now, &mut state, &mut scratch);
+            assert!(state.outbox.msgs.is_empty() && scratch.outbox.msgs.is_empty());
+            assert!(scratch.outbox.heads.iter().all(|&head| head == NONE));
+        }
+        // Round two's messages to slot 1 went out in a frame of their own,
+        // sent and due at round two's ticks.
+        let s = WireSummary::sum([&state.wire]);
+        assert_eq!((s.frames, s.msgs, s.links), (4, 6, 2));
+        let due: Vec<_> = boxes
+            .drain_due(1, Tick::MAX)
+            .iter()
+            .map(|e| (e.sent_at, e.deliver_at, e.seq))
+            .collect();
+        assert_eq!(due, vec![(5, 6, 2), (5, 6, 3), (9, 10, 12), (9, 10, 13)]);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::cache::NodeCache;
 use crate::clock::Tick;
-use crate::framed::WireTally;
+use crate::framed::{Outbox, WireTally};
 use crate::msg::{Command, Completion, JoinGrant, Op, Outcome, Payload, RpcResult};
 use crate::rpc::{RetryDecision, RpcTable};
 use crate::runtime::RuntimeConfig;
@@ -120,13 +120,13 @@ pub(crate) struct NodeState {
     /// Routed requests that arrived before this node joined, replayed in
     /// arrival order by [`NodeState::apply_grant`].
     pub deferred: Vec<RoutedRequest>,
-    /// Messages staged for the framing layer this round as
-    /// `(destination slot, envelope)`. Only used when the transport stack
-    /// frames ([`Net::framed`]); the runtime flushes
-    /// it into coalesced frames at the end of the node's round. Always
-    /// empty between rounds, and without capacity of its own: the vector
+    /// This round's sends when the transport stack frames
+    /// ([`Net::framed`]): already encoded, in a byte arena, and chained
+    /// into one open frame per `(destination slot, delivery tick)`; the
+    /// runtime flushes the frames at the end of the node's round. Always
+    /// empty between rounds, and without capacity of its own: the outbox
     /// is the worker's, lent for the round (see [`crate::framed`]).
-    pub outbox: Vec<(usize, Envelope<Payload>)>,
+    pub outbox: Outbox,
     /// Wire accounting for the frames this node sent (all zero unless the
     /// transport stack frames).
     pub wire: WireTally,
@@ -178,7 +178,7 @@ impl NodeState {
             dead: false,
             joined,
             deferred: Vec::new(),
-            outbox: Vec::new(),
+            outbox: Outbox::default(),
             wire: WireTally::default(),
             #[cfg(feature = "model")]
             broken_handover: false,
@@ -247,18 +247,18 @@ impl NodeState {
             self.stats.network_drops += 1;
             return None;
         };
-        let env = Envelope {
-            from: self.id,
-            to,
-            sent_at: net.now,
-            deliver_at,
-            seq: self.seq,
-            payload,
-        };
         if net.framed {
-            // Staged for coalescing by delivery tick.
-            self.outbox.push((slot, env));
+            // Encoded now, onto the frame for its (destination, tick).
+            self.outbox.stage(slot, to, deliver_at, self.seq, &payload);
         } else {
+            let env = Envelope {
+                from: self.id,
+                to,
+                sent_at: net.now,
+                deliver_at,
+                seq: self.seq,
+                payload,
+            };
             net.boxes.push(slot, env);
         }
         Some(deliver_at)

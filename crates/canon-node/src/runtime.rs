@@ -360,11 +360,11 @@ impl Runtime {
     }
 
     /// Runs `body` on a locked node as one atomic unit. With a framing
-    /// transport in the stack the node's sends are staged instead of
-    /// entering mailboxes; when `body` returns they are coalesced into
-    /// frames, each frame round-trips through the wire codec and the
-    /// decoded envelopes are delivered — all while the caller holds the
-    /// node's lock.
+    /// transport in the stack the node's sends are encoded into its
+    /// outbox, one open frame per destination and tick, instead of
+    /// entering mailboxes; when `body` returns each frame is written,
+    /// decoded, and the decoded envelopes are delivered — all while the
+    /// caller holds the node's lock.
     fn node_round<R>(
         &self,
         slot: usize,
@@ -386,7 +386,7 @@ impl Runtime {
             FLUSH_SCRATCH.with_borrow_mut(|scratch| {
                 scratch.lend_outbox(state);
                 let out = body(state, &net);
-                framed::flush_outbox(net.boxes, state, scratch);
+                framed::flush_outbox(net.boxes, now, state, scratch);
                 out
             })
         })

@@ -108,7 +108,18 @@ impl<'a> Encoder<'a> {
 
     /// Appends a `u64` as a LEB128 varint (1–10 bytes; counters and
     /// lengths, which are small in practice).
-    pub fn varint(&mut self, mut v: u64) {
+    #[inline]
+    pub fn varint(&mut self, v: u64) {
+        if v < 0x80 {
+            self.buf.push(v as u8);
+        } else {
+            self.varint_multi(v);
+        }
+    }
+
+    /// [`Encoder::varint`] for values of two bytes or more.
+    #[cold]
+    fn varint_multi(&mut self, mut v: u64) {
         loop {
             let b = (v & 0x7f) as u8;
             v >>= 7;
@@ -183,7 +194,21 @@ impl<'a> Decoder<'a> {
     /// Reads a LEB128 varint. Overlong encodings (an 11th continuation
     /// byte, or bits beyond the 64th) are rejected as [`WireError::BadTag`]
     /// so every value has exactly one encoding.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.varint_multi(),
+        }
+    }
+
+    /// [`Decoder::varint`] for anything but a single-byte value: the
+    /// multi-byte loop, and the errors.
+    #[cold]
+    fn varint_multi(&mut self) -> Result<u64, WireError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.tag()?;
@@ -215,6 +240,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a varint, requiring it to fit a `u32`.
+    #[inline]
     pub fn varint_u32(&mut self) -> Result<u32, WireError> {
         let v = self.varint()?;
         u32::try_from(v).map_err(|_| WireError::BadTag {
@@ -224,6 +250,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a length-prefixed byte slice, borrowing from the input.
+    #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.varint()?;
         let len = usize::try_from(len).map_err(|_| WireError::Truncated)?;
@@ -293,48 +320,56 @@ pub fn from_bytes<T: WireDecode>(b: &[u8]) -> Result<T, WireError> {
 }
 
 impl WireEncode for u8 {
+    #[inline]
     fn encode(&self, e: &mut Encoder<'_>) {
         e.tag(*self);
     }
 }
 
 impl WireDecode for u8 {
+    #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         d.tag()
     }
 }
 
 impl WireEncode for u32 {
+    #[inline]
     fn encode(&self, e: &mut Encoder<'_>) {
         e.varint(u64::from(*self));
     }
 }
 
 impl WireDecode for u32 {
+    #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         d.varint_u32()
     }
 }
 
 impl WireEncode for u64 {
+    #[inline]
     fn encode(&self, e: &mut Encoder<'_>) {
         e.varint(*self);
     }
 }
 
 impl WireDecode for u64 {
+    #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         d.varint()
     }
 }
 
 impl WireEncode for bool {
+    #[inline]
     fn encode(&self, e: &mut Encoder<'_>) {
         e.bool(*self);
     }
 }
 
 impl WireDecode for bool {
+    #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         d.bool()
     }
@@ -343,12 +378,14 @@ impl WireDecode for bool {
 /// Node identifiers are identifier-space points: fixed 8-byte LE (a varint
 /// would average 9.2 bytes on uniform hashes).
 impl WireEncode for NodeId {
+    #[inline]
     fn encode(&self, e: &mut Encoder<'_>) {
         e.u64_fixed(self.raw());
     }
 }
 
 impl WireDecode for NodeId {
+    #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(NodeId::new(d.u64_fixed()?))
     }

@@ -52,8 +52,11 @@ rm -rf "$OUT/parent" "$OUT/bin" "$OUT/runs" "$OUT/rows.jsonl"
 mkdir -p "$OUT/parent" "$OUT/bin" "$OUT/runs"
 
 # Each side builds into a target directory of its own, kept between
-# invocations, so neither build can reuse the other's artefacts.
-git archive "$PARENT_SHA" | tar -x -C "$OUT/parent"
+# invocations, so neither build can reuse the other's artefacts. The
+# parent's files are stamped with the extraction time (-m): with the
+# commit's own time, a parent committed before the kept target was last
+# built would look up to date there, and its binary would be a stale one.
+git archive "$PARENT_SHA" | tar -x -m -C "$OUT/parent"
 CARGO_TARGET_DIR="$OUT/parent-target" cargo build --release --offline --quiet \
     --manifest-path "$OUT/parent/bench/Cargo.toml"
 cp "$OUT/parent-target/release/canon-serving-bench" "$OUT/bin/parent"
