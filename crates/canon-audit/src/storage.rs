@@ -7,14 +7,17 @@
 //! * **store** — a [`canon_store::ReplicatedStore`] per shipped policy is
 //!   loaded with keys from random writers, crashed (~20% of nodes), and
 //!   repaired; `policy_violations` must be empty both before the failures
-//!   and after `re_replicate`, and every surviving key must still read
-//!   back with a verified content id;
+//!   and after `re_replicate`, and every key must still have a live
+//!   holder;
 //! * **sim** — after a join/leave churn sequence, the maintenance
 //!   simulator's [`canon_sim::CrescendoSim::replica_targets`] must agree
 //!   with a store rebuilt over the surviving membership, for every policy;
-//! * **node** — a live cluster serves PUTs under `Policy::Fixed`, and the
+//! * **node** — a live cluster serves PUTs under `Policy::Fixed(3)`, and the
 //!   runtime's `replication_status` probe must report every key satisfied
-//!   with zero protocol loss.
+//!   with zero protocol loss, expecting exactly the replica set a
+//!   `ReplicatedStore` over the same hierarchy, placement and policy places.
+//!   This is what lets the store model placements alone: the live node's
+//!   shard holds the bytes of the replicas the store names.
 //!
 //! The `canon-audit verify` command runs this after the figure-graph audit,
 //! so CI checks the storage invariant on every push at smoke sizes.
@@ -23,7 +26,7 @@ use canon::crescendo::build_crescendo;
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::hash::hash_name;
 use canon_id::rng::Seed;
-use canon_id::NodeId;
+use canon_id::{Key, NodeId};
 use canon_node::{from_graph, ChannelTransport, Command, Op, RuntimeConfig, VirtualClock};
 use canon_store::{Policy, ReplicatedStore};
 use std::sync::Arc;
@@ -36,7 +39,7 @@ pub struct StorageReport {
     pub label: String,
     /// Keys whose replica sets were checked against the policy.
     pub keys_checked: usize,
-    /// Fresh replica copies created by the repair pass (store probe only).
+    /// New replica holders placed by the repair pass (store probe only).
     pub repaired: usize,
 }
 
@@ -92,11 +95,11 @@ fn store_probe(n: usize, seed: Seed, policy: Policy) -> Result<StorageReport, St
     let h = Hierarchy::balanced(4, 2);
     let p = Placement::uniform(&h, n, seed.derive("storage-audit"));
     let writers = p.ids();
-    let mut store: ReplicatedStore<u64> = ReplicatedStore::new(h, &p, policy);
-    for i in 0..150u64 {
+    let mut store = ReplicatedStore::new(h, &p, policy);
+    for i in 0..150usize {
         let key = hash_name(&format!("audit-key-{i}"));
-        let writer = writers[(i as usize * 7) % writers.len()];
-        store.put_from(writer, key, i, store.hierarchy().root());
+        let writer = writers[(i * 7) % writers.len()];
+        store.put_from(writer, key, store.hierarchy().root());
     }
     let violations = store.policy_violations();
     if !violations.is_empty() {
@@ -114,17 +117,13 @@ fn store_probe(n: usize, seed: Seed, policy: Policy) -> Result<StorageReport, St
         return Err(fail(violations));
     }
 
-    // Every key must still read back through a verified content id.
+    // Every key must still have a live holder to be read from.
     let root = store.hierarchy().root();
-    let mut lost = Vec::new();
-    for i in 0..150u64 {
-        let key = hash_name(&format!("audit-key-{i}"));
-        match store.get(key, root) {
-            Some((v, _)) if v == i => {}
-            Some((v, holder)) => lost.push(format!("key {key}: read {v} from {holder}, want {i}")),
-            None => lost.push(format!("key {key}: unreadable after repair")),
-        }
-    }
+    let lost: Vec<String> = (0..150)
+        .map(|i| hash_name(&format!("audit-key-{i}")))
+        .filter(|&key| store.live_holder(key, root).is_none())
+        .map(|key| format!("key {key}: no live holder after repair"))
+        .collect();
     if !lost.is_empty() {
         return Err(fail(lost));
     }
@@ -159,7 +158,7 @@ fn churn_probe(seed: Seed) -> Result<StorageReport, StorageFailure> {
     let mut keys_checked = 0;
     let mut violations = Vec::new();
     for policy in probe_policies() {
-        let store: ReplicatedStore<u64> = ReplicatedStore::new(h.clone(), &placement, policy);
+        let store = ReplicatedStore::new(h.clone(), &placement, policy);
         for i in 0..25 {
             let key = hash_name(&format!("churn-key-{i}"));
             let sim_targets = sim.replica_targets(key, h.root(), &policy);
@@ -184,18 +183,24 @@ fn churn_probe(seed: Seed) -> Result<StorageReport, StorageFailure> {
 }
 
 /// Serves PUTs through a live cluster and checks the runtime's
-/// `replication_status` probe reports every key satisfied.
+/// `replication_status` probe reports every key satisfied, on the replica
+/// set the placement model places.
 fn node_probe(seed: Seed) -> Result<StorageReport, StorageFailure> {
     let label = "node cluster n=32 keys=40 policy=fixed(3)".to_owned();
 
     let h = Hierarchy::balanced(4, 2);
     let p = Placement::uniform(&h, 32, seed.derive("storage-node"));
     let net = build_crescendo(&h, &p);
+    let policy = Policy::Fixed(3);
+    let store = ReplicatedStore::new(h.clone(), &p, policy);
     let mut rt = from_graph(
         net.graph(),
         Arc::new(VirtualClock::new()),
         Arc::new(ChannelTransport::new(1)),
-        RuntimeConfig::default(),
+        RuntimeConfig {
+            policy,
+            ..RuntimeConfig::default()
+        },
     );
     let ids = rt.ids();
     let key_seed = seed.derive("storage-node-keys");
@@ -223,6 +228,13 @@ fn node_probe(seed: Seed) -> Result<StorageReport, StorageFailure> {
             violations.push(format!(
                 "key {key:#x}: expected {:?}, held by {:?}",
                 status.expected, status.holders
+            ));
+        }
+        let placed = store.replica_set(Key::new(key), h.root());
+        if status.expected != placed {
+            violations.push(format!(
+                "key {key:#x}: the cluster expects {:?}, the store places {placed:?}",
+                status.expected
             ));
         }
     }

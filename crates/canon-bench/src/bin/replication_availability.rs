@@ -36,7 +36,7 @@ fn main() {
             let p = Placement::uniform(&h, n, seed);
             let mut store = ReplicatedStore::new(h.clone(), &p, Policy::Fixed(r));
             for i in 0..items {
-                store.put(hash_name(&format!("item-{i}")), i, h.root());
+                store.put(hash_name(&format!("item-{i}")), h.root());
             }
             let mut rng = seed.derive("crashes").rng();
             let ids = p.ids().to_vec();

@@ -22,7 +22,7 @@
 
 use crate::transport::lock_unpoisoned;
 use canon_id::NodeId;
-use canon_store::{BackendError, BlobValue, FileBackend, MemoryBackend, StorageBackend, Usage};
+use canon_store::{BackendError, FileBackend, MemoryBackend, StorageBackend, Usage};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -125,7 +125,7 @@ impl Shard {
 
     /// Stores `value` under `key` (overwrites).
     pub fn insert(&mut self, key: u64, value: u64) {
-        shard_io(self.backend.put(key, &value.to_bytes()), "write");
+        shard_io(self.backend.put(key, &value.to_le_bytes()), "write");
     }
 
     /// Reads the value under `key`, verified against its content id.
@@ -133,10 +133,10 @@ impl Shard {
         let stored = shard_io(self.backend.get(key), "verified read")?;
         // Content addressing already verified the bytes; a shard only ever
         // stores `u64` values, so a decode failure is on-disk corruption.
-        match u64::from_bytes(&stored.bytes) {
-            Some(v) => Some(v),
+        match stored.bytes.try_into() {
+            Ok(bytes) => Some(u64::from_le_bytes(bytes)),
             #[allow(clippy::panic, reason = "the documented shard I/O abort policy")]
-            None => panic!("shard value under key {key} is not a u64"),
+            Err(_) => panic!("shard value under key {key} is not a u64"),
         }
     }
 

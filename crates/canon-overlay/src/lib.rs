@@ -50,6 +50,6 @@ pub use graph::{GraphBuilder, NodeIndex, OverlayGraph};
 pub use index::NextHopIndex;
 pub use policy::{Candidate, Greedy, Lookahead1, ProximityAware, RoutingPolicy};
 pub use route::{
-    closest, closest_clockwise, route, route_to_key, route_to_key_from, route_to_key_sweep,
-    route_with_filter, Route, RouteError,
+    closest, closest_clockwise, route, route_to_key, route_to_key_sweep, route_with_filter, Route,
+    RouteError,
 };

@@ -298,26 +298,6 @@ pub fn route_to_key_sweep<M: Metric>(
     Ok(routes)
 }
 
-/// Like [`route_to_key`], but resolves the source from its identifier —
-/// the key-lookup entry point for callers that address nodes by
-/// [`NodeId`] (e.g. `canon-store`).
-///
-/// # Errors
-///
-/// * [`RouteError::UnknownNode`] if `from` is not a member of the graph.
-/// * [`RouteError::HopLimit`] on malformed graphs.
-pub fn route_to_key_from<M: Metric>(
-    graph: &OverlayGraph,
-    metric: M,
-    from: NodeId,
-    key: NodeId,
-) -> Result<Route, RouteError> {
-    let Some(start) = graph.index_of(from) else {
-        return Err(RouteError::UnknownNode { id: from });
-    };
-    route_to_key(graph, metric, start, key)
-}
-
 /// The id (and distance) among `ids` minimizing the metric distance to
 /// `target` — the greedy candidate rule over a bare link set, for a node
 /// that holds only its own link table (canon-node, canon-sim) rather than

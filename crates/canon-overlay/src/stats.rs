@@ -1,10 +1,9 @@
 //! Degree and hop-count statistics (the measurements behind Figures 3–5).
 //!
-//! Hop counts and routing load are read off the routes the shared routing
-//! engine returns: a route's hop count is [`Route::hops`](crate::Route::hops),
-//! and the nodes it loads are its path after the source.
+//! Hop counts are read off the routes the shared routing engine returns: a
+//! route's hop count is [`Route::hops`](crate::Route::hops).
 //!
-//! The query sweeps fan their routing work across [`canon_par::par_map`]
+//! The query sweep fans its routing work across [`canon_par::par_map`]
 //! and stay **byte-deterministic at any thread count**: the random pairs
 //! are pre-drawn serially (the exact RNG call sequence of the old serial
 //! loops), only the routes are computed in parallel, and results are
@@ -17,9 +16,9 @@ use canon_id::{metric::Metric, rng::Seed};
 use canon_par::par_map;
 use rand::Rng;
 
-/// Draws `pairs` ordered pairs of distinct node indices — the shared
-/// sampling scheme of [`hop_stats`] and [`routing_load_stats`], serial by
-/// construction so the sampled workload is independent of thread count.
+/// Draws `pairs` ordered pairs of distinct node indices — the sampling
+/// scheme of [`hop_stats`], serial by construction so the sampled workload
+/// is independent of thread count.
 fn draw_pairs(n: usize, pairs: usize, seed: Seed) -> Vec<(NodeIndex, NodeIndex)> {
     let mut rng = seed.rng();
     (0..pairs)
@@ -143,40 +142,6 @@ pub fn hop_stats<M: Metric>(
     Ok(Summary::of(samples))
 }
 
-/// Per-node routing-load statistics: how many sampled routes traverse each
-/// node (source excluded, destination included). The paper links partition
-/// skew to "a consequent skew in terms of routing load on the nodes"
-/// (§4.3); this measures that skew directly.
-///
-/// Returns the summary over per-node visit counts.
-///
-/// # Errors
-///
-/// Returns the first [`RouteError`] if a sampled route fails.
-///
-/// # Panics
-///
-/// Panics if the graph has fewer than two nodes.
-pub fn routing_load_stats<M: Metric>(
-    graph: &OverlayGraph,
-    metric: M,
-    pairs: usize,
-    seed: Seed,
-) -> Result<Summary, RouteError> {
-    assert!(graph.len() >= 2, "load sampling needs at least two nodes");
-    let n = graph.len();
-    let drawn = draw_pairs(n, pairs, seed);
-    let routed = par_map(&drawn, |_, &(a, b)| route::route(graph, metric, a, b));
-    // Every node a route enters after its source is visited once.
-    let mut visits = vec![0u64; n];
-    for r in routed {
-        for &to in &r?.path()[1..] {
-            visits[to.index()] += 1;
-        }
-    }
-    Ok(Summary::of(visits.iter().map(|&v| v as f64)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,43 +220,14 @@ mod tests {
     }
 
     #[test]
-    fn routing_load_counts_every_hop() {
-        let g = line_graph(8);
-        let s = routing_load_stats(&g, Clockwise, 400, Seed(7)).unwrap();
-        assert_eq!(s.count, 8);
-        // Total visits == total hops; mean visits = mean hops * pairs / n.
-        let hops = hop_stats(&g, Clockwise, 400, Seed(7)).unwrap();
-        let total_visits = s.mean * 8.0;
-        let total_hops = hops.mean * 400.0;
-        assert!((total_visits - total_hops).abs() < 1e-6);
-        // A successor-only ring loads nodes roughly evenly.
-        assert!(s.max < 3.0 * s.mean, "ring load skew too high: {s:?}");
-    }
-
-    #[test]
-    fn routing_load_is_reproducible() {
-        let g = line_graph(16);
-        let a = routing_load_stats(&g, Clockwise, 100, Seed(9)).unwrap();
-        let b = routing_load_stats(&g, Clockwise, 100, Seed(9)).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn sweeps_are_thread_count_invariant() {
         let g = line_graph(24);
         let hops_1 = canon_par::with_threads(1, || hop_stats(&g, Clockwise, 200, Seed(3)).unwrap());
-        let load_1 = canon_par::with_threads(1, || {
-            routing_load_stats(&g, Clockwise, 200, Seed(3)).unwrap()
-        });
         for threads in [2, 4, 13] {
             let hops_t = canon_par::with_threads(threads, || {
                 hop_stats(&g, Clockwise, 200, Seed(3)).unwrap()
             });
-            let load_t = canon_par::with_threads(threads, || {
-                routing_load_stats(&g, Clockwise, 200, Seed(3)).unwrap()
-            });
             assert_eq!(hops_1, hops_t, "hop_stats diverges at {threads} threads");
-            assert_eq!(load_1, load_t, "load stats diverge at {threads} threads");
         }
     }
 }

@@ -1060,7 +1060,7 @@ mod tests {
             },
         ];
         for policy in policies {
-            let store: ReplicatedStore<u64> = ReplicatedStore::new(h.clone(), &placement, policy);
+            let store = ReplicatedStore::new(h.clone(), &placement, policy);
             for i in 0..20 {
                 let key = hash_name(&format!("churned-{i}"));
                 assert_eq!(

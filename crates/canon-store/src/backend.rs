@@ -1,10 +1,9 @@
 //! Pluggable storage backends.
 //!
-//! A [`StorageBackend`] is the byte-level shard a node (simulated or live)
-//! keeps its slice of the key space in. The trait is deliberately small —
-//! `put`/`get`/`delete`/`scan`/`usage`/`flush` — so the replication layer
-//! above ([`crate::ReplicatedStore`]) and the node runtime (canon-node)
-//! stay agnostic to where bytes actually live. All backends are
+//! A [`StorageBackend`] is the byte-level store a live node keeps its
+//! slice of the key space in (canon-node's `Shard`). The trait is
+//! deliberately small — `put`/`get`/`delete`/`scan`/`usage`/`flush` — so
+//! the shard stays agnostic to where bytes actually live. All backends are
 //! content-addressed (see [`crate::content`]): `put` returns the
 //! [`ContentId`] of the stored bytes, `get` re-verifies it on every read,
 //! and identical values stored under different keys share one physical
@@ -17,7 +16,8 @@
 //! * [`FileBackend`] — an append-only log plus an in-memory index, the
 //!   classic bitcask shape. Recovery replays the log and truncates a torn
 //!   tail, so a crash between `flush` calls loses at most the unsynced
-//!   suffix, never previously synced records.
+//!   suffix, never previously synced records: a corrupt record with a
+//!   sound record behind it is an error, not a tail.
 
 use crate::content::ContentId;
 use std::collections::BTreeMap;
@@ -88,18 +88,6 @@ pub struct Usage {
     pub unique_bytes: u64,
 }
 
-impl Usage {
-    /// Component-wise sum, for aggregating across shards.
-    pub fn merged(self, other: Usage) -> Usage {
-        Usage {
-            keys: self.keys + other.keys,
-            blobs: self.blobs + other.blobs,
-            logical_bytes: self.logical_bytes + other.logical_bytes,
-            unique_bytes: self.unique_bytes + other.unique_bytes,
-        }
-    }
-}
-
 /// A byte-level, content-addressed key/value shard.
 ///
 /// `get` takes `&mut self` because real backends move state to read (a file
@@ -125,33 +113,6 @@ pub trait StorageBackend: fmt::Debug + Send {
     /// Makes previously acknowledged writes durable (no-op for volatile
     /// backends).
     fn flush(&mut self) -> Result<(), BackendError>;
-}
-
-/// Factory description of a backend, used where stores need to create one
-/// shard per node (e.g. [`crate::ReplicatedStore::with_backend`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BackendKind {
-    /// In-memory maps (the default).
-    Memory,
-    /// One append-only log file per shard under `dir`, named by the tag.
-    File {
-        /// Directory holding the per-shard log files (created on demand).
-        dir: PathBuf,
-    },
-}
-
-impl BackendKind {
-    /// Creates a fresh backend for the shard identified by `tag`.
-    pub fn create(&self, tag: &str) -> Result<Box<dyn StorageBackend>, BackendError> {
-        match self {
-            BackendKind::Memory => Ok(Box::new(MemoryBackend::new())),
-            BackendKind::File { dir } => {
-                std::fs::create_dir_all(dir)?;
-                let path = dir.join(format!("{tag}.log"));
-                Ok(Box::new(FileBackend::open(path)?))
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -271,12 +232,69 @@ struct BlobRef {
     refs: usize,
 }
 
+/// One log record body, parsed.
+enum Record<'a> {
+    Put {
+        key: u64,
+        id: ContentId,
+        bytes: &'a [u8],
+    },
+    Ref {
+        key: u64,
+        id: ContentId,
+    },
+    Del {
+        key: u64,
+    },
+}
+
+/// The body of the record at `pos`, when its length prefix and body are
+/// complete and the body is not empty.
+fn record_at(raw: &[u8], pos: usize) -> Option<&[u8]> {
+    let len = u32::from_le_bytes(raw.get(pos..pos + 4)?.try_into().ok()?) as usize;
+    raw.get(pos + 4..(pos + 4).checked_add(len)?)
+        .filter(|body| !body.is_empty())
+}
+
+/// Parses a non-empty record body. A `PUT` whose bytes fail their content
+/// id is [`BackendError::Corrupt`]; an unknown tag, or a body too short for
+/// its tag, is malformed.
+fn parse_record(body: &[u8]) -> Result<Record<'_>, BackendError> {
+    let word = |at: usize| {
+        body.get(at..at + 8)
+            .and_then(|w| w.try_into().ok())
+            .map(u64::from_le_bytes)
+    };
+    let malformed = || BackendError::Io(format!("malformed log record with tag {}", body[0]));
+    let key = word(1).ok_or_else(malformed)?;
+    if body[0] == TAG_DEL {
+        return Ok(Record::Del { key });
+    }
+    let id = ContentId::from_raw(word(9).ok_or_else(malformed)?);
+    match body[0] {
+        TAG_REF => Ok(Record::Ref { key, id }),
+        TAG_PUT => {
+            let bytes = &body[17..];
+            let actual = ContentId::of(bytes);
+            if actual != id {
+                return Err(BackendError::Corrupt {
+                    key,
+                    expected: id,
+                    actual,
+                });
+            }
+            Ok(Record::Put { key, id, bytes })
+        }
+        _ => Err(malformed()),
+    }
+}
+
 /// Append-only log backend (bitcask shape): every mutation appends a
 /// length-prefixed record; an in-memory index maps keys to content ids and
 /// content ids to log offsets. Dedup writes a small `REF` record instead of
 /// re-appending the bytes. `open` replays the log, verifying every blob's
-/// content id, and truncates a torn or corrupt tail so that a crash can
-/// only lose the unsynced suffix.
+/// content id, and truncates a torn tail so that a crash can only lose the
+/// unsynced suffix; a corrupt record inside the log fails `open`.
 #[derive(Debug)]
 pub struct FileBackend {
     path: PathBuf,
@@ -312,89 +330,65 @@ impl FileBackend {
         &self.path
     }
 
-    /// Replays the log into the in-memory index, stopping at (and
-    /// truncating) the first torn or corrupt record.
+    /// Replays the log into the in-memory index. A torn tail — an
+    /// incomplete record, or a bad final one — is truncated; a bad record
+    /// with a sound record behind it is damage inside the synced log, so it
+    /// is returned as an error and nothing is truncated.
     fn replay(&mut self) -> Result<(), BackendError> {
         let mut raw = Vec::new();
         self.file.seek(SeekFrom::Start(0))?;
         self.file.read_to_end(&mut raw)?;
         let mut pos = 0usize;
-        let mut good = 0u64;
-        while raw.len() - pos >= 4 {
-            let Ok(len_bytes) = raw[pos..pos + 4].try_into() else {
-                break; // unreachable: the loop guard keeps 4 bytes in range
-            };
-            let len = u32::from_le_bytes(len_bytes) as usize;
-            let body_at = pos + 4;
-            if len < 1 || raw.len() - body_at < len {
-                break; // torn tail
+        while let Some(body) = record_at(&raw, pos) {
+            let next = pos + 4 + body.len();
+            if let Err(e) = parse_record(body).and_then(|r| self.apply(r, pos as u64 + 4)) {
+                if record_at(&raw, next).is_some_and(|b| parse_record(b).is_ok()) {
+                    return Err(e);
+                }
+                break;
             }
-            let body = &raw[body_at..body_at + len];
-            if !self.apply_record(body, body_at as u64) {
-                break; // corrupt record: stop replay here
-            }
-            pos = body_at + len;
-            good = pos as u64;
+            pos = next;
         }
-        if good < raw.len() as u64 {
+        if pos < raw.len() {
             // Drop the torn tail so future appends start from a clean state.
-            self.file.set_len(good)?;
+            self.file.set_len(pos as u64)?;
         }
-        self.end = good;
-        self.file.seek(SeekFrom::Start(good))?;
+        self.end = pos as u64;
+        self.file.seek(SeekFrom::Start(self.end))?;
         Ok(())
     }
 
-    /// Applies one replayed record body; returns false if it is malformed
-    /// or fails its integrity check.
-    fn apply_record(&mut self, body: &[u8], body_offset: u64) -> bool {
-        let read_u64 = |b: &[u8], at: usize| -> Option<u64> {
-            Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().ok()?))
-        };
-        match body[0] {
-            TAG_PUT => {
-                let (Some(key), Some(cid)) = (read_u64(body, 1), read_u64(body, 9)) else {
-                    return false;
+    /// Applies one replayed record. A `REF` to a blob the index does not
+    /// hold is corruption, reported (as `MemoryBackend` reports a dangling
+    /// index entry) as a mismatch against the empty blob.
+    fn apply(&mut self, record: Record<'_>, body_offset: u64) -> Result<(), BackendError> {
+        match record {
+            Record::Put { key, id, bytes } => self.link(
+                key,
+                id,
+                BlobRef {
+                    offset: body_offset + 17,
+                    len: bytes.len() as u32,
+                    refs: 0,
+                },
+            ),
+            Record::Ref { key, id } => {
+                let Some(&blob) = self.blobs.get(&id) else {
+                    return Err(BackendError::Corrupt {
+                        key,
+                        expected: id,
+                        actual: ContentId::of(&[]),
+                    });
                 };
-                let id = ContentId::from_raw(cid);
-                let bytes = &body[17..];
-                if !id.verifies(bytes) {
-                    return false;
-                }
-                self.link(
-                    key,
-                    id,
-                    BlobRef {
-                        offset: body_offset + 17,
-                        len: bytes.len() as u32,
-                        refs: 0,
-                    },
-                );
-                true
-            }
-            TAG_REF => {
-                let (Some(key), Some(cid)) = (read_u64(body, 1), read_u64(body, 9)) else {
-                    return false;
-                };
-                let id = ContentId::from_raw(cid);
-                if !self.blobs.contains_key(&id) {
-                    return false; // dangling REF: only possible via corruption
-                }
-                let blob = self.blobs[&id];
                 self.link(key, id, blob);
-                true
             }
-            TAG_DEL => {
-                let Some(key) = read_u64(body, 1) else {
-                    return false;
-                };
+            Record::Del { key } => {
                 if let Some(old) = self.index.remove(&key) {
                     self.release(old);
                 }
-                true
             }
-            _ => false,
         }
+        Ok(())
     }
 
     /// Points `key` at blob `id`, adjusting reference counts. `blob` is the
@@ -643,18 +637,24 @@ mod tests {
     }
 
     #[test]
-    fn backend_kind_factory() {
-        let dir = std::env::temp_dir().join(format!("canon-store-kind-{}", std::process::id()));
-        let kind = BackendKind::File { dir: dir.clone() };
+    fn corruption_inside_the_log_fails_open_and_truncates_nothing() {
+        let path = temp_log("mid-flip");
         {
-            let mut b = kind.create("shard-a").expect("create");
-            b.put(5, b"five").expect("put");
+            let mut b = FileBackend::open(&path).expect("open");
+            b.put(1, b"first").expect("put");
+            b.put(2, b"second").expect("put");
+            b.put(3, b"third").expect("put");
             b.flush().expect("flush");
         }
-        let mut again = kind.create("shard-a").expect("reopen");
-        assert_eq!(again.get(5).expect("get").expect("live").bytes, b"five");
-        let mut mem = BackendKind::Memory.create("x").expect("create");
-        assert_eq!(mem.get(5).expect("get"), None);
-        std::fs::remove_dir_all(&dir).ok();
+        // The first record's blob starts after its length prefix and its
+        // tag, key and content id.
+        let mut raw = std::fs::read(&path).expect("read");
+        raw[4 + 17] ^= 0xff;
+        std::fs::write(&path, &raw).expect("write");
+        let err = FileBackend::open(&path).expect_err("a synced record is damaged");
+        assert!(matches!(err, BackendError::Corrupt { key: 1, .. }), "{err}");
+        let len = std::fs::metadata(&path).expect("meta").len();
+        assert_eq!(len, raw.len() as u64, "the later records are kept");
+        std::fs::remove_file(&path).ok();
     }
 }

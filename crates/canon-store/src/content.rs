@@ -8,15 +8,10 @@
 //!
 //! * **integrity** — every read recomputes the hash and compares it against
 //!   the id recorded at write time, so a corrupted blob (bit rot in a log
-//!   file, a bad remote round trip) surfaces as
-//!   [`crate::BackendError::Corrupt`] instead of silently wrong data;
+//!   file) surfaces as [`crate::BackendError::Corrupt`] instead of silently
+//!   wrong data;
 //! * **dedup** — backends key their blob storage by content id, so storing
-//!   the same bytes under many keys (or many replicas of the same item on
-//!   one node) costs one copy.
-//!
-//! [`BlobValue`] is the tiny codec trait that lets typed stores (notably
-//! [`crate::ReplicatedStore`]) move their values through byte-addressed
-//! backends.
+//!   the same bytes under many keys costs one copy.
 
 use canon_id::hash::hash_bytes;
 use std::fmt;
@@ -60,62 +55,6 @@ impl fmt::Display for ContentId {
     }
 }
 
-/// A value that can round-trip through a byte-addressed
-/// [`crate::StorageBackend`].
-///
-/// `from_bytes` must invert `to_bytes` exactly; the backends rely on the
-/// encoding being canonical (equal values encode to equal bytes) for
-/// content-addressed dedup to see through type boundaries.
-pub trait BlobValue: Clone {
-    /// The canonical byte encoding of this value.
-    fn to_bytes(&self) -> Vec<u8>;
-    /// Decodes a value from its canonical encoding, or `None` if the bytes
-    /// are not a valid encoding.
-    fn from_bytes(bytes: &[u8]) -> Option<Self>;
-}
-
-macro_rules! int_blob_value {
-    ($($t:ty),*) => {$(
-        impl BlobValue for $t {
-            fn to_bytes(&self) -> Vec<u8> {
-                self.to_le_bytes().to_vec()
-            }
-            fn from_bytes(bytes: &[u8]) -> Option<Self> {
-                Some(<$t>::from_le_bytes(bytes.try_into().ok()?))
-            }
-        }
-    )*};
-}
-
-int_blob_value!(u8, u16, u32, u64, i32, i64);
-
-impl BlobValue for usize {
-    fn to_bytes(&self) -> Vec<u8> {
-        (*self as u64).to_le_bytes().to_vec()
-    }
-    fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        u64::from_bytes(bytes).map(|v| v as usize)
-    }
-}
-
-impl BlobValue for String {
-    fn to_bytes(&self) -> Vec<u8> {
-        self.as_bytes().to_vec()
-    }
-    fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-}
-
-impl BlobValue for Vec<u8> {
-    fn to_bytes(&self) -> Vec<u8> {
-        self.clone()
-    }
-    fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        Some(bytes.to_vec())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,24 +69,11 @@ mod tests {
     }
 
     #[test]
-    fn blob_codecs_roundtrip() {
-        assert_eq!(u64::from_bytes(&7u64.to_bytes()), Some(7));
-        assert_eq!(i32::from_bytes(&(-3i32).to_bytes()), Some(-3));
-        assert_eq!(usize::from_bytes(&41usize.to_bytes()), Some(41));
-        let s = "döc".to_owned();
-        assert_eq!(String::from_bytes(&s.to_bytes()), Some(s));
-        let v = vec![1u8, 2, 3];
-        assert_eq!(Vec::<u8>::from_bytes(&v.to_bytes()), Some(v));
-        // Wrong widths are rejected, not mangled.
-        assert_eq!(u64::from_bytes(&[1, 2, 3]), None);
-    }
-
-    #[test]
     fn equal_values_share_a_content_id_across_keys() {
         // The dedup property rests on this: the id is a pure function of
         // the encoded bytes, independent of the key it is stored under.
-        let x = 99u64.to_bytes();
-        let y = 99u64.to_bytes();
+        let x = 99u64.to_le_bytes();
+        let y = 99u64.to_le_bytes();
         assert_eq!(ContentId::of(&x), ContentId::of(&y));
     }
 }

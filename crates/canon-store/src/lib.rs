@@ -51,10 +51,8 @@ pub mod content;
 pub mod policy;
 pub mod replication;
 
-pub use backend::{
-    BackendError, BackendKind, FileBackend, MemoryBackend, StorageBackend, Stored, Usage,
-};
-pub use content::{BlobValue, ContentId};
+pub use backend::{BackendError, FileBackend, MemoryBackend, StorageBackend, Stored, Usage};
+pub use content::ContentId;
 pub use policy::{PlacementCtx, Policy, ReplicationPolicy};
 pub use replication::ReplicatedStore;
 
@@ -247,8 +245,7 @@ impl<V: Clone> NodeCache<V> {
         }
         if self.entries.len() >= policy.capacity {
             // Evict: (coordinated: duplicated-above first,) largest level
-            // first, then least recently used. A zero-capacity cache has
-            // nothing to evict and simply churns its single push below.
+            // first, then least recently used.
             if let Some(victim) = self
                 .entries
                 .iter()

@@ -2,93 +2,48 @@
 //!
 //! The paper keeps leaf sets "to deal with node deletions" (§2.3); the
 //! storage systems built on Chord-family DHTs (CFS and successors) use the
-//! same successor lists to *replicate content*. This module layers that
-//! idea over the hierarchical store's placement rule, with two PR-6
-//! generalisations:
+//! same successor lists to *replicate content*. This module models that
+//! idea over the hierarchical store's placement rule: **where** replicas go
+//! is decided by a [`Policy`] (see [`crate::policy`]), and replicas are
+//! always chosen **within the storage domain**, preserving Canon's
+//! guarantee that domain-scoped content never leaves the domain.
 //!
-//! * **where** replicas go is decided by a [`Policy`] (see
-//!   [`crate::policy`]) instead of a hard-wired factor — replicas are still
-//!   always chosen **within the storage domain**, preserving Canon's
-//!   guarantee that domain-scoped content never leaves the domain;
-//! * **how** replicas are held is a [`StorageBackend`] per node (see
-//!   [`crate::backend`]) — every node in a replica set keeps its copy in
-//!   its own content-addressed shard, so integrity and dedup come from the
-//!   backend layer rather than this one.
+//! The store is a placement model, not a byte store: it records which nodes
+//! hold each item, crashes nodes, and repairs placements. The bytes of a
+//! live replica are held once, by canon-node's `Shard` over a
+//! [`crate::StorageBackend`].
 
-use crate::backend::{BackendKind, StorageBackend, Usage};
-use crate::content::BlobValue;
 use crate::policy::{PlacementCtx, Policy, ReplicationPolicy};
 use canon_hierarchy::{DomainId, DomainMembership, Hierarchy, Placement};
-use canon_id::hash::hash_bytes;
 use canon_id::ring::SortedRing;
 use canon_id::{Key, NodeId};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::marker::PhantomData;
 
-/// The single abort point of the replica-shard I/O policy: a backend
-/// failure mid-placement leaves replicas and placements out of step, which
-/// no caller can repair — so, like the shard I/O policy in canon-node and
-/// the poisoned-lock policy behind it, the documented policy is one
-/// labeled abort here rather than `Result` plumbing through the placement
-/// engine. The in-memory backend (the default) is infallible.
-#[allow(
-    clippy::panic,
-    reason = "the documented replica-shard I/O abort policy"
-)]
-fn store_io<T>(result: Result<T, crate::BackendError>, what: &str) -> T {
-    result.unwrap_or_else(|e| panic!("replica shard {what} failed: {e}"))
-}
-
-/// The backend slot a `(key, domain)` item occupies in a node's shard:
-/// domain-qualified so the same key stored in two domains keeps two
-/// independent entries.
-fn slot(key: Key, domain: DomainId) -> u64 {
-    let mut bytes = [0u8; 16];
-    bytes[..8].copy_from_slice(&key.raw().to_le_bytes());
-    bytes[8..].copy_from_slice(&(domain.index() as u64).to_le_bytes());
-    hash_bytes(&bytes).raw()
-}
-
-/// A replicated, domain-scoped key-value store.
+/// Replica placements of domain-scoped items under crash failures.
 ///
 /// This intentionally models just placement and availability (the subjects
 /// of the §2.3 fault-tolerance argument); access control and caching layers
 /// live in [`crate::HierarchicalStore`].
 #[derive(Debug)]
-pub struct ReplicatedStore<V> {
+pub struct ReplicatedStore {
     hierarchy: Hierarchy,
     membership: DomainMembership,
     policy: Policy,
-    backend_kind: BackendKind,
-    /// Per-node content-addressed shards, created on first write.
-    shards: BTreeMap<NodeId, Box<dyn StorageBackend>>,
     /// Replica holders per (key, storage domain), walked in key order.
     placements: BTreeMap<(Key, DomainId), Vec<NodeId>>,
     /// The writing node's leaf domain per item (anchors geo constraints).
     writers: HashMap<(Key, DomainId), DomainId>,
     leaf_of: HashMap<NodeId, DomainId>,
     dead: HashSet<NodeId>,
-    _values: PhantomData<V>,
 }
 
-impl<V: BlobValue> ReplicatedStore<V> {
-    /// Creates a store placing replicas per `policy`, with in-memory
-    /// shards.
+impl ReplicatedStore {
+    /// Creates a store placing replicas per `policy`.
     ///
     /// # Panics
     ///
     /// Panics if the policy is `Fixed(0)`.
     pub fn new(hierarchy: Hierarchy, placement: &Placement, policy: Policy) -> Self {
-        Self::with_backend(hierarchy, placement, policy, BackendKind::Memory)
-    }
-
-    /// Creates a store whose per-node shards use `backend_kind`.
-    pub fn with_backend(
-        hierarchy: Hierarchy,
-        placement: &Placement,
-        policy: Policy,
-        backend_kind: BackendKind,
-    ) -> Self {
         if let Policy::Fixed(k) = policy {
             assert!(k >= 1, "replication factor must be at least 1");
         }
@@ -98,29 +53,11 @@ impl<V: BlobValue> ReplicatedStore<V> {
             hierarchy,
             membership,
             policy,
-            backend_kind,
-            shards: BTreeMap::new(),
             placements: BTreeMap::new(),
             writers: HashMap::new(),
             leaf_of,
             dead: HashSet::new(),
-            _values: PhantomData,
         }
-    }
-
-    /// The placement policy in force.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
-    fn shard_mut(&mut self, node: NodeId) -> &mut Box<dyn StorageBackend> {
-        let kind = &self.backend_kind;
-        self.shards.entry(node).or_insert_with(|| {
-            store_io(
-                kind.create(&format!("shard-{:016x}", node.raw())),
-                "creation",
-            )
-        })
     }
 
     fn ctx<'a>(
@@ -153,34 +90,28 @@ impl<V: BlobValue> ReplicatedStore<V> {
             .replicas(&self.ctx(domain, ring, Some(writer)), key)
     }
 
-    /// Stores `value` under `key` within `domain`, unanchored.
+    /// Places `key` within `domain`, unanchored.
     ///
     /// # Panics
     ///
     /// Panics if the domain has no members.
-    pub fn put(&mut self, key: Key, value: V, domain: DomainId) {
-        self.store(None, key, value, domain);
+    pub fn put(&mut self, key: Key, domain: DomainId) {
+        self.place(None, key, domain);
     }
 
-    /// Stores `value` under `key` within `domain` on behalf of `writer`.
+    /// Places `key` within `domain` on behalf of `writer`.
     ///
     /// # Panics
     ///
     /// Panics if the domain has no members.
-    pub fn put_from(&mut self, writer: NodeId, key: Key, value: V, domain: DomainId) {
-        self.store(Some(writer), key, value, domain);
+    pub fn put_from(&mut self, writer: NodeId, key: Key, domain: DomainId) {
+        self.place(Some(writer), key, domain);
     }
 
-    fn store(&mut self, writer: Option<NodeId>, key: Key, value: V, domain: DomainId) {
+    fn place(&mut self, writer: Option<NodeId>, key: Key, domain: DomainId) {
         let ring = self.membership.ring(domain);
         let replicas = self.policy.replicas(&self.ctx(domain, ring, writer), key);
         assert!(!replicas.is_empty(), "storage domain has no members");
-        let bytes = value.to_bytes();
-        let at = slot(key, domain);
-        for &node in &replicas {
-            let write = self.shard_mut(node).put(at, &bytes);
-            store_io(write, "write");
-        }
         self.placements.insert((key, domain), replicas);
         match writer.and_then(|w| self.leaf_of.get(&w).copied()) {
             Some(leaf) => self.writers.insert((key, domain), leaf),
@@ -194,24 +125,12 @@ impl<V: BlobValue> ReplicatedStore<V> {
         self.dead.insert(node);
     }
 
-    /// Fetches `key` from `domain`: succeeds iff some replica is alive,
-    /// returning the value (read and integrity-verified from the serving
-    /// replica's backend) and the serving replica.
-    pub fn get(&mut self, key: Key, domain: DomainId) -> Option<(V, NodeId)> {
+    /// The replica a read of `key` in `domain` is served from: its first
+    /// live holder, or `None` when the item was never placed or every
+    /// holder has crashed.
+    pub fn live_holder(&self, key: Key, domain: DomainId) -> Option<NodeId> {
         let holders = self.placements.get(&(key, domain))?;
-        let server = holders.iter().copied().find(|n| !self.dead.contains(n))?;
-        let at = slot(key, domain);
-        let stored = store_io(self.shards.get_mut(&server)?.get(at), "verified read")?;
-        // Content addressing already verified the bytes, so a decode
-        // failure is stored-type confusion — the abort policy applies.
-        #[allow(
-            clippy::panic,
-            reason = "the documented replica-shard I/O abort policy"
-        )]
-        let Some(value) = V::from_bytes(&stored.bytes) else {
-            panic!("replica bytes for key {:#018x} do not decode", key.raw())
-        };
-        Some((value, server))
+        holders.iter().copied().find(|n| !self.dead.contains(n))
     }
 
     /// Fraction of stored items still reachable (≥ 1 live replica).
@@ -242,66 +161,32 @@ impl<V: BlobValue> ReplicatedStore<V> {
 
     /// Re-replicates every degraded item onto the policy's placement over
     /// the live members of its storage domain (the repair that leaf-set
-    /// change notifications trigger in a live system). Copies bytes from a
-    /// surviving replica into each fresh holder's backend and returns the
-    /// number of copies created.
+    /// change notifications trigger in a live system). Items with no
+    /// surviving holder stay lost. Returns the number of new holders.
     pub fn re_replicate(&mut self) -> usize {
-        let mut copies = 0usize;
+        let mut added = 0usize;
         let keys: Vec<(Key, DomainId)> = self.placements.keys().copied().collect();
         for (key, domain) in keys {
-            let holders = self.placements[&(key, domain)].clone();
-            if !holders.iter().any(|n| self.dead.contains(n)) {
+            let holders = &self.placements[&(key, domain)];
+            let dead = holders.iter().filter(|n| self.dead.contains(n)).count();
+            if dead == 0 || dead == holders.len() {
                 continue;
             }
-            // Only items with a surviving copy can be repaired.
-            let Some(source) = holders.iter().copied().find(|n| !self.dead.contains(n)) else {
-                continue;
-            };
             let live = self.live_ring(domain);
-            let writer_leaf = self.writers.get(&(key, domain)).copied();
             let fresh = self.policy.replicas(
                 &PlacementCtx {
                     hierarchy: &self.hierarchy,
                     membership: &self.membership,
                     domain,
                     ring: &live,
-                    writer_leaf,
+                    writer_leaf: self.writers.get(&(key, domain)).copied(),
                 },
                 key,
             );
-            if fresh.is_empty() {
-                continue;
-            }
-            let at = slot(key, domain);
-            #[allow(
-                clippy::expect_used,
-                reason = "the documented replica-shard I/O abort policy"
-            )]
-            let stored = self
-                .shards
-                .get_mut(&source)
-                .and_then(|s| store_io(s.get(at), "verified read"))
-                // `source` was chosen among live holders above.
-                .expect("surviving replica holds the bytes");
-            for &node in &fresh {
-                if !holders.contains(&node) {
-                    copies += 1;
-                }
-                let write = self.shard_mut(node).put(at, &stored.bytes);
-                store_io(write, "repair write");
-            }
-            // Retired live holders drop their copy so usage stays honest.
-            let retired = holders
-                .iter()
-                .filter(|n| !self.dead.contains(n) && !fresh.contains(n));
-            for &node in retired {
-                if let Some(shard) = self.shards.get_mut(&node) {
-                    store_io(shard.delete(at), "retire");
-                }
-            }
+            added += fresh.iter().filter(|n| !holders.contains(n)).count();
             self.placements.insert((key, domain), fresh);
         }
-        copies
+        added
     }
 
     /// Whether every replica of every item lies inside its storage domain
@@ -344,22 +229,9 @@ impl<V: BlobValue> ReplicatedStore<V> {
         out
     }
 
-    /// Space accounting aggregated over every node shard.
-    pub fn usage(&self) -> Usage {
-        self.shards
-            .values()
-            .map(|s| s.usage())
-            .fold(Usage::default(), Usage::merged)
-    }
-
     /// The hierarchy this store spans.
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hierarchy
-    }
-
-    /// The per-domain membership rings the store places replicas on.
-    pub fn membership(&self) -> &DomainMembership {
-        &self.membership
     }
 }
 
@@ -369,9 +241,8 @@ mod tests {
     use canon_id::hash::hash_name;
     use canon_id::rng::Seed;
     use rand::Rng;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn setup(r: usize) -> (Hierarchy, Placement, ReplicatedStore<String>) {
+    fn setup(r: usize) -> (Hierarchy, Placement, ReplicatedStore) {
         let h = Hierarchy::balanced(3, 3);
         let p = Placement::uniform(&h, 300, Seed(71));
         let store = ReplicatedStore::new(h.clone(), &p, Policy::Fixed(r));
@@ -393,23 +264,27 @@ mod tests {
     }
 
     #[test]
-    fn get_survives_replica_crashes_until_the_last() {
+    fn reads_survive_replica_crashes_until_the_last() {
         let (h, _, mut store) = setup(3);
         let d = h.domains_at_depth(1)[0];
         let key = hash_name("survivor");
-        store.put(key, "v".into(), d);
+        store.put(key, d);
         let rs = store.replica_set(key, d);
+        assert_eq!(store.live_holder(key, d), Some(rs[0]));
         store.crash(rs[0]);
-        assert!(
-            store.get(key, d).is_some(),
+        assert_eq!(
+            store.live_holder(key, d),
+            Some(rs[1]),
             "one crash must not lose the item"
         );
         store.crash(rs[1]);
-        let (v, server) = store.get(key, d).expect("last replica serves");
-        assert_eq!(v, "v");
-        assert_eq!(server, rs[2]);
+        assert_eq!(
+            store.live_holder(key, d),
+            Some(rs[2]),
+            "last replica serves"
+        );
         store.crash(rs[2]);
-        assert!(store.get(key, d).is_none(), "all replicas dead");
+        assert_eq!(store.live_holder(key, d), None, "all replicas dead");
     }
 
     #[test]
@@ -420,7 +295,7 @@ mod tests {
             let (h, p, mut store) = setup(r);
             let root = h.root();
             for i in 0..300 {
-                store.put(hash_name(&format!("k{i}")), format!("v{i}"), root);
+                store.put(hash_name(&format!("k{i}")), root);
             }
             // Crash 30% of all nodes.
             let ids = p.ids().to_vec();
@@ -441,12 +316,11 @@ mod tests {
         let (h, _, mut store) = setup(3);
         let d = h.domains_at_depth(1)[0];
         let key = hash_name("healed");
-        store.put(key, "v".into(), d);
+        store.put(key, d);
         let rs = store.replica_set(key, d);
         store.crash(rs[0]);
         store.crash(rs[1]);
-        let copies = store.re_replicate();
-        assert!(copies >= 1, "repair must create copies");
+        assert_eq!(store.re_replicate(), 2, "one new holder per crashed one");
         assert!(store.replicas_respect_domains());
         assert!(
             store.policy_violations().is_empty(),
@@ -455,7 +329,7 @@ mod tests {
         // The item now survives the death of its last original holder.
         store.crash(rs[2]);
         assert!(
-            store.get(key, d).is_some(),
+            store.live_holder(key, d).is_some(),
             "re-replication must restore resilience"
         );
     }
@@ -465,13 +339,14 @@ mod tests {
         let (h, _, mut store) = setup(2);
         let d = h.domains_at_depth(1)[0];
         let key = hash_name("doomed");
-        store.put(key, "v".into(), d);
+        store.put(key, d);
         for n in store.replica_set(key, d) {
             store.crash(n);
         }
         store.re_replicate();
-        assert!(
-            store.get(key, d).is_none(),
+        assert_eq!(
+            store.live_holder(key, d),
+            None,
             "repair cannot resurrect lost data"
         );
     }
@@ -481,7 +356,7 @@ mod tests {
         let mut h = Hierarchy::new();
         let a = h.add_domain(h.root(), "a");
         let p = Placement::from_pairs(&h, vec![(NodeId::new(1), a), (NodeId::new(2), a)]);
-        let store: ReplicatedStore<u8> = ReplicatedStore::new(h, &p, Policy::Fixed(5));
+        let store = ReplicatedStore::new(h, &p, Policy::Fixed(5));
         let rs = store.replica_set(hash_name("x"), a);
         assert_eq!(rs.len(), 2, "cannot place more replicas than members");
     }
@@ -490,7 +365,7 @@ mod tests {
     fn geo_policy_keeps_a_replica_outside_the_writer_region() {
         let h = Hierarchy::balanced(3, 2);
         let p = Placement::uniform(&h, 150, Seed(73));
-        let mut store: ReplicatedStore<u64> = ReplicatedStore::new(
+        let mut store = ReplicatedStore::new(
             h.clone(),
             &p,
             Policy::HierarchyGeo {
@@ -503,7 +378,7 @@ mod tests {
             let writer = p.ids()[(i * 13) % p.len()];
             let home = h.ancestor_at_depth(p.leaf_of(writer).expect("placed"), 1);
             let key = hash_name(&format!("geo-{i}"));
-            store.put_from(writer, key, i as u64, h.root());
+            store.put_from(writer, key, h.root());
             let holders = store.replica_set_from(writer, key, h.root());
             assert!(
                 holders.iter().any(|&n| !m.ring(home).contains(n)),
@@ -527,7 +402,7 @@ mod tests {
     fn percent_policy_scales_counts_by_domain_population() {
         let h = Hierarchy::balanced(4, 2);
         let p = Placement::uniform(&h, 200, Seed(74));
-        let store: ReplicatedStore<u64> = ReplicatedStore::new(
+        let store = ReplicatedStore::new(
             h.clone(),
             &p,
             Policy::PercentOfDomain {
@@ -541,52 +416,5 @@ mod tests {
             let want = ((0.1 * m.size(d) as f64).ceil() as usize).max(1);
             assert_eq!(rs.len(), want.min(m.size(d)), "count in {d}");
         }
-    }
-
-    #[test]
-    fn values_roundtrip_through_file_shards() {
-        static DIR: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "canon-store-repl-{}-{}",
-            std::process::id(),
-            DIR.fetch_add(1, Ordering::Relaxed)
-        ));
-        let h = Hierarchy::balanced(2, 2);
-        let p = Placement::uniform(&h, 60, Seed(75));
-        let mut store: ReplicatedStore<String> = ReplicatedStore::with_backend(
-            h.clone(),
-            &p,
-            Policy::Fixed(3),
-            BackendKind::File { dir: dir.clone() },
-        );
-        let key = hash_name("durable");
-        store.put(key, "on disk".into(), h.root());
-        let (v, _) = store.get(key, h.root()).expect("readable");
-        assert_eq!(v, "on disk");
-        let u = store.usage();
-        assert_eq!(u.keys, 3, "one entry per replica shard");
-        assert_eq!(u.blobs, 3, "blobs dedup within, not across, shards");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn dedup_collapses_identical_values_within_a_shard() {
-        let h = Hierarchy::balanced(2, 1);
-        let p = Placement::uniform(&h, 8, Seed(76));
-        let mut store: ReplicatedStore<String> =
-            ReplicatedStore::new(h.clone(), &p, Policy::Fixed(8));
-        // With replication = population, every node holds every item; 40
-        // keys share one value, so each shard stores the bytes once.
-        for i in 0..40 {
-            store.put(
-                hash_name(&format!("dup-{i}")),
-                "same bytes".into(),
-                h.root(),
-            );
-        }
-        let u = store.usage();
-        assert_eq!(u.keys, 40 * 8);
-        assert_eq!(u.blobs, 8, "one physical blob per shard");
-        assert!(u.unique_bytes < u.logical_bytes);
     }
 }

@@ -14,8 +14,7 @@ use canon_id::ring::SortedRing;
 use canon_id::rng::Seed;
 use canon_id::{Key, NodeId};
 use canon_store::{
-    BlobValue, ContentId, FileBackend, MemoryBackend, PlacementCtx, Policy, ReplicationPolicy,
-    StorageBackend,
+    ContentId, FileBackend, MemoryBackend, PlacementCtx, Policy, ReplicationPolicy, StorageBackend,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -114,16 +113,23 @@ proptest! {
         prop_assert_ne!(ContentId::of(&mutated), id);
     }
 
-    /// Typed values round-trip through their byte encoding and keep their
-    /// content id stable across the trip.
+    /// Typed values round-trip through a backend as their byte encoding
+    /// (a node shard's `u64` as its little-endian bytes) and come back
+    /// under the content id of that encoding.
     #[test]
     fn blob_values_roundtrip(v in any::<u64>(), s_seed in any::<u64>()) {
-        let b = v.to_bytes();
-        prop_assert_eq!(u64::from_bytes(&b).expect("u64 bytes"), v);
-        prop_assert!(ContentId::of(&b).verifies(&v.to_bytes()));
+        let mut backend = MemoryBackend::new();
+        let b = v.to_le_bytes();
+        let id = backend.put(1, &b).expect("memory put");
+        let read = backend.get(1).expect("memory get").expect("present");
+        prop_assert_eq!(read.id, id);
+        prop_assert!(id.verifies(&b));
+        let bytes: [u8; 8] = read.bytes.try_into().expect("eight bytes");
+        prop_assert_eq!(u64::from_le_bytes(bytes), v);
         let s = format!("value-{s_seed:x}-♪");
-        let e = s.to_bytes();
-        prop_assert_eq!(String::from_bytes(&e).expect("utf8 bytes"), s);
+        backend.put(2, s.as_bytes()).expect("memory put");
+        let read = backend.get(2).expect("memory get").expect("present");
+        prop_assert_eq!(String::from_utf8(read.bytes).expect("utf8 bytes"), s);
     }
 
     /// The file backend agrees with the in-memory oracle on any operation
