@@ -2,14 +2,12 @@
 //! canon-node's join/leave/handover protocols with a Zave-style
 //! ring-invariant auditor.
 //!
-//! PR 2's mini-loom explores `par_map` fork/join schedules — *data*
-//! parallelism. This module extends the same idea to *distributed
-//! protocol* state: a small cluster (3–6 nodes) built over canon-node's
-//! `model` feature is driven through **every** message delivery order a
-//! FIFO network permits, and machine-checkable invariants are evaluated
-//! after every single delivery ("How to Make Chord Correct", Zave 2015,
-//! is the blueprint: these protocols hide bugs that surface only under
-//! adversarial orderings).
+//! The explored state is *distributed protocol* state: a small cluster
+//! (3–6 nodes) built over canon-node's `model` feature is driven through
+//! **every** message delivery order a FIFO network permits, and
+//! machine-checkable invariants are evaluated after every single delivery
+//! ("How to Make Chord Correct", Zave 2015, is the blueprint: these
+//! protocols hide bugs that surface only under adversarial orderings).
 //!
 //! # Execution model
 //!

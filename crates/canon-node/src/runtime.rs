@@ -654,7 +654,7 @@ impl Runtime {
     /// Ground truth for one key: the replica set the configured policy
     /// expects on the current live ring, the live nodes actually holding
     /// the key, pin locations, and whether expectation is met. This is the
-    /// cluster-level `replication_status(key)` the audit probes call after
+    /// cluster-level `replication_status(key)` the storage tests call after
     /// a run settles.
     pub fn replication_status(&self, key: u64) -> ReplicationStatus {
         let mut live = Vec::with_capacity(self.states.len());

@@ -135,13 +135,10 @@ where
 /// contiguous range worker `w` owns. Chunks are sized so every worker gets
 /// within one item of the same load, and chunk order equals input order.
 ///
-/// Exposed so schedule-exploration harnesses (the `canon-audit` mini-loom)
-/// can model exactly the fork/join structure the real executor uses.
-///
 /// # Panics
 ///
 /// Panics if `threads == 0`.
-pub fn chunk_bounds(len: usize, threads: usize) -> Vec<usize> {
+fn chunk_bounds(len: usize, threads: usize) -> Vec<usize> {
     assert!(threads > 0, "at least one worker is required");
     let base = len / threads;
     let extra = len % threads;
@@ -161,11 +158,17 @@ mod tests {
 
     #[test]
     fn matches_serial_map_for_every_thread_count() {
-        let items: Vec<u64> = (0..257).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        for t in [1, 2, 3, 4, 8, 300] {
-            let got = with_threads(t, || par_map(&items, |_, &x| x * 3 + 1));
-            assert_eq!(got, expect, "threads = {t}");
+        // Every length 0..=8 at 1–4 workers (empty, uneven and one-item
+        // chunks), then a long input at widths up to past its length. `f`
+        // reads the index too, so a misplaced index changes the output.
+        let small = (0..=8u64).flat_map(|len| (1..=4).map(move |t| (len, t)));
+        let long = [1, 2, 3, 4, 8, 300].map(|t| (257, t));
+        let f = |i: usize, &x: &u64| ((i as u64) << 32) | (x * 3 + 1);
+        for (len, t) in small.chain(long) {
+            let items: Vec<u64> = (0..len).collect();
+            let expect: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+            let got = with_threads(t, || par_map(&items, f));
+            assert_eq!(got, expect, "len = {len}, threads = {t}");
         }
     }
 

@@ -595,8 +595,8 @@ impl CrescendoSim {
     /// This is the bridge between the maintenance simulator and
     /// canon-store's placement engine: after any join/leave sequence, the
     /// replica set a store built over [`CrescendoSim::placement`] would use
-    /// is available directly, without rebuilding the store — canon-audit's
-    /// storage probe uses it to check placement consistency under churn.
+    /// is available directly, without rebuilding the store — the root
+    /// `storage_policies` tests use it to check placement under churn.
     pub fn replica_targets(
         &self,
         key: canon_id::Key,

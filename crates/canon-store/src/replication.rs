@@ -202,7 +202,7 @@ impl ReplicatedStore {
     /// Every stored item whose live replica set fails its policy — count,
     /// containment, or geo clause — described one line per violation, in
     /// deterministic (key, domain) order. Empty means the storage
-    /// invariant holds; this is what `canon-audit verify` probes.
+    /// invariant holds; the root `storage_policies` tests check it.
     pub fn policy_violations(&self) -> Vec<String> {
         let mut out = Vec::new();
         for (&(key, domain), holders) in &self.placements {

@@ -26,7 +26,8 @@
 //!
 //! The engine runs [`verify_structure`] automatically after every
 //! `build_canonical` in debug and test builds; release builds skip it. The
-//! `canon-audit` crate drives both passes as a CI subcommand.
+//! crate's `tests/audit.rs` runs [`verify_canonical`] over the
+//! figure-experiment families and over random hierarchies.
 
 use crate::engine::{build_canonical, CanonicalNetwork, LinkRule};
 use canon_hierarchy::{DomainId, DomainMembership, Hierarchy, Placement};

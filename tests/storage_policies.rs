@@ -1,6 +1,9 @@
-//! Property-based tests for the storage engine: the policy layer, content
-//! addressing, and backend durability hold over random hierarchy shapes,
-//! memberships and operation sequences.
+//! Tests for the storage engine: the policy layer, content addressing, and
+//! backend durability hold over random hierarchy shapes, memberships and
+//! operation sequences; and every stored key's replica set satisfies its
+//! `Policy` in the three places placement is computed — the offline
+//! `ReplicatedStore` across crashes and repair, the maintenance simulator
+//! under churn, and a live `canon-node` cluster.
 //!
 //! The load-bearing property is the first one: `Policy::Fixed(k)` is
 //! **byte-identical** to the plain successor-replication rule the store
@@ -8,17 +11,22 @@
 //! — so the refactor provably changed no placement under the default
 //! configuration.
 
+use canon::crescendo::build_crescendo;
 use canon_hierarchy::{DomainMembership, Hierarchy, Placement};
-use canon_id::hash::hash_bytes;
+use canon_id::hash::{hash_bytes, hash_name};
 use canon_id::ring::SortedRing;
 use canon_id::rng::Seed;
 use canon_id::{Key, NodeId};
+use canon_node::{from_graph, ChannelTransport, Command, Op, RuntimeConfig, VirtualClock};
+use canon_sim::CrescendoSim;
 use canon_store::{
-    ContentId, FileBackend, MemoryBackend, PlacementCtx, Policy, ReplicationPolicy, StorageBackend,
+    ContentId, FileBackend, MemoryBackend, PlacementCtx, Policy, ReplicatedStore,
+    ReplicationPolicy, StorageBackend,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A random hierarchy: up to 3 levels below the root with fan-outs 1..=4.
 fn arb_hierarchy() -> impl Strategy<Value = Hierarchy> {
@@ -213,5 +221,145 @@ proptest! {
             prop_assert_eq!(rs, Policy::Fixed(3).replicas(&ctx, key));
         }
         prop_assert!(policy.satisfied(&ctx, key, &policy.replicas(&ctx, key)));
+    }
+}
+
+/// The three shipped policies at the parameters the placement tests use.
+fn shipped_policies() -> [Policy; 3] {
+    [
+        Policy::Fixed(3),
+        Policy::PercentOfDomain {
+            level: 1,
+            percent: 0.05,
+        },
+        Policy::HierarchyGeo {
+            replication: 3,
+            min_outside_level: 1,
+        },
+    ]
+}
+
+/// Per policy, a store over 160 nodes takes 150 keys from rotating
+/// writers, loses every fifth node and repairs: `policy_violations` is
+/// empty before the crashes and after `re_replicate`, and every key still
+/// has a live holder to be read from. `--nocapture` prints the totals.
+#[test]
+fn store_repairs_every_policy_after_crashes() {
+    let h = Hierarchy::balanced(4, 2);
+    let p = Placement::uniform(&h, 160, Seed(42).derive("storage-audit"));
+    let (writers, root) = (p.ids(), h.root());
+    let key = |i: usize| hash_name(&format!("audit-key-{i}"));
+    let mut repaired = 0;
+    for policy in shipped_policies() {
+        let mut store = ReplicatedStore::new(h.clone(), &p, policy);
+        for i in 0..150 {
+            store.put_from(writers[(i * 7) % writers.len()], key(i), root);
+        }
+        assert_eq!(
+            store.policy_violations(),
+            Vec::<String>::new(),
+            "{}",
+            policy.name()
+        );
+        for &victim in writers.iter().step_by(5) {
+            store.crash(victim);
+        }
+        repaired += store.re_replicate();
+        assert_eq!(
+            store.policy_violations(),
+            Vec::<String>::new(),
+            "{}",
+            policy.name()
+        );
+        for i in 0..150 {
+            assert!(
+                store.live_holder(key(i), root).is_some(),
+                "{}: key {}: no live holder after repair",
+                policy.name(),
+                key(i)
+            );
+        }
+    }
+    println!("3 store policies clean (450 keys checked, {repaired} replicas repaired)");
+    assert!(repaired > 0, "the crash pass repaired nothing");
+}
+
+/// After 48 joins and 10 leaves, the maintenance simulator's
+/// `replica_targets` equal the replica set of a store built over the
+/// surviving membership, for 25 keys under every policy.
+#[test]
+fn sim_and_store_place_the_same_replicas_after_churn() {
+    let h = Hierarchy::balanced(3, 2);
+    let leaves = h.leaves();
+    let mut sim = CrescendoSim::new(h.clone(), 4);
+    let churn_seed = Seed(42).derive("storage-churn");
+    for i in 0..48u64 {
+        let id = NodeId::new(churn_seed.derive_index(i).0);
+        sim.join(id, leaves[(i as usize) % leaves.len()]);
+    }
+    let departing: Vec<NodeId> = sim.ids().take(10).collect();
+    for id in departing {
+        sim.leave(id);
+    }
+
+    let placement = sim.placement();
+    for policy in shipped_policies() {
+        let store = ReplicatedStore::new(h.clone(), &placement, policy);
+        for i in 0..25 {
+            let key = hash_name(&format!("churn-key-{i}"));
+            assert_eq!(
+                sim.replica_targets(key, h.root(), &policy),
+                store.replica_set(key, h.root()),
+                "{}: key {key}: sim and store place different replicas",
+                policy.name()
+            );
+        }
+    }
+}
+
+/// A 32-node live cluster serves 40 PUTs under `Policy::Fixed(3)` with
+/// zero protocol loss, and `replication_status` reports every key held by
+/// exactly the replica set a `ReplicatedStore` over the same hierarchy,
+/// placement and policy places: the replicas the placement model names
+/// are the ones whose bytes a live shard holds.
+#[test]
+fn live_replication_status_matches_the_store_replica_set() {
+    let seed = Seed(42);
+    let h = Hierarchy::balanced(4, 2);
+    let p = Placement::uniform(&h, 32, seed.derive("storage-node"));
+    let policy = Policy::Fixed(3);
+    let store = ReplicatedStore::new(h.clone(), &p, policy);
+    let mut rt = from_graph(
+        build_crescendo(&h, &p).graph(),
+        Arc::new(VirtualClock::new()),
+        Arc::new(ChannelTransport::new(1)),
+        RuntimeConfig {
+            policy,
+            ..RuntimeConfig::default()
+        },
+    );
+    let ids = rt.ids();
+    let key_seed = seed.derive("storage-node-keys");
+    let keys: Vec<u64> = (0..40).map(|i| key_seed.derive_index(i).0).collect();
+    for (i, &key) in keys.iter().enumerate() {
+        let value = key ^ 1;
+        rt.inject(ids[i % ids.len()], Command::Issue(Op::Put { key, value }));
+    }
+    rt.run_until_idle();
+
+    let summary = rt.summary();
+    assert!(summary.zero_loss(), "protocol loss: {summary:?}");
+    for &key in &keys {
+        let status = rt.replication_status(key);
+        assert!(
+            status.satisfied,
+            "key {key:#x}: expected {:?}, held by {:?}",
+            status.expected, status.holders
+        );
+        assert_eq!(
+            status.expected,
+            store.replica_set(Key::new(key), h.root()),
+            "key {key:#x}: the cluster expects one replica set, the store places another"
+        );
     }
 }
