@@ -12,29 +12,36 @@
 //! (`flush_outbox`). Each message's fate and delivery tick are decided at
 //! send time, with its own sequence number, exactly as in an unframed run
 //! and in whichever order `FramedTransport` and `FaultyTransport` nest;
-//! only the survivors reach the outbox, and a message is encoded once:
+//! only the survivors reach the outbox. A message is encoded once, by its
+//! sender, and decoded once, by its receiver:
 //!
 //! 1. **at send**, its sequence number and length-prefixed payload — the
 //!    bytes it has in a frame body — are encoded straight into the
 //!    outbox's byte arena and linked onto the open frame for its
 //!    `(destination slot, delivery tick)`. A per-slot head finds that
 //!    frame; a second delivery tick to one slot (jitter) chains behind the
-//!    first. No envelope is built;
-//! 2. **at the flush**, each open frame is written into one reusable frame
-//!    buffer: its header ([`encode_frame`]'s header writer — `from` and
-//!    `sent_at` are the node and the round's tick, and the message count
-//!    is already known), then its messages' bytes copied in behind it, in
-//!    send order;
-//! 3. **decode the frame** into a reusable envelope vector
-//!    ([`decode_frame`]) — all of it or none of it;
-//! 4. only if the whole frame decoded, account its bytes and deliver the
-//!    *decoded* envelopes to the destination mailbox under one lock and
-//!    one bucket look-up (a frame shares its delivery tick).
+//!    first. The outbox notes the payload's kind and encoded length. No
+//!    envelope is built;
+//! 2. **at the flush**, at the end of the sender's round, each open frame
+//!    is written once, straight into the destination's mailbox bucket
+//!    under that slot's lock: its header ([`encode_frame`]'s header
+//!    writer — `from` and `sent_at` are the node and the round's tick,
+//!    and the message count is already known), then its messages' bytes
+//!    copied in behind it, in send order. The bucket keeps the frame's
+//!    sender, first sequence number and message count beside the bytes.
+//!    Nothing is decoded;
+//! 3. **at the receiver's drain**, in its next round, the due buckets
+//!    leave the mailbox under the lock, and with the lock released their
+//!    frames are decoded — each all of it or none of it — into the
+//!    worker's envelope buffer, in `(from, first seq)` order, which is the
+//!    delivery order (see [`crate::transport`]). A frame that fails to
+//!    decode delivers nothing and counts one decode error for the
+//!    receiver.
 //!
 //! Frames flush in the order they were opened; nothing is sorted. Frames
 //! to different `(slot, tick)` land in different mailbox buckets, which
-//! drain sorted, and every tally update is an addition, so the flush order
-//! changes nothing anyone can observe.
+//! drain in key order, and every tally update is an addition, so the flush
+//! order changes nothing anyone can observe.
 //!
 //! Every delivered message has round-tripped through the codec, so a
 //! framed run exercises encode *and* decode end to end; the equivalence
@@ -45,21 +52,34 @@
 //! Each node tallies the frames *it sends* in its own state (a
 //! `WireTally`: links sorted by destination, payload kinds in a fixed
 //! array), which the flush already holds exclusively — no shared ledger,
-//! no lock. [`Runtime::wire_summary`](crate::runtime::Runtime::wire_summary)
-//! and [`Runtime::link_bytes`](crate::runtime::Runtime::link_bytes) sum
-//! the per-node tallies; every update is an addition, so the totals do
-//! not depend on worker scheduling.
+//! no lock. The flush counts from facts the outbox already has: the
+//! frame's length and message count, the kinds and payload lengths noted
+//! at send, and the batching counterfactual from the header widths. So
+//! [`LinkBytes`] and [`WireSummary`] count frames *sent*; the one thing
+//! only a receiver can see, a frame that fails to decode, is counted in
+//! the receiving node's tally.
+//! [`Runtime::wire_summary`](crate::runtime::Runtime::wire_summary) and
+//! [`Runtime::link_bytes`](crate::runtime::Runtime::link_bytes) sum the
+//! per-node tallies; every update is an addition, so the totals do not
+//! depend on worker scheduling.
 //!
-//! The buffers a flush works in (the outbox's arena, message links, open
-//! frames and per-slot heads; the frame bytes; the decoded envelopes —
-//! `FlushScratch`) belong to the *worker thread*, not the node: a node's
-//! burst-sized outbox would otherwise be retained once per node, a
-//! thousand times over, for buffers only one node per worker uses at a
-//! time. The worker lends its outbox to the node for the round and takes
-//! it back at the flush. Nothing is allocated per frame: the arena grows
-//! to the largest round and the one frame buffer to the largest frame,
-//! and both are reused (a buffer per open frame, pooled, would grow each
-//! to the largest frame it ever held).
+//! The buffers belong to three owners:
+//!
+//! * the **worker thread** owns the outbox (its arena, message links, open
+//!   frames and per-slot heads) and the envelope buffer a drain decodes
+//!   into. A node's burst-sized outbox would otherwise be retained once
+//!   per node, a thousand times over, for buffers only one node per
+//!   worker uses at a time. The worker lends its outbox to the node for
+//!   the round and takes it back at the flush;
+//! * the **destination's mailbox bucket** owns the frame bytes while they
+//!   wait: one byte vector per `(slot, tick)` bucket, shared by all its
+//!   frames, plus one small index entry per frame;
+//! * the **node** owns only its tally.
+//!
+//! Nothing is allocated per frame: the arena and the envelope buffer grow
+//! to the largest round and are reused, and a frame is one append to its
+//! bucket's bytes (a buffer per frame, pooled, would grow each to the
+//! largest frame it ever held).
 //!
 //! # Frame layout
 //!
@@ -80,16 +100,20 @@ use crate::msg::Payload;
 use crate::node::NodeState;
 use crate::transport::{Envelope, Mailboxes, Transport};
 use canon_id::NodeId;
-use canon_wire::{Decoder, Encoder, WireDecode, WireError};
+use canon_wire::{Decoder, Encoder, WireDecode, WireEncode, WireError};
 
 /// Number of [`Payload`] variants, the length of per-kind counter arrays.
 const KINDS: usize = Payload::KIND_NAMES.len();
 
-/// Per-link byte counters: frames and messages delivered over a directed
+/// Per payload kind (indexed by [`Payload::kind_index`]): messages and
+/// encoded payload bytes.
+type KindCounts = [(u64, u64); KINDS];
+
+/// Per-link byte counters: frames and messages sent over a directed
 /// `(from, to)` link, and the frame bytes that carried them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkBytes {
-    /// Frames delivered.
+    /// Frames sent.
     pub frames: u64,
     /// Messages the frames carried.
     pub msgs: u64,
@@ -97,35 +121,39 @@ pub struct LinkBytes {
     pub bytes: u64,
 }
 
-/// What decoding one frame found, for the sender's tally.
+/// What decoding one frame found: the sender's tally of it, recomputed
+/// from its bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrameFacts {
     /// Per payload kind (indexed by [`Payload::kind_index`]): messages
     /// and encoded payload bytes.
-    pub kinds: [(u64, u64); KINDS],
+    pub kinds: KindCounts,
     /// Total bytes had each message shipped as a frame of its own.
     pub unbatched: u64,
 }
 
-/// One node's wire accounting: the frames it sent that were delivered,
-/// and decode failures. Counters only ever grow by addition, so summing
-/// tallies over nodes is independent of the order rounds ran in.
+/// One node's wire accounting: the frames it sent, and the frames sent to
+/// it that failed to decode. Counters only ever grow by addition, so
+/// summing tallies over nodes is independent of the order rounds ran in.
 #[derive(Debug, Default)]
 pub(crate) struct WireTally {
     /// The destination identifiers this node's frames went to, sorted. A
     /// node keeps a few hundred links at most, so a binary search over
     /// the bare identifiers finds a link, and a new link is one insert.
     dests: Vec<u64>,
-    /// Delivered traffic to `dests[i]`, at `i`.
+    /// Traffic sent to `dests[i]`, at `i`.
     links: Vec<LinkBytes>,
     /// Per payload kind: messages and encoded payload bytes.
-    kinds: [(u64, u64); KINDS],
+    kinds: KindCounts,
     unbatched_bytes: u64,
+    /// Frames this node received that failed to decode.
     decode_errors: u64,
 }
 
 impl WireTally {
-    fn record_frame(&mut self, to: NodeId, frame_len: usize, facts: &FrameFacts) {
+    /// Counts one frame sent to `to`: its length, its messages, and its
+    /// batching counterfactual.
+    fn record_frame(&mut self, to: NodeId, frame_len: usize, msgs: usize, unbatched: u64) {
         let at = match self.dests.binary_search(&to.raw()) {
             Ok(at) => at,
             Err(at) => {
@@ -136,13 +164,22 @@ impl WireTally {
         };
         let link = &mut self.links[at];
         link.frames += 1;
+        link.msgs += msgs as u64;
         link.bytes += frame_len as u64;
-        for (kind, seen) in self.kinds.iter_mut().zip(&facts.kinds) {
-            link.msgs += seen.0;
+        self.unbatched_bytes += unbatched;
+    }
+
+    /// Counts sent messages and their payload bytes per kind.
+    fn record_kinds(&mut self, kinds: &KindCounts) {
+        for (kind, seen) in self.kinds.iter_mut().zip(kinds) {
             kind.0 += seen.0;
             kind.1 += seen.1;
         }
-        self.unbatched_bytes += facts.unbatched;
+    }
+
+    /// Counts frames sent to this node that failed to decode.
+    pub(crate) fn record_decode_errors(&mut self, frames: u64) {
+        self.decode_errors += frames;
     }
 
     /// This node's per-link counters, by destination.
@@ -164,11 +201,11 @@ impl WireTally {
 /// it, not inside it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireSummary {
-    /// Frames delivered.
+    /// Frames sent.
     pub frames: u64,
-    /// Messages the delivered frames carried.
+    /// Messages the frames carried.
     pub msgs: u64,
-    /// Total encoded frame bytes delivered.
+    /// Total encoded frame bytes sent.
     pub bytes: u64,
     /// Bytes spent on frame headers and length prefixes.
     pub header_bytes: u64,
@@ -177,9 +214,9 @@ pub struct WireSummary {
     /// What `bytes` would have been with one frame per message — the
     /// batching counterfactual.
     pub unbatched_bytes: u64,
-    /// Frames that failed the decode-validate round trip (a codec bug;
-    /// always zero in the shipped codec — the equivalence tests assert
-    /// it).
+    /// Frames that failed to decode, counted by the node that received
+    /// them; such a frame delivers none of its messages. Zero unless frame
+    /// bytes are damaged in the mailbox — the equivalence tests assert it.
     pub decode_errors: u64,
     /// Distinct directed links that carried at least one frame.
     pub links: u64,
@@ -192,7 +229,7 @@ impl WireSummary {
     /// Sums per-node tallies into the cluster-wide summary.
     pub(crate) fn sum<'a>(tallies: impl IntoIterator<Item = &'a WireTally>) -> WireSummary {
         let mut sum = WireSummary::default();
-        let mut kinds = [(0u64, 0u64); KINDS];
+        let mut kinds = KindCounts::default();
         for t in tallies {
             for link in &t.links {
                 sum.frames += link.frames;
@@ -254,9 +291,11 @@ impl<T: Transport> Transport for FramedTransport<T> {
 /// plus the two 8-byte node identifiers.
 const FRAME_FIXED_HEADER: usize = 4 + 8 + 8;
 
-/// Starts `frame` afresh with a frame header: a slot for the body length
+/// Appends a frame header to `frame`: a slot for the body length
 /// ([`seal_frame`] fills it in), then what the frame's `count` messages
-/// share.
+/// share. Returns the header width each of them would have as a frame of
+/// its own (`count` = 1) — the batching counterfactual's per-message
+/// header.
 fn start_frame(
     frame: &mut Vec<u8>,
     from: NodeId,
@@ -264,18 +303,21 @@ fn start_frame(
     sent_at: Tick,
     deliver_at: Tick,
     count: usize,
-) {
-    frame.clear();
+) -> usize {
     frame.extend_from_slice(&[0; 4]);
     let mut e = Encoder::new(frame);
     e.encode(&from);
     e.encode(&to);
+    let ticks_start = e.written();
     e.varint(sent_at);
     e.varint(deliver_at);
+    let singleton_header = FRAME_FIXED_HEADER + (e.written() - ticks_start) + 1;
     e.varint(count as u64);
+    singleton_header
 }
 
-/// Writes the body length into the slot [`start_frame`] left for it.
+/// Writes the body length into the slot [`start_frame`] left at the front
+/// of `frame`.
 fn seal_frame(frame: &mut [u8]) {
     let body = (frame.len() - 4) as u32;
     frame[..4].copy_from_slice(&body.to_le_bytes());
@@ -283,8 +325,9 @@ fn seal_frame(frame: &mut [u8]) {
 
 /// Appends one message's frame-body bytes to `buf`: its sequence number,
 /// then its payload, length-prefixed so a decoder can skip payloads it
-/// cannot parse and so the payload length is an accounting fact.
-fn encode_msg(buf: &mut Vec<u8>, seq: u64, payload: &Payload) {
+/// cannot parse and so the payload length is an accounting fact. Returns
+/// the payload's encoded length.
+fn encode_msg<M: WireEncode>(buf: &mut Vec<u8>, seq: u64, payload: &M) -> usize {
     let mut e = Encoder::new(buf);
     e.varint(seq);
     // The payload is encoded in place behind a one-byte slot for its
@@ -304,6 +347,7 @@ fn encode_msg(buf: &mut Vec<u8>, seq: u64, payload: &Payload) {
         let width = buf.len() - (start - 1) - len;
         buf[start - 1..].rotate_right(width);
     }
+    len
 }
 
 /// Encodes one frame into `frame`, replacing its contents. Every envelope
@@ -311,13 +355,15 @@ fn encode_msg(buf: &mut Vec<u8>, seq: u64, payload: &Payload) {
 /// sender's messages to one destination for one tick); the shared values
 /// are read from the first envelope. The outbox writes its frames through
 /// the same header and message encoders.
-pub fn encode_frame<'a, I>(envs: I, frame: &mut Vec<u8>)
+pub fn encode_frame<'a, M, I>(envs: I, frame: &mut Vec<u8>)
 where
-    I: IntoIterator<Item = &'a Envelope<Payload>>,
+    M: WireEncode + 'a,
+    I: IntoIterator<Item = &'a Envelope<M>>,
     I::IntoIter: ExactSizeIterator,
 {
     let mut envs = envs.into_iter().peekable();
     let count = envs.len();
+    frame.clear();
     match envs.peek() {
         Some(first) => {
             start_frame(
@@ -330,10 +376,7 @@ where
             );
         }
         // No messages, no header: just the (zero) body length.
-        None => {
-            frame.clear();
-            frame.extend_from_slice(&[0; 4]);
-        }
+        None => frame.extend_from_slice(&[0; 4]),
     }
     for env in envs {
         encode_msg(frame, env.seq, &env.payload);
@@ -341,23 +384,53 @@ where
     seal_frame(frame);
 }
 
-/// Decodes a frame, appending its envelopes to `out`. Total: truncation,
-/// bad tags, length-prefix mismatches and trailing bytes all surface as
-/// [`WireError`], never a panic — and all-or-nothing: on `Err`, `out` is
-/// exactly as it was.
+/// Decodes a frame, appending its envelopes to `out`, and recounts what
+/// its sender tallied for it. Total: truncation, bad tags, length-prefix
+/// mismatches and trailing bytes all surface as [`WireError`], never a
+/// panic — and all-or-nothing: on `Err`, `out` is exactly as it was.
 pub fn decode_frame(
     bytes: &[u8],
     out: &mut Vec<Envelope<Payload>>,
 ) -> Result<FrameFacts, WireError> {
-    let before = out.len();
-    let facts = decode_into(bytes, out);
-    if facts.is_err() {
-        out.truncate(before);
-    }
-    facts
+    let mut facts = FrameFacts::default();
+    unframe_with(bytes, out, |payload: &Payload, len, unbatched| {
+        let kind = &mut facts.kinds[payload.kind_index()];
+        kind.0 += 1;
+        kind.1 += len as u64;
+        facts.unbatched += unbatched;
+    })?;
+    Ok(facts)
 }
 
-fn decode_into(bytes: &[u8], out: &mut Vec<Envelope<Payload>>) -> Result<FrameFacts, WireError> {
+/// [`decode_frame`] for any message type, without the recount: what a
+/// mailbox drain decodes frames with.
+pub(crate) fn unframe<M: WireDecode>(
+    bytes: &[u8],
+    out: &mut Vec<Envelope<M>>,
+) -> Result<(), WireError> {
+    unframe_with(bytes, out, |_, _, _| {})
+}
+
+/// Decodes a frame into `out`, all or nothing, showing `each` every
+/// message's payload, encoded payload length and singleton-frame size.
+fn unframe_with<M: WireDecode>(
+    bytes: &[u8],
+    out: &mut Vec<Envelope<M>>,
+    each: impl FnMut(&M, usize, u64),
+) -> Result<(), WireError> {
+    let before = out.len();
+    let decoded = decode_into(bytes, out, each);
+    if decoded.is_err() {
+        out.truncate(before);
+    }
+    decoded
+}
+
+fn decode_into<M: WireDecode>(
+    bytes: &[u8],
+    out: &mut Vec<Envelope<M>>,
+    mut each: impl FnMut(&M, usize, u64),
+) -> Result<(), WireError> {
     let (prefix, body) = bytes.split_at_checked(4).ok_or(WireError::Truncated)?;
     let mut len = [0u8; 4];
     len.copy_from_slice(prefix);
@@ -386,16 +459,13 @@ fn decode_into(bytes: &[u8], out: &mut Vec<Envelope<Payload>>) -> Result<FrameFa
         return Err(WireError::Truncated);
     }
     out.reserve(count);
-    let mut facts = FrameFacts::default();
     for _ in 0..count {
         let msg_start = d.remaining();
         let seq = d.varint()?;
         let payload_bytes = d.bytes()?;
-        let payload: Payload = canon_wire::from_bytes(payload_bytes)?;
-        let kind = &mut facts.kinds[payload.kind_index()];
-        kind.0 += 1;
-        kind.1 += payload_bytes.len() as u64;
-        facts.unbatched += (singleton_header + (msg_start - d.remaining())) as u64;
+        let payload: M = canon_wire::from_bytes(payload_bytes)?;
+        let unbatched = singleton_header + (msg_start - d.remaining());
+        each(&payload, payload_bytes.len(), unbatched as u64);
         out.push(Envelope {
             from,
             to,
@@ -405,8 +475,7 @@ fn decode_into(bytes: &[u8], out: &mut Vec<Envelope<Payload>>) -> Result<FrameFa
             payload,
         });
     }
-    d.finish()?;
-    Ok(facts)
+    d.finish()
 }
 
 /// "No message" / "no frame" in the outbox's chains.
@@ -419,6 +488,8 @@ struct OpenFrame {
     slot: usize,
     to: NodeId,
     deliver_at: Tick,
+    /// The sequence number of its first message.
+    seq: u64,
     count: usize,
     /// First and last message of the chain, as indices into `Outbox::msgs`.
     first: u32,
@@ -429,7 +500,8 @@ struct OpenFrame {
 
 /// A node's sends for one round, encoded as they are sent and chained into
 /// the frames they flush as: one per `(destination slot, delivery tick)`.
-/// Empty between rounds; lent by the worker (see the module docs).
+/// Empty between rounds; the worker's, lent to a node for its round (see
+/// the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct Outbox {
     /// Every message's frame-body bytes — sequence number, then the
@@ -445,9 +517,18 @@ pub(crate) struct Outbox {
     /// Only the slots of open frames are set, and [`Outbox::clear`] resets
     /// exactly those.
     heads: Vec<u32>,
+    /// This round's messages and payload bytes per kind.
+    kinds: KindCounts,
 }
 
 impl Outbox {
+    /// Swaps this (empty) outbox with `state`'s, lending it to the node
+    /// for its round so its sends land in capacity the worker keeps;
+    /// [`flush_outbox`] takes it back.
+    pub(crate) fn lend(&mut self, state: &mut NodeState) {
+        std::mem::swap(&mut state.outbox, self);
+    }
+
     /// Encodes a message for `to` at `slot`, due at `deliver_at`, into the
     /// arena and links it onto the end of its frame, opening the frame if
     /// this is the first message for that `(slot, tick)` this round.
@@ -459,7 +540,10 @@ impl Outbox {
         seq: u64,
         payload: &Payload,
     ) {
-        encode_msg(&mut self.arena, seq, payload);
+        let len = encode_msg(&mut self.arena, seq, payload);
+        let kind = &mut self.kinds[payload.kind_index()];
+        kind.0 += 1;
+        kind.1 += len as u64;
         let msg = self.msgs.len() as u32;
         self.msgs.push((self.arena.len(), NONE));
         if slot >= self.heads.len() {
@@ -482,6 +566,7 @@ impl Outbox {
             slot,
             to,
             deliver_at,
+            seq,
             count: 1,
             first: msg,
             last: msg,
@@ -490,19 +575,25 @@ impl Outbox {
         self.heads[slot] = (self.frames.len() - 1) as u32;
     }
 
-    /// Writes `open` into `frame`: the header, then its messages' bytes in
-    /// the order they were sent.
-    fn write_frame(&self, open: &OpenFrame, from: NodeId, sent_at: Tick, frame: &mut Vec<u8>) {
-        start_frame(frame, from, open.to, sent_at, open.deliver_at, open.count);
+    /// Appends `open` to `out`: the header, then its messages' bytes in
+    /// the order they were sent. Returns the frame's batching
+    /// counterfactual: its bytes had each message gone as a frame of its
+    /// own.
+    fn write_frame(&self, open: &OpenFrame, from: NodeId, sent_at: Tick, out: &mut Vec<u8>) -> u64 {
+        let start = out.len();
+        let singleton_header =
+            start_frame(out, from, open.to, sent_at, open.deliver_at, open.count);
+        let body = out.len();
         let mut at = open.first;
         while at != NONE {
             let i = at as usize;
             let start = i.checked_sub(1).map_or(0, |prev| self.msgs[prev].0);
             let (end, next) = self.msgs[i];
-            frame.extend_from_slice(&self.arena[start..end]);
+            out.extend_from_slice(&self.arena[start..end]);
             at = next;
         }
-        seal_frame(frame);
+        seal_frame(&mut out[start..]);
+        (open.count * singleton_header + (out.len() - body)) as u64
     }
 
     /// Empties the outbox, keeping its capacity.
@@ -513,60 +604,34 @@ impl Outbox {
         self.frames.clear();
         self.msgs.clear();
         self.arena.clear();
+        self.kinds = KindCounts::default();
     }
 }
 
-/// The buffers one flush works in, reused from flush to flush. Owned by
-/// the worker thread (see the module docs), and empty between flushes.
-#[derive(Debug, Default)]
-pub(crate) struct FlushScratch {
-    /// The outbox being flushed — the one the node staged into.
-    outbox: Outbox,
-    /// The encoded frame.
-    frame: Vec<u8>,
-    /// The frame's envelopes, decoded.
-    decoded: Vec<Envelope<Payload>>,
-}
-
-impl FlushScratch {
-    /// Lends the outbox to `state` for the round, so its sends land in
-    /// capacity the worker keeps; [`flush_outbox`] takes it back.
-    pub(crate) fn lend_outbox(&mut self, state: &mut NodeState) {
-        std::mem::swap(&mut state.outbox, &mut self.outbox);
-    }
-}
-
-/// Flushes a node's outbox at the end of its round, sent at `now`: writes
-/// each open frame, runs it through decode → account, and delivers the
-/// decoded envelopes into the destination mailbox.
+/// Flushes a node's outbox at the end of its round, sent at `now`, into
+/// `spare` (the outbox [`Outbox::lend`] lent it from): tallies each open
+/// frame as sent and writes it once, straight into the destination's
+/// mailbox bucket. Nothing is decoded here; the receiver's drain does
+/// that.
 pub(crate) fn flush_outbox(
     boxes: &Mailboxes<Payload>,
     now: Tick,
     state: &mut NodeState,
-    scratch: &mut FlushScratch,
+    spare: &mut Outbox,
 ) {
-    std::mem::swap(&mut state.outbox, &mut scratch.outbox);
-    let FlushScratch {
-        outbox,
-        frame,
-        decoded,
-    } = scratch;
-    for open in &outbox.frames {
-        outbox.write_frame(open, state.id, now, frame);
-        match decode_frame(frame, decoded) {
-            Ok(facts) => {
-                state.wire.record_frame(open.to, frame.len(), &facts);
-                // Deliver the *decoded* envelopes: every message a framed
-                // run processes has round-tripped through the codec.
-                boxes.push_batch(open.slot, decoded);
-            }
-            // Unreachable for bytes this module just encoded; surfaced as
-            // a counter (the equivalence tests assert it stays zero)
-            // rather than a panic, per the crate's no-panic policy.
-            Err(_) => state.wire.decode_errors += 1,
-        }
+    std::mem::swap(&mut state.outbox, spare);
+    let from = state.id;
+    for open in &spare.frames {
+        let (len, unbatched) = boxes.push_frame(
+            open.slot,
+            open.deliver_at,
+            (from, open.seq, open.count),
+            |bytes| spare.write_frame(open, from, now, bytes),
+        );
+        state.wire.record_frame(open.to, len, open.count, unbatched);
     }
-    outbox.clear();
+    state.wire.record_kinds(&spare.kinds);
+    spare.clear();
 }
 
 #[cfg(test)]
@@ -784,6 +849,14 @@ mod tests {
         assert_eq!(out.capacity(), 0);
     }
 
+    /// Tallies `frame`, sent to `to`, from what decoding it found — the
+    /// sender's tally recounted from the bytes.
+    fn record_decoded(tally: &mut WireTally, to: NodeId, frame: &[u8], facts: &FrameFacts) {
+        let msgs: u64 = facts.kinds.iter().map(|k| k.0).sum();
+        tally.record_frame(to, frame.len(), msgs as usize, facts.unbatched);
+        tally.record_kinds(&facts.kinds);
+    }
+
     #[test]
     fn tally_aggregates_links_and_kinds() {
         let mut tally = WireTally::default();
@@ -793,7 +866,7 @@ mod tests {
         ];
         let frame = encode(&envs);
         let facts = decode_frame(&frame, &mut Vec::new()).expect("decode");
-        tally.record_frame(NodeId::new(20), frame.len(), &facts);
+        record_decoded(&mut tally, NodeId::new(20), &frame, &facts);
         let s = WireSummary::sum([&tally]);
         assert_eq!((s.frames, s.msgs), (1, 2));
         assert_eq!(s.bytes, frame.len() as u64);
@@ -862,7 +935,7 @@ mod tests {
     ) -> (Mailboxes<Payload>, NodeState) {
         let (boxes, mut state) = (Mailboxes::new(slots), sender());
         stage_all(&mut state.outbox, sends);
-        flush_outbox(&boxes, 5, &mut state, &mut FlushScratch::default());
+        flush_outbox(&boxes, 5, &mut state, &mut Outbox::default());
         (boxes, state)
     }
 
@@ -972,19 +1045,20 @@ mod tests {
             .frames
             .iter()
             .map(|open| {
+                frame.clear();
                 outbox.write_frame(open, NodeId::new(10), 5, &mut frame);
                 frame.clone()
             })
             .collect();
         assert_eq!(got, want);
 
-        // And the flush delivers exactly the framed envelopes, tallied as
-        // those frames.
+        // And the flush queues exactly the framed envelopes, tallied as
+        // decoding those frames recounts them.
         let (boxes, state) = flushed(SLOTS, &sends);
         let mut tally = WireTally::default();
         for (group, frame) in groups.iter().zip(&want) {
             let facts = decode_frame(frame, &mut Vec::new()).expect("decode");
-            tally.record_frame(group[0].to, frame.len(), &facts);
+            record_decoded(&mut tally, group[0].to, frame, &facts);
         }
         assert_eq!(WireSummary::sum([&state.wire]), WireSummary::sum([&tally]));
         assert_eq!(
@@ -1012,10 +1086,10 @@ mod tests {
     #[test]
     fn a_flushed_outbox_is_empty_and_the_next_round_opens_new_frames() {
         let (boxes, mut state) = (Mailboxes::new(2), sender());
-        let mut scratch = FlushScratch::default();
+        let mut spare = Outbox::default();
         let replicate = |key| Payload::Replicate { key, value: 0 };
         for (round, now) in [(0, 5), (1, 9)] {
-            scratch.lend_outbox(&mut state);
+            spare.lend(&mut state);
             let sends = [
                 env_to(0, now + 1, 10 * round + 1, replicate(1)),
                 env_to(1, now + 1, 10 * round + 2, replicate(2)),
@@ -1023,9 +1097,10 @@ mod tests {
             ];
             stage_all(&mut state.outbox, &sends);
             assert!(!state.outbox.msgs.is_empty());
-            flush_outbox(&boxes, now, &mut state, &mut scratch);
-            assert!(state.outbox.msgs.is_empty() && scratch.outbox.msgs.is_empty());
-            assert!(scratch.outbox.heads.iter().all(|&head| head == NONE));
+            flush_outbox(&boxes, now, &mut state, &mut spare);
+            assert!(state.outbox.msgs.is_empty() && spare.msgs.is_empty());
+            assert!(spare.heads.iter().all(|&head| head == NONE));
+            assert_eq!(spare.kinds, KindCounts::default());
         }
         // Round two's messages to slot 1 went out in a frame of their own,
         // sent and due at round two's ticks.

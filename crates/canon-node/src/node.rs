@@ -34,6 +34,7 @@ use canon_overlay::engine::HOP_LIMIT;
 use canon_store::{ContentId, Policy};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Cachers the owner tracks per key for invalidation fan-out. A node is
 /// never filled without being registered first — the bound trades fill
@@ -71,6 +72,34 @@ pub struct NodeStats {
 /// `NodeState::deferred`): `(origin, req, attempt, hops, op, path)`.
 pub type RoutedRequest = (NodeId, u64, u32, u32, Op, Vec<NodeId>);
 
+/// Identifier → mailbox slot. Only ever looked up, never walked, and its
+/// keys are node identifiers — already uniform 64-bit hash outputs — so
+/// one multiply ([`IdHasher`]) spreads them as well as SipHash would, at a
+/// fraction of the cost of a look-up made on every send.
+pub(crate) type Directory = HashMap<u64, usize, BuildHasherDefault<IdHasher>>;
+
+/// Multiply-shift hashing for [`Directory`] keys: the key times an odd
+/// constant, whose high bits the table reads as its tag and whose low bits
+/// are a bijection of the key's.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The network context a node handles messages in: shared mailboxes, the
 /// transport and whether it frames (resolved once per round), the id → slot
 /// directory, and the current tick.
@@ -79,7 +108,7 @@ pub(crate) struct Net<'a> {
     pub transport: &'a dyn Transport,
     /// [`Transport::framed`] of `transport`.
     pub framed: bool,
-    pub directory: &'a HashMap<u64, usize>,
+    pub directory: &'a Directory,
     pub now: Tick,
 }
 

@@ -32,7 +32,9 @@
 //!    no worker can add same-round work;
 //! 2. mailboxes drain in the arrival-order-independent key order
 //!    `(deliver_at, from, seq)`, so a node drains the same messages in the
-//!    same order no matter how sends interleaved;
+//!    same order no matter how sends interleaved — framed mail included,
+//!    whose frames the drain decodes straight into that order (see
+//!    [`crate::transport`]);
 //! 3. nodes share no state — each is locked by exactly one worker per
 //!    round, and everything it does is a function of its own state and the
 //!    drained messages;
@@ -46,9 +48,9 @@
 
 use crate::cache::{CacheConfig, CacheSummary};
 use crate::clock::{Clock, Tick};
-use crate::framed::{self, FlushScratch, LinkBytes, WireSummary};
+use crate::framed::{self, LinkBytes, Outbox, WireSummary};
 use crate::msg::{Command, Completion, Outcome, Payload};
-use crate::node::{Net, NodeState, NodeStats};
+use crate::node::{Directory, Net, NodeState, NodeStats};
 use crate::rpc::RpcConfig;
 use crate::shard::ShardBackend;
 use crate::transport::{lock_unpoisoned, Envelope, Mailboxes, Transport};
@@ -56,14 +58,18 @@ use canon_id::ring::SortedRing;
 use canon_id::NodeId;
 use canon_par::par_map;
 use canon_store::Policy;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 thread_local! {
-    /// The flush buffers of the worker thread running a node's round (see
-    /// [`crate::framed`] for why they are the worker's and not the node's).
-    static FLUSH_SCRATCH: RefCell<FlushScratch> = RefCell::default();
+    /// The outbox of the worker thread running a node's round, lent to the
+    /// node for it (see [`crate::framed`] for why it is the worker's and
+    /// not the node's).
+    static OUTBOX: RefCell<Outbox> = RefCell::default();
+    /// The worker's buffer for the messages a node's round drains, reused
+    /// from round to round; framed mail is decoded into it.
+    static DRAINED: Cell<Vec<Envelope<Payload>>> = Cell::default();
 }
 
 /// Cluster-wide node parameters.
@@ -170,7 +176,7 @@ pub struct Runtime {
     /// ever looked up (`get`, `contains_key`, `insert`), never iterated, so
     /// no order can leak out of it, and it is not part of the model
     /// checker's snapshot.
-    directory: HashMap<u64, usize>,
+    directory: Directory,
     /// Each node's earliest live RPC deadline as `(tick, slot)` — the
     /// timer half of the wake-up index (the mail half is inside
     /// [`Mailboxes`]). Kept equal to [`NodeState::next_timer`] by
@@ -348,23 +354,27 @@ impl Runtime {
     }
 
     fn process_cell(&self, slot: usize, now: Tick) -> usize {
-        let envs = self.boxes.drain_due(slot, now);
+        let mut envs = DRAINED.take();
+        let decode_errors = self.boxes.drain_due_into(slot, now, &mut envs);
         let mut state = lock_unpoisoned(&self.states[slot]);
-        self.node_round(slot, &mut state, now, |state, net| {
+        state.wire.record_decode_errors(decode_errors);
+        let events = self.node_round(slot, &mut state, now, |state, net| {
             let handled = envs.len();
-            for env in envs {
+            for env in envs.drain(..) {
                 state.handle(net, env);
             }
             handled + state.fire_timers(net)
-        })
+        });
+        DRAINED.set(envs);
+        events
     }
 
     /// Runs `body` on a locked node as one atomic unit. With a framing
     /// transport in the stack the node's sends are encoded into its
     /// outbox, one open frame per destination and tick, instead of
-    /// entering mailboxes; when `body` returns each frame is written,
-    /// decoded, and the decoded envelopes are delivered — all while the
-    /// caller holds the node's lock.
+    /// entering mailboxes; when `body` returns each frame is written into
+    /// its destination's mailbox as bytes — all while the caller holds the
+    /// node's lock.
     fn node_round<R>(
         &self,
         slot: usize,
@@ -383,10 +393,10 @@ impl Runtime {
             if !net.framed {
                 return body(state, &net);
             }
-            FLUSH_SCRATCH.with_borrow_mut(|scratch| {
-                scratch.lend_outbox(state);
+            OUTBOX.with_borrow_mut(|spare| {
+                spare.lend(state);
                 let out = body(state, &net);
-                framed::flush_outbox(net.boxes, now, state, scratch);
+                framed::flush_outbox(net.boxes, now, state, spare);
                 out
             })
         })
@@ -786,5 +796,200 @@ impl Runtime {
     /// [`Runtime::model_pending`] (see [`crate::model::fingerprint`]).
     pub fn model_fingerprint(&self) -> u64 {
         crate::model::fingerprint(&self.model_snapshot(), &self.model_pending())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::VirtualClock;
+    use crate::framed::{decode_frame, encode_frame, FramedTransport};
+    use crate::msg::Op;
+    use crate::transport::ChannelTransport;
+    use canon_id::rng::Seed;
+    use canon_wire::WireError;
+
+    /// A queued message with every field laid out (an envelope's own
+    /// equality compares only its key), tagged with its slot.
+    type Queued = (usize, NodeId, NodeId, Tick, Tick, u64, Payload);
+
+    fn queued(slot: usize, e: Envelope<Payload>) -> Queued {
+        (
+            slot,
+            e.from,
+            e.to,
+            e.sent_at,
+            e.deliver_at,
+            e.seq,
+            e.payload,
+        )
+    }
+
+    /// Every message queued in `rt`, slot by slot in drain order.
+    fn pending(rt: &Runtime) -> Vec<Queued> {
+        (0..rt.len())
+            .flat_map(|slot| {
+                let mail = rt.boxes.peek_all(slot).into_iter();
+                mail.map(move |e| queued(slot, e))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_paused_framed_cluster_queues_what_the_channel_cluster_queues() {
+        let h = canon_hierarchy::Hierarchy::balanced(4, 2);
+        let p = canon_hierarchy::Placement::uniform(&h, 48, Seed(42));
+        let net = canon::crescendo::build_crescendo(&h, &p);
+        let cluster = |transport: Arc<dyn Transport>| {
+            let mut rt = crate::cluster::from_graph(
+                net.graph(),
+                Arc::new(VirtualClock::new()),
+                transport,
+                RuntimeConfig::default(),
+            );
+            let ids = rt.ids();
+            let base = Seed(3).derive("paused-storm");
+            for i in 0..200u64 {
+                let r = base.derive_index(i).0;
+                let key = base.derive_index(i).derive("key").0;
+                let op = match i % 3 {
+                    0 => Op::Lookup { key },
+                    1 => Op::Put { key, value: r },
+                    _ => Op::Get { key },
+                };
+                rt.inject(ids[(r % ids.len() as u64) as usize], Command::Issue(op));
+            }
+            rt
+        };
+        let channel = cluster(Arc::new(ChannelTransport::new(1)));
+        let framed = cluster(Arc::new(FramedTransport::new(ChannelTransport::new(1))));
+        // Paused after every round until both go idle: the framed cluster's
+        // mail, waiting as frame bytes, reads out as the channel cluster's
+        // envelopes do.
+        let mut framed_mail = 0;
+        loop {
+            assert_eq!(framed.boxes.queued(), channel.boxes.queued());
+            let want = pending(&channel);
+            assert_eq!(pending(&framed), want);
+            #[cfg(feature = "model")]
+            {
+                let model = framed.model_pending().into_iter();
+                let got: Vec<_> = model.map(|(slot, e)| queued(slot, e)).collect();
+                assert_eq!(got, want);
+            }
+            framed_mail += framed.boxes.queued();
+            assert_eq!(framed.step(), channel.step());
+            let next = framed.next_event();
+            assert_eq!(next, channel.next_event());
+            let Some(t) = next else { break };
+            for rt in [&framed, &channel] {
+                rt.clock.advance_to(t.max(rt.clock.now() + 1));
+            }
+        }
+        assert!(
+            framed_mail > 1000,
+            "only {framed_mail} messages were queued"
+        );
+        assert_eq!(framed.wire_summary().map(|w| w.decode_errors), Some(0));
+    }
+
+    /// The receiver of [`marked`] messages.
+    const RECEIVER: u64 = 1;
+
+    /// A message to [`RECEIVER`] whose handling logs a line naming it:
+    /// `key = 1000 × from + seq`.
+    fn marked(from: u64, seq: u64) -> Envelope<Payload> {
+        Envelope {
+            from: NodeId::new(from),
+            to: NodeId::new(RECEIVER),
+            sent_at: 0,
+            deliver_at: 0,
+            seq,
+            payload: Payload::CacheInvalidate {
+                key: 1000 * from + seq,
+                owner: NodeId::new(from),
+                floor: 0,
+            },
+        }
+    }
+
+    #[test]
+    fn a_damaged_frame_delivers_nothing_and_counts_one_decode_error() {
+        // Where the first payload's tag byte sits in a frame of small
+        // fields: length prefix, two identifiers, three one-byte varints
+        // (sent_at, deliver_at, count), then the message's sequence number
+        // and payload length.
+        const PAYLOAD_TAG: usize = 4 + 8 + 8 + 3 + 2;
+        type Damage = fn(&mut Vec<u8>);
+        type Expected = fn(&WireError) -> bool;
+        let damages: [(&str, Damage, Expected); 3] = [
+            (
+                "truncated",
+                |f| f.truncate(f.len() - 1),
+                |e| *e == WireError::Truncated,
+            ),
+            (
+                "bad payload tag",
+                |f| f[PAYLOAD_TAG] = 0xff,
+                |e| matches!(e, WireError::BadTag { ty: "Payload", .. }),
+            ),
+            (
+                "trailing byte",
+                |f| f.push(0),
+                |e| *e == WireError::TrailingBytes,
+            ),
+        ];
+        for (what, damage, expected) in damages {
+            let mut rt = Runtime::new(
+                Arc::new(VirtualClock::new()),
+                Arc::new(FramedTransport::new(ChannelTransport::new(1))),
+                RuntimeConfig {
+                    record_events: true,
+                    ..RuntimeConfig::default()
+                },
+            );
+            let slot = rt.spawn_seeded(NodeId::new(RECEIVER), BTreeSet::new(), Vec::new(), None);
+            // One bucket, tick 0: frames arriving out of key order, two of
+            // them from one sender (as under jitter), the damaged one in
+            // the middle, and a plain envelope among them.
+            let frames = [
+                (vec![marked(40, 1), marked(40, 2)], false),
+                (vec![marked(20, 5), marked(20, 6)], false),
+                (vec![marked(30, 3), marked(30, 4)], true),
+                (vec![marked(20, 9)], false),
+                (vec![marked(10, 7)], false),
+            ];
+            for (envs, damaged) in &frames {
+                let mut frame = Vec::new();
+                encode_frame(envs, &mut frame);
+                if *damaged {
+                    damage(&mut frame);
+                    let err = decode_frame(&frame, &mut Vec::new()).expect_err(what);
+                    assert!(expected(&err), "{what}: {err:?}");
+                }
+                rt.boxes
+                    .push_frame(slot, 0, (envs[0].from, envs[0].seq, envs.len()), |bytes| {
+                        bytes.extend_from_slice(&frame)
+                    });
+            }
+            rt.boxes.push(slot, marked(15, 1));
+            assert_eq!(rt.boxes.queued(), 9, "{what}");
+
+            assert_eq!(rt.step(), 7, "{what}: handled");
+            let handled: Vec<u64> = rt
+                .event_log()
+                .iter()
+                .filter_map(|line| line.split("key=").nth(1)?.split(' ').next()?.parse().ok())
+                .collect();
+            assert_eq!(
+                handled,
+                vec![10_007, 15_001, 20_005, 20_006, 20_009, 40_001, 40_002],
+                "{what}"
+            );
+            let wire = rt.wire_summary().expect("framed stack");
+            assert_eq!(wire.decode_errors, 1, "{what}");
+            assert_eq!(rt.boxes.queued(), 0, "{what}");
+            assert_eq!(rt.next_event(), None, "{what}");
+        }
     }
 }

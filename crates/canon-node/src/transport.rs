@@ -23,17 +23,39 @@
 //! the stack, and in whichever order the wrappers nest.
 //!
 //! Mailboxes drain in `(deliver_at, from, seq)` order. A mailbox is a map
-//! from delivery tick to the bucket of messages due at that tick: a push
-//! appends to its tick's bucket in whatever order senders arrive, and a
-//! drain removes the due buckets — almost always one — and sorts what it
-//! removed, so a message is moved once in and once out, and sorted once,
-//! among the messages it is due with. The key is unique per message
-//! and independent of *arrival* order, so concurrent senders cannot
-//! perturb the order a node drains its mailbox in — the second half of the
-//! determinism argument. For a fixed ordered pair of nodes the key is
-//! monotone in the send order whenever the transport's latency is constant
-//! per pair, which is the FIFO property the channel transport guarantees
-//! (see `tests/transport_fifo.rs`).
+//! from delivery tick to the bucket of messages due at that tick. A bucket
+//! holds two kinds of mail, each appended in whatever order senders
+//! arrive:
+//!
+//! * **envelopes** — injected client commands and unframed sends, pushed
+//!   one at a time;
+//! * **frames** — a framed sender's messages to this slot and tick, still
+//!   as the bytes it wrote (see [`crate::framed`]). All of a bucket's
+//!   frames share one byte vector; beside it, one small index entry per
+//!   frame records its sender, its first sequence number, where its bytes
+//!   sit and how many messages it carries. Nothing is allocated per frame.
+//!
+//! A drain removes the due buckets — almost always one — under the slot's
+//! lock, releases the lock, and only then decodes the frames, into the
+//! caller's buffer. A frame that fails to decode delivers none of its
+//! messages and is counted as one decode error for the receiver. The
+//! order is cheap to restore: a sender opens at most one frame per
+//! `(slot, tick)` per round, its messages in send order, and its sequence
+//! numbers only grow, so one sender's frames to one bucket hold disjoint,
+//! increasing runs of sequence numbers. Decoding a single bucket's frames
+//! in `(from, first seq)` order therefore yields its messages in `(from,
+//! seq)` order with nothing left to sort. Only when envelopes share the
+//! drain, or several ticks fell due at once, is the whole drain sorted.
+//! The key is unique per message and independent of *arrival* order, so
+//! concurrent senders cannot perturb the order a node drains its mailbox
+//! in — the second half of the determinism argument. For a fixed ordered
+//! pair of nodes the key is monotone in the send order whenever the
+//! transport's latency is constant per pair, which is the FIFO property
+//! the channel transport guarantees (see `tests/transport_fifo.rs`).
+//!
+//! Every read-out — [`Mailboxes::queued`], [`Mailboxes::next_due`],
+//! [`Mailboxes::peek_all`], [`Mailboxes::take`] — sees the messages
+//! queued as frame bytes exactly as it sees envelopes.
 //!
 //! Beside the slots, [`Mailboxes`] keeps a **wake-up index**: the ordered
 //! set of `(tick, slot)` pairs naming every bucket that exists. A push
@@ -47,8 +69,10 @@
 //! as the drain is.
 
 use crate::clock::Tick;
+use crate::framed;
 use canon_id::rng::Seed;
 use canon_id::NodeId;
+use canon_wire::WireDecode;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -250,8 +274,148 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 }
 
+/// One queued frame's index entry: what the drain orders the frame by,
+/// where its bytes sit in the bucket, and how many messages it carries.
+#[derive(Clone, Copy, Debug)]
+struct FrameEntry {
+    /// The sender (the frame header's `from`).
+    from: u64,
+    /// The sequence number of the frame's first message.
+    seq: u64,
+    /// Offset of the frame in its bucket's bytes.
+    start: usize,
+    /// Frame length, length prefix included (a `u32` body length bounds it).
+    len: u32,
+    /// Messages the frame carries.
+    count: u32,
+}
+
+impl FrameEntry {
+    /// The frame's bytes in `all`, or nothing if they are not there (which
+    /// then fails to decode).
+    fn bytes<'a>(&self, all: &'a [u8]) -> &'a [u8] {
+        all.get(self.start..self.start + self.len as usize)
+            .unwrap_or_default()
+    }
+}
+
+/// The mail due at one tick in one slot: envelopes, and frames as the
+/// bytes their senders wrote (see the module docs). Never empty while it
+/// is in its slot's map.
+#[derive(Clone, Debug)]
+struct Bucket<M> {
+    envs: Vec<Envelope<M>>,
+    /// Every frame's bytes, back to back in arrival order.
+    bytes: Vec<u8>,
+    /// One entry per frame in `bytes`, in the same order.
+    frames: Vec<FrameEntry>,
+}
+
+impl<M> Default for Bucket<M> {
+    fn default() -> Bucket<M> {
+        Bucket {
+            envs: Vec::new(),
+            bytes: Vec::new(),
+            frames: Vec::new(),
+        }
+    }
+}
+
+impl<M> Bucket<M> {
+    fn is_empty(&self) -> bool {
+        self.envs.is_empty() && self.frames.is_empty()
+    }
+
+    /// Messages queued, framed or not.
+    fn len(&self) -> usize {
+        let framed: usize = self.frames.iter().map(|f| f.count as usize).sum();
+        self.envs.len() + framed
+    }
+
+    /// Moves a later tick's mail in behind this bucket's (a drain that
+    /// found several ticks due).
+    fn absorb(&mut self, mut later: Bucket<M>) {
+        let offset = self.bytes.len();
+        self.envs.append(&mut later.envs);
+        self.bytes.append(&mut later.bytes);
+        self.frames.extend(later.frames.iter().map(|f| FrameEntry {
+            start: f.start + offset,
+            ..*f
+        }));
+    }
+}
+
+impl<M: WireDecode> Bucket<M> {
+    /// Decodes every frame, appending its messages to `out`, and returns
+    /// how many frames failed to decode (and so delivered nothing).
+    fn decode_frames(&self, out: &mut Vec<Envelope<M>>) -> u64 {
+        let failed = self
+            .frames
+            .iter()
+            .filter(|f| framed::unframe(f.bytes(&self.bytes), out).is_err())
+            .count();
+        failed as u64
+    }
+
+    /// Appends the bucket's messages to `out` in `(deliver_at, from, seq)`
+    /// order, given that it holds the mail of `ticks` delivery ticks, and
+    /// returns how many frames failed to decode.
+    fn deliver(mut self, out: &mut Vec<Envelope<M>>, ticks: usize) -> u64 {
+        let first = out.len();
+        // Frames alone, of one tick: in `(from, first seq)` order they
+        // decode straight into key order (see the module docs).
+        let frames_alone = ticks == 1 && self.envs.is_empty();
+        out.append(&mut self.envs);
+        if frames_alone {
+            self.frames.sort_unstable_by_key(|f| (f.from, f.seq));
+        }
+        let failed = self.decode_frames(out);
+        if frames_alone {
+            debug_assert!(out[first..].is_sorted(), "frames decoded out of order");
+        } else {
+            // Keys are unique, so an unstable sort has one possible result.
+            out[first..].sort_unstable();
+        }
+        failed
+    }
+
+    /// Removes the message `from` sent as `seq`, if it is queued here.
+    /// Taking a message out of a frame turns the frame's other messages
+    /// into envelopes.
+    fn take(&mut self, from: NodeId, seq: u64) -> Option<Envelope<M>> {
+        if let Some(at) = self
+            .envs
+            .iter()
+            .position(|env| env.from == from && env.seq == seq)
+        {
+            // A bucket is unordered until it is drained.
+            return Some(self.envs.swap_remove(at));
+        }
+        let mut decoded = Vec::new();
+        let (i, at) = self.frames.iter().enumerate().find_map(|(i, f)| {
+            if f.from != from.raw() || f.seq > seq {
+                return None;
+            }
+            decoded.clear();
+            framed::unframe(f.bytes(&self.bytes), &mut decoded).ok()?;
+            Some((i, decoded.iter().position(|env| env.seq == seq)?))
+        })?;
+        let gone = self.frames.remove(i);
+        let len = gone.len as usize;
+        self.bytes.drain(gone.start..gone.start + len);
+        for f in &mut self.frames {
+            if f.start > gone.start {
+                f.start -= len;
+            }
+        }
+        let env = decoded.swap_remove(at);
+        self.envs.append(&mut decoded);
+        Some(env)
+    }
+}
+
 /// One slot's queued messages, bucketed by delivery tick.
-type Buckets<M> = BTreeMap<Tick, Vec<Envelope<M>>>;
+type Buckets<M> = BTreeMap<Tick, Bucket<M>>;
 
 /// One mailbox per node: the messages queued for it, bucketed by
 /// delivery tick, behind a mutex. Buckets are never left empty.
@@ -315,7 +479,36 @@ impl<M> Mailboxes<M> {
     /// can never be lost to the network.
     pub fn push(&self, slot: usize, env: Envelope<M>) {
         let mut buckets = lock_unpoisoned(&self.slots[slot]);
-        self.bucket(&mut buckets, slot, env.deliver_at).push(env);
+        self.bucket(&mut buckets, slot, env.deliver_at)
+            .envs
+            .push(env);
+    }
+
+    /// Queues one frame at `slot`, due at `deliver_at`, under one lock:
+    /// `write` appends the frame's bytes to the bucket's byte vector, and
+    /// `from`, `seq` and `count` are the frame's sender, first sequence
+    /// number and message count. Returns the frame's length and what
+    /// `write` returned. The bytes are not looked at until the drain.
+    pub(crate) fn push_frame<R>(
+        &self,
+        slot: usize,
+        deliver_at: Tick,
+        (from, seq, count): (NodeId, u64, usize),
+        write: impl FnOnce(&mut Vec<u8>) -> R,
+    ) -> (usize, R) {
+        let mut buckets = lock_unpoisoned(&self.slots[slot]);
+        let bucket = self.bucket(&mut buckets, slot, deliver_at);
+        let start = bucket.bytes.len();
+        let written = write(&mut bucket.bytes);
+        let len = bucket.bytes.len() - start;
+        bucket.frames.push(FrameEntry {
+            from: from.raw(),
+            seq,
+            start,
+            len: len as u32,
+            count: count as u32,
+        });
+        (len, written)
     }
 
     /// The bucket for `tick` in `slot`'s locked mailbox. Creating it is
@@ -326,60 +519,14 @@ impl<M> Mailboxes<M> {
         buckets: &'a mut Buckets<M>,
         slot: usize,
         tick: Tick,
-    ) -> &'a mut Vec<Envelope<M>> {
+    ) -> &'a mut Bucket<M> {
         match buckets.entry(tick) {
             Entry::Occupied(bucket) => bucket.into_mut(),
             Entry::Vacant(gap) => {
                 lock_unpoisoned(&self.index).insert((tick, slot));
-                gap.insert(Vec::new())
+                gap.insert(Bucket::default())
             }
         }
-    }
-
-    /// Moves every envelope out of `envs` into `slot` under one lock — a
-    /// decoded frame is delivered this way. The bucket is looked up once
-    /// per run of equal delivery ticks and the run appended whole; a frame
-    /// shares one tick, so it costs one look-up. `envs` is left empty,
-    /// with its capacity.
-    pub fn push_batch(&self, slot: usize, envs: &mut Vec<Envelope<M>>) {
-        let mut buckets = lock_unpoisoned(&self.slots[slot]);
-        while let Some(first) = envs.first() {
-            let tick = first.deliver_at;
-            let run = envs.iter().take_while(|e| e.deliver_at == tick).count();
-            self.bucket(&mut buckets, slot, tick)
-                .extend(envs.drain(..run));
-        }
-    }
-
-    /// Pops every message due at or before `now` from `slot`, in
-    /// `(deliver_at, from, seq)` order.
-    pub fn drain_due(&self, slot: usize, now: Tick) -> Vec<Envelope<M>> {
-        let mut out = Vec::new();
-        {
-            let mut buckets = lock_unpoisoned(&self.slots[slot]);
-            // Locked on the first bucket removed: an empty drain never
-            // touches the index.
-            let mut index = None;
-            while let Some(first) = buckets.first_entry() {
-                if *first.key() > now {
-                    break;
-                }
-                index
-                    .get_or_insert_with(|| lock_unpoisoned(&self.index))
-                    .remove(&(*first.key(), slot));
-                let mut bucket = first.remove();
-                if out.is_empty() {
-                    // The common case, one due tick: the bucket is the answer.
-                    out = bucket;
-                } else {
-                    out.append(&mut bucket);
-                }
-            }
-        }
-        // Sorted with the lock released, so senders are not held up. Keys
-        // are unique, so an unstable sort has one possible result.
-        out.sort_unstable();
-        out
     }
 
     /// The earliest pending delivery tick in `slot`, if any.
@@ -389,34 +536,12 @@ impl<M> Mailboxes<M> {
             .map(|(&tick, _)| tick)
     }
 
-    /// Total queued messages across all mailboxes.
+    /// Total queued messages across all mailboxes, framed or not.
     pub fn queued(&self) -> usize {
         self.slots
             .iter()
-            .map(|s| lock_unpoisoned(s).values().map(Vec::len).sum::<usize>())
+            .map(|s| lock_unpoisoned(s).values().map(Bucket::len).sum::<usize>())
             .sum()
-    }
-
-    /// Removes and returns the unique message at `slot` with the given
-    /// sender and sequence number, or `None` if no such message is queued.
-    /// This is the model checker's single-step delivery primitive: it lets
-    /// an explorer pop one chosen envelope out of `(deliver_at, from, seq)`
-    /// order, modeling an adversarial network schedule.
-    pub fn take(&self, slot: usize, from: NodeId, seq: u64) -> Option<Envelope<M>> {
-        let mut buckets = lock_unpoisoned(&self.slots[slot]);
-        let (tick, env, emptied) = buckets.iter_mut().find_map(|(&tick, bucket)| {
-            let at = bucket
-                .iter()
-                .position(|env| env.from == from && env.seq == seq)?;
-            // A bucket is unordered until it is drained.
-            let env = bucket.swap_remove(at);
-            Some((tick, env, bucket.is_empty()))
-        })?;
-        if emptied {
-            buckets.remove(&tick);
-            lock_unpoisoned(&self.index).remove(&(tick, slot));
-        }
-        Some(env)
     }
 
     /// The slots holding mail due at or before `now`, read off the wake-up
@@ -436,16 +561,86 @@ impl<M> Mailboxes<M> {
     }
 }
 
-impl<M: Clone> Mailboxes<M> {
+impl<M: WireDecode> Mailboxes<M> {
+    /// Pops every message due at or before `now` from `slot`, in
+    /// `(deliver_at, from, seq)` order. A frame that fails to decode
+    /// delivers nothing and goes uncounted here; the runtime's own drain
+    /// counts it as a decode error of the receiving node.
+    pub fn drain_due(&self, slot: usize, now: Tick) -> Vec<Envelope<M>> {
+        let mut out = Vec::new();
+        self.drain_due_into(slot, now, &mut out);
+        out
+    }
+
+    /// Appends every message due at or before `now` at `slot` to `out`, in
+    /// `(deliver_at, from, seq)` order, and returns how many frames failed
+    /// to decode. The due buckets leave the slot under its lock; their
+    /// frames are decoded after it is released, so senders are not held
+    /// up.
+    pub(crate) fn drain_due_into(&self, slot: usize, now: Tick, out: &mut Vec<Envelope<M>>) -> u64 {
+        let mut due: Option<Bucket<M>> = None;
+        let mut ticks = 0;
+        {
+            let mut buckets = lock_unpoisoned(&self.slots[slot]);
+            // Locked on the first bucket removed: an empty drain never
+            // touches the index.
+            let mut index = None;
+            while let Some(first) = buckets.first_entry() {
+                if *first.key() > now {
+                    break;
+                }
+                index
+                    .get_or_insert_with(|| lock_unpoisoned(&self.index))
+                    .remove(&(*first.key(), slot));
+                let bucket = first.remove();
+                ticks += 1;
+                match &mut due {
+                    Some(earlier) => earlier.absorb(bucket),
+                    // The common case, one due tick: the bucket is the answer.
+                    None => due = Some(bucket),
+                }
+            }
+        }
+        due.map_or(0, |bucket| bucket.deliver(out, ticks))
+    }
+
+    /// Removes and returns the unique message at `slot` with the given
+    /// sender and sequence number, or `None` if no such message is queued.
+    /// This is the model checker's single-step delivery primitive: it lets
+    /// an explorer pop one chosen message out of `(deliver_at, from, seq)`
+    /// order, modeling an adversarial network schedule. A frame it takes a
+    /// message from is decoded (under the slot's lock: this is not the
+    /// round's path), and the frame's other messages stay queued as
+    /// envelopes.
+    pub fn take(&self, slot: usize, from: NodeId, seq: u64) -> Option<Envelope<M>> {
+        let mut buckets = lock_unpoisoned(&self.slots[slot]);
+        let (tick, env, emptied) = buckets.iter_mut().find_map(|(&tick, bucket)| {
+            let env = bucket.take(from, seq)?;
+            Some((tick, env, bucket.is_empty()))
+        })?;
+        if emptied {
+            buckets.remove(&tick);
+            lock_unpoisoned(&self.index).remove(&(tick, slot));
+        }
+        Some(env)
+    }
+}
+
+impl<M: WireDecode + Clone> Mailboxes<M> {
     /// Snapshots every message queued at `slot`, in `(deliver_at, from,
-    /// seq)` order, without disturbing the mailbox. The protocol model
-    /// checker uses this to enumerate a state's pending deliveries.
+    /// seq)` order, without disturbing the mailbox; frames are copied out
+    /// and decoded with the lock released. The protocol model checker uses
+    /// this to enumerate a state's pending deliveries.
     pub fn peek_all(&self, slot: usize) -> Vec<Envelope<M>> {
-        let mut out: Vec<Envelope<M>> = lock_unpoisoned(&self.slots[slot])
+        let buckets: Vec<Bucket<M>> = lock_unpoisoned(&self.slots[slot])
             .values()
-            .flatten()
             .cloned()
             .collect();
+        let mut out = Vec::new();
+        for mut bucket in buckets {
+            out.append(&mut bucket.envs);
+            bucket.decode_frames(&mut out);
+        }
         out.sort_unstable();
         out
     }
@@ -626,6 +821,7 @@ mod tests {
             // at most once per mailbox; sequence numbers are drawn, not
             // counted, so one sender's arrive out of order.
             let mut used: [BTreeSet<(u64, u64)>; SLOTS] = Default::default();
+            let mut framed_seq = [48u64; 4];
             for (op, a, b) in ops {
                 let slot = (a % SLOTS as u64) as usize;
                 let mut draft = |word: u64, sent_at: Tick| {
@@ -647,24 +843,35 @@ mod tests {
                         }
                     }
                     1 => {
-                        // A batch under jitter: runs of one delivery tick
-                        // (two draws in three repeat the last) between
-                        // switches, so a bucket is revisited mid-batch.
-                        let mut batch = Vec::new();
-                        let mut tick = now;
-                        for i in 0..1 + (b >> 16) % 8 {
-                            let word = b.rotate_left(13 * i as u32 + 7);
-                            if (word >> 24) % 3 == 0 {
-                                tick = now + (word >> 20) % 3;
-                            }
-                            if let Some(mut e) = draft(word, now) {
+                        // One encoded frame from one sender, due at one
+                        // tick; half the time a second frame from the same
+                        // sender to the same tick follows it, as when
+                        // jitter makes two rounds' frames meet. A sender's
+                        // frame sequence numbers are counted, as a node's
+                        // are, above the drawn ones.
+                        let from = 1 + b % 3;
+                        let tick = now + (b >> 16) % 3;
+                        for frame_no in 0..1 + (b >> 20) % 2 {
+                            let mut envs = Vec::new();
+                            for _ in 0..1 + (b >> (24 + 3 * frame_no)) % 4 {
+                                framed_seq[from as usize] += 1;
+                                next_payload += 1;
+                                let seq = framed_seq[from as usize];
+                                let mut e = env(now, id(from), id(0), seq, next_payload);
                                 e.deliver_at = tick;
                                 model[slot].insert(e.key(), e.payload);
-                                batch.push(e);
+                                envs.push(e);
                             }
+                            let mut frame = Vec::new();
+                            framed::encode_frame(&envs, &mut frame);
+                            let (len, ()) = boxes.push_frame(
+                                slot,
+                                tick,
+                                (id(from), envs[0].seq, envs.len()),
+                                |bytes| bytes.extend_from_slice(&frame),
+                            );
+                            prop_assert_eq!(len, frame.len());
                         }
-                        boxes.push_batch(slot, &mut batch);
-                        prop_assert_eq!(batch.len(), 0);
                     }
                     2 => {
                         if let Some(e) = draft(b, now) {

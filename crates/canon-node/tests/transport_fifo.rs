@@ -37,7 +37,7 @@ proptest! {
         sends in script(),
         latency in 1u64..6,
     ) {
-        let boxes: Mailboxes<usize> = Mailboxes::new(1);
+        let boxes: Mailboxes<u64> = Mailboxes::new(1);
         let transport = ChannelTransport::new(latency);
         let mut now = 0u64;
         let mut seq = [0u64; 4];
@@ -50,7 +50,7 @@ proptest! {
             let sent = boxes.send(
                 &transport,
                 0,
-                env(now, from, NodeId::new(0), seq[sender as usize], i),
+                env(now, from, NodeId::new(0), seq[sender as usize], i as u64),
             );
             prop_assert!(sent.is_some(), "channel transport never drops");
         }
@@ -59,7 +59,7 @@ proptest! {
         // order.
         let drained = boxes.drain_due(0, now + latency);
         prop_assert_eq!(drained.len(), sends.len());
-        let mut last_sent: [Option<usize>; 4] = [None; 4];
+        let mut last_sent: [Option<u64>; 4] = [None; 4];
         for env in &drained {
             let sender = (env.from.raw() - 1) as usize;
             if let Some(prev) = last_sent[sender] {
