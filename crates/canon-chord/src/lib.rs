@@ -15,6 +15,14 @@
 //! (`canon::crescendo::build_chord`) over a single domain — mirroring how
 //! the paper derives the hierarchical designs from the flat rules.
 //!
+//! A rule costs what it links, not the `N = 64` bits of the identifier
+//! space: [`chord_fingers`] searches the ring once per distinct finger
+//! (plus once to find there is no further one), and
+//! [`nondet_links_bounded`] once per non-empty distance band. The
+//! per-bit statements of both rules are kept as property-test oracles
+//! (`tests/properties.rs`), which require equal links, in the same order,
+//! and the same random draws.
+//!
 //! # Example
 //!
 //! ```
@@ -37,32 +45,42 @@ use rand::Rng;
 /// For each `k` with `2^k < bound`, the successor of `me + 2^k` is a
 /// candidate; it is kept if its clockwise distance from `me` is below
 /// `bound`. With `bound == RingDistance::FULL_CIRCLE` this is exactly the
-/// flat Chord rule applied over `ring`. Returned links are deduplicated and
-/// never include `me`.
+/// flat Chord rule applied over `ring`. Returned links are deduplicated,
+/// nearest first, and never include `me`. The ring is searched once per
+/// link returned plus at most once more (see [`chord_fingers`]).
 pub fn chord_links_bounded(ring: &SortedRing, me: NodeId, bound: RingDistance) -> Vec<NodeId> {
+    chord_fingers(me, bound, |point| ring.successor(point))
+}
+
+/// The distinct Chord fingers of `me` strictly closer than `bound`,
+/// nearest first, over any ring that `successor` searches: `successor(p)`
+/// must return the first node at or clockwise after `p` (`None` on an empty
+/// ring).
+///
+/// Finger `k` is the successor of `me + 2^k` when that node lies at
+/// distance `≥ 2^k`. A finger at distance `d` is also finger `j` for every
+/// `2^j ≤ d`, so the next point worth searching is `me + 2^(⌊log2 d⌋ + 1)`:
+/// `successor` runs once per finger returned, plus at most once to find
+/// that there is no further one. A search that lands on `me` or wraps past
+/// it finds no node at distance `≥ 2^k`, and a finger at or beyond `bound`
+/// leaves every later one there too, so both end the walk.
+pub fn chord_fingers(
+    me: NodeId,
+    bound: RingDistance,
+    mut successor: impl FnMut(NodeId) -> Option<NodeId>,
+) -> Vec<NodeId> {
     let mut out = Vec::new();
-    let mut last: Option<NodeId> = None;
-    for k in 0..ID_BITS {
-        if (1u128 << k) >= bound.as_u128() {
-            break;
-        }
-        let Some(s) = ring.successor(me.offset(1u64 << k)) else {
+    let mut k = 0;
+    while k < ID_BITS && (1u128 << k) < bound.as_u128() {
+        let Some(s) = successor(me.offset(1u64 << k)) else {
             break;
         };
-        if s == me {
-            continue;
-        }
         let d = me.clockwise_to(s);
-        // The successor of me + 2^k is at distance >= 2^k except when the
-        // ring wrapped all the way around past me; that case has d < 2^k
-        // and must be skipped (it would duplicate a shorter-k link anyway).
-        if (d as u128) < (1u128 << k) {
-            continue;
+        if (d as u128) < (1u128 << k) || (d as u128) >= bound.as_u128() {
+            break;
         }
-        if (d as u128) < bound.as_u128() && last != Some(s) {
-            out.push(s);
-            last = Some(s);
-        }
+        out.push(s);
+        k = u64::BITS - d.leading_zeros();
     }
     out
 }
@@ -81,67 +99,75 @@ pub fn chord_links(ring: &SortedRing, me: NodeId) -> Vec<NodeId> {
 /// exercised among nodes closer than any node in `m`'s own ring). Always
 /// includes the successor of `me` when it is within `bound` (the `k = 0`
 /// band always contains it if nonempty).
+///
+/// Only non-empty bands draw from `rng`, one `gen_range(0..count)` each,
+/// nearest band first. The ring is searched once per band that holds a
+/// node: the nearest node past a band's end names the next non-empty band,
+/// so the empty ones in between cost nothing.
 pub fn nondet_links_bounded(
     ring: &SortedRing,
     me: NodeId,
     bound: RingDistance,
     rng: &mut DetRng,
 ) -> Vec<NodeId> {
+    let others = ClockwiseRanks::new(ring, me);
     let mut out = Vec::new();
-    for k in 0..ID_BITS {
-        let lo = 1u128 << k;
-        if lo >= bound.as_u128() {
+    // Rank of the nearest node past the bands drawn so far.
+    let mut first = 0;
+    while first < others.len() {
+        let d = me.clockwise_to(others.get(first));
+        if (d as u128) >= bound.as_u128() {
             break;
         }
-        let hi = (1u128 << (k + 1)).min(bound.as_u128()); // exclusive
-        let chosen = choose_in_band(ring, me, lo as u64, hi, rng);
-        if let Some(c) = chosen {
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        }
+        // The band [2^k, 2^(k+1)) holding that node, cut at the bound.
+        let k = u64::BITS - 1 - d.leading_zeros();
+        let end = others.first_at_least((1u128 << (k + 1)).min(bound.as_u128()));
+        out.push(others.get(first + rng.gen_range(0..end - first)));
+        first = end;
     }
     out
 }
 
-/// Picks a uniformly random node of `ring` at clockwise distance in
-/// `[lo, hi)` from `me`, excluding `me` itself.
-fn choose_in_band(
-    ring: &SortedRing,
+/// The nodes of a ring other than `me`, ranked by clockwise distance from
+/// `me`: first those above `me` (`tail`), then, past the wrap, those below
+/// it (`head`). Distances strictly grow with rank, so a band of distances
+/// is a range of ranks.
+struct ClockwiseRanks<'a> {
     me: NodeId,
-    lo: u64,
-    hi: u128,
-    rng: &mut DetRng,
-) -> Option<NodeId> {
-    debug_assert!((lo as u128) < hi && hi <= canon_id::ID_SPACE);
-    let ids = ring.as_slice();
-    let n = ids.len();
-    if n == 0 {
-        return None;
+    tail: &'a [NodeId],
+    head: &'a [NodeId],
+}
+
+impl<'a> ClockwiseRanks<'a> {
+    fn new(ring: &'a SortedRing, me: NodeId) -> Self {
+        let ids = ring.as_slice();
+        let (head, tail) = ids.split_at(ids.partition_point(|&id| id <= me));
+        let head = head.strip_suffix(&[me]).unwrap_or(head);
+        ClockwiseRanks { me, tail, head }
     }
-    // The band covers the identifier interval [me + lo, me + hi - 1]
-    // (inclusive), which may wrap past 2^64. Count members by rank so that
-    // the choice is uniform without materializing the band.
-    let start = me.offset(lo);
-    let span = hi - lo as u128; // number of identifier points in the band
-    let first = ids.partition_point(|&id| id < start);
-    let wraps = start.raw() as u128 + span > canon_id::ID_SPACE;
-    let count = if wraps {
-        let end = NodeId::new((start.raw() as u128 + span - 1 - canon_id::ID_SPACE) as u64);
-        (n - first) + ids.partition_point(|&id| id <= end)
-    } else {
-        let end = NodeId::new((start.raw() as u128 + span - 1) as u64);
-        ids.partition_point(|&id| id <= end) - first
-    };
-    if count == 0 {
-        return None;
+
+    fn len(&self) -> usize {
+        self.tail.len() + self.head.len()
     }
-    let pick = rng.gen_range(0..count);
-    let cand = ids[(first + pick) % n];
-    // `me` is at distance 0 and the band starts at lo >= 1 and ends before
-    // the full circle, so it can never contain `me`.
-    debug_assert_ne!(cand, me);
-    Some(cand)
+
+    fn get(&self, rank: usize) -> NodeId {
+        match self.tail.get(rank) {
+            Some(&id) => id,
+            None => self.head[rank - self.tail.len()],
+        }
+    }
+
+    /// Rank of the nearest node at clockwise distance `≥ d` from `me`, or
+    /// `len()` when there is none.
+    fn first_at_least(&self, d: u128) -> usize {
+        let below = |&id: &NodeId| (self.me.clockwise_to(id) as u128) < d;
+        let t = self.tail.partition_point(below);
+        if t < self.tail.len() {
+            t
+        } else {
+            t + self.head.partition_point(below)
+        }
+    }
 }
 
 #[cfg(test)]

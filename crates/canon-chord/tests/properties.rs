@@ -1,15 +1,177 @@
 //! Property tests for the Chord link rules.
 
-use canon_chord::{chord_links, chord_links_bounded, nondet_links_bounded};
-use canon_id::{ring::SortedRing, rng::Seed, NodeId, RingDistance};
+use canon_chord::{chord_fingers, chord_links, chord_links_bounded, nondet_links_bounded};
+use canon_id::{
+    ring::SortedRing,
+    rng::{DetRng, Seed},
+    NodeId, RingDistance, ID_BITS,
+};
 use proptest::prelude::*;
+use rand::Rng;
 
 fn ring_strategy() -> impl Strategy<Value = SortedRing> {
     proptest::collection::vec(any::<u64>(), 2..150)
         .prop_map(|v| SortedRing::new(v.into_iter().map(NodeId::new).collect()))
 }
 
+/// Rings whose members crowd into an arc `2^width` wide, half of the time
+/// one that straddles zero, so that fingers wrap, collide and run out at
+/// every bit position.
+fn clustered_ring_strategy() -> impl Strategy<Value = SortedRing> {
+    (
+        any::<bool>(),
+        any::<u64>(),
+        1u32..=64,
+        proptest::collection::vec(any::<u64>(), 1..80),
+    )
+        .prop_map(|(straddle, base, width, offsets)| {
+            let spread = |x: u64| x >> (64 - width);
+            let base = if straddle {
+                0u64.wrapping_sub(spread(base) / 2)
+            } else {
+                base
+            };
+            offsets
+                .into_iter()
+                .map(|x| NodeId::new(base.wrapping_add(spread(x))))
+                .collect()
+        })
+}
+
+/// A `(me, bound)` pair for `ring`: `me` is a member or, one time in four,
+/// any identifier, and the bound is the full circle, a power of two, the
+/// exact distance to a member (as Canon's own-ring bound always is) or
+/// arbitrary.
+fn query(ring: &SortedRing, pick: u64, kind: u8, raw: u64) -> (NodeId, RingDistance) {
+    let ids = ring.as_slice();
+    let me = if kind % 4 == 3 {
+        NodeId::new(raw.rotate_left(17))
+    } else {
+        ids[(pick % ids.len() as u64) as usize]
+    };
+    let bound = match kind / 4 {
+        0 => RingDistance::FULL_CIRCLE,
+        1 => RingDistance::from_u64(1u64 << (raw % 64)),
+        2 => RingDistance::from_u64(me.clockwise_to(ids[(raw % ids.len() as u64) as usize])),
+        _ => RingDistance::from_u64(raw >> (raw % 64)),
+    };
+    (me, bound)
+}
+
+/// The Chord rule as the paper states it, one successor search per bit.
+fn per_bit_chord_links(ring: &SortedRing, me: NodeId, bound: RingDistance) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = Vec::new();
+    for k in 0..ID_BITS {
+        if (1u128 << k) >= bound.as_u128() {
+            break;
+        }
+        let Some(s) = ring.successor(me.offset(1u64 << k)) else {
+            break;
+        };
+        let d = me.clockwise_to(s) as u128;
+        if s != me && d >= (1u128 << k) && d < bound.as_u128() && out.last() != Some(&s) {
+            out.push(s);
+        }
+    }
+    out
+}
+
+/// Nondeterministic Chord as the paper states it: every band
+/// `[2^k, min(2^(k+1), bound))` is counted by scanning the ring, and each
+/// non-empty one draws `gen_range(0..count)` for its member.
+fn per_band_nondet_links(
+    ring: &SortedRing,
+    me: NodeId,
+    bound: RingDistance,
+    rng: &mut DetRng,
+) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    for k in 0..ID_BITS {
+        let lo = 1u128 << k;
+        if lo >= bound.as_u128() {
+            break;
+        }
+        let hi = (1u128 << (k + 1)).min(bound.as_u128());
+        let mut band: Vec<NodeId> = ring
+            .iter()
+            .copied()
+            .filter(|&id| (lo..hi).contains(&(me.clockwise_to(id) as u128)))
+            .collect();
+        band.sort_by_key(|&id| me.clockwise_to(id));
+        if !band.is_empty() {
+            out.push(band[rng.gen_range(0..band.len())]);
+        }
+    }
+    out
+}
+
 proptest! {
+    /// The finger walk returns exactly the per-bit rule's links, in the
+    /// same order, on uniform and crowded rings, for members and outside
+    /// points, under every kind of bound.
+    #[test]
+    fn chord_links_equal_the_per_bit_rule(
+        uniform in ring_strategy(),
+        crowded in clustered_ring_strategy(),
+        pick in any::<u64>(),
+        kind in 0u8..16,
+        raw in any::<u64>(),
+    ) {
+        for ring in [&uniform, &crowded] {
+            let (me, bound) = query(ring, pick, kind, raw);
+            prop_assert_eq!(
+                chord_links_bounded(ring, me, bound),
+                per_bit_chord_links(ring, me, bound)
+            );
+        }
+    }
+
+    /// One successor search per finger returned, plus at most one that
+    /// finds nothing more: the cost is what the node links, not the 64
+    /// bits of the identifier space.
+    #[test]
+    fn the_finger_walk_searches_once_per_finger(
+        crowded in clustered_ring_strategy(),
+        pick in any::<u64>(),
+        kind in 0u8..16,
+        raw in any::<u64>(),
+    ) {
+        let (me, bound) = query(&crowded, pick, kind, raw);
+        let mut searches = 0usize;
+        let fingers = chord_fingers(me, bound, |point| {
+            searches += 1;
+            crowded.successor(point)
+        });
+        prop_assert!(
+            searches <= fingers.len() + 1,
+            "{searches} searches for {} fingers",
+            fingers.len()
+        );
+    }
+
+    /// Skipping empty bands changes neither the links nor the random
+    /// stream: the same draws happen in the same order, so the generator
+    /// ends in the same state.
+    #[test]
+    fn nondet_links_equal_the_per_band_rule(
+        uniform in ring_strategy(),
+        crowded in clustered_ring_strategy(),
+        pick in any::<u64>(),
+        kind in 0u8..16,
+        raw in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        for ring in [&uniform, &crowded] {
+            let (me, bound) = query(ring, pick, kind, raw);
+            let (mut fast, mut slow) = (Seed(seed).rng(), Seed(seed).rng());
+            prop_assert_eq!(
+                nondet_links_bounded(ring, me, bound, &mut fast),
+                per_band_nondet_links(ring, me, bound, &mut slow)
+            );
+            prop_assert_eq!(fast.gen::<u64>(), slow.gen::<u64>());
+        }
+    }
+
     /// Bounded links are a subset of the flat rule's links and respect the
     /// bound.
     #[test]

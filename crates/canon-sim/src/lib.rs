@@ -39,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 
+use canon_chord::chord_fingers;
 use canon_hierarchy::{DomainId, Hierarchy, Placement};
 use canon_id::{metric::Clockwise, NodeId, RingDistance, ID_BITS};
 // audit: full-rebuild — `GraphBuilder` is for `snapshot()`, a one-off export
@@ -186,23 +187,8 @@ impl CrescendoSim {
     fn compute_links(&self, id: NodeId, leaf: DomainId) -> BTreeSet<NodeId> {
         let mut out = BTreeSet::new();
         let mut bound = RingDistance::FULL_CIRCLE;
-        let path = self.hierarchy.path_from_root(leaf);
-        for &d in path.iter().rev() {
-            for k in 0..ID_BITS {
-                if (1u128 << k) >= bound.as_u128() {
-                    break;
-                }
-                let Some(s) = self.succ_in(d, id.offset(1u64 << k)) else {
-                    break;
-                };
-                if s == id {
-                    continue;
-                }
-                let dist = id.clockwise_to(s) as u128;
-                if dist >= (1u128 << k) && dist < bound.as_u128() {
-                    out.insert(s);
-                }
-            }
+        for d in self.hierarchy.ancestors(leaf) {
+            out.extend(chord_fingers(id, bound, |point| self.succ_in(d, point)));
             bound = self.gap_in(d, id);
         }
         out

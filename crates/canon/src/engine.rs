@@ -211,11 +211,10 @@ pub fn build_canonical<R: LinkRule>(
         let mut rng = seed.derive_node(id).rng();
         let mut state = R::NodeState::default();
         let mut bound = RingDistance::FULL_CIRCLE;
-        let path = hierarchy.path_from_root(leaf);
         let leaf_depth = hierarchy.depth(leaf);
         let mut flat: Vec<NodeId> = Vec::new();
-        let mut counts: Vec<(u32, u32)> = Vec::with_capacity(path.len());
-        for &domain in path.iter().rev() {
+        let mut counts: Vec<(u32, u32)> = Vec::with_capacity(leaf_depth as usize + 1);
+        for domain in hierarchy.ancestors(leaf) {
             let ring = members.ring(domain);
             let depth = hierarchy.depth(domain);
             let ctx = LevelCtx {
