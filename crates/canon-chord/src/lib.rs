@@ -15,13 +15,11 @@
 //! (`canon::crescendo::build_chord`) over a single domain — mirroring how
 //! the paper derives the hierarchical designs from the flat rules.
 //!
-//! A rule costs what it links, not the `N = 64` bits of the identifier
-//! space: [`chord_fingers`] searches the ring once per distinct finger
-//! (plus once to find there is no further one), and
-//! [`nondet_links_bounded`] once per non-empty distance band. The
-//! per-bit statements of both rules are kept as property-test oracles
-//! (`tests/properties.rs`), which require equal links, in the same order,
-//! and the same random draws.
+//! The deterministic rule costs what it links, not the `N = 64` bits of
+//! the identifier space: [`chord_fingers`] searches the ring once per
+//! distinct finger (plus once to find there is no further one). The
+//! per-bit statement of the rule is kept as a property-test oracle
+//! (`tests/properties.rs`), which requires equal links in the same order.
 //!
 //! # Example
 //!
@@ -99,75 +97,67 @@ pub fn chord_links(ring: &SortedRing, me: NodeId) -> Vec<NodeId> {
 /// exercised among nodes closer than any node in `m`'s own ring). Always
 /// includes the successor of `me` when it is within `bound` (the `k = 0`
 /// band always contains it if nonempty).
-///
-/// Only non-empty bands draw from `rng`, one `gen_range(0..count)` each,
-/// nearest band first. The ring is searched once per band that holds a
-/// node: the nearest node past a band's end names the next non-empty band,
-/// so the empty ones in between cost nothing.
 pub fn nondet_links_bounded(
     ring: &SortedRing,
     me: NodeId,
     bound: RingDistance,
     rng: &mut DetRng,
 ) -> Vec<NodeId> {
-    let others = ClockwiseRanks::new(ring, me);
     let mut out = Vec::new();
-    // Rank of the nearest node past the bands drawn so far.
-    let mut first = 0;
-    while first < others.len() {
-        let d = me.clockwise_to(others.get(first));
-        if (d as u128) >= bound.as_u128() {
+    for k in 0..ID_BITS {
+        let lo = 1u128 << k;
+        if lo >= bound.as_u128() {
             break;
         }
-        // The band [2^k, 2^(k+1)) holding that node, cut at the bound.
-        let k = u64::BITS - 1 - d.leading_zeros();
-        let end = others.first_at_least((1u128 << (k + 1)).min(bound.as_u128()));
-        out.push(others.get(first + rng.gen_range(0..end - first)));
-        first = end;
+        let hi = (1u128 << (k + 1)).min(bound.as_u128()); // exclusive
+        let chosen = choose_in_band(ring, me, lo as u64, hi, rng);
+        if let Some(c) = chosen {
+            if !out.contains(&c) {
+                out.push(c);
+            }
+        }
     }
     out
 }
 
-/// The nodes of a ring other than `me`, ranked by clockwise distance from
-/// `me`: first those above `me` (`tail`), then, past the wrap, those below
-/// it (`head`). Distances strictly grow with rank, so a band of distances
-/// is a range of ranks.
-struct ClockwiseRanks<'a> {
+/// Picks a uniformly random node of `ring` at clockwise distance in
+/// `[lo, hi)` from `me`, excluding `me` itself.
+fn choose_in_band(
+    ring: &SortedRing,
     me: NodeId,
-    tail: &'a [NodeId],
-    head: &'a [NodeId],
-}
-
-impl<'a> ClockwiseRanks<'a> {
-    fn new(ring: &'a SortedRing, me: NodeId) -> Self {
-        let ids = ring.as_slice();
-        let (head, tail) = ids.split_at(ids.partition_point(|&id| id <= me));
-        let head = head.strip_suffix(&[me]).unwrap_or(head);
-        ClockwiseRanks { me, tail, head }
+    lo: u64,
+    hi: u128,
+    rng: &mut DetRng,
+) -> Option<NodeId> {
+    debug_assert!((lo as u128) < hi && hi <= canon_id::ID_SPACE);
+    let ids = ring.as_slice();
+    let n = ids.len();
+    if n == 0 {
+        return None;
     }
-
-    fn len(&self) -> usize {
-        self.tail.len() + self.head.len()
+    // The band covers the identifier interval [me + lo, me + hi - 1]
+    // (inclusive), which may wrap past 2^64. Count members by rank so that
+    // the choice is uniform without materializing the band.
+    let start = me.offset(lo);
+    let span = hi - lo as u128; // number of identifier points in the band
+    let first = ids.partition_point(|&id| id < start);
+    let wraps = start.raw() as u128 + span > canon_id::ID_SPACE;
+    let count = if wraps {
+        let end = NodeId::new((start.raw() as u128 + span - 1 - canon_id::ID_SPACE) as u64);
+        (n - first) + ids.partition_point(|&id| id <= end)
+    } else {
+        let end = NodeId::new((start.raw() as u128 + span - 1) as u64);
+        ids.partition_point(|&id| id <= end) - first
+    };
+    if count == 0 {
+        return None;
     }
-
-    fn get(&self, rank: usize) -> NodeId {
-        match self.tail.get(rank) {
-            Some(&id) => id,
-            None => self.head[rank - self.tail.len()],
-        }
-    }
-
-    /// Rank of the nearest node at clockwise distance `≥ d` from `me`, or
-    /// `len()` when there is none.
-    fn first_at_least(&self, d: u128) -> usize {
-        let below = |&id: &NodeId| (self.me.clockwise_to(id) as u128) < d;
-        let t = self.tail.partition_point(below);
-        if t < self.tail.len() {
-            t
-        } else {
-            t + self.head.partition_point(below)
-        }
-    }
+    let pick = rng.gen_range(0..count);
+    let cand = ids[(first + pick) % n];
+    // `me` is at distance 0 and the band starts at lo >= 1 and ends before
+    // the full circle, so it can never contain `me`.
+    debug_assert_ne!(cand, me);
+    Some(cand)
 }
 
 #[cfg(test)]

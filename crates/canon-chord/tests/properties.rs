@@ -1,13 +1,8 @@
 //! Property tests for the Chord link rules.
 
 use canon_chord::{chord_fingers, chord_links, chord_links_bounded, nondet_links_bounded};
-use canon_id::{
-    ring::SortedRing,
-    rng::{DetRng, Seed},
-    NodeId, RingDistance, ID_BITS,
-};
+use canon_id::{ring::SortedRing, rng::Seed, NodeId, RingDistance, ID_BITS};
 use proptest::prelude::*;
-use rand::Rng;
 
 fn ring_strategy() -> impl Strategy<Value = SortedRing> {
     proptest::collection::vec(any::<u64>(), 2..150)
@@ -76,35 +71,6 @@ fn per_bit_chord_links(ring: &SortedRing, me: NodeId, bound: RingDistance) -> Ve
     out
 }
 
-/// Nondeterministic Chord as the paper states it: every band
-/// `[2^k, min(2^(k+1), bound))` is counted by scanning the ring, and each
-/// non-empty one draws `gen_range(0..count)` for its member.
-fn per_band_nondet_links(
-    ring: &SortedRing,
-    me: NodeId,
-    bound: RingDistance,
-    rng: &mut DetRng,
-) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    for k in 0..ID_BITS {
-        let lo = 1u128 << k;
-        if lo >= bound.as_u128() {
-            break;
-        }
-        let hi = (1u128 << (k + 1)).min(bound.as_u128());
-        let mut band: Vec<NodeId> = ring
-            .iter()
-            .copied()
-            .filter(|&id| (lo..hi).contains(&(me.clockwise_to(id) as u128)))
-            .collect();
-        band.sort_by_key(|&id| me.clockwise_to(id));
-        if !band.is_empty() {
-            out.push(band[rng.gen_range(0..band.len())]);
-        }
-    }
-    out
-}
-
 proptest! {
     /// The finger walk returns exactly the per-bit rule's links, in the
     /// same order, on uniform and crowded rings, for members and outside
@@ -147,29 +113,6 @@ proptest! {
             "{searches} searches for {} fingers",
             fingers.len()
         );
-    }
-
-    /// Skipping empty bands changes neither the links nor the random
-    /// stream: the same draws happen in the same order, so the generator
-    /// ends in the same state.
-    #[test]
-    fn nondet_links_equal_the_per_band_rule(
-        uniform in ring_strategy(),
-        crowded in clustered_ring_strategy(),
-        pick in any::<u64>(),
-        kind in 0u8..16,
-        raw in any::<u64>(),
-        seed in any::<u64>(),
-    ) {
-        for ring in [&uniform, &crowded] {
-            let (me, bound) = query(ring, pick, kind, raw);
-            let (mut fast, mut slow) = (Seed(seed).rng(), Seed(seed).rng());
-            prop_assert_eq!(
-                nondet_links_bounded(ring, me, bound, &mut fast),
-                per_band_nondet_links(ring, me, bound, &mut slow)
-            );
-            prop_assert_eq!(fast.gen::<u64>(), slow.gen::<u64>());
-        }
     }
 
     /// Bounded links are a subset of the flat rule's links and respect the

@@ -13,7 +13,7 @@
 //!   and holds no overlay;
 //! * replicated GET/PUT placed by `canon-store`'s shared
 //!   [`canon_store::Policy`] engine, with per-key replication status and
-//!   pin/unpin in the RPC table, over pluggable content-addressed
+//!   pin/unpin in the RPC table, over pluggable verified
 //!   [`shard`] backends;
 //! * the join/leave repair protocol of `canon-sim`, as actual messages.
 //!

@@ -124,7 +124,7 @@ pub(crate) struct NodeState {
     pub succ_list: Vec<NodeId>,
     /// Global-ring predecessor.
     pub pred: Option<NodeId>,
-    /// The store shard (a content-addressed backend behind a `u64` façade).
+    /// The store shard (a verified backend map behind a `u64` façade).
     pub shard: Shard,
     /// Keys pinned at this node: join handovers copy them instead of
     /// moving them, so this node keeps serving them.

@@ -1,13 +1,12 @@
 //! The node's local store shard, backed by a pluggable canon-store
 //! [`StorageBackend`].
 //!
-//! PR 4 kept each node's key slice in a bare `BTreeMap<u64, u64>`. The
-//! shard is now a thin `u64`-typed façade over a content-addressed
-//! [`StorageBackend`], so the node runtime inherits integrity verification
-//! on every read, transparent dedup, and the choice of a durable
-//! append-only log per node ([`ShardBackend::TempFile`]) without the
-//! protocol code changing shape: join/leave handovers move entries through
-//! the same `insert`/`entries`/`remove` surface regardless of backend.
+//! The shard is a thin `u64`-typed façade over a verified
+//! [`StorageBackend`] map, so the node runtime inherits integrity
+//! verification on every read and the choice of a durable append-only log
+//! per node ([`ShardBackend::TempFile`]) without the protocol code changing
+//! shape: join/leave handovers move entries through the same
+//! `insert`/`entries`/`remove` surface regardless of backend.
 //!
 //! # Shard I/O policy
 //!
@@ -22,7 +21,7 @@
 
 use crate::transport::lock_unpoisoned;
 use canon_id::NodeId;
-use canon_store::{BackendError, FileBackend, MemoryBackend, StorageBackend, Usage};
+use canon_store::{BackendError, FileBackend, MemoryBackend, StorageBackend};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -37,7 +36,7 @@ fn shard_io<T>(result: Result<T, BackendError>, what: &str) -> T {
 /// Where freshly spawned nodes keep their shard bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ShardBackend {
-    /// In-memory content-addressed maps (the default).
+    /// An in-memory verified map (the default).
     #[default]
     Memory,
     /// One append-only log file per node under a per-process temp
@@ -105,7 +104,7 @@ impl ShardBackend {
 }
 
 /// A node's slice of the key space: `u64` values stored through a
-/// content-addressed [`StorageBackend`].
+/// verified [`StorageBackend`].
 #[derive(Debug)]
 pub struct Shard {
     backend: Box<dyn StorageBackend>,
@@ -176,17 +175,12 @@ impl Shard {
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.backend.usage().keys
+        self.backend.len()
     }
 
     /// Whether the shard holds no keys.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Space accounting from the underlying backend.
-    pub fn usage(&self) -> Usage {
-        self.backend.usage()
     }
 }
 
@@ -217,7 +211,7 @@ mod tests {
         let mut s = ShardBackend::TempFile.create(NodeId::new(42));
         s.insert(9, 90);
         assert_eq!(s.get(9), Some(90));
-        assert_eq!(s.usage().keys, 1);
+        assert_eq!(s.len(), 1);
         let log = s
             ._log
             .as_ref()

@@ -2,20 +2,20 @@
 //!
 //! A [`StorageBackend`] is the byte-level store a live node keeps its
 //! slice of the key space in (canon-node's `Shard`). The trait is
-//! deliberately small — `put`/`get`/`delete`/`scan`/`usage`/`flush` — so
-//! the shard stays agnostic to where bytes actually live. All backends are
-//! content-addressed (see [`crate::content`]): `put` returns the
-//! [`ContentId`] of the stored bytes, `get` re-verifies it on every read,
-//! and identical values stored under different keys share one physical
-//! blob.
+//! deliberately small — `put`/`get`/`delete`/`scan`/`len`/`flush` — so
+//! the shard stays agnostic to where bytes actually live. Every backend is
+//! one verified map from `u64` keys to values: `put` records the
+//! [`ContentId`] of the stored bytes (see [`crate::content`]) next to them,
+//! and `get` re-hashes the bytes and checks them against it on every read.
 //!
 //! Two implementations ship with the workspace:
 //!
-//! * [`MemoryBackend`] — ordered in-memory maps; the default everywhere and
-//!   the oracle the file backend is tested against.
+//! * [`MemoryBackend`] — an ordered in-memory map; the default everywhere
+//!   and the oracle the file backend is tested against.
 //! * [`FileBackend`] — an append-only log plus an in-memory index, the
-//!   classic bitcask shape. Recovery replays the log and truncates a torn
-//!   tail, so a crash between `flush` calls loses at most the unsynced
+//!   classic bitcask shape. Every log record carries a check over its
+//!   whole body, key included. Recovery replays the log and truncates a
+//!   torn tail, so a crash between `flush` calls loses at most the unsynced
 //!   suffix, never previously synced records: a corrupt record with a
 //!   sound record behind it is an error, not a tail.
 
@@ -29,13 +29,13 @@ use std::path::{Path, PathBuf};
 /// Errors surfaced by a storage backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
-    /// A blob failed its content-id integrity check on read.
+    /// A value or log record failed its integrity check.
     Corrupt {
-        /// The key whose read failed verification.
+        /// The key whose read (or log record) failed verification.
         key: u64,
-        /// The content id recorded at write time.
+        /// The check recorded at write time.
         expected: ContentId,
-        /// The content id of the bytes actually read back.
+        /// The check of the bytes actually read back.
         actual: ContentId,
     },
     /// An I/O failure (file backends) described by its error text.
@@ -75,23 +75,29 @@ pub struct Stored {
     pub bytes: Vec<u8>,
 }
 
-/// Space accounting for one backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Usage {
-    /// Number of live keys.
-    pub keys: usize,
-    /// Number of distinct physical blobs (≤ `keys` thanks to dedup).
-    pub blobs: usize,
-    /// Bytes the keys reference logically (sum of value sizes per key).
-    pub logical_bytes: u64,
-    /// Bytes physically held after dedup (sum of distinct blob sizes).
-    pub unique_bytes: u64,
+impl Stored {
+    /// `self` when its bytes still hash to its id, else the mismatch.
+    fn verified(self, key: u64) -> Result<Stored, BackendError> {
+        let actual = ContentId::of(&self.bytes);
+        if actual != self.id {
+            return Err(BackendError::Corrupt {
+                key,
+                expected: self.id,
+                actual,
+            });
+        }
+        Ok(self)
+    }
 }
 
-/// A byte-level, content-addressed key/value shard.
+/// A byte-level key/value shard that verifies every read.
 ///
 /// `get` takes `&mut self` because real backends move state to read (a file
 /// backend seeks).
+#[allow(
+    clippy::len_without_is_empty,
+    reason = "callers ask for the count; emptiness is `len() == 0`"
+)]
 pub trait StorageBackend: fmt::Debug + Send {
     /// Stores `bytes` under `key`, returning their content id. Overwrites
     /// any previous value for the key.
@@ -107,8 +113,8 @@ pub trait StorageBackend: fmt::Debug + Send {
     /// All live `(key, content id)` pairs in ascending key order.
     fn scan(&self) -> Vec<(u64, ContentId)>;
 
-    /// Space accounting.
-    fn usage(&self) -> Usage;
+    /// Number of live keys.
+    fn len(&self) -> usize;
 
     /// Makes previously acknowledged writes durable (no-op for volatile
     /// backends).
@@ -119,12 +125,11 @@ pub trait StorageBackend: fmt::Debug + Send {
 // In-memory backend
 // ---------------------------------------------------------------------------
 
-/// The in-memory backend: ordered maps, content-addressed blob table with
-/// reference counts for dedup.
+/// The in-memory backend: one ordered map from key to the value's bytes
+/// and content id.
 #[derive(Debug, Default, Clone)]
 pub struct MemoryBackend {
-    index: BTreeMap<u64, ContentId>,
-    blobs: BTreeMap<ContentId, (Vec<u8>, usize)>,
+    values: BTreeMap<u64, Stored>,
 }
 
 impl MemoryBackend {
@@ -132,84 +137,33 @@ impl MemoryBackend {
     pub fn new() -> MemoryBackend {
         MemoryBackend::default()
     }
-
-    fn release(&mut self, id: ContentId) {
-        if let Some((_, refs)) = self.blobs.get_mut(&id) {
-            *refs -= 1;
-            if *refs == 0 {
-                self.blobs.remove(&id);
-            }
-        }
-    }
 }
 
 impl StorageBackend for MemoryBackend {
     fn put(&mut self, key: u64, bytes: &[u8]) -> Result<ContentId, BackendError> {
         let id = ContentId::of(bytes);
-        if let Some(old) = self.index.insert(key, id) {
-            if old == id {
-                return Ok(id);
-            }
-            self.release(old);
-        }
-        self.blobs
-            .entry(id)
-            .and_modify(|(_, refs)| *refs += 1)
-            .or_insert_with(|| (bytes.to_vec(), 1));
+        let bytes = bytes.to_vec();
+        self.values.insert(key, Stored { id, bytes });
         Ok(id)
     }
 
     fn get(&mut self, key: u64) -> Result<Option<Stored>, BackendError> {
-        let Some(&id) = self.index.get(&key) else {
-            return Ok(None);
-        };
-        // A dangling index entry is store corruption: report it as a
-        // content mismatch against the empty blob rather than aborting.
-        let Some((bytes, _)) = self.blobs.get(&id).cloned() else {
-            return Err(BackendError::Corrupt {
-                key,
-                expected: id,
-                actual: ContentId::of(&[]),
-            });
-        };
-        let actual = ContentId::of(&bytes);
-        if actual != id {
-            return Err(BackendError::Corrupt {
-                key,
-                expected: id,
-                actual,
-            });
-        }
-        Ok(Some(Stored { id, bytes }))
+        self.values
+            .get(&key)
+            .map(|stored| stored.clone().verified(key))
+            .transpose()
     }
 
     fn delete(&mut self, key: u64) -> Result<bool, BackendError> {
-        match self.index.remove(&key) {
-            Some(id) => {
-                self.release(id);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        Ok(self.values.remove(&key).is_some())
     }
 
     fn scan(&self) -> Vec<(u64, ContentId)> {
-        self.index.iter().map(|(&k, &id)| (k, id)).collect()
+        self.values.iter().map(|(&k, v)| (k, v.id)).collect()
     }
 
-    fn usage(&self) -> Usage {
-        let logical: u64 = self
-            .index
-            .values()
-            .map(|id| self.blobs[id].0.len() as u64)
-            .sum();
-        let unique: u64 = self.blobs.values().map(|(b, _)| b.len() as u64).sum();
-        Usage {
-            keys: self.index.len(),
-            blobs: self.blobs.len(),
-            logical_bytes: logical,
-            unique_bytes: unique,
-        }
+    fn len(&self) -> usize {
+        self.values.len()
     }
 
     fn flush(&mut self) -> Result<(), BackendError> {
@@ -222,14 +176,17 @@ impl StorageBackend for MemoryBackend {
 // ---------------------------------------------------------------------------
 
 const TAG_PUT: u8 = 1;
-const TAG_REF: u8 = 2;
 const TAG_DEL: u8 = 3;
 
+/// Bytes of a record body before its value: tag, key and check.
+const HEADER: usize = 17;
+
+/// Where a live key's value sits in the log, and the id it must hash to.
 #[derive(Debug, Clone, Copy)]
-struct BlobRef {
+struct Located {
+    id: ContentId,
     offset: u64,
     len: u32,
-    refs: usize,
 }
 
 /// One log record body, parsed.
@@ -239,13 +196,31 @@ enum Record<'a> {
         id: ContentId,
         bytes: &'a [u8],
     },
-    Ref {
-        key: u64,
-        id: ContentId,
-    },
     Del {
         key: u64,
     },
+}
+
+/// The check a record body stores after its tag and key: the hash of the
+/// tag, the key and the content id of the value bytes (empty for `DEL`),
+/// so that a flipped bit anywhere in the body fails replay.
+fn record_check(tag: u8, key: u64, value: ContentId) -> ContentId {
+    let mut covered = [0u8; HEADER];
+    covered[0] = tag;
+    covered[1..9].copy_from_slice(&key.to_le_bytes());
+    covered[9..].copy_from_slice(&value.raw().to_le_bytes());
+    ContentId::of(&covered)
+}
+
+/// A record body: tag, key, [`record_check`], value bytes.
+fn record(tag: u8, key: u64, bytes: &[u8]) -> Vec<u8> {
+    let check = record_check(tag, key, ContentId::of(bytes));
+    let mut body = Vec::with_capacity(HEADER + bytes.len());
+    body.push(tag);
+    body.extend_from_slice(&key.to_le_bytes());
+    body.extend_from_slice(&check.raw().to_le_bytes());
+    body.extend_from_slice(bytes);
+    body
 }
 
 /// The body of the record at `pos`, when its length prefix and body are
@@ -256,9 +231,9 @@ fn record_at(raw: &[u8], pos: usize) -> Option<&[u8]> {
         .filter(|body| !body.is_empty())
 }
 
-/// Parses a non-empty record body. A `PUT` whose bytes fail their content
-/// id is [`BackendError::Corrupt`]; an unknown tag, or a body too short for
-/// its tag, is malformed.
+/// Parses a non-empty record body. A body that fails its check is
+/// [`BackendError::Corrupt`]; an unknown tag, a `DEL` with value bytes, or
+/// a body too short for its header is malformed.
 fn parse_record(body: &[u8]) -> Result<Record<'_>, BackendError> {
     let word = |at: usize| {
         body.get(at..at + 8)
@@ -266,42 +241,39 @@ fn parse_record(body: &[u8]) -> Result<Record<'_>, BackendError> {
             .map(u64::from_le_bytes)
     };
     let malformed = || BackendError::Io(format!("malformed log record with tag {}", body[0]));
-    let key = word(1).ok_or_else(malformed)?;
-    if body[0] == TAG_DEL {
-        return Ok(Record::Del { key });
+    let (Some(key), Some(check)) = (word(1), word(9)) else {
+        return Err(malformed());
+    };
+    let bytes = &body[HEADER..];
+    let id = ContentId::of(bytes);
+    let expected = ContentId::from_raw(check);
+    let actual = record_check(body[0], key, id);
+    if actual != expected {
+        return Err(BackendError::Corrupt {
+            key,
+            expected,
+            actual,
+        });
     }
-    let id = ContentId::from_raw(word(9).ok_or_else(malformed)?);
     match body[0] {
-        TAG_REF => Ok(Record::Ref { key, id }),
-        TAG_PUT => {
-            let bytes = &body[17..];
-            let actual = ContentId::of(bytes);
-            if actual != id {
-                return Err(BackendError::Corrupt {
-                    key,
-                    expected: id,
-                    actual,
-                });
-            }
-            Ok(Record::Put { key, id, bytes })
-        }
+        TAG_PUT => Ok(Record::Put { key, id, bytes }),
+        TAG_DEL if bytes.is_empty() => Ok(Record::Del { key }),
         _ => Err(malformed()),
     }
 }
 
 /// Append-only log backend (bitcask shape): every mutation appends a
-/// length-prefixed record; an in-memory index maps keys to content ids and
-/// content ids to log offsets. Dedup writes a small `REF` record instead of
-/// re-appending the bytes. `open` replays the log, verifying every blob's
-/// content id, and truncates a torn tail so that a crash can only lose the
-/// unsynced suffix; a corrupt record inside the log fails `open`.
+/// length-prefixed record, and an in-memory index maps each live key to
+/// its value's content id and log location. `open` replays the log,
+/// verifying every record's check, and truncates a torn tail so that a
+/// crash can only lose the unsynced suffix; a corrupt record inside the log
+/// fails `open`.
 #[derive(Debug)]
 pub struct FileBackend {
     path: PathBuf,
     file: File,
     end: u64,
-    index: BTreeMap<u64, ContentId>,
-    blobs: BTreeMap<ContentId, BlobRef>,
+    index: BTreeMap<u64, Located>,
 }
 
 impl FileBackend {
@@ -319,7 +291,6 @@ impl FileBackend {
             file,
             end: 0,
             index: BTreeMap::new(),
-            blobs: BTreeMap::new(),
         };
         backend.replay()?;
         Ok(backend)
@@ -341,11 +312,14 @@ impl FileBackend {
         let mut pos = 0usize;
         while let Some(body) = record_at(&raw, pos) {
             let next = pos + 4 + body.len();
-            if let Err(e) = parse_record(body).and_then(|r| self.apply(r, pos as u64 + 4)) {
-                if record_at(&raw, next).is_some_and(|b| parse_record(b).is_ok()) {
-                    return Err(e);
+            match parse_record(body) {
+                Ok(record) => self.apply(record, pos as u64 + 4),
+                Err(e) => {
+                    if record_at(&raw, next).is_some_and(|b| parse_record(b).is_ok()) {
+                        return Err(e);
+                    }
+                    break;
                 }
-                break;
             }
             pos = next;
         }
@@ -358,65 +332,26 @@ impl FileBackend {
         Ok(())
     }
 
-    /// Applies one replayed record. A `REF` to a blob the index does not
-    /// hold is corruption, reported (as `MemoryBackend` reports a dangling
-    /// index entry) as a mismatch against the empty blob.
-    fn apply(&mut self, record: Record<'_>, body_offset: u64) -> Result<(), BackendError> {
+    /// Applies one replayed record whose body starts at `body_offset`.
+    fn apply(&mut self, record: Record<'_>, body_offset: u64) {
         match record {
-            Record::Put { key, id, bytes } => self.link(
-                key,
-                id,
-                BlobRef {
-                    offset: body_offset + 17,
-                    len: bytes.len() as u32,
-                    refs: 0,
-                },
-            ),
-            Record::Ref { key, id } => {
-                let Some(&blob) = self.blobs.get(&id) else {
-                    return Err(BackendError::Corrupt {
-                        key,
-                        expected: id,
-                        actual: ContentId::of(&[]),
-                    });
-                };
-                self.link(key, id, blob);
+            Record::Put { key, id, bytes } => {
+                self.index.insert(
+                    key,
+                    Located {
+                        id,
+                        offset: body_offset + HEADER as u64,
+                        len: bytes.len() as u32,
+                    },
+                );
             }
             Record::Del { key } => {
-                if let Some(old) = self.index.remove(&key) {
-                    self.release(old);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Points `key` at blob `id`, adjusting reference counts. `blob` is the
-    /// location to record if the id is new.
-    fn link(&mut self, key: u64, id: ContentId, blob: BlobRef) {
-        if let Some(old) = self.index.insert(key, id) {
-            if old == id {
-                return;
-            }
-            self.release(old);
-        }
-        self.blobs
-            .entry(id)
-            .and_modify(|b| b.refs += 1)
-            .or_insert(BlobRef { refs: 1, ..blob });
-    }
-
-    fn release(&mut self, id: ContentId) {
-        if let Some(blob) = self.blobs.get_mut(&id) {
-            blob.refs -= 1;
-            if blob.refs == 0 {
-                // Bytes stay in the log (append-only) but leave the live
-                // set; a later put of the same content re-appends them.
-                self.blobs.remove(&id);
+                self.index.remove(&key);
             }
         }
     }
 
+    /// Appends one record body; returns the log offset the body starts at.
     fn append(&mut self, body: &[u8]) -> Result<u64, BackendError> {
         let len = body.len() as u32;
         self.file.seek(SeekFrom::Start(self.end))?;
@@ -431,87 +366,39 @@ impl FileBackend {
 impl StorageBackend for FileBackend {
     fn put(&mut self, key: u64, bytes: &[u8]) -> Result<ContentId, BackendError> {
         let id = ContentId::of(bytes);
-        if self.index.get(&key) == Some(&id) {
+        if self.index.get(&key).is_some_and(|at| at.id == id) {
             return Ok(id); // idempotent re-put: no record needed
         }
-        if self.blobs.contains_key(&id) {
-            // Dedup: the bytes are already in the log; record only the link.
-            let mut body = Vec::with_capacity(17);
-            body.push(TAG_REF);
-            body.extend_from_slice(&key.to_le_bytes());
-            body.extend_from_slice(&id.raw().to_le_bytes());
-            self.append(&body)?;
-            let blob = self.blobs[&id];
-            self.link(key, id, blob);
-        } else {
-            let mut body = Vec::with_capacity(17 + bytes.len());
-            body.push(TAG_PUT);
-            body.extend_from_slice(&key.to_le_bytes());
-            body.extend_from_slice(&id.raw().to_le_bytes());
-            body.extend_from_slice(bytes);
-            let body_offset = self.append(&body)?;
-            self.link(
-                key,
-                id,
-                BlobRef {
-                    offset: body_offset + 17,
-                    len: bytes.len() as u32,
-                    refs: 0,
-                },
-            );
-        }
+        let body_offset = self.append(&record(TAG_PUT, key, bytes))?;
+        self.apply(Record::Put { key, id, bytes }, body_offset);
         Ok(id)
     }
 
     fn get(&mut self, key: u64) -> Result<Option<Stored>, BackendError> {
-        let Some(&id) = self.index.get(&key) else {
+        let Some(&at) = self.index.get(&key) else {
             return Ok(None);
         };
-        let blob = self.blobs[&id];
-        let mut bytes = vec![0u8; blob.len as usize];
-        self.file.seek(SeekFrom::Start(blob.offset))?;
+        let mut bytes = vec![0u8; at.len as usize];
+        self.file.seek(SeekFrom::Start(at.offset))?;
         self.file.read_exact(&mut bytes)?;
-        let actual = ContentId::of(&bytes);
-        if actual != id {
-            return Err(BackendError::Corrupt {
-                key,
-                expected: id,
-                actual,
-            });
-        }
-        Ok(Some(Stored { id, bytes }))
+        Stored { id: at.id, bytes }.verified(key).map(Some)
     }
 
     fn delete(&mut self, key: u64) -> Result<bool, BackendError> {
-        let Some(&old) = self.index.get(&key) else {
+        if !self.index.contains_key(&key) {
             return Ok(false);
-        };
-        let mut body = Vec::with_capacity(9);
-        body.push(TAG_DEL);
-        body.extend_from_slice(&key.to_le_bytes());
-        self.append(&body)?;
+        }
+        self.append(&record(TAG_DEL, key, &[]))?;
         self.index.remove(&key);
-        self.release(old);
         Ok(true)
     }
 
     fn scan(&self) -> Vec<(u64, ContentId)> {
-        self.index.iter().map(|(&k, &id)| (k, id)).collect()
+        self.index.iter().map(|(&k, at)| (k, at.id)).collect()
     }
 
-    fn usage(&self) -> Usage {
-        let logical: u64 = self
-            .index
-            .values()
-            .map(|id| u64::from(self.blobs[id].len))
-            .sum();
-        let unique: u64 = self.blobs.values().map(|b| u64::from(b.len)).sum();
-        Usage {
-            keys: self.index.len(),
-            blobs: self.blobs.len(),
-            logical_bytes: logical,
-            unique_bytes: unique,
-        }
+    fn len(&self) -> usize {
+        self.index.len()
     }
 
     fn flush(&mut self) -> Result<(), BackendError> {
@@ -543,22 +430,19 @@ mod tests {
         let read = backend.get(1).expect("get").expect("present");
         assert_eq!(read.bytes, b"alpha");
         assert_eq!(read.id, id);
-        // Same content under a second key dedups.
-        backend.put(2, b"alpha").expect("put");
-        let u = backend.usage();
-        assert_eq!(u.keys, 2);
-        assert_eq!(u.blobs, 1);
-        assert_eq!(u.logical_bytes, 10);
-        assert_eq!(u.unique_bytes, 5);
-        // Overwrite releases the old blob once both refs are gone.
+        // Equal bytes under a second key: both keys read them back.
+        assert_eq!(backend.put(2, b"alpha").expect("put"), id);
+        assert_eq!(backend.len(), 2);
+        // Overwriting or deleting one key leaves the other as it was.
         backend.put(1, b"beta").expect("put");
-        backend.put(2, b"beta").expect("put");
-        let u = backend.usage();
-        assert_eq!((u.keys, u.blobs), (2, 1));
+        assert_eq!(backend.get(1).expect("get").expect("live").bytes, b"beta");
+        assert_eq!(backend.get(2).expect("get").expect("kept").bytes, b"alpha");
         assert!(backend.delete(1).expect("delete"));
         assert!(!backend.delete(1).expect("delete"));
         assert_eq!(backend.get(1).expect("get"), None);
-        assert_eq!(backend.scan().len(), 1);
+        assert_eq!(backend.get(2).expect("get").expect("kept").bytes, b"alpha");
+        assert_eq!(backend.scan(), vec![(2, id)]);
+        assert_eq!(backend.len(), 1);
         backend.flush().expect("flush");
     }
 
@@ -581,16 +465,18 @@ mod tests {
             let mut b = FileBackend::open(&path).expect("open");
             b.put(10, b"ten").expect("put");
             b.put(11, b"eleven").expect("put");
-            b.put(12, b"ten").expect("put"); // dedup REF record
-            b.delete(11).expect("delete");
-            b.put(10, b"TEN").expect("put"); // overwrite
+            b.put(12, b"ten").expect("put"); // equal bytes, second key
+            b.put(13, b"eleven").expect("put");
+            b.delete(11).expect("delete"); // 13 keeps "eleven"
+            b.put(10, b"TEN").expect("put"); // 12 keeps "ten"
             b.flush().expect("flush");
         }
         let mut b = FileBackend::open(&path).expect("reopen");
         assert_eq!(b.get(10).expect("get").expect("live").bytes, b"TEN");
         assert_eq!(b.get(11).expect("get"), None);
         assert_eq!(b.get(12).expect("get").expect("live").bytes, b"ten");
-        assert_eq!(b.scan().len(), 2);
+        assert_eq!(b.get(13).expect("get").expect("live").bytes, b"eleven");
+        assert_eq!(b.len(), 3);
         std::fs::remove_file(&path).ok();
     }
 
@@ -637,6 +523,21 @@ mod tests {
     }
 
     #[test]
+    fn a_value_damaged_after_open_fails_its_read() {
+        let path = temp_log("read-flip");
+        let mut b = FileBackend::open(&path).expect("open");
+        b.put(7, b"immutable truth").expect("put");
+        b.flush().expect("flush");
+        let mut raw = std::fs::read(&path).expect("read");
+        let at = raw.len() - 2;
+        raw[at] ^= 0xff;
+        std::fs::write(&path, &raw).expect("write");
+        let err = b.get(7).expect_err("the value no longer hashes to its id");
+        assert!(matches!(err, BackendError::Corrupt { key: 7, .. }), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn corruption_inside_the_log_fails_open_and_truncates_nothing() {
         let path = temp_log("mid-flip");
         {
@@ -655,6 +556,54 @@ mod tests {
         assert!(matches!(err, BackendError::Corrupt { key: 1, .. }), "{err}");
         let len = std::fs::metadata(&path).expect("meta").len();
         assert_eq!(len, raw.len() as u64, "the later records are kept");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Flips bit 2 of the key of the record that starts at `pos` and
+    /// returns the damaged log.
+    fn flip_key_bit(path: &Path, pos: usize) -> Vec<u8> {
+        let mut raw = std::fs::read(path).expect("read");
+        raw[pos + 4 + 1] ^= 0x04;
+        std::fs::write(path, &raw).expect("write");
+        raw
+    }
+
+    #[test]
+    fn a_flipped_put_key_inside_the_log_fails_open() {
+        let path = temp_log("put-key-flip");
+        {
+            let mut b = FileBackend::open(&path).expect("open");
+            b.put(1, b"first").expect("put");
+            b.put(2, b"second").expect("put");
+            b.flush().expect("flush");
+        }
+        // Unchecked, the first record would serve "first" under key 5.
+        let raw = flip_key_bit(&path, 0);
+        let err = FileBackend::open(&path).expect_err("a synced key is damaged");
+        assert!(matches!(err, BackendError::Corrupt { .. }), "{err}");
+        let len = std::fs::metadata(&path).expect("meta").len();
+        assert_eq!(len, raw.len() as u64, "the log is kept whole");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_flipped_delete_key_inside_the_log_fails_open() {
+        let path = temp_log("del-key-flip");
+        {
+            let mut b = FileBackend::open(&path).expect("open");
+            b.put(1, b"first").expect("put");
+            b.put(2, b"second").expect("put");
+            b.delete(1).expect("delete");
+            b.put(3, b"third").expect("put");
+            b.flush().expect("flush");
+        }
+        // Unchecked, the delete would remove key 5 and key 1 would return.
+        let del = (4 + HEADER + b"first".len()) + (4 + HEADER + b"second".len());
+        let raw = flip_key_bit(&path, del);
+        let err = FileBackend::open(&path).expect_err("a synced key is damaged");
+        assert!(matches!(err, BackendError::Corrupt { .. }), "{err}");
+        let len = std::fs::metadata(&path).expect("meta").len();
+        assert_eq!(len, raw.len() as u64, "the log is kept whole");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -3,15 +3,10 @@
 //! Every value handed to a [`crate::StorageBackend`] is addressed by a
 //! [`ContentId`]: the workspace content hash ([`canon_id::hash::hash_bytes`])
 //! of its byte encoding, a point on the same 64-bit circle as node
-//! identifiers and keys. Content ids buy the storage stack two properties
-//! for free:
-//!
-//! * **integrity** — every read recomputes the hash and compares it against
-//!   the id recorded at write time, so a corrupted blob (bit rot in a log
-//!   file) surfaces as [`crate::BackendError::Corrupt`] instead of silently
-//!   wrong data;
-//! * **dedup** — backends key their blob storage by content id, so storing
-//!   the same bytes under many keys costs one copy.
+//! identifiers and keys. The id buys the storage stack **integrity**: every
+//! read recomputes the hash and compares it against the id recorded at
+//! write time, so a corrupted value (bit rot in a log file) surfaces as
+//! [`crate::BackendError::Corrupt`] instead of silently wrong data.
 
 use canon_id::hash::hash_bytes;
 use std::fmt;
@@ -66,14 +61,5 @@ mod tests {
         assert!(a.verifies(b"hello"));
         assert!(!a.verifies(b"hellO"));
         assert_ne!(a, ContentId::of(b"hello "));
-    }
-
-    #[test]
-    fn equal_values_share_a_content_id_across_keys() {
-        // The dedup property rests on this: the id is a pure function of
-        // the encoded bytes, independent of the key it is stored under.
-        let x = 99u64.to_le_bytes();
-        let y = 99u64.to_le_bytes();
-        assert_eq!(ContentId::of(&x), ContentId::of(&y));
     }
 }

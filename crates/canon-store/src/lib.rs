@@ -51,7 +51,7 @@ pub mod content;
 pub mod policy;
 pub mod replication;
 
-pub use backend::{BackendError, FileBackend, MemoryBackend, StorageBackend, Stored, Usage};
+pub use backend::{BackendError, FileBackend, MemoryBackend, StorageBackend, Stored};
 pub use content::ContentId;
 pub use policy::{PlacementCtx, Policy, ReplicationPolicy};
 pub use replication::ReplicatedStore;
