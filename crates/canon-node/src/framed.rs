@@ -13,7 +13,7 @@
 //! send time, with its own sequence number, exactly as in an unframed run
 //! and in whichever order `FramedTransport` and `FaultyTransport` nest;
 //! only the survivors reach the outbox. A message is encoded once, by its
-//! sender, and decoded once, by its receiver:
+//! sender, copied twice as bytes, and decoded once, by its receiver:
 //!
 //! 1. **at send**, its sequence number and length-prefixed payload — the
 //!    bytes it has in a frame body — are encoded straight into the
@@ -23,14 +23,23 @@
 //!    first. The outbox notes the payload's kind and encoded length. No
 //!    envelope is built;
 //! 2. **at the flush**, at the end of the sender's round, each open frame
-//!    is written once, straight into the destination's mailbox bucket
-//!    under that slot's lock: its header ([`encode_frame`]'s header
-//!    writer — `from` and `sent_at` are the node and the round's tick,
-//!    and the message count is already known), then its messages' bytes
-//!    copied in behind it, in send order. The bucket keeps the frame's
-//!    sender, first sequence number and message count beside the bytes.
-//!    Nothing is decoded;
-//! 3. **at the receiver's drain**, in its next round, the due buckets
+//!    is written once into the worker's *round buffer* (`RoundBuffer`):
+//!    its header ([`encode_frame`]'s header writer — `from` and `sent_at`
+//!    are the node and the round's tick, and the message count is already
+//!    known), then its messages' bytes copied in behind it, in send order.
+//!    One index entry beside it records the frame's destination slot,
+//!    delivery tick, sender, first sequence number, where its bytes sit
+//!    and its message count. No mailbox is touched and nothing is decoded;
+//! 3. **at the exchange** (`exchange`), once every node of the round is
+//!    done, the runtime queues the round's frames — every worker's round
+//!    buffer — in one pass: the index is sorted by `(slot, deliver_at,
+//!    from, first seq)` (a counting sort on the slot, then a small sort
+//!    inside each slot), and each `(slot, tick)` group takes one slot
+//!    lock and one bucket look-up, grows the bucket's bytes once, by
+//!    exactly what the group needs, and copies the group's frames in, in
+//!    key order. The bucket keeps each frame's sender, first sequence
+//!    number and message count beside the bytes;
+//! 4. **at the receiver's drain**, in its next round, the due buckets
 //!    leave the mailbox under the lock, and with the lock released their
 //!    frames are decoded — each all of it or none of it — into the
 //!    worker's envelope buffer, in `(from, first seq)` order, which is the
@@ -38,10 +47,16 @@
 //!    decode delivers nothing and counts one decode error for the
 //!    receiver.
 //!
-//! Frames flush in the order they were opened; nothing is sorted. Frames
-//! to different `(slot, tick)` land in different mailbox buckets, which
-//! drain in key order, and every tally update is an addition, so the flush
-//! order changes nothing anyone can observe.
+//! So no node writes another node's mailbox during a framed round: a
+//! round's nodes read only their own mailboxes, and all the writing
+//! happens after them, on one thread. The exchange's order is a function
+//! of the frames alone — the key is unique, since a sender's frames start
+//! at different sequence numbers — so neither the worker count nor which
+//! worker flushed what changes a byte of any mailbox. The second copy,
+//! round buffer to bucket, is made while the round's bytes are still warm
+//! and leaves each bucket's frames contiguous for the drain: decoding
+//! straight out of the round buffer instead, the drain's scattered reads
+//! cost more than the copy saved.
 //!
 //! Every delivered message has round-tripped through the codec, so a
 //! framed run exercises encode *and* decode end to end; the equivalence
@@ -66,20 +81,23 @@
 //! The buffers belong to three owners:
 //!
 //! * the **worker thread** owns the outbox (its arena, message links, open
-//!   frames and per-slot heads) and the envelope buffer a drain decodes
-//!   into. A node's burst-sized outbox would otherwise be retained once
-//!   per node, a thousand times over, for buffers only one node per
-//!   worker uses at a time. The worker lends its outbox to the node for
-//!   the round and takes it back at the flush;
+//!   frames and per-slot heads), the round buffer its nodes flush into,
+//!   and the envelope buffer a drain decodes into. A node's burst-sized
+//!   outbox would otherwise be retained once per node, a thousand times
+//!   over, for buffers only one node per worker uses at a time. The
+//!   worker lends its outbox to the node for the round and takes it back
+//!   at the flush; the exchange empties the round buffer, keeping its
+//!   capacity until rounds shrink to a quarter of it (after a burst);
 //! * the **destination's mailbox bucket** owns the frame bytes while they
 //!   wait: one byte vector per `(slot, tick)` bucket, shared by all its
 //!   frames, plus one small index entry per frame;
 //! * the **node** owns only its tally.
 //!
-//! Nothing is allocated per frame: the arena and the envelope buffer grow
-//! to the largest round and are reused, and a frame is one append to its
-//! bucket's bytes (a buffer per frame, pooled, would grow each to the
-//! largest frame it ever held).
+//! Nothing is allocated per frame: the arena, the round buffer and the
+//! envelope buffer grow to the largest round and are reused, and a frame
+//! is one append to the round buffer and one to its bucket's bytes, which
+//! the exchange sizes once per group (a buffer per frame, pooled, would
+//! grow each to the largest frame it ever held).
 //!
 //! # Frame layout
 //!
@@ -608,30 +626,161 @@ impl Outbox {
     }
 }
 
+/// One frame in a [`RoundBuffer`]: where and when it is due, whose it is,
+/// and where its bytes sit.
+#[derive(Clone, Copy, Debug)]
+struct StagedFrame {
+    deliver_at: Tick,
+    from: NodeId,
+    /// The sequence number of its first message.
+    seq: u64,
+    /// Offset of the frame in its round buffer's bytes.
+    start: usize,
+    slot: u32,
+    /// Which of the exchanged round buffers holds its bytes: 0 until
+    /// [`exchange`] gathers every buffer's frames into the first's index.
+    buf: u32,
+    len: u32,
+    count: u32,
+}
+
+impl StagedFrame {
+    /// The order frames enter mailboxes in. It is unique — a sender's
+    /// frames start at different sequence numbers — so sorting on it has
+    /// one result, whichever worker staged which frame.
+    fn key(&self) -> (u32, Tick, NodeId, u64) {
+        (self.slot, self.deliver_at, self.from, self.seq)
+    }
+}
+
+/// The frames a worker's nodes flushed in one round, waiting for the
+/// exchange that ends it: every frame's bytes back to back, and one index
+/// entry per frame. The worker's, reused from round to round like its
+/// outbox (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct RoundBuffer {
+    bytes: Vec<u8>,
+    frames: Vec<StagedFrame>,
+    /// The exchange's scratch space: the order to queue `frames` in, as
+    /// positions, and where each slot's frames start in it.
+    order: Vec<u32>,
+    slot_starts: Vec<usize>,
+}
+
+impl RoundBuffer {
+    /// What a round buffer keeps of its capacity however small the rounds
+    /// get, so that paced rounds do not allocate.
+    const KEPT: usize = 64 << 10;
+
+    /// Empties the buffer for the next round. Its capacity is kept while
+    /// rounds stay about as large, and let go once a round uses less than
+    /// a quarter of it: a burst's buffer is not held on to after the burst.
+    fn reset(&mut self) {
+        if self.bytes.capacity() > Self::KEPT.max(4 * self.bytes.len()) {
+            *self = RoundBuffer::default();
+        } else {
+            self.bytes.clear();
+            self.frames.clear();
+        }
+    }
+}
+
 /// Flushes a node's outbox at the end of its round, sent at `now`, into
 /// `spare` (the outbox [`Outbox::lend`] lent it from): tallies each open
-/// frame as sent and writes it once, straight into the destination's
-/// mailbox bucket. Nothing is decoded here; the receiver's drain does
-/// that.
+/// frame as sent and writes it once, into the worker's round buffer.
+/// Nothing is decoded here, and no mailbox is touched: [`exchange`] queues
+/// the frames once the round is over, and the receiver's drain decodes
+/// them.
 pub(crate) fn flush_outbox(
-    boxes: &Mailboxes<Payload>,
     now: Tick,
     state: &mut NodeState,
     spare: &mut Outbox,
+    round: &mut RoundBuffer,
 ) {
     std::mem::swap(&mut state.outbox, spare);
     let from = state.id;
     for open in &spare.frames {
-        let (len, unbatched) = boxes.push_frame(
-            open.slot,
-            open.deliver_at,
-            (from, open.seq, open.count),
-            |bytes| spare.write_frame(open, from, now, bytes),
-        );
+        let start = round.bytes.len();
+        let unbatched = spare.write_frame(open, from, now, &mut round.bytes);
+        let len = round.bytes.len() - start;
+        round.frames.push(StagedFrame {
+            deliver_at: open.deliver_at,
+            from,
+            seq: open.seq,
+            start,
+            slot: open.slot as u32,
+            buf: 0,
+            len: len as u32,
+            count: open.count as u32,
+        });
         state.wire.record_frame(open.to, len, open.count, unbatched);
     }
     state.wire.record_kinds(&spare.kinds);
     spare.clear();
+}
+
+/// Ends a round: queues every frame the round's workers flushed, whatever
+/// buffer holds it, in `(slot, deliver_at, from, first seq)` order — one
+/// [`Mailboxes::push_frames`] per `(slot, tick)`, so one lock and one
+/// bucket look-up each — and empties the buffers
+/// ([`RoundBuffer::reset`]). The key is unique (see
+/// [`StagedFrame::key`]), so the order is a function of the frames alone:
+/// neither the worker count nor which worker flushed what changes a byte
+/// of any mailbox.
+pub(crate) fn exchange(boxes: &Mailboxes<Payload>, rounds: &mut [RoundBuffer]) {
+    let Some((first, rest)) = rounds.split_first_mut() else {
+        return;
+    };
+    for (buf, round) in (1..).zip(rest) {
+        let moved = round.frames.drain(..);
+        first.frames.extend(moved.map(|f| StagedFrame { buf, ..f }));
+    }
+    let frames = std::mem::take(&mut first.frames);
+    // A counting sort on the slot, then each slot's few frames by the rest
+    // of the key. It makes a pass over every slot, and still costs less
+    // than comparison sorts over all of a round's frames, which made the
+    // benchmark's framed burst 2–10% slower (see CHANGELOG).
+    let (mut order, mut starts) = (
+        std::mem::take(&mut first.order),
+        std::mem::take(&mut first.slot_starts),
+    );
+    starts.clear();
+    starts.resize(boxes.len() + 1, 0);
+    for f in &frames {
+        starts[f.slot as usize + 1] += 1;
+    }
+    let mut total = 0;
+    for start in &mut starts {
+        total += *start;
+        *start = total;
+    }
+    order.clear();
+    order.resize(frames.len(), 0);
+    for (at, f) in (0..).zip(&frames) {
+        let next = &mut starts[f.slot as usize];
+        order[*next] = at;
+        *next += 1;
+    }
+    let frame = |at: u32| &frames[at as usize];
+    for slot in order.chunk_by_mut(|&a, &b| frame(a).slot == frame(b).slot) {
+        slot.sort_unstable_by_key(|&at| frame(at).key());
+    }
+    let bucket = |&at: &u32| (frame(at).slot, frame(at).deliver_at);
+    for group in order.chunk_by(|a, b| bucket(a) == bucket(b)) {
+        let (slot, deliver_at) = bucket(&group[0]);
+        let queued = group.iter().map(|&at| {
+            let f = frame(at);
+            let bytes = &rounds[f.buf as usize].bytes[f.start..f.start + f.len as usize];
+            (f.from, f.seq, f.count as usize, bytes)
+        });
+        boxes.push_frames(slot as usize, deliver_at, queued);
+    }
+    rounds[0].order = order;
+    rounds[0].slot_starts = starts;
+    rounds[0].frames = frames;
+    for round in rounds {
+        round.reset();
+    }
 }
 
 #[cfg(test)]
@@ -896,8 +1045,12 @@ mod tests {
 
     /// The sender every outbox test stages for: the `from` of [`env`].
     fn sender() -> NodeState {
+        sender_with_id(10)
+    }
+
+    fn sender_with_id(id: u64) -> NodeState {
         NodeState::new(
-            NodeId::new(10),
+            NodeId::new(id),
             Default::default(),
             Vec::new(),
             None,
@@ -927,15 +1080,17 @@ mod tests {
         }
     }
 
-    /// Stages `sends` into a fresh node's outbox and flushes it at [`env`]'s
-    /// `sent_at` into mailboxes for `slots` peers.
+    /// Stages `sends` into a fresh node's outbox, flushes it at [`env`]'s
+    /// `sent_at` and exchanges the round into mailboxes for `slots` peers.
     fn flushed(
         slots: usize,
         sends: &[(usize, Envelope<Payload>)],
     ) -> (Mailboxes<Payload>, NodeState) {
         let (boxes, mut state) = (Mailboxes::new(slots), sender());
+        let mut round = RoundBuffer::default();
         stage_all(&mut state.outbox, sends);
-        flush_outbox(&boxes, 5, &mut state, &mut Outbox::default());
+        flush_outbox(5, &mut state, &mut Outbox::default(), &mut round);
+        exchange(&boxes, std::slice::from_mut(&mut round));
         (boxes, state)
     }
 
@@ -1086,7 +1241,7 @@ mod tests {
     #[test]
     fn a_flushed_outbox_is_empty_and_the_next_round_opens_new_frames() {
         let (boxes, mut state) = (Mailboxes::new(2), sender());
-        let mut spare = Outbox::default();
+        let (mut spare, mut buffer) = (Outbox::default(), RoundBuffer::default());
         let replicate = |key| Payload::Replicate { key, value: 0 };
         for (round, now) in [(0, 5), (1, 9)] {
             spare.lend(&mut state);
@@ -1097,10 +1252,16 @@ mod tests {
             ];
             stage_all(&mut state.outbox, &sends);
             assert!(!state.outbox.msgs.is_empty());
-            flush_outbox(&boxes, now, &mut state, &mut spare);
+            flush_outbox(now, &mut state, &mut spare, &mut buffer);
             assert!(state.outbox.msgs.is_empty() && spare.msgs.is_empty());
             assert!(spare.heads.iter().all(|&head| head == NONE));
             assert_eq!(spare.kinds, KindCounts::default());
+            // The round's frames wait in the round buffer, not a mailbox,
+            // until the exchange, which leaves the buffer empty.
+            assert_eq!(buffer.frames.len(), 2);
+            assert_eq!(boxes.queued(), 3 * round as usize);
+            exchange(&boxes, std::slice::from_mut(&mut buffer));
+            assert!(buffer.frames.is_empty() && buffer.bytes.is_empty());
         }
         // Round two's messages to slot 1 went out in a frame of their own,
         // sent and due at round two's ticks.
@@ -1112,6 +1273,155 @@ mod tests {
             .map(|e| (e.sent_at, e.deliver_at, e.seq))
             .collect();
         assert_eq!(due, vec![(5, 6, 2), (5, 6, 3), (9, 10, 12), (9, 10, 13)]);
+    }
+
+    #[test]
+    fn a_burst_sized_round_buffer_is_let_go_once_rounds_shrink() {
+        let boxes = Mailboxes::new(2);
+        let mut round = RoundBuffer::default();
+        let mut seq = 0;
+        let mut exchanged = |round: &mut RoundBuffer, messages: u64| {
+            let mut state = sender();
+            let sends: Vec<_> = (0..messages)
+                .map(|key| {
+                    seq += 1;
+                    env_to(1, 6, seq, Payload::Replicate { key, value: key })
+                })
+                .collect();
+            stage_all(&mut state.outbox, &sends);
+            flush_outbox(5, &mut state, &mut Outbox::default(), round);
+            let used = round.bytes.len();
+            exchange(&boxes, std::slice::from_mut(round));
+            used
+        };
+        // A burst's round, well past what is kept regardless, and another
+        // like it: the capacity stays for the second.
+        let burst = exchanged(&mut round, 20_000);
+        assert!(burst > 2 * RoundBuffer::KEPT);
+        let kept = round.bytes.capacity();
+        assert!(kept >= burst);
+        exchanged(&mut round, 20_000);
+        assert_eq!(round.bytes.capacity(), kept);
+        // Then a paced round: the burst's capacity goes.
+        exchanged(&mut round, 3);
+        assert_eq!(round.bytes.capacity(), 0);
+        assert_eq!(boxes.drain_due(1, 6).len(), 40_003);
+    }
+
+    #[test]
+    fn the_exchange_queues_the_same_mail_for_any_sender_order_and_chunking() {
+        use canon_id::rng::Seed;
+        const SLOTS: usize = 5;
+        const SENDERS: usize = 4;
+        // Each sender's round: a dozen messages over five slots and two
+        // delivery ticks (jitter), so several senders' frames meet in most
+        // buckets, and one sender can have two frames in a slot.
+        let sends: Vec<Vec<_>> = (0..SENDERS as u64)
+            .map(|k| {
+                (1..=12u64)
+                    .map(|seq| {
+                        let word = Seed(41).derive_index(16 * k + seq).0;
+                        let slot = (word % SLOTS as u64) as usize;
+                        let tick = 6 + (word >> 8) % 2;
+                        env_to(
+                            slot,
+                            tick,
+                            seq,
+                            Payload::Replicate {
+                                key: word,
+                                value: k,
+                            },
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        // A bucket one sender already filled in an earlier round, which
+        // the exchange must append behind.
+        let earlier = [env_to(2, 6, 1, Payload::Replicate { key: 0, value: 9 })];
+        // Runs one round: senders flush in `order`, into one round buffer
+        // per chunk (`cuts` are where each chunk ends), then the exchange
+        // queues them into the mailboxes.
+        let run = |order: &[usize], cuts: &[usize]| {
+            let boxes = Mailboxes::new(SLOTS);
+            let mut state = sender_with_id(99);
+            let mut round = RoundBuffer::default();
+            stage_all(&mut state.outbox, &earlier);
+            flush_outbox(4, &mut state, &mut Outbox::default(), &mut round);
+            exchange(&boxes, std::slice::from_mut(&mut round));
+            let mut rounds: Vec<RoundBuffer> =
+                cuts.iter().map(|_| RoundBuffer::default()).collect();
+            for (at, &k) in order.iter().enumerate() {
+                let chunk = cuts
+                    .iter()
+                    .position(|&end| at < end)
+                    .expect("cuts cover the senders");
+                let mut state = sender_with_id(10 + k as u64);
+                stage_all(&mut state.outbox, &sends[k]);
+                flush_outbox(5, &mut state, &mut Outbox::default(), &mut rounds[chunk]);
+            }
+            exchange(&boxes, &mut rounds);
+            assert!(rounds
+                .iter()
+                .all(|r| r.frames.is_empty() && r.bytes.is_empty()));
+            boxes
+        };
+        // The wake-up index, and every queued message, read out without
+        // disturbing the mailboxes and then drained, field by field; and
+        // the mailboxes' layout, bytes included.
+        let read_out = |boxes: &Mailboxes<Payload>| {
+            let fields =
+                |e: Envelope<Payload>| (e.from, e.to, e.sent_at, e.deliver_at, e.seq, e.payload);
+            let index: Vec<_> = (0..=8).map(|t| boxes.due_slots(t)).collect();
+            let layout = format!("{boxes:?}");
+            let peeked: Vec<_> = (0..SLOTS)
+                .flat_map(|slot| boxes.peek_all(slot).into_iter().map(fields))
+                .collect();
+            let drained: Vec<_> = (0..SLOTS)
+                .flat_map(|slot| (6..=7).flat_map(move |t| boxes.drain_due(slot, t)))
+                .map(fields)
+                .collect();
+            ((index, peeked, drained), layout)
+        };
+        let (want, want_layout) = read_out(&run(&[0, 1, 2, 3], &[SENDERS]));
+        assert_eq!(want.1.len(), 1 + SENDERS * 12);
+        assert_eq!(want.1, want.2, "the drains deliver everything peeked");
+        // Every permutation of the senders, at every chunking of them into
+        // one to four contiguous buffers.
+        let mut orders = vec![vec![0, 1, 2, 3]];
+        for k in 1..SENDERS {
+            orders = orders
+                .into_iter()
+                .flat_map(|order| {
+                    (0..=k).map(move |at| {
+                        let mut next = order.clone();
+                        let moved = next.remove(k);
+                        next.insert(at, moved);
+                        next
+                    })
+                })
+                .collect();
+        }
+        assert_eq!(orders.len(), 24);
+        let chunkings: Vec<Vec<usize>> = (0..1u32 << (SENDERS - 1))
+            .map(|mask| {
+                let mut cuts: Vec<usize> = (1..SENDERS)
+                    .filter(|c| mask & (1 << (c - 1)) != 0)
+                    .collect();
+                cuts.push(SENDERS);
+                cuts
+            })
+            .collect();
+        for order in &orders {
+            for cuts in &chunkings {
+                let (got, layout) = read_out(&run(order, cuts));
+                assert!(got == want, "order {order:?}, chunks ending at {cuts:?}");
+                assert!(
+                    layout == want_layout,
+                    "order {order:?}, chunks ending at {cuts:?}"
+                );
+            }
+        }
     }
 
     #[test]

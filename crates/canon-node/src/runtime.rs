@@ -6,7 +6,9 @@
 //! The runtime repeatedly executes **rounds**. One round, at tick *t*:
 //! every node with due work — in parallel over `canon-par` workers —
 //! drains the messages due at or before *t* from its mailbox, handles
-//! them, and fires its due RPC timers. Between rounds the runtime finds
+//! them, and fires its due RPC timers; on a framed stack the frames the
+//! round's nodes flushed are then exchanged into mailboxes in one pass
+//! (see [`crate::framed`]). Between rounds the runtime finds
 //! the earliest pending event (mailbox delivery or timer) and advances the
 //! [`Clock`] to it, so a virtual clock jumps straight from event to event
 //! while a real clock waits out the gap.
@@ -32,23 +34,29 @@
 //!    no worker can add same-round work;
 //! 2. mailboxes drain in the arrival-order-independent key order
 //!    `(deliver_at, from, seq)`, so a node drains the same messages in the
-//!    same order no matter how sends interleaved — framed mail included,
-//!    whose frames the drain decodes straight into that order (see
+//!    same order no matter how unframed sends interleaved (see
 //!    [`crate::transport`]);
 //! 3. nodes share no state — each is locked by exactly one worker per
 //!    round, and everything it does is a function of its own state and the
-//!    drained messages;
+//!    drained messages. On a framed stack a node writes nothing outside
+//!    itself during the round but its worker's round buffer, and framed
+//!    mail needs no arrival-order argument at all: it reaches mailboxes
+//!    only after every node of the round is done, from one thread, in
+//!    `(slot, deliver_at, from, first seq)` order — a function of the
+//!    frames alone — so even the bytes of a mailbox are the same on any
+//!    worker count;
 //! 4. the list of nodes a round visits is a sorted function of mailbox
 //!    contents and published deadlines at the start of the round — both
-//!    fixed by (1) and (3) — never of the order entries arrived in the
-//!    index or of the worker count.
+//!    fixed by (1) to (3), the framed mail by the previous round's
+//!    exchange — never of the order entries arrived in the index or of
+//!    the worker count.
 //!
 //! `tests/determinism.rs` checks the consequence: the same seed produces a
 //! byte-identical event log on 1, 4 and 8 worker threads.
 
 use crate::cache::{CacheConfig, CacheSummary};
 use crate::clock::{Clock, Tick};
-use crate::framed::{self, LinkBytes, Outbox, WireSummary};
+use crate::framed::{self, LinkBytes, Outbox, RoundBuffer, WireSummary};
 use crate::msg::{Command, Completion, Outcome, Payload};
 use crate::node::{Directory, Net, NodeState, NodeStats};
 use crate::rpc::RpcConfig;
@@ -56,7 +64,7 @@ use crate::shard::ShardBackend;
 use crate::transport::{lock_unpoisoned, Envelope, Mailboxes, Transport};
 use canon_id::ring::SortedRing;
 use canon_id::NodeId;
-use canon_par::par_map;
+use canon_par::par_chunks;
 use canon_store::Policy;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -67,6 +75,10 @@ thread_local! {
     /// node for it (see [`crate::framed`] for why it is the worker's and
     /// not the node's).
     static OUTBOX: RefCell<Outbox> = RefCell::default();
+    /// The worker's round buffer: the frames its nodes flush in a round,
+    /// until the exchange that ends the round queues them (see
+    /// [`crate::framed`]).
+    static ROUND: Cell<RoundBuffer> = Cell::default();
     /// The worker's buffer for the messages a node's round drains, reused
     /// from round to round; framed mail is decoded into it.
     static DRAINED: Cell<Vec<Envelope<Payload>>> = Cell::default();
@@ -334,7 +346,8 @@ impl Runtime {
     }
 
     /// Executes one round at the current tick: every node with due work,
-    /// in parallel, drains its due messages and fires its due timers.
+    /// in parallel, drains its due messages and fires its due timers; then
+    /// the frames the round's nodes flushed are exchanged into mailboxes.
     /// Returns the number of events processed.
     pub fn step(&self) -> usize {
         let now = self.clock.now();
@@ -348,17 +361,29 @@ impl Runtime {
         active.dedup();
         #[cfg(debug_assertions)]
         self.assert_active_is_exact(&active, now);
-        par_map(&active, |_, &slot| self.process_cell(slot, now))
+        let (events, mut rounds): (Vec<usize>, Vec<RoundBuffer>) =
+            par_chunks(&active, |_, slots| {
+                let mut round = ROUND.take();
+                let events = slots
+                    .iter()
+                    .map(|&slot| self.process_cell(slot, now, &mut round))
+                    .sum::<usize>();
+                (events, round)
+            })
             .into_iter()
-            .sum()
+            .unzip();
+        framed::exchange(&self.boxes, &mut rounds);
+        // One buffer stays with this thread, the worker of a one-worker run.
+        ROUND.set(rounds.swap_remove(0));
+        events.into_iter().sum()
     }
 
-    fn process_cell(&self, slot: usize, now: Tick) -> usize {
+    fn process_cell(&self, slot: usize, now: Tick, round: &mut RoundBuffer) -> usize {
         let mut envs = DRAINED.take();
         let decode_errors = self.boxes.drain_due_into(slot, now, &mut envs);
         let mut state = lock_unpoisoned(&self.states[slot]);
         state.wire.record_decode_errors(decode_errors);
-        let events = self.node_round(slot, &mut state, now, |state, net| {
+        let events = self.node_round(slot, &mut state, now, round, |state, net| {
             let handled = envs.len();
             for env in envs.drain(..) {
                 state.handle(net, env);
@@ -373,13 +398,15 @@ impl Runtime {
     /// transport in the stack the node's sends are encoded into its
     /// outbox, one open frame per destination and tick, instead of
     /// entering mailboxes; when `body` returns each frame is written into
-    /// its destination's mailbox as bytes — all while the caller holds the
-    /// node's lock.
+    /// `round` as bytes — all while the caller holds the node's lock. No
+    /// mailbox sees the frames until the caller passes `round` to
+    /// [`framed::exchange`].
     fn node_round<R>(
         &self,
         slot: usize,
         state: &mut NodeState,
         now: Tick,
+        round: &mut RoundBuffer,
         body: impl FnOnce(&mut NodeState, &Net<'_>) -> R,
     ) -> R {
         let net = Net {
@@ -396,7 +423,7 @@ impl Runtime {
             OUTBOX.with_borrow_mut(|spare| {
                 spare.lend(state);
                 let out = body(state, &net);
-                framed::flush_outbox(net.boxes, now, state, spare);
+                framed::flush_outbox(now, state, spare, round);
                 out
             })
         })
@@ -724,13 +751,20 @@ impl Runtime {
             return false;
         };
         self.clock.advance_to(env.deliver_at);
-        // A framing transport stages sends; `node_round` flushes them, so
-        // the checker sees the handler's outgoing messages queued, same as
-        // a stepped round.
+        // A framing transport stages sends; `node_round` flushes them and
+        // the exchange queues them, so the checker sees the handler's
+        // outgoing messages queued, same as after a stepped round.
+        let mut round = RoundBuffer::default();
         let mut state = lock_unpoisoned(&self.states[slot]);
-        self.node_round(slot, &mut state, self.clock.now(), |state, net| {
-            state.handle(net, env)
-        });
+        self.node_round(
+            slot,
+            &mut state,
+            self.clock.now(),
+            &mut round,
+            |state, net| state.handle(net, env),
+        );
+        drop(state);
+        framed::exchange(&self.boxes, std::slice::from_mut(&mut round));
         true
     }
 
@@ -967,10 +1001,8 @@ mod tests {
                     let err = decode_frame(&frame, &mut Vec::new()).expect_err(what);
                     assert!(expected(&err), "{what}: {err:?}");
                 }
-                rt.boxes
-                    .push_frame(slot, 0, (envs[0].from, envs[0].seq, envs.len()), |bytes| {
-                        bytes.extend_from_slice(&frame)
-                    });
+                let group = (envs[0].from, envs[0].seq, envs.len(), &frame[..]);
+                rt.boxes.push_frames(slot, 0, std::iter::once(group));
             }
             rt.boxes.push(slot, marked(15, 1));
             assert_eq!(rt.boxes.queued(), 9, "{what}");

@@ -24,13 +24,16 @@
 //!
 //! Mailboxes drain in `(deliver_at, from, seq)` order. A mailbox is a map
 //! from delivery tick to the bucket of messages due at that tick. A bucket
-//! holds two kinds of mail, each appended in whatever order senders
-//! arrive:
+//! holds two kinds of mail, written at two different times:
 //!
-//! * **envelopes** — injected client commands and unframed sends, pushed
-//!   one at a time;
-//! * **frames** — a framed sender's messages to this slot and tick, still
-//!   as the bytes it wrote (see [`crate::framed`]). All of a bucket's
+//! * **envelopes** — injected client commands, pushed between rounds, and
+//!   unframed sends, pushed one at a time by the sending node *during* a
+//!   round, in whatever order concurrent senders arrive;
+//! * **frames** — framed senders' messages to this slot and tick, still as
+//!   the bytes they wrote (see [`crate::framed`]). They arrive only
+//!   *between* rounds, through `Mailboxes::push_frames`: the exchange
+//!   that ends a round queues each `(slot, tick)`'s frames as one group,
+//!   in `(from, first seq)` order, under one lock. All of a bucket's
 //!   frames share one byte vector; beside it, one small index entry per
 //!   frame records its sender, its first sequence number, where its bytes
 //!   sit and how many messages it carries. Nothing is allocated per frame.
@@ -43,12 +46,14 @@
 //! `(slot, tick)` per round, its messages in send order, and its sequence
 //! numbers only grow, so one sender's frames to one bucket hold disjoint,
 //! increasing runs of sequence numbers. Decoding a single bucket's frames
-//! in `(from, first seq)` order therefore yields its messages in `(from,
-//! seq)` order with nothing left to sort. Only when envelopes share the
-//! drain, or several ticks fell due at once, is the whole drain sorted.
-//! The key is unique per message and independent of *arrival* order, so
-//! concurrent senders cannot perturb the order a node drains its mailbox
-//! in — the second half of the determinism argument. For a fixed ordered
+//! in `(from, first seq)` order — the order one exchange queues them in,
+//! and a quick sort away when jitter made two rounds' groups meet —
+//! therefore yields its messages in `(from, seq)` order with nothing left
+//! to sort. Only when envelopes share the drain, or several ticks fell due
+//! at once, is the whole drain sorted. The key is unique per message and
+//! independent of *arrival* order, so concurrent senders cannot perturb
+//! the order a node drains its mailbox in — the second half of the
+//! determinism argument. For a fixed ordered
 //! pair of nodes the key is monotone in the send order whenever the
 //! transport's latency is constant per pair, which is the FIFO property
 //! the channel transport guarantees (see `tests/transport_fifo.rs`).
@@ -484,31 +489,36 @@ impl<M> Mailboxes<M> {
             .push(env);
     }
 
-    /// Queues one frame at `slot`, due at `deliver_at`, under one lock:
-    /// `write` appends the frame's bytes to the bucket's byte vector, and
-    /// `from`, `seq` and `count` are the frame's sender, first sequence
-    /// number and message count. Returns the frame's length and what
-    /// `write` returned. The bytes are not looked at until the drain.
-    pub(crate) fn push_frame<R>(
-        &self,
-        slot: usize,
-        deliver_at: Tick,
-        (from, seq, count): (NodeId, u64, usize),
-        write: impl FnOnce(&mut Vec<u8>) -> R,
-    ) -> (usize, R) {
+    /// Queues a group of frames at `slot`, all due at `deliver_at`, under
+    /// one lock and one bucket look-up: the bucket's bytes grow once, by
+    /// exactly what the group needs, and take the frames in the order
+    /// given. Each frame is its sender, the sequence number of its first
+    /// message, its message count and its bytes. Returns the bytes queued.
+    /// The bytes are not looked at until the drain.
+    ///
+    /// This is the one way frames enter a mailbox: the runtime calls it
+    /// from the exchange that ends a round (see [`crate::framed`]), never
+    /// from inside one.
+    pub(crate) fn push_frames<'a, I>(&self, slot: usize, deliver_at: Tick, frames: I) -> usize
+    where
+        I: ExactSizeIterator<Item = (NodeId, u64, usize, &'a [u8])> + Clone,
+    {
+        let total = frames.clone().map(|(.., bytes)| bytes.len()).sum();
         let mut buckets = lock_unpoisoned(&self.slots[slot]);
         let bucket = self.bucket(&mut buckets, slot, deliver_at);
-        let start = bucket.bytes.len();
-        let written = write(&mut bucket.bytes);
-        let len = bucket.bytes.len() - start;
-        bucket.frames.push(FrameEntry {
-            from: from.raw(),
-            seq,
-            start,
-            len: len as u32,
-            count: count as u32,
-        });
-        (len, written)
+        bucket.bytes.reserve_exact(total);
+        bucket.frames.reserve_exact(frames.len());
+        for (from, seq, count, bytes) in frames {
+            bucket.frames.push(FrameEntry {
+                from: from.raw(),
+                seq,
+                start: bucket.bytes.len(),
+                len: bytes.len() as u32,
+                count: count as u32,
+            });
+            bucket.bytes.extend_from_slice(bytes);
+        }
+        total
     }
 
     /// The bucket for `tick` in `slot`'s locked mailbox. Creating it is
@@ -864,12 +874,8 @@ mod tests {
                             }
                             let mut frame = Vec::new();
                             framed::encode_frame(&envs, &mut frame);
-                            let (len, ()) = boxes.push_frame(
-                                slot,
-                                tick,
-                                (id(from), envs[0].seq, envs.len()),
-                                |bytes| bytes.extend_from_slice(&frame),
-                            );
+                            let group = (id(from), envs[0].seq, envs.len(), &frame[..]);
+                            let len = boxes.push_frames(slot, tick, std::iter::once(group));
                             prop_assert_eq!(len, frame.len());
                         }
                     }

@@ -3,7 +3,7 @@
 //! codec and is delivered from decoded frames — changes *nothing*
 //! observable. Event logs, completions, summaries and hop totals are
 //! byte-identical to the unframed run, clean and under deterministic
-//! faults, across 1, 4 and 8 worker threads — on the 96-node storm of
+//! faults, across 1, 3, 4 and 8 worker threads — on the 96-node storm of
 //! `tests/determinism.rs` and, clean, at the serving benchmark's own
 //! scale ([`BENCH_SCALE`]).
 
@@ -158,12 +158,19 @@ fn framed_clean_run_matches_channel_byte_for_byte() {
 #[test]
 fn framed_clean_run_is_byte_identical_across_worker_counts() {
     let (one, wire_one) = small(1, true, false);
+    // Three workers split a round's active nodes into uneven chunks.
+    let (three, wire_three) = small(3, true, false);
     let (four, wire_four) = small(4, true, false);
     let (eight, wire_eight) = small(8, true, false);
+    assert_eq!(one, three, "1-thread and 3-thread framed runs diverged");
     assert_eq!(one, four, "1-thread and 4-thread framed runs diverged");
     assert_eq!(one, eight, "1-thread and 8-thread framed runs diverged");
     // The ledger aggregates commutatively, so even the wire accounting is
     // thread-count independent.
+    assert_eq!(
+        wire_one, wire_three,
+        "wire accounting diverged at 3 threads"
+    );
     assert_eq!(wire_one, wire_four, "wire accounting diverged at 4 threads");
     assert_eq!(
         wire_one, wire_eight,
@@ -229,8 +236,13 @@ fn framed_lossy_run_matches_faulty_channel_byte_for_byte() {
 #[test]
 fn framed_lossy_run_is_byte_identical_across_worker_counts() {
     let (one, wire_one) = small(1, true, true);
+    let (three, wire_three) = small(3, true, true);
     let (four, wire_four) = small(4, true, true);
     let (eight, wire_eight) = small(8, true, true);
+    assert_eq!(
+        one, three,
+        "1-thread and 3-thread framed lossy runs diverged"
+    );
     assert_eq!(
         one, four,
         "1-thread and 4-thread framed lossy runs diverged"
@@ -239,6 +251,7 @@ fn framed_lossy_run_is_byte_identical_across_worker_counts() {
         one, eight,
         "1-thread and 8-thread framed lossy runs diverged"
     );
+    assert_eq!(wire_one, wire_three);
     assert_eq!(wire_one, wire_four);
     assert_eq!(wire_one, wire_eight);
 }

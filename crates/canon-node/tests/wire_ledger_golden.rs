@@ -244,7 +244,7 @@ fn assert_storm(golden: &Golden, stack_name: &str, threads: usize) {
 fn summed_node_tallies_match_the_parent_ledger_at_every_worker_count() {
     for golden in &GOLDEN {
         for stack_name in golden.stacks {
-            for threads in [1, 4, 8] {
+            for threads in [1, 3, 4, 8] {
                 assert_storm(golden, stack_name, threads);
             }
         }

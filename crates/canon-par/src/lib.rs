@@ -4,11 +4,12 @@
 //! offline build environment): a scoped-thread fork/join map over slices
 //! with three properties the construction pipeline depends on:
 //!
-//! 1. **Determinism** — [`par_map`] splits the input into contiguous
-//!    chunks, one per worker, and concatenates the per-chunk outputs in
-//!    chunk order. The result is element-for-element identical to the
-//!    serial `items.iter().map(f).collect()` for any thread count, so a
-//!    pure `f` makes parallel construction bit-for-bit reproducible.
+//! 1. **Determinism** — [`par_chunks`] splits the input into contiguous
+//!    chunks, one per worker, and hands back one result per chunk in chunk
+//!    order; [`par_map`] concatenates the per-chunk outputs. The result is
+//!    element-for-element identical to the serial
+//!    `items.iter().map(f).collect()` for any thread count, so a pure `f`
+//!    makes parallel construction bit-for-bit reproducible.
 //! 2. **Scoped configuration** — the worker count is a process-wide
 //!    default ([`set_global_threads`]) that can be overridden for a region
 //!    with [`with_threads`], which benches use to compare serial vs.
@@ -77,31 +78,35 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     })
 }
 
-/// Maps `f` over `items` in parallel, preserving order.
+/// Splits `items` into contiguous chunks, one per worker, runs `f` on each
+/// in parallel and returns the results in chunk order — the one fork/join
+/// in this crate, which [`par_map`] is built on.
 ///
-/// `f` receives each element's index and a reference to it. The output is
-/// identical to `items.iter().enumerate().map(|(i, x)| f(i, x)).collect()`
-/// regardless of the worker count; only the wall-clock changes. Workers
-/// run with the thread override pinned to 1, so nested [`par_map`] calls
-/// inside `f` degrade gracefully to serial loops instead of oversubscribing.
+/// `f` receives the chunk's offset into `items` and the chunk. There are
+/// `min(current_threads(), items.len())` chunks, at least one (an empty
+/// input is one empty chunk), within one item of each other in size;
+/// with one chunk `f` runs inline on the calling thread. A caller that wants one
+/// buffer per worker — filled by the worker, read once every worker is
+/// done — returns it from `f`. Workers run with the thread override
+/// pinned to 1, so nested calls inside `f` degrade to serial loops instead
+/// of oversubscribing.
 ///
 /// # Panics
 ///
 /// Propagates the first panic raised by `f` (scoped threads re-raise on
 /// join).
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
+pub fn par_chunks<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
+    R: Send,
+    F: Fn(usize, &[T]) -> R + Sync,
 {
     let threads = current_threads().min(items.len()).max(1);
     if threads == 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        return vec![f(0, items)];
     }
 
     let bounds = chunk_bounds(items.len(), threads);
-    let mut out: Vec<Vec<U>> = Vec::with_capacity(threads);
     std::thread::scope(|scope| {
         let handles: Vec<_> = bounds
             .windows(2)
@@ -109,28 +114,50 @@ where
                 let (start, end) = (w[0], w[1]);
                 let chunk = &items[start..end];
                 let f = &f;
-                scope.spawn(move || {
-                    with_threads(1, || {
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(i, x)| f(start + i, x))
-                            .collect::<Vec<U>>()
-                    })
-                })
+                scope.spawn(move || with_threads(1, || f(start, chunk)))
             })
             .collect();
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => out.push(chunk),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out.into_iter().flatten().collect()
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
 }
 
-/// The chunk boundaries [`par_map`] uses for `len` items on `threads`
+/// Maps `f` over `items` in parallel, preserving order.
+///
+/// `f` receives each element's index and a reference to it. The output is
+/// identical to `items.iter().enumerate().map(|(i, x)| f(i, x)).collect()`
+/// regardless of the worker count; only the wall-clock changes. Each
+/// worker maps one [`par_chunks`] chunk.
+///
+/// # Panics
+///
+/// Propagates the first panic raised by `f`.
+pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(usize, &T) -> U + Sync,
+{
+    let mut chunks = par_chunks(items, |start, chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .map(|(i, x)| f(start + i, x))
+            .collect::<Vec<U>>()
+    });
+    if chunks.len() == 1 {
+        // The serial path: the one chunk is the answer, uncopied.
+        return chunks.swap_remove(0);
+    }
+    chunks.into_iter().flatten().collect()
+}
+
+/// The chunk boundaries [`par_chunks`] uses for `len` items on `threads`
 /// workers: `threads + 1` offsets with `bounds[w]..bounds[w + 1]` the
 /// contiguous range worker `w` owns. Chunks are sized so every worker gets
 /// within one item of the same load, and chunk order equals input order.
@@ -220,6 +247,69 @@ mod tests {
                 let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
                 assert!(hi - lo <= 1, "len={len} threads={threads}: {sizes:?}");
             }
+        }
+    }
+
+    #[test]
+    fn chunks_come_back_in_order_and_cover_the_input() {
+        // Every length 0..=8 at 1–4 workers: each chunk reports its offset
+        // and items, and the chunks, in order, are the input.
+        for len in 0..=8usize {
+            let items: Vec<usize> = (0..len).collect();
+            for t in 1..=4 {
+                let chunks = with_threads(t, || {
+                    par_chunks(&items, |start, chunk| (start, chunk.to_vec()))
+                });
+                assert_eq!(
+                    chunks.len(),
+                    t.min(len).max(1),
+                    "len = {len}, threads = {t}"
+                );
+                let mut at = 0;
+                for (start, chunk) in &chunks {
+                    assert_eq!(*start, at, "len = {len}, threads = {t}");
+                    assert_eq!(chunk, &items[at..at + chunk.len()]);
+                    at += chunk.len();
+                }
+                assert_eq!(at, len, "len = {len}, threads = {t}");
+                // Balanced: chunk sizes differ by at most one.
+                let sizes = chunks.iter().map(|(_, c)| c.len());
+                let (lo, hi) = (sizes.clone().min(), sizes.max());
+                assert!(hi.zip(lo).is_some_and(|(hi, lo)| hi - lo <= 1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_runs_pinned_to_one_worker_off_the_caller_unless_alone() {
+        let items: Vec<u32> = (0..6).collect();
+        let caller = std::thread::current().id();
+        let seen = with_threads(3, || {
+            par_chunks(&items, |_, _| {
+                (std::thread::current().id(), current_threads())
+            })
+        });
+        assert_eq!(seen.len(), 3);
+        assert!(seen
+            .iter()
+            .all(|&(id, threads)| id != caller && threads == 1));
+        let alone = with_threads(1, || par_chunks(&items, |_, _| std::thread::current().id()));
+        assert_eq!(alone, vec![caller]);
+    }
+
+    #[test]
+    fn chunk_panics_propagate() {
+        let items: Vec<u32> = (0..8).collect();
+        for t in 1..=4 {
+            let result = std::panic::catch_unwind(|| {
+                with_threads(t, || {
+                    par_chunks(&items, |_, chunk| {
+                        assert!(!chunk.contains(&7), "boom");
+                        chunk.len()
+                    })
+                })
+            });
+            assert!(result.is_err(), "threads = {t}");
         }
     }
 

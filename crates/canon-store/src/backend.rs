@@ -14,10 +14,15 @@
 //!   and the oracle the file backend is tested against.
 //! * [`FileBackend`] — an append-only log plus an in-memory index, the
 //!   classic bitcask shape. Every log record carries a check over its
-//!   whole body, key included. Recovery replays the log and truncates a
-//!   torn tail, so a crash between `flush` calls loses at most the unsynced
-//!   suffix, never previously synced records: a corrupt record with a
-//!   sound record behind it is an error, not a tail.
+//!   whole body, key included, and a check of its length prefix. Recovery
+//!   replays the log and truncates a torn tail — a record cut short, or
+//!   zeroes where the file grew before its bytes reached the disk — so a
+//!   crash between `flush` calls loses at most the unsynced suffix, never
+//!   previously synced records: a length that fails its check, or a
+//!   corrupt record with a sound record behind it, is an error, not a
+//!   tail. The one crash this cannot tell from damage is a tail of stale
+//!   non-zero bytes under a complete length prefix; `open` reports it as
+//!   [`BackendError::Corrupt`] and leaves the log for repair.
 
 use crate::content::ContentId;
 use std::collections::BTreeMap;
@@ -178,8 +183,20 @@ impl StorageBackend for MemoryBackend {
 const TAG_PUT: u8 = 1;
 const TAG_DEL: u8 = 3;
 
-/// Bytes of a record body before its value: tag, key and check.
-const HEADER: usize = 17;
+/// Bytes of a record body before its value: tag, key, check and length
+/// check.
+const HEADER: usize = 21;
+
+/// Where a record's length check sits, counted from the record's start:
+/// behind the length prefix, the tag, the key and the record check.
+const LENGTH_CHECK_AT: usize = 4 + 17;
+
+/// The check of a record's length prefix. A record stores it at a fixed
+/// offset, [`LENGTH_CHECK_AT`], so that replay can verify a length before
+/// trusting it to find the record's end — and with it the next record.
+fn length_check(len: u32) -> u32 {
+    ContentId::of(&len.to_le_bytes()).raw() as u32
+}
 
 /// Where a live key's value sits in the log, and the id it must hash to.
 #[derive(Debug, Clone, Copy)]
@@ -205,49 +222,76 @@ enum Record<'a> {
 /// tag, the key and the content id of the value bytes (empty for `DEL`),
 /// so that a flipped bit anywhere in the body fails replay.
 fn record_check(tag: u8, key: u64, value: ContentId) -> ContentId {
-    let mut covered = [0u8; HEADER];
+    let mut covered = [0u8; 17];
     covered[0] = tag;
     covered[1..9].copy_from_slice(&key.to_le_bytes());
     covered[9..].copy_from_slice(&value.raw().to_le_bytes());
     ContentId::of(&covered)
 }
 
-/// A record body: tag, key, [`record_check`], value bytes.
+/// A record body: tag, key, [`record_check`], [`length_check`] of the
+/// body's length, value bytes.
 fn record(tag: u8, key: u64, bytes: &[u8]) -> Vec<u8> {
     let check = record_check(tag, key, ContentId::of(bytes));
+    let len = (HEADER + bytes.len()) as u32;
     let mut body = Vec::with_capacity(HEADER + bytes.len());
     body.push(tag);
     body.extend_from_slice(&key.to_le_bytes());
     body.extend_from_slice(&check.raw().to_le_bytes());
+    body.extend_from_slice(&length_check(len).to_le_bytes());
     body.extend_from_slice(bytes);
     body
 }
 
-/// The body of the record at `pos`, when its length prefix and body are
-/// complete and the body is not empty.
-fn record_at(raw: &[u8], pos: usize) -> Option<&[u8]> {
-    let len = u32::from_le_bytes(raw.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    raw.get(pos + 4..(pos + 4).checked_add(len)?)
-        .filter(|body| !body.is_empty())
+/// The little-endian word of `N` bytes at `at`, if `raw` holds them all.
+fn word<const N: usize>(raw: &[u8], at: usize) -> Option<[u8; N]> {
+    raw.get(at..at.checked_add(N)?)?.try_into().ok()
 }
 
-/// Parses a non-empty record body. A body that fails its check is
+/// The body of the record at `pos`: `Ok(None)` at the end of the log and
+/// for a torn tail — a length prefix or header cut short, nothing but
+/// zeroes behind the prefix, or a body that runs past the end. Any other
+/// complete prefix whose length fails its check is damage inside the log,
+/// [`BackendError::Corrupt`] under the key the header names.
+fn record_at(raw: &[u8], pos: usize) -> Result<Option<&[u8]>, BackendError> {
+    let (Some(len), Some(stored)) = (word(raw, pos), word(raw, pos + LENGTH_CHECK_AT)) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(len);
+    let (stored, actual) = (u32::from_le_bytes(stored), length_check(len));
+    if stored != actual {
+        // Zeroes are a crash's, not damage: the file grew before the
+        // record reached the disk. A written record is never all zeroes
+        // behind its prefix, since its tag is not.
+        if raw
+            .get(pos + 4..)
+            .is_some_and(|rest| rest.iter().all(|&b| b == 0))
+        {
+            return Ok(None);
+        }
+        return Err(BackendError::Corrupt {
+            key: word(raw, pos + 5).map_or(0, u64::from_le_bytes),
+            expected: ContentId::from_raw(stored.into()),
+            actual: ContentId::from_raw(actual.into()),
+        });
+    }
+    Ok(raw.get(pos + 4..(pos + 4).saturating_add(len as usize)))
+}
+
+/// Parses a record body. A body that fails its check is
 /// [`BackendError::Corrupt`]; an unknown tag, a `DEL` with value bytes, or
 /// a body too short for its header is malformed.
 fn parse_record(body: &[u8]) -> Result<Record<'_>, BackendError> {
-    let word = |at: usize| {
-        body.get(at..at + 8)
-            .and_then(|w| w.try_into().ok())
-            .map(u64::from_le_bytes)
-    };
-    let malformed = || BackendError::Io(format!("malformed log record with tag {}", body[0]));
-    let (Some(key), Some(check)) = (word(1), word(9)) else {
+    let tag = body.first().copied().unwrap_or_default();
+    let malformed = || BackendError::Io(format!("malformed log record with tag {tag}"));
+    let (Some(key), Some(check), Some(bytes)) = (word(body, 1), word(body, 9), body.get(HEADER..))
+    else {
         return Err(malformed());
     };
-    let bytes = &body[HEADER..];
+    let (key, check) = (u64::from_le_bytes(key), u64::from_le_bytes(check));
     let id = ContentId::of(bytes);
     let expected = ContentId::from_raw(check);
-    let actual = record_check(body[0], key, id);
+    let actual = record_check(tag, key, id);
     if actual != expected {
         return Err(BackendError::Corrupt {
             key,
@@ -255,7 +299,7 @@ fn parse_record(body: &[u8]) -> Result<Record<'_>, BackendError> {
             actual,
         });
     }
-    match body[0] {
+    match tag {
         TAG_PUT => Ok(Record::Put { key, id, bytes }),
         TAG_DEL if bytes.is_empty() => Ok(Record::Del { key }),
         _ => Err(malformed()),
@@ -265,9 +309,13 @@ fn parse_record(body: &[u8]) -> Result<Record<'_>, BackendError> {
 /// Append-only log backend (bitcask shape): every mutation appends a
 /// length-prefixed record, and an in-memory index maps each live key to
 /// its value's content id and log location. `open` replays the log,
-/// verifying every record's check, and truncates a torn tail so that a
-/// crash can only lose the unsynced suffix; a corrupt record inside the log
-/// fails `open`.
+/// verifying every record's length and check, and truncates a torn tail so
+/// that a crash can only lose the unsynced suffix; a corrupt record inside
+/// the log fails `open`, and so does a crash's tail of stale non-zero bytes
+/// under a complete length prefix (see the module docs).
+///
+/// A record is `[len u32][tag u8][key u64][check u64][length check u32]
+/// [value]`, integers little-endian; `len` counts everything after itself.
 #[derive(Debug)]
 pub struct FileBackend {
     path: PathBuf,
@@ -302,20 +350,30 @@ impl FileBackend {
     }
 
     /// Replays the log into the in-memory index. A torn tail — an
-    /// incomplete record, or a bad final one — is truncated; a bad record
-    /// with a sound record behind it is damage inside the synced log, so it
-    /// is returned as an error and nothing is truncated.
+    /// incomplete record, zeroes, or a bad final one — is truncated. A
+    /// length that fails its check, or a bad record with a sound record
+    /// behind it, is damage inside the synced log, so it is returned as an
+    /// error and nothing is truncated.
     fn replay(&mut self) -> Result<(), BackendError> {
         let mut raw = Vec::new();
         self.file.seek(SeekFrom::Start(0))?;
         self.file.read_to_end(&mut raw)?;
         let mut pos = 0usize;
-        while let Some(body) = record_at(&raw, pos) {
+        while let Some(body) = record_at(&raw, pos)? {
             let next = pos + 4 + body.len();
             match parse_record(body) {
                 Ok(record) => self.apply(record, pos as u64 + 4),
                 Err(e) => {
-                    if record_at(&raw, next).is_some_and(|b| parse_record(b).is_ok()) {
+                    // A bad record is a torn tail only when nothing sound
+                    // follows it: the end of the log, or another bad
+                    // record. A prefix behind it that fails its check is
+                    // damage too.
+                    let tail = match record_at(&raw, next) {
+                        Ok(None) => true,
+                        Ok(Some(b)) => parse_record(b).is_err(),
+                        Err(_) => false,
+                    };
+                    if !tail {
                         return Err(e);
                     }
                     break;
@@ -511,7 +569,7 @@ mod tests {
             b.put(7, b"immutable truth").expect("put");
             b.flush().expect("flush");
         }
-        // Flip a byte inside the blob body (offset 4 + 17 lands in data).
+        // Flip a byte inside the blob body.
         let mut raw = std::fs::read(&path).expect("read");
         let at = raw.len() - 2;
         raw[at] ^= 0xff;
@@ -547,8 +605,8 @@ mod tests {
             b.put(3, b"third").expect("put");
             b.flush().expect("flush");
         }
-        // The first record's blob starts after its length prefix and its
-        // tag, key and content id.
+        // Byte 4 + 17 is the first record's length check, behind its
+        // length prefix and its tag, key and content id.
         let mut raw = std::fs::read(&path).expect("read");
         raw[4 + 17] ^= 0xff;
         std::fs::write(&path, &raw).expect("write");
@@ -556,6 +614,129 @@ mod tests {
         assert!(matches!(err, BackendError::Corrupt { key: 1, .. }), "{err}");
         let len = std::fs::metadata(&path).expect("meta").len();
         assert_eq!(len, raw.len() as u64, "the later records are kept");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_damaged_value_inside_the_log_fails_open_and_truncates_nothing() {
+        let path = temp_log("value-flip");
+        {
+            let mut b = FileBackend::open(&path).expect("open");
+            b.put(1, b"first").expect("put");
+            b.put(2, b"second").expect("put");
+            b.put(3, b"third").expect("put");
+            b.flush().expect("flush");
+        }
+        // The first record's value starts behind its length prefix and
+        // its header; the records behind it are sound.
+        let mut raw = std::fs::read(&path).expect("read");
+        raw[4 + HEADER] ^= 0xff;
+        std::fs::write(&path, &raw).expect("write");
+        let err = FileBackend::open(&path).expect_err("a synced record is damaged");
+        assert!(matches!(err, BackendError::Corrupt { key: 1, .. }), "{err}");
+        let len = std::fs::metadata(&path).expect("meta").len();
+        assert_eq!(len, raw.len() as u64, "the later records are kept");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_tail_of_zeroes_is_torn_and_truncated() {
+        let path = temp_log("zero-tail");
+        {
+            let mut b = FileBackend::open(&path).expect("open");
+            b.put(1, b"first").expect("put");
+            b.put(2, b"second").expect("put");
+            b.flush().expect("flush");
+        }
+        let sound = std::fs::read(&path).expect("read");
+        let last = sound.len() - (4 + HEADER + b"second".len());
+        // Zeroes where the file grew before its bytes reached the disk:
+        // behind the synced log, shorter and longer than a record header,
+        // and over the last record with or without its length prefix.
+        let tails: [(usize, usize, &[u64]); 5] = [
+            (sound.len(), 3, &[1, 2]),
+            (sound.len(), 4 + HEADER, &[1, 2]),
+            (sound.len(), 4096, &[1, 2]),
+            (last, 4 + HEADER + b"second".len(), &[1]),
+            (last + 4, HEADER + b"second".len(), &[1]),
+        ];
+        for (at, zeroes, live) in tails {
+            let mut raw = sound.clone();
+            raw.truncate(at);
+            raw.resize(raw.len().max(at + zeroes), 0);
+            std::fs::write(&path, &raw).expect("write");
+            let mut b = FileBackend::open(&path).expect("zeroes are a torn tail");
+            let kept: Vec<u64> = [1, 2]
+                .into_iter()
+                .filter(|&k| b.get(k).expect("get").is_some())
+                .collect();
+            assert_eq!(kept, live, "zeroes from {at}");
+            b.put(3, b"third").expect("the log takes appends again");
+            b.flush().expect("flush");
+            drop(b);
+            let mut b = FileBackend::open(&path).expect("reopen");
+            assert_eq!(b.get(3).expect("get").expect("live").bytes, b"third");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_flipped_length_bit_fails_open_and_truncates_nothing() {
+        let path = temp_log("len-flip");
+        {
+            let mut b = FileBackend::open(&path).expect("open");
+            b.put(1, b"first").expect("put");
+            b.put(2, b"second").expect("put");
+            b.put(3, b"third").expect("put");
+            b.flush().expect("flush");
+        }
+        let sound = std::fs::read(&path).expect("read");
+        // Every bit of the first record's length prefix: a longer length
+        // runs the record into the next ones or past the end of the log, a
+        // shorter one cuts it short, and none of them is a torn tail.
+        for bit in 0..32 {
+            let mut raw = sound.clone();
+            raw[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &raw).expect("write");
+            let err = FileBackend::open(&path).expect_err("a synced length is damaged");
+            assert!(
+                matches!(err, BackendError::Corrupt { key: 1, .. }),
+                "bit {bit}: {err}"
+            );
+            assert_eq!(
+                std::fs::read(&path).expect("read"),
+                raw,
+                "bit {bit}: log changed"
+            );
+        }
+        std::fs::write(&path, &sound).expect("write");
+        let mut b = FileBackend::open(&path).expect("the sound log opens");
+        assert_eq!(b.get(3).expect("get").expect("live").bytes, b"third");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_damaged_record_before_a_damaged_length_fails_open() {
+        let path = temp_log("two-flips");
+        {
+            let mut b = FileBackend::open(&path).expect("open");
+            b.put(1, b"first").expect("put");
+            b.put(2, b"second").expect("put");
+            b.put(3, b"third").expect("put");
+            b.flush().expect("flush");
+        }
+        // The first record's value, and the second record's length.
+        let mut raw = std::fs::read(&path).expect("read");
+        raw[4 + HEADER] ^= 0xff;
+        raw[4 + HEADER + b"first".len()] ^= 0x01;
+        std::fs::write(&path, &raw).expect("write");
+        let err = FileBackend::open(&path).expect_err("two synced records are damaged");
+        assert!(matches!(err, BackendError::Corrupt { key: 1, .. }), "{err}");
+        assert_eq!(
+            std::fs::read(&path).expect("read"),
+            raw,
+            "the log is kept whole"
+        );
         std::fs::remove_file(&path).ok();
     }
 
