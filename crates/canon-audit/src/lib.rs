@@ -4,11 +4,10 @@
 //! join/leave/handover protocols under a Zave-style ring-invariant
 //! auditor).
 //!
-//! The `canon-audit` binary runs both as one CI entry point:
-//!
-//! ```text
-//! cargo run -p canon-audit -- all
-//! ```
+//! The crate is a library and its tests: `cargo test -p canon-audit` lints
+//! the whole workspace (zero findings, `tests/workspace_lint.rs`) and
+//! explores every shipped scenario, whose state counts must equal
+//! `results/protocol_states.json` (`tests/protocol_explorer.rs`).
 //!
 //! See each module's docs for the rules and checks; `DESIGN.md` ("Static
 //! analysis & invariants") documents the policy rationale. The Canon merge

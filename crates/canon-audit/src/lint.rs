@@ -8,9 +8,14 @@
 //! policies where the occasional manual `// audit: allow(...)` annotation is
 //! cheaper than an AST-accurate analyzer.
 //!
-//! The pass reads `crates/*/src` and the root `src/` only — not `tests/`,
-//! `benches/`, `examples/` or `bench/`. The policies a general tool can
-//! state are not here: no `unwrap`/`expect`/`panic!` in the core crates,
+//! The pass reads `src/`, `tests/`, `benches/` and `examples/` of every
+//! crate and of the root package, but not `tests/fixtures/` (lint input,
+//! never compiled) or `bench/`. A file outside `src/` is test code
+//! throughout, so only `hash-into-iter` applies to it. The repository's
+//! own run is the test `tests/workspace_lint.rs`.
+//!
+//! The policies a general tool can state are not here: no
+//! `unwrap`/`expect`/`panic!` in the core crates,
 //! no wall clock outside the timing harness, no `unsafe`, and no walk over
 //! a `HashMap`/`HashSet` (its order follows a per-process random seed, and
 //! results must be pure functions of theirs). The root `clippy.toml`
@@ -96,44 +101,6 @@ impl fmt::Display for Finding {
     }
 }
 
-impl Finding {
-    /// The finding as a JSON object (hand-rolled; the workspace is
-    /// dependency-free).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"file":{},"line":{},"rule":{},"message":{}}}"#,
-            json_string(&self.file),
-            self.line,
-            json_string(self.rule),
-            json_string(&self.message)
-        )
-    }
-}
-
-/// Renders findings as a JSON array.
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    let items: Vec<String> = findings.iter().map(Finding::to_json).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A source file presented to the linter: the crate it belongs to, its
 /// workspace-relative path, and its content. Tests feed synthetic files;
 /// [`lint_workspace`] feeds real ones.
@@ -147,30 +114,38 @@ pub struct SourceFile<'a> {
     pub content: &'a str,
 }
 
-/// Lints every `src/**/*.rs` file of every workspace crate under `root`
-/// (plus the root package's `src/`), returning all findings sorted by file
-/// and line.
+/// The target directories linted in each crate and at the workspace root.
+/// Only `src/` holds library and binary code; the rest are test targets.
+const TARGET_DIRS: &[&str] = &["src", "tests", "benches", "examples"];
+
+/// Lints every `.rs` file under `src/`, `tests/`, `benches/` and
+/// `examples/` of every workspace crate under `root` and of the root
+/// package, skipping `tests/fixtures/` (lint input, never compiled), and
+/// returns all findings sorted by file and line.
 ///
 /// # Errors
 ///
 /// Returns an error if the workspace layout cannot be read.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, std::io::Error> {
     let mut files: Vec<(String, PathBuf)> = Vec::new(); // (crate, file)
-    let crates_dir = root.join("crates");
-    for entry in std::fs::read_dir(&crates_dir)? {
+    for entry in std::fs::read_dir(root.join("crates"))? {
         let entry = entry?;
         let crate_dir = entry.path();
         if !crate_dir.is_dir() {
             continue;
         }
         let crate_name = entry.file_name().to_string_lossy().into_owned();
-        collect_rs(&crate_dir.join("src"), &mut |p| {
-            files.push((crate_name.clone(), p));
+        for dir in TARGET_DIRS {
+            collect_rs(&crate_dir.join(dir), &mut |p| {
+                files.push((crate_name.clone(), p));
+            })?;
+        }
+    }
+    for dir in TARGET_DIRS {
+        collect_rs(&root.join(dir), &mut |p| {
+            files.push(("canon-suite".to_owned(), p));
         })?;
     }
-    collect_rs(&root.join("src"), &mut |p| {
-        files.push(("canon-suite".to_owned(), p));
-    })?;
 
     // Read everything up front: the per-file rules lint one file at a
     // time, the reply-obligation rule needs a whole crate at once.
@@ -219,7 +194,9 @@ fn collect_rs(dir: &Path, sink: &mut impl FnMut(PathBuf)) -> Result<(), std::io:
     entries.sort();
     for p in entries {
         if p.is_dir() {
-            collect_rs(&p, sink)?;
+            if !p.ends_with("tests/fixtures") {
+                collect_rs(&p, sink)?;
+            }
         } else if p.extension().is_some_and(|e| e == "rs") {
             sink(p);
         }
@@ -227,9 +204,18 @@ fn collect_rs(dir: &Path, sink: &mut impl FnMut(PathBuf)) -> Result<(), std::io:
     Ok(())
 }
 
-/// Lints one source file against every rule in scope for its crate.
+/// Whether `path` is a test target (an integration test, bench or
+/// example): cargo's layout puts library and binary code, and only that,
+/// under a `src` directory.
+fn is_test_target(path: &str) -> bool {
+    !path.split('/').any(|c| c == "src")
+}
+
+/// Lints one source file against every rule in scope for its crate. A
+/// test target is test code throughout, so only `hash-into-iter` applies
+/// to it.
 pub fn lint_file(file: &SourceFile<'_>) -> Vec<Finding> {
-    let pre = Preprocessed::new(file.content);
+    let pre = Preprocessed::new(file);
     let mut findings = Vec::new();
 
     if CHURN_PATH_CRATES.contains(&file.crate_name) {
@@ -253,12 +239,14 @@ struct Preprocessed {
     full_rebuild: Vec<usize>,
     /// `// audit: allow(rule)` annotations as (line, rule).
     allows: Vec<(usize, String)>,
-    /// Whether each line falls inside a `#[cfg(test)]` item.
+    /// Whether each line is test code: inside a `#[cfg(test)]` item, or
+    /// anywhere in a test target.
     in_test: Vec<bool>,
 }
 
 impl Preprocessed {
-    fn new(content: &str) -> Self {
+    fn new(file: &SourceFile<'_>) -> Self {
+        let content = file.content;
         let raw_lines: Vec<&str> = content.lines().collect();
 
         let mut fire_and_forget = Vec::new();
@@ -281,7 +269,11 @@ impl Preprocessed {
 
         let masked_text = mask_comments_and_strings(content);
         let masked: Vec<String> = masked_text.lines().map(str::to_owned).collect();
-        let in_test = mark_test_regions(&masked);
+        let in_test = if is_test_target(file.path) {
+            vec![true; masked.len()]
+        } else {
+            mark_test_regions(&masked)
+        };
 
         Preprocessed {
             masked,
@@ -447,7 +439,8 @@ fn mask_comments_and_strings(src: &str) -> String {
 }
 
 /// Marks the line ranges of `#[cfg(test)]` items by brace matching on the
-/// masked source.
+/// masked source. An item with no body (`use …;`, `mod m;`, `const …;`)
+/// ends at its first `;` outside any bracket.
 fn mark_test_regions(masked: &[String]) -> Vec<bool> {
     let mut in_test = vec![false; masked.len()];
     let mut i = 0;
@@ -456,7 +449,9 @@ fn mark_test_regions(masked: &[String]) -> Vec<bool> {
             // Find the opening brace of the annotated item (skipping further
             // attribute lines), then match braces to its close.
             let mut depth = 0usize;
+            let mut nest = 0usize; // open `(` / `[`, so `[u8; 4]` ends nothing
             let mut opened = false;
+            let mut ended = false;
             let mut j = i;
             while j < masked.len() {
                 for ch in masked[j].chars() {
@@ -466,11 +461,14 @@ fn mark_test_regions(masked: &[String]) -> Vec<bool> {
                             opened = true;
                         }
                         '}' => depth = depth.saturating_sub(1),
+                        '(' | '[' => nest += 1,
+                        ')' | ']' => nest = nest.saturating_sub(1),
+                        ';' if !opened && nest == 0 => ended = true,
                         _ => {}
                     }
                 }
                 in_test[j] = true;
-                if opened && depth == 0 {
+                if ended || (opened && depth == 0) {
                     break;
                 }
                 j += 1;
@@ -656,7 +654,7 @@ fn check_greedy_outside_engine(
 ///   file (a declared-but-never-delivered message is dead vocabulary).
 pub fn check_reply_obligation(files: &[SourceFile<'_>]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let pres: Vec<Preprocessed> = files.iter().map(|f| Preprocessed::new(f.content)).collect();
+    let pres: Vec<Preprocessed> = files.iter().map(Preprocessed::new).collect();
 
     // Locate `enum Payload` and enumerate its top-level variants.
     let mut enum_file = None; // (file idx, Vec<(line, variant)>)
@@ -1030,18 +1028,28 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_round_trips_shape() {
-        let f = Finding {
-            file: "a \"b\"\\c.rs".to_owned(),
-            line: 3,
-            rule: "hash-into-iter",
-            message: "tab\there".to_owned(),
-        };
-        let j = f.to_json();
-        assert!(j.contains(r#""line":3"#));
-        assert!(j.contains(r#"\""#));
-        assert!(j.contains(r"\t"));
-        assert_eq!(findings_to_json(&[]), "[]");
+    fn a_braceless_test_item_ends_at_its_semicolon() {
+        // A `#[cfg(test)]` import or bodiless item covers only itself: the
+        // next item is real code and every rule still reads it.
+        let greedy = "fn real(g: &G, at: N) {\n    for &nb in g.neighbors(at) {\n        let d = g.id(nb).clockwise_to(t);\n    }\n}\n";
+        for prefix in [
+            "#[cfg(test)]\nuse std::fmt;\n",
+            "#[cfg(test)]\nconst PAD: [u8; 4] = [0; 4];\n",
+        ] {
+            let f = lint("canon", &format!("{prefix}{greedy}"));
+            assert_eq!(
+                rules(&f),
+                vec!["greedy-outside-engine"],
+                "{prefix:?}: {f:?}"
+            );
+            assert_eq!(f[0].line, 4);
+        }
+        let rebuild = "#[cfg(test)]\nmod tests;\nfn join() { build_kandy(&h, &p, 7); }\n";
+        assert_eq!(rules(&lint("canon-sim", rebuild)), vec!["rebuild-on-churn"]);
+        // A bracketed `;` in a test function's signature does not end it.
+        let sig =
+            "#[cfg(test)]\nfn pad() -> [u8; 4] {\n    build_kandy(&h, &p, 7);\n    [0; 4]\n}\n";
+        assert!(lint("canon-sim", sig).is_empty());
     }
 
     #[test]

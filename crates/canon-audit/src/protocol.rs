@@ -1174,25 +1174,8 @@ pub fn broken_handover_scenario() -> Scenario {
     }
 }
 
-/// Runs the shipped scenarios under `cfg`, returning the first
-/// failing report (a violation, or an incomplete exploration) as `Err`.
-///
-/// # Errors
-///
-/// The failing scenario's report.
-pub fn run_protocol_suite(cfg: &ExploreConfig) -> Result<Vec<ScenarioReport>, Box<ScenarioReport>> {
-    let mut out = Vec::new();
-    for scenario in scenarios() {
-        let report = explore(&scenario, cfg);
-        if report.violation.is_some() || !report.complete {
-            return Err(Box::new(report));
-        }
-        out.push(report);
-    }
-    Ok(out)
-}
-
-/// Renders scenario reports as a JSON array (the `--json` CI artifact).
+/// Renders scenario reports as a JSON array: the shipped scenarios'
+/// rendering is committed as `results/protocol_states.json`.
 pub fn reports_to_json(reports: &[ScenarioReport]) -> String {
     let mut out = String::from("[");
     for (i, r) in reports.iter().enumerate() {

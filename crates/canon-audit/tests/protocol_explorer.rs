@@ -4,12 +4,16 @@
 //! count on a scenario whose delivery streams are pure FIFO queues; DPOR
 //! must then explore strictly fewer states while reaching the same
 //! invariant verdict; and the six shipped scenarios must pass exhaustively
-//! within the default bounds.
+//! within the default bounds, with the state counts committed in
+//! `results/protocol_states.json`.
 
-use canon_audit::protocol::{explore, scenarios, ExploreConfig, Scenario};
+use canon_audit::protocol::{
+    explore, reports_to_json, scenarios, ExploreConfig, Scenario, ScenarioReport,
+};
 use canon_id::NodeId;
 use canon_node::{Command, Op};
 use canon_store::Policy;
+use std::fmt::Write;
 
 /// The number of interleavings of FIFO streams with the given lengths:
 /// the multinomial coefficient `(Σsizes)! / Π(sizes!)`.
@@ -139,20 +143,49 @@ fn dedup_prunes_convergent_orders() {
     assert!(deduped.violation.is_none());
 }
 
+/// Why a report fails: its minimized counterexample (each delivery, the
+/// violations, the replay fingerprint), or the bounds an incomplete
+/// exploration hit.
+fn diagnosis(r: &ScenarioReport) -> String {
+    let Some(cx) = &r.violation else {
+        return format!(
+            "{} INCOMPLETE: bounds hit after {} states (depth {}); raise max_states/max_depth",
+            r.scenario, r.explored, r.max_depth_seen
+        );
+    };
+    let mut out = format!(
+        "{} FAILED after {} states (counterexample minimized {} -> {} deliveries, \
+         fingerprint {:#018x}):",
+        r.scenario,
+        r.explored,
+        cx.discovered_len,
+        cx.steps.len(),
+        cx.fingerprint
+    );
+    for (step, label) in cx.steps.iter().zip(&cx.labels) {
+        let _ = write!(
+            out,
+            "\n  deliver slot={} from={} seq={}  ({label})",
+            step.slot, step.from, step.seq
+        );
+    }
+    for v in &cx.violations {
+        let _ = write!(out, "\n  violation: {v}");
+    }
+    out
+}
+
 #[test]
 fn shipped_scenarios_pass_exhaustively() {
+    let mut reports = Vec::new();
     for scenario in scenarios() {
         let report = explore(&scenario, &ExploreConfig::default());
+        // The bounds turn a state-space blow-up into `complete = false`,
+        // so a scenario edit that defeats the reducers fails here fast.
         assert!(
-            report.complete,
-            "{}: bounds hit after {} states",
-            scenario.name, report.explored
-        );
-        assert!(
-            report.violation.is_none(),
-            "{}: unexpected violation: {:?}",
-            scenario.name,
-            report.violation.as_ref().map(|c| &c.violations)
+            report.complete && report.violation.is_none(),
+            "{}",
+            diagnosis(&report)
         );
         // Guard against the scenarios degenerating into straight-line
         // runs: even after reduction each must reach more than one
@@ -163,7 +196,19 @@ fn shipped_scenarios_pass_exhaustively() {
             scenario.name,
             report.terminals
         );
+        reports.push(report);
     }
+    // Exploration is deterministic, so the state counts are exact: a
+    // change to the protocol or to the explorer's reductions shows here.
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/protocol_states.json"
+    );
+    assert_eq!(
+        reports_to_json(&reports) + "\n",
+        std::fs::read_to_string(golden).expect("read the golden"),
+        "state counts differ from results/protocol_states.json"
+    );
 }
 
 #[test]

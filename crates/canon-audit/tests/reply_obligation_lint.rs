@@ -84,38 +84,3 @@ fn annotated_and_handled_variants_are_clean() {
         );
     }
 }
-
-#[test]
-fn the_real_canon_node_crate_discharges_every_obligation() {
-    let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("crates dir")
-        .join("canon-node")
-        .join("src");
-    let mut loaded: Vec<(String, String)> = Vec::new();
-    let mut stack = vec![src_dir];
-    while let Some(dir) = stack.pop() {
-        for entry in std::fs::read_dir(&dir).expect("read canon-node/src") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                loaded.push((
-                    path.to_string_lossy().into_owned(),
-                    std::fs::read_to_string(&path).expect("read source"),
-                ));
-            }
-        }
-    }
-    let files: Vec<SourceFile<'_>> = loaded
-        .iter()
-        .map(|(path, content)| SourceFile {
-            crate_name: "canon-node",
-            path,
-            content,
-        })
-        .collect();
-    assert!(files.len() >= 8, "expected the full canon-node module set");
-    let findings = check_reply_obligation(&files);
-    assert!(findings.is_empty(), "{findings:?}");
-}
