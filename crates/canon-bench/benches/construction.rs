@@ -7,10 +7,10 @@ use canon::cacophony::{build_cacophony, build_symphony};
 use canon::cancan::build_cancan;
 use canon::crescendo::{build_chord, build_crescendo};
 use canon::kandy::{build_kademlia, build_kandy};
+use canon::pastry::{build_canonical_pastry, build_pastry, PastryParams};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::rng::Seed;
 use canon_kademlia::BucketChoice;
-use canon_pastry::{build_canonical_pastry, build_pastry, PastryParams};
 use canon_skipnet::SkipNet;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -10,13 +10,13 @@ use canon::cacophony::{build_cacophony, build_symphony};
 use canon::cancan::build_cancan;
 use canon::crescendo::{build_chord, build_crescendo, build_nondet_chord, build_nondet_crescendo};
 use canon::kandy::{build_kademlia, build_kandy};
+use canon::pastry::{build_canonical_pastry, build_pastry, PastryParams};
 use canon_bench::{banner, f, row, BenchConfig};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::{Clockwise, Xor};
 use canon_kademlia::BucketChoice;
 use canon_overlay::stats::{hop_stats, DegreeStats};
 use canon_overlay::OverlayGraph;
-use canon_pastry::{build_canonical_pastry, build_pastry, PastryParams};
 
 fn main() {
     let cfg = BenchConfig::from_args(4096, 1);

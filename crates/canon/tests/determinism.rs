@@ -1,15 +1,18 @@
 //! Regression tests for the parallel construction pipeline: the graph a
 //! rule produces must be bit-identical for every thread count, and must
 //! match an independent single-threaded re-implementation of the engine's
-//! per-node walk (same per-node seeding, plain serial loop).
+//! per-node walk (same per-node seeding, plain serial loop). Every rule the
+//! walk builds is covered, the unaudited Pastry and proximity rules too.
 
 use canon::cacophony::{build_cacophony, CacophonyRule};
 use canon::crescendo::{build_crescendo, CrescendoRule};
 use canon::engine::{CanonicalNetwork, LevelCtx, LinkRule};
 use canon::kandy::{build_kandy, KandyRule};
+use canon::pastry::{build_canonical_pastry, PastryParams, PastryRule};
+use canon::proximity::{build_crescendo_prox, ProxParams, ProxRule};
 use canon_hierarchy::{DomainMembership, Hierarchy, Placement};
-use canon_id::rng::Seed;
-use canon_id::RingDistance;
+use canon_id::rng::{splitmix64, Seed};
+use canon_id::{NodeId, RingDistance};
 use canon_kademlia::BucketChoice;
 use canon_overlay::{GraphBuilder, OverlayGraph};
 
@@ -56,18 +59,31 @@ fn edges(net: &CanonicalNetwork) -> Vec<(canon_overlay::NodeIndex, canon_overlay
     net.graph().edges().collect()
 }
 
+/// The thread counts every build is compared against its 1-thread build at.
+const THREADS: [usize; 3] = [4, 8, 13];
+
 fn assert_thread_counts_agree(build: impl Fn() -> CanonicalNetwork) -> CanonicalNetwork {
     let serial = canon_par::with_threads(1, &build);
-    let four = canon_par::with_threads(4, &build);
-    let many = canon_par::with_threads(13, &build);
-    assert_eq!(edges(&serial), edges(&four), "threads=1 vs threads=4");
-    assert_eq!(edges(&serial), edges(&many), "threads=1 vs threads=13");
-    assert_eq!(
-        serial.links_per_level(),
-        four.links_per_level(),
-        "per-level instrumentation must not depend on threads"
-    );
+    for threads in THREADS {
+        let parallel = canon_par::with_threads(threads, &build);
+        assert_eq!(
+            edges(&serial),
+            edges(&parallel),
+            "threads=1 vs threads={threads}"
+        );
+        assert_eq!(
+            serial.links_per_level(),
+            parallel.links_per_level(),
+            "per-level instrumentation must not depend on threads"
+        );
+    }
     serial
+}
+
+/// A deterministic synthetic latency: uniform in [0, 1) per ordered pair.
+fn synth_lat(a: NodeId, b: NodeId) -> f64 {
+    let h = splitmix64(a.raw() ^ splitmix64(b.raw()));
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[test]
@@ -99,6 +115,47 @@ fn kandy_is_identical_across_thread_counts_and_reference() {
             "{choice:?}"
         );
     }
+}
+
+#[test]
+fn canonical_pastry_is_identical_across_thread_counts_and_reference() {
+    for digit_bits in [1, 2, 4] {
+        let (h, p) = world(5);
+        let params = PastryParams {
+            digit_bits,
+            leaf_half: 4,
+        };
+        let net = assert_thread_counts_agree(|| build_canonical_pastry(&h, &p, params));
+        // The rule draws no randomness; the builder passes `Seed(0)`.
+        let reference = reference_build(&h, &p, &PastryRule::new(params), Seed(0));
+        assert_eq!(
+            edges(&net),
+            reference.edges().collect::<Vec<_>>(),
+            "b = {digit_bits}"
+        );
+    }
+}
+
+#[test]
+fn crescendo_prox_is_identical_across_thread_counts_and_reference() {
+    let (h, p) = world(6);
+    let params = ProxParams::default();
+    let build = || {
+        let net = build_crescendo_prox(&h, &p, &synth_lat, params, Seed(99));
+        net.graph().edges().collect::<Vec<_>>()
+    };
+    let serial = canon_par::with_threads(1, build);
+    for threads in THREADS {
+        assert_eq!(
+            serial,
+            canon_par::with_threads(threads, build),
+            "threads=1 vs threads={threads}"
+        );
+    }
+    // build_crescendo_prox derives the "crescendo-prox" stream.
+    let rule = ProxRule::new(p.ids(), &synth_lat, params);
+    let reference = reference_build(&h, &p, &rule, Seed(99).derive("crescendo-prox"));
+    assert_eq!(serial, reference.edges().collect::<Vec<_>>());
 }
 
 #[test]

@@ -10,7 +10,6 @@ pub use canon_hierarchy;
 pub use canon_id;
 pub use canon_kademlia;
 pub use canon_overlay;
-pub use canon_pastry;
 pub use canon_sim;
 pub use canon_skipnet;
 pub use canon_store;

@@ -2,13 +2,13 @@
 //! multicast working over the shared substrates.
 
 use canon::crescendo::build_crescendo;
+use canon::pastry::{build_canonical_pastry, build_pastry, PastryParams};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::hash::hash_name;
 use canon_id::metric::{Clockwise, Xor};
 use canon_id::rng::Seed;
 use canon_overlay::multicast::MulticastGroup;
 use canon_overlay::{route, NodeIndex};
-use canon_pastry::{build_canonical_pastry, build_pastry, PastryParams};
 use canon_skipnet::SkipNet;
 use rand::Rng;
 

@@ -11,12 +11,12 @@
 use canon::cacophony::build_symphony;
 use canon::crescendo::{build_chord, build_nondet_chord};
 use canon::kandy::build_kademlia;
+use canon::pastry::{build_pastry, PastryParams};
 use canon::proximity::{build_chord_prox, ProxParams};
 use canon_id::rng::{random_ids, splitmix64, Seed};
 use canon_id::NodeId;
 use canon_kademlia::BucketChoice;
 use canon_overlay::OverlayGraph;
-use canon_pastry::{build_pastry, PastryParams};
 
 const SIZES: [usize; 5] = [1, 2, 3, 257, 2048];
 const SEEDS: [u64; 3] = [1, 7, 42];
