@@ -814,13 +814,27 @@ fn enum_variants(masked: &[String], name: &str) -> Option<Vec<(usize, String)>> 
 /// on a churn-path crate means a join/leave is being absorbed by rebuilding
 /// the world (O(n log n) work and a full reallocation) instead of in
 /// O(links) by editing the link tables of the nodes it invalidates.
+/// Tokens match whole words only, so every builder is listed by name: the
+/// engine's (`canon::engine`), the Canonical and flat builders of
+/// `canon::{crescendo, cacophony, kandy, cancan, pastry, proximity, mixed}`,
+/// and the graph builder's two entry points.
 const REBUILD_TOKENS: &[&str] = &[
     "build_canonical",
+    "build_flat",
     "build_crescendo",
     "build_nondet_crescendo",
+    "build_chord",
+    "build_nondet_chord",
     "build_cacophony",
+    "build_symphony",
     "build_kandy",
+    "build_kademlia",
     "build_cancan",
+    "build_pastry",
+    "build_canonical_pastry",
+    "build_chord_prox",
+    "build_crescendo_prox",
+    "build_lan_crescendo",
     "GraphBuilder",
     "from_per_node_links",
 ];
@@ -878,6 +892,21 @@ mod tests {
         assert_eq!(rules(&f), vec!["rebuild-on-churn", "rebuild-on-churn"]);
         assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), vec![2, 3]);
         assert!(f[0].message.contains("link table"), "{}", f[0].message);
+    }
+
+    #[test]
+    fn rebuild_on_churn_flags_every_builder_by_name() {
+        let src = "fn join(&mut self) {\n    let g = build_flat(&ids, &rule, seed);\n    let p = canon::pastry::build_canonical_pastry(&h, &p, params);\n    let x = build_chord_prox(&ids, &lat, params, seed);\n    let l = build_lan_crescendo(&h, &p);\n}\n";
+        let f = lint("canon-sim", src);
+        assert_eq!(
+            f.iter().map(|x| x.line).collect::<Vec<_>>(),
+            vec![2, 3, 4, 5]
+        );
+        assert!(
+            f[1].message.contains("`build_canonical_pastry`"),
+            "{}",
+            f[1].message
+        );
     }
 
     #[test]
