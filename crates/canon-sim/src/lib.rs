@@ -589,7 +589,6 @@ impl CrescendoSim {
         domain: DomainId,
         policy: &canon_store::Policy,
     ) -> Vec<NodeId> {
-        use canon_store::ReplicationPolicy;
         let placement = self.placement();
         let membership = canon_hierarchy::DomainMembership::build(&self.hierarchy, &placement);
         let ctx = canon_store::PlacementCtx::for_domain(&self.hierarchy, &membership, domain);
@@ -1053,7 +1052,7 @@ mod tests {
                     sim.replica_targets(key, h.root(), &policy),
                     store.replica_set(key, h.root()),
                     "{} diverged for key {key}",
-                    canon_store::ReplicationPolicy::name(&policy)
+                    policy.name()
                 );
             }
         }

@@ -53,7 +53,7 @@ pub mod replication;
 
 pub use backend::{BackendError, FileBackend, MemoryBackend, StorageBackend, Stored};
 pub use content::ContentId;
-pub use policy::{PlacementCtx, Policy, ReplicationPolicy};
+pub use policy::{PlacementCtx, Policy};
 pub use replication::ReplicatedStore;
 
 use canon_hierarchy::{DomainId, DomainMembership, Hierarchy, Placement};

@@ -1,4 +1,4 @@
-//! Declarative replica placement: the [`ReplicationPolicy`] engine.
+//! Declarative replica placement: the [`Policy`] engine.
 //!
 //! PR 4 hard-wired successor replication with a bare `replication: usize`
 //! threaded through the store, the node runtime and the benchmarks. This
@@ -111,24 +111,6 @@ impl<'a> PlacementCtx<'a> {
     }
 }
 
-/// A replica placement rule, interpreted against a [`PlacementCtx`].
-pub trait ReplicationPolicy {
-    /// The nodes that should hold `key` (responsible node first).
-    fn replicas(&self, ctx: &PlacementCtx<'_>, key: Key) -> Vec<NodeId>;
-
-    /// How many replicas the policy wants in this context, capped at the
-    /// ring size.
-    fn target_count(&self, ctx: &PlacementCtx<'_>) -> usize;
-
-    /// Whether a set of live holders satisfies the policy for `key`:
-    /// enough distinct holders, all inside the storage domain, plus any
-    /// policy-specific constraint (e.g. the geo clause).
-    fn satisfied(&self, ctx: &PlacementCtx<'_>, key: Key, holders: &[NodeId]) -> bool;
-
-    /// A short stable name for reports and benchmark labels.
-    fn name(&self) -> String;
-}
-
 /// The shipped placement policies. `Copy` so configurations that embed a
 /// policy (e.g. canon-node's `RuntimeConfig`) stay `Copy`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -174,15 +156,10 @@ impl Policy {
         };
         replica_successors(ring, point, count)
     }
-}
 
-/// `ceil(percent × population)`, at least 1.
-fn scaled_count(percent: f64, population: usize) -> usize {
-    ((percent * population as f64).ceil() as usize).max(1)
-}
-
-impl ReplicationPolicy for Policy {
-    fn target_count(&self, ctx: &PlacementCtx<'_>) -> usize {
+    /// How many replicas the policy wants in this context, capped at the
+    /// ring size.
+    pub fn target_count(&self, ctx: &PlacementCtx<'_>) -> usize {
         let want = match self {
             Policy::Fixed(k) => *k,
             Policy::PercentOfDomain { level, percent } => {
@@ -197,7 +174,8 @@ impl ReplicationPolicy for Policy {
         want.min(ctx.ring.len())
     }
 
-    fn replicas(&self, ctx: &PlacementCtx<'_>, key: Key) -> Vec<NodeId> {
+    /// The nodes that should hold `key` (responsible node first).
+    pub fn replicas(&self, ctx: &PlacementCtx<'_>, key: Key) -> Vec<NodeId> {
         let base = replica_successors(ctx.ring, key.as_point(), self.target_count(ctx));
         match self {
             Policy::HierarchyGeo {
@@ -207,7 +185,10 @@ impl ReplicationPolicy for Policy {
         }
     }
 
-    fn satisfied(&self, ctx: &PlacementCtx<'_>, key: Key, holders: &[NodeId]) -> bool {
+    /// Whether a set of live holders satisfies the policy for `key`:
+    /// enough distinct holders, all inside the storage domain, plus any
+    /// policy-specific constraint (e.g. the geo clause).
+    pub fn satisfied(&self, ctx: &PlacementCtx<'_>, key: Key, holders: &[NodeId]) -> bool {
         let _ = key;
         let distinct: BTreeSet<NodeId> = holders.iter().copied().collect();
         if distinct.len() < self.target_count(ctx) {
@@ -232,7 +213,8 @@ impl ReplicationPolicy for Policy {
         true
     }
 
-    fn name(&self) -> String {
+    /// A short stable name for reports and benchmark labels.
+    pub fn name(&self) -> String {
         match self {
             Policy::Fixed(k) => format!("fixed({k})"),
             Policy::PercentOfDomain { level, percent } => {
@@ -244,6 +226,11 @@ impl ReplicationPolicy for Policy {
             } => format!("geo({replication},outside={min_outside_level})"),
         }
     }
+}
+
+/// `ceil(percent × population)`, at least 1.
+fn scaled_count(percent: f64, population: usize) -> usize {
+    ((percent * population as f64).ceil() as usize).max(1)
 }
 
 /// Enforces the geo clause on a base successor run: if every base replica

@@ -13,7 +13,7 @@
 //! live replica are held once, by canon-node's `Shard` over a
 //! [`crate::StorageBackend`].
 
-use crate::policy::{PlacementCtx, Policy, ReplicationPolicy};
+use crate::policy::{PlacementCtx, Policy};
 use canon_hierarchy::{DomainId, DomainMembership, Hierarchy, Placement};
 use canon_id::ring::SortedRing;
 use canon_id::{Key, NodeId};

@@ -20,8 +20,7 @@ use canon_id::{Key, NodeId};
 use canon_node::{from_graph, ChannelTransport, Command, Op, RuntimeConfig, VirtualClock};
 use canon_sim::CrescendoSim;
 use canon_store::{
-    ContentId, FileBackend, MemoryBackend, PlacementCtx, Policy, ReplicatedStore,
-    ReplicationPolicy, StorageBackend,
+    ContentId, FileBackend, MemoryBackend, PlacementCtx, Policy, ReplicatedStore, StorageBackend,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
