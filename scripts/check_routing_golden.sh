@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Golden-output regression for every committed figure: reruns all 22
-# binaries of results/full_run.txt and diffs them against their committed
+# binaries of results/full_run.txt (the list in scripts/figures.sh) and diffs them against their committed
 # sections. Any drift means the routing engine no longer reproduces the
 # pre-refactor paths byte for byte, a construction moved (a flat network is
 # `build_canonical` over a single domain; fig3_links, fig4_degree_pdf,
@@ -20,15 +20,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BINARIES=(fig3_links fig4_degree_pdf fig5_hops fig6_stretch fig7_locality
-  fig8_overlap fig9_multicast variants fault_isolation ablate_prox_samples
-  ablate_lookahead ablate_condition_b balance_ratio hierarchy_balance
-  skipnet_compare shape_robustness cache_hits replication_availability
-  lookup_latency_sim iterative_vs_recursive join_cost churn_resilience)
+source scripts/figures.sh
 THREADS_LIST=${THREADS_LIST:-"1 4"}
 GOLDEN=results/full_run.txt
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
+
+# The golden file holds exactly the figures the list names, in order: a
+# section the list lacks would go unchecked, a name it lacks unrecorded.
+sections=$(sed -n 's/^=== \(.*\) ===$/\1/p' "$GOLDEN")
+if [ "$sections" != "$(printf '%s\n' "${FIGURES[@]}")" ]; then
+  echo "FAIL: the === name === sections of $GOLDEN are not scripts/figures.sh's list:" >&2
+  diff -u --label scripts/figures.sh --label "$GOLDEN" \
+    <(printf '%s\n' "${FIGURES[@]}") <(printf '%s\n' "$sections") >&2 || true
+  exit 1
+fi
 
 cargo build --release -p canon-bench --quiet
 
@@ -40,7 +46,7 @@ extract() {
 
 fail=0
 checks=0
-for b in "${BINARIES[@]}"; do
+for b in "${FIGURES[@]}"; do
   # The config banner echoes the thread count under variation; normalize
   # it (and nothing else on the line) so only real output drift fails.
   extract "$b" | grep -v '^# wall-clock' \

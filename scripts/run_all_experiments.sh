@@ -8,17 +8,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 ARGS=("$@")
 cargo build --release -p canon-bench
-BINARIES=(
-  fig3_links fig4_degree_pdf fig5_hops fig6_stretch fig7_locality
-  fig8_overlap fig9_multicast balance_ratio join_cost
-  variants fault_isolation churn_resilience hierarchy_balance
-  ablate_condition_b ablate_prox_samples ablate_lookahead skipnet_compare
-  lookup_latency_sim cache_hits iterative_vs_recursive replication_availability
-  shape_robustness
-)
+source scripts/figures.sh
 if [ "$#" -eq 0 ]; then OUT=results/full_run.txt; else OUT=target/experiments_run.txt; fi
 : > "$OUT"
-for b in "${BINARIES[@]}"; do
+for b in "${FIGURES[@]}"; do
   echo "=== $b ===" | tee -a "$OUT"
   ./target/release/"$b" "${ARGS[@]}" | tee -a "$OUT"
   echo | tee -a "$OUT"
