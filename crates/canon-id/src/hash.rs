@@ -12,14 +12,44 @@ use crate::Key;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Streaming 64-bit FNV-1a, finished with a SplitMix64 round: the hash
+/// behind [`hash_bytes`], for callers that feed a value piece by piece.
+/// Hand-rolled, so a value hashes the same in every process and on every
+/// std version.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(FNV_OFFSET)
+    }
+}
+
+impl Fnv {
+    /// Feeds `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Feeds `w` as its eight little-endian bytes.
+    pub fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    /// The finished hash.
+    pub fn finish(self) -> u64 {
+        splitmix64(self.0)
+    }
+}
+
 /// Hashes arbitrary bytes to a [`Key`] on the identifier circle.
 pub fn hash_bytes(bytes: &[u8]) -> Key {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    Key::new(splitmix64(h))
+    let mut h = Fnv::default();
+    h.bytes(bytes);
+    Key::new(h.finish())
 }
 
 /// Hashes a UTF-8 name to a [`Key`]; convenience wrapper over [`hash_bytes`].

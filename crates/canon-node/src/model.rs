@@ -33,6 +33,7 @@
 use crate::msg::{Completion, Payload};
 use crate::rpc::Pending;
 use crate::transport::Envelope;
+use canon_id::hash::Fnv;
 use canon_id::NodeId;
 use canon_wire::WireEncode;
 
@@ -75,46 +76,13 @@ pub struct NodeSnapshot {
     pub cache_tombstones: Vec<(u64, NodeId, u64)>,
 }
 
-/// 64-bit FNV-1a over a word stream, finalized with a splitmix64 round —
-/// hand-rolled so fingerprints are stable across std versions and
-/// processes (counterexample replays must be byte-identical).
-#[derive(Clone, Copy, Debug)]
-struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Fnv {
-        Fnv(Fnv::OFFSET)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Fnv::PRIME);
-        }
-    }
-
-    fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
-    }
-
-    /// Feeds `v`'s wire encoding, behind its length. The codec already
-    /// walks every variant of the wire vocabulary, and what it writes
-    /// decodes back to `v`, so equal encodings mean equal values.
-    fn wire<T: WireEncode>(&mut self, v: &T) {
-        let bytes = canon_wire::to_bytes(v);
-        self.word(bytes.len() as u64);
-        self.bytes(&bytes);
-    }
-
-    fn finish(self) -> u64 {
-        let mut z = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+/// Feeds `v`'s wire encoding, behind its length. The codec already walks
+/// every variant of the wire vocabulary, and what it writes decodes back
+/// to `v`, so equal encodings mean equal values.
+fn hash_wire<T: WireEncode>(h: &mut Fnv, v: &T) {
+    let bytes = canon_wire::to_bytes(v);
+    h.word(bytes.len() as u64);
+    h.bytes(&bytes);
 }
 
 fn hash_id(h: &mut Fnv, id: NodeId) {
@@ -151,7 +119,7 @@ fn hash_completion(h: &mut Fnv, c: &Completion) {
 /// with equal fingerprints behave identically under every future schedule,
 /// so the explorer prunes one of them.
 pub fn fingerprint(snaps: &[NodeSnapshot], pending: &[(usize, Envelope<Payload>)]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.word(snaps.len() as u64);
     for s in snaps {
         hash_id(&mut h, s.id);
@@ -180,18 +148,21 @@ pub fn fingerprint(snaps: &[NodeSnapshot], pending: &[(usize, Envelope<Payload>)
         for (req, p) in &s.inflight {
             h.word(*req);
             h.word(u64::from(p.attempt));
-            h.wire(&p.op);
+            hash_wire(&mut h, &p.op);
         }
         h.word(s.deferred.len() as u64);
         for (origin, req, attempt, _hops, op, path) in &s.deferred {
-            h.wire(&Payload::Request {
-                origin: *origin,
-                req: *req,
-                attempt: *attempt,
-                hops: 0,
-                op: op.clone(),
-                path: path.clone(),
-            });
+            hash_wire(
+                &mut h,
+                &Payload::Request {
+                    origin: *origin,
+                    req: *req,
+                    attempt: *attempt,
+                    hops: 0,
+                    op: op.clone(),
+                    path: path.clone(),
+                },
+            );
         }
         // Cache state shapes future hits, fills and evictions, so it
         // splits states; the LRU *rank* (not the absolute tick) keeps the
@@ -218,7 +189,7 @@ pub fn fingerprint(snaps: &[NodeSnapshot], pending: &[(usize, Envelope<Payload>)
             .completions
             .iter()
             .map(|c| {
-                let mut ch = Fnv::new();
+                let mut ch = Fnv::default();
                 hash_completion(&mut ch, c);
                 ch.finish()
             })
@@ -254,7 +225,7 @@ pub fn fingerprint(snaps: &[NodeSnapshot], pending: &[(usize, Envelope<Payload>)
         if let Payload::Request { hops, .. } | Payload::Response { hops, .. } = &mut payload {
             *hops = 0;
         }
-        h.wire(&payload);
+        hash_wire(&mut h, &payload);
     }
     h.finish()
 }
