@@ -452,58 +452,17 @@ impl<V: Clone + PartialEq> HierarchicalStore<V> {
                     }
                 }
             }
-            // 2. Local content visible at this routing level?
-            if let Some(items) = self.content.get(proxy) {
-                let visible: Vec<V> = items
-                    .iter()
-                    .filter(|it| {
-                        it.key == key
-                            && self.hierarchy.is_ancestor_or_self(it.access_domain, *domain)
-                            // The proxy serves this item only at (or above)
-                            // the level it is actually stored for.
-                            && self.hierarchy.is_ancestor_or_self(*domain, it.storage_domain)
-                    })
-                    .map(|it| it.value.clone())
-                    .collect();
-                if !visible.is_empty() {
-                    answer = Some((visible, depth, *proxy, Via::Direct));
-                    break;
-                }
+            // 2. Local content visible at this routing level, else 3. the
+            // first pointer stored for this level, resolved.
+            let (direct, pointed) = self.visible_at(*domain, *proxy, key);
+            if !direct.is_empty() {
+                answer = Some((direct, depth, *proxy, Via::Direct));
+                break;
             }
-            // 3. A pointer stored for this level?
-            if let Some(ptrs) = self.pointers.get(proxy) {
-                let found = ptrs
-                    .iter()
-                    .find(|p| {
-                        p.key == key
-                            && self.hierarchy.is_ancestor_or_self(p.access_domain, *domain)
-                            && self.hierarchy.is_ancestor_or_self(*domain, p.access_domain)
-                    })
-                    .cloned();
-                if let Some(p) = found {
-                    // Resolve the indirection at the storage node.
-                    let values: Vec<V> = self
-                        .content
-                        .get(&p.storage_node)
-                        .map(|items| {
-                            items
-                                .iter()
-                                .filter(|it| it.key == key && it.access_domain == p.access_domain)
-                                .map(|it| it.value.clone())
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    if !values.is_empty() {
-                        answer = Some((
-                            values,
-                            depth,
-                            *proxy,
-                            Via::Pointer {
-                                storage_node: p.storage_node,
-                            },
-                        ));
-                        break;
-                    }
+            if let Some((storage_node, values)) = pointed.into_iter().next() {
+                if !values.is_empty() {
+                    answer = Some((values, depth, *proxy, Via::Pointer { storage_node }));
+                    break;
                 }
             }
         }
@@ -579,56 +538,66 @@ impl<V: Clone + PartialEq> HierarchicalStore<V> {
         let path = self.proxy_path(querier, key)?;
         let mut out: Vec<V> = Vec::new();
         for (domain, proxy) in &path {
-            if out.len() >= limit {
-                break;
-            }
-            if let Some(items) = self.content.get(proxy) {
-                for it in items {
-                    if out.len() >= limit {
-                        break;
-                    }
-                    if it.key == key
-                        && self
-                            .hierarchy
-                            .is_ancestor_or_self(it.access_domain, *domain)
-                        && self
-                            .hierarchy
-                            .is_ancestor_or_self(*domain, it.storage_domain)
-                        && !out.contains(&it.value)
-                    {
-                        out.push(it.value.clone());
-                    }
+            let (direct, pointed) = self.visible_at(*domain, *proxy, key);
+            let found = direct
+                .into_iter()
+                .chain(pointed.into_iter().flat_map(|(_, vs)| vs));
+            for v in found {
+                if out.len() >= limit {
+                    return Ok(out);
                 }
-            }
-            if let Some(ptrs) = self.pointers.get(proxy) {
-                let resolved: Vec<V> = ptrs
-                    .iter()
-                    .filter(|p| {
-                        p.key == key
-                            && self.hierarchy.is_ancestor_or_self(p.access_domain, *domain)
-                            && self.hierarchy.is_ancestor_or_self(*domain, p.access_domain)
-                    })
-                    .flat_map(|p| {
-                        self.content
-                            .get(&p.storage_node)
-                            .into_iter()
-                            .flatten()
-                            .filter(|it| it.key == key && it.access_domain == p.access_domain)
-                            .map(|it| it.value.clone())
-                            .collect::<Vec<V>>()
-                    })
-                    .collect();
-                for v in resolved {
-                    if out.len() >= limit {
-                        break;
-                    }
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
+                if !out.contains(&v) {
+                    out.push(v);
                 }
             }
         }
         Ok(out)
+    }
+
+    /// The §4.1 visibility rule at one proxy: what `proxy` serves for
+    /// `key` at routing level `domain`, in stored order. An item it stores
+    /// is served directly when access ⊇ level ⊇ storage. A pointer is
+    /// followed only at its own access level, and resolves to the items its
+    /// storage node holds for `key` under that access domain. Returns the
+    /// direct values, then `(storage node, values)` per pointer followed.
+    fn visible_at(
+        &self,
+        domain: DomainId,
+        proxy: NodeId,
+        key: Key,
+    ) -> (Vec<V>, Vec<(NodeId, Vec<V>)>) {
+        let h = &self.hierarchy;
+        let direct = self
+            .content
+            .get(&proxy)
+            .into_iter()
+            .flatten()
+            .filter(|it| {
+                it.key == key
+                    && h.is_ancestor_or_self(it.access_domain, domain)
+                    && h.is_ancestor_or_self(domain, it.storage_domain)
+            })
+            .map(|it| it.value.clone())
+            .collect();
+        let pointed = self
+            .pointers
+            .get(&proxy)
+            .into_iter()
+            .flatten()
+            .filter(|p| p.key == key && p.access_domain == domain)
+            .map(|p| {
+                let values = self
+                    .content
+                    .get(&p.storage_node)
+                    .into_iter()
+                    .flatten()
+                    .filter(|it| it.key == key && it.access_domain == p.access_domain)
+                    .map(|it| it.value.clone())
+                    .collect();
+                (p.storage_node, values)
+            })
+            .collect();
+        (direct, pointed)
     }
 
     /// Number of cache entries currently held at `node`.
