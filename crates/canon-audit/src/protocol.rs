@@ -404,7 +404,7 @@ impl<'a> Run<'a> {
 
     fn apply(&mut self, action: &FaultAction) {
         match action {
-            FaultAction::Crash(raw) => self.rt.model_crash(NodeId::new(*raw)),
+            FaultAction::Crash(raw) => self.rt.crash(NodeId::new(*raw)),
             FaultAction::Partition(a, b) => {
                 let a: Vec<NodeId> = a.iter().map(|&r| NodeId::new(r)).collect();
                 let b: Vec<NodeId> = b.iter().map(|&r| NodeId::new(r)).collect();

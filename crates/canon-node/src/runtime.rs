@@ -688,6 +688,18 @@ impl Runtime {
         self.with_node(id, |n| n.dead)
     }
 
+    /// Crash-stops a node: it goes dark with no handoff and no notices
+    /// (unlike the graceful [`Command::Leave`]). Pending messages to the
+    /// node remain queued; delivering them is counted as `dropped_dead`.
+    /// An unhosted `id` is ignored.
+    pub fn crash(&self, id: NodeId) {
+        if let Some(&slot) = self.directory.get(&id.raw()) {
+            let mut state = lock_unpoisoned(&self.states[slot]);
+            // A dead node's timers are all stale: its deadline goes too.
+            self.republishing(slot, &mut state, |state| state.dead = true);
+        }
+    }
+
     /// Ground truth for one key: the replica set the configured policy
     /// expects on the current live ring, the live nodes actually holding
     /// the key, pin locations, and whether expectation is met. This is the
@@ -773,17 +785,6 @@ impl Runtime {
     /// Returns whether the message was queued.
     pub fn model_drop(&self, slot: usize, from: NodeId, seq: u64) -> bool {
         self.boxes.take(slot, from, seq).is_some()
-    }
-
-    /// Crash-stops a node: it goes dark with no handoff and no notices
-    /// (unlike the graceful [`Command::Leave`]). Pending messages to the
-    /// node remain queued; delivering them is counted as `dropped_dead`.
-    pub fn model_crash(&self, id: NodeId) {
-        if let Some(&slot) = self.directory.get(&id.raw()) {
-            let mut state = lock_unpoisoned(&self.states[slot]);
-            // A dead node's timers are all stale: its deadline goes too.
-            self.republishing(slot, &mut state, |state| state.dead = true);
-        }
     }
 
     /// Arms the seeded broken-handover fault at `id`: its join grants

@@ -541,15 +541,18 @@ fn a_lone_armed_deadline_is_the_next_event() {
     assert_eq!(rt.next_event(), Some(rpc.timeout + 2 * rpc.timeout));
 }
 
-#[cfg(feature = "model")]
 #[test]
-fn crashing_the_only_waiting_node_idles_the_cluster() {
-    let (rt, origin) = cluster_waiting_on_one_deadline();
+fn a_crashed_node_is_dead_drops_its_mail_and_its_deadline() {
+    let (mut rt, origin) = cluster_waiting_on_one_deadline();
     assert!(rt.next_event().is_some());
-    rt.model_crash(origin);
+    rt.crash(origin);
+    assert!(rt.is_dead(origin));
     assert!(rt.next_event().is_none(), "a dead node's deadline is stale");
     rt.clock().advance_to(RuntimeConfig::default().rpc.timeout);
     assert_eq!(rt.step(), 0);
+    rt.inject(origin, Command::Issue(Op::Lookup { key: origin.raw() }));
+    assert_eq!(rt.step(), 1, "the dead node takes its mail");
+    assert_eq!(rt.summary().dropped_dead, 1, "and drops it");
     assert_eq!(rt.run_until_idle(), 0);
 }
 
