@@ -3,10 +3,13 @@
 //! byte-identical, every strict prefix of a valid encoding fails to
 //! decode, and decoding arbitrary byte soup never panics. One
 //! deterministic test pins that every variant of every vocabulary enum is
-//! sampled and decodes what it encodes.
+//! sampled and decodes what it encodes, and another pins the exact
+//! outcome of decoding damaged copies of the samples.
 
+use canon_id::hash::Fnv;
 use canon_id::rng::Seed;
 use canon_id::NodeId;
+use canon_node::framed::{decode_frame, encode_frame};
 use canon_node::msg::{Command, JoinGrant, Op, Payload, RpcResult};
 use canon_node::transport::Envelope;
 use canon_node::wire::samples;
@@ -338,5 +341,113 @@ fn every_wire_variant_decodes_what_it_encodes() {
         samples::sample_payloads,
         Payload::kind_index,
         Payload::KIND_NAMES.len(),
+    );
+}
+
+// ----- decode-outcome golden -----
+//
+// The tests above check that malformed input is rejected; this one pins
+// *how*: the exact `Result` — the decoded value, or the exact `WireError`
+// with its type name and byte — for every strict prefix, every
+// single-byte flip to 0xff and every one-byte extension of each sample
+// encoding and of whole frames. A decoder rewrite must reproduce every
+// outcome, so the digests below only move with the wire format itself.
+
+/// Feeds one decode outcome into `h`, as its `Debug` form.
+fn feed(h: &mut Fnv, outcome: &impl std::fmt::Debug) {
+    h.bytes(format!("{outcome:?}").as_bytes());
+    h.bytes(&[0]);
+}
+
+/// Feeds `decode`'s outcome on every strict prefix of `bytes`, on `bytes`
+/// with each byte in turn set to 0xff, and on `bytes` plus a trailing
+/// zero.
+fn probe<R: std::fmt::Debug>(h: &mut Fnv, bytes: &[u8], decode: impl Fn(&[u8]) -> R) {
+    for cut in 0..bytes.len() {
+        feed(h, &decode(&bytes[..cut]));
+    }
+    let mut flipped = bytes.to_vec();
+    for i in 0..bytes.len() {
+        let byte = std::mem::replace(&mut flipped[i], 0xff);
+        feed(h, &decode(&flipped));
+        flipped[i] = byte;
+    }
+    let mut longer = bytes.to_vec();
+    longer.push(0);
+    feed(h, &decode(&longer));
+}
+
+/// The digest of [`probe`] over every sample of rounds `0..8`.
+fn value_digest<T>(sample: impl Fn(Seed, u64) -> Vec<T>) -> u64
+where
+    T: WireEncode + WireDecode + std::fmt::Debug,
+{
+    let mut h = Fnv::default();
+    for round in 0..8 {
+        for value in sample(Seed(27), round) {
+            probe(&mut h, &to_bytes(&value), from_bytes::<T>);
+        }
+    }
+    h.finish()
+}
+
+/// Every sample payload of a round, as envelopes of one frame: one
+/// sender, one destination, one tick pair, consecutive sequence numbers.
+fn sample_envelopes(seed: Seed, round: u64) -> Vec<Envelope<Payload>> {
+    samples::sample_payloads(seed, round)
+        .into_iter()
+        .zip(0u64..)
+        .map(|(payload, i)| Envelope {
+            from: NodeId::new(round + 1),
+            to: NodeId::new(u64::MAX - round),
+            sent_at: round * 300,
+            deliver_at: round * 300 + 3,
+            seq: (round << 20) + i,
+            payload,
+        })
+        .collect()
+}
+
+fn frame_digest() -> u64 {
+    let mut h = Fnv::default();
+    let mut frame = Vec::new();
+    for round in 0..8 {
+        encode_frame(&sample_envelopes(Seed(27), round), &mut frame);
+        probe(&mut h, &frame, |bytes| {
+            let mut out = Vec::new();
+            let facts = decode_frame(bytes, &mut out);
+            (facts, out)
+        });
+    }
+    h.finish()
+}
+
+/// Per-input-class digests of every decode outcome.
+const DECODE_GOLDEN: [(&str, u64); 6] = [
+    ("Op", 0x2be4d8a901a126b7),
+    ("Command", 0xcea269436aa1add9),
+    ("RpcResult", 0x990870ce2bb1694c),
+    ("Payload", 0xc9ef908c6aa8e13e),
+    ("Envelope<Payload>", 0x9d4857b83874112d),
+    ("frame", 0x78998d242fb9ef06),
+];
+
+#[test]
+fn decode_outcomes_match_their_golden_digests() {
+    let got = [
+        ("Op", value_digest(samples::sample_ops)),
+        ("Command", value_digest(samples::sample_commands)),
+        ("RpcResult", value_digest(samples::sample_results)),
+        ("Payload", value_digest(samples::sample_payloads)),
+        ("Envelope<Payload>", value_digest(sample_envelopes)),
+        ("frame", frame_digest()),
+    ];
+    let table: String = got
+        .iter()
+        .map(|(name, digest)| format!("    ({name:?}, {digest:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        got, DECODE_GOLDEN,
+        "decode outcomes moved; if the wire format changed on purpose, the new table is:\n{table}"
     );
 }
