@@ -10,11 +10,10 @@
 //! equivalence test possible).
 
 use crate::clock::Clock;
+use crate::node::row;
 use crate::runtime::{Runtime, RuntimeConfig};
 use crate::transport::Transport;
-use canon_id::NodeId;
 use canon_overlay::OverlayGraph;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Builds a runtime hosting every node of `graph`: links from the graph's
@@ -30,7 +29,7 @@ pub fn from_graph(
     let ring = graph.ring();
     for idx in graph.node_indices() {
         let id = graph.id(idx);
-        let links: BTreeSet<NodeId> = graph.neighbors(idx).iter().map(|&n| graph.id(n)).collect();
+        let links = row::build(graph.neighbors(idx).iter().map(|&n| graph.id(n)), id);
         let mut succ_list = Vec::with_capacity(config.succ_list_len);
         let mut cur = id;
         for _ in 0..config.succ_list_len {
@@ -44,7 +43,7 @@ pub fn from_graph(
             cur = next;
         }
         let pred = ring.strict_predecessor(id).filter(|&p| p != id);
-        rt.spawn_seeded(id, links, succ_list, pred);
+        rt.spawn_inner(id, links, succ_list, pred, true);
     }
     rt
 }

@@ -341,11 +341,18 @@ fn seal_frame(frame: &mut [u8]) {
     frame[..4].copy_from_slice(&body.to_le_bytes());
 }
 
+/// What [`encode_msg`] reserves per message: a 10-byte sequence number,
+/// the one-byte length slot and a payload of up to 127 bytes.
+const MSG_RESERVE: usize = 10 + 1 + 0x7f;
+
 /// Appends one message's frame-body bytes to `buf`: its sequence number,
 /// then its payload, length-prefixed so a decoder can skip payloads it
 /// cannot parse and so the payload length is an accounting fact. Returns
 /// the payload's encoded length.
 fn encode_msg<M: WireEncode>(buf: &mut Vec<u8>, seq: u64, payload: &M) -> usize {
+    // One reservation covers the sequence number, the slot and any payload
+    // short enough for it, so the writes below never reallocate.
+    buf.reserve(MSG_RESERVE);
     let mut e = Encoder::new(buf);
     e.varint(seq);
     // The payload is encoded in place behind a one-byte slot for its

@@ -11,13 +11,20 @@
 //! table alone (paper §2.2: "the link closest to, but not past, the
 //! key"). The node holds no overlay and no derived copy of the table:
 //! it applies canon-overlay's candidate rule under the clockwise metric
-//! ([`closest_clockwise`]: one ordered-range query on `links`, not a
-//! scan) and keeps the hop only when it makes strict progress — exactly
+//! ([`closest_clockwise`]: one binary search over `links`, not a scan)
+//! and keeps the hop only when it makes strict progress — exactly
 //! the greedy rule the shared routing engine applies. No strictly-closer
 //! link means this node is the key's responsible node (greedy local
 //! minimum = clockwise predecessor), and it answers the origin directly.
 //! Because every hop strictly decreases the clockwise distance to the
 //! key, requests cannot cycle even across stale link tables mid-churn.
+//!
+//! The link table is a *row*: a `Vec<NodeId>` kept sorted, without
+//! repeats and without the node's own id (the `row` helpers are its only
+//! writers). Every hop reads it and churn alone writes it, so it is laid
+//! out for the read — a handful of contiguous ids one binary search
+//! covers — and a join or leave pays an insert or remove that shifts the
+//! row's tail.
 
 use crate::cache::NodeCache;
 use crate::clock::Tick;
@@ -117,8 +124,9 @@ pub(crate) struct Net<'a> {
 pub(crate) struct NodeState {
     pub id: NodeId,
     /// Out-links (the Crescendo link table) — the only routing state:
-    /// [`NodeState::next_hop`] reads it directly.
-    pub links: BTreeSet<NodeId>,
+    /// [`NodeState::next_hop`] reads it directly. A sorted, duplicate-free
+    /// row without this node's id, written only through [`row`].
+    pub links: Vec<NodeId>,
     /// Global-ring successors, nearest first (the root-level leaf set;
     /// replication targets and leave-repair fallback).
     pub succ_list: Vec<NodeId>,
@@ -187,7 +195,7 @@ pub(crate) struct NodeState {
 impl NodeState {
     pub fn new(
         id: NodeId,
-        links: BTreeSet<NodeId>,
+        links: Vec<NodeId>,
         succ_list: Vec<NodeId>,
         pred: Option<NodeId>,
         joined: bool,
@@ -787,7 +795,7 @@ impl NodeState {
         #[allow(unused_mut)]
         let mut grant = JoinGrant {
             predecessor: self.id,
-            links: self.links.iter().copied().collect(),
+            links: self.links.clone(),
             succ_list: self.succ_list.clone(),
             shard: handed,
         };
@@ -811,7 +819,7 @@ impl NodeState {
         // successor is already known, and the newcomer is then *not* the
         // head of the list.
         self.insert_succ(joiner);
-        self.links.insert(joiner);
+        row::insert(&mut self.links, self.id, joiner);
         self.log(net.now, || format!("grant join {joiner}"));
         for n in notify {
             self.send(net, n, Payload::RepairJoin { joined: joiner });
@@ -822,12 +830,7 @@ impl NodeState {
     /// As the joiner: install the granted state.
     fn apply_grant(&mut self, net: &Net<'_>, grant: JoinGrant) {
         self.pred = Some(grant.predecessor);
-        self.links = grant
-            .links
-            .into_iter()
-            .chain(std::iter::once(grant.predecessor))
-            .filter(|&n| n != self.id)
-            .collect();
+        self.links = row::granted(&grant, self.id);
         self.succ_list = grant
             .succ_list
             .into_iter()
@@ -860,7 +863,7 @@ impl NodeState {
         // If the newcomer became the immediate successor it must be
         // linked, or the ring has a gap.
         if self.succ_list.first() == Some(&joined) {
-            self.links.insert(joined);
+            row::insert(&mut self.links, self.id, joined);
         }
     }
 
@@ -874,8 +877,8 @@ impl NodeState {
         predecessor: NodeId,
     ) {
         self.log(net.now, || format!("leave notice {departing}"));
-        if self.links.remove(&departing) && successor != self.id {
-            self.links.insert(successor);
+        if row::remove(&mut self.links, departing) {
+            row::insert(&mut self.links, self.id, successor);
         }
         if let Some(pos) = self.succ_list.iter().position(|&s| s == departing) {
             self.succ_list.remove(pos);
@@ -947,5 +950,110 @@ impl NodeState {
         let me = self.id;
         self.succ_list.sort_by_key(|&s| me.clockwise_to(s));
         self.succ_list.truncate(self.succ_len);
+    }
+}
+
+/// The link row's writers. Each keeps the row sorted, free of repeats and
+/// free of the owning node's id, which is what
+/// [`closest_clockwise`]'s binary search and the grant a node hands a
+/// joiner rely on.
+pub(crate) mod row {
+    use crate::msg::JoinGrant;
+    use canon_id::NodeId;
+
+    /// The row holding `ids` (in any order, repeats allowed) less `me`.
+    pub fn build(ids: impl IntoIterator<Item = NodeId>, me: NodeId) -> Vec<NodeId> {
+        let mut row: Vec<NodeId> = ids.into_iter().filter(|&n| n != me).collect();
+        row.sort_unstable();
+        row.dedup();
+        row
+    }
+
+    /// A joiner's row from its grant: the granter's links plus the granter
+    /// itself, in order.
+    pub fn granted(grant: &JoinGrant, me: NodeId) -> Vec<NodeId> {
+        build(
+            grant
+                .links
+                .iter()
+                .copied()
+                .chain(std::iter::once(grant.predecessor)),
+            me,
+        )
+    }
+
+    /// Adds `n` in order, unless it is `me` or already present.
+    pub fn insert(row: &mut Vec<NodeId>, me: NodeId, n: NodeId) {
+        if n == me {
+            return;
+        }
+        if let Err(at) = row.binary_search(&n) {
+            row.insert(at, n);
+        }
+    }
+
+    /// Removes `n`, returning whether it was present.
+    pub fn remove(row: &mut Vec<NodeId>, n: NodeId) -> bool {
+        match row.binary_search(&n) {
+            Ok(at) => {
+                row.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::row;
+    use crate::msg::JoinGrant;
+    use canon_id::NodeId;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    proptest! {
+        /// Random inserts, removes and rebuilds from a grant over a small
+        /// id universe (so they collide, and often name the node itself):
+        /// after each, the row is the ascending walk of a `BTreeSet`
+        /// model — sorted, without repeats, without `me` — and a rebuilt
+        /// row holds the granter.
+        #[test]
+        fn the_link_row_tracks_its_set_model(
+            me in 0u64..12,
+            ops in vec((0u8..3, 0u64..12, vec(0u64..12, 0..6)), 0..48),
+        ) {
+            let me = NodeId::new(me);
+            let mut links = Vec::new();
+            let mut model = BTreeSet::new();
+            for (op, n, granted) in ops {
+                let n = NodeId::new(n);
+                match op {
+                    0 => {
+                        row::insert(&mut links, me, n);
+                        if n != me {
+                            model.insert(n);
+                        }
+                    }
+                    1 => prop_assert_eq!(row::remove(&mut links, n), model.remove(&n)),
+                    _ => {
+                        let grant = JoinGrant {
+                            predecessor: n,
+                            links: granted.into_iter().map(NodeId::new).collect(),
+                            succ_list: Vec::new(),
+                            shard: Vec::new(),
+                        };
+                        links = row::granted(&grant, me);
+                        model = grant.links.iter().copied().chain([n]).collect();
+                        model.remove(&me);
+                        prop_assert!(n == me || links.binary_search(&n).is_ok());
+                    }
+                }
+                prop_assert!(links.windows(2).all(|w| w[0] < w[1]), "{:?}", links);
+                prop_assert!(!links.contains(&me));
+                prop_assert_eq!(&links, &model.iter().copied().collect::<Vec<_>>());
+            }
+        }
     }
 }

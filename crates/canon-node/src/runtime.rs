@@ -58,7 +58,7 @@ use crate::cache::{CacheConfig, CacheSummary};
 use crate::clock::{Clock, Tick};
 use crate::framed::{self, LinkBytes, Outbox, RoundBuffer, WireSummary};
 use crate::msg::{Command, Completion, Outcome, Payload};
-use crate::node::{Directory, Net, NodeState, NodeStats};
+use crate::node::{row, Directory, Net, NodeState, NodeStats};
 use crate::rpc::RpcConfig;
 use crate::shard::ShardBackend;
 use crate::transport::{lock_unpoisoned, Envelope, Mailboxes, Transport};
@@ -270,7 +270,7 @@ impl Runtime {
     ///
     /// Panics if the identifier is already hosted.
     pub fn spawn(&mut self, id: NodeId) -> usize {
-        self.spawn_inner(id, BTreeSet::new(), Vec::new(), None, false)
+        self.spawn_inner(id, Vec::new(), Vec::new(), None, false)
     }
 
     /// Adds a node with pre-seeded links, successor list and predecessor
@@ -286,13 +286,15 @@ impl Runtime {
         succ_list: Vec<NodeId>,
         pred: Option<NodeId>,
     ) -> usize {
-        self.spawn_inner(id, links, succ_list, pred, true)
+        self.spawn_inner(id, row::build(links, id), succ_list, pred, true)
     }
 
-    fn spawn_inner(
+    /// Adds a node whose link table is `links`, a row as [`row`] writes
+    /// them, returning its slot.
+    pub(crate) fn spawn_inner(
         &mut self,
         id: NodeId,
-        links: BTreeSet<NodeId>,
+        links: Vec<NodeId>,
         succ_list: Vec<NodeId>,
         pred: Option<NodeId>,
         joined: bool,
@@ -665,7 +667,7 @@ impl Runtime {
     ///
     /// Panics if `id` is not hosted (as do the other per-node inspectors).
     pub fn links_of(&self, id: NodeId) -> BTreeSet<NodeId> {
-        self.with_node(id, |n| n.links.clone())
+        self.with_node(id, |n| n.links.iter().copied().collect())
     }
 
     /// A node's current predecessor.
@@ -805,7 +807,7 @@ impl Runtime {
                 let mut state = lock_unpoisoned(s);
                 crate::model::NodeSnapshot {
                     id: state.id,
-                    links: state.links.iter().copied().collect(),
+                    links: state.links.clone(),
                     succ_list: state.succ_list.clone(),
                     pred: state.pred,
                     dead: state.dead,

@@ -49,6 +49,7 @@ fn decode_entries(d: &mut Decoder<'_>) -> Result<Vec<(u64, u64)>, WireError> {
 }
 
 impl WireEncode for Op {
+    #[inline]
     fn encode(&self, e: &mut Encoder<'_>) {
         match *self {
             Op::Lookup { key } => {
@@ -85,6 +86,7 @@ impl WireEncode for Op {
 }
 
 impl WireDecode for Op {
+    #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(match d.tag()? {
             0 => Op::Lookup {
@@ -115,6 +117,7 @@ impl WireDecode for Op {
 }
 
 impl WireEncode for Command {
+    #[inline]
     fn encode(&self, e: &mut Encoder<'_>) {
         match self {
             Command::Issue(op) => {
@@ -131,6 +134,7 @@ impl WireEncode for Command {
 }
 
 impl WireDecode for Command {
+    #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(match d.tag()? {
             0 => Command::Issue(d.decode()?),
@@ -144,6 +148,7 @@ impl WireDecode for Command {
 }
 
 impl WireEncode for JoinGrant {
+    #[inline]
     fn encode(&self, e: &mut Encoder<'_>) {
         e.encode(&self.predecessor);
         e.encode(&self.links);
@@ -153,6 +158,7 @@ impl WireEncode for JoinGrant {
 }
 
 impl WireDecode for JoinGrant {
+    #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(JoinGrant {
             predecessor: d.decode()?,
@@ -164,6 +170,7 @@ impl WireDecode for JoinGrant {
 }
 
 impl WireEncode for RpcResult {
+    #[inline]
     fn encode(&self, e: &mut Encoder<'_>) {
         match self {
             RpcResult::Found { responsible } => {
@@ -212,6 +219,7 @@ impl WireEncode for RpcResult {
 }
 
 impl WireDecode for RpcResult {
+    #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(match d.tag()? {
             0 => RpcResult::Found {
@@ -250,6 +258,7 @@ impl WireDecode for RpcResult {
 }
 
 impl WireEncode for Payload {
+    #[inline]
     fn encode(&self, e: &mut Encoder<'_>) {
         match self {
             Payload::Client(cmd) => {
@@ -331,6 +340,7 @@ impl WireEncode for Payload {
 }
 
 impl WireDecode for Payload {
+    #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(match d.tag()? {
             0 => Payload::Client(d.decode()?),

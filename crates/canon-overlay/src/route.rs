@@ -19,7 +19,6 @@ use crate::engine::{drive, execute, DriveConfig, HOP_LIMIT};
 use crate::graph::{NodeIndex, OverlayGraph};
 use crate::policy::{Greedy, RoutingPolicy};
 use canon_id::{metric::Metric, NodeId};
-use std::collections::BTreeSet;
 
 /// A recorded route through the overlay.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -315,18 +314,20 @@ pub fn closest<M: Metric>(
         .map(|(d, id)| (id, d))
 }
 
-/// [`closest`] under the clockwise metric over an *ordered* link set, as
-/// one predecessor query instead of a scan: the largest link at or below
-/// `target`, else (every link is past the target, so the nearest one
-/// counter-clockwise is reached by wrapping) the largest link — the unique
-/// minimiser of `link.clockwise_to(target)`. This is the paper's "link
-/// closest to, but not past, the key" (§2.2) on a sorted table.
-pub fn closest_clockwise(links: &BTreeSet<NodeId>, target: NodeId) -> Option<(NodeId, u64)> {
-    let link = links
-        .range(..=target)
-        .next_back()
+/// [`closest`] under the clockwise metric over a link row sorted in
+/// ascending order, as one binary search instead of a scan: the largest
+/// link at or below `target`, else (every link is past the target, so the
+/// nearest one counter-clockwise is reached by wrapping) the largest link
+/// — the unique minimiser of `link.clockwise_to(target)`. This is the
+/// paper's "link closest to, but not past, the key" (§2.2) on a sorted
+/// table.
+pub fn closest_clockwise(links: &[NodeId], target: NodeId) -> Option<(NodeId, u64)> {
+    debug_assert!(links.is_sorted(), "a link row is sorted");
+    let at_or_below = links.partition_point(|&l| l <= target);
+    let link = *links
+        .get(at_or_below.wrapping_sub(1))
         .or_else(|| links.last())?;
-    Some((*link, link.clockwise_to(target)))
+    Some((link, link.clockwise_to(target)))
 }
 
 #[cfg(test)]
@@ -335,6 +336,7 @@ mod tests {
     use crate::graph::GraphBuilder;
     use canon_id::metric::{Clockwise, Xor};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn id(raw: u64) -> NodeId {
         NodeId::new(raw)
@@ -553,7 +555,7 @@ mod tests {
             raw_links in proptest::collection::btree_set(any::<u64>(), 0..24),
             key in any::<u64>(),
         ) {
-            let links: BTreeSet<NodeId> = raw_links.into_iter().map(id).collect();
+            let links: Vec<NodeId> = raw_links.into_iter().map(id).collect();
             let mut keys = vec![key, 0, u64::MAX];
             for l in &links {
                 keys.extend([l.raw(), l.raw().wrapping_sub(1), l.raw().wrapping_add(1)]);
@@ -569,32 +571,31 @@ mod tests {
 
     #[test]
     fn closest_clockwise_edge_cases() {
-        let set = |raw: &[u64]| raw.iter().map(|&r| id(r)).collect::<BTreeSet<_>>();
+        // Each case is the binary search, the scan it replaces and the
+        // answer, all three equal.
+        let check = |raw: &[u64], key: u64, want: Option<(u64, u64)>| {
+            let links: Vec<NodeId> = raw.iter().map(|&r| id(r)).collect();
+            let want = want.map(|(l, d)| (id(l), d));
+            assert_eq!(closest_clockwise(&links, id(key)), want, "{raw:?} -> {key}");
+            assert_eq!(
+                closest(Clockwise, links.iter().copied(), id(key)),
+                want,
+                "{raw:?} -> {key}"
+            );
+        };
         // No links: no candidate.
-        assert_eq!(closest_clockwise(&set(&[]), id(5)), None);
+        check(&[], 5, None);
         // One link is the answer wherever the key is, wrapping if need be.
-        assert_eq!(closest_clockwise(&set(&[9]), id(9)), Some((id(9), 0)));
-        assert_eq!(closest_clockwise(&set(&[9]), id(12)), Some((id(9), 3)));
-        assert_eq!(
-            closest_clockwise(&set(&[9]), id(8)),
-            Some((id(9), u64::MAX))
-        );
-        let links = set(&[10, 20, 30]);
+        check(&[9], 9, Some((9, 0)));
+        check(&[9], 12, Some((9, 3)));
+        check(&[9], 8, Some((9, u64::MAX)));
         // A key equal to a link is at distance zero from it.
-        assert_eq!(closest_clockwise(&links, id(20)), Some((id(20), 0)));
-        assert_eq!(closest_clockwise(&links, id(29)), Some((id(20), 9)));
+        check(&[10, 20, 30], 20, Some((20, 0)));
+        check(&[10, 20, 30], 29, Some((20, 9)));
         // Below the smallest link: wrap to the largest.
-        assert_eq!(
-            closest_clockwise(&links, id(3)),
-            Some((id(30), id(30).clockwise_to(id(3))))
-        );
-        assert_eq!(
-            closest_clockwise(&links, id(u64::MAX)),
-            Some((id(30), u64::MAX - 30))
-        );
-        assert_eq!(
-            closest_clockwise(&set(&[0, u64::MAX]), id(u64::MAX)),
-            Some((id(u64::MAX), 0))
-        );
+        check(&[10, 20, 30], 3, Some((30, id(30).clockwise_to(id(3)))));
+        check(&[10, 20, 30], u64::MAX, Some((30, u64::MAX - 30)));
+        check(&[0, u64::MAX], u64::MAX, Some((u64::MAX, 0)));
+        check(&[0, u64::MAX], 0, Some((0, 0)));
     }
 }

@@ -43,7 +43,7 @@ use canon_chord::chord_fingers;
 use canon_hierarchy::{DomainId, Hierarchy, Placement};
 use canon_id::{metric::Clockwise, NodeId, RingDistance, ID_BITS};
 // audit: full-rebuild — `GraphBuilder` is for `snapshot()`, a one-off export
-use canon_overlay::{closest, closest_clockwise, GraphBuilder, OverlayGraph};
+use canon_overlay::{closest, GraphBuilder, OverlayGraph};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-node protocol state.
@@ -227,7 +227,7 @@ impl CrescendoSim {
         let mut dist = cur.clockwise_to(target);
         // Strict progress: stop where no link is closer than the current node.
         while let Some((next, d)) =
-            closest_clockwise(&self.nodes[&cur].links, target).filter(|&(_, d)| d < dist)
+            closest(Clockwise, self.nodes[&cur].links(), target).filter(|&(_, d)| d < dist)
         {
             cur = next;
             dist = d;

@@ -22,6 +22,16 @@
 //! * **one-byte variant tags** — every `enum` encodes an explicit tag
 //!   byte; decoders reject unknown tags with [`WireError::BadTag`].
 //!
+//! # Cost
+//!
+//! A hop of the node runtime decodes every message it receives, so the
+//! common case is kept to straight-line code: [`Decoder`] is a cursor
+//! over the unread tail of the input (`&[u8]`), and every read is one
+//! checked split of that tail (`split_first`, `split_first_chunk`,
+//! `split_at_checked`) — the bounds check *is* the advance. Varints of
+//! two bytes or more sit out of line (`#[cold]`) on both sides of the
+//! codec: counters and lengths are small in practice.
+//!
 //! # Totality
 //!
 //! Every decode is **total**: arbitrary input bytes produce `Ok` or a
@@ -153,42 +163,45 @@ impl<'a> Encoder<'a> {
 
 /// Deserializes values from a byte slice. Zero-copy: [`Decoder::bytes`]
 /// returns subslices of the input rather than owned buffers.
+///
+/// The decoder is a cursor that shrinks from the front: each read splits
+/// what it consumed off `rest`, so a bounds check and an advance are one
+/// slice split, and there is no position to add to an offset.
 #[derive(Clone, Debug)]
 pub struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
 impl<'a> Decoder<'a> {
     /// A decoder reading from the start of `buf`.
     #[inline]
     pub fn new(buf: &'a [u8]) -> Decoder<'a> {
-        Decoder { buf, pos: 0 }
+        Decoder { rest: buf }
     }
 
     /// Bytes not yet consumed.
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     /// Reads one raw byte — the variant-tag primitive.
     #[inline]
     pub fn tag(&mut self) -> Result<u8, WireError> {
-        let b = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
+        let (&b, rest) = self.rest.split_first().ok_or(WireError::Truncated)?;
+        self.rest = rest;
         Ok(b)
     }
 
     /// Reads a `u64` from 8 little-endian bytes.
     #[inline]
     pub fn u64_fixed(&mut self) -> Result<u64, WireError> {
-        let end = self.pos.checked_add(8).ok_or(WireError::Truncated)?;
-        let chunk = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(chunk);
-        self.pos = end;
-        Ok(u64::from_le_bytes(raw))
+        let (raw, rest) = self
+            .rest
+            .split_first_chunk::<8>()
+            .ok_or(WireError::Truncated)?;
+        self.rest = rest;
+        Ok(u64::from_le_bytes(*raw))
     }
 
     /// Reads a LEB128 varint. Overlong encodings (an 11th continuation
@@ -196,9 +209,9 @@ impl<'a> Decoder<'a> {
     /// so every value has exactly one encoding.
     #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
-        match self.buf.get(self.pos) {
-            Some(&b) if b < 0x80 => {
-                self.pos += 1;
+        match self.rest.split_first() {
+            Some((&b, rest)) if b < 0x80 => {
+                self.rest = rest;
                 Ok(u64::from(b))
             }
             _ => self.varint_multi(),
@@ -254,11 +267,11 @@ impl<'a> Decoder<'a> {
     pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.varint()?;
         let len = usize::try_from(len).map_err(|_| WireError::Truncated)?;
-        if len > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
+        let (out, rest) = self
+            .rest
+            .split_at_checked(len)
+            .ok_or(WireError::Truncated)?;
+        self.rest = rest;
         Ok(out)
     }
 
