@@ -25,6 +25,13 @@
 //! out for the read — a handful of contiguous ids one binary search
 //! covers — and a join or leave pays an insert or remove that shifts the
 //! row's tail.
+//!
+//! A served PUT fans its replicas out along the successor list, which
+//! the node keeps in clockwise order from itself without repeats: the
+//! walk (`fan_out`) starts at the key's responsible member of
+//! `{self} ∪ successor list` and takes as many members as the shared
+//! placement [`Policy`] counts for that ring. It is the policy engine's
+//! `replicas_on_ring` placement, read off the list in place.
 
 use crate::cache::NodeCache;
 use crate::clock::Tick;
@@ -34,7 +41,6 @@ use crate::rpc::{RetryDecision, RpcTable};
 use crate::runtime::RuntimeConfig;
 use crate::shard::Shard;
 use crate::transport::{Envelope, Mailboxes, Transport};
-use canon_id::ring::SortedRing;
 use canon_id::NodeId;
 use canon_overlay::closest_clockwise;
 use canon_overlay::engine::HOP_LIMIT;
@@ -73,6 +79,8 @@ pub struct NodeStats {
     pub hop_limit_drops: u64,
     /// Retransmissions sent after a deadline expired.
     pub retransmits: u64,
+    /// Shard backend errors: each crash-stopped this node (at most one).
+    pub shard_faults: u64,
 }
 
 /// One routed request as it travels hop to hop (and as parked in
@@ -128,7 +136,9 @@ pub(crate) struct NodeState {
     /// row without this node's id, written only through [`row`].
     pub links: Vec<NodeId>,
     /// Global-ring successors, nearest first (the root-level leaf set;
-    /// replication targets and leave-repair fallback).
+    /// replication targets and leave-repair fallback): in strictly
+    /// increasing clockwise distance from this node, so without repeats
+    /// or this node's id, which [`fan_out`] relies on.
     pub succ_list: Vec<NodeId>,
     /// Global-ring predecessor.
     pub pred: Option<NodeId>,
@@ -357,6 +367,22 @@ impl NodeState {
                 });
             }
         }
+        self.crash_on_shard_fault(net);
+    }
+
+    /// Crash-stops this node, from inside its own round, if its shard met
+    /// a backend error since the last check (the shard I/O policy in
+    /// [`crate::shard`]): it goes dark as [`crate::Runtime::crash`] leaves
+    /// a node, and the fault is counted. Checked before the node answers
+    /// a request and after every message. Returns whether it crashed.
+    fn crash_on_shard_fault(&mut self, net: &Net<'_>) -> bool {
+        let Some(e) = self.shard.take_fault() else {
+            return false;
+        };
+        self.dead = true;
+        self.stats.shard_faults += 1;
+        self.log(net.now, || format!("shard fault, crash-stop: {e}"));
+        true
     }
 
     /// Fires every live timer due at or before `now`, returning how many
@@ -412,6 +438,9 @@ impl NodeState {
                 // This node is itself responsible: serve without touching
                 // the network.
                 let result = self.serve(net, op, &[]);
+                if self.crash_on_shard_fault(net) {
+                    return;
+                }
                 self.stats.served += 1;
                 self.on_response(net, req, 0, result);
             }
@@ -576,6 +605,9 @@ impl NodeState {
             }
             None => {
                 let result = self.serve(net, op, &path);
+                if self.crash_on_shard_fault(net) {
+                    return;
+                }
                 self.stats.served += 1;
                 self.log(net.now, || format!("serve req={req} for {origin}"));
                 if origin == self.id {
@@ -659,21 +691,6 @@ impl NodeState {
         }
     }
 
-    /// Replica targets for a key this node is responsible for, from the
-    /// shared canon-store policy engine projected onto the node's partial
-    /// ring view (`{self} ∪ successor list`). Because this node is the
-    /// key's responsible node and the successor list holds its nearest
-    /// clockwise successors, the projection walks `[self, succ₀, succ₁, …]`
-    /// — for `Policy::Fixed(k)` this is byte-identical to the pre-policy
-    /// rule `self + succ_list.take(k − 1)`.
-    fn replica_targets(&self, point: NodeId) -> Vec<NodeId> {
-        let mut members = Vec::with_capacity(self.succ_list.len() + 1);
-        members.push(self.id);
-        members.extend(self.succ_list.iter().copied());
-        let ring = SortedRing::new(members);
-        self.policy.replicas_on_ring(&ring, point)
-    }
-
     /// Serves `op` as the responsible node. `path` is the request's route
     /// (origin first), the fan-out set for cache fills on GETs.
     fn serve(&mut self, net: &Net<'_>, op: Op, path: &[NodeId]) -> RpcResult {
@@ -709,19 +726,21 @@ impl NodeState {
                         }
                     }
                 }
-                let targets = self.replica_targets(NodeId::new(key));
+                // The walk reads the successor list while `send` needs the
+                // whole node: the list is moved out for the loop (no copy,
+                // no allocation) and put back.
+                let succ_list = std::mem::take(&mut self.succ_list);
                 let mut replicas = 0u32;
-                for s in targets {
-                    if s == self.id {
-                        continue;
-                    }
-                    if self
-                        .send(net, s, Payload::Replicate { key, value })
-                        .is_some()
+                for s in fan_out(self.policy, self.id, &succ_list, NodeId::new(key)) {
+                    if s != self.id
+                        && self
+                            .send(net, s, Payload::Replicate { key, value })
+                            .is_some()
                     {
                         replicas += 1;
                     }
                 }
+                self.succ_list = succ_list;
                 RpcResult::Stored {
                     primary: self.id,
                     replicas,
@@ -740,7 +759,7 @@ impl NodeState {
             Op::Join { joiner } => RpcResult::Granted(self.grant_join(net, joiner)),
             Op::Status { key } => RpcResult::Status {
                 primary: self.id,
-                expected: self.replica_targets(NodeId::new(key)).len() as u32,
+                expected: self.policy.ring_count(self.succ_list.len() + 1) as u32,
                 pinned: self.pinned.contains(&key),
             },
             Op::Pin { key } => {
@@ -831,12 +850,13 @@ impl NodeState {
     fn apply_grant(&mut self, net: &Net<'_>, grant: JoinGrant) {
         self.pred = Some(grant.predecessor);
         self.links = row::granted(&grant, self.id);
-        self.succ_list = grant
-            .succ_list
-            .into_iter()
-            .filter(|&n| n != self.id)
-            .take(self.succ_len)
-            .collect();
+        // The granter's list is in its own clockwise order; the joiner
+        // keeps the list in its own (the order the PUT fan-out walks).
+        let me = self.id;
+        self.succ_list = grant.succ_list;
+        self.succ_list.retain(|&n| n != me);
+        self.succ_list.sort_by_key(|&s| me.clockwise_to(s));
+        self.succ_list.truncate(self.succ_len);
         self.shard.extend(grant.shard);
         self.joined = true;
         self.log(net.now, || format!("joined after {}", grant.predecessor));
@@ -953,6 +973,43 @@ impl NodeState {
     }
 }
 
+/// The replica fan-out of a PUT for `point` served by `me`: the cycle
+/// `[me, succ_list[0], succ_list[1], …]` from the key's responsible member
+/// on that mini ring, [`Policy::ring_count`] members long.
+///
+/// `succ_list` is in clockwise order from `me`, so the cycle *is* the
+/// ring `{me} ∪ succ_list` read from `me`, and its responsible member for
+/// `point` is the last one no farther clockwise from `me` than `point`:
+/// one binary search on distance finds it. That is
+/// [`Policy::replicas_on_ring`] on that ring, walked in place — no ring
+/// built, nothing sorted, nothing allocated. The responsible node for the
+/// key is usually `me` (the walk then starts at `me`), but a successor
+/// the node has learnt of can already cover the key mid-churn.
+pub(crate) fn fan_out(
+    policy: Policy,
+    me: NodeId,
+    succ_list: &[NodeId],
+    point: NodeId,
+) -> impl Iterator<Item = NodeId> + '_ {
+    debug_assert!(
+        succ_list
+            .iter()
+            .try_fold(0, |prev, &s| {
+                let d = me.clockwise_to(s);
+                (d > prev).then_some(d)
+            })
+            .is_some(),
+        "successor list of {me} not strictly clockwise from it: {succ_list:?}"
+    );
+    let to_point = me.clockwise_to(point);
+    let start = succ_list.partition_point(|&s| me.clockwise_to(s) <= to_point);
+    std::iter::once(me)
+        .chain(succ_list.iter().copied())
+        .cycle()
+        .skip(start)
+        .take(policy.ring_count(succ_list.len() + 1))
+}
+
 /// The link row's writers. Each keeps the row sorted, free of repeats and
 /// free of the owning node's id, which is what
 /// [`closest_clockwise`]'s binary search and the grant a node hands a
@@ -1006,14 +1063,55 @@ pub(crate) mod row {
 
 #[cfg(test)]
 mod tests {
-    use super::row;
+    use super::{fan_out, row};
     use crate::msg::JoinGrant;
+    use canon_id::ring::SortedRing;
     use canon_id::NodeId;
+    use canon_store::Policy;
     use proptest::collection::vec;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     proptest! {
+        /// A PUT's fan-out walked off the successor list is the shared
+        /// policy engine's placement on the ring `{me} ∪ succ_list`, for
+        /// every policy, successor lists of 0–12 ids in clockwise order
+        /// from `me`, and keys anywhere: before `me`, on a member, and
+        /// past a successor that already covers them.
+        #[test]
+        fn the_fan_out_is_the_policy_placement_on_the_successor_ring(
+            variant in 0u8..3,
+            count in 0usize..15,
+            me in any::<u64>(),
+            succ in vec(any::<u64>(), 0..13),
+            on_member in any::<bool>(),
+            key in any::<u64>(),
+        ) {
+            let policy = match variant {
+                0 => Policy::Fixed(count),
+                1 => Policy::PercentOfDomain {
+                    level: 0,
+                    percent: (count + 1) as f64 / 15.0,
+                },
+                _ => Policy::HierarchyGeo {
+                    replication: count,
+                    min_outside_level: 1,
+                },
+            };
+            let me = NodeId::new(me);
+            let mut succ_list: Vec<NodeId> =
+                succ.into_iter().map(NodeId::new).filter(|&s| s != me).collect();
+            succ_list.sort_by_key(|&s| me.clockwise_to(s));
+            succ_list.dedup();
+            let point = match succ_list.get(key as usize % (succ_list.len() + 1)) {
+                Some(&member) if on_member => member,
+                _ => NodeId::new(key),
+            };
+            let walked: Vec<NodeId> = fan_out(policy, me, &succ_list, point).collect();
+            let ring = SortedRing::new(succ_list.iter().copied().chain([me]).collect());
+            prop_assert_eq!(walked, policy.replicas_on_ring(&ring, point));
+        }
+
         /// Random inserts, removes and rebuilds from a grant over a small
         /// id universe (so they collide, and often name the node itself):
         /// after each, the row is the ascending walk of a `BTreeSet`

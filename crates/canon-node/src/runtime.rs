@@ -165,6 +165,8 @@ pub struct Summary {
     pub undeliverable: u64,
     /// Requests dropped at the hop budget.
     pub hop_limit_drops: u64,
+    /// Nodes crash-stopped by a shard backend error.
+    pub shard_faults: u64,
 }
 
 impl Summary {
@@ -570,6 +572,7 @@ impl Runtime {
                 dropped_dead,
                 hop_limit_drops,
                 retransmits,
+                shard_faults,
             } = state.stats;
             sum.forwarded += forwarded;
             sum.served += served;
@@ -579,6 +582,7 @@ impl Runtime {
             sum.dropped_dead += dropped_dead;
             sum.hop_limit_drops += hop_limit_drops;
             sum.retransmits += retransmits;
+            sum.shard_faults += shard_faults;
             sum.completed += state.completions.len() as u64;
             for c in &state.completions {
                 match c.outcome {

@@ -10,28 +10,22 @@
 //!
 //! # Shard I/O policy
 //!
-//! A storage-backend failure on the protocol path is unrecoverable — a
-//! node cannot serve, hand over, or replicate without its shard — so,
-//! mirroring the poisoned-lock policy in [`crate::transport`], every
-//! backend `Result` funnels through one documented abort (`shard_io`)
-//! instead of threading `Result` through every message handler. The
-//! default [`MemoryBackend`] is infallible; file-backed shards abort only
-//! on genuine disk failure or on-disk corruption, where continuing would
-//! serve wrong answers.
+//! A storage-backend failure is a crashed node, not a dead process. A
+//! node cannot serve, hand over or replicate without its shard, and
+//! continuing after a failed read would serve wrong answers, so the shard
+//! records the first backend error it meets (`Shard::take_fault`) and
+//! answers as if the failed operation found nothing; the node checks the
+//! record before it answers anything and, finding one, crash-stops
+//! itself (counted as `shard_faults`). Requests that reach it afterwards
+//! time out, exactly as at a node crashed from outside. The default
+//! [`MemoryBackend`] is infallible; file-backed shards fail only on a
+//! genuine disk error or on bytes damaged under the log.
 
 use crate::transport::lock_unpoisoned;
 use canon_id::NodeId;
 use canon_store::{BackendError, FileBackend, MemoryBackend, StorageBackend};
 use std::path::PathBuf;
 use std::sync::Mutex;
-
-/// The single abort point of the shard I/O policy (see the module docs):
-/// backend errors are unrecoverable mid-protocol and end the process with
-/// the failing operation named.
-#[allow(clippy::panic, reason = "the documented shard I/O abort policy")]
-fn shard_io<T>(result: Result<T, BackendError>, what: &str) -> T {
-    result.unwrap_or_else(|e| panic!("shard {what} failed: {e}"))
-}
 
 /// Where freshly spawned nodes keep their shard bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -78,7 +72,9 @@ impl Drop for TempLog {
 }
 
 impl ShardBackend {
-    /// Creates one node's shard.
+    /// Creates one node's shard. A log that cannot be created leaves an
+    /// empty shard holding the error, so the node crash-stops at its first
+    /// message instead of the process ending here.
     pub(crate) fn create(self, id: NodeId) -> Shard {
         match self {
             ShardBackend::Memory => Shard::new(Box::new(MemoryBackend::new())),
@@ -87,16 +83,23 @@ impl ShardBackend {
                     std::env::temp_dir().join(format!("canon-node-shards-{}", std::process::id()));
                 let mut logs = lock_unpoisoned(&TEMP_LOGS);
                 let path = dir.join(format!("shard-{}-{:016x}.log", logs.next, id.raw()));
-                shard_io(
-                    std::fs::create_dir_all(&dir).map_err(Into::into),
-                    "log creation",
-                );
-                let backend = shard_io(FileBackend::open(&path), "log creation");
-                logs.next += 1;
-                logs.live += 1;
-                Shard {
-                    backend: Box::new(backend),
-                    _log: Some(TempLog(path)),
+                let opened = std::fs::create_dir_all(&dir)
+                    .map_err(Into::into)
+                    .and_then(|()| FileBackend::open(&path));
+                match opened {
+                    Ok(backend) => {
+                        logs.next += 1;
+                        logs.live += 1;
+                        Shard {
+                            backend: Box::new(backend),
+                            fault: None,
+                            _log: Some(TempLog(path)),
+                        }
+                    }
+                    Err(e) => Shard {
+                        fault: Some(e),
+                        ..Shard::new(Box::new(MemoryBackend::new()))
+                    },
                 }
             }
         }
@@ -108,6 +111,9 @@ impl ShardBackend {
 #[derive(Debug)]
 pub struct Shard {
     backend: Box<dyn StorageBackend>,
+    /// The first backend error not yet taken by the node (see the module
+    /// docs): the shard's only way to report a failure.
+    fault: Option<BackendError>,
     /// The log a [`ShardBackend::TempFile`] shard owns. Declared after
     /// `backend`, so the log file is closed before it is deleted.
     _log: Option<TempLog>,
@@ -118,35 +124,62 @@ impl Shard {
     pub fn new(backend: Box<dyn StorageBackend>) -> Shard {
         Shard {
             backend,
+            fault: None,
             _log: None,
         }
     }
 
-    /// Stores `value` under `key` (overwrites).
-    pub fn insert(&mut self, key: u64, value: u64) {
-        shard_io(self.backend.put(key, &value.to_le_bytes()), "write");
+    /// The value of `result`, or `failed` with the error recorded as the
+    /// shard's fault (the first one is kept).
+    fn io<T>(&mut self, result: Result<T, BackendError>, failed: T) -> T {
+        result.unwrap_or_else(|e| {
+            self.fault.get_or_insert(e);
+            failed
+        })
     }
 
-    /// Reads the value under `key`, verified against its content id.
+    /// Takes the backend error recorded since the last call, if any.
+    pub(crate) fn take_fault(&mut self) -> Option<BackendError> {
+        self.fault.take()
+    }
+
+    /// Stores `value` under `key` (overwrites). A failed write is recorded
+    /// as the shard's fault.
+    pub fn insert(&mut self, key: u64, value: u64) {
+        let result = self.backend.put(key, &value.to_le_bytes()).map(drop);
+        self.io(result, ());
+    }
+
+    /// Reads the value under `key`, verified against its content id. A
+    /// failed read is recorded as the shard's fault and reads as absent.
     pub fn get(&mut self, key: u64) -> Option<u64> {
-        let stored = shard_io(self.backend.get(key), "verified read")?;
+        let result = self.backend.get(key);
+        let stored = self.io(result, None)?;
         // Content addressing already verified the bytes; a shard only ever
-        // stores `u64` values, so a decode failure is on-disk corruption.
+        // stores `u64` values, so any other length is damage too.
         match stored.bytes.try_into() {
             Ok(bytes) => Some(u64::from_le_bytes(bytes)),
-            #[allow(clippy::panic, reason = "the documented shard I/O abort policy")]
-            Err(_) => panic!("shard value under key {key} is not a u64"),
+            Err(bytes) => {
+                let len = bytes.len();
+                let damaged = Err(BackendError::Io(format!(
+                    "value under key {key:#x} is {len} bytes, not a u64"
+                )));
+                self.io(damaged, None)
+            }
         }
     }
 
-    /// Removes `key`; returns whether it was present.
+    /// Removes `key`; returns whether it was present. A failed delete is
+    /// recorded as the shard's fault.
     pub fn remove(&mut self, key: u64) -> bool {
-        shard_io(self.backend.delete(key), "delete")
+        let result = self.backend.delete(key);
+        self.io(result, false)
     }
 
-    /// Whether `key` is present.
+    /// Whether `key` is present. A failed read is recorded as the shard's
+    /// fault and reads as absent.
     pub fn contains(&mut self, key: u64) -> bool {
-        shard_io(self.backend.get(key), "verified read").is_some()
+        self.get(key).is_some()
     }
 
     /// Every `(key, value)` pair in ascending key order.

@@ -18,6 +18,7 @@
 
 use crate::msg::{Command, JoinGrant, Op, Payload, RpcResult};
 use crate::transport::Envelope;
+use canon_id::NodeId;
 use canon_wire::{Decoder, Encoder, WireDecode, WireEncode, WireError};
 
 /// Encodes a `(key, value)` entry list: varint count, then fixed 8-byte
@@ -46,6 +47,30 @@ fn decode_entries(d: &mut Decoder<'_>) -> Result<Vec<(u64, u64)>, WireError> {
         out.push((k, v));
     }
     Ok(out)
+}
+
+/// Decodes a request path (the generic `Vec<NodeId>` layout: varint
+/// count, then fixed 8-byte ids) with room for one more id: the hop that
+/// decodes a cached GET's path forwards it with its own id pushed on, so
+/// the push must not reallocate. An empty path — every request but a GET
+/// with caching on — stays `Vec::new()` and allocates nothing. Same bytes,
+/// same errors as the generic decode.
+fn decode_path(d: &mut Decoder<'_>) -> Result<Vec<NodeId>, WireError> {
+    let len = d.varint()?;
+    let len = usize::try_from(len).map_err(|_| WireError::Truncated)?;
+    if len == 0 {
+        return Ok(Vec::new());
+    }
+    // 8 bytes per id: an over-claimed count is truncation, caught before
+    // allocation.
+    if len > d.remaining() / 8 {
+        return Err(WireError::Truncated);
+    }
+    let mut path = Vec::with_capacity(len + 1);
+    for _ in 0..len {
+        path.push(d.decode()?);
+    }
+    Ok(path)
 }
 
 impl WireEncode for Op {
@@ -350,7 +375,7 @@ impl WireDecode for Payload {
                 attempt: d.decode()?,
                 hops: d.decode()?,
                 op: d.decode()?,
-                path: d.decode()?,
+                path: decode_path(d)?,
             },
             2 => Payload::Response {
                 req: d.varint()?,
@@ -427,7 +452,6 @@ pub mod samples {
 
     use super::*;
     use canon_id::rng::{splitmix64, Seed};
-    use canon_id::NodeId;
 
     /// Collection cap for sampled grants/handoffs: 64 links (one per
     /// identifier bit), 16 successors, 64 shard entries. Real messages can
@@ -836,7 +860,6 @@ pub mod samples {
 mod tests {
     use super::*;
     use canon_id::rng::Seed;
-    use canon_id::NodeId;
     use canon_wire::{from_bytes, to_bytes};
 
     #[test]
@@ -866,6 +889,33 @@ mod tests {
                 9, 0, 0, 0, 0, 0, 0, 0, // path[0]
             ]
         );
+    }
+
+    #[test]
+    fn a_decoded_path_has_room_for_the_next_hop_and_an_empty_one_has_none() {
+        let request = |path: Vec<NodeId>| Payload::Request {
+            origin: NodeId::new(2),
+            req: 1,
+            attempt: 0,
+            hops: 1,
+            op: Op::Get { key: 5 },
+            path,
+        };
+        let decoded_path = |path: Vec<NodeId>| match from_bytes(&to_bytes(&request(path))) {
+            Ok(Payload::Request { path, .. }) => path,
+            other => panic!("a request decodes as one: {other:?}"),
+        };
+        let empty = decoded_path(Vec::new());
+        assert_eq!(empty.capacity(), 0, "an empty path allocates nothing");
+        for len in [1, 2, 7] {
+            let sent: Vec<NodeId> = (0..len).map(NodeId::new).collect();
+            let path = decoded_path(sent.clone());
+            assert_eq!(path, sent);
+            assert!(
+                path.capacity() > path.len(),
+                "a {len}-id path must take a push without reallocating"
+            );
+        }
     }
 
     #[test]

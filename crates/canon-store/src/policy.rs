@@ -143,18 +143,27 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// Replica placement on a bare ring, with no hierarchy in sight — the
-    /// projection canon-node uses on its `{self} ∪ successor-list` mini
-    /// ring. `Fixed(k)` keeps its exact semantics; the other policies
-    /// degrade to their count (percent of the *ring*, geo without the geo
-    /// clause) since the ring carries no domain structure.
+    /// Replica placement on a bare ring, with no hierarchy in sight: the
+    /// responsible member and its ring successors, [`Policy::ring_count`]
+    /// of them. This is the placement canon-node's PUT fan-out makes on
+    /// its `{self} ∪ successor-list` mini ring, which the node walks in
+    /// place (its successor list is already in ring order from itself)
+    /// instead of building this ring.
     pub fn replicas_on_ring(&self, ring: &SortedRing, point: NodeId) -> Vec<NodeId> {
-        let count = match self {
+        replica_successors(ring, point, self.ring_count(ring.len()))
+    }
+
+    /// How many replicas the policy places on a bare ring of `n` members,
+    /// capped at `n`. `Fixed(k)` keeps its exact count; the other
+    /// policies degrade to theirs (percent of the *ring*, geo without the
+    /// geo clause) since the ring carries no domain structure.
+    pub fn ring_count(&self, n: usize) -> usize {
+        let want = match self {
             Policy::Fixed(k) => *k,
-            Policy::PercentOfDomain { percent, .. } => scaled_count(*percent, ring.len()),
+            Policy::PercentOfDomain { percent, .. } => scaled_count(*percent, n),
             Policy::HierarchyGeo { replication, .. } => *replication,
         };
-        replica_successors(ring, point, count)
+        want.min(n)
     }
 
     /// How many replicas the policy wants in this context, capped at the
