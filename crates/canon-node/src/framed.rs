@@ -12,13 +12,20 @@
 //! (`flush_outbox`). Each message's fate and delivery tick are decided at
 //! send time, with its own sequence number, exactly as in an unframed run
 //! and in whichever order `FramedTransport` and `FaultyTransport` nest;
-//! only the survivors reach the outbox. A message is encoded once, by its
-//! sender, copied twice as bytes, and decoded once, by its receiver:
+//! only the survivors reach the outbox. A message is encoded once, by the
+//! node that first sends it, and copied twice as bytes per hop. A routed
+//! request is never decoded in transit: each hop that only routes it
+//! reads its head and passes its bytes on, and only the node that serves
+//! it decodes it whole. Every other message is decoded once, by its
+//! receiver:
 //!
 //! 1. **at send**, its sequence number and length-prefixed payload — the
-//!    bytes it has in a frame body — are encoded straight into the
+//!    bytes it has in a frame body — are written straight into the
 //!    outbox's byte arena and linked onto the open frame for its
-//!    `(destination slot, delivery tick)`. A per-slot head finds that
+//!    `(destination slot, delivery tick)`: encoded from the value, or, for
+//!    a request this node forwards (`Outbox::forward`), copied from the
+//!    bytes it arrived in with its hop count bumped (and, on a cached GET,
+//!    the node's id appended to its path). A per-slot head finds that
 //!    frame; a second delivery tick to one slot (jitter) chains behind the
 //!    first. The outbox notes the payload's kind and encoded length. No
 //!    envelope is built;
@@ -40,12 +47,15 @@
 //!    key order. The bucket keeps each frame's sender, first sequence
 //!    number and message count beside the bytes;
 //! 4. **at the receiver's drain**, in its next round, the due buckets
-//!    leave the mailbox under the lock, and with the lock released their
-//!    frames are decoded — each all of it or none of it — into the
-//!    worker's envelope buffer, in `(from, first seq)` order, which is the
-//!    delivery order (see [`crate::transport`]). A frame that fails to
-//!    decode delivers nothing and counts one decode error for the
-//!    receiver.
+//!    leave the mailbox under the lock, and with the lock released the
+//!    node reads their frames (see [`crate::transport`]): a request as its
+//!    borrowed head (`wire::RequestHead`), into the worker's head buffer,
+//!    anything else decoded, into its envelope buffer. Each frame is read
+//!    whole before any of its messages is handled, so a frame that fails
+//!    to read delivers nothing and counts one decode error for the
+//!    receiver. The node then handles the two buffers merged in
+//!    `(deliver_at, from, seq)` order: a request it routes on goes back to
+//!    step 1 as its bytes; one it serves or parks is decoded then.
 //!
 //! So no node writes another node's mailbox during a framed round: a
 //! round's nodes read only their own mailboxes, and all the writing
@@ -58,9 +68,12 @@
 //! straight out of the round buffer instead, the drain's scattered reads
 //! cost more than the copy saved.
 //!
-//! Every delivered message has round-tripped through the codec, so a
-//! framed run exercises encode *and* decode end to end; the equivalence
-//! tests pin that its event log is byte-identical to an unframed run.
+//! Every delivered message has round-tripped through the codec — a
+//! forwarded request's bytes through the head reader at every hop and the
+//! full decode at the last — so a framed run exercises encode *and*
+//! decode end to end; the equivalence tests pin that its event log is
+//! byte-identical to an unframed run, and debug builds check every byte
+//! forward against the typed request's encoding.
 //!
 //! # Where the bytes are counted, and who owns the buffers
 //!
@@ -82,22 +95,25 @@
 //!
 //! * the **worker thread** owns the outbox (its arena, message links, open
 //!   frames and per-slot heads), the round buffer its nodes flush into,
-//!   and the envelope buffer a drain decodes into. A node's burst-sized
-//!   outbox would otherwise be retained once per node, a thousand times
-//!   over, for buffers only one node per worker uses at a time. The
-//!   worker lends its outbox to the node for the round and takes it back
-//!   at the flush; the exchange empties the round buffer, keeping its
-//!   capacity until rounds shrink to a quarter of it (after a burst);
+//!   and the envelope and head buffers a drain reads into. A node's
+//!   burst-sized outbox would otherwise be retained once per node, a
+//!   thousand times over, for buffers only one node per worker uses at a
+//!   time. The worker lends its outbox to the node for the round and
+//!   takes it back at the flush; the exchange empties the round buffer,
+//!   keeping its capacity until rounds shrink to a quarter of it (after a
+//!   burst);
 //! * the **destination's mailbox bucket** owns the frame bytes while they
-//!   wait: one byte vector per `(slot, tick)` bucket, shared by all its
-//!   frames, plus one small index entry per frame;
+//!   wait — and, taken out by the drain, while the node handles the
+//!   request heads that borrow them: one byte vector per `(slot, tick)`
+//!   bucket, shared by all its frames, plus one small index entry per
+//!   frame;
 //! * the **node** owns only its tally.
 //!
 //! Nothing is allocated per frame: the arena, the round buffer and the
-//! envelope buffer grow to the largest round and are reused, and a frame
-//! is one append to the round buffer and one to its bucket's bytes, which
-//! the exchange sizes once per group (a buffer per frame, pooled, would
-//! grow each to the largest frame it ever held).
+//! drain's two buffers grow to the largest round and are reused, and a
+//! frame is one append to the round buffer and one to its bucket's
+//! bytes, which the exchange sizes once per group (a buffer per frame,
+//! pooled, would grow each to the largest frame it ever held).
 //!
 //! # Frame layout
 //!
@@ -117,11 +133,15 @@ use crate::clock::Tick;
 use crate::msg::Payload;
 use crate::node::NodeState;
 use crate::transport::{Envelope, Mailboxes, Transport};
+use crate::wire::RequestHead;
 use canon_id::NodeId;
 use canon_wire::{Decoder, Encoder, WireDecode, WireEncode, WireError};
 
 /// Number of [`Payload`] variants, the length of per-kind counter arrays.
 const KINDS: usize = Payload::KIND_NAMES.len();
+
+/// [`Payload::kind_index`] of a request.
+const REQUEST: usize = 1;
 
 /// Per payload kind (indexed by [`Payload::kind_index`]): messages and
 /// encoded payload bytes.
@@ -441,20 +461,57 @@ pub(crate) fn unframe<M: WireDecode>(
 fn unframe_with<M: WireDecode>(
     bytes: &[u8],
     out: &mut Vec<Envelope<M>>,
-    each: impl FnMut(&M, usize, u64),
+    mut each: impl FnMut(&M, usize, u64),
 ) -> Result<(), WireError> {
     let before = out.len();
-    let decoded = decode_into(bytes, out, each);
+    let decoded = read_frame(bytes, |header, seq, payload, unbatched| {
+        let env = header.envelope(seq, payload)?;
+        each(&env.payload, payload.len(), unbatched);
+        out.push(env);
+        Ok(())
+    });
     if decoded.is_err() {
         out.truncate(before);
     }
     decoded
 }
 
-fn decode_into<M: WireDecode>(
-    bytes: &[u8],
-    out: &mut Vec<Envelope<M>>,
-    mut each: impl FnMut(&M, usize, u64),
+/// What the messages of a frame share: its header.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FrameHeader {
+    pub from: NodeId,
+    pub to: NodeId,
+    pub sent_at: Tick,
+    pub deliver_at: Tick,
+}
+
+impl FrameHeader {
+    /// One of the frame's messages, decoded into an envelope.
+    pub fn envelope<M: WireDecode>(
+        &self,
+        seq: u64,
+        payload: &[u8],
+    ) -> Result<Envelope<M>, WireError> {
+        Ok(Envelope {
+            from: self.from,
+            to: self.to,
+            sent_at: self.sent_at,
+            deliver_at: self.deliver_at,
+            seq,
+            payload: canon_wire::from_bytes(payload)?,
+        })
+    }
+}
+
+/// Walks a frame, checking its layout as it goes: the length prefix, the
+/// header, then every message, shown to `each` as its sequence number, its
+/// payload bytes (not decoded) and its size as a frame of its own. Stops
+/// at the first error, the layout's or one `each` returns. Total, but not
+/// all-or-nothing by itself: a caller that must deliver a frame whole
+/// keeps what `each` made of it until the walk has returned `Ok`.
+pub(crate) fn read_frame<'a>(
+    bytes: &'a [u8],
+    mut each: impl FnMut(&FrameHeader, u64, &'a [u8], u64) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
     let (prefix, body) = bytes.split_at_checked(4).ok_or(WireError::Truncated)?;
     let mut len = [0u8; 4];
@@ -470,8 +527,12 @@ fn decode_into<M: WireDecode>(
     let from = NodeId::decode(&mut d)?;
     let to = NodeId::decode(&mut d)?;
     let ticks_start = d.remaining();
-    let sent_at = d.varint()?;
-    let deliver_at = d.varint()?;
+    let header = FrameHeader {
+        from,
+        to,
+        sent_at: d.varint()?,
+        deliver_at: d.varint()?,
+    };
     // The same message as a singleton frame: fixed header, its own copies
     // of the shared varints, count = 1, then its sequence number and
     // length-prefixed payload.
@@ -479,26 +540,16 @@ fn decode_into<M: WireDecode>(
     let count = d.varint()?;
     let count = usize::try_from(count).map_err(|_| WireError::Truncated)?;
     // Each message takes at least two bytes (seq + length prefix), so an
-    // over-claimed count is truncation, caught before allocating.
+    // over-claimed count is truncation, caught before any message is read.
     if count > d.remaining() / 2 {
         return Err(WireError::Truncated);
     }
-    out.reserve(count);
     for _ in 0..count {
         let msg_start = d.remaining();
         let seq = d.varint()?;
-        let payload_bytes = d.bytes()?;
-        let payload: M = canon_wire::from_bytes(payload_bytes)?;
+        let payload = d.bytes()?;
         let unbatched = singleton_header + (msg_start - d.remaining());
-        each(&payload, payload_bytes.len(), unbatched as u64);
-        out.push(Envelope {
-            from,
-            to,
-            sent_at,
-            deliver_at,
-            seq,
-            payload,
-        });
+        each(&header, seq, payload, unbatched as u64)?;
     }
     d.finish()
 }
@@ -566,7 +617,56 @@ impl Outbox {
         payload: &Payload,
     ) {
         let len = encode_msg(&mut self.arena, seq, payload);
-        let kind = &mut self.kinds[payload.kind_index()];
+        self.link(slot, to, deliver_at, seq, payload.kind_index(), len);
+    }
+
+    /// Stages a routed request forwarded as the bytes it arrived in:
+    /// `head`'s encoding with its hop count bumped and, given `append`,
+    /// that id pushed onto its path — what [`Outbox::stage`] would encode
+    /// for `head.forwarded(append)`, written without building it. Only for
+    /// a [forwardable](RequestHead::forwardable) head.
+    pub(crate) fn forward(
+        &mut self,
+        slot: usize,
+        to: NodeId,
+        deliver_at: Tick,
+        seq: u64,
+        head: &RequestHead<'_>,
+        append: Option<NodeId>,
+    ) {
+        let len = head.forward_len(append);
+        let mut e = Encoder::new(&mut self.arena);
+        e.varint(seq);
+        e.varint(len as u64);
+        #[cfg(debug_assertions)]
+        let start = self.arena.len();
+        head.write_forward(&mut self.arena, append);
+        #[cfg(debug_assertions)]
+        {
+            let typed = head.forwarded(append);
+            assert_eq!(
+                self.arena[start..],
+                canon_wire::to_bytes(&typed),
+                "a forwarded request's bytes are not its typed encoding"
+            );
+            assert_eq!(typed.kind_index(), REQUEST);
+        }
+        self.link(slot, to, deliver_at, seq, REQUEST, len);
+    }
+
+    /// Counts a message just written to the arena (its kind and payload
+    /// length) and links it onto the end of its frame, opening the frame
+    /// if this is the first message for that `(slot, tick)` this round.
+    fn link(
+        &mut self,
+        slot: usize,
+        to: NodeId,
+        deliver_at: Tick,
+        seq: u64,
+        kind: usize,
+        len: usize,
+    ) {
+        let kind = &mut self.kinds[kind];
         kind.0 += 1;
         kind.1 += len as u64;
         let msg = self.msgs.len() as u32;
@@ -1428,6 +1528,72 @@ mod tests {
                     "order {order:?}, chunks ending at {cuts:?}"
                 );
             }
+        }
+    }
+
+    use proptest::prelude::any;
+
+    proptest::proptest! {
+        /// A request forwarded as its received bytes is the request the
+        /// hop would have re-encoded: every op, request ids and attempts of
+        /// every varint width, hop counts 0–200 and paths of 0–200 ids,
+        /// with and without an id to append. The byte forward is declined
+        /// exactly when the hop count or the path count is 127 or more.
+        #[test]
+        fn forwarding_the_received_bytes_is_re_encoding_the_request(
+            (variant, key, value, origin) in (0u8..7, any::<u64>(), any::<u64>(), any::<u64>()),
+            (req, req_shift, attempt, attempt_shift) in
+                (any::<u64>(), 0u32..64, any::<u32>(), 0u32..32),
+            hops in 0u32..=200,
+            path in proptest::collection::vec(any::<u64>(), 0..201),
+            (appends, append) in (any::<bool>(), any::<u64>()),
+        ) {
+            use crate::transport::Read;
+            use proptest::prop_assert_eq;
+            let op = match variant {
+                0 => Op::Lookup { key },
+                1 => Op::Put { key, value },
+                2 => Op::Get { key },
+                3 => Op::Join { joiner: NodeId::new(key) },
+                4 => Op::Status { key },
+                5 => Op::Pin { key },
+                _ => Op::Unpin { key },
+            };
+            let request = |hops, path: Vec<NodeId>| Payload::Request {
+                origin: NodeId::new(origin),
+                req: req >> req_shift,
+                attempt: attempt >> attempt_shift,
+                hops,
+                op: op.clone(),
+                path,
+            };
+            let path: Vec<NodeId> = path.into_iter().map(NodeId::new).collect();
+            let append = appends.then_some(NodeId::new(append));
+            let received = canon_wire::to_bytes(&request(hops, path.clone()));
+            let header = FrameHeader {
+                from: NodeId::new(1),
+                to: NodeId::new(2),
+                sent_at: 5,
+                deliver_at: 6,
+            };
+            let Ok(Read::Head(head)) = crate::wire::read_framed(&header, 300, &received) else {
+                panic!("a request reads as its head");
+            };
+            prop_assert_eq!(head.forwardable(), hops < 127 && path.len() < 127);
+            if !head.forwardable() {
+                return Ok(());
+            }
+            let mut outbox = Outbox::default();
+            outbox.forward(3, NodeId::new(23), 6, 300, &head, append);
+            let mut sent = path;
+            sent.extend(append);
+            let want = canon_wire::to_bytes(&request(hops + 1, sent));
+            let mut d = Decoder::new(&outbox.arena);
+            prop_assert_eq!(d.varint(), Ok(300));
+            prop_assert_eq!(d.bytes(), Ok(&want[..]));
+            prop_assert_eq!(d.remaining(), 0);
+            prop_assert_eq!(outbox.kinds[REQUEST], (1, want.len() as u64));
+            prop_assert_eq!(outbox.frames.len(), 1);
         }
     }
 

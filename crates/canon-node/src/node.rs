@@ -41,6 +41,7 @@ use crate::rpc::{RetryDecision, RpcTable};
 use crate::runtime::RuntimeConfig;
 use crate::shard::Shard;
 use crate::transport::{Envelope, Mailboxes, Transport};
+use crate::wire::RequestHead;
 use canon_id::NodeId;
 use canon_overlay::closest_clockwise;
 use canon_overlay::engine::HOP_LIMIT;
@@ -86,6 +87,16 @@ pub struct NodeStats {
 /// One routed request as it travels hop to hop (and as parked in
 /// `NodeState::deferred`): `(origin, req, attempt, hops, op, path)`.
 pub type RoutedRequest = (NodeId, u64, u32, u32, Op, Vec<NodeId>);
+
+/// Where a routed request goes from this node ([`NodeState::route`]).
+enum Step {
+    /// Parked until this node's join grant arrives.
+    Defer,
+    /// On to this link.
+    Forward(NodeId),
+    /// Nowhere: this node is responsible for its key.
+    Serve,
+}
 
 /// Identifier → mailbox slot. Only ever looked up, never walked, and its
 /// keys are node identifiers — already uniform 64-bit hash outputs — so
@@ -281,19 +292,8 @@ impl NodeState {
 
     /// Sends `payload` to `to`, returning the delivery tick if the message
     /// entered a mailbox (or, framed, the outbox that flushes into one).
-    /// The message's fate and delivery tick are decided here, with its own
-    /// sequence number, framed or not — so a framed run loses and delays
-    /// exactly what an unframed run would.
     fn send(&mut self, net: &Net<'_>, to: NodeId, payload: Payload) -> Option<Tick> {
-        let Some(&slot) = net.directory.get(&to.raw()) else {
-            self.stats.undeliverable += 1;
-            return None;
-        };
-        self.seq += 1;
-        let Some(deliver_at) = net.transport.schedule(net.now, self.id, to, self.seq) else {
-            self.stats.network_drops += 1;
-            return None;
-        };
+        let (slot, deliver_at) = self.schedule(net, to)?;
         if net.framed {
             // Encoded now, onto the frame for its (destination, tick).
             self.outbox.stage(slot, to, deliver_at, self.seq, &payload);
@@ -309,6 +309,35 @@ impl NodeState {
             net.boxes.push(slot, env);
         }
         Some(deliver_at)
+    }
+
+    /// Decides the fate of the next message to `to`: its destination slot
+    /// and delivery tick, or `None` (counted) if `to` is unknown or the
+    /// network drops it. The fate is decided here, with the message's own
+    /// sequence number, however the message then travels — encoded from a
+    /// value, forwarded as received bytes, or queued unframed — so a
+    /// framed run loses and delays exactly what an unframed run would.
+    fn schedule(&mut self, net: &Net<'_>, to: NodeId) -> Option<(usize, Tick)> {
+        let Some(&slot) = net.directory.get(&to.raw()) else {
+            self.stats.undeliverable += 1;
+            return None;
+        };
+        self.seq += 1;
+        let Some(deliver_at) = net.transport.schedule(net.now, self.id, to, self.seq) else {
+            self.stats.network_drops += 1;
+            return None;
+        };
+        Some((slot, deliver_at))
+    }
+
+    /// Handles one delivered request read off a frame as its head.
+    pub fn handle_routed(&mut self, net: &Net<'_>, head: &RequestHead<'_>) {
+        if self.dead {
+            self.stats.dropped_dead += 1;
+            return;
+        }
+        self.route_head(net, head);
+        self.crash_on_shard_fault(net);
     }
 
     /// Handles one delivered message.
@@ -446,9 +475,7 @@ impl NodeState {
             }
             Some(nb) => {
                 self.stats.requests_sent += 1;
-                // GETs accumulate the hop path so the responsible node can
-                // plant fills along it (paper §4.2).
-                let path = if self.cache.enabled() && matches!(op, Op::Get { .. }) {
+                let path = if self.grows_path(&op) {
                     vec![self.id]
                 } else {
                     Vec::new()
@@ -550,11 +577,22 @@ impl NodeState {
 
     // ----- server side -----
 
-    fn route_or_serve(&mut self, net: &Net<'_>, request: RoutedRequest) {
-        let (origin, req, attempt, hops, op, mut path) = request;
+    /// The routing decision for a request, made once, on the fields every
+    /// form of it has — a framed request's head or a typed request: the
+    /// hop budget, join deferral, the en-route cache, then the greedy next
+    /// hop. A request dropped at the budget or answered from the cache —
+    /// both done here — has no next step.
+    fn route(
+        &mut self,
+        net: &Net<'_>,
+        origin: NodeId,
+        req: u64,
+        hops: u32,
+        op: &Op,
+    ) -> Option<Step> {
         if hops as usize > HOP_LIMIT {
             self.stats.hop_limit_drops += 1;
-            return;
+            return None;
         }
         // A neighbor can learn of a joiner (via `RepairJoin` from the
         // granter) and route to it before the joiner's own grant response
@@ -562,13 +600,12 @@ impl NodeState {
         // responsibility for every key; park the request until the grant
         // installs real links.
         if !self.joined && origin != self.id {
-            self.deferred.push((origin, req, attempt, hops, op, path));
-            return;
+            return Some(Step::Defer);
         }
         // Path convergence (paper §5) funnels requests for a key through
         // shared intermediate nodes: a fresh en-route copy short-circuits
         // the rest of the route.
-        if let Op::Get { key } = op {
+        if let Op::Get { key } = *op {
             if origin != self.id {
                 if let Some(value) = self.cache.lookup(key) {
                     self.log(net.now, || {
@@ -579,15 +616,26 @@ impl NodeState {
                         served_by: self.id,
                     };
                     self.send(net, origin, Payload::Response { req, hops, result });
-                    return;
+                    return None;
                 }
             }
         }
-        match self.next_hop(op.key_point()) {
-            Some(nb) => {
-                self.stats.forwarded += 1;
-                self.stats.requests_sent += 1;
-                if self.cache.enabled() && matches!(op, Op::Get { .. }) {
+        Some(match self.next_hop(op.key_point()) {
+            Some(nb) => Step::Forward(nb),
+            None => Step::Serve,
+        })
+    }
+
+    /// Routes a typed request: one that arrived unframed, or one parked
+    /// until this node joined.
+    fn route_or_serve(&mut self, net: &Net<'_>, request: RoutedRequest) {
+        let (origin, req, attempt, hops, op, mut path) = request;
+        match self.route(net, origin, req, hops, &op) {
+            None => {}
+            Some(Step::Defer) => self.deferred.push((origin, req, attempt, hops, op, path)),
+            Some(Step::Forward(nb)) => {
+                self.count_forward();
+                if self.grows_path(&op) {
                     path.push(self.id);
                 }
                 self.send(
@@ -603,20 +651,70 @@ impl NodeState {
                     },
                 );
             }
-            None => {
-                let result = self.serve(net, op, &path);
-                if self.crash_on_shard_fault(net) {
-                    return;
-                }
-                self.stats.served += 1;
-                self.log(net.now, || format!("serve req={req} for {origin}"));
-                if origin == self.id {
-                    self.on_response(net, req, hops, result);
-                } else {
-                    self.send(net, origin, Payload::Response { req, hops, result });
+            Some(Step::Serve) => self.serve_request(net, origin, req, hops, op, &path),
+        }
+    }
+
+    /// Routes a request read off a frame as its head. Forwarding it —
+    /// what most hops do — passes on the bytes it arrived in (see
+    /// [`Outbox::forward`]); only a request this node parks or serves, or
+    /// one whose counts would change width, is decoded whole.
+    fn route_head(&mut self, net: &Net<'_>, head: &RequestHead<'_>) {
+        match self.route(net, head.origin, head.req, head.hops, &head.op) {
+            None => {}
+            Some(Step::Defer) => self.deferred.push(head.routed()),
+            Some(Step::Forward(nb)) => {
+                self.count_forward();
+                let append = self.grows_path(&head.op).then_some(self.id);
+                if !(net.framed && head.forwardable()) {
+                    self.send(net, nb, head.forwarded(append));
+                } else if let Some((slot, deliver_at)) = self.schedule(net, nb) {
+                    let seq = self.seq;
+                    self.outbox.forward(slot, nb, deliver_at, seq, head, append);
                 }
             }
+            Some(Step::Serve) => {
+                let (origin, req, _, hops, op, path) = head.routed();
+                self.serve_request(net, origin, req, hops, op, &path);
+            }
         }
+    }
+
+    /// Serves a request as its key's responsible node and answers its
+    /// origin. `path` is the request's route (origin first).
+    fn serve_request(
+        &mut self,
+        net: &Net<'_>,
+        origin: NodeId,
+        req: u64,
+        hops: u32,
+        op: Op,
+        path: &[NodeId],
+    ) {
+        let result = self.serve(net, op, path);
+        if self.crash_on_shard_fault(net) {
+            return;
+        }
+        self.stats.served += 1;
+        self.log(net.now, || format!("serve req={req} for {origin}"));
+        if origin == self.id {
+            self.on_response(net, req, hops, result);
+        } else {
+            self.send(net, origin, Payload::Response { req, hops, result });
+        }
+    }
+
+    /// Counts a request this node forwards.
+    fn count_forward(&mut self) {
+        self.stats.forwarded += 1;
+        self.stats.requests_sent += 1;
+    }
+
+    /// Whether a request for `op` collects the path it takes: a GET, with
+    /// caching on, so the responsible node can plant fills along it
+    /// (paper §4.2).
+    fn grows_path(&self, op: &Op) -> bool {
+        self.cache.enabled() && matches!(op, Op::Get { .. })
     }
 
     /// After serving a GET, plants the value at every node the request

@@ -5,7 +5,9 @@
 //!
 //! The runtime repeatedly executes **rounds**. One round, at tick *t*:
 //! every node with due work — in parallel over `canon-par` workers —
-//! drains the messages due at or before *t* from its mailbox, handles
+//! drains the messages due at or before *t* from its mailbox, reads them
+//! in delivery order (a frame whole or not at all, a framed request only
+//! as far as its head, which is all a hop that routes it on needs), handles
 //! them, and fires its due RPC timers; on a framed stack the frames the
 //! round's nodes flushed are then exchanged into mailboxes in one pass
 //! (see [`crate::framed`]). Between rounds the runtime finds
@@ -61,7 +63,8 @@ use crate::msg::{Command, Completion, Outcome, Payload};
 use crate::node::{row, Directory, Net, NodeState, NodeStats};
 use crate::rpc::RpcConfig;
 use crate::shard::ShardBackend;
-use crate::transport::{lock_unpoisoned, Envelope, Mailboxes, Transport};
+use crate::transport::{lock_unpoisoned, Envelope, Key, Mailboxes, Transport};
+use crate::wire::{self, RequestHead};
 use canon_id::ring::SortedRing;
 use canon_id::NodeId;
 use canon_par::par_chunks;
@@ -80,8 +83,25 @@ thread_local! {
     /// [`crate::framed`]).
     static ROUND: Cell<RoundBuffer> = Cell::default();
     /// The worker's buffer for the messages a node's round drains, reused
-    /// from round to round; framed mail is decoded into it.
+    /// from round to round; framed mail is decoded into it, all but the
+    /// requests, which go to [`HEADS`].
     static DRAINED: Cell<Vec<Envelope<Payload>>> = Cell::default();
+    /// The worker's buffer for the framed requests a node's round drains,
+    /// read as their heads, with their keys (see [`recycle`]).
+    static HEADS: Cell<Vec<(Key, RequestHead<'static>)>> = Cell::default();
+}
+
+/// An empty vector in `heads`' allocation, whatever the lifetime its
+/// items borrow for: the worker keeps its buffer past the bucket whose
+/// bytes a round's heads borrow. Collecting an emptied vector's iterator
+/// into a vector of a type of the same layout reuses the allocation.
+#[allow(
+    clippy::unnecessary_filter_map,
+    reason = "the map is what changes the lifetime; `filter` keeps it"
+)]
+fn recycle<'b>(mut heads: Vec<(Key, RequestHead<'_>)>) -> Vec<(Key, RequestHead<'b>)> {
+    heads.clear();
+    heads.into_iter().filter_map(|_| None).collect()
 }
 
 /// Cluster-wide node parameters.
@@ -382,20 +402,45 @@ impl Runtime {
         events.into_iter().sum()
     }
 
+    /// One node's round: its due mail, taken out of its mailbox and read —
+    /// each frame whole or not at all, a framed request as its head — then
+    /// handled in `(deliver_at, from, seq)` order, and then its due
+    /// timers.
     fn process_cell(&self, slot: usize, now: Tick, round: &mut RoundBuffer) -> usize {
-        let mut envs = DRAINED.take();
-        let decode_errors = self.boxes.drain_due_into(slot, now, &mut envs);
+        let mut due = self.boxes.take_due(slot, now);
         let mut state = lock_unpoisoned(&self.states[slot]);
-        state.wire.record_decode_errors(decode_errors);
-        let events = self.node_round(slot, &mut state, now, round, |state, net| {
-            let handled = envs.len();
-            for env in envs.drain(..) {
-                state.handle(net, env);
+        self.node_round(slot, &mut state, now, round, |state, net| {
+            let Some(due) = &mut due else {
+                return state.fire_timers(net);
+            };
+            let (mut envs, mut heads) = (DRAINED.take(), HEADS.take());
+            let failed = due.read_into(&mut envs, &mut heads, wire::read_framed);
+            state.wire.record_decode_errors(failed);
+            let handled = envs.len() + heads.len();
+            if heads.is_empty() {
+                // All of an unframed stack's mail: nothing to merge, and
+                // the loop stays as lean as the handling it repeats.
+                for env in envs.drain(..) {
+                    state.handle(net, env);
+                }
+            } else {
+                // Each buffer is in key order; merged, they are the order.
+                let mut routed = heads.iter().peekable();
+                for env in envs.drain(..) {
+                    let key = env.key();
+                    while let Some((_, head)) = routed.next_if(|(at, _)| *at < key) {
+                        state.handle_routed(net, head);
+                    }
+                    state.handle(net, env);
+                }
+                for (_, head) in routed {
+                    state.handle_routed(net, head);
+                }
             }
+            DRAINED.set(envs);
+            HEADS.set(recycle(heads));
             handled + state.fire_timers(net)
-        });
-        DRAINED.set(envs);
-        events
+        })
     }
 
     /// Runs `body` on a locked node as one atomic unit. With a framing
@@ -954,6 +999,46 @@ mod tests {
         }
     }
 
+    /// The node [`RECEIVER`] links to, and the key past it that a request
+    /// [`routed`] to the receiver is forwarded toward.
+    const NEXT: u64 = 2;
+
+    /// A request that [`RECEIVER`] only routes: on to [`NEXT`], as the
+    /// bytes it arrived in.
+    fn routed(from: u64, seq: u64) -> Envelope<Payload> {
+        Envelope {
+            payload: Payload::Request {
+                origin: NodeId::new(from),
+                req: 1,
+                attempt: 0,
+                hops: 1,
+                op: Op::Lookup { key: NEXT + 1 },
+                path: Vec::new(),
+            },
+            ..marked(from, seq)
+        }
+    }
+
+    #[test]
+    fn a_recycled_head_buffer_keeps_its_allocation() {
+        let request = canon_wire::to_bytes(&routed(30, 1).payload);
+        let header = crate::framed::FrameHeader {
+            from: NodeId::new(30),
+            to: NodeId::new(RECEIVER),
+            sent_at: 0,
+            deliver_at: 0,
+        };
+        let Ok(crate::transport::Read::Head(head)) = wire::read_framed(&header, 1, &request) else {
+            panic!("a request reads as its head");
+        };
+        let mut heads = Vec::with_capacity(16);
+        heads.push(((0, 30, 1), head));
+        let at = heads.as_ptr() as usize;
+        let recycled: Vec<(Key, RequestHead<'static>)> = recycle(heads);
+        assert!(recycled.is_empty());
+        assert_eq!((recycled.as_ptr() as usize, recycled.capacity()), (at, 16));
+    }
+
     #[test]
     fn a_damaged_frame_delivers_nothing_and_counts_one_decode_error() {
         // Where the first payload's tag byte sits in a frame of small
@@ -961,26 +1046,42 @@ mod tests {
         // (sent_at, deliver_at, count), then the message's sequence number
         // and payload length.
         const PAYLOAD_TAG: usize = 4 + 8 + 8 + 3 + 2;
+        // Where the last payload's tag byte sits, from the end: a marked
+        // message's payload is a tag, two identifiers and a one-byte floor.
+        const LAST_PAYLOAD: usize = 1 + 8 + 8 + 1;
         type Damage = fn(&mut Vec<u8>);
         type Expected = fn(&WireError) -> bool;
-        let damages: [(&str, Damage, Expected); 3] = [
+        // The intact run is the control: the same frames, every message
+        // delivered and the request forwarded.
+        let cases: [(&str, Option<(Damage, Expected)>); 5] = [
+            ("intact", None),
             (
                 "truncated",
-                |f| f.truncate(f.len() - 1),
-                |e| *e == WireError::Truncated,
+                Some((|f| f.truncate(f.len() - 1), |e| *e == WireError::Truncated)),
             ),
             (
                 "bad payload tag",
-                |f| f[PAYLOAD_TAG] = 0xff,
-                |e| matches!(e, WireError::BadTag { ty: "Payload", .. }),
+                Some((
+                    |f| f[PAYLOAD_TAG] = 0xff,
+                    |e| matches!(e, WireError::BadTag { ty: "Payload", .. }),
+                )),
+            ),
+            (
+                "bad last payload tag",
+                Some((
+                    |f| {
+                        let at = f.len() - LAST_PAYLOAD;
+                        f[at] = 0xff;
+                    },
+                    |e| matches!(e, WireError::BadTag { ty: "Payload", .. }),
+                )),
             ),
             (
                 "trailing byte",
-                |f| f.push(0),
-                |e| *e == WireError::TrailingBytes,
+                Some((|f| f.push(0), |e| *e == WireError::TrailingBytes)),
             ),
         ];
-        for (what, damage, expected) in damages {
+        for (what, damage) in cases {
             let mut rt = Runtime::new(
                 Arc::new(VirtualClock::new()),
                 Arc::new(FramedTransport::new(ChannelTransport::new(1))),
@@ -989,21 +1090,26 @@ mod tests {
                     ..RuntimeConfig::default()
                 },
             );
-            let slot = rt.spawn_seeded(NodeId::new(RECEIVER), BTreeSet::new(), Vec::new(), None);
+            let links = BTreeSet::from([NodeId::new(NEXT)]);
+            let slot = rt.spawn_seeded(NodeId::new(RECEIVER), links, Vec::new(), None);
+            rt.spawn_seeded(NodeId::new(NEXT), BTreeSet::new(), Vec::new(), None);
             // One bucket, tick 0: frames arriving out of key order, two of
             // them from one sender (as under jitter), the damaged one in
-            // the middle, and a plain envelope among them.
+            // the middle, and a plain envelope among them. The damaged
+            // frame opens with a request the receiver would forward: the
+            // damage is found only after it has been read, and it must
+            // not leave all the same.
             let frames = [
                 (vec![marked(40, 1), marked(40, 2)], false),
                 (vec![marked(20, 5), marked(20, 6)], false),
-                (vec![marked(30, 3), marked(30, 4)], true),
+                (vec![routed(30, 3), marked(30, 4)], true),
                 (vec![marked(20, 9)], false),
                 (vec![marked(10, 7)], false),
             ];
             for (envs, damaged) in &frames {
                 let mut frame = Vec::new();
                 encode_frame(envs, &mut frame);
-                if *damaged {
+                if let (true, Some((damage, expected))) = (damaged, damage) {
                     damage(&mut frame);
                     let err = decode_frame(&frame, &mut Vec::new()).expect_err(what);
                     assert!(expected(&err), "{what}: {err:?}");
@@ -1014,20 +1120,29 @@ mod tests {
             rt.boxes.push(slot, marked(15, 1));
             assert_eq!(rt.boxes.queued(), 9, "{what}");
 
-            assert_eq!(rt.step(), 7, "{what}: handled");
+            let intact = damage.is_none();
+            assert_eq!(rt.step(), if intact { 9 } else { 7 }, "{what}: handled");
             let handled: Vec<u64> = rt
                 .event_log()
                 .iter()
                 .filter_map(|line| line.split("key=").nth(1)?.split(' ').next()?.parse().ok())
                 .collect();
-            assert_eq!(
-                handled,
-                vec![10_007, 15_001, 20_005, 20_006, 20_009, 40_001, 40_002],
-                "{what}"
-            );
+            let mut want = vec![10_007, 15_001, 20_005, 20_006, 20_009, 40_001, 40_002];
+            if intact {
+                want.insert(5, 30_004);
+            }
+            assert_eq!(handled, want, "{what}");
             let wire = rt.wire_summary().expect("framed stack");
-            assert_eq!(wire.decode_errors, 1, "{what}");
-            assert_eq!(rt.boxes.queued(), 0, "{what}");
+            let damaged = u64::from(!intact);
+            assert_eq!(wire.decode_errors, damaged, "{what}");
+            // Forwarded or not: one frame out, queued at the next node.
+            let forwarded = 1 - damaged;
+            assert_eq!(wire.frames, forwarded, "{what}: frames sent");
+            assert_eq!(rt.summary().forwarded, forwarded, "{what}: forwarded");
+            assert_eq!(rt.boxes.queued() as u64, forwarded, "{what}");
+            if intact {
+                continue;
+            }
             assert_eq!(rt.next_event(), None, "{what}");
         }
     }

@@ -39,21 +39,22 @@
 //!   sit and how many messages it carries. Nothing is allocated per frame.
 //!
 //! A drain removes the due buckets — almost always one — under the slot's
-//! lock, releases the lock, and only then decodes the frames, into the
-//! caller's buffer. A frame that fails to decode delivers none of its
-//! messages and is counted as one decode error for the receiver. The
-//! order is cheap to restore: a sender opens at most one frame per
-//! `(slot, tick)` per round, its messages in send order, and its sequence
-//! numbers only grow, so one sender's frames to one bucket hold disjoint,
-//! increasing runs of sequence numbers. Decoding a single bucket's frames
-//! in `(from, first seq)` order — the order one exchange queues them in,
-//! and a quick sort away when jitter made two rounds' groups meet —
-//! therefore yields its messages in `(from, seq)` order with nothing left
-//! to sort. Only when envelopes share the drain, or several ticks fell due
-//! at once, is the whole drain sorted. The key is unique per message and
-//! independent of *arrival* order, so concurrent senders cannot perturb
-//! the order a node drains its mailbox in — the second half of the
-//! determinism argument. For a fixed ordered
+//! lock and hands them to the caller, who reads them with the lock
+//! released (`Bucket::read_into`): a frame is read whole before any of its
+//! messages is handed on, and one that fails to read delivers none of
+//! them and is counted as one decode error for the receiver. The order is
+//! cheap to restore: a sender opens at most one frame per `(slot, tick)`
+//! per round, its messages in send order, and its sequence numbers only
+//! grow, so one sender's frames to one bucket hold disjoint, increasing
+//! runs of sequence numbers; and no node frames mail to itself (a node's
+//! own mail, its injected commands, is envelopes). So every frame is a
+//! contiguous run of the `(deliver_at, from, seq)` order: the frames
+//! sorted by their first message's key, and the few envelopes sorted by
+//! theirs, merge into the order with nothing else to sort. The key is
+//! unique per message and independent of *arrival* order, so concurrent
+//! senders cannot perturb the order a node drains its mailbox in — the
+//! second half of the determinism argument (debug builds check the
+//! merged order). For a fixed ordered
 //! pair of nodes the key is monotone in the send order whenever the
 //! transport's latency is constant per pair, which is the FIFO property
 //! the channel transport guarantees (see `tests/transport_fifo.rs`).
@@ -74,12 +75,13 @@
 //! as the drain is.
 
 use crate::clock::Tick;
-use crate::framed;
+use crate::framed::{self, FrameHeader};
 use canon_id::rng::Seed;
 use canon_id::NodeId;
-use canon_wire::WireDecode;
+use canon_wire::{WireDecode, WireError};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks a runtime mutex under the crate's poisoned-lock policy: recover
@@ -116,7 +118,8 @@ pub struct Envelope<M> {
 }
 
 impl<M> Envelope<M> {
-    fn key(&self) -> (Tick, u64, u64) {
+    /// The message's place in the delivery order.
+    pub(crate) fn key(&self) -> Key {
         (self.deliver_at, self.from.raw(), self.seq)
     }
 }
@@ -283,6 +286,8 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 /// where its bytes sit in the bucket, and how many messages it carries.
 #[derive(Clone, Copy, Debug)]
 struct FrameEntry {
+    /// When the frame is due (the frame header's `deliver_at`).
+    deliver_at: Tick,
     /// The sender (the frame header's `from`).
     from: u64,
     /// The sequence number of the frame's first message.
@@ -296,6 +301,12 @@ struct FrameEntry {
 }
 
 impl FrameEntry {
+    /// The key of the frame's first message: the frame is the run of the
+    /// sender's messages from it on (see the module docs).
+    fn key(&self) -> Key {
+        (self.deliver_at, self.from, self.seq)
+    }
+
     /// The frame's bytes in `all`, or nothing if they are not there (which
     /// then fails to decode).
     fn bytes<'a>(&self, all: &'a [u8]) -> &'a [u8] {
@@ -306,9 +317,10 @@ impl FrameEntry {
 
 /// The mail due at one tick in one slot: envelopes, and frames as the
 /// bytes their senders wrote (see the module docs). Never empty while it
-/// is in its slot's map.
+/// is in its slot's map; a drain takes it out whole
+/// ([`Mailboxes::take_due`]) and reads it ([`Bucket::read_into`]).
 #[derive(Clone, Debug)]
-struct Bucket<M> {
+pub(crate) struct Bucket<M> {
     envs: Vec<Envelope<M>>,
     /// Every frame's bytes, back to back in arrival order.
     bytes: Vec<u8>,
@@ -348,40 +360,78 @@ impl<M> Bucket<M> {
             ..*f
         }));
     }
+
+    /// Reads the bucket: its envelopes, and each framed message as `read`
+    /// makes it of its frame's header, sequence number and payload bytes —
+    /// an envelope, appended to `envs`, or a head, appended to `heads`
+    /// with its key. A frame is read whole or not at all: one that fails
+    /// leaves both buffers as it found them. On return the messages added
+    /// to `envs` are in `(deliver_at, from, seq)` order, and so are those
+    /// added to `heads`; merging the two by key is the delivery order.
+    /// Returns how many frames failed.
+    ///
+    /// Only the envelopes and the frame index are sorted: a frame is a
+    /// contiguous run of the order (see the module docs), so frames read
+    /// in the order of their first keys yield their messages in order.
+    pub(crate) fn read_into<'a, H>(
+        &'a mut self,
+        envs: &mut Vec<Envelope<M>>,
+        heads: &mut Vec<(Key, H)>,
+        read: impl Fn(&FrameHeader, u64, &'a [u8]) -> Result<Read<M, H>, WireError>,
+    ) -> u64 {
+        let Bucket {
+            envs: queued,
+            bytes,
+            frames,
+        } = self;
+        let bytes: &'a Vec<u8> = bytes;
+        // Framed mail comes out in order, whatever its ticks; queued
+        // envelopes, if any, are sorted in below.
+        let mixed = !queued.is_empty();
+        let first = envs.len();
+        envs.append(queued);
+        // Freed now, as a drain always has, not with the bucket after the
+        // round: the round's sends fill other buckets meanwhile.
+        *queued = Vec::new();
+        frames.sort_unstable_by_key(FrameEntry::key);
+        let mut failed = 0;
+        for f in frames.iter() {
+            let before = (envs.len(), heads.len());
+            let checked = framed::read_frame(f.bytes(bytes), |header, seq, payload, _| {
+                match read(header, seq, payload)? {
+                    Read::Envelope(env) => envs.push(env),
+                    Read::Head(head) => heads.push(((f.deliver_at, f.from, seq), head)),
+                }
+                Ok(())
+            });
+            if checked.is_err() {
+                envs.truncate(before.0);
+                heads.truncate(before.1);
+                failed += 1;
+            }
+        }
+        let envs = &mut envs[first..];
+        if mixed {
+            // Keys are unique, so an unstable sort has one possible result.
+            envs.sort_unstable();
+        }
+        debug_assert!(envs.is_sorted(), "framed mail read out of order");
+        debug_assert!(
+            heads.is_sorted_by_key(|(key, _)| *key),
+            "framed heads out of order"
+        );
+        failed
+    }
 }
 
 impl<M: WireDecode> Bucket<M> {
-    /// Decodes every frame, appending its messages to `out`, and returns
-    /// how many frames failed to decode (and so delivered nothing).
-    fn decode_frames(&self, out: &mut Vec<Envelope<M>>) -> u64 {
-        let failed = self
-            .frames
-            .iter()
-            .filter(|f| framed::unframe(f.bytes(&self.bytes), out).is_err())
-            .count();
-        failed as u64
-    }
-
-    /// Appends the bucket's messages to `out` in `(deliver_at, from, seq)`
-    /// order, given that it holds the mail of `ticks` delivery ticks, and
-    /// returns how many frames failed to decode.
-    fn deliver(mut self, out: &mut Vec<Envelope<M>>, ticks: usize) -> u64 {
-        let first = out.len();
-        // Frames alone, of one tick: in `(from, first seq)` order they
-        // decode straight into key order (see the module docs).
-        let frames_alone = ticks == 1 && self.envs.is_empty();
-        out.append(&mut self.envs);
-        if frames_alone {
-            self.frames.sort_unstable_by_key(|f| (f.from, f.seq));
-        }
-        let failed = self.decode_frames(out);
-        if frames_alone {
-            debug_assert!(out[first..].is_sorted(), "frames decoded out of order");
-        } else {
-            // Keys are unique, so an unstable sort has one possible result.
-            out[first..].sort_unstable();
-        }
-        failed
+    /// Appends the bucket's messages to `out`, decoded, in `(deliver_at,
+    /// from, seq)` order, and returns how many frames failed to decode.
+    fn decode(&mut self, out: &mut Vec<Envelope<M>>) -> u64 {
+        let mut no_heads: Vec<(Key, Infallible)> = Vec::new();
+        self.read_into(out, &mut no_heads, |header, seq, payload| {
+            header.envelope(seq, payload).map(Read::Envelope)
+        })
     }
 
     /// Removes the message `from` sent as `seq`, if it is queued here.
@@ -417,6 +467,17 @@ impl<M: WireDecode> Bucket<M> {
         self.envs.append(&mut decoded);
         Some(env)
     }
+}
+
+/// A message's place in the delivery order: `(deliver_at, from, seq)`.
+pub(crate) type Key = (Tick, u64, u64);
+
+/// What a drain's reader makes of one framed message: an envelope, or a
+/// head the caller keeps in place of the message (a framed request, which
+/// a hop that only routes it need not decode).
+pub(crate) enum Read<M, H> {
+    Envelope(Envelope<M>),
+    Head(H),
 }
 
 /// One slot's queued messages, bucketed by delivery tick.
@@ -510,6 +571,7 @@ impl<M> Mailboxes<M> {
         bucket.frames.reserve_exact(frames.len());
         for (from, seq, count, bytes) in frames {
             bucket.frames.push(FrameEntry {
+                deliver_at,
                 from: from.raw(),
                 seq,
                 start: bucket.bytes.len(),
@@ -569,6 +631,33 @@ impl<M> Mailboxes<M> {
     pub(crate) fn earliest_due(&self) -> Option<Tick> {
         lock_unpoisoned(&self.index).first().map(|&(tick, _)| tick)
     }
+
+    /// Takes every bucket due at or before `now` out of `slot`, as one
+    /// bucket, for the caller to [read](Bucket::read_into). The buckets
+    /// leave the slot under its lock; nothing is read until then, after the
+    /// lock is released, so senders are not held up.
+    pub(crate) fn take_due(&self, slot: usize, now: Tick) -> Option<Bucket<M>> {
+        let mut due: Option<Bucket<M>> = None;
+        let mut buckets = lock_unpoisoned(&self.slots[slot]);
+        // Locked on the first bucket removed: an empty drain never touches
+        // the index.
+        let mut index = None;
+        while let Some(first) = buckets.first_entry() {
+            if *first.key() > now {
+                break;
+            }
+            index
+                .get_or_insert_with(|| lock_unpoisoned(&self.index))
+                .remove(&(*first.key(), slot));
+            let bucket = first.remove();
+            match &mut due {
+                Some(earlier) => earlier.absorb(bucket),
+                // The common case, one due tick: the bucket is the answer.
+                None => due = Some(bucket),
+            }
+        }
+        due
+    }
 }
 
 impl<M: WireDecode> Mailboxes<M> {
@@ -578,40 +667,10 @@ impl<M: WireDecode> Mailboxes<M> {
     /// counts it as a decode error of the receiving node.
     pub fn drain_due(&self, slot: usize, now: Tick) -> Vec<Envelope<M>> {
         let mut out = Vec::new();
-        self.drain_due_into(slot, now, &mut out);
-        out
-    }
-
-    /// Appends every message due at or before `now` at `slot` to `out`, in
-    /// `(deliver_at, from, seq)` order, and returns how many frames failed
-    /// to decode. The due buckets leave the slot under its lock; their
-    /// frames are decoded after it is released, so senders are not held
-    /// up.
-    pub(crate) fn drain_due_into(&self, slot: usize, now: Tick, out: &mut Vec<Envelope<M>>) -> u64 {
-        let mut due: Option<Bucket<M>> = None;
-        let mut ticks = 0;
-        {
-            let mut buckets = lock_unpoisoned(&self.slots[slot]);
-            // Locked on the first bucket removed: an empty drain never
-            // touches the index.
-            let mut index = None;
-            while let Some(first) = buckets.first_entry() {
-                if *first.key() > now {
-                    break;
-                }
-                index
-                    .get_or_insert_with(|| lock_unpoisoned(&self.index))
-                    .remove(&(*first.key(), slot));
-                let bucket = first.remove();
-                ticks += 1;
-                match &mut due {
-                    Some(earlier) => earlier.absorb(bucket),
-                    // The common case, one due tick: the bucket is the answer.
-                    None => due = Some(bucket),
-                }
-            }
+        if let Some(mut due) = self.take_due(slot, now) {
+            due.decode(&mut out);
         }
-        due.map_or(0, |bucket| bucket.deliver(out, ticks))
+        out
     }
 
     /// Removes and returns the unique message at `slot` with the given
@@ -648,10 +707,8 @@ impl<M: WireDecode + Clone> Mailboxes<M> {
             .collect();
         let mut out = Vec::new();
         for mut bucket in buckets {
-            out.append(&mut bucket.envs);
-            bucket.decode_frames(&mut out);
+            bucket.decode(&mut out);
         }
-        out.sort_unstable();
         out
     }
 }

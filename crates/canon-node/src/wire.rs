@@ -13,11 +13,17 @@
 //! a [`samples`] value of every variant of `Op`, `Command`, `Payload` and
 //! `RpcResult`, so it does not pass without a decode arm either.
 //!
+//! A `Payload::Request` has one reader, `RequestHead`: a hop that only
+//! routes a framed request reads its head and forwards the bytes it
+//! arrived in, and the typed decode is built on the same reader.
+//!
 //! The [`samples`] submodule generates deterministic worst-case values per
 //! variant for the committed size budget in `results/wire_sizes.json`.
 
+use crate::framed::FrameHeader;
 use crate::msg::{Command, JoinGrant, Op, Payload, RpcResult};
-use crate::transport::Envelope;
+use crate::node::RoutedRequest;
+use crate::transport::{Envelope, Read};
 use canon_id::NodeId;
 use canon_wire::{Decoder, Encoder, WireDecode, WireEncode, WireError};
 
@@ -49,28 +55,159 @@ fn decode_entries(d: &mut Decoder<'_>) -> Result<Vec<(u64, u64)>, WireError> {
     Ok(out)
 }
 
-/// Decodes a request path (the generic `Vec<NodeId>` layout: varint
-/// count, then fixed 8-byte ids) with room for one more id: the hop that
-/// decodes a cached GET's path forwards it with its own id pushed on, so
-/// the push must not reallocate. An empty path — every request but a GET
-/// with caching on — stays `Vec::new()` and allocates nothing. Same bytes,
-/// same errors as the generic decode.
-fn decode_path(d: &mut Decoder<'_>) -> Result<Vec<NodeId>, WireError> {
-    let len = d.varint()?;
-    let len = usize::try_from(len).map_err(|_| WireError::Truncated)?;
-    if len == 0 {
-        return Ok(Vec::new());
+/// A [`Payload::Request`] as its receiver reads it: every field but the
+/// path decoded, the path's ids checked present but left as bytes, and
+/// the request's whole encoding kept beside them. This is the one reader
+/// of the Request layout — [`Payload`]'s decode builds the typed request
+/// from it — and what lets a hop that only routes a request pass on the
+/// bytes it arrived in ([`RequestHead::write_forward`]) instead of
+/// decoding and re-encoding them.
+#[derive(Clone, Debug)]
+pub(crate) struct RequestHead<'a> {
+    /// The request's encoding, tag byte through the last path id.
+    bytes: &'a [u8],
+    pub origin: NodeId,
+    pub req: u64,
+    pub attempt: u32,
+    pub hops: u32,
+    pub op: Op,
+    /// Where the hop count's varint starts in `bytes`.
+    hops_at: usize,
+    /// Where the path count's varint starts in `bytes`.
+    path_at: usize,
+    /// The path's length in ids, which fill the tail of `bytes`.
+    path_len: usize,
+}
+
+impl<'a> RequestHead<'a> {
+    /// Reads a request's head off `d`, positioned just past the tag byte
+    /// with which `whole` (the input from that tag on) starts. The path's
+    /// ids are skipped, not decoded; the errors are the typed decode's.
+    fn read(whole: &'a [u8], d: &mut Decoder<'a>) -> Result<RequestHead<'a>, WireError> {
+        let at = |d: &Decoder<'a>| whole.len() - d.remaining();
+        let origin = d.decode()?;
+        let req = d.varint()?;
+        let attempt = d.decode()?;
+        let hops_at = at(d);
+        let hops = d.decode()?;
+        let op = d.decode()?;
+        let path_at = at(d);
+        let path_len = d.varint()?;
+        let path_len = usize::try_from(path_len).map_err(|_| WireError::Truncated)?;
+        // 8 bytes per id: an over-claimed count is truncation, caught
+        // before anything is sized by it.
+        if path_len > d.remaining() / 8 {
+            return Err(WireError::Truncated);
+        }
+        d.take(8 * path_len)?;
+        Ok(RequestHead {
+            bytes: &whole[..at(d)],
+            origin,
+            req,
+            attempt,
+            hops,
+            op,
+            hops_at,
+            path_at,
+            path_len,
+        })
     }
-    // 8 bytes per id: an over-claimed count is truncation, caught before
-    // allocation.
-    if len > d.remaining() / 8 {
-        return Err(WireError::Truncated);
+
+    /// The path's ids, in hop order.
+    fn path(&self) -> impl Iterator<Item = NodeId> + 'a {
+        let ids = &self.bytes[self.bytes.len() - 8 * self.path_len..];
+        let (ids, _) = ids.as_chunks::<8>();
+        ids.iter().map(|id| NodeId::new(u64::from_le_bytes(*id)))
     }
-    let mut path = Vec::with_capacity(len + 1);
-    for _ in 0..len {
-        path.push(d.decode()?);
+
+    /// The path with room for one more id: a hop that forwards a typed
+    /// cached GET pushes its own id on, and the push must not reallocate.
+    /// An empty path — every request but a GET with caching on — stays
+    /// `Vec::new()` and allocates nothing.
+    fn path_vec(&self) -> Vec<NodeId> {
+        if self.path_len == 0 {
+            return Vec::new();
+        }
+        let mut path = Vec::with_capacity(self.path_len + 1);
+        path.extend(self.path());
+        path
     }
-    Ok(path)
+
+    /// The typed request.
+    pub fn routed(&self) -> RoutedRequest {
+        let path = self.path_vec();
+        (
+            self.origin,
+            self.req,
+            self.attempt,
+            self.hops,
+            self.op.clone(),
+            path,
+        )
+    }
+
+    /// The typed request as the next hop receives it: one more hop, and
+    /// `append`, if any, pushed onto the path.
+    pub fn forwarded(&self, append: Option<NodeId>) -> Payload {
+        let mut path = self.path_vec();
+        path.extend(append);
+        Payload::Request {
+            origin: self.origin,
+            req: self.req,
+            attempt: self.attempt,
+            hops: self.hops + 1,
+            op: self.op.clone(),
+            path,
+        }
+    }
+
+    /// Whether [`RequestHead::write_forward`] can pass the request on as
+    /// its bytes: its hop count and its path count each stay a one-byte
+    /// varint when bumped. At 127 or more either would grow a byte.
+    pub fn forwardable(&self) -> bool {
+        self.hops < 0x7f && self.path_len < 0x7f
+    }
+
+    /// The length of [`RequestHead::write_forward`]'s encoding.
+    pub fn forward_len(&self, append: Option<NodeId>) -> usize {
+        self.bytes.len() + if append.is_some() { 8 } else { 0 }
+    }
+
+    /// Appends `to_bytes(&self.forwarded(append))` without building it:
+    /// the bytes the request arrived in, with the hop count bumped and,
+    /// given `append`, the path count bumped and that id written behind
+    /// the path. Only for a [forwardable](RequestHead::forwardable) head.
+    pub fn write_forward(&self, buf: &mut Vec<u8>, append: Option<NodeId>) {
+        debug_assert!(self.forwardable(), "a count would change width");
+        let start = buf.len();
+        buf.extend_from_slice(self.bytes);
+        buf[start + self.hops_at] += 1;
+        if let Some(id) = append {
+            buf[start + self.path_at] += 1;
+            buf.extend_from_slice(&id.raw().to_le_bytes());
+        }
+    }
+}
+
+/// Reads one framed message for the runtime's drain: a request as its
+/// head, which a hop that only routes it needs and no more, anything else
+/// decoded into an envelope. A message reads exactly when
+/// `from_bytes::<Payload>` decodes its payload, and fails with the same
+/// error.
+pub(crate) fn read_framed<'a>(
+    header: &FrameHeader,
+    seq: u64,
+    payload: &'a [u8],
+) -> Result<Read<Payload, RequestHead<'a>>, WireError> {
+    // 1 is `Payload::Request`'s tag.
+    if payload.first() != Some(&1) {
+        return header.envelope(seq, payload).map(Read::Envelope);
+    }
+    let mut d = Decoder::new(payload);
+    d.tag()?;
+    let head = RequestHead::read(payload, &mut d)?;
+    d.finish()?;
+    Ok(Read::Head(head))
 }
 
 impl WireEncode for Op {
@@ -367,16 +504,20 @@ impl WireEncode for Payload {
 impl WireDecode for Payload {
     #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        let whole = d.rest();
         Ok(match d.tag()? {
             0 => Payload::Client(d.decode()?),
-            1 => Payload::Request {
-                origin: d.decode()?,
-                req: d.varint()?,
-                attempt: d.decode()?,
-                hops: d.decode()?,
-                op: d.decode()?,
-                path: decode_path(d)?,
-            },
+            1 => {
+                let (origin, req, attempt, hops, op, path) = RequestHead::read(whole, d)?.routed();
+                Payload::Request {
+                    origin,
+                    req,
+                    attempt,
+                    hops,
+                    op,
+                    path,
+                }
+            }
             2 => Payload::Response {
                 req: d.varint()?,
                 hops: d.decode()?,

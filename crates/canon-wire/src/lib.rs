@@ -25,8 +25,11 @@
 //!
 //! # Cost
 //!
-//! A hop of the node runtime decodes every message it receives, so the
-//! common case is kept to straight-line code: [`Decoder`] is a cursor
+//! A hop of the node runtime reads every message it receives — a request
+//! it only routes as far as its head, borrowing the rest
+//! ([`Decoder::rest`], [`Decoder::take`]) to pass on as bytes, anything
+//! else decoded whole — so the common case is kept to straight-line
+//! code: [`Decoder`] is a cursor
 //! over the unread tail of the input (`&[u8]`), and every read is one
 //! checked split of that tail (`split_first`, `split_first_chunk`,
 //! `split_at_checked`) — the bounds check *is* the advance. A one-byte
@@ -191,6 +194,24 @@ impl<'a> Decoder<'a> {
         self.rest.len()
     }
 
+    /// The bytes not yet consumed, borrowed from the input: a reader that
+    /// keeps a value's encoding as well as its fields slices it off this.
+    #[inline]
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// Reads `len` raw bytes, borrowing from the input.
+    #[inline]
+    pub fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
+        let (out, rest) = self
+            .rest
+            .split_at_checked(len)
+            .ok_or(WireError::Truncated)?;
+        self.rest = rest;
+        Ok(out)
+    }
+
     /// Reads one raw byte — the variant-tag primitive.
     #[inline]
     pub fn tag(&mut self) -> Result<u8, WireError> {
@@ -273,12 +294,7 @@ impl<'a> Decoder<'a> {
     pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.varint()?;
         let len = usize::try_from(len).map_err(|_| WireError::Truncated)?;
-        let (out, rest) = self
-            .rest
-            .split_at_checked(len)
-            .ok_or(WireError::Truncated)?;
-        self.rest = rest;
-        Ok(out)
+        self.take(len)
     }
 
     /// Reads a `bool` from a 0/1 tag byte.

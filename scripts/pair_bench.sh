@@ -6,7 +6,9 @@
 # odd pairs parent first, even pairs change first — so both sides see the
 # same machine. Prints, per workload and end-to-end metric, each side's
 # median and quartiles and the pairs the change won (ties count for
-# neither side), and writes the two results/history/BENCHMARK.jsonl rows
+# neither side) — for each paced latency also its approximate raw value,
+# the scaled one times the run's median yardstick over the 26 ms reference
+# — and writes the two results/history/BENCHMARK.jsonl rows
 # per workload (parent, change) to target/pair_bench/rows.jsonl for the PR
 # to append. When both uniform workloads ran it prints each side's
 # framed/channel capacity_rps ratio.
@@ -112,6 +114,8 @@ digits = {"setup_s": 6, "capacity_rps": 1, "lat_lo_p50_us": 2, "lat_lo_p90_us": 
 # The metrics a run scales by its yardstick reading, so the ones a row from
 # another series can be compared on once the readings agree.
 timed = ["setup_s", "capacity_rps", "lat_lo_p50_us", "lat_lo_p90_us", "lat_hi_p50_us"]
+# The reference host's yardstick, which the bench scales timed metrics to.
+REFERENCE_MS = 26.0
 
 def read(workload, side, i):
     text = open(f"{out}/runs/{workload}.{side}.{i}.out").read()
@@ -148,7 +152,8 @@ for w in workloads:
     print(f"\n{w}: {pairs} pairs, parent {parent_sha} vs work tree"
           + (" (smoke: timings mean nothing)" if smoke else f", {seconds} s runs"))
     print(f"  {'metric':<20} {'parent q1':>12} {'median':>12} {'q3':>12}   "
-          f"{'change q1':>12} {'median':>12} {'q3':>12}  {'delta':>8}  won")
+          f"{'change q1':>12} {'median':>12} {'q3':>12}  {'delta':>8}  won"
+          "\n  (~ raw: a lat_* row unscaled, the run's value × its median yardstick ÷ 26 ms)")
     medians = {"parent": {}, "change": {}}
     for m in metrics:
         name = m["name"]
@@ -163,6 +168,18 @@ for w in workloads:
                 f"  gap {'>' if abs(c2 - p2) > p3 - p1 else '<='} parent IQR")
         print(f"  {name:<20} {p1:>12.4f} {p2:>12.4f} {p3:>12.4f}   {c1:>12.4f} {c2:>12.4f} {c3:>12.4f}"
               f"  {delta:>8}  {won}/{pairs - tied}{note}")
+        # A paced segment is tick-bound, so its raw latency hardly follows
+        # the host while the yardstick does: undo the scaling, run by run
+        # (the scaled value × the run's median yardstick ÷ the reference),
+        # so a yardstick that read differently on the two sides cannot pass
+        # for a latency change (ROADMAP item 5(h)).
+        if name.startswith("lat_") and all(run["yardstick_ms"] for got in runs.values() for run in got):
+            raw = {side: [run["metrics"][name]["value"] * run["yardstick_ms"] / REFERENCE_MS for run in got]
+                   for side, got in runs.items()}
+            (r1, r2, r3), (s1, s2, s3) = quartiles(raw["parent"]), quartiles(raw["change"])
+            raw_won = sum(c < p for p, c in zip(raw["parent"], raw["change"]))
+            print(f"    {'~ raw':<18} {r1:>12.4f} {r2:>12.4f} {r3:>12.4f}   {s1:>12.4f} {s2:>12.4f} {s3:>12.4f}"
+                  f"  {(s2 / r2 - 1) * 100:>+7.1f}%  {raw_won}/{pairs}")
     yard = {}
     for side, got in runs.items():
         yards = [run["yardstick_ms"] for run in got if run["yardstick_ms"] is not None]
