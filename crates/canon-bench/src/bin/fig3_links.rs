@@ -10,7 +10,7 @@
 //! ring plus every merge link that clears the condition-(b) bound there.
 
 use canon::crescendo::build_crescendo;
-use canon_bench::{banner, f, row, run_matrix, secs, BenchConfig};
+use canon_bench::{banner, f, row, run_matrix, BenchConfig};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_overlay::stats::DegreeStats;
 
@@ -31,14 +31,14 @@ fn main() {
     // One matrix cell per (n, trial); each cell builds every level count.
     // Alongside the mean degree, keep the 5-level per-depth link counts
     // for the breakdown table below.
-    let rows = run_matrix(&cfg, "fig3", 1024, |trial, times| {
+    let rows = run_matrix(&cfg, "fig3", 1024, |trial| {
         let mut degrees = Vec::with_capacity(levels.len());
         let mut by_depth = Vec::new();
         for &l in &levels {
             let h = Hierarchy::balanced(10, l);
             let p = Placement::zipf(&h, trial.n, trial.seed);
-            let net = times.construct(|| build_crescendo(&h, &p));
-            degrees.push(times.measure(|| DegreeStats::of(net.graph()).summary.mean));
+            let net = build_crescendo(&h, &p);
+            degrees.push(DegreeStats::of(net.graph()).summary.mean);
             if l == 5 {
                 by_depth = net.links_per_level().to_vec();
             }
@@ -70,7 +70,5 @@ fn main() {
         row(&cells);
     }
 
-    let construct: std::time::Duration = rows.iter().map(|r| r.construct_time()).sum();
-    println!("# wall-clock: construction {}", secs(construct));
     println!("# expect: all columns ~= log2(n); deeper hierarchies slightly lower");
 }

@@ -5,7 +5,7 @@
 //! most ~0.7 from Levels=1 (Chord) to Levels=5.
 
 use canon::crescendo::build_crescendo;
-use canon_bench::{banner, f, row, run_matrix, secs, BenchConfig};
+use canon_bench::{banner, f, row, run_matrix, BenchConfig};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::metric::Clockwise;
 use canon_id::rng::Seed;
@@ -28,23 +28,21 @@ fn main() {
 
     // One matrix cell per (n, trial); each cell builds and measures every
     // level count so the per-level curves share placements.
-    let rows = run_matrix(&cfg, "fig5", 1024, |trial, times| {
+    let rows = run_matrix(&cfg, "fig5", 1024, |trial| {
         levels
             .iter()
             .map(|&l| {
                 let h = Hierarchy::balanced(10, l);
                 let p = Placement::zipf(&h, trial.n, trial.seed);
-                let net = times.construct(|| build_crescendo(&h, &p));
-                times.measure(|| {
-                    hop_stats(
-                        net.graph(),
-                        Clockwise,
-                        pairs,
-                        Seed(trial.seed.0).derive("pairs"),
-                    )
-                    .expect("routing failed on a well-formed graph")
-                    .mean
-                })
+                let net = build_crescendo(&h, &p);
+                hop_stats(
+                    net.graph(),
+                    Clockwise,
+                    pairs,
+                    Seed(trial.seed.0).derive("pairs"),
+                )
+                .expect("routing failed on a well-formed graph")
+                .mean
             })
             .collect::<Vec<f64>>()
     });
@@ -56,12 +54,5 @@ fn main() {
         }
         row(&cells);
     }
-    let construct: std::time::Duration = rows.iter().map(|r| r.construct_time()).sum();
-    let measure: std::time::Duration = rows.iter().map(|r| r.measure_time()).sum();
-    println!(
-        "# wall-clock: construction {} routing {}",
-        secs(construct),
-        secs(measure)
-    );
     println!("# expect: ~0.5*log2(n)+c; c rises with levels by at most ~0.7");
 }

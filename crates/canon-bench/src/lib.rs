@@ -25,22 +25,16 @@
 //! # The trial runner
 //!
 //! [`run_matrix`] executes one closure per `(size, trial)` cell of the
-//! experiment matrix, in parallel, and hands each invocation a
-//! [`PhaseTimer`] so binaries can report construction and
-//! measurement/routing wall-clock separately. Results come back grouped by
-//! size, in deterministic (size-major, trial-minor) order.
+//! experiment matrix, in parallel. Results come back grouped by size, in
+//! deterministic (size-major, trial-minor) order. No figure reads a
+//! clock: the one timing binary is `construction`.
 
 #![forbid(unsafe_code)]
-#![allow(
-    clippy::disallowed_types,
-    reason = "the timing harness reads the wall clock"
-)]
 
 use canon_hierarchy::{DomainId, Hierarchy, Placement};
 use canon_id::rng::Seed;
 use canon_overlay::{NodeIndex, OverlayGraph};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 /// Command-line configuration shared by the experiment binaries.
 #[derive(Clone, Copy, Debug)]
@@ -142,46 +136,13 @@ pub struct Trial {
     pub seed: Seed,
 }
 
-/// Accumulates per-phase wall-clock for one trial.
-///
-/// Binaries wrap their work in [`PhaseTimer::construct`] /
-/// [`PhaseTimer::measure`]; the runner returns the totals alongside each
-/// trial's result.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTimer {
-    /// Time spent building networks.
-    pub construct: Duration,
-    /// Time spent measuring them (routing, statistics).
-    pub measure: Duration,
-}
-
-impl PhaseTimer {
-    /// Runs `f`, attributing its wall-clock to the construction phase.
-    pub fn construct<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let r = f();
-        self.construct += start.elapsed();
-        r
-    }
-
-    /// Runs `f`, attributing its wall-clock to the measurement phase.
-    pub fn measure<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let r = f();
-        self.measure += start.elapsed();
-        r
-    }
-}
-
-/// One completed trial: its cell, result, and per-phase timing.
+/// One completed trial: its cell and result.
 #[derive(Clone, Debug)]
 pub struct TrialOutcome<T> {
     /// The matrix cell that produced this outcome.
     pub trial: Trial,
     /// The closure's result.
     pub result: T,
-    /// Per-phase wall-clock accumulated by the closure.
-    pub times: PhaseTimer,
 }
 
 /// All trials of one network size, in trial order.
@@ -201,16 +162,6 @@ impl<T> SizeRow<T> {
         }
         self.outcomes.iter().map(metric).sum::<f64>() / self.outcomes.len() as f64
     }
-
-    /// Total construction time across the row's trials.
-    pub fn construct_time(&self) -> Duration {
-        self.outcomes.iter().map(|o| o.times.construct).sum()
-    }
-
-    /// Total measurement time across the row's trials.
-    pub fn measure_time(&self) -> Duration {
-        self.outcomes.iter().map(|o| o.times.measure).sum()
-    }
 }
 
 /// Runs `run` for every `(size, trial)` cell of the experiment matrix in
@@ -227,7 +178,7 @@ pub fn run_matrix<T: Send>(
     cfg: &BenchConfig,
     label: &str,
     from: usize,
-    run: impl Fn(&Trial, &mut PhaseTimer) -> T + Sync,
+    run: impl Fn(&Trial) -> T + Sync,
 ) -> Vec<SizeRow<T>> {
     let mut cells = Vec::new();
     for &n in &cfg.sizes(from) {
@@ -239,14 +190,9 @@ pub fn run_matrix<T: Send>(
             });
         }
     }
-    let mut outcomes = canon_par::par_map(&cells, |_, trial| {
-        let mut times = PhaseTimer::default();
-        let result = run(trial, &mut times);
-        TrialOutcome {
-            trial: *trial,
-            result,
-            times,
-        }
+    let mut outcomes = canon_par::par_map(&cells, |_, trial| TrialOutcome {
+        trial: *trial,
+        result: run(trial),
     })
     .into_iter();
     // par_map preserves input order, so outcomes arrive size-major,
@@ -350,11 +296,6 @@ pub fn f(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Formats a duration cell in seconds.
-pub fn secs(d: Duration) -> String {
-    format!("{:.3}s", d.as_secs_f64())
-}
-
 /// Groups graph node indices by their ancestor domain at `depth`.
 ///
 /// Nodes whose leaf is shallower than `depth` are grouped under the leaf
@@ -419,7 +360,7 @@ mod tests {
     #[test]
     fn run_matrix_covers_every_cell_in_order() {
         let cfg = cfg(4096, 3);
-        let rows = run_matrix(&cfg, "t", 1024, |trial, _| (trial.n, trial.index));
+        let rows = run_matrix(&cfg, "t", 1024, |trial| (trial.n, trial.index));
         assert_eq!(rows.len(), 3);
         for (row, expect_n) in rows.iter().zip([1024, 2048, 4096]) {
             assert_eq!(row.n, expect_n);
@@ -431,9 +372,9 @@ mod tests {
     #[test]
     fn run_matrix_is_thread_count_independent() {
         let cfg = cfg(2048, 2);
-        let work = |trial: &Trial, times: &mut PhaseTimer| {
-            let ids = times.construct(|| canon_id::rng::random_ids(trial.seed, trial.n.min(64)));
-            times.measure(|| ids.iter().map(|i| i.raw() as u128).sum::<u128>())
+        let work = |trial: &Trial| {
+            let ids = canon_id::rng::random_ids(trial.seed, trial.n.min(64));
+            ids.iter().map(|i| i.raw() as u128).sum::<u128>()
         };
         let serial = canon_par::with_threads(1, || run_matrix(&cfg, "t", 1024, work));
         let parallel = canon_par::with_threads(4, || run_matrix(&cfg, "t", 1024, work));
@@ -443,20 +384,6 @@ mod tests {
                 .collect()
         };
         assert_eq!(flat(&serial), flat(&parallel));
-    }
-
-    #[test]
-    fn phase_timer_attributes_both_phases() {
-        let cfg = cfg(1024, 1);
-        let rows = run_matrix(&cfg, "t", 1024, |_, times| {
-            times.construct(|| std::thread::sleep(Duration::from_millis(2)));
-            times.measure(|| std::thread::sleep(Duration::from_millis(1)));
-        });
-        let times = rows[0].outcomes[0].times;
-        assert!(times.construct >= Duration::from_millis(2));
-        assert!(times.measure >= Duration::from_millis(1));
-        assert_eq!(rows[0].construct_time(), times.construct);
-        assert_eq!(rows[0].measure_time(), times.measure);
     }
 
     #[test]
@@ -487,7 +414,6 @@ mod tests {
                         seed: Seed(0),
                     },
                     result: 1.0,
-                    times: PhaseTimer::default(),
                 },
                 TrialOutcome {
                     trial: Trial {
@@ -496,7 +422,6 @@ mod tests {
                         seed: Seed(0),
                     },
                     result: 3.0,
-                    times: PhaseTimer::default(),
                 },
             ],
         };

@@ -223,28 +223,6 @@ impl SortedRing {
 }
 
 /// Position in `sorted` (ascending, duplicate-free) of the identifier
-/// minimizing the *clockwise* distance to `target`: the largest id `<=
-/// target`, wrapping to the overall largest when every id lies clockwise
-/// of the target. Returns `None` on an empty slice.
-///
-/// This is the single binary search behind indexed greedy next-hop
-/// selection (`canon-overlay`'s `NextHopIndex`): with a node's neighbor
-/// ids kept in sorted order, the neighbor closest to a routing target
-/// under the clockwise metric is one `partition_point` away instead of an
-/// exhaustive scan.
-pub fn clockwise_closest_sorted(sorted: &[NodeId], target: NodeId) -> Option<usize> {
-    if sorted.is_empty() {
-        return None;
-    }
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0] < w[1]),
-        "ids not strictly sorted"
-    );
-    let idx = sorted.partition_point(|&id| id <= target);
-    Some(if idx == 0 { sorted.len() - 1 } else { idx - 1 })
-}
-
-/// Position in `sorted` (ascending, duplicate-free) of the identifier
 /// minimizing the *XOR* distance to `target`. Returns `None` on an empty
 /// slice.
 ///
@@ -513,23 +491,6 @@ mod tests {
 
     fn ids(raw: &[u64]) -> Vec<NodeId> {
         raw.iter().copied().map(NodeId::new).collect()
-    }
-
-    #[test]
-    fn clockwise_closest_sorted_matches_scan() {
-        let sorted = ids(&[3, 10, 20, 55, u64::MAX - 2]);
-        for t in [0u64, 3, 4, 10, 19, 20, 54, 55, 1000, u64::MAX - 3, u64::MAX] {
-            let target = NodeId::new(t);
-            let got = clockwise_closest_sorted(&sorted, target).unwrap();
-            let want = sorted
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &id)| id.clockwise_to(target))
-                .map(|(i, _)| i)
-                .unwrap();
-            assert_eq!(got, want, "target {t}");
-        }
-        assert_eq!(clockwise_closest_sorted(&[], NodeId::new(7)), None);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   segments are finger tables of ~log2 n entries, where a sequential
 //!   scan the prefetcher can run ahead of beats a chain of dependent
 //!   binary-search probes; oversized segments fall back to
-//!   `partition_point`). [`canon_id::ring::clockwise_closest_sorted`] is
-//!   the executable specification this scan must agree with.
+//!   `partition_point`). [`crate::closest_clockwise`] is the executable
+//!   specification this scan must agree with.
 //! * **XOR**: distances to a fixed target are injective in the id, so one
 //!   sequential `min` pass finds the unique closest neighbor
 //!   ([`canon_id::ring::xor_closest_sorted`] is the logarithmic
@@ -170,7 +170,7 @@ impl NextHopIndex {
 
 /// The clockwise-closest entry: largest id `<= target`, wrapping to the
 /// overall largest when no id qualifies. Agrees with
-/// [`canon_id::ring::clockwise_closest_sorted`] on every input.
+/// [`crate::closest_clockwise`] on every input.
 fn clockwise_best(seg: &[Entry], target: NodeId) -> Option<&Entry> {
     if seg.len() > LINEAR_SCAN_MAX {
         let idx = seg.partition_point(|e| e.id <= target);
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn oversized_segments_agree_with_the_scan_specification() {
         // A hub with 200 neighbors exercises the `partition_point` branch
-        // (segments past LINEAR_SCAN_MAX) against the ring specification.
+        // (segments past LINEAR_SCAN_MAX) against `closest_clockwise`.
         let ids: Vec<NodeId> = (0u64..=200).map(|r| id(r * 3 + 1)).collect();
         let mut b = GraphBuilder::with_nodes(&ids);
         for i in 1..=200u64 {
@@ -273,14 +273,8 @@ mod tests {
         for t in [0u64, 1, 3, 4, 5, 299, 300, 301, 601, 602, u64::MAX] {
             let target = id(t);
             let got = idx.next_toward(Clockwise, hub, target);
-            let pos = canon_id::ring::clockwise_closest_sorted(&sorted, target)
-                .expect("nonempty segment");
-            let want = sorted[pos];
-            assert_eq!(
-                got.map(|(_, d)| d),
-                Some(Clockwise.distance(want, target)),
-                "target {t}"
-            );
+            let want = crate::closest_clockwise(&sorted, target).expect("nonempty segment");
+            assert_eq!(got.map(|(_, d)| d), Some(want.1), "target {t}");
         }
     }
 }

@@ -133,25 +133,6 @@ impl EuclideanWorld {
         let (bx, by) = self.position_of[&b];
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt() + self.params.access_cost
     }
-
-    /// Mean latency over `samples` random distinct pairs (the stretch
-    /// normalizer).
-    pub fn mean_direct_latency(&self, samples: usize, seed: Seed) -> f64 {
-        let ids = self.placement.ids();
-        let mut rng = seed.rng();
-        let mut total = 0.0;
-        let mut count = 0usize;
-        while count < samples {
-            let a = ids[rng.gen_range(0..ids.len())];
-            let b = ids[rng.gen_range(0..ids.len())];
-            if a == b {
-                continue;
-            }
-            total += self.latency(a, b);
-            count += 1;
-        }
-        total / count as f64
-    }
 }
 
 #[cfg(test)]
@@ -206,13 +187,5 @@ mod tests {
         let b = EuclideanWorld::generate(EuclideanParams::default(), 50, Seed(4));
         let ids = a.placement().ids();
         assert_eq!(a.position(ids[7]), b.position(ids[7]));
-    }
-
-    #[test]
-    fn mean_direct_latency_reflects_world_scale() {
-        let w = EuclideanWorld::generate(EuclideanParams::default(), 300, Seed(5));
-        let m = w.mean_direct_latency(2000, Seed(6));
-        // Mean distance between uniform points in a 300x300 square ≈ 156.
-        assert!(m > 50.0 && m < 300.0, "mean latency {m}");
     }
 }

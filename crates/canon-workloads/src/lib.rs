@@ -13,9 +13,7 @@
 //!   hot-spot workload behind the flash-crowd caching experiments;
 //! * [`LocalityQueries`] — query streams where a tunable fraction of
 //!   queries target keys "owned" by the querier's own domain at a chosen
-//!   level, the access pattern hierarchical caching exploits;
-//! * [`poisson_churn`] — exponential inter-arrival join/leave traces for
-//!   churn experiments.
+//!   level, the access pattern hierarchical caching exploits.
 //!
 //! # Example
 //!
@@ -32,11 +30,7 @@
 #![forbid(unsafe_code)]
 
 use canon_hierarchy::{DomainId, Hierarchy, Placement};
-use canon_id::{
-    hash::hash_name,
-    rng::{DetRng, Seed},
-    Key, NodeId,
-};
+use canon_id::{hash::hash_name, rng::Seed, Key, NodeId};
 use rand::Rng;
 
 /// A fixed universe of keys drawn with Zipf(`s`) popularity: the `k`-th
@@ -313,89 +307,6 @@ impl LocalityQueries {
     }
 }
 
-/// A churn event.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ChurnEvent {
-    /// A new node arrives (with a fresh identifier) at `time`.
-    Join {
-        /// Event time.
-        time: f64,
-        /// The arriving node's identifier.
-        id: NodeId,
-    },
-    /// A uniformly random live node departs at `time`.
-    Leave {
-        /// Event time.
-        time: f64,
-        /// Index into the live set at generation time (the consumer maps it
-        /// to whichever bookkeeping it maintains).
-        victim_rank: usize,
-    },
-}
-
-/// A Poisson churn trace: joins at rate `lambda_join`, leaves at rate
-/// `lambda_leave` (events per time unit), generated up to `horizon`.
-///
-/// Leaves are suppressed while the (generator-tracked) population is at or
-/// below `min_population`.
-pub fn poisson_churn(
-    lambda_join: f64,
-    lambda_leave: f64,
-    horizon: f64,
-    initial_population: usize,
-    min_population: usize,
-    seed: Seed,
-) -> Vec<ChurnEvent> {
-    assert!(
-        lambda_join >= 0.0 && lambda_leave >= 0.0,
-        "rates must be non-negative"
-    );
-    assert!(horizon >= 0.0, "horizon must be non-negative");
-    let mut rng = seed.derive("churn").rng();
-    let mut events = Vec::new();
-    let mut t_join = sample_exp(&mut rng, lambda_join);
-    let mut t_leave = sample_exp(&mut rng, lambda_leave);
-    let mut population = initial_population;
-    let mut counter = 0u64;
-    loop {
-        let (t, is_join) = if t_join <= t_leave {
-            (t_join, true)
-        } else {
-            (t_leave, false)
-        };
-        if t > horizon {
-            break;
-        }
-        if is_join {
-            counter += 1;
-            let id = NodeId::new(canon_id::rng::splitmix64(
-                seed.derive("join-ids").0 ^ counter,
-            ));
-            events.push(ChurnEvent::Join { time: t, id });
-            population += 1;
-            t_join = t + sample_exp(&mut rng, lambda_join);
-        } else {
-            if population > min_population {
-                events.push(ChurnEvent::Leave {
-                    time: t,
-                    victim_rank: rng.gen_range(0..population),
-                });
-                population -= 1;
-            }
-            t_leave = t + sample_exp(&mut rng, lambda_leave);
-        }
-    }
-    events
-}
-
-fn sample_exp(rng: &mut DetRng, lambda: f64) -> f64 {
-    if lambda <= 0.0 {
-        return f64::INFINITY;
-    }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() / lambda
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,45 +427,5 @@ mod tests {
                 .any(|i| (0..wl.slice(i).len()).any(|r| wl.slice(i).key(r) == q.key));
             assert!(hit, "local key not from any slice");
         }
-    }
-
-    #[test]
-    fn churn_trace_is_time_ordered_and_bounded() {
-        let events = poisson_churn(2.0, 1.0, 100.0, 50, 10, Seed(11));
-        assert!(!events.is_empty());
-        let times: Vec<f64> = events
-            .iter()
-            .map(|e| match e {
-                ChurnEvent::Join { time, .. } | ChurnEvent::Leave { time, .. } => *time,
-            })
-            .collect();
-        assert!(
-            times.windows(2).all(|w| w[0] <= w[1]),
-            "events out of order"
-        );
-        assert!(times.iter().all(|&t| t <= 100.0));
-        // Roughly lambda_join * horizon joins.
-        let joins = events
-            .iter()
-            .filter(|e| matches!(e, ChurnEvent::Join { .. }))
-            .count();
-        assert!((120..280).contains(&joins), "{joins} joins");
-    }
-
-    #[test]
-    fn churn_respects_population_floor() {
-        let events = poisson_churn(0.0, 10.0, 50.0, 12, 10, Seed(12));
-        let leaves = events
-            .iter()
-            .filter(|e| matches!(e, ChurnEvent::Leave { .. }))
-            .count();
-        assert_eq!(leaves, 2, "only two nodes may leave above the floor");
-    }
-
-    #[test]
-    fn traces_are_reproducible() {
-        let a = poisson_churn(1.0, 1.0, 20.0, 10, 2, Seed(13));
-        let b = poisson_churn(1.0, 1.0, 20.0, 10, 2, Seed(13));
-        assert_eq!(a, b);
     }
 }

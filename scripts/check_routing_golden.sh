@@ -11,8 +11,7 @@
 # `lookup_surviving` walk lands in their tables), or the canon-store
 # placement or cache engine did (`cache_hits`, `replication_availability`).
 #
-# Wall-clock lines (`# wall-clock: ...`) are excluded — they are the only
-# nondeterministic output. Everything else must match exactly.
+# No figure reads a clock, so every output line must match exactly.
 #
 # Each binary is checked at every thread count in THREADS_LIST (default
 # "1 4"): the parallel query sweeps must merge in deterministic index
@@ -39,7 +38,7 @@ fi
 cargo build --release -p canon-bench --quiet
 
 # Extracts one `=== name ===` section from the golden file, dropping
-# blank lines and wall-clock stamps.
+# blank lines.
 extract() {
   awk -v s="=== $1 ===" 'found && /^=== /{exit} found && NF{print} $0==s{found=1}' "$GOLDEN"
 }
@@ -49,10 +48,9 @@ checks=0
 for b in "${FIGURES[@]}"; do
   # The config banner echoes the thread count under variation; normalize
   # it (and nothing else on the line) so only real output drift fails.
-  extract "$b" | grep -v '^# wall-clock' \
-    | sed 's/^\(# config: .*\)threads=[0-9]*/\1threads=_/' > "$WORK/$b.golden"
+  extract "$b" | sed 's/^\(# config: .*\)threads=[0-9]*/\1threads=_/' > "$WORK/$b.golden"
   for t in $THREADS_LIST; do
-    ./target/release/"$b" --threads "$t" | grep -v '^# wall-clock' | grep -v '^$' \
+    ./target/release/"$b" --threads "$t" | grep -v '^$' \
       | sed 's/^\(# config: .*\)threads=[0-9]*/\1threads=_/' > "$WORK/$b.actual"
     if diff -u "$WORK/$b.golden" "$WORK/$b.actual" > "$WORK/$b.diff"; then
       echo "ok: $b matches golden output (--threads $t)"
