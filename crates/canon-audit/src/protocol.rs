@@ -56,7 +56,6 @@ use canon_node::{
     CacheConfig, ChannelTransport, Command, Envelope, FaultyTransport, Op, OpKind, Outcome,
     Payload, RpcConfig, RpcResult, Runtime, RuntimeConfig, ShardBackend, VirtualClock,
 };
-use canon_store::Policy;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -140,8 +139,8 @@ pub struct Scenario {
     pub members: Vec<u64>,
     /// Blank (unjoined) spawns that participate via `Command::Join`.
     pub blanks: Vec<u64>,
-    /// Replica placement policy.
-    pub policy: Policy,
+    /// Copies of every stored key, primary included.
+    pub replication: usize,
     /// Successor-list length.
     pub succ_len: usize,
     /// Client commands injected before exploration starts.
@@ -280,7 +279,7 @@ impl<'a> Run<'a> {
                 timeout: MODEL_TIMEOUT,
                 max_retries: 0,
             },
-            policy: scenario.policy,
+            replication: scenario.replication,
             backend: ShardBackend::Memory,
             succ_list_len: scenario.succ_len,
             record_events: false,
@@ -663,8 +662,8 @@ fn durability(
         if !on_disk && !in_flight {
             v.push(format!(
                 "durability: acked PUT key={key} readable from no live replica \
-                 (policy {:?})",
-                scenario.policy
+                 (replication {})",
+                scenario.replication
             ));
         }
     }
@@ -1032,7 +1031,7 @@ pub fn scenarios() -> Vec<Scenario> {
             name: "join-during-lookup",
             members: vec![100, 200, 300],
             blanks: vec![150],
-            policy: Policy::Fixed(2),
+            replication: 2,
             succ_len: 3,
             injections: vec![join(150, 100), issue(200, Op::Lookup { key: 160 })],
             triggers: vec![],
@@ -1047,7 +1046,7 @@ pub fn scenarios() -> Vec<Scenario> {
             name: "concurrent-joins-adjacent",
             members: vec![100, 200, 300],
             blanks: vec![130, 160],
-            policy: Policy::Fixed(2),
+            replication: 2,
             succ_len: 3,
             injections: vec![join(130, 100), join(160, 300)],
             triggers: vec![],
@@ -1063,7 +1062,7 @@ pub fn scenarios() -> Vec<Scenario> {
             name: "leave-during-put",
             members: vec![100, 200, 300, 400],
             blanks: vec![],
-            policy: Policy::Fixed(2),
+            replication: 2,
             succ_len: 3,
             injections: vec![
                 issue(100, Op::Put { key: 250, value: 9 }),
@@ -1081,7 +1080,7 @@ pub fn scenarios() -> Vec<Scenario> {
             name: "crash-before-handover-ack",
             members: vec![100, 200, 300],
             blanks: vec![110],
-            policy: Policy::Fixed(3),
+            replication: 3,
             succ_len: 3,
             injections: vec![
                 issue(100, Op::Put { key: 120, value: 5 }),
@@ -1105,7 +1104,7 @@ pub fn scenarios() -> Vec<Scenario> {
             name: "partition-heal-mid-join",
             members: vec![100, 200, 300],
             blanks: vec![150],
-            policy: Policy::Fixed(2),
+            replication: 2,
             succ_len: 3,
             injections: vec![join(150, 300)],
             triggers: vec![
@@ -1135,7 +1134,7 @@ pub fn scenarios() -> Vec<Scenario> {
             name: "invalidate-racing-crash",
             members: vec![100, 200, 300],
             blanks: vec![],
-            policy: Policy::Fixed(2),
+            replication: 2,
             succ_len: 3,
             injections: vec![
                 issue(100, Op::Put { key: 150, value: 7 }),
@@ -1164,7 +1163,7 @@ pub fn broken_handover_scenario() -> Scenario {
         name: "broken-handover",
         members: vec![100, 200, 300],
         blanks: vec![140],
-        policy: Policy::Fixed(1),
+        replication: 1,
         succ_len: 3,
         injections: vec![issue(100, Op::Put { key: 150, value: 7 }), join(140, 100)],
         triggers: vec![],

@@ -12,7 +12,6 @@ use canon_audit::protocol::{
 };
 use canon_id::NodeId;
 use canon_node::{Command, Op};
-use canon_store::Policy;
 use std::fmt::Write;
 
 /// The number of interleavings of FIFO streams with the given lengths:
@@ -54,7 +53,7 @@ fn two_stream_scenario(per_node: usize) -> Scenario {
         name: "two-stream",
         members: vec![100, 200],
         blanks: vec![],
-        policy: Policy::Fixed(1),
+        replication: 1,
         succ_len: 1,
         injections,
         triggers: vec![],

@@ -9,7 +9,7 @@
 use canon_bench::{banner, f, row, BenchConfig};
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_id::hash::hash_name;
-use canon_store::{Policy, ReplicatedStore};
+use canon_store::ReplicatedStore;
 use rand::Rng;
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
             let h = Hierarchy::balanced(8, 3);
             let seed = cfg.trial_seed("repl", (crash_pct * 10 + r) as u64);
             let p = Placement::uniform(&h, n, seed);
-            let mut store = ReplicatedStore::new(h.clone(), &p, Policy::Fixed(r));
+            let mut store = ReplicatedStore::new(&h, &p, r);
             for i in 0..items {
                 store.put(hash_name(&format!("item-{i}")), h.root());
             }

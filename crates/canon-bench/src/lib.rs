@@ -11,8 +11,11 @@
 //! * `--seed <BASE>` — base seed (default 42);
 //! * `--threads <T>` — worker threads for parallel construction and the
 //!   trial matrix (default: all cores; `0` also means all cores);
-//! * `--json` — emit machine-readable JSON Lines (one object per record)
-//!   instead of aligned text tables, for committed perf baselines.
+//! * `--json` — JSON Lines (one object per record) instead of aligned
+//!   text, for committed baselines: read by `construction` (its rows) and
+//!   accepted by `wire_sizes` (which prints JSON Lines either way). A
+//!   figure binary prints text tables only, and `--json` makes its
+//!   [`banner`] fail with the usage message.
 //!
 //! `--threads` is wired straight into [`canon_par::set_global_threads`],
 //! which both the construction pipeline (`canon::engine::build_canonical`,
@@ -47,7 +50,7 @@ pub struct BenchConfig {
     pub base_seed: u64,
     /// Worker threads (0 = all cores).
     pub threads: usize,
-    /// Emit machine-readable JSON Lines instead of aligned text tables.
+    /// Emit JSON Lines instead of aligned text (`construction` only).
     pub json: bool,
 }
 
@@ -205,33 +208,28 @@ pub fn run_matrix<T: Send>(
     rows
 }
 
-/// Prints a header banner with the experiment id and configuration — as
-/// `#` comment lines in text mode, as one JSON object in `--json` mode.
+/// Prints a header banner with the experiment id and configuration as `#`
+/// comment lines.
+///
+/// # Panics
+///
+/// Panics with the usage message in `--json` mode: the tables below a
+/// banner are text.
 pub fn banner(id: &str, what: &str, cfg: &BenchConfig) {
+    assert!(
+        !cfg.json,
+        "{id} prints text tables only; try --quick/--max-n/--seeds/--seed/--threads"
+    );
     let threads = if cfg.threads == 0 {
         canon_par::available_cores()
     } else {
         cfg.threads
     };
-    if cfg.json {
-        println!(
-            "{}",
-            json_object(&[
-                ("experiment", id.to_string()),
-                ("what", what.to_string()),
-                ("max_n", cfg.max_n.to_string()),
-                ("seeds", cfg.seeds.to_string()),
-                ("base_seed", cfg.base_seed.to_string()),
-                ("threads", threads.to_string()),
-            ])
-        );
-    } else {
-        println!("# {id}: {what}");
-        println!(
-            "# config: max_n={} seeds={} base_seed={} threads={}",
-            cfg.max_n, cfg.seeds, cfg.base_seed, threads
-        );
-    }
+    println!("# {id}: {what}");
+    println!(
+        "# config: max_n={} seeds={} base_seed={} threads={}",
+        cfg.max_n, cfg.seeds, cfg.base_seed, threads
+    );
 }
 
 /// Prints one aligned table row from string cells.

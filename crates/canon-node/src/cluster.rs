@@ -5,9 +5,9 @@
 //! a Crescendo cluster, build the graph with `canon::crescendo` and hand
 //! it here; each node's link table is the graph's adjacency for it, and
 //! its successor list and predecessor come from the global ring over the
-//! graph's identifiers (the same ring `canon-store`'s replication policy
-//! places replicas on, which is what makes the replica-placement
-//! equivalence test possible).
+//! graph's identifiers (the same ring `canon-store`'s successor
+//! replication places replicas on, which is what makes the
+//! replica-placement equivalence test possible).
 
 use crate::clock::Clock;
 use crate::node::row;
@@ -19,6 +19,11 @@ use std::sync::Arc;
 /// Builds a runtime hosting every node of `graph`: links from the graph's
 /// adjacency, successor lists and predecessors from the global ring over
 /// the graph's identifiers. Node slots follow graph index order.
+///
+/// # Panics
+///
+/// Panics, through [`Runtime::new`], if `config.replication` is outside
+/// `1..=config.succ_list_len + 1`.
 pub fn from_graph(
     graph: &OverlayGraph,
     clock: Arc<dyn Clock>,

@@ -11,10 +11,11 @@
 //!   the simulators' routing engine applies ([`canon_overlay::closest`]
 //!   plus strict progress) — each node routes from its own link table
 //!   and holds no overlay;
-//! * replicated GET/PUT placed by `canon-store`'s shared
-//!   [`canon_store::Policy`] engine, with per-key replication status and
-//!   pin/unpin in the RPC table, over pluggable verified
-//!   [`shard`] backends;
+//! * replicated GET/PUT: a PUT's `k` copies go to the key's responsible
+//!   node and its successors, `canon-store`'s
+//!   [`canon_store::replica_successors`] rule walked off the successor
+//!   list, with per-key replication status and pin/unpin in the RPC
+//!   table, over pluggable verified [`shard`] backends;
 //! * the join/leave repair protocol of `canon-sim`, as actual messages.
 //!
 //! The runtime is **deterministic by construction**: time is a capability

@@ -45,7 +45,7 @@ pub enum Op {
         joiner: NodeId,
     },
     /// Ask the responsible node how `key` is replicated (expected replica
-    /// count under the policy, pin state).
+    /// count, pin state).
     Status {
         /// The key to report on.
         key: u64,
@@ -155,7 +155,7 @@ pub enum RpcResult {
     Status {
         /// The node responsible for the key.
         primary: NodeId,
-        /// Replicas the policy expects for the key (primary included).
+        /// Replicas the node places for the key (primary included).
         expected: u32,
         /// Whether the key is pinned at the primary.
         pinned: bool,

@@ -29,9 +29,10 @@
 //! A served PUT fans its replicas out along the successor list, which
 //! the node keeps in clockwise order from itself without repeats: the
 //! walk (`fan_out`) starts at the key's responsible member of
-//! `{self} ∪ successor list` and takes as many members as the shared
-//! placement [`Policy`] counts for that ring. It is the policy engine's
-//! `replicas_on_ring` placement, read off the list in place.
+//! `{self} ∪ successor list` and takes `replication` members of that ring
+//! (all of them, if it is shorter). It is canon-store's
+//! [`canon_store::replica_successors`] on that ring, read off the list in
+//! place.
 
 use crate::cache::NodeCache;
 use crate::clock::Tick;
@@ -45,7 +46,7 @@ use crate::wire::RequestHead;
 use canon_id::NodeId;
 use canon_overlay::closest_clockwise;
 use canon_overlay::engine::HOP_LIMIT;
-use canon_store::{ContentId, Policy};
+use canon_store::ContentId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -208,8 +209,8 @@ pub(crate) struct NodeState {
     /// Deterministic event log (only populated when recording).
     pub events: Vec<String>,
     record: bool,
-    /// The replica placement policy (shared with canon-store's engine).
-    policy: Policy,
+    /// Copies a PUT places, primary included.
+    replication: usize,
     succ_len: usize,
 }
 
@@ -247,7 +248,7 @@ impl NodeState {
             completions: Vec::new(),
             events: Vec::new(),
             record: cfg.record_events,
-            policy: cfg.policy,
+            replication: cfg.replication,
             succ_len: cfg.succ_list_len,
         }
     }
@@ -829,7 +830,7 @@ impl NodeState {
                 // no allocation) and put back.
                 let succ_list = std::mem::take(&mut self.succ_list);
                 let mut replicas = 0u32;
-                for s in fan_out(self.policy, self.id, &succ_list, NodeId::new(key)) {
+                for s in fan_out(self.replication, self.id, &succ_list, NodeId::new(key)) {
                     if s != self.id
                         && self
                             .send(net, s, Payload::Replicate { key, value })
@@ -857,7 +858,7 @@ impl NodeState {
             Op::Join { joiner } => RpcResult::Granted(self.grant_join(net, joiner)),
             Op::Status { key } => RpcResult::Status {
                 primary: self.id,
-                expected: self.policy.ring_count(self.succ_list.len() + 1) as u32,
+                expected: self.replication.min(self.succ_list.len() + 1) as u32,
                 pinned: self.pinned.contains(&key),
             },
             Op::Pin { key } => {
@@ -1073,18 +1074,18 @@ impl NodeState {
 
 /// The replica fan-out of a PUT for `point` served by `me`: the cycle
 /// `[me, succ_list[0], succ_list[1], …]` from the key's responsible member
-/// on that mini ring, [`Policy::ring_count`] members long.
+/// on that mini ring, `replication` members long (capped at the ring).
 ///
 /// `succ_list` is in clockwise order from `me`, so the cycle *is* the
 /// ring `{me} ∪ succ_list` read from `me`, and its responsible member for
 /// `point` is the last one no farther clockwise from `me` than `point`:
 /// one binary search on distance finds it. That is
-/// [`Policy::replicas_on_ring`] on that ring, walked in place — no ring
-/// built, nothing sorted, nothing allocated. The responsible node for the
+/// [`canon_store::replica_successors`] on that ring, walked in place — no
+/// ring built, nothing sorted, nothing allocated. The responsible node for the
 /// key is usually `me` (the walk then starts at `me`), but a successor
 /// the node has learnt of can already cover the key mid-churn.
 pub(crate) fn fan_out(
-    policy: Policy,
+    replication: usize,
     me: NodeId,
     succ_list: &[NodeId],
     point: NodeId,
@@ -1105,7 +1106,7 @@ pub(crate) fn fan_out(
         .chain(succ_list.iter().copied())
         .cycle()
         .skip(start)
-        .take(policy.ring_count(succ_list.len() + 1))
+        .take(replication.min(succ_list.len() + 1))
 }
 
 /// The link row's writers. Each keeps the row sorted, free of repeats and
@@ -1165,37 +1166,25 @@ mod tests {
     use crate::msg::JoinGrant;
     use canon_id::ring::SortedRing;
     use canon_id::NodeId;
-    use canon_store::Policy;
+    use canon_store::replica_successors;
     use proptest::collection::vec;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     proptest! {
-        /// A PUT's fan-out walked off the successor list is the shared
-        /// policy engine's placement on the ring `{me} ∪ succ_list`, for
-        /// every policy, successor lists of 0–12 ids in clockwise order
-        /// from `me`, and keys anywhere: before `me`, on a member, and
-        /// past a successor that already covers them.
+        /// A PUT's fan-out walked off the successor list is canon-store's
+        /// successor placement on the ring `{me} ∪ succ_list`, for counts
+        /// below and above the ring size, successor lists of 0–12 ids in
+        /// clockwise order from `me`, and keys anywhere: before `me`, on a
+        /// member, and past a successor that already covers them.
         #[test]
-        fn the_fan_out_is_the_policy_placement_on_the_successor_ring(
-            variant in 0u8..3,
+        fn the_fan_out_is_the_successor_placement_on_the_successor_ring(
             count in 0usize..15,
             me in any::<u64>(),
             succ in vec(any::<u64>(), 0..13),
             on_member in any::<bool>(),
             key in any::<u64>(),
         ) {
-            let policy = match variant {
-                0 => Policy::Fixed(count),
-                1 => Policy::PercentOfDomain {
-                    level: 0,
-                    percent: (count + 1) as f64 / 15.0,
-                },
-                _ => Policy::HierarchyGeo {
-                    replication: count,
-                    min_outside_level: 1,
-                },
-            };
             let me = NodeId::new(me);
             let mut succ_list: Vec<NodeId> =
                 succ.into_iter().map(NodeId::new).filter(|&s| s != me).collect();
@@ -1205,9 +1194,9 @@ mod tests {
                 Some(&member) if on_member => member,
                 _ => NodeId::new(key),
             };
-            let walked: Vec<NodeId> = fan_out(policy, me, &succ_list, point).collect();
+            let walked: Vec<NodeId> = fan_out(count, me, &succ_list, point).collect();
             let ring = SortedRing::new(succ_list.iter().copied().chain([me]).collect());
-            prop_assert_eq!(walked, policy.replicas_on_ring(&ring, point));
+            prop_assert_eq!(walked, replica_successors(&ring, point, count));
         }
 
         /// Random inserts, removes and rebuilds from a grant over a small

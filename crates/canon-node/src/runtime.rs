@@ -68,7 +68,7 @@ use crate::wire::{self, RequestHead};
 use canon_id::ring::SortedRing;
 use canon_id::NodeId;
 use canon_par::par_chunks;
-use canon_store::Policy;
+use canon_store::replica_successors;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -109,10 +109,12 @@ fn recycle<'b>(mut heads: Vec<(Key, RequestHead<'_>)>) -> Vec<(Key, RequestHead<
 pub struct RuntimeConfig {
     /// Per-node RPC retry/deadline policy.
     pub rpc: RpcConfig,
-    /// Replica placement policy, shared with canon-store's engine (the
-    /// default, `Policy::Fixed(3)`, reproduces the pre-policy behavior:
-    /// primary + 2 successor replicas).
-    pub policy: Policy,
+    /// Copies of every stored key, primary included (default 3: the
+    /// primary and 2 successor replicas). A PUT places them on the
+    /// responsible node and its successors, so a node can place, and later
+    /// repair, at most `succ_list_len + 1` of them: [`Runtime::new`]
+    /// rejects more.
+    pub replication: usize,
     /// Storage backend for each node's shard.
     pub backend: ShardBackend,
     /// Successor-list length (the root-ring leaf set).
@@ -129,7 +131,7 @@ impl Default for RuntimeConfig {
     fn default() -> RuntimeConfig {
         RuntimeConfig {
             rpc: RpcConfig::default(),
-            policy: Policy::Fixed(3),
+            replication: 3,
             backend: ShardBackend::Memory,
             succ_list_len: 8,
             cache: CacheConfig::default(),
@@ -144,8 +146,8 @@ impl Default for RuntimeConfig {
 pub struct ReplicationStatus {
     /// The key inspected.
     pub key: u64,
-    /// The replica set the policy expects on the current live ring
-    /// (responsible node first).
+    /// The `replication` nodes expected to hold the key on the current
+    /// live ring (responsible node first).
     pub expected: Vec<NodeId>,
     /// Live nodes actually holding the key.
     pub holders: Vec<NodeId>,
@@ -235,11 +237,26 @@ impl std::fmt::Debug for Runtime {
 impl Runtime {
     /// An empty runtime; add nodes with [`Runtime::spawn`] or build a whole
     /// cluster with [`crate::cluster::from_graph`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.replication` is outside
+    /// `1..=config.succ_list_len + 1`: a node places its copies on itself
+    /// and its successor list, so it could not store more, and
+    /// [`Runtime::replication_status`] would never be satisfied.
     pub fn new(
         clock: Arc<dyn Clock>,
         transport: Arc<dyn Transport>,
         config: RuntimeConfig,
     ) -> Runtime {
+        assert!(
+            (1..=config.succ_list_len + 1).contains(&config.replication),
+            "replication {} is outside 1..={}: a node stores copies on itself and \
+             its {} successors only",
+            config.replication,
+            config.succ_list_len + 1,
+            config.succ_list_len
+        );
         Runtime {
             clock,
             transport,
@@ -751,8 +768,8 @@ impl Runtime {
         }
     }
 
-    /// Ground truth for one key: the replica set the configured policy
-    /// expects on the current live ring, the live nodes actually holding
+    /// Ground truth for one key: the `replication` nodes expected to hold
+    /// it on the current live ring, the live nodes actually holding
     /// the key, pin locations, and whether expectation is met. This is the
     /// cluster-level `replication_status(key)` the storage tests call after
     /// a run settles.
@@ -774,7 +791,7 @@ impl Runtime {
             }
         }
         let ring = SortedRing::new(live);
-        let expected = self.config.policy.replicas_on_ring(&ring, NodeId::new(key));
+        let expected = replica_successors(&ring, NodeId::new(key), self.config.replication);
         let satisfied = !expected.is_empty() && expected.iter().all(|e| holders.contains(e));
         ReplicationStatus {
             key,

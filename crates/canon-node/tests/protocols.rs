@@ -14,6 +14,7 @@ use canon_node::{
     VirtualClock,
 };
 use canon_overlay::route_to_key;
+use canon_store::replica_successors;
 use std::sync::Arc;
 
 /// The deterministic Crescendo network for `n` nodes.
@@ -115,7 +116,7 @@ fn put_then_get_roundtrips_and_replicates_like_the_store_policy() {
     // Every key must sit on exactly the replica set canon-store's
     // replication policy computes for the global ring.
     for &(key, _) in &puts {
-        let want = config.policy.replicas_on_ring(&ring, NodeId::new(key));
+        let want = replica_successors(&ring, NodeId::new(key), config.replication);
         let holders: Vec<NodeId> = ids
             .iter()
             .copied()
@@ -276,10 +277,7 @@ fn status_reports_the_policy_expectation_and_pins_survive_handover() {
         .unwrap();
     assert_eq!(status.outcome, Outcome::Ok);
     assert_eq!(status.responder, Some(holder));
-    let expected = config
-        .policy
-        .replicas_on_ring(&ring, NodeId::new(key))
-        .len() as u64;
+    let expected = replica_successors(&ring, NodeId::new(key), config.replication).len() as u64;
     assert_eq!(status.value, Some(expected), "status carries target count");
 
     // The runtime-level probe agrees and is satisfied after the put.

@@ -98,7 +98,9 @@ impl<M: Metric> Greedy<M> {
     /// whenever it beats the current key (`execute` asserts this in debug
     /// builds).
     // Without the hint the sweep's per-hop call is not inlined and
-    // `route_to_key_sweep` loses ~8% of its lookups/s.
+    // `route_to_key_sweep` loses ~8% of its lookups/s. The sweep beats
+    // one-at-a-time routing only on graphs too large for cache (1.1–1.35×
+    // from n = 65,536 up, slower up to n = 4,096; see its doc).
     #[inline]
     pub(crate) fn next_hop(
         &self,

@@ -199,9 +199,16 @@ const SWEEP_WIDTH: usize = 32;
 /// (32) walks advance in round-robin lockstep. On graphs too large for cache,
 /// a single walk serializes one memory stall per hop (the next segment
 /// read depends on the previous selection); interleaving keeps many
-/// *independent* reads outstanding, so batched throughput on one thread is
-/// several times the one-at-a-time rate. This is the single-thread
-/// analogue of the multi-threaded query sweeps in [`crate::stats`].
+/// *independent* reads outstanding. That pays only once the graph
+/// outgrows the cache, and then by a fraction, not a multiple: on 2
+/// vCPUs, 100,000 lookups ran at 0.77× the one-at-a-time [`route_to_key`]
+/// rate at n = 1,024, 0.88× at 4,096, 1.22× at 65,536 and 1.35× at
+/// 262,144 (20 alternating repetitions in one process). canon-bench's
+/// `construction` rows, which also keep every swept route alive, read
+/// `routing/sweep_*` at 0.52×, 0.58× and 1.08× of `routing/indexed_*` at
+/// 1,024, 4,096 and 65,536 (medians of 10 runs). Below a few thousand
+/// nodes, route one at a time. This is the single-thread analogue of the
+/// multi-threaded query sweeps in [`crate::stats`].
 ///
 /// # Errors
 ///

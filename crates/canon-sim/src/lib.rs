@@ -575,24 +575,24 @@ impl CrescendoSim {
         Placement::from_pairs(&self.hierarchy, pairs)
     }
 
-    /// Where `policy` would place `key`'s replicas within `domain`, under
-    /// the **current** (churned) membership.
+    /// Where `replication` copies of `key` go within `domain`, under the
+    /// **current** (churned) membership.
     ///
     /// This is the bridge between the maintenance simulator and
-    /// canon-store's placement engine: after any join/leave sequence, the
-    /// replica set a store built over [`CrescendoSim::placement`] would use
-    /// is available directly, without rebuilding the store — the root
-    /// `storage_policies` tests use it to check placement under churn.
+    /// canon-store's placement rule ([`canon_store::replica_successors`]):
+    /// after any join/leave sequence, the replica set a store built over
+    /// [`CrescendoSim::placement`] would use is available directly, without
+    /// rebuilding the store — the root `storage_policies` tests use it to
+    /// check placement under churn.
     pub fn replica_targets(
         &self,
         key: canon_id::Key,
         domain: DomainId,
-        policy: &canon_store::Policy,
+        replication: usize,
     ) -> Vec<NodeId> {
         let placement = self.placement();
         let membership = canon_hierarchy::DomainMembership::build(&self.hierarchy, &placement);
-        let ctx = canon_store::PlacementCtx::for_domain(&self.hierarchy, &membership, domain);
-        policy.replicas(&ctx, key)
+        canon_store::replica_successors(membership.ring(domain), key.as_point(), replication)
     }
 }
 
@@ -1013,11 +1013,12 @@ mod tests {
     }
 
     /// After churn, the simulator's replica targets match what a store
-    /// built over the surviving membership would place — for every policy.
+    /// built over the surviving membership would place, for every count
+    /// from one copy to more than the root ring holds.
     #[test]
     fn replica_targets_track_the_store_under_churn() {
         use canon_id::hash::hash_name;
-        use canon_store::{Policy, ReplicatedStore};
+        use canon_store::ReplicatedStore;
 
         let h = Hierarchy::balanced(3, 2);
         let mut sim = CrescendoSim::new(h.clone(), 4);
@@ -1033,26 +1034,14 @@ mod tests {
         }
 
         let placement = sim.placement();
-        let policies = [
-            Policy::Fixed(3),
-            Policy::PercentOfDomain {
-                level: 1,
-                percent: 0.1,
-            },
-            Policy::HierarchyGeo {
-                replication: 3,
-                min_outside_level: 1,
-            },
-        ];
-        for policy in policies {
-            let store = ReplicatedStore::new(h.clone(), &placement, policy);
+        for replication in [1, 3, 9, 64] {
+            let store = ReplicatedStore::new(&h, &placement, replication);
             for i in 0..20 {
                 let key = hash_name(&format!("churned-{i}"));
                 assert_eq!(
-                    sim.replica_targets(key, h.root(), &policy),
+                    sim.replica_targets(key, h.root(), replication),
                     store.replica_set(key, h.root()),
-                    "{} diverged for key {key}",
-                    policy.name()
+                    "replication {replication} diverged for key {key}"
                 );
             }
         }

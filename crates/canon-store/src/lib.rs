@@ -25,6 +25,12 @@
 //! with larger level numbers (deeper levels — cheap to refetch from the
 //! next level up).
 //!
+//! Durability is successor replication ([`replication`]): `k` copies on
+//! the responsible node and its ring successors within the storage
+//! domain, placed by [`replica_successors`] — the one rule
+//! [`ReplicatedStore`] models under crashes and canon-node's PUT fan-out
+//! follows live.
+//!
 //! # Example
 //!
 //! ```
@@ -48,13 +54,11 @@
 
 pub mod backend;
 pub mod content;
-pub mod policy;
 pub mod replication;
 
 pub use backend::{BackendError, FileBackend, MemoryBackend, StorageBackend, Stored};
 pub use content::ContentId;
-pub use policy::{PlacementCtx, Policy};
-pub use replication::ReplicatedStore;
+pub use replication::{replica_successors, ReplicatedStore};
 
 use canon_hierarchy::{DomainId, DomainMembership, Hierarchy, Placement};
 use canon_id::{Key, NodeId};

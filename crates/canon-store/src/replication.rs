@@ -1,23 +1,57 @@
-//! Policy-driven replication within storage domains.
+//! Successor replication within storage domains.
 //!
 //! The paper keeps leaf sets "to deal with node deletions" (§2.3); the
 //! storage systems built on Chord-family DHTs (CFS and successors) use the
 //! same successor lists to *replicate content*. This module models that
-//! idea over the hierarchical store's placement rule: **where** replicas go
-//! is decided by a [`Policy`] (see [`crate::policy`]), and replicas are
-//! always chosen **within the storage domain**, preserving Canon's
-//! guarantee that domain-scoped content never leaves the domain.
+//! idea over the hierarchical store's placement rule: a key's `k` copies
+//! go to the node responsible for it and its `k − 1` distinct ring
+//! successors ([`replica_successors`]), and replicas are always chosen
+//! **within the storage domain**, preserving Canon's guarantee that
+//! domain-scoped content never leaves the domain.
+//!
+//! The replication factor is a count because a live node can honour
+//! nothing richer: it places, and later repairs, along its successor list
+//! alone, and a list of length r survives r − 1 crashes (Zave, *How to
+//! Make Chord Correct*). canon-node's PUT fan-out is this rule on the ring
+//! `{self} ∪ successor list`, so a cluster with successor lists of length
+//! r places at most r + 1 copies.
 //!
 //! The store is a placement model, not a byte store: it records which nodes
 //! hold each item, crashes nodes, and repairs placements. The bytes of a
 //! live replica are held once, by canon-node's `Shard` over a
 //! [`crate::StorageBackend`].
 
-use crate::policy::{PlacementCtx, Policy};
 use canon_hierarchy::{DomainId, DomainMembership, Hierarchy, Placement};
 use canon_id::ring::SortedRing;
 use canon_id::{Key, NodeId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
+
+/// The successor-replication placement rule on a bare ring: the node
+/// responsible for `point` plus its distinct ring successors, capped at
+/// `replication` nodes (and at the ring size). Responsible node first.
+///
+/// This is the one placement rule of the workspace: [`ReplicatedStore`],
+/// canon-sim's `replica_targets` and canon-node's `replication_status`
+/// call it, and a PUT's fan-out walks it off the successor list in place.
+pub fn replica_successors(ring: &SortedRing, point: NodeId, replication: usize) -> Vec<NodeId> {
+    let mut out = Vec::with_capacity(replication);
+    let Some(first) = ring.responsible(point) else {
+        return out;
+    };
+    let mut cur = first;
+    for _ in 0..replication.min(ring.len()) {
+        out.push(cur);
+        // `responsible` returned a member, so the ring cannot be empty.
+        let Some(next) = ring.strict_successor(cur) else {
+            break;
+        };
+        cur = next;
+        if cur == first {
+            break;
+        }
+    }
+    out
+}
 
 /// Replica placements of domain-scoped items under crash failures.
 ///
@@ -26,97 +60,48 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// live in [`crate::HierarchicalStore`].
 #[derive(Debug)]
 pub struct ReplicatedStore {
-    hierarchy: Hierarchy,
     membership: DomainMembership,
-    policy: Policy,
+    replication: usize,
     /// Replica holders per (key, storage domain), walked in key order.
     placements: BTreeMap<(Key, DomainId), Vec<NodeId>>,
-    /// The writing node's leaf domain per item (anchors geo constraints).
-    writers: HashMap<(Key, DomainId), DomainId>,
-    leaf_of: HashMap<NodeId, DomainId>,
     dead: HashSet<NodeId>,
 }
 
 impl ReplicatedStore {
-    /// Creates a store placing replicas per `policy`.
+    /// Creates a store placing `replication` copies of every item.
     ///
     /// # Panics
     ///
-    /// Panics if the policy is `Fixed(0)`.
-    pub fn new(hierarchy: Hierarchy, placement: &Placement, policy: Policy) -> Self {
-        if let Policy::Fixed(k) = policy {
-            assert!(k >= 1, "replication factor must be at least 1");
-        }
-        let membership = DomainMembership::build(&hierarchy, placement);
-        let leaf_of = placement.iter().collect();
+    /// Panics if `replication` is 0.
+    pub fn new(hierarchy: &Hierarchy, placement: &Placement, replication: usize) -> Self {
+        assert!(replication >= 1, "replication factor must be at least 1");
         ReplicatedStore {
-            hierarchy,
-            membership,
-            policy,
+            membership: DomainMembership::build(hierarchy, placement),
+            replication,
             placements: BTreeMap::new(),
-            writers: HashMap::new(),
-            leaf_of,
             dead: HashSet::new(),
         }
     }
 
-    fn ctx<'a>(
-        &'a self,
-        domain: DomainId,
-        ring: &'a SortedRing,
-        writer: Option<NodeId>,
-    ) -> PlacementCtx<'a> {
-        PlacementCtx {
-            hierarchy: &self.hierarchy,
-            membership: &self.membership,
-            domain,
-            ring,
-            writer_leaf: writer.and_then(|w| self.leaf_of.get(&w).copied()),
-        }
-    }
-
-    /// The replica set for `key` in `domain` under the configured policy,
-    /// unanchored (no writer, so geo constraints are vacuous).
+    /// The replica set for `key` in `domain`: its responsible member and
+    /// that member's ring successors within the domain.
     pub fn replica_set(&self, key: Key, domain: DomainId) -> Vec<NodeId> {
-        let ring = self.membership.ring(domain);
-        self.policy.replicas(&self.ctx(domain, ring, None), key)
+        replica_successors(
+            self.membership.ring(domain),
+            key.as_point(),
+            self.replication,
+        )
     }
 
-    /// The replica set for `key` in `domain` as placed for `writer` (geo
-    /// policies anchor their "outside" constraint at the writer's leaf).
-    pub fn replica_set_from(&self, writer: NodeId, key: Key, domain: DomainId) -> Vec<NodeId> {
-        let ring = self.membership.ring(domain);
-        self.policy
-            .replicas(&self.ctx(domain, ring, Some(writer)), key)
-    }
-
-    /// Places `key` within `domain`, unanchored.
+    /// Places `key` within `domain`.
     ///
     /// # Panics
     ///
     /// Panics if the domain has no members.
     pub fn put(&mut self, key: Key, domain: DomainId) {
-        self.place(None, key, domain);
-    }
-
-    /// Places `key` within `domain` on behalf of `writer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the domain has no members.
-    pub fn put_from(&mut self, writer: NodeId, key: Key, domain: DomainId) {
-        self.place(Some(writer), key, domain);
-    }
-
-    fn place(&mut self, writer: Option<NodeId>, key: Key, domain: DomainId) {
-        let ring = self.membership.ring(domain);
-        let replicas = self.policy.replicas(&self.ctx(domain, ring, writer), key);
+        let replicas = self.replica_set(key, domain);
         assert!(!replicas.is_empty(), "storage domain has no members");
         self.placements.insert((key, domain), replicas);
-        match writer.and_then(|w| self.leaf_of.get(&w).copied()) {
-            Some(leaf) => self.writers.insert((key, domain), leaf),
-            None => self.writers.remove(&(key, domain)),
-        };
     }
 
     /// Marks `node` as crashed; items whose live replica set becomes empty
@@ -159,7 +144,7 @@ impl ReplicatedStore {
         SortedRing::new(live)
     }
 
-    /// Re-replicates every degraded item onto the policy's placement over
+    /// Re-replicates every degraded item onto the successor placement over
     /// the live members of its storage domain (the repair that leaf-set
     /// change notifications trigger in a live system). Items with no
     /// surviving holder stay lost. Returns the number of new holders.
@@ -172,17 +157,8 @@ impl ReplicatedStore {
             if dead == 0 || dead == holders.len() {
                 continue;
             }
-            let live = self.live_ring(domain);
-            let fresh = self.policy.replicas(
-                &PlacementCtx {
-                    hierarchy: &self.hierarchy,
-                    membership: &self.membership,
-                    domain,
-                    ring: &live,
-                    writer_leaf: self.writers.get(&(key, domain)).copied(),
-                },
-                key,
-            );
+            let fresh =
+                replica_successors(&self.live_ring(domain), key.as_point(), self.replication);
             added += fresh.iter().filter(|n| !holders.contains(n)).count();
             self.placements.insert((key, domain), fresh);
         }
@@ -199,10 +175,11 @@ impl ReplicatedStore {
         })
     }
 
-    /// Every stored item whose live replica set fails its policy — count,
-    /// containment, or geo clause — described one line per violation, in
-    /// deterministic (key, domain) order. Empty means the storage
-    /// invariant holds; the root `storage_policies` tests check it.
+    /// Every stored item whose live replica set is short — fewer live
+    /// holders (distinct, as placed) than `replication`, capped at the live
+    /// members of its domain — or has left its storage domain, one line per
+    /// violation, in deterministic (key, domain) order. Empty means the
+    /// storage invariant holds; the root `storage_policies` tests check it.
     pub fn policy_violations(&self) -> Vec<String> {
         let mut out = Vec::new();
         for (&(key, domain), holders) in &self.placements {
@@ -211,27 +188,16 @@ impl ReplicatedStore {
                 .copied()
                 .filter(|n| !self.dead.contains(n))
                 .collect();
-            let ring = self.live_ring(domain);
-            let ctx = PlacementCtx {
-                hierarchy: &self.hierarchy,
-                membership: &self.membership,
-                domain,
-                ring: &ring,
-                writer_leaf: self.writers.get(&(key, domain)).copied(),
-            };
-            if !self.policy.satisfied(&ctx, key, &live) {
+            let want = self.replication.min(self.live_ring(domain).len());
+            let domain_ring = self.membership.ring(domain);
+            if live.len() < want || !live.iter().all(|&n| domain_ring.contains(n)) {
                 out.push(format!(
-                    "{key} in {domain}: live replicas {live:?} violate {}",
-                    self.policy.name()
+                    "{key} in {domain}: live replicas {live:?} violate replication {}",
+                    self.replication
                 ));
             }
         }
         out
-    }
-
-    /// The hierarchy this store spans.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
     }
 }
 
@@ -245,7 +211,7 @@ mod tests {
     fn setup(r: usize) -> (Hierarchy, Placement, ReplicatedStore) {
         let h = Hierarchy::balanced(3, 3);
         let p = Placement::uniform(&h, 300, Seed(71));
-        let store = ReplicatedStore::new(h.clone(), &p, Policy::Fixed(r));
+        let store = ReplicatedStore::new(&h, &p, r);
         (h, p, store)
     }
 
@@ -324,7 +290,7 @@ mod tests {
         assert!(store.replicas_respect_domains());
         assert!(
             store.policy_violations().is_empty(),
-            "repair satisfies policy"
+            "repair restores the count"
         );
         // The item now survives the death of its last original holder.
         store.crash(rs[2]);
@@ -356,65 +322,19 @@ mod tests {
         let mut h = Hierarchy::new();
         let a = h.add_domain(h.root(), "a");
         let p = Placement::from_pairs(&h, vec![(NodeId::new(1), a), (NodeId::new(2), a)]);
-        let store = ReplicatedStore::new(h, &p, Policy::Fixed(5));
+        let store = ReplicatedStore::new(&h, &p, 5);
         let rs = store.replica_set(hash_name("x"), a);
         assert_eq!(rs.len(), 2, "cannot place more replicas than members");
     }
 
     #[test]
-    fn geo_policy_keeps_a_replica_outside_the_writer_region() {
-        let h = Hierarchy::balanced(3, 2);
-        let p = Placement::uniform(&h, 150, Seed(73));
-        let mut store = ReplicatedStore::new(
-            h.clone(),
-            &p,
-            Policy::HierarchyGeo {
-                replication: 3,
-                min_outside_level: 1,
-            },
-        );
-        let m = DomainMembership::build(&h, &p);
-        for i in 0..30 {
-            let writer = p.ids()[(i * 13) % p.len()];
-            let home = h.ancestor_at_depth(p.leaf_of(writer).expect("placed"), 1);
-            let key = hash_name(&format!("geo-{i}"));
-            store.put_from(writer, key, h.root());
-            let holders = store.replica_set_from(writer, key, h.root());
-            assert!(
-                holders.iter().any(|&n| !m.ring(home).contains(n)),
-                "no replica escaped {home}"
-            );
-        }
+    fn a_crash_without_repair_is_a_violation() {
+        let (h, _, mut store) = setup(3);
+        let d = h.domains_at_depth(1)[0];
+        let key = hash_name("degraded");
+        store.put(key, d);
         assert!(store.policy_violations().is_empty());
-        // The geo constraint survives repair too.
-        let victims: Vec<NodeId> = p.ids().iter().copied().step_by(7).take(20).collect();
-        for v in victims {
-            store.crash(v);
-        }
-        store.re_replicate();
-        assert!(
-            store.policy_violations().is_empty(),
-            "repair must re-satisfy the geo clause"
-        );
-    }
-
-    #[test]
-    fn percent_policy_scales_counts_by_domain_population() {
-        let h = Hierarchy::balanced(4, 2);
-        let p = Placement::uniform(&h, 200, Seed(74));
-        let store = ReplicatedStore::new(
-            h.clone(),
-            &p,
-            Policy::PercentOfDomain {
-                level: 1,
-                percent: 0.1,
-            },
-        );
-        let m = DomainMembership::build(&h, &p);
-        for d in h.domains_at_depth(1) {
-            let rs = store.replica_set(hash_name("sized"), d);
-            let want = ((0.1 * m.size(d) as f64).ceil() as usize).max(1);
-            assert_eq!(rs.len(), want.min(m.size(d)), "count in {d}");
-        }
+        store.crash(store.replica_set(key, d)[1]);
+        assert_eq!(store.policy_violations().len(), 1, "two of three left");
     }
 }

@@ -1,15 +1,15 @@
-//! Tests for the storage engine: the policy layer, content addressing, and
-//! backend durability hold over random hierarchy shapes, memberships and
-//! operation sequences; and every stored key's replica set satisfies its
-//! `Policy` in the three places placement is computed — the offline
-//! `ReplicatedStore` across crashes and repair, the maintenance simulator
-//! under churn, and a live `canon-node` cluster.
+//! Tests for the storage engine: successor placement, content addressing
+//! and backend durability hold over random hierarchy shapes, memberships
+//! and operation sequences; and every stored key keeps its `k` replicas in
+//! the three places placement is computed — the offline `ReplicatedStore`
+//! across crashes and repair, the maintenance simulator under churn, and a
+//! live `canon-node` cluster.
 //!
-//! The load-bearing property is the first one: `Policy::Fixed(k)` is
-//! **byte-identical** to the plain successor-replication rule the store
-//! shipped with before the policy engine existed, on every hierarchy shape
-//! — so the refactor provably changed no placement under the default
-//! configuration.
+//! The load-bearing property is the first one: the store's replica set is
+//! **byte-identical** to an independent reimplementation of the
+//! successor-replication rule on every hierarchy shape; and a live cluster
+//! stores, expects and reports the same `k` for every count its successor
+//! lists can hold.
 
 use canon::crescendo::build_crescendo;
 use canon_hierarchy::{DomainMembership, Hierarchy, Placement};
@@ -17,11 +17,11 @@ use canon_id::hash::{hash_bytes, hash_name};
 use canon_id::ring::SortedRing;
 use canon_id::rng::Seed;
 use canon_id::{Key, NodeId};
-use canon_node::{from_graph, ChannelTransport, Command, Op, RuntimeConfig, VirtualClock};
-use canon_sim::CrescendoSim;
-use canon_store::{
-    ContentId, FileBackend, MemoryBackend, PlacementCtx, Policy, ReplicatedStore, StorageBackend,
+use canon_node::{
+    from_graph, ChannelTransport, Command, Op, OpKind, Outcome, RuntimeConfig, VirtualClock,
 };
+use canon_sim::CrescendoSim;
+use canon_store::{ContentId, FileBackend, MemoryBackend, ReplicatedStore, StorageBackend};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +48,7 @@ fn arb_hierarchy() -> impl Strategy<Value = Hierarchy> {
 /// An independent reimplementation of successor replication, written
 /// directly against the ring API: the responsible node for the point, then
 /// distinct clockwise successors, capped at `k` and at the ring size. This
-/// is the contract `Policy::Fixed` must reproduce byte-for-byte.
+/// is the contract `ReplicatedStore` must reproduce byte-for-byte.
 fn successor_walk(ring: &SortedRing, point: NodeId, k: usize) -> Vec<NodeId> {
     let mut out = Vec::new();
     let Some(first) = ring.responsible(point) else {
@@ -78,8 +78,8 @@ fn scratch_log() -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Policy::Fixed(k)` equals the plain successor walk on every domain
-    /// of every hierarchy shape — the refactor's no-behavior-change proof.
+    /// A store's `k`-replica set equals the plain successor walk on every
+    /// domain of every hierarchy shape.
     #[test]
     fn fixed_is_byte_identical_to_successor_replication(
         h in arb_hierarchy(),
@@ -90,12 +90,12 @@ proptest! {
     ) {
         let p = Placement::uniform(&h, n, Seed(seed));
         let m = DomainMembership::build(&h, &p);
+        let store = ReplicatedStore::new(&h, &p, k);
         let key = Key::new(key);
         for d in h.all_domains() {
             let ring = m.ring(d);
             if ring.is_empty() { continue; }
-            let ctx = PlacementCtx::for_domain(&h, &m, d);
-            let got = Policy::Fixed(k).replicas(&ctx, key);
+            let got = store.replica_set(key, d);
             let want = successor_walk(ring, key.as_point(), k);
             prop_assert_eq!(got, want, "domain {} diverged", d);
         }
@@ -186,106 +186,45 @@ proptest! {
         drop(reopened);
         let _ = std::fs::remove_file(&path);
     }
-
-    /// `HierarchyGeo` always escapes the writer's level-k domain whenever
-    /// the storage ring has an outside node to escape to.
-    #[test]
-    fn geo_policy_escapes_the_writer_domain_when_possible(
-        h in arb_hierarchy(),
-        n in 6usize..80,
-        seed in 0u64..1000,
-        key in any::<u64>(),
-        writer_pick in any::<usize>(),
-    ) {
-        let p = Placement::uniform(&h, n, Seed(seed));
-        let m = DomainMembership::build(&h, &p);
-        let ids = p.ids();
-        let writer = ids[writer_pick % ids.len()];
-        let writer_leaf = p.leaf_of(writer).expect("placed");
-        let home = h.ancestor_at_depth(writer_leaf, 1.min(h.depth(writer_leaf)));
-        let policy = Policy::HierarchyGeo { replication: 3, min_outside_level: 1 };
-        let ctx = PlacementCtx::for_domain(&h, &m, h.root()).with_writer(writer_leaf);
-        let key = Key::new(key);
-        let rs = policy.replicas(&ctx, key);
-        prop_assert_eq!(rs.len(), 3.min(m.ring(h.root()).len()));
-        let ring = m.ring(h.root());
-        let escapable = ring.as_slice().iter().any(|&x| !m.ring(home).contains(x));
-        if escapable {
-            prop_assert!(
-                rs.iter().any(|&x| !m.ring(home).contains(x)),
-                "all of {:?} inside {} though the ring can escape", rs, home
-            );
-        } else {
-            // No outside node exists: placement must equal plain Fixed.
-            prop_assert_eq!(rs, Policy::Fixed(3).replicas(&ctx, key));
-        }
-        prop_assert!(policy.satisfied(&ctx, key, &policy.replicas(&ctx, key)));
-    }
 }
 
-/// The three shipped policies at the parameters the placement tests use.
-fn shipped_policies() -> [Policy; 3] {
-    [
-        Policy::Fixed(3),
-        Policy::PercentOfDomain {
-            level: 1,
-            percent: 0.05,
-        },
-        Policy::HierarchyGeo {
-            replication: 3,
-            min_outside_level: 1,
-        },
-    ]
-}
-
-/// Per policy, a store over 160 nodes takes 150 keys from rotating
-/// writers, loses every fifth node and repairs: `policy_violations` is
-/// empty before the crashes and after `re_replicate`, and every key still
-/// has a live holder to be read from. `--nocapture` prints the totals.
+/// Per replication count, a store over 160 nodes takes 150 keys, loses
+/// every fifth node and repairs: `policy_violations` is empty before the
+/// crashes and after `re_replicate`, and every key still has a live holder
+/// to be read from. `--nocapture` prints the totals.
 #[test]
 fn store_repairs_every_policy_after_crashes() {
     let h = Hierarchy::balanced(4, 2);
     let p = Placement::uniform(&h, 160, Seed(42).derive("storage-audit"));
-    let (writers, root) = (p.ids(), h.root());
+    let (ids, root) = (p.ids(), h.root());
     let key = |i: usize| hash_name(&format!("audit-key-{i}"));
     let mut repaired = 0;
-    for policy in shipped_policies() {
-        let mut store = ReplicatedStore::new(h.clone(), &p, policy);
+    for replication in [3, 8] {
+        let mut store = ReplicatedStore::new(&h, &p, replication);
         for i in 0..150 {
-            store.put_from(writers[(i * 7) % writers.len()], key(i), root);
+            store.put(key(i), root);
         }
-        assert_eq!(
-            store.policy_violations(),
-            Vec::<String>::new(),
-            "{}",
-            policy.name()
-        );
-        for &victim in writers.iter().step_by(5) {
+        assert_eq!(store.policy_violations(), Vec::<String>::new());
+        for &victim in ids.iter().step_by(5) {
             store.crash(victim);
         }
         repaired += store.re_replicate();
-        assert_eq!(
-            store.policy_violations(),
-            Vec::<String>::new(),
-            "{}",
-            policy.name()
-        );
+        assert_eq!(store.policy_violations(), Vec::<String>::new());
         for i in 0..150 {
             assert!(
                 store.live_holder(key(i), root).is_some(),
-                "{}: key {}: no live holder after repair",
-                policy.name(),
+                "replication {replication}: key {}: no live holder after repair",
                 key(i)
             );
         }
     }
-    println!("3 store policies clean (450 keys checked, {repaired} replicas repaired)");
+    println!("2 replication counts clean (300 keys checked, {repaired} replicas repaired)");
     assert!(repaired > 0, "the crash pass repaired nothing");
 }
 
 /// After 48 joins and 10 leaves, the maintenance simulator's
 /// `replica_targets` equal the replica set of a store built over the
-/// surviving membership, for 25 keys under every policy.
+/// surviving membership, for 25 keys at one, three and eight copies.
 #[test]
 fn sim_and_store_place_the_same_replicas_after_churn() {
     let h = Hierarchy::balanced(3, 2);
@@ -302,38 +241,36 @@ fn sim_and_store_place_the_same_replicas_after_churn() {
     }
 
     let placement = sim.placement();
-    for policy in shipped_policies() {
-        let store = ReplicatedStore::new(h.clone(), &placement, policy);
+    for replication in [1, 3, 8] {
+        let store = ReplicatedStore::new(&h, &placement, replication);
         for i in 0..25 {
             let key = hash_name(&format!("churn-key-{i}"));
             assert_eq!(
-                sim.replica_targets(key, h.root(), &policy),
+                sim.replica_targets(key, h.root(), replication),
                 store.replica_set(key, h.root()),
-                "{}: key {key}: sim and store place different replicas",
-                policy.name()
+                "replication {replication}: key {key}: sim and store place different replicas"
             );
         }
     }
 }
 
-/// A 32-node live cluster serves 40 PUTs under `Policy::Fixed(3)` with
+/// A 32-node live cluster serves 40 PUTs at replication 3 with
 /// zero protocol loss, and `replication_status` reports every key held by
 /// exactly the replica set a `ReplicatedStore` over the same hierarchy,
-/// placement and policy places: the replicas the placement model names
+/// placement and count places: the replicas the placement model names
 /// are the ones whose bytes a live shard holds.
 #[test]
 fn live_replication_status_matches_the_store_replica_set() {
     let seed = Seed(42);
     let h = Hierarchy::balanced(4, 2);
     let p = Placement::uniform(&h, 32, seed.derive("storage-node"));
-    let policy = Policy::Fixed(3);
-    let store = ReplicatedStore::new(h.clone(), &p, policy);
+    let store = ReplicatedStore::new(&h, &p, 3);
     let mut rt = from_graph(
         build_crescendo(&h, &p).graph(),
         Arc::new(VirtualClock::new()),
         Arc::new(ChannelTransport::new(1)),
         RuntimeConfig {
-            policy,
+            replication: 3,
             ..RuntimeConfig::default()
         },
     );
@@ -360,5 +297,69 @@ fn live_replication_status_matches_the_store_replica_set() {
             store.replica_set(Key::new(key), h.root()),
             "key {key:#x}: the cluster expects one replica set, the store places another"
         );
+    }
+}
+
+/// A 64-node cluster with the default 8-entry successor lists honours
+/// every replication count a node can place, 1 to 9: once 20 PUTs settle,
+/// every acked key is held by exactly `k` live nodes, `replication_status`
+/// is satisfied, and an `Op::Status` completion reports `k`. Counts 0 and
+/// 10 (more copies than a node and its successor list can hold) make
+/// `from_graph` panic.
+#[test]
+fn live_replication_honours_every_count_the_successor_list_holds() {
+    let seed = Seed(42);
+    let h = Hierarchy::balanced(4, 2);
+    let p = Placement::uniform(&h, 64, seed.derive("replication-counts"));
+    let network = build_crescendo(&h, &p);
+    let cluster = |replication| {
+        from_graph(
+            network.graph(),
+            Arc::new(VirtualClock::new()),
+            Arc::new(ChannelTransport::new(1)),
+            RuntimeConfig {
+                replication,
+                ..RuntimeConfig::default()
+            },
+        )
+    };
+    let key_seed = seed.derive("replication-count-keys");
+    let keys: Vec<u64> = (0..20).map(|i| key_seed.derive_index(i).0).collect();
+    for k in 1..=9 {
+        let mut rt = cluster(k);
+        let ids = rt.ids();
+        for (i, &key) in keys.iter().enumerate() {
+            let value = key ^ 1;
+            rt.inject(ids[i % ids.len()], Command::Issue(Op::Put { key, value }));
+        }
+        rt.run_until_idle();
+        let acked: Vec<u64> = rt
+            .completions()
+            .iter()
+            .filter(|c| c.kind == OpKind::Put && c.outcome == Outcome::Ok)
+            .map(|c| c.key)
+            .collect();
+        assert_eq!(acked.len(), keys.len(), "replication {k}: PUTs not acked");
+        for key in acked {
+            let status = rt.replication_status(key);
+            assert!(
+                status.satisfied && status.holders.len() == k,
+                "replication {k}, key {key:#x}: expected {:?}, held by {:?}",
+                status.expected,
+                status.holders
+            );
+        }
+        rt.inject(ids[0], Command::Issue(Op::Status { key: keys[0] }));
+        rt.run_until_idle();
+        let reported = rt
+            .completions()
+            .into_iter()
+            .find(|c| c.kind == OpKind::Status)
+            .and_then(|c| c.value);
+        assert_eq!(reported, Some(k as u64), "replication {k}: Op::Status");
+    }
+    for k in [0, 10] {
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cluster(k)));
+        assert!(built.is_err(), "replication {k} was accepted");
     }
 }
