@@ -12,7 +12,9 @@
 //!   `--max-n`) through the three route executors: `drive` (per hop,
 //!   collect and sort every candidate), `execute` (one probe of the
 //!   graph's `NextHopIndex` per hop) and `route_to_key_sweep` (the indexed
-//!   path with a window of lookups interleaved). The run panics unless all
+//!   path with a window of lookups interleaved). Each row reduces every
+//!   route to its (terminal, hops) inside the timed span, so all three
+//!   route, reduce and free their paths there. The run panics unless all
 //!   three realize the same (terminal, hops) list.
 //! * `scale/{build,sweep}_n{n}` — the §1 "millions of nodes" check:
 //!   Crescendo on uniform placement at sizes doubling from 16,384 to
@@ -224,10 +226,12 @@ fn routing(report: &mut Report, h: &Hierarchy, n: usize) {
             })
             .collect::<Vec<_>>()
     });
+    // Every row reduces its routes to their ends inside the timed span,
+    // so each frees its paths there too.
     let sweep = report.bench(&format!("routing/sweep_n{n}"), || {
-        route_to_key_sweep(graph, Clockwise, &drawn)
+        let routes = route_to_key_sweep(graph, Clockwise, &drawn).expect("sweep routes");
+        routes.iter().map(ends).collect::<Vec<_>>()
     });
-    let sweep: Vec<_> = sweep.expect("sweep routes").iter().map(ends).collect();
     for (executor, routes) in [("indexed", indexed), ("sweep", sweep)] {
         let len = generic.len().max(routes.len());
         if let Some(i) = (0..len).find(|&i| generic.get(i) != routes.get(i)) {

@@ -31,23 +31,19 @@ pub fn from_graph(
     config: RuntimeConfig,
 ) -> Runtime {
     let mut rt = Runtime::new(clock, transport, config);
-    let ring = graph.ring();
+    rt.reserve(graph.len());
+    let ring = graph.ring().as_slice();
+    let n = ring.len();
     for idx in graph.node_indices() {
         let id = graph.id(idx);
         let links = row::build(graph.neighbors(idx).iter().map(|&n| graph.id(n)), id);
-        let mut succ_list = Vec::with_capacity(config.succ_list_len);
-        let mut cur = id;
-        for _ in 0..config.succ_list_len {
-            let Some(next) = ring.strict_successor(cur) else {
-                break;
-            };
-            if next == id {
-                break;
-            }
-            succ_list.push(next);
-            cur = next;
-        }
-        let pred = ring.strict_predecessor(id).filter(|&p| p != id);
+        // One search for the node's place on the ring; its successors and
+        // predecessor are the places around it, wrapping short of itself.
+        let at = ring.partition_point(|&r| r < id);
+        let succ_list: Vec<_> = (1..n.min(config.succ_list_len + 1))
+            .map(|k| ring[(at + k) % n])
+            .collect();
+        let pred = (n > 1).then(|| ring[(at + n - 1) % n]);
         rt.spawn_inner(id, links, succ_list, pred, true);
     }
     rt

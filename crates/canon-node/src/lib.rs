@@ -46,6 +46,8 @@
 //!   backend;
 //! * [`runtime`] — round-based lock-step execution and cluster-wide
 //!   accounting;
+//! * [`ledger`] — the work ledger: what the runtime did, counted per
+//!   node, mailbox and worker;
 //! * [`cluster`] — seeding a runtime from a pre-built overlay graph;
 //! * `model` (feature `model`) — single-step delivery, state fingerprints
 //!   and fault hooks for canon-audit's protocol model checker.
@@ -58,6 +60,7 @@ pub mod cache;
 pub mod clock;
 pub mod cluster;
 pub mod framed;
+pub mod ledger;
 #[cfg(feature = "model")]
 pub mod model;
 pub mod msg;
@@ -72,6 +75,7 @@ pub use cache::{CacheConfig, CacheSummary, CacheTally, NodeCache};
 pub use clock::{Clock, Tick, VirtualClock};
 pub use cluster::from_graph;
 pub use framed::{FramedTransport, LinkBytes, WireSummary};
+pub use ledger::WorkLedger;
 pub use msg::{Command, Completion, JoinGrant, Op, OpKind, Outcome, Payload, RpcResult};
 pub use node::NodeStats;
 pub use rpc::{RetryDecision, RpcConfig, RpcTable};

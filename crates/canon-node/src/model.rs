@@ -107,6 +107,7 @@ fn hash_completion(h: &mut Fnv, c: &Completion) {
         crate::msg::Outcome::Ok => 1,
         crate::msg::Outcome::NotFound => 2,
         crate::msg::Outcome::TimedOut => 3,
+        crate::msg::Outcome::Abandoned => 4,
     });
     hash_opt_id(h, c.responder);
     h.word(c.value.map_or(u64::MAX, |v| v));

@@ -331,6 +331,8 @@ pub enum Outcome {
     NotFound,
     /// Every retry timed out.
     TimedOut,
+    /// The origin left the overlay before an answer came.
+    Abandoned,
 }
 
 /// One finished request, recorded at its origin — the unit of zero-loss

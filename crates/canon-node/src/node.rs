@@ -37,6 +37,7 @@
 use crate::cache::NodeCache;
 use crate::clock::Tick;
 use crate::framed::{Outbox, WireTally};
+use crate::ledger::WorkLedger;
 use crate::msg::{Command, Completion, JoinGrant, Op, Outcome, Payload, RpcResult};
 use crate::rpc::{RetryDecision, RpcTable};
 use crate::runtime::RuntimeConfig;
@@ -189,6 +190,9 @@ pub(crate) struct NodeState {
     /// Wire accounting for the frames this node sent (all zero unless the
     /// transport stack frames).
     pub wire: WireTally,
+    /// This node's share of the work ledger: its rounds, and what its
+    /// drains read and its flushes wrote.
+    pub ledger: WorkLedger,
     /// Model-checking fault: grant joins but "forget" to attach the
     /// handed-over shard entries (they are still removed locally) — the
     /// seeded lost-key-range bug the protocol checker's regression test
@@ -239,6 +243,7 @@ impl NodeState {
             deferred: Vec::new(),
             outbox: Outbox::default(),
             wire: WireTally::default(),
+            ledger: WorkLedger::default(),
             #[cfg(feature = "model")]
             broken_handover: false,
             stats: NodeStats::default(),
@@ -663,11 +668,15 @@ impl NodeState {
     fn route_head(&mut self, net: &Net<'_>, head: &RequestHead<'_>) {
         match self.route(net, head.origin, head.req, head.hops, &head.op) {
             None => {}
-            Some(Step::Defer) => self.deferred.push(head.routed()),
+            Some(Step::Defer) => {
+                self.ledger.decoded += 1;
+                self.deferred.push(head.routed());
+            }
             Some(Step::Forward(nb)) => {
                 self.count_forward();
                 let append = self.grows_path(&head.op).then_some(self.id);
                 if !(net.framed && head.forwardable()) {
+                    self.ledger.decoded += 1;
                     self.send(net, nb, head.forwarded(append));
                 } else if let Some((slot, deliver_at)) = self.schedule(net, nb) {
                     let seq = self.seq;
@@ -675,6 +684,7 @@ impl NodeState {
                 }
             }
             Some(Step::Serve) => {
+                self.ledger.decoded += 1;
                 let (origin, req, _, hops, op, path) = head.routed();
                 self.serve_request(net, origin, req, hops, op, &path);
             }
@@ -1015,6 +1025,25 @@ impl NodeState {
     /// responsibility), notify the neighborhood, and go dark.
     fn do_leave(&mut self, net: &Net<'_>) {
         self.dead = true;
+        // The node's own open requests can no longer be answered (a dead
+        // node discards their responses): each ends here, counted.
+        for (req, p) in self.rpc.inflight_entries() {
+            self.rpc.resolve(req);
+            self.log(net.now, || format!("abandon req={req}"));
+            self.completions.push(Completion {
+                origin: self.id,
+                req,
+                kind: p.op.kind(),
+                key: p.op.key_point().raw(),
+                outcome: Outcome::Abandoned,
+                responder: None,
+                value: None,
+                hops: 0,
+                attempts: p.attempt + 1,
+                issued_at: p.issued_at,
+                completed_at: net.now,
+            });
+        }
         // Graceful departure keeps the cache coherent: every registered
         // cacher is invalidated before the shard moves to the heir.
         let registered: Vec<u64> = self.cache_registry.keys().copied().collect();

@@ -16,15 +16,21 @@
 //! while a real clock waits out the gap.
 //!
 //! Which nodes have due work, and when the next event is, are read off a
-//! **wake-up index** rather than asked of every node: [`Mailboxes`] keeps
-//! one `(tick, slot)` entry per non-empty delivery bucket, and the runtime
-//! keeps one `(tick, slot)` entry per node with a live RPC deadline,
-//! republished whenever a node's round (or a crash) moves it. A round
-//! visits the slots either half lists at or before *t*; the next event is
-//! the earlier of the two fronts. A round therefore costs what it
-//! delivers, and an idle round costs two map look-ups, whatever the
-//! cluster's size. Debug builds check both answers against a scan of every
-//! node, so every test run is a differential test of the index.
+//! **wake-up index** rather than asked of every node. Its mail half is the
+//! mailboxes' tick calendar (see [`crate::transport`]): per delivery tick,
+//! the slots holding a bucket due then, entered once per bucket when the
+//! bucket is created. Its timer half is one `(tick, slot)` entry per node
+//! with a live RPC deadline, republished whenever a node's round (or a
+//! crash) moves it. A round takes every calendar tick at or before *t*
+//! whole — one map removal per tick, not one per bucket — adds the
+//! deadlines due by *t*, sorts, and visits those slots; each visited slot
+//! then takes its due buckets without touching the calendar again. The
+//! next event is the earlier of the two fronts. So a round costs what it
+//! delivers, per node as much as per cluster — a node round's share of the
+//! index is one list append when its mail's bucket is created — and an
+//! idle round costs two map look-ups, whatever the cluster's size. Debug
+//! builds check both answers against a scan of every node, so every test
+//! run is a differential test of the index.
 //!
 //! # Why this is deterministic
 //!
@@ -50,8 +56,10 @@
 //! 4. the list of nodes a round visits is a sorted function of mailbox
 //!    contents and published deadlines at the start of the round — both
 //!    fixed by (1) to (3), the framed mail by the previous round's
-//!    exchange — never of the order entries arrived in the index or of
-//!    the worker count.
+//!    exchange — never of the order entries arrived in the index (a
+//!    calendar tick's slots are in arrival order, and sorted once taken)
+//!    or of the worker count. Which emptied bucket the exchange reuses for
+//!    a new one changes its capacity, never its contents.
 //!
 //! `tests/determinism.rs` checks the consequence: the same seed produces a
 //! byte-identical event log on 1, 4 and 8 worker threads.
@@ -59,6 +67,7 @@
 use crate::cache::{CacheConfig, CacheSummary};
 use crate::clock::{Clock, Tick};
 use crate::framed::{self, LinkBytes, Outbox, RoundBuffer, WireSummary};
+use crate::ledger::WorkLedger;
 use crate::msg::{Command, Completion, Outcome, Payload};
 use crate::node::{row, Directory, Net, NodeState, NodeStats};
 use crate::rpc::RpcConfig;
@@ -170,6 +179,8 @@ pub struct Summary {
     pub not_found: u64,
     /// Requests whose every retry timed out.
     pub timed_out: u64,
+    /// Requests whose origin left the overlay before an answer came.
+    pub abandoned: u64,
     /// Duplicate responses detected (must be zero on a loss-free
     /// transport).
     pub duplicates: u64,
@@ -218,6 +229,9 @@ pub struct Runtime {
     /// [`Mailboxes`]). Kept equal to [`NodeState::next_timer`] by
     /// [`Runtime::republishing`].
     deadlines: Mutex<BTreeSet<(Tick, usize)>>,
+    /// The workers' share of the work ledger, handed over by each round's
+    /// exchange.
+    worker_ledger: Mutex<WorkLedger>,
     /// Sequence counter for injected client envelopes.
     client_seq: u64,
     /// Client requests injected so far.
@@ -265,6 +279,7 @@ impl Runtime {
             boxes: Mailboxes::new(0),
             directory: Default::default(),
             deadlines: Mutex::default(),
+            worker_ledger: Mutex::default(),
             client_seq: 0,
             injected: 0,
         }
@@ -343,16 +358,24 @@ impl Runtime {
             "node {id} already hosted"
         );
         let slot = self.boxes.grow();
-        self.states.push(Mutex::new(NodeState::new(
-            id,
-            links,
-            succ_list,
-            pred,
-            joined,
-            &self.config,
-        )));
+        let mut state = NodeState::new(id, links, succ_list, pred, joined, &self.config);
+        if self.transport.framed() {
+            // A seeded node's first frames go to its links and successors.
+            state
+                .wire
+                .reserve(state.links.len() + state.succ_list.len());
+        }
+        self.states.push(Mutex::new(state));
         self.directory.insert(id.raw(), slot);
         slot
+    }
+
+    /// Makes room for `more` nodes to be spawned without the node table,
+    /// mailboxes or directory growing on the way.
+    pub(crate) fn reserve(&mut self, more: usize) {
+        self.states.reserve(more);
+        self.boxes.reserve(more);
+        self.directory.reserve(more);
     }
 
     /// Injects a client command at `origin`, due in the next round.
@@ -392,7 +415,10 @@ impl Runtime {
     /// Returns the number of events processed.
     pub fn step(&self) -> usize {
         let now = self.clock.now();
-        let mut active = self.boxes.due_slots(now);
+        // The calendar's due ticks, taken whole: the round drains every
+        // slot they list (`take_woken`).
+        let mut active = Vec::new();
+        self.boxes.take_due_slots(now, &mut active);
         active.extend(
             lock_unpoisoned(&self.deadlines)
                 .range(..=(now, usize::MAX))
@@ -413,7 +439,10 @@ impl Runtime {
             })
             .into_iter()
             .unzip();
-        framed::exchange(&self.boxes, &mut rounds);
+        let grown = framed::exchange(&self.boxes, &mut rounds);
+        if grown != WorkLedger::default() {
+            lock_unpoisoned(&self.worker_ledger).add(&grown);
+        }
         // One buffer stays with this thread, the worker of a one-worker run.
         ROUND.set(rounds.swap_remove(0));
         events.into_iter().sum()
@@ -422,17 +451,21 @@ impl Runtime {
     /// One node's round: its due mail, taken out of its mailbox and read —
     /// each frame whole or not at all, a framed request as its head — then
     /// handled in `(deliver_at, from, seq)` order, and then its due
-    /// timers.
+    /// timers. A framed stack's emptied bucket goes back to `round` for
+    /// the exchange to reuse.
     fn process_cell(&self, slot: usize, now: Tick, round: &mut RoundBuffer) -> usize {
-        let mut due = self.boxes.take_due(slot, now);
+        let mut due = self.boxes.take_woken(slot, now);
         let mut state = lock_unpoisoned(&self.states[slot]);
-        self.node_round(slot, &mut state, now, round, |state, net| {
+        state.ledger.node_rounds += 1;
+        let events = self.node_round(slot, &mut state, now, round, |state, net| {
             let Some(due) = &mut due else {
                 return state.fire_timers(net);
             };
             let (mut envs, mut heads) = (DRAINED.take(), HEADS.take());
-            let failed = due.read_into(&mut envs, &mut heads, wire::read_framed);
+            let (failed, decoded) = due.read_into(&mut envs, &mut heads, wire::read_framed);
             state.wire.record_decode_errors(failed);
+            state.ledger.decoded += decoded;
+            state.ledger.heads_read += heads.len() as u64;
             let handled = envs.len() + heads.len();
             if heads.is_empty() {
                 // All of an unframed stack's mail: nothing to merge, and
@@ -457,7 +490,11 @@ impl Runtime {
             DRAINED.set(envs);
             HEADS.set(recycle(heads));
             handled + state.fire_timers(net)
-        })
+        });
+        if let Some(due) = due {
+            round.recycle(due);
+        }
+        events
     }
 
     /// Runs `body` on a locked node as one atomic unit. With a framing
@@ -651,6 +688,7 @@ impl Runtime {
                     Outcome::Ok => sum.ok += 1,
                     Outcome::NotFound => sum.not_found += 1,
                     Outcome::TimedOut => sum.timed_out += 1,
+                    Outcome::Abandoned => sum.abandoned += 1,
                 }
             }
         }
@@ -674,6 +712,21 @@ impl Runtime {
             sum.tally.corrupt_fills += t.corrupt_fills;
             sum.tally.invalidations += t.invalidations;
             sum.tally.evictions += t.evictions;
+        }
+        sum
+    }
+
+    /// The work ledger: what the cluster's nodes, mailboxes and workers
+    /// did so far, counted (see [`crate::ledger`]). Kept out of
+    /// [`Summary`] like [`Runtime::wire_summary`]: it counts the
+    /// implementation's work, not the protocol's outcome.
+    pub fn work_ledger(&self) -> WorkLedger {
+        let mut sum = self.boxes.ledger();
+        sum.add(&lock_unpoisoned(&self.worker_ledger));
+        for s in &self.states {
+            let state = lock_unpoisoned(s);
+            sum.add(&state.ledger);
+            sum.tally_growth += state.wire.grown;
         }
         sum
     }
@@ -844,7 +897,8 @@ impl Runtime {
             |state, net| state.handle(net, env),
         );
         drop(state);
-        framed::exchange(&self.boxes, std::slice::from_mut(&mut round));
+        let grown = framed::exchange(&self.boxes, std::slice::from_mut(&mut round));
+        lock_unpoisoned(&self.worker_ledger).add(&grown);
         true
     }
 
@@ -996,6 +1050,75 @@ mod tests {
         assert_eq!(framed.wire_summary().map(|w| w.decode_errors), Some(0));
     }
 
+    /// A jittered framed run: mail for one slot is spread over several
+    /// ticks, and the clock jumps one to three ticks a round, so drains
+    /// take several ticks' buckets at once (`Bucket::absorb`). Between
+    /// rounds the model checker's `take` pops a message that is alone in
+    /// its bucket, emptying the bucket. After every step and every take,
+    /// the wake-up index is exactly what a scan of every slot finds.
+    #[test]
+    fn a_jittered_run_keeps_the_index_exact_through_multi_tick_drains_and_takes() {
+        use crate::transport::FaultyTransport;
+        let h = canon_hierarchy::Hierarchy::balanced(4, 2);
+        let p = canon_hierarchy::Placement::uniform(&h, 48, Seed(42));
+        let net = canon::crescendo::build_crescendo(&h, &p);
+        let jittered = FaultyTransport::new(ChannelTransport::new(1), Seed(9), 0, 3);
+        let mut rt = crate::cluster::from_graph(
+            net.graph(),
+            Arc::new(VirtualClock::new()),
+            Arc::new(FramedTransport::new(jittered)),
+            RuntimeConfig::default(),
+        );
+        let ids = rt.ids();
+        let base = Seed(5).derive("jittered-storm");
+        for i in 0..300u64 {
+            let r = base.derive_index(i).0;
+            let op = match i % 3 {
+                0 => Op::Lookup { key: r >> 3 },
+                1 => Op::Put {
+                    key: r >> 3,
+                    value: r,
+                },
+                _ => Op::Get { key: r >> 3 },
+            };
+            rt.inject(ids[(r % ids.len() as u64) as usize], Command::Issue(op));
+        }
+        let (mut multi_tick, mut emptied) = (0, 0);
+        for round in 0u64.. {
+            let now = rt.clock.now();
+            let index = rt.boxes.index();
+            assert_eq!(index, rt.boxes.scan(), "round {round}");
+            let mut due: Vec<usize> = index.iter().filter(|e| e.0 <= now).map(|e| e.1).collect();
+            due.sort_unstable();
+            multi_tick += due.windows(2).filter(|w| w[0] == w[1]).count();
+            rt.step();
+            assert_eq!(rt.boxes.index(), rt.boxes.scan(), "round {round}");
+            // Every fifth round, take a message that is its bucket's only
+            // one, as the model checker's loss action does.
+            if round % 5 == 0 {
+                let lone = (0..rt.len()).find_map(|slot| {
+                    let mail = rt.boxes.peek_all(slot);
+                    let alone = |e: &Envelope<Payload>| {
+                        mail.iter().filter(|o| o.deliver_at == e.deliver_at).count() == 1
+                    };
+                    Some((slot, mail.iter().find(|e| alone(e))?.clone()))
+                });
+                if let Some((slot, e)) = lone {
+                    assert!(rt.boxes.take(slot, e.from, e.seq).is_some());
+                    assert_eq!(rt.boxes.index(), rt.boxes.scan(), "take in round {round}");
+                    emptied += 1;
+                }
+            }
+            let Some(t) = rt.next_event() else { break };
+            rt.clock.advance_to(t.max(now + 1 + round % 3));
+        }
+        assert!(multi_tick > 0, "no drain took several ticks");
+        assert!(emptied > 0, "no take emptied a bucket");
+        let summary = rt.summary();
+        assert!(summary.zero_loss(), "{summary:?}");
+        assert!(rt.boxes.index().is_empty());
+    }
+
     /// The receiver of [`marked`] messages.
     const RECEIVER: u64 = 1;
 
@@ -1132,7 +1255,8 @@ mod tests {
                     assert!(expected(&err), "{what}: {err:?}");
                 }
                 let group = (envs[0].from, envs[0].seq, envs.len(), &frame[..]);
-                rt.boxes.push_frames(slot, 0, std::iter::once(group));
+                rt.boxes
+                    .push_frames(slot, 0, std::iter::once(group), &mut Default::default());
             }
             rt.boxes.push(slot, marked(15, 1));
             assert_eq!(rt.boxes.queued(), 9, "{what}");

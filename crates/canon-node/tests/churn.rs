@@ -5,11 +5,13 @@
 //! A report before it is a gate: every case prints what it saw (lost and
 //! timed-out requests, acked writes read back, messages dropped at
 //! departed nodes, live nodes with the wrong predecessor), and the tests
-//! assert only what holds today — without churn, and with joins alone,
-//! nothing is lost, nothing times out and every acked value reads back.
-//! Leaves still lose requests. The suspected cause: a departing node tells
-//! its own links, its successors and its predecessor, but not the nodes
-//! that link *to* it, whose greedy next hop keeps choosing the dead node.
+//! assert only what holds today — every request ends in a counted outcome
+//! (a leaver's own open requests as `Outcome::Abandoned`), and without
+//! churn, and with joins alone, nothing times out and every acked value
+//! reads back. Leaves still time requests out. The suspected cause: a
+//! departing node tells its own links, its successors and its
+//! predecessor, but not the nodes that link *to* it, whose greedy next hop
+//! keeps choosing the dead node.
 //!
 //! Run with `--nocapture` to see the table.
 
@@ -46,6 +48,8 @@ struct Report {
     puts_completed: u64,
     puts_ok: u64,
     puts_timed_out: u64,
+    /// PUTs whose origin left before an answer came.
+    puts_abandoned: u64,
     gets: u64,
     read_back: u64,
     wrong_value: u64,
@@ -147,6 +151,7 @@ fn run(churn: Churn, seed: u64) -> Report {
         puts_completed: puts.len() as u64,
         puts_ok: acked.len() as u64,
         puts_timed_out: count(&puts, Outcome::TimedOut),
+        puts_abandoned: count(&puts, Outcome::Abandoned),
         gets: acked.len() as u64,
         read_back: gets
             .iter()
@@ -178,7 +183,7 @@ fn report(churn: Churn, seeds: &[u64]) -> Vec<Report> {
         .map(|&seed| {
             let r = run(churn, seed);
             println!(
-                "{:<6} seed {seed:>2}: PUT {}/{}/{} ok/done/sent, {} timed out | \
+                "{:<6} seed {seed:>2}: PUT {}/{}/{} ok/done/sent, {} timed out, {} abandoned | \
                  GET of acked {}/{} read back, {} wrong, {} not found, {} timed out | \
                  dropped_dead {}, zero_loss {}, wrong pred {}",
                 format!("{churn:?}"),
@@ -186,6 +191,7 @@ fn report(churn: Churn, seeds: &[u64]) -> Vec<Report> {
                 r.puts_completed,
                 r.puts,
                 r.puts_timed_out,
+                r.puts_abandoned,
                 r.read_back,
                 r.gets,
                 r.wrong_value,
@@ -224,12 +230,22 @@ fn joins_alone_lose_nothing() {
         .for_each(assert_clean);
 }
 
+/// Whatever churn does to a request, it completes exactly once.
+fn assert_zero_loss(r: &Report) {
+    assert!(r.zero_loss, "{r:?}");
+    assert_eq!(r.puts_completed, r.puts, "{r:?}");
+}
+
 #[test]
 fn graceful_leaves_report() {
-    report(Churn::Leaves, &[9, 10, 11]);
+    report(Churn::Leaves, &[9, 10, 11])
+        .iter()
+        .for_each(assert_zero_loss);
 }
 
 #[test]
 fn mixed_churn_report() {
-    report(Churn::Mixed, &[1, 5, 6]);
+    report(Churn::Mixed, &[1, 5, 6])
+        .iter()
+        .for_each(assert_zero_loss);
 }

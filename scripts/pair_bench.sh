@@ -23,7 +23,14 @@
 # Exits non-zero if any run fails or is not `correct` with zero failed
 # operations, or if a median falls outside its bound against that row.
 #
-#   scripts/pair_bench.sh <parent-ref> [--pairs N] [--seconds S] [--smoke] [workload ...]
+# --trace N then runs N traced pairs per workload (`--trace 1`, the same
+# alternation and seeds 1-N) and prints each side's median, over those
+# runs, of the set-up layers canon.build_s, cluster.spawn_s and
+# cluster.preload_s and of runtime.idle_round_us: where a set-up change
+# went, layer by layer. They are printed only, never gated or recorded.
+# The traced runs write their span files under target/pair_bench/traced/.
+#
+#   scripts/pair_bench.sh <parent-ref> [--pairs N] [--seconds S] [--smoke] [--trace N] [workload ...]
 #
 # Defaults: 10 pairs, BENCHMARK.json's run_seconds, every workload.
 # --smoke runs 64-node smoke cycles instead of timed runs (CI: timings mean
@@ -34,7 +41,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: scripts/pair_bench.sh <parent-ref> [--pairs N] [--seconds S] [--smoke] [workload ...]" >&2
+    echo "usage: scripts/pair_bench.sh <parent-ref> [--pairs N] [--seconds S] [--smoke] [--trace N] [workload ...]" >&2
     exit 2
 }
 
@@ -42,12 +49,14 @@ PARENT_REF=""
 PAIRS=10
 SECONDS_PER_RUN="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
 SMOKE=0
+TRACE_PAIRS=0
 WORKLOADS=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) PAIRS="${2:?--pairs needs a value}"; shift 2 ;;
         --seconds) SECONDS_PER_RUN="${2:?--seconds needs a value}"; shift 2 ;;
         --smoke) SMOKE=1; shift ;;
+        --trace) TRACE_PAIRS="${2:?--trace needs a pair count}"; shift 2 ;;
         -*) usage ;;
         # The first bare word is the parent, the rest are workloads.
         *) if [ -z "$PARENT_REF" ]; then PARENT_REF="$1"; else WORKLOADS+=("$1"); fi; shift ;;
@@ -60,8 +69,8 @@ fi
 
 OUT=target/pair_bench
 PARENT_SHA="$(git rev-parse --short "$PARENT_REF^{commit}")"
-rm -rf "$OUT/parent" "$OUT/bin" "$OUT/runs" "$OUT/rows.jsonl"
-mkdir -p "$OUT/parent" "$OUT/bin" "$OUT/runs"
+rm -rf "$OUT/parent" "$OUT/bin" "$OUT/runs" "$OUT/traced" "$OUT/rows.jsonl"
+mkdir -p "$OUT/parent" "$OUT/bin" "$OUT/runs" "$OUT/traced"
 
 # Each side builds into a target directory of its own, kept between
 # invocations, so neither build can reuse the other's artefacts. The
@@ -97,6 +106,24 @@ for w in "${WORKLOADS[@]}"; do
         done
     done
 done
+
+# Traced pairs (--trace N): the per-layer set-up table, printed below.
+if [ "$SMOKE" -eq 0 ] && [ "$TRACE_PAIRS" -gt 0 ]; then
+    for w in "${WORKLOADS[@]}"; do
+        for i in $(seq 1 "$TRACE_PAIRS"); do
+            if [ $((i % 2)) -eq 1 ]; then order=(parent change); else order=(change parent); fi
+            for side in "${order[@]}"; do
+                echo "traced run: $w pair $i $side" >&2
+                # A traced run writes its spans under its working directory.
+                if ! (cd "$OUT/traced" && timeout 600 "../bin/$side" --workload "$w" --seed "$i" \
+                        --seconds "$SECONDS_PER_RUN" --trace 1) > "$OUT/runs/$w.$side.traced.$i.out"; then
+                    echo "FAILED: traced $w pair $i $side" >&2
+                    status=1
+                fi
+            done
+        done
+    done
+fi
 
 PR="$(sed -n '1s/^# ISSUE \([0-9]*\).*/\1/p' ISSUE.md 2>/dev/null || true)"
 python3 - "$OUT" "$PAIRS" "$SECONDS_PER_RUN" "$SMOKE" "${PR:-null}" "$PARENT_SHA" "${WORKLOADS[@]}" <<'EOF' || status=1
@@ -237,4 +264,36 @@ if rows:
     print(f"\nrows for results/history/BENCHMARK.jsonl: {out}/rows.jsonl")
 sys.exit(1 if bad else 0)
 EOF
+
+if [ "$SMOKE" -eq 0 ] && [ "$TRACE_PAIRS" -gt 0 ]; then
+    python3 - "$OUT" "$TRACE_PAIRS" "${WORKLOADS[@]}" <<'EOF' || status=1
+import statistics, sys
+
+out, pairs = sys.argv[1], int(sys.argv[2])
+layers = ["canon.build_s", "cluster.spawn_s", "cluster.preload_s", "runtime.idle_round_us"]
+
+def medians(path):
+    """Each layer's median over the run's traced cycles, from its table."""
+    found = {}
+    for line in open(path):
+        cols = line.split()
+        if len(cols) == 6 and cols[0] in layers:
+            found[cols[0]] = float(cols[2])
+    return found
+
+print(f"\nset-up by layer: {pairs} traced pairs, each side's median of the runs' medians (printed, not gated)")
+print(f"  {'workload':<16} {'layer':<24} {'parent':>12} {'change':>12}  {'delta':>8}")
+for w in sys.argv[3:]:
+    runs = {side: [medians(f"{out}/runs/{w}.{side}.traced.{i}.out") for i in range(1, pairs + 1)]
+            for side in ("parent", "change")}
+    for layer in layers:
+        vals = {side: [r[layer] for r in got if layer in r] for side, got in runs.items()}
+        if not all(vals.values()):
+            print(f"  {w:<16} {layer:<24} {'missing':>12}")
+            continue
+        p, c = statistics.median(vals["parent"]), statistics.median(vals["change"])
+        delta = f"{(c / p - 1) * 100:+.1f}%" if p else "n/a"
+        print(f"  {w:<16} {layer:<24} {p:>12.6f} {c:>12.6f}  {delta:>8}")
+EOF
+fi
 exit $status
