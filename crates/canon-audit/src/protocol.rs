@@ -3,7 +3,7 @@
 //! ring-invariant auditor.
 //!
 //! The explored state is *distributed protocol* state: a small cluster
-//! (3–6 nodes) built over canon-node's `model` feature is driven through
+//! (3–8 nodes) built over canon-node's `model` feature is driven through
 //! **every** message delivery order a FIFO network permits, and
 //! machine-checkable invariants are evaluated after every single delivery
 //! ("How to Make Chord Correct", Zave 2015, is the blueprint: these
@@ -49,6 +49,8 @@
 //! `(destination slot, sender, sequence)`, which a fresh scenario run
 //! reproduces deterministically.
 
+use canon_chord::chord_links;
+use canon_id::ring::SortedRing;
 use canon_id::rng::Seed;
 use canon_id::NodeId;
 use canon_node::model::NodeSnapshot;
@@ -134,9 +136,13 @@ pub struct Trigger {
 pub struct Scenario {
     /// Scenario name (stable; used in reports and regression tests).
     pub name: &'static str,
-    /// Seeded ring members (raw ids, ascending). Each node links its ring
-    /// successor, so routes walk clockwise and interleave with repair.
+    /// Seeded ring members (raw ids, ascending).
     pub members: Vec<u64>,
+    /// Whether a member's seeded links are every Chord finger over the
+    /// members (`canon_chord::chord_links`), so that it links members that
+    /// are not its neighbours, or its ring successor alone, so that routes
+    /// walk clockwise and interleave with repair.
+    pub fingers: bool,
     /// Blank (unjoined) spawns that participate via `Command::Join`.
     pub blanks: Vec<u64>,
     /// Copies of every stored key, primary included.
@@ -287,13 +293,18 @@ impl<'a> Run<'a> {
         };
         let mut rt = Runtime::new(clock, transport.clone(), config);
         let n = scenario.members.len();
+        let ring = SortedRing::new(scenario.members.iter().map(|&m| NodeId::new(m)).collect());
         for (i, &raw) in scenario.members.iter().enumerate() {
             let id = NodeId::new(raw);
             let succ: Vec<NodeId> = (1..=scenario.succ_len.min(n - 1))
                 .map(|k| NodeId::new(scenario.members[(i + k) % n]))
                 .collect();
             let pred = NodeId::new(scenario.members[(i + n - 1) % n]);
-            let links: BTreeSet<NodeId> = succ.first().copied().into_iter().collect();
+            let links: BTreeSet<NodeId> = if scenario.fingers {
+                chord_links(&ring, id).into_iter().collect()
+            } else {
+                succ.first().copied().into_iter().collect()
+            };
             rt.spawn_seeded(id, links, succ, (n > 1).then_some(pred));
         }
         for &raw in &scenario.blanks {
@@ -455,9 +466,6 @@ impl<'a> Run<'a> {
 ///   inside `Replicate`, `LeaveHandoff` and `Granted` messages to live
 ///   destinations (a handover legitimately holds the only copy while the
 ///   grant is in the air);
-/// * **pinned-key conservation** — a key whose PUT and PIN were both
-///   acked by the same (still live) node is still stored *and* pinned
-///   there: handovers must copy pinned keys, not move them;
 /// * **RPC-id sanity** — per node, allocated ids = in-flight + completed
 ///   (never reused, never lost), completion ids are unique, and no
 ///   in-flight entry has been retried (deadlines beyond the horizon);
@@ -467,6 +475,9 @@ impl<'a> Run<'a> {
 ///   so a surviving stale copy is a protocol bug; entries stranded by a
 ///   crashed or handed-off owner are exempt — their owner no longer
 ///   vouches for them);
+/// * **link liveness** — at quiescent states of scenarios that crash no
+///   node, every live node links only live, joined members (a graceful
+///   leave must reach every node that links the leaver);
 /// * at **quiescent** states of fault-free scenarios, every injected RPC
 ///   has completed.
 pub fn check_invariants(
@@ -478,10 +489,16 @@ pub fn check_invariants(
     let mut v = Vec::new();
     ring_invariant(snaps, pending, &mut v);
     durability(scenario, snaps, pending, &mut v);
-    pin_conservation(snaps, &mut v);
     rpc_sanity(snaps, &mut v);
     if quiescent {
         cache_coherence(snaps, &mut v);
+    }
+    let crashes = scenario
+        .triggers
+        .iter()
+        .any(|t| matches!(t.action, FaultAction::Crash(_)));
+    if quiescent && !crashes {
+        link_liveness(snaps, &mut v);
     }
     if quiescent && scenario.expect_quiescent_completion {
         for s in snaps {
@@ -669,49 +686,6 @@ fn durability(
     }
 }
 
-fn pin_conservation(snaps: &[NodeSnapshot], v: &mut Vec<String>) {
-    // If one (live) node acked both the PUT and the PIN of a key, the key
-    // must still be stored and pinned there — handovers copy pinned keys.
-    let mut put_at: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    let mut pin_at: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    for c in snaps.iter().flat_map(|s| &s.completions) {
-        if c.outcome != Outcome::Ok {
-            continue;
-        }
-        let Some(responder) = c.responder else {
-            continue;
-        };
-        match c.kind {
-            OpKind::Put => {
-                put_at.entry(c.key).or_default().insert(responder.raw());
-            }
-            OpKind::Pin => {
-                pin_at.entry(c.key).or_default().insert(responder.raw());
-            }
-            _ => {}
-        }
-    }
-    for (key, pinners) in &pin_at {
-        let Some(putters) = put_at.get(key) else {
-            continue;
-        };
-        for raw in pinners.intersection(putters) {
-            let Some(s) = snaps.iter().find(|s| s.id.raw() == *raw && !s.dead) else {
-                continue;
-            };
-            if !s.pinned.contains(key) {
-                v.push(format!("pin: key {key} no longer pinned at {}", s.id));
-            } else if !s.shard.iter().any(|&(k, _)| k == *key) {
-                v.push(format!(
-                    "pin: key {key} pinned at {} but not stored there \
-                     (handover moved a pinned key)",
-                    s.id
-                ));
-            }
-        }
-    }
-}
-
 /// At quiescence every invalidation has been delivered, so any cache
 /// entry whose filling owner is still live and still stores the key must
 /// hold the owner's current value. Entries whose owner died or handed the
@@ -734,6 +708,22 @@ fn cache_coherence(snaps: &[NodeSnapshot], v: &mut Vec<String>) {
                     s.id, o.id
                 ));
             }
+        }
+    }
+}
+
+fn link_liveness(snaps: &[NodeSnapshot], v: &mut Vec<String>) {
+    let members: BTreeSet<NodeId> = snaps
+        .iter()
+        .filter(|s| s.joined && !s.dead)
+        .map(|s| s.id)
+        .collect();
+    for s in snaps.iter().filter(|s| !s.dead) {
+        for l in s.links.iter().filter(|l| !members.contains(l)) {
+            v.push(format!(
+                "links: {} still links {l}, not a live joined member, at quiescence",
+                s.id
+            ));
         }
     }
 }
@@ -810,7 +800,7 @@ pub fn explore(scenario: &Scenario, cfg: &ExploreConfig) -> ScenarioReport {
     let mut visited: BTreeSet<(u64, u64)> = BTreeSet::new();
     let mut visited_sleepy: BTreeSet<(u64, u64, u64)> = BTreeSet::new();
     // DFS over (trace, sleep-set) frames; each frame replays its trace
-    // from scratch — states are cheap (3–6 tiny actors) and replay keeps
+    // from scratch — states are cheap (3–8 tiny actors) and replay keeps
     // counterexamples byte-identically reproducible by construction.
     let mut stack: Vec<(Vec<Step>, Vec<Step>)> = vec![(Vec::new(), Vec::new())];
     while let Some((trace, sleep)) = stack.pop() {
@@ -1030,6 +1020,7 @@ pub fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "join-during-lookup",
             members: vec![100, 200, 300],
+            fingers: false,
             blanks: vec![150],
             replication: 2,
             succ_len: 3,
@@ -1045,6 +1036,7 @@ pub fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "concurrent-joins-adjacent",
             members: vec![100, 200, 300],
+            fingers: false,
             blanks: vec![130, 160],
             replication: 2,
             succ_len: 3,
@@ -1061,6 +1053,7 @@ pub fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "leave-during-put",
             members: vec![100, 200, 300, 400],
+            fingers: false,
             blanks: vec![],
             replication: 2,
             succ_len: 3,
@@ -1074,19 +1067,16 @@ pub fn scenarios() -> Vec<Scenario> {
             expect_quiescent_completion: false,
         },
         // The granter crashes immediately after granting a join — the
-        // grant, the repair notices and the replicas of an acked PUT (and
-        // an acked PIN) are all still in the air when it goes dark.
+        // grant, the repair notices and the replicas of an acked PUT are
+        // all still in the air when it goes dark.
         Scenario {
             name: "crash-before-handover-ack",
             members: vec![100, 200, 300],
+            fingers: false,
             blanks: vec![110],
             replication: 3,
             succ_len: 3,
-            injections: vec![
-                issue(100, Op::Put { key: 120, value: 5 }),
-                issue(100, Op::Pin { key: 120 }),
-                join(110, 100),
-            ],
+            injections: vec![issue(100, Op::Put { key: 120, value: 5 }), join(110, 100)],
             triggers: vec![Trigger {
                 kind: Some(DeliveryKind::Request(OpKind::Join)),
                 count: 1,
@@ -1103,6 +1093,7 @@ pub fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "partition-heal-mid-join",
             members: vec![100, 200, 300],
+            fingers: false,
             blanks: vec![150],
             replication: 2,
             succ_len: 3,
@@ -1133,6 +1124,7 @@ pub fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "invalidate-racing-crash",
             members: vec![100, 200, 300],
+            fingers: false,
             blanks: vec![],
             replication: 2,
             succ_len: 3,
@@ -1162,6 +1154,7 @@ pub fn broken_handover_scenario() -> Scenario {
     Scenario {
         name: "broken-handover",
         members: vec![100, 200, 300],
+        fingers: false,
         blanks: vec![140],
         replication: 1,
         succ_len: 3,

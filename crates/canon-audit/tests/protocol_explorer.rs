@@ -52,6 +52,7 @@ fn two_stream_scenario(per_node: usize) -> Scenario {
     Scenario {
         name: "two-stream",
         members: vec![100, 200],
+        fingers: false,
         blanks: vec![],
         replication: 1,
         succ_len: 1,

@@ -14,8 +14,8 @@
 //! * replicated GET/PUT: a PUT's `k` copies go to the key's responsible
 //!   node and its successors, `canon-store`'s
 //!   [`canon_store::replica_successors`] rule walked off the successor
-//!   list, with per-key replication status and pin/unpin in the RPC
-//!   table, over pluggable verified [`shard`] backends;
+//!   list, with per-key replication status in the RPC table, over
+//!   pluggable verified [`shard`] backends;
 //! * the join/leave repair protocol of `canon-sim`, as actual messages.
 //!
 //! The runtime is **deterministic by construction**: time is a capability

@@ -56,8 +56,6 @@ pub struct NodeSnapshot {
     pub joined: bool,
     /// Shard contents, sorted by key.
     pub shard: Vec<(u64, u64)>,
-    /// Pinned keys, sorted.
-    pub pinned: Vec<u64>,
     /// In-flight RPCs as `(req, pending)`, in id order.
     pub inflight: Vec<(u64, Pending)>,
     /// Request ids ever allocated by this node (monotone, never reused).
@@ -139,10 +137,6 @@ pub fn fingerprint(snaps: &[NodeSnapshot], pending: &[(usize, Envelope<Payload>)
         for &(k, v) in &s.shard {
             h.word(k);
             h.word(v);
-        }
-        h.word(s.pinned.len() as u64);
-        for &k in &s.pinned {
-            h.word(k);
         }
         h.word(s.allocated);
         h.word(s.inflight.len() as u64);

@@ -44,21 +44,10 @@ pub enum Op {
         /// The joining node.
         joiner: NodeId,
     },
-    /// Ask the responsible node how `key` is replicated (expected replica
-    /// count, pin state).
+    /// Ask the responsible node how `key` is replicated (its expected
+    /// replica count).
     Status {
         /// The key to report on.
-        key: u64,
-    },
-    /// Pin `key` at its responsible node: pinned entries are copied, not
-    /// moved, by join handovers, so the node keeps serving them.
-    Pin {
-        /// The key to pin.
-        key: u64,
-    },
-    /// Clear a pin set by [`Op::Pin`].
-    Unpin {
-        /// The key to unpin.
         key: u64,
     },
 }
@@ -67,12 +56,9 @@ impl Op {
     /// The identifier-space point the request is routed toward.
     pub fn key_point(&self) -> NodeId {
         match *self {
-            Op::Lookup { key }
-            | Op::Put { key, .. }
-            | Op::Get { key }
-            | Op::Status { key }
-            | Op::Pin { key }
-            | Op::Unpin { key } => NodeId::new(key),
+            Op::Lookup { key } | Op::Put { key, .. } | Op::Get { key } | Op::Status { key } => {
+                NodeId::new(key)
+            }
             Op::Join { joiner } => joiner,
         }
     }
@@ -85,8 +71,6 @@ impl Op {
             Op::Get { .. } => OpKind::Get,
             Op::Join { .. } => OpKind::Join,
             Op::Status { .. } => OpKind::Status,
-            Op::Pin { .. } => OpKind::Pin,
-            Op::Unpin { .. } => OpKind::Unpin,
         }
     }
 }
@@ -104,10 +88,6 @@ pub enum OpKind {
     Join,
     /// A replication-status request.
     Status,
-    /// A pin request.
-    Pin,
-    /// An unpin request.
-    Unpin,
 }
 
 /// The state handed from a predecessor to a joining node: everything the
@@ -157,15 +137,6 @@ pub enum RpcResult {
         primary: NodeId,
         /// Replicas the node places for the key (primary included).
         expected: u32,
-        /// Whether the key is pinned at the primary.
-        pinned: bool,
-    },
-    /// Pin/unpin acknowledgment.
-    PinAck {
-        /// The node responsible for the key.
-        primary: NodeId,
-        /// The pin state after the operation.
-        pinned: bool,
     },
 }
 

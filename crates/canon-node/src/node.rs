@@ -157,9 +157,6 @@ pub(crate) struct NodeState {
     pub pred: Option<NodeId>,
     /// The store shard (a verified backend map behind a `u64` façade).
     pub shard: Shard,
-    /// Keys pinned at this node: join handovers copy them instead of
-    /// moving them, so this node keeps serving them.
-    pub pinned: BTreeSet<u64>,
     pub rpc: RpcTable,
     /// Armed deadlines as `(tick, req)`.
     timers: BinaryHeap<Reverse<(Tick, u64)>>,
@@ -233,7 +230,6 @@ impl NodeState {
             succ_list,
             pred,
             shard: cfg.backend.create(id),
-            pinned: BTreeSet::new(),
             rpc: RpcTable::new(cfg.rpc),
             timers: BinaryHeap::new(),
             seq: 0,
@@ -553,11 +549,8 @@ impl NodeState {
                 *value,
             ),
             RpcResult::Granted(grant) => (Outcome::Ok, Some(grant.predecessor), None),
-            RpcResult::Status {
-                primary, expected, ..
-            } => (Outcome::Ok, Some(*primary), Some(u64::from(*expected))),
-            RpcResult::PinAck { primary, pinned } => {
-                (Outcome::Ok, Some(*primary), Some(u64::from(*pinned)))
+            RpcResult::Status { primary, expected } => {
+                (Outcome::Ok, Some(*primary), Some(u64::from(*expected)))
             }
         };
         if let RpcResult::Granted(grant) = result {
@@ -866,25 +859,10 @@ impl NodeState {
                 }
             }
             Op::Join { joiner } => RpcResult::Granted(self.grant_join(net, joiner)),
-            Op::Status { key } => RpcResult::Status {
+            Op::Status { .. } => RpcResult::Status {
                 primary: self.id,
                 expected: self.replication.min(self.succ_list.len() + 1) as u32,
-                pinned: self.pinned.contains(&key),
             },
-            Op::Pin { key } => {
-                self.pinned.insert(key);
-                RpcResult::PinAck {
-                    primary: self.id,
-                    pinned: true,
-                }
-            }
-            Op::Unpin { key } => {
-                self.pinned.remove(&key);
-                RpcResult::PinAck {
-                    primary: self.id,
-                    pinned: false,
-                }
-            }
         }
     }
 
@@ -910,11 +888,7 @@ impl NodeState {
             })
             .collect();
         for (k, _) in &handed {
-            // Pinned keys are copied, not moved: the newcomer becomes
-            // responsible, but this node keeps serving its pinned copy.
-            if !self.pinned.contains(k) {
-                self.shard.remove(*k);
-            }
+            self.shard.remove(*k);
             // Responsibility moves with the key: cached copies stamped by
             // this owner must not outlive its authority (the newcomer's
             // fills carry its own identity and fresh stamps).
@@ -1054,7 +1028,6 @@ impl NodeState {
         if let Some(heir) = self.pred.or(succ) {
             let shard: Vec<(u64, u64)> = self.shard.entries();
             self.shard.clear();
-            self.pinned.clear();
             self.send(
                 net,
                 heir,

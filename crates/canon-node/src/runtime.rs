@@ -160,8 +160,6 @@ pub struct ReplicationStatus {
     pub expected: Vec<NodeId>,
     /// Live nodes actually holding the key.
     pub holders: Vec<NodeId>,
-    /// Live nodes with the key pinned.
-    pub pinned_at: Vec<NodeId>,
     /// Whether every expected replica holds the key.
     pub satisfied: bool,
 }
@@ -799,11 +797,6 @@ impl Runtime {
         self.with_node(id, |n| n.shard.entries().into_iter().collect())
     }
 
-    /// The keys currently pinned at a node.
-    pub fn pinned_of(&self, id: NodeId) -> BTreeSet<u64> {
-        self.with_node(id, |n| n.pinned.clone())
-    }
-
     /// Whether the node has left the overlay.
     pub fn is_dead(&self, id: NodeId) -> bool {
         self.with_node(id, |n| n.dead)
@@ -823,13 +816,12 @@ impl Runtime {
 
     /// Ground truth for one key: the `replication` nodes expected to hold
     /// it on the current live ring, the live nodes actually holding
-    /// the key, pin locations, and whether expectation is met. This is the
+    /// the key, and whether expectation is met. This is the
     /// cluster-level `replication_status(key)` the storage tests call after
     /// a run settles.
     pub fn replication_status(&self, key: u64) -> ReplicationStatus {
         let mut live = Vec::with_capacity(self.states.len());
         let mut holders = Vec::new();
-        let mut pinned_at = Vec::new();
         for s in &self.states {
             let mut state = lock_unpoisoned(s);
             if state.dead {
@@ -839,9 +831,6 @@ impl Runtime {
             if state.shard.contains(key) {
                 holders.push(state.id);
             }
-            if state.pinned.contains(&key) {
-                pinned_at.push(state.id);
-            }
         }
         let ring = SortedRing::new(live);
         let expected = replica_successors(&ring, NodeId::new(key), self.config.replication);
@@ -850,7 +839,6 @@ impl Runtime {
             key,
             expected,
             holders,
-            pinned_at,
             satisfied,
         }
     }
@@ -937,7 +925,6 @@ impl Runtime {
                         entries.sort_unstable();
                         entries
                     },
-                    pinned: state.pinned.iter().copied().collect(),
                     inflight: state.rpc.inflight_entries(),
                     allocated: state.rpc.allocated(),
                     deferred: state.deferred.clone(),

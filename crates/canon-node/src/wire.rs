@@ -235,14 +235,6 @@ impl WireEncode for Op {
                 e.tag(4);
                 e.u64_fixed(key);
             }
-            Op::Pin { key } => {
-                e.tag(5);
-                e.u64_fixed(key);
-            }
-            Op::Unpin { key } => {
-                e.tag(6);
-                e.u64_fixed(key);
-            }
         }
     }
 }
@@ -265,12 +257,6 @@ impl WireDecode for Op {
                 joiner: d.decode()?,
             },
             4 => Op::Status {
-                key: d.u64_fixed()?,
-            },
-            5 => Op::Pin {
-                key: d.u64_fixed()?,
-            },
-            6 => Op::Unpin {
                 key: d.u64_fixed()?,
             },
             tag => return Err(WireError::BadTag { ty: "Op", tag }),
@@ -361,20 +347,10 @@ impl WireEncode for RpcResult {
                 e.tag(3);
                 e.encode(grant);
             }
-            RpcResult::Status {
-                primary,
-                expected,
-                pinned,
-            } => {
+            RpcResult::Status { primary, expected } => {
                 e.tag(4);
                 e.encode(primary);
                 e.encode(expected);
-                e.bool(*pinned);
-            }
-            RpcResult::PinAck { primary, pinned } => {
-                e.tag(5);
-                e.encode(primary);
-                e.bool(*pinned);
             }
         }
     }
@@ -403,11 +379,6 @@ impl WireDecode for RpcResult {
             4 => RpcResult::Status {
                 primary: d.decode()?,
                 expected: d.decode()?,
-                pinned: d.bool()?,
-            },
-            5 => RpcResult::PinAck {
-                primary: d.decode()?,
-                pinned: d.bool()?,
             },
             tag => {
                 return Err(WireError::BadTag {
@@ -692,16 +663,6 @@ pub mod samples {
                 Op::Status { key: u64::MAX },
                 Op::Status { key: d.next() },
             ),
-            (
-                "Op::Pin",
-                Op::Pin { key: u64::MAX },
-                Op::Pin { key: d.next() },
-            ),
-            (
-                "Op::Unpin",
-                Op::Unpin { key: u64::MAX },
-                Op::Unpin { key: d.next() },
-            ),
         ]
     }
 
@@ -775,23 +736,10 @@ pub mod samples {
                 RpcResult::Status {
                     primary: NodeId::new(u64::MAX),
                     expected: u32::MAX,
-                    pinned: true,
                 },
                 RpcResult::Status {
                     primary: d.node(),
                     expected: (d.next() % 16) as u32,
-                    pinned: d.next().is_multiple_of(2),
-                },
-            ),
-            (
-                "RpcResult::PinAck",
-                RpcResult::PinAck {
-                    primary: NodeId::new(u64::MAX),
-                    pinned: true,
-                },
-                RpcResult::PinAck {
-                    primary: d.node(),
-                    pinned: d.next().is_multiple_of(2),
                 },
             ),
         ]
@@ -1147,8 +1095,8 @@ mod tests {
         let a = samples::max_encoded_sizes(Seed(9), 8);
         let b = samples::max_encoded_sizes(Seed(9), 8);
         assert_eq!(a, b);
-        // 7 ops + 6 results + 9 payloads.
-        assert_eq!(a.len(), 22);
+        // 5 ops + 5 results + 9 payloads.
+        assert_eq!(a.len(), 19);
         for (label, size) in &a {
             assert!(*size > 0, "{label} has zero size");
         }

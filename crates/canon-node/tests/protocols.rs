@@ -246,28 +246,18 @@ fn leave_hands_the_shard_to_the_range_inheritor() {
 }
 
 #[test]
-fn status_reports_the_policy_expectation_and_pins_survive_handover() {
+fn status_reports_the_replica_target_at_the_primary() {
     let config = RuntimeConfig::default();
     let mut rt = cluster(32, 19, config);
     let ids = rt.ids();
     let ring = SortedRing::new(ids.clone());
-
-    // A fresh identifier not colliding with any existing node; the key
-    // equal to it will be handed over when the newcomer joins.
-    let mut next = stream(5);
-    let joiner = loop {
-        let candidate = NodeId::new(next());
-        if !ids.contains(&candidate) {
-            break candidate;
-        }
-    };
-    let holder = ring.responsible(joiner).unwrap();
-    let key = joiner.raw();
+    let key = stream(5)();
+    let holder = ring.responsible(NodeId::new(key)).unwrap();
 
     rt.inject(ids[1], Command::Issue(Op::Put { key, value: 7 }));
     rt.run_until_idle();
 
-    // Status round-trips the primary and the policy's target count.
+    // Status round-trips the primary and the replica target count.
     rt.inject(ids[2], Command::Issue(Op::Status { key }));
     rt.run_until_idle();
     let status = rt
@@ -284,38 +274,6 @@ fn status_reports_the_policy_expectation_and_pins_survive_handover() {
     let probe = rt.replication_status(key);
     assert!(probe.satisfied, "{probe:?}");
     assert_eq!(probe.expected.len() as u64, expected);
-    assert!(probe.pinned_at.is_empty());
-
-    // Pin the key at its primary, then hand the range to a newcomer:
-    // pinned keys are copied, never surrendered.
-    rt.inject(ids[3], Command::Issue(Op::Pin { key }));
-    rt.run_until_idle();
-    assert!(rt.pinned_of(holder).contains(&key));
-    assert!(rt.replication_status(key).pinned_at.contains(&holder));
-
-    rt.spawn(joiner);
-    rt.inject(joiner, Command::Join { bootstrap: ids[4] });
-    rt.run_until_idle();
-    assert!(
-        rt.shard_of(joiner).contains_key(&key),
-        "the newcomer still receives a copy of the pinned key"
-    );
-    assert!(
-        rt.shard_of(holder).contains_key(&key),
-        "the pinned copy stays at the old holder"
-    );
-
-    // Pin/unpin route to the *current* primary: after the handover that
-    // is the newcomer, and unpin releases the hold there.
-    rt.inject(ids[6], Command::Issue(Op::Pin { key }));
-    rt.run_until_idle();
-    assert!(rt.pinned_of(joiner).contains(&key));
-    rt.inject(ids[6], Command::Issue(Op::Unpin { key }));
-    rt.run_until_idle();
-    assert!(!rt.pinned_of(joiner).contains(&key));
-    // The old holder's pin is a local fact and persists until unpinned
-    // through it; it simply keeps the copied key alive there.
-    assert!(rt.pinned_of(holder).contains(&key));
     assert!(rt.summary().zero_loss());
 }
 

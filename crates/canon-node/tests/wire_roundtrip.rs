@@ -48,16 +48,14 @@ fn arb_node() -> impl Strategy<Value = NodeId> {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (any::<u8>(), any::<u64>(), any::<u64>()).prop_map(|(sel, a, b)| match sel % 7 {
+    (any::<u8>(), any::<u64>(), any::<u64>()).prop_map(|(sel, a, b)| match sel % 5 {
         0 => Op::Lookup { key: a },
         1 => Op::Put { key: a, value: b },
         2 => Op::Get { key: a },
         3 => Op::Join {
             joiner: NodeId::new(a),
         },
-        4 => Op::Status { key: a },
-        5 => Op::Pin { key: a },
-        _ => Op::Unpin { key: a },
+        _ => Op::Status { key: a },
     })
 }
 
@@ -90,33 +88,26 @@ fn arb_result() -> impl Strategy<Value = RpcResult> {
     (
         any::<u8>(),
         arb_node(),
-        (any::<u32>(), any::<bool>()),
+        any::<u32>(),
         (any::<bool>(), any::<u64>()),
         arb_grant(),
     )
-        .prop_map(
-            |(sel, node, (count, flag), (some, value), grant)| match sel % 6 {
-                0 => RpcResult::Found { responsible: node },
-                1 => RpcResult::Stored {
-                    primary: node,
-                    replicas: count,
-                },
-                2 => RpcResult::Value {
-                    value: some.then_some(value),
-                    served_by: node,
-                },
-                3 => RpcResult::Granted(grant),
-                4 => RpcResult::Status {
-                    primary: node,
-                    expected: count,
-                    pinned: flag,
-                },
-                _ => RpcResult::PinAck {
-                    primary: node,
-                    pinned: flag,
-                },
+        .prop_map(|(sel, node, count, (some, value), grant)| match sel % 5 {
+            0 => RpcResult::Found { responsible: node },
+            1 => RpcResult::Stored {
+                primary: node,
+                replicas: count,
             },
-        )
+            2 => RpcResult::Value {
+                value: some.then_some(value),
+                served_by: node,
+            },
+            3 => RpcResult::Granted(grant),
+            _ => RpcResult::Status {
+                primary: node,
+                expected: count,
+            },
+        })
 }
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
@@ -257,7 +248,7 @@ proptest! {
 // not compile until it has an index here, and the test below fails until
 // `wire::samples` draws it and the codec decodes it.
 
-const OP_VARIANTS: usize = 7;
+const OP_VARIANTS: usize = 5;
 
 fn op_index(op: &Op) -> usize {
     match op {
@@ -266,8 +257,6 @@ fn op_index(op: &Op) -> usize {
         Op::Get { .. } => 2,
         Op::Join { .. } => 3,
         Op::Status { .. } => 4,
-        Op::Pin { .. } => 5,
-        Op::Unpin { .. } => 6,
     }
 }
 
@@ -281,7 +270,7 @@ fn command_index(cmd: &Command) -> usize {
     }
 }
 
-const RESULT_VARIANTS: usize = 6;
+const RESULT_VARIANTS: usize = 5;
 
 fn result_index(result: &RpcResult) -> usize {
     match result {
@@ -290,7 +279,6 @@ fn result_index(result: &RpcResult) -> usize {
         RpcResult::Value { .. } => 2,
         RpcResult::Granted(_) => 3,
         RpcResult::Status { .. } => 4,
-        RpcResult::PinAck { .. } => 5,
     }
 }
 
@@ -424,9 +412,9 @@ fn frame_digest() -> u64 {
 
 /// Per-input-class digests of every decode outcome.
 const DECODE_GOLDEN: [(&str, u64); 6] = [
-    ("Op", 0x2be4d8a901a126b7),
+    ("Op", 0x5b29ad70fa4337ea),
     ("Command", 0xcea269436aa1add9),
-    ("RpcResult", 0x990870ce2bb1694c),
+    ("RpcResult", 0xde2aac9bd7addeec),
     ("Payload", 0xc9ef908c6aa8e13e),
     ("Envelope<Payload>", 0x9d4857b83874112d),
     ("frame", 0x78998d242fb9ef06),

@@ -11,7 +11,9 @@
 //! `results/work_ledger.json`, from a one-worker run on a fresh thread
 //! (the growth counters count a worker's buffers, and those start empty
 //! there). The counters that are the same on any worker count must also
-//! be so at 4 and 8 workers.
+//! be so at 4 and 8 workers, and the counters both stacks define (node
+//! rounds, buckets created) must be the same on the uniform burst over
+//! bare channels and over frames.
 //!
 //! A change that moves a value on purpose regenerates the file: the
 //! failure message prints its new contents.
@@ -179,6 +181,7 @@ fn line(workload: &str, phase: &str, requests: usize, ledger: &WorkLedger) -> St
 #[test]
 fn the_ledger_matches_its_golden_and_its_invariant_part_every_worker_count() {
     let mut lines = Vec::new();
+    let mut uniform_bursts = Vec::new();
     for (workload, framed, cache, mix) in WORKLOADS {
         // A fresh thread: the worker's buffers start empty.
         let one = std::thread::scope(|s| {
@@ -202,7 +205,16 @@ fn the_ledger_matches_its_golden_and_its_invariant_part_every_worker_count() {
         for (phase, requests, ledger) in &one {
             lines.push(line(workload, phase, *requests, ledger));
         }
+        if matches!(mix, Mix::Uniform) {
+            // No preload: the one phase is the burst.
+            let (_, _, burst) = &one[0];
+            uniform_bursts.push((burst.node_rounds, burst.buckets_created));
+        }
     }
+    assert_eq!(
+        uniform_bursts[0], uniform_bursts[1],
+        "channel and framed uniform bursts differ in (node_rounds, buckets_created)"
+    );
     let got = lines.join("\n") + "\n";
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
