@@ -36,8 +36,9 @@ impl LinkRule for UnboundedRule {
         _bound: RingDistance,
         _rng: &mut DetRng,
         _state: &mut (),
-    ) -> Vec<NodeId> {
-        chord_links_bounded(ring, me, RingDistance::FULL_CIRCLE)
+        out: &mut Vec<NodeId>,
+    ) {
+        chord_links_bounded(ring, me, RingDistance::FULL_CIRCLE, out);
     }
 }
 

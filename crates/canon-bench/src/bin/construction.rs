@@ -5,6 +5,13 @@
 //! * `construction/*` — the flat DHTs and their Canonical versions at
 //!   n = 2,048 on a 3-level fan-out-10 hierarchy: the §2–§3 claim that a
 //!   Canonical DHT costs about what its flat rule costs.
+//! * `setup/*_n1024` — the public steps of the serving benchmark's set-up
+//!   at its shape (`Hierarchy::balanced(4, 3)`, 1,024 uniformly placed
+//!   nodes, overlay seed `0x00ca_9090`): `overlay` is `Placement::uniform`
+//!   plus `build_crescendo`, `membership` is `DomainMembership::build`,
+//!   `csr` is `GraphBuilder::from_per_node_links` over the overlay's own
+//!   link sets, and `spawn` is `canon_node::from_graph` on a framed
+//!   transport. The walk's per-node phase is `overlay` less the next two.
 //! * `parallelism/crescendo_n{n}_{serial,parallel}` — Crescendo built on
 //!   one thread and on all cores, n ∈ {4,096, 16,384} up to `--max-n`.
 //! * `routing/{generic,indexed,sweep}_n{n}` — [`ROUTING_LOOKUPS`]
@@ -42,17 +49,19 @@ use canon::crescendo::{build_chord, build_crescendo};
 use canon::kandy::{build_kademlia, build_kandy};
 use canon::pastry::{build_canonical_pastry, build_pastry, PastryParams};
 use canon_bench::{banner, emit_row, f, row, BenchConfig};
-use canon_hierarchy::{Hierarchy, Placement};
+use canon_hierarchy::{DomainMembership, Hierarchy, Placement};
 use canon_id::metric::Clockwise;
 use canon_id::rng::Seed;
 use canon_id::NodeId;
 use canon_kademlia::BucketChoice;
+use canon_node::{from_graph, ChannelTransport, FramedTransport, RuntimeConfig, VirtualClock};
 use canon_overlay::engine::unrestricted;
 use canon_overlay::stats::DegreeStats;
-use canon_overlay::{drive, execute, route_to_key_sweep, Greedy, NodeIndex, Route};
+use canon_overlay::{drive, execute, route_to_key_sweep, GraphBuilder, Greedy, NodeIndex, Route};
 use canon_skipnet::SkipNet;
 use rand::Rng;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Timed calls per row.
@@ -69,6 +78,15 @@ const SCALE_LOOKUPS: usize = 50_000;
 
 /// Smallest network of the `scale/*` rows.
 const SCALE_FROM: usize = 16_384;
+
+/// Nodes of the serving benchmark's cluster (the `setup/*` rows).
+const SETUP_N: usize = 1024;
+
+/// The serving benchmark's overlay seed.
+const SETUP_SEED: Seed = Seed(0x00ca_9090);
+
+/// The `setup/*` rows, in order.
+const SETUP_STEPS: [&str; 4] = ["overlay", "membership", "csr", "spawn"];
 
 /// Calls `routine` once untimed, then [`SAMPLES`] times timed; returns
 /// the sample durations in ascending order and the last call's output.
@@ -129,6 +147,7 @@ impl Plan {
         .iter()
         .map(|b| format!("construction/{b}"))
         .collect();
+        names.extend(SETUP_STEPS.map(|step| format!("setup/{step}_n{SETUP_N}")));
         for n in &self.parallelism {
             names.push(format!("parallelism/crescendo_n{n}_serial"));
             names.push(format!("parallelism/crescendo_n{n}_parallel"));
@@ -244,6 +263,35 @@ fn routing(report: &mut Report, h: &Hierarchy, n: usize) {
     }
 }
 
+/// The `setup/*` rows: the serving benchmark's set-up, step by step.
+fn setup(report: &mut Report) {
+    let h = Hierarchy::balanced(4, 3);
+    let net = report.bench(&format!("setup/overlay_n{SETUP_N}"), || {
+        build_crescendo(&h, &Placement::uniform(&h, SETUP_N, SETUP_SEED))
+    });
+    let p = Placement::uniform(&h, SETUP_N, SETUP_SEED);
+    report.bench(&format!("setup/membership_n{SETUP_N}"), || {
+        DomainMembership::build(&h, &p)
+    });
+    let graph = net.graph();
+    let rows: Vec<Vec<NodeId>> = graph
+        .node_indices()
+        .map(|i| graph.neighbors(i).iter().map(|&t| graph.id(t)).collect())
+        .collect();
+    let csr = report.bench(&format!("setup/csr_n{SETUP_N}"), || {
+        GraphBuilder::from_per_node_links(graph.ids(), &rows)
+    });
+    assert!(csr == *graph, "the CSR row rebuilt a different graph");
+    report.bench(&format!("setup/spawn_n{SETUP_N}"), || {
+        from_graph(
+            graph,
+            Arc::new(VirtualClock::new()),
+            Arc::new(FramedTransport::new(ChannelTransport::new(1))),
+            RuntimeConfig::default(),
+        )
+    });
+}
+
 /// The `scale/*` rows of one size.
 fn scale(report: &mut Report, h: &Hierarchy, n: usize) {
     let p = Placement::uniform(h, n, Seed(1));
@@ -315,6 +363,7 @@ fn main() {
     r.bench("construction/skipnet", || {
         SkipNet::build(names.clone(), Seed(4))
     });
+    setup(r);
 
     // The same Crescendo network built on one thread and on all cores:
     // the graphs are identical (`canon/tests/determinism.rs`), only the
@@ -374,6 +423,10 @@ mod tests {
             "construction/pastry_flat_b2",
             "construction/canonical_pastry_3level_b2",
             "construction/skipnet",
+            "setup/overlay_n1024",
+            "setup/membership_n1024",
+            "setup/csr_n1024",
+            "setup/spawn_n1024",
             "parallelism/crescendo_n4096_serial",
             "parallelism/crescendo_n4096_parallel",
         ];

@@ -43,15 +43,21 @@ use rand::Rng;
 /// For each `k` with `2^k < bound`, the successor of `me + 2^k` is a
 /// candidate; it is kept if its clockwise distance from `me` is below
 /// `bound`. With `bound == RingDistance::FULL_CIRCLE` this is exactly the
-/// flat Chord rule applied over `ring`. Returned links are deduplicated,
-/// nearest first, and never include `me`. The ring is searched once per
-/// link returned plus at most once more (see [`chord_fingers`]).
-pub fn chord_links_bounded(ring: &SortedRing, me: NodeId, bound: RingDistance) -> Vec<NodeId> {
-    chord_fingers(me, bound, |point| ring.successor(point))
+/// flat Chord rule applied over `ring`. The links are appended to `out`
+/// deduplicated, nearest first, and never include `me`. The ring is
+/// searched once per link plus at most once more (see [`chord_fingers`]).
+pub fn chord_links_bounded(
+    ring: &SortedRing,
+    me: NodeId,
+    bound: RingDistance,
+    out: &mut Vec<NodeId>,
+) {
+    chord_fingers(me, bound, |point| ring.successor(point), out);
 }
 
-/// The distinct Chord fingers of `me` strictly closer than `bound`,
-/// nearest first, over any ring that `successor` searches: `successor(p)`
+/// Appends to `out` the distinct Chord fingers of `me` strictly closer
+/// than `bound`, nearest first, over any ring that `successor` searches:
+/// `successor(p)`
 /// must return the first node at or clockwise after `p` (`None` on an empty
 /// ring).
 ///
@@ -66,8 +72,8 @@ pub fn chord_fingers(
     me: NodeId,
     bound: RingDistance,
     mut successor: impl FnMut(NodeId) -> Option<NodeId>,
-) -> Vec<NodeId> {
-    let mut out = Vec::new();
+    out: &mut impl Extend<NodeId>,
+) {
     let mut k = 0;
     while k < ID_BITS && (1u128 << k) < bound.as_u128() {
         let Some(s) = successor(me.offset(1u64 << k)) else {
@@ -77,15 +83,16 @@ pub fn chord_fingers(
         if (d as u128) < (1u128 << k) || (d as u128) >= bound.as_u128() {
             break;
         }
-        out.push(s);
+        out.extend([s]);
         k = u64::BITS - d.leading_zeros();
     }
-    out
 }
 
-/// The flat deterministic Chord rule over `ring` (no bound).
+/// The flat deterministic Chord rule over `ring` (no bound), as a list.
 pub fn chord_links(ring: &SortedRing, me: NodeId) -> Vec<NodeId> {
-    chord_links_bounded(ring, me, RingDistance::FULL_CIRCLE)
+    let mut out = Vec::new();
+    chord_links_bounded(ring, me, RingDistance::FULL_CIRCLE, &mut out);
+    out
 }
 
 /// The nondeterministic Chord link rule over `ring`, restricted to links
@@ -96,14 +103,16 @@ pub fn chord_links(ring: &SortedRing, me: NodeId) -> Vec<NodeId> {
 /// §3.2: when rings are merged, the nondeterministic choice may only be
 /// exercised among nodes closer than any node in `m`'s own ring). Always
 /// includes the successor of `me` when it is within `bound` (the `k = 0`
-/// band always contains it if nonempty).
+/// band always contains it if nonempty). The links are appended to `out`,
+/// each once.
 pub fn nondet_links_bounded(
     ring: &SortedRing,
     me: NodeId,
     bound: RingDistance,
     rng: &mut DetRng,
-) -> Vec<NodeId> {
-    let mut out = Vec::new();
+    out: &mut Vec<NodeId>,
+) {
+    let start = out.len();
     for k in 0..ID_BITS {
         let lo = 1u128 << k;
         if lo >= bound.as_u128() {
@@ -112,12 +121,11 @@ pub fn nondet_links_bounded(
         let hi = (1u128 << (k + 1)).min(bound.as_u128()); // exclusive
         let chosen = choose_in_band(ring, me, lo as u64, hi, rng);
         if let Some(c) = chosen {
-            if !out.contains(&c) {
+            if !out[start..].contains(&c) {
                 out.push(c);
             }
         }
     }
-    out
 }
 
 /// Picks a uniformly random node of `ring` at clockwise distance in
@@ -169,6 +177,12 @@ mod tests {
         SortedRing::new(raws.iter().copied().map(NodeId::new).collect())
     }
 
+    fn bounded(ring: &SortedRing, me: NodeId, bound: RingDistance) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        chord_links_bounded(ring, me, bound, &mut out);
+        out
+    }
+
     #[test]
     fn paper_figure2_ring_a_links() {
         // Figure 2, ring A = {0, 5, 10, 12} in a 4-bit space. In our 64-bit
@@ -188,7 +202,7 @@ mod tests {
         // 0+1 = 2 (distance 2 < 5), successor of 0+2 = 2 (duplicate),
         // successor of 0+4 = 5 (distance 5, not < 5 → rejected).
         let merged = ring_of(&[0, 2, 3, 5, 8, 10, 12, 13]);
-        let links = chord_links_bounded(&merged, NodeId::new(0), RingDistance::from_u64(5));
+        let links = bounded(&merged, NodeId::new(0), RingDistance::from_u64(5));
         assert_eq!(links, vec![NodeId::new(2)]);
     }
 
@@ -199,7 +213,7 @@ mod tests {
         // of 10 = 10 (dup), successor of 12 = 12 (distance 4), successor of
         // 16 → wraps to 0 at distance 8 but 8 >= 5 → rejected by bound.
         let merged = ring_of(&[0, 2, 3, 5, 8, 10, 12, 13]);
-        let links = chord_links_bounded(&merged, NodeId::new(8), RingDistance::from_u64(5));
+        let links = bounded(&merged, NodeId::new(8), RingDistance::from_u64(5));
         assert_eq!(links, vec![NodeId::new(10), NodeId::new(12)]);
     }
 
@@ -208,7 +222,7 @@ mod tests {
         // Paper: node 2 has node 3 in its own ring at distance 1, so
         // condition (b) rules out every merge link.
         let merged = ring_of(&[0, 2, 3, 5, 8, 10, 12, 13]);
-        let links = chord_links_bounded(&merged, NodeId::new(2), RingDistance::from_u64(1));
+        let links = bounded(&merged, NodeId::new(2), RingDistance::from_u64(1));
         assert!(links.is_empty());
     }
 
@@ -257,7 +271,8 @@ mod tests {
         let me = ring.as_slice()[42];
         let bound = RingDistance::from_u64(1u64 << 62);
         let mut rng = Seed(8).rng();
-        let links = nondet_links_bounded(&ring, me, bound, &mut rng);
+        let mut links = Vec::new();
+        nondet_links_bounded(&ring, me, bound, &mut rng, &mut links);
         assert!(!links.is_empty());
         for l in &links {
             let d = me.clockwise_to(*l);

@@ -53,6 +53,13 @@ fn query(ring: &SortedRing, pick: u64, kind: u8, raw: u64) -> (NodeId, RingDista
     (me, bound)
 }
 
+/// [`chord_links_bounded`]'s links as a list.
+fn bounded(ring: &SortedRing, me: NodeId, bound: RingDistance) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    chord_links_bounded(ring, me, bound, &mut out);
+    out
+}
+
 /// The Chord rule as the paper states it, one successor search per bit.
 fn per_bit_chord_links(ring: &SortedRing, me: NodeId, bound: RingDistance) -> Vec<NodeId> {
     let mut out: Vec<NodeId> = Vec::new();
@@ -86,7 +93,7 @@ proptest! {
         for ring in [&uniform, &crowded] {
             let (me, bound) = query(ring, pick, kind, raw);
             prop_assert_eq!(
-                chord_links_bounded(ring, me, bound),
+                bounded(ring, me, bound),
                 per_bit_chord_links(ring, me, bound)
             );
         }
@@ -104,10 +111,16 @@ proptest! {
     ) {
         let (me, bound) = query(&crowded, pick, kind, raw);
         let mut searches = 0usize;
-        let fingers = chord_fingers(me, bound, |point| {
-            searches += 1;
-            crowded.successor(point)
-        });
+        let mut fingers = Vec::new();
+        chord_fingers(
+            me,
+            bound,
+            |point| {
+                searches += 1;
+                crowded.successor(point)
+            },
+            &mut fingers,
+        );
         prop_assert!(
             searches <= fingers.len() + 1,
             "{searches} searches for {} fingers",
@@ -121,7 +134,7 @@ proptest! {
     fn bounded_links_are_a_filtered_subset(ring in ring_strategy(), bound_exp in 1u32..64) {
         let me = *ring.as_slice().first().expect("nonempty");
         let bound = RingDistance::from_u64(1u64 << bound_exp);
-        let bounded = chord_links_bounded(&ring, me, bound);
+        let bounded = bounded(&ring, me, bound);
         let flat = chord_links(&ring, me);
         for l in &bounded {
             prop_assert!((me.clockwise_to(*l) as u128) < bound.as_u128());
@@ -167,7 +180,8 @@ proptest! {
         let me = *ring.as_slice().last().expect("nonempty");
         let bound = RingDistance::from_u64(1u64 << bound_exp);
         let mut rng = Seed(seed).rng();
-        let links = nondet_links_bounded(&ring, me, bound, &mut rng);
+        let mut links = Vec::new();
+        nondet_links_bounded(&ring, me, bound, &mut rng, &mut links);
         let mut seen = std::collections::HashSet::new();
         for l in links {
             prop_assert!(l != me);

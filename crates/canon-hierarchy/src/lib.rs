@@ -451,18 +451,16 @@ pub struct DomainMembership {
 impl DomainMembership {
     /// Builds membership rings for `placement` over `hierarchy`.
     pub fn build(hierarchy: &Hierarchy, placement: &Placement) -> Self {
+        // One sort of the placement, then each node joins its leaf's ring
+        // and every ancestor's in identifier order: every ring comes out
+        // sorted, and `SortedRing::new` only checks that it is.
+        let mut placed: Vec<(NodeId, DomainId)> = placement.iter().collect();
+        placed.sort_unstable_by_key(|&(id, _)| id);
         let mut per_domain: Vec<Vec<NodeId>> = vec![Vec::new(); hierarchy.len()];
-        for (id, leaf) in placement.iter() {
-            per_domain[leaf.index()].push(id);
-        }
-        // Arena order puts parents before children, so a reverse sweep
-        // accumulates child members into parents.
-        for idx in (1..hierarchy.len()).rev() {
-            let d = DomainId(idx as u32);
-            let p = hierarchy.parent(d).expect("non-root has parent");
-            let members = std::mem::take(&mut per_domain[idx]);
-            per_domain[p.index()].extend_from_slice(&members);
-            per_domain[idx] = members;
+        for (id, leaf) in placed {
+            for d in hierarchy.ancestors(leaf) {
+                per_domain[d.index()].push(id);
+            }
         }
         DomainMembership {
             rings: per_domain.into_iter().map(SortedRing::new).collect(),

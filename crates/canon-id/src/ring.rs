@@ -78,6 +78,16 @@ impl SortedRing {
         self.ids.binary_search(&id).ok()
     }
 
+    /// A prefix table over the ring for [`RingPositions::of`]: the
+    /// position of an identifier in O(1) expected time on uniformly drawn
+    /// identifiers, where [`SortedRing::index_of`] searches. Building it
+    /// costs one pass over the ring; it borrows the ring, so it lives as
+    /// long as the construction that asked for it, and the ring itself
+    /// stores nothing more.
+    pub fn positions(&self) -> RingPositions<'_> {
+        RingPositions::new(&self.ids)
+    }
+
     /// Index of the first identifier `>= point`, wrapping to `0` past the
     /// end. Returns `None` on an empty ring.
     pub fn successor_index(&self, point: NodeId) -> Option<usize> {
@@ -222,6 +232,63 @@ impl SortedRing {
     }
 }
 
+/// Identifier → ring position through a table of prefix buckets (see
+/// [`SortedRing::positions`]).
+///
+/// The identifier space is cut into `2^bits` equal buckets by the top
+/// `bits` bits, with `2^bits` the ring size rounded up to a power of two;
+/// `starts[b]` is the position of the first identifier in bucket `b` or
+/// above. A lookup reads its bucket's bounds and searches the bucket, which
+/// holds about one identifier when identifiers are uniform — the ids every
+/// placement in this workspace draws — and at worst the whole ring, where
+/// the search is the ring's own binary search.
+#[derive(Clone, Debug)]
+pub struct RingPositions<'a> {
+    ids: &'a [NodeId],
+    /// `ID_BITS - bits`: an identifier's bucket is `raw >> shift`.
+    shift: u32,
+    /// `2^bits + 1` bucket starts, the last one `ids.len()`.
+    starts: Vec<u32>,
+}
+
+impl<'a> RingPositions<'a> {
+    /// Bucket length up to which [`RingPositions::of`] scans instead of
+    /// searching: a bucket holds about one identifier on uniform ids.
+    const SCAN_MAX: usize = 8;
+
+    fn new(ids: &'a [NodeId]) -> Self {
+        assert!(ids.len() < u32::MAX as usize, "ring too large to index");
+        let bits = ids.len().next_power_of_two().trailing_zeros().max(1);
+        let shift = ID_BITS - bits;
+        let buckets = 1usize << bits;
+        let mut starts = Vec::with_capacity(buckets + 1);
+        let mut at = 0usize;
+        for b in 0..buckets as u64 {
+            while at < ids.len() && ids[at].raw() >> shift < b {
+                at += 1;
+            }
+            starts.push(at as u32);
+        }
+        starts.push(ids.len() as u32);
+        RingPositions { ids, shift, starts }
+    }
+
+    /// The position of `id` on the ring, if present: what
+    /// [`SortedRing::index_of`] returns.
+    #[inline]
+    pub fn of(&self, id: NodeId) -> Option<usize> {
+        let b = (id.raw() >> self.shift) as usize;
+        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+        let bucket = &self.ids[lo..hi];
+        let found = if bucket.len() <= Self::SCAN_MAX {
+            bucket.iter().position(|&x| x == id)
+        } else {
+            bucket.binary_search(&id).ok()
+        };
+        found.map(|k| lo + k)
+    }
+}
+
 /// Position in `sorted` (ascending, duplicate-free) of the identifier
 /// minimizing the *XOR* distance to `target`. Returns `None` on an empty
 /// slice.
@@ -286,6 +353,23 @@ mod tests {
 
     fn ring(ids: &[u64]) -> SortedRing {
         SortedRing::new(ids.iter().copied().map(NodeId::new).collect())
+    }
+
+    #[test]
+    fn positions_agree_with_index_of() {
+        let dense = SortedRing::new(crate::rng::random_ids(crate::rng::Seed(3), 1000));
+        // Clustered ids: twenty in the lowest bucket (past the scan, into
+        // the binary search), two in the highest.
+        let low: Vec<u64> = (1..=20).chain([u64::MAX - 1, u64::MAX]).collect();
+        let clustered = ring(&low);
+        for r in [dense, clustered, ring(&[7]), ring(&[])] {
+            let pos = r.positions();
+            for (k, &id) in r.iter().enumerate() {
+                assert_eq!(pos.of(id), Some(k));
+                assert_eq!(pos.of(id.offset(1)), r.index_of(id.offset(1)));
+            }
+            assert_eq!(pos.of(NodeId::new(0)), r.index_of(NodeId::new(0)));
+        }
     }
 
     #[test]

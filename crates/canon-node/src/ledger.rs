@@ -45,11 +45,30 @@ pub struct WorkLedger {
     pub heads_read: u64,
     /// Requests forwarded as the bytes they arrived in.
     pub forwarded_bytes: u64,
+    /// Deadlines pushed onto a node's timer heap.
+    pub timer_pushes: u64,
+    /// Deadlines popped off it: fired, or discarded as stale.
+    pub timer_pops: u64,
+    /// Values written into a shard: served PUTs, replicas, handed-off
+    /// entries.
+    pub shard_puts: u64,
+    /// Values read out of a shard.
+    pub shard_gets: u64,
+    /// Lookups in an enabled en-route cache: its hits plus misses, read
+    /// from the node's [`CacheTally`](crate::cache::CacheTally).
+    pub cache_probes: u64,
+    /// Fills a cache accepted (the tally's `fills`).
+    pub cache_fills: u64,
+    /// Entries a cache evicted for capacity (the tally's `evictions`).
+    pub cache_evictions: u64,
+    /// Requests forwarded as a value: sent typed over bare channels, or
+    /// decoded off a frame and encoded again.
+    pub forwarded_typed: u64,
 }
 
 impl WorkLedger {
     /// Every counter, named, in declaration order.
-    pub fn fields(&self) -> [(&'static str, u64); 12] {
+    pub fn fields(&self) -> [(&'static str, u64); 20] {
         [
             ("node_rounds", self.node_rounds),
             ("buckets_created", self.buckets_created),
@@ -63,6 +82,14 @@ impl WorkLedger {
             ("decoded", self.decoded),
             ("heads_read", self.heads_read),
             ("forwarded_bytes", self.forwarded_bytes),
+            ("timer_pushes", self.timer_pushes),
+            ("timer_pops", self.timer_pops),
+            ("shard_puts", self.shard_puts),
+            ("shard_gets", self.shard_gets),
+            ("cache_probes", self.cache_probes),
+            ("cache_fills", self.cache_fills),
+            ("cache_evictions", self.cache_evictions),
+            ("forwarded_typed", self.forwarded_typed),
         ]
     }
 
@@ -97,7 +124,7 @@ impl WorkLedger {
     }
 
     /// Every counter, in the order of [`WorkLedger::fields`].
-    fn fields_mut(&mut self) -> [&mut u64; 12] {
+    fn fields_mut(&mut self) -> [&mut u64; 20] {
         [
             &mut self.node_rounds,
             &mut self.buckets_created,
@@ -111,6 +138,14 @@ impl WorkLedger {
             &mut self.decoded,
             &mut self.heads_read,
             &mut self.forwarded_bytes,
+            &mut self.timer_pushes,
+            &mut self.timer_pops,
+            &mut self.shard_puts,
+            &mut self.shard_gets,
+            &mut self.cache_probes,
+            &mut self.cache_fills,
+            &mut self.cache_evictions,
+            &mut self.forwarded_typed,
         ]
     }
 }

@@ -262,6 +262,7 @@ impl NodeState {
         while let Some(&Reverse((t, req))) = self.timers.peek() {
             if self.dead || !self.rpc.is_inflight(req) {
                 self.timers.pop();
+                self.ledger.timer_pops += 1;
                 continue;
             }
             return Some(t);
@@ -366,11 +367,13 @@ impl NodeState {
             Payload::Response { req, hops, result } => self.on_response(net, req, hops, result),
             Payload::Replicate { key, value } => {
                 self.shard.insert(key, value);
+                self.ledger.shard_puts += 1;
                 self.stats.replicas_stored += 1;
             }
             Payload::RepairJoin { joined } => self.repair_join(net, joined),
             Payload::LeaveHandoff { departing, shard } => {
                 self.log(net.now, || format!("handoff from {departing}"));
+                self.ledger.shard_puts += shard.len() as u64;
                 self.shard.extend(shard);
             }
             Payload::LeaveNotice {
@@ -425,6 +428,7 @@ impl NodeState {
             let Some(Reverse((_, req))) = self.timers.pop() else {
                 break;
             };
+            self.ledger.timer_pops += 1;
             fired += 1;
             self.on_timer(net, req);
         }
@@ -436,6 +440,7 @@ impl NodeState {
     fn open_rpc(&mut self, net: &Net<'_>, op: Op) {
         let (req, deadline) = self.rpc.open(op.clone(), net.now);
         self.timers.push(Reverse((deadline, req)));
+        self.ledger.timer_pushes += 1;
         self.log(net.now, || {
             format!("open req={req} {:?} key={}", op.kind(), op.key_point())
         });
@@ -507,6 +512,7 @@ impl NodeState {
                 deadline,
             } => {
                 self.timers.push(Reverse((deadline, req)));
+                self.ledger.timer_pushes += 1;
                 self.stats.retransmits += 1;
                 self.log(net.now, || format!("retry req={req} attempt={attempt}"));
                 self.transmit(net, req, attempt, op);
@@ -634,6 +640,7 @@ impl NodeState {
             Some(Step::Defer) => self.deferred.push((origin, req, attempt, hops, op, path)),
             Some(Step::Forward(nb)) => {
                 self.count_forward();
+                self.ledger.forwarded_typed += 1;
                 if self.grows_path(&op) {
                     path.push(self.id);
                 }
@@ -670,6 +677,7 @@ impl NodeState {
                 let append = self.grows_path(&head.op).then_some(self.id);
                 if !(net.framed && head.forwardable()) {
                     self.ledger.decoded += 1;
+                    self.ledger.forwarded_typed += 1;
                     self.send(net, nb, head.forwarded(append));
                 } else if let Some((slot, deliver_at)) = self.schedule(net, nb) {
                     let seq = self.seq;
@@ -706,6 +714,12 @@ impl NodeState {
         } else {
             self.send(net, origin, Payload::Response { req, hops, result });
         }
+    }
+
+    /// Reads `key` from the shard, counted.
+    fn shard_get(&mut self, key: u64) -> Option<u64> {
+        self.ledger.shard_gets += 1;
+        self.shard.get(key)
     }
 
     /// Counts a request this node forwards.
@@ -804,8 +818,9 @@ impl NodeState {
                 // The old value only matters to cache coherence (a verified
                 // read, so not taken when nothing will look at it).
                 let caching = self.cache.enabled();
-                let prev = if caching { self.shard.get(key) } else { None };
+                let prev = if caching { self.shard_get(key) } else { None };
                 self.shard.insert(key, value);
+                self.ledger.shard_puts += 1;
                 if caching && prev != Some(value) {
                     // Bump the key's version; on an overwrite, tell every
                     // registered cacher *before* the Stored ack is sent, so
@@ -849,7 +864,7 @@ impl NodeState {
                 }
             }
             Op::Get { key } => {
-                let value = self.shard.get(key);
+                let value = self.shard_get(key);
                 if let Some(v) = value {
                     self.send_cache_fills(net, key, v, path);
                 }
@@ -940,6 +955,7 @@ impl NodeState {
         self.succ_list.retain(|&n| n != me);
         self.succ_list.sort_by_key(|&s| me.clockwise_to(s));
         self.succ_list.truncate(self.succ_len);
+        self.ledger.shard_puts += grant.shard.len() as u64;
         self.shard.extend(grant.shard);
         self.joined = true;
         self.log(net.now, || format!("joined after {}", grant.predecessor));

@@ -79,6 +79,7 @@ use canon_id::NodeId;
 use canon_par::par_chunks;
 use canon_store::replica_successors;
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
@@ -351,11 +352,12 @@ impl Runtime {
         pred: Option<NodeId>,
         joined: bool,
     ) -> usize {
-        assert!(
-            !self.directory.contains_key(&id.raw()),
-            "node {id} already hosted"
-        );
+        #[allow(clippy::panic, reason = "the documented `# Panics` contract")]
+        let Entry::Vacant(seat) = self.directory.entry(id.raw()) else {
+            panic!("node {id} already hosted")
+        };
         let slot = self.boxes.grow();
+        seat.insert(slot);
         let mut state = NodeState::new(id, links, succ_list, pred, joined, &self.config);
         if self.transport.framed() {
             // A seeded node's first frames go to its links and successors.
@@ -364,7 +366,6 @@ impl Runtime {
                 .reserve(state.links.len() + state.succ_list.len());
         }
         self.states.push(Mutex::new(state));
-        self.directory.insert(id.raw(), slot);
         slot
     }
 
@@ -725,6 +726,10 @@ impl Runtime {
             let state = lock_unpoisoned(s);
             sum.add(&state.ledger);
             sum.tally_growth += state.wire.grown;
+            let cache = state.cache.tally();
+            sum.cache_probes += cache.hits + cache.misses;
+            sum.cache_fills += cache.fills;
+            sum.cache_evictions += cache.evictions;
         }
         sum
     }
@@ -768,7 +773,7 @@ impl Runtime {
         Some(links)
     }
 
-    fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&mut NodeState) -> R) -> R {
+    pub(crate) fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&mut NodeState) -> R) -> R {
         #[allow(clippy::panic, reason = "the documented `# Panics` contract")]
         let slot = *self
             .directory

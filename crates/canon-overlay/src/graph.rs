@@ -237,14 +237,15 @@ impl GraphBuilder {
     }
 
     /// Builds a graph directly from per-node link sets, one `Vec` per node
-    /// of `ids` in order — the merge step of a parallel construction, of a
-    /// simulator's snapshot export and of [`GraphBuilder::build`]. The
-    /// result depends only on each node's set of links, so it is
-    /// independent of how (and in what order) the sets were computed.
+    /// of `ids` in order — the merge step of a simulator's snapshot export
+    /// and of [`GraphBuilder::build`]. The result depends only on each
+    /// node's set of links, so it is independent of how (and in what
+    /// order) the sets were computed.
     ///
     /// This path allocates no hash scratch at all: duplicate-id detection
-    /// is one pass over the id-sorted permutation and each row is
-    /// normalized (self-links out, sort, dedup) straight into the CSR
+    /// is one pass over the id-sorted permutation, a link's target is found
+    /// through the prefix table of [`SortedRing::positions`], and each row
+    /// is normalized (self-links out, sort, dedup) straight into the CSR
     /// arrays.
     ///
     /// # Panics
@@ -266,9 +267,11 @@ impl GraphBuilder {
                 ids[w[1].index()]
             );
         }
+        let ring = SortedRing::new(ids.to_vec());
+        let positions = ring.positions();
         let index_of = |id: NodeId| -> NodeIndex {
-            let found = by_id.binary_search_by_key(&id, |i| ids[i.index()]);
-            assert!(found.is_ok(), "link target {id} was not added as a node");
+            let found = positions.of(id);
+            assert!(found.is_some(), "link target {id} was not added as a node");
             by_id[found.unwrap_or(0)]
         };
         let total: usize = per_node.iter().map(Vec::len).sum();
@@ -286,15 +289,54 @@ impl GraphBuilder {
             targets.extend_from_slice(&row);
             offsets.push(targets.len() as u32);
         }
-        let next_hop = NextHopIndex::build(ids, &offsets, &targets);
-        OverlayGraph {
-            ids: ids.to_vec(),
+        assemble(ids.to_vec(), by_id, ring, offsets, targets)
+    }
+
+    /// Builds the graph whose node `i` is position `i` of `ring`, from CSR
+    /// rows over those positions: node `i` links to
+    /// `targets[offsets[i]..offsets[i + 1]]`. This is how a Canon walk
+    /// hands over its overlay — its links leave the walk as positions on
+    /// the root ring — so the graph costs no identifier search at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` has one more entry than `ring`, starts at 0,
+    /// ends at `targets.len()` and never decreases, and every row is
+    /// strictly ascending, inside the ring and free of its own node.
+    pub fn from_ring_rows(
+        ring: &SortedRing,
+        offsets: Vec<u32>,
+        targets: Vec<NodeIndex>,
+    ) -> OverlayGraph {
+        let n = ring.len();
+        assert!(n < u32::MAX as usize, "too many nodes");
+        assert_eq!(
+            offsets.len(),
+            n + 1,
+            "one row per ring position is required"
+        );
+        assert!(
+            offsets[0] == 0 && offsets[n] as usize == targets.len(),
+            "rows must cover the targets exactly"
+        );
+        for (i, w) in offsets.windows(2).enumerate() {
+            assert!(w[0] <= w[1], "row {i} ends before it starts");
+            let row = &targets[w[0] as usize..w[1] as usize];
+            assert!(
+                row.windows(2).all(|p| p[0] < p[1])
+                    && row.last().is_none_or(|t| t.index() < n)
+                    && row.binary_search(&NodeIndex(i as u32)).is_err(),
+                "row {i} is not a strictly ascending set of other nodes"
+            );
+        }
+        let by_id = (0..n as u32).map(NodeIndex).collect();
+        assemble(
+            ring.as_slice().to_vec(),
             by_id,
+            ring.clone(),
             offsets,
             targets,
-            ring: SortedRing::new(ids.to_vec()),
-            next_hop,
-        }
+        )
     }
 
     /// Finalizes the graph through [`GraphBuilder::from_per_node_links`]:
@@ -306,8 +348,29 @@ impl GraphBuilder {
     }
 }
 
+/// The graph over `ids` (with `by_id`, their id-sorted permutation, and
+/// `ring`, their sorted ring) and CSR rows over their indices: what both
+/// constructors finish with.
+fn assemble(
+    ids: Vec<NodeId>,
+    by_id: Vec<NodeIndex>,
+    ring: SortedRing,
+    offsets: Vec<u32>,
+    targets: Vec<NodeIndex>,
+) -> OverlayGraph {
+    let next_hop = NextHopIndex::build(&ids, &offsets, &targets);
+    OverlayGraph {
+        ids,
+        by_id,
+        offsets,
+        targets,
+        ring,
+        next_hop,
+    }
+}
+
 /// The identity permutation over `ids`, sorted by identifier — the
-/// binary-searchable id→index table shared by both construction paths.
+/// binary-searchable id→index table of [`OverlayGraph::index_of`].
 fn sorted_permutation(ids: &[NodeId]) -> Vec<NodeIndex> {
     let mut by_id: Vec<NodeIndex> = (0..ids.len() as u32).map(NodeIndex).collect();
     by_id.sort_unstable_by_key(|i| ids[i.index()]);
@@ -407,6 +470,28 @@ mod tests {
     #[should_panic(expected = "duplicate node id")]
     fn per_node_links_reject_duplicate_ids() {
         GraphBuilder::from_per_node_links(&[id(1), id(1)], &[vec![], vec![]]);
+    }
+
+    #[test]
+    fn ring_rows_build_the_graph_per_node_links_build() {
+        let ring = SortedRing::new(vec![id(1), id(5), id(9)]);
+        let g = GraphBuilder::from_ring_rows(
+            &ring,
+            vec![0, 2, 2, 3],
+            vec![NodeIndex(1), NodeIndex(2), NodeIndex(0)],
+        );
+        let per_node = vec![vec![id(9), id(5)], vec![], vec![id(1)]];
+        assert_eq!(
+            g,
+            GraphBuilder::from_per_node_links(ring.as_slice(), &per_node)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending set of other nodes")]
+    fn ring_rows_reject_self_links() {
+        let ring = SortedRing::new(vec![id(1), id(5)]);
+        GraphBuilder::from_ring_rows(&ring, vec![0, 1, 1], vec![NodeIndex(0)]);
     }
 
     #[test]

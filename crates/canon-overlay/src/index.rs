@@ -74,8 +74,13 @@ impl NextHopIndex {
                 target: t,
             })
             .collect();
+        // A row sorted by index is sorted by id already wherever ids
+        // ascend with the index, as on a Canon walk's graph.
         for w in offsets.windows(2) {
-            entries[w[0] as usize..w[1] as usize].sort_unstable();
+            let segment = &mut entries[w[0] as usize..w[1] as usize];
+            if !segment.is_sorted() {
+                segment.sort_unstable();
+            }
         }
         NextHopIndex {
             offsets: offsets.to_vec(),

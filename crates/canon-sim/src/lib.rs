@@ -188,7 +188,7 @@ impl CrescendoSim {
         let mut out = BTreeSet::new();
         let mut bound = RingDistance::FULL_CIRCLE;
         for d in self.hierarchy.ancestors(leaf) {
-            out.extend(chord_fingers(id, bound, |point| self.succ_in(d, point)));
+            chord_fingers(id, bound, |point| self.succ_in(d, point), &mut out);
             bound = self.gap_in(d, id);
         }
         out

@@ -43,15 +43,17 @@ pub fn link_budget(n: usize) -> usize {
 /// clockwise distance from `me` is below `bound` (paper §3.1: at higher
 /// levels a node "retains only those links that are closer than its
 /// successor at the lower level"). The successor of `me` within `ring` is
-/// always appended when it is strictly closer than `bound`.
+/// always appended when it is strictly closer than `bound`. The links are
+/// appended to `out`, each once.
 pub fn symphony_links_bounded(
     ring: &SortedRing,
     me: NodeId,
     bound: RingDistance,
     rng: &mut DetRng,
-) -> Vec<NodeId> {
+    out: &mut Vec<NodeId>,
+) {
     let n = ring.len();
-    let mut out = Vec::new();
+    let start = out.len();
     if n >= 2 {
         for _ in 0..link_budget(n) {
             let d = harmonic_distance(rng, n);
@@ -62,17 +64,16 @@ pub fn symphony_links_bounded(
                 continue;
             }
             let dist = me.clockwise_to(s) as u128;
-            if dist < bound.as_u128() && !out.contains(&s) {
+            if dist < bound.as_u128() && !out[start..].contains(&s) {
                 out.push(s);
             }
         }
     }
     if let Some(s) = ring.strict_successor(me) {
-        if s != me && (me.clockwise_to(s) as u128) < bound.as_u128() && !out.contains(&s) {
+        if s != me && (me.clockwise_to(s) as u128) < bound.as_u128() && !out[start..].contains(&s) {
             out.push(s);
         }
     }
-    out
 }
 
 /// Greedy clockwise routing with one step of lookahead (paper §3.1).
@@ -109,6 +110,12 @@ mod tests {
     use super::*;
     use canon_id::rng::{random_ids, Seed};
 
+    fn links(ring: &SortedRing, me: NodeId, bound: RingDistance, rng: &mut DetRng) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        symphony_links_bounded(ring, me, bound, rng, &mut out);
+        out
+    }
+
     #[test]
     fn link_budget_is_floor_log2() {
         assert_eq!(link_budget(0), 0);
@@ -127,7 +134,7 @@ mod tests {
         let me = ring.as_slice()[100];
         let bound = RingDistance::from_u64(1u64 << 60);
         let mut rng = Seed(2).rng();
-        let links = symphony_links_bounded(&ring, me, bound, &mut rng);
+        let links = links(&ring, me, bound, &mut rng);
         for l in &links {
             assert!((me.clockwise_to(*l) as u128) < bound.as_u128());
         }
@@ -139,7 +146,7 @@ mod tests {
         let ring = SortedRing::new(ids);
         let mut rng = Seed(4).rng();
         for &me in ring.as_slice().iter().take(30) {
-            let links = symphony_links_bounded(&ring, me, RingDistance::FULL_CIRCLE, &mut rng);
+            let links = links(&ring, me, RingDistance::FULL_CIRCLE, &mut rng);
             let succ = ring.strict_successor(me).unwrap();
             assert!(links.contains(&succ), "{me} lacks successor link");
         }
@@ -149,13 +156,9 @@ mod tests {
     fn singleton_and_pair_rings() {
         let one = SortedRing::new(vec![NodeId::new(9)]);
         let mut rng = Seed(5).rng();
-        assert!(
-            symphony_links_bounded(&one, NodeId::new(9), RingDistance::FULL_CIRCLE, &mut rng)
-                .is_empty()
-        );
+        assert!(links(&one, NodeId::new(9), RingDistance::FULL_CIRCLE, &mut rng).is_empty());
         let two = SortedRing::new(vec![NodeId::new(9), NodeId::new(1 << 30)]);
-        let links =
-            symphony_links_bounded(&two, NodeId::new(9), RingDistance::FULL_CIRCLE, &mut rng);
+        let links = links(&two, NodeId::new(9), RingDistance::FULL_CIRCLE, &mut rng);
         assert_eq!(links, vec![NodeId::new(1 << 30)]);
     }
 }

@@ -40,8 +40,9 @@ impl LinkRule for CacophonyRule {
         bound: RingDistance,
         rng: &mut DetRng,
         _state: &mut (),
-    ) -> Vec<NodeId> {
-        symphony_links_bounded(ring, me, bound, rng)
+        out: &mut Vec<NodeId>,
+    ) {
+        symphony_links_bounded(ring, me, bound, rng, out);
     }
 }
 

@@ -56,8 +56,8 @@ impl LinkRule for CanCanRule {
         _bound: RingDistance,
         _rng: &mut DetRng,
         covered: &mut u64,
-    ) -> Vec<NodeId> {
-        let mut out = Vec::new();
+        out: &mut Vec<NodeId>,
+    ) {
         for i in 0..ID_BITS {
             if *covered & (1u64 << i) != 0 {
                 continue;
@@ -74,7 +74,6 @@ impl LinkRule for CanCanRule {
             out.push(owner);
             *covered |= 1u64 << i;
         }
-        out
     }
 }
 

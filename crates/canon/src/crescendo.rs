@@ -38,8 +38,9 @@ impl LinkRule for CrescendoRule {
         bound: RingDistance,
         _rng: &mut DetRng,
         _state: &mut (),
-    ) -> Vec<NodeId> {
-        chord_links_bounded(ring, me, bound)
+        out: &mut Vec<NodeId>,
+    ) {
+        chord_links_bounded(ring, me, bound, out);
     }
 }
 
@@ -84,16 +85,20 @@ impl LinkRule for NondetCrescendoRule {
         bound: RingDistance,
         rng: &mut DetRng,
         _state: &mut (),
-    ) -> Vec<NodeId> {
-        let mut links = nondet_links_bounded(ring, me, bound, rng);
+        out: &mut Vec<NodeId>,
+    ) {
+        let start = out.len();
+        nondet_links_bounded(ring, me, bound, rng, out);
         // Force the in-ring successor (when within the bound) so greedy
         // clockwise routing stays live at every level.
         if let Some(s) = ring.strict_successor(me) {
-            if s != me && (me.clockwise_to(s) as u128) < bound.as_u128() && !links.contains(&s) {
-                links.push(s);
+            if s != me
+                && (me.clockwise_to(s) as u128) < bound.as_u128()
+                && !out[start..].contains(&s)
+            {
+                out.push(s);
             }
         }
-        links
     }
 }
 

@@ -17,16 +17,25 @@
 //! # Parallel construction
 //!
 //! Because the walk is independent per node, the engine computes every
-//! node's link sets in parallel (over [`canon_par`]) and then merges them
-//! into the graph serially in placement order. Determinism is preserved by
-//! construction:
+//! node's row in parallel (over [`canon_par`]) and then joins the workers'
+//! rows serially in ring order. Determinism is preserved by construction:
 //!
 //! * a node's random stream comes from [`Seed::derive_node`] — a pure
 //!   function of `(seed, node)`, never of scheduling;
 //! * a node's mutable scratch ([`LinkRule::NodeState`]) is created fresh
 //!   per node and threaded only through that node's own leaf-to-root walk;
-//! * the merge adds batches in placement order, so the built graph is
-//!   bit-identical for any thread count (including 1).
+//! * each worker writes the rows of a contiguous run of root-ring
+//!   positions, and the runs are joined in ring order, so the built graph
+//!   is bit-identical for any thread count (including 1).
+//!
+//! # Where an identifier becomes a graph index
+//!
+//! Graph node `i` is position `i` of the root ring. A rule appends the
+//! identifiers it links to into a buffer the worker owns; the walk maps
+//! each through the root ring's prefix table ([`SortedRing::positions`])
+//! once, and from there on a link is a position: the walk deduplicates
+//! and sorts each node's row as positions and hands the CSR rows to
+//! [`GraphBuilder::from_ring_rows`], which searches nothing.
 
 use canon_hierarchy::{DomainId, DomainMembership, Hierarchy, Placement};
 use canon_id::{
@@ -50,9 +59,13 @@ pub struct LevelCtx {
 
 /// A flat DHT's per-ring link rule in *bounded* form.
 ///
-/// `links` must return the links the rule grants `me` over `ring`,
-/// restricted to nodes at metric distance strictly below `bound`. Passing
-/// [`RingDistance::FULL_CIRCLE`] must yield the flat rule.
+/// `links` must append to `out` the links the rule grants `me` over
+/// `ring`, restricted to nodes at metric distance strictly below `bound`.
+/// Passing [`RingDistance::FULL_CIRCLE`] must yield the flat rule. The
+/// walk hands `out` over empty and owns it: one buffer per worker, reused
+/// for every level of every node the worker walks, so a rule allocates
+/// nothing to report its links. Repeats are allowed (the walk keeps the
+/// first); links to `me` are not.
 ///
 /// Rules are shared across worker threads (`&self`, `Sync`); all per-node
 /// mutability lives in the explicit `rng` (seeded per node by the engine)
@@ -70,7 +83,12 @@ pub trait LinkRule: Sync {
     /// The metric instance.
     fn metric(&self) -> Self::M;
 
-    /// Links for `me` over `ring` at distance `< bound`.
+    /// Appends to `out` the links for `me` over `ring` at distance
+    /// `< bound`.
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the rule's whole context, each by reference"
+    )]
     fn links(
         &self,
         ctx: LevelCtx,
@@ -79,7 +97,8 @@ pub trait LinkRule: Sync {
         bound: RingDistance,
         rng: &mut DetRng,
         state: &mut Self::NodeState,
-    ) -> Vec<NodeId>;
+        out: &mut Vec<NodeId>,
+    );
 }
 
 /// A constructed Canonical (or flat) network: the overlay graph plus each
@@ -157,9 +176,17 @@ impl CanonicalNetwork {
     }
 }
 
-/// Phase-1 output per node: the flat deduplicated link list plus
-/// `(depth, links added)` counters for each level the node's walk visited.
-type NodeLinkSet = (Vec<NodeId>, Vec<(u32, u32)>);
+/// One worker's share of the walk: the CSR rows of a contiguous run of
+/// root-ring positions, plus the links it added per hierarchy depth.
+#[derive(Default)]
+struct Rows {
+    /// Where each row ends in `targets`, counted from the run's start.
+    ends: Vec<u32>,
+    /// The run's rows, concatenated; each strictly ascending.
+    targets: Vec<NodeIndex>,
+    /// Links added at each depth (index = depth).
+    per_level: Vec<usize>,
+}
 
 /// Builds a Canonical network over `hierarchy`/`placement` with `rule`.
 ///
@@ -171,7 +198,8 @@ type NodeLinkSet = (Vec<NodeId>, Vec<(u32, u32)>);
 /// Per-node link sets are computed in parallel (thread count from
 /// [`canon_par`]); the result is identical for every thread count because
 /// each node's randomness is derived from `(seed, node)` alone and the
-/// merge is performed in placement order. Debug and test builds then audit
+/// workers' runs of rows are joined in ring order. Debug and test builds
+/// then audit
 /// the merge invariants ([`crate::audit::verify_structure`]).
 ///
 /// # Panics
@@ -221,84 +249,104 @@ pub(crate) fn walk<R: LinkRule>(
 ) -> CanonicalNetwork {
     let members = DomainMembership::build(hierarchy, placement);
     let all = members.ring(hierarchy.root());
-
-    // leaf_of aligned with the (sorted) graph node order.
+    // The construction's one identifier → graph index mapping: graph node
+    // `i` is root-ring position `i`.
+    let positions = all.positions();
+    let index_of = |id: NodeId| -> NodeIndex {
+        #[allow(
+            clippy::expect_used,
+            reason = "every placed id is in the root ring by DomainMembership::build, \
+                      and rules link only to members of the rings they are given"
+        )]
+        let at = positions.of(id).expect("linked node is in the root ring");
+        NodeIndex(at as u32)
+    };
     let mut leaf_of = vec![hierarchy.root(); all.len()];
     for (id, leaf) in placement.iter() {
-        #[allow(
-            clippy::expect_used,
-            reason = "every placed id is in the root ring by DomainMembership::build"
-        )]
-        let idx = all.index_of(id).expect("placed node is in the root ring");
-        leaf_of[idx] = leaf;
+        leaf_of[index_of(id).index()] = leaf;
     }
+    let metric = rule.metric();
 
-    // Phase 1 (parallel): each node's deduplicated link set, flattened,
-    // plus `(depth, links added)` counters per level. A link granted at
-    // several depths is kept (and counted) at the deepest one, where the
-    // walk first produced it — walks run leaf to root. Flattening here
-    // means the per-node, per-level link `Vec`s never survive phase 1;
-    // only one flat list per node and a handful of counters reach the
-    // merge. Pure per node — nothing observes other nodes' work or the
-    // iteration order.
-    let pairs: Vec<(NodeId, DomainId)> = placement.iter().collect();
-    let per_node: Vec<NodeLinkSet> = canon_par::par_map(&pairs, |_, &(id, leaf)| {
-        let mut rng = seed.derive_node(id).rng();
-        let mut state = R::NodeState::default();
-        let mut bound = RingDistance::FULL_CIRCLE;
-        let leaf_depth = hierarchy.depth(leaf);
-        let mut flat: Vec<NodeId> = Vec::new();
-        let mut counts: Vec<(u32, u32)> = Vec::with_capacity(leaf_depth as usize + 1);
-        for domain in hierarchy.ancestors(leaf) {
-            let ring = members.ring(domain);
-            let depth = hierarchy.depth(domain);
-            let ctx = LevelCtx {
-                depth,
-                is_leaf_level: domain == leaf,
-                levels_above_leaf: leaf_depth - depth,
-            };
-            let mut added = 0u32;
-            for link in rule.links(ctx, ring, id, bound, &mut rng, &mut state) {
-                debug_assert_ne!(link, id, "rules must not emit self-links");
-                // Link sets are finger-table sized (~log n), so the
-                // linear dedup probe beats hashing here.
-                if link != id && !flat.contains(&link) {
-                    flat.push(link);
-                    added += 1;
+    // Phase 1 (parallel): each worker walks a contiguous run of root-ring
+    // positions and writes their rows straight into CSR form. A link
+    // granted at several depths is kept (and counted) at the deepest one,
+    // where the walk first produced it — walks run leaf to root. The
+    // rule's output buffer is the worker's, reused for every level of
+    // every node. Pure per node — nothing observes other nodes' work or
+    // the iteration order.
+    let runs: Vec<Rows> = canon_par::par_chunks(all.as_slice(), |start, run| {
+        let mut rows = Rows {
+            ends: Vec::with_capacity(run.len()),
+            ..Rows::default()
+        };
+        let mut level: Vec<NodeId> = Vec::new();
+        for (k, &id) in run.iter().enumerate() {
+            let me = NodeIndex((start + k) as u32);
+            let leaf = leaf_of[me.index()];
+            let row_start = rows.targets.len();
+            let mut rng = seed.derive_node(id).rng();
+            let mut state = R::NodeState::default();
+            let mut bound = RingDistance::FULL_CIRCLE;
+            let leaf_depth = hierarchy.depth(leaf);
+            for domain in hierarchy.ancestors(leaf) {
+                let ring = members.ring(domain);
+                let depth = hierarchy.depth(domain);
+                let ctx = LevelCtx {
+                    depth,
+                    is_leaf_level: domain == leaf,
+                    levels_above_leaf: leaf_depth - depth,
+                };
+                level.clear();
+                rule.links(ctx, ring, id, bound, &mut rng, &mut state, &mut level);
+                let mut added = 0;
+                for &link in &level {
+                    debug_assert_ne!(link, id, "rules must not emit self-links");
+                    let to = index_of(link);
+                    // Rows are finger-table sized (~log n), so the
+                    // linear dedup probe beats hashing here.
+                    if to != me && !rows.targets[row_start..].contains(&to) {
+                        rows.targets.push(to);
+                        added += 1;
+                    }
                 }
+                let d = depth as usize;
+                if d >= rows.per_level.len() {
+                    rows.per_level.resize(d + 1, 0);
+                }
+                rows.per_level[d] += added;
+                // Condition (b)'s bound for the next (parent) level:
+                // distance to the closest node of the ring just processed.
+                bound = ring.own_ring_bound(metric, id);
             }
-            counts.push((depth, added));
-            // Condition (b)'s bound for the next (parent) level:
-            // distance to the closest node of the ring just processed.
-            bound = ring.own_ring_bound(rule.metric(), id);
+            rows.targets[row_start..].sort_unstable();
+            rows.ends.push(rows.targets.len() as u32);
         }
-        (flat, counts)
+        rows
     });
 
-    // Phase 2 (serial): fold the level counters and scatter each node's
-    // flat link list into graph-node order, then build the CSR directly —
-    // no hash scratch, identical bytes to inserting serially in placement
-    // order.
+    // Phase 2 (serial): join the runs in ring order.
+    let mut offsets: Vec<u32> = Vec::with_capacity(all.len() + 1);
+    offsets.push(0);
     let mut links_per_level: Vec<usize> = Vec::new();
-    let mut per_index: Vec<Vec<NodeId>> = vec![Vec::new(); all.len()];
-    for ((id, _), (flat, counts)) in pairs.iter().zip(per_node) {
-        for (depth, added) in counts {
-            let d = depth as usize;
-            if d >= links_per_level.len() {
-                links_per_level.resize(d + 1, 0);
-            }
-            links_per_level[d] += added as usize;
+    let mut targets: Vec<NodeIndex> = Vec::new();
+    for run in runs {
+        let base = targets.len() as u32;
+        offsets.extend(run.ends.iter().map(|&end| base + end));
+        if targets.is_empty() {
+            targets = run.targets;
+        } else {
+            targets.extend_from_slice(&run.targets);
         }
-        #[allow(
-            clippy::expect_used,
-            reason = "every placed id is in the root ring by DomainMembership::build"
-        )]
-        let idx = all.index_of(*id).expect("placed node is in the root ring");
-        per_index[idx] = flat;
+        if run.per_level.len() > links_per_level.len() {
+            links_per_level.resize(run.per_level.len(), 0);
+        }
+        for (total, added) in links_per_level.iter_mut().zip(run.per_level) {
+            *total += added;
+        }
     }
 
     CanonicalNetwork {
-        graph: GraphBuilder::from_per_node_links(all.as_slice(), &per_index),
+        graph: GraphBuilder::from_ring_rows(all, offsets, targets),
         leaf_of,
         links_per_level,
     }
@@ -355,11 +403,12 @@ mod tests {
             bound: RingDistance,
             _rng: &mut DetRng,
             _state: &mut (),
-        ) -> Vec<NodeId> {
-            match ring.strict_successor(me) {
-                Some(s) if s != me && (me.clockwise_to(s) as u128) < bound.as_u128() => vec![s],
-                _ => Vec::new(),
-            }
+            out: &mut Vec<NodeId>,
+        ) {
+            out.extend(
+                ring.strict_successor(me)
+                    .filter(|&s| s != me && (me.clockwise_to(s) as u128) < bound.as_u128()),
+            );
         }
     }
 

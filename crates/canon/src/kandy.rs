@@ -72,8 +72,8 @@ impl LinkRule for KandyRule {
         _bound: RingDistance,
         rng: &mut DetRng,
         covered: &mut u64,
-    ) -> Vec<NodeId> {
-        let mut out = Vec::new();
+        out: &mut Vec<NodeId>,
+    ) {
         for k in 0..ID_BITS {
             if *covered & (1u64 << k) != 0 {
                 continue; // a lower level already filled this bucket
@@ -95,7 +95,6 @@ impl LinkRule for KandyRule {
                 *covered |= 1u64 << k;
             }
         }
-        out
     }
 }
 

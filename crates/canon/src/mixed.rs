@@ -51,11 +51,12 @@ impl<R: LinkRule> LinkRule for LanRule<R> {
         bound: RingDistance,
         rng: &mut DetRng,
         state: &mut R::NodeState,
-    ) -> Vec<NodeId> {
+        out: &mut Vec<NodeId>,
+    ) {
         if ctx.is_leaf_level {
-            ring.iter().copied().filter(|&other| other != me).collect()
+            out.extend(ring.iter().copied().filter(|&other| other != me));
         } else {
-            self.inner.links(ctx, ring, me, bound, rng, state)
+            self.inner.links(ctx, ring, me, bound, rng, state, out);
         }
     }
 }

@@ -231,14 +231,15 @@ impl LinkRule for PastryRule {
         _bound: RingDistance,
         _rng: &mut DetRng,
         filled: &mut Cells,
-    ) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = fill_cells(ring, me, self.params, filled)
-            .into_iter()
-            .map(|(_, _, n)| n)
-            .collect();
+        out: &mut Vec<NodeId>,
+    ) {
+        out.extend(
+            fill_cells(ring, me, self.params, filled)
+                .into_iter()
+                .map(|(_, _, n)| n),
+        );
         // Per-level leaf set (Crescendo §2.3 analogue).
         out.extend(leaf_set(ring, me, self.params.leaf_half));
-        out
     }
 }
 

@@ -216,13 +216,13 @@ impl<L: Fn(NodeId, NodeId) -> f64 + Sync> LinkRule for ProxRule<'_, L> {
         bound: RingDistance,
         rng: &mut DetRng,
         _state: &mut (),
-    ) -> Vec<NodeId> {
+        out: &mut Vec<NodeId>,
+    ) {
         if ctx.depth > 0 {
-            return chord_links_bounded(ring, me, bound);
+            return chord_links_bounded(ring, me, bound, out);
         }
         let t = self.group_bits;
         let gme = me.prefix(t);
-        let mut out = Vec::new();
         for k in 0..t {
             // `t` is at most 63, so the mask never shifts out.
             let target = gme.wrapping_add(1u64 << k) & ((1u64 << t) - 1);
@@ -240,7 +240,6 @@ impl<L: Fn(NodeId, NodeId) -> f64 + Sync> LinkRule for ProxRule<'_, L> {
         if let Some(own) = self.groups.members.get(&gme) {
             out.extend(own.iter().copied().filter(|&x| x != me));
         }
-        out
     }
 }
 

@@ -27,6 +27,7 @@ fn reference_build<R: LinkRule>(
     let members = DomainMembership::build(hierarchy, placement);
     let all = members.ring(hierarchy.root());
     let mut builder = GraphBuilder::with_nodes(all.as_slice());
+    let mut links = Vec::new();
     for (id, leaf) in placement.iter() {
         let mut rng = seed.derive_node(id).rng();
         let mut state = R::NodeState::default();
@@ -40,7 +41,9 @@ fn reference_build<R: LinkRule>(
                 is_leaf_level: domain == leaf,
                 levels_above_leaf: leaf_depth - hierarchy.depth(domain),
             };
-            for link in rule.links(ctx, ring, id, bound, &mut rng, &mut state) {
+            links.clear();
+            rule.links(ctx, ring, id, bound, &mut rng, &mut state, &mut links);
+            for &link in &links {
                 builder.add_link(id, link);
             }
             bound = ring.own_ring_bound(rule.metric(), id);

@@ -24,10 +24,13 @@
 # operations, or if a median falls outside its bound against that row.
 #
 # --trace N then runs N traced pairs per workload (`--trace 1`, the same
-# alternation and seeds 1-N) and prints each side's median, over those
-# runs, of the set-up layers canon.build_s, cluster.spawn_s and
-# cluster.preload_s and of runtime.idle_round_us: where a set-up change
-# went, layer by layer. They are printed only, never gated or recorded.
+# alternation and seeds 1-N) and prints each side's median and range, over
+# those runs, of the set-up layers workloads.draw_ns_per_cmd,
+# canon.build_s, cluster.spawn_s and cluster.preload_s and of
+# runtime.idle_round_us: where a set-up change went, layer by layer.
+# setup_s is draw + build + spawn + preload, and the draw is bench/'s own
+# code, so a set-up claim shows the draw did not move. They are printed
+# only, never gated or recorded.
 # The traced runs write their span files under target/pair_bench/traced/.
 #
 #   scripts/pair_bench.sh <parent-ref> [--pairs N] [--seconds S] [--smoke] [--trace N] [workload ...]
@@ -270,7 +273,8 @@ if [ "$SMOKE" -eq 0 ] && [ "$TRACE_PAIRS" -gt 0 ]; then
 import statistics, sys
 
 out, pairs = sys.argv[1], int(sys.argv[2])
-layers = ["canon.build_s", "cluster.spawn_s", "cluster.preload_s", "runtime.idle_round_us"]
+layers = ["workloads.draw_ns_per_cmd", "canon.build_s", "cluster.spawn_s", "cluster.preload_s",
+          "runtime.idle_round_us"]
 
 def medians(path):
     """Each layer's median over the run's traced cycles, from its table."""
@@ -281,19 +285,23 @@ def medians(path):
             found[cols[0]] = float(cols[2])
     return found
 
-print(f"\nset-up by layer: {pairs} traced pairs, each side's median of the runs' medians (printed, not gated)")
-print(f"  {'workload':<16} {'layer':<24} {'parent':>12} {'change':>12}  {'delta':>8}")
+print(f"\nset-up by layer: {pairs} traced pairs, each side's median and range of the runs' medians"
+      " (printed, not gated)")
+print(f"  {'workload':<16} {'layer':<26} {'parent':>12} {'change':>12}  {'delta':>8}"
+      f"  {'parent range':>25}  {'change range':>25}")
 for w in sys.argv[3:]:
     runs = {side: [medians(f"{out}/runs/{w}.{side}.traced.{i}.out") for i in range(1, pairs + 1)]
             for side in ("parent", "change")}
     for layer in layers:
         vals = {side: [r[layer] for r in got if layer in r] for side, got in runs.items()}
         if not all(vals.values()):
-            print(f"  {w:<16} {layer:<24} {'missing':>12}")
+            print(f"  {w:<16} {layer:<26} {'missing':>12}")
             continue
         p, c = statistics.median(vals["parent"]), statistics.median(vals["change"])
         delta = f"{(c / p - 1) * 100:+.1f}%" if p else "n/a"
-        print(f"  {w:<16} {layer:<24} {p:>12.6f} {c:>12.6f}  {delta:>8}")
+        span = {side: f"{min(v):.6f}-{max(v):.6f}" for side, v in vals.items()}
+        print(f"  {w:<16} {layer:<26} {p:>12.6f} {c:>12.6f}  {delta:>8}"
+              f"  {span['parent']:>25}  {span['change']:>25}")
 EOF
 fi
 exit $status
