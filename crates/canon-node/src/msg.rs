@@ -44,21 +44,13 @@ pub enum Op {
         /// The joining node.
         joiner: NodeId,
     },
-    /// Ask the responsible node how `key` is replicated (its expected
-    /// replica count).
-    Status {
-        /// The key to report on.
-        key: u64,
-    },
 }
 
 impl Op {
     /// The identifier-space point the request is routed toward.
     pub fn key_point(&self) -> NodeId {
         match *self {
-            Op::Lookup { key } | Op::Put { key, .. } | Op::Get { key } | Op::Status { key } => {
-                NodeId::new(key)
-            }
+            Op::Lookup { key } | Op::Put { key, .. } | Op::Get { key } => NodeId::new(key),
             Op::Join { joiner } => joiner,
         }
     }
@@ -70,7 +62,6 @@ impl Op {
             Op::Put { .. } => OpKind::Put,
             Op::Get { .. } => OpKind::Get,
             Op::Join { .. } => OpKind::Join,
-            Op::Status { .. } => OpKind::Status,
         }
     }
 }
@@ -86,8 +77,6 @@ pub enum OpKind {
     Get,
     /// A join locate request.
     Join,
-    /// A replication-status request.
-    Status,
 }
 
 /// The state handed from a predecessor to a joining node: everything the
@@ -131,13 +120,6 @@ pub enum RpcResult {
     },
     /// Join: the predecessor's grant.
     Granted(JoinGrant),
-    /// Status: how the responsible node replicates the key.
-    Status {
-        /// The node responsible for the key.
-        primary: NodeId,
-        /// Replicas the node places for the key (primary included).
-        expected: u32,
-    },
 }
 
 /// Client work injected at an origin node by the harness.

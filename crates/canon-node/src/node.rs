@@ -39,7 +39,7 @@ use crate::clock::Tick;
 use crate::framed::{Outbox, WireTally};
 use crate::ledger::WorkLedger;
 use crate::msg::{Command, Completion, JoinGrant, Op, Outcome, Payload, RpcResult};
-use crate::rpc::{RetryDecision, RpcTable};
+use crate::rpc::{Pending, RetryDecision, RpcTable};
 use crate::runtime::RuntimeConfig;
 use crate::shard::Shard;
 use crate::transport::{Envelope, Mailboxes, Transport};
@@ -48,6 +48,7 @@ use canon_id::NodeId;
 use canon_overlay::closest_clockwise;
 use canon_overlay::engine::HOP_LIMIT;
 use canon_store::ContentId;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -129,13 +130,18 @@ impl Hasher for IdHasher {
 }
 
 /// The network context a node handles messages in: shared mailboxes, the
-/// transport and whether it frames (resolved once per round), the id → slot
-/// directory, and the current tick.
+/// transport, the worker's outbox when the transport frames (resolved once
+/// per round), the id → slot directory, and the current tick.
 pub(crate) struct Net<'a> {
     pub boxes: &'a Mailboxes<Payload>,
     pub transport: &'a dyn Transport,
-    /// [`Transport::framed`] of `transport`.
-    pub framed: bool,
+    /// Where this round's sends go when [`Transport::framed`] holds for
+    /// `transport`: the worker's outbox, which encodes each send and
+    /// chains it into one open frame per `(destination slot, delivery
+    /// tick)`, flushed at the end of the node's round (see
+    /// [`crate::framed`]). `None` on an unframed stack: sends enter the
+    /// mailboxes directly.
+    pub outbox: Option<&'a RefCell<Outbox>>,
     pub directory: &'a Directory,
     pub now: Tick,
 }
@@ -177,13 +183,6 @@ pub(crate) struct NodeState {
     /// Routed requests that arrived before this node joined, replayed in
     /// arrival order by [`NodeState::apply_grant`].
     pub deferred: Vec<RoutedRequest>,
-    /// This round's sends when the transport stack frames
-    /// ([`Net::framed`]): already encoded, in a byte arena, and chained
-    /// into one open frame per `(destination slot, delivery tick)`; the
-    /// runtime flushes the frames at the end of the node's round. Always
-    /// empty between rounds, and without capacity of its own: the outbox
-    /// is the worker's, lent for the round (see [`crate::framed`]).
-    pub outbox: Outbox,
     /// Wire accounting for the frames this node sent (all zero unless the
     /// transport stack frames).
     pub wire: WireTally,
@@ -237,7 +236,6 @@ impl NodeState {
             dead: false,
             joined,
             deferred: Vec::new(),
-            outbox: Outbox::default(),
             wire: WireTally::default(),
             ledger: WorkLedger::default(),
             #[cfg(feature = "model")]
@@ -297,9 +295,11 @@ impl NodeState {
     /// entered a mailbox (or, framed, the outbox that flushes into one).
     fn send(&mut self, net: &Net<'_>, to: NodeId, payload: Payload) -> Option<Tick> {
         let (slot, deliver_at) = self.schedule(net, to)?;
-        if net.framed {
+        if let Some(outbox) = net.outbox {
             // Encoded now, onto the frame for its (destination, tick).
-            self.outbox.stage(slot, to, deliver_at, self.seq, &payload);
+            outbox
+                .borrow_mut()
+                .stage(slot, to, deliver_at, self.seq, &payload);
         } else {
             let env = Envelope {
                 from: self.id,
@@ -519,19 +519,7 @@ impl NodeState {
             }
             RetryDecision::GiveUp(p) => {
                 self.log(net.now, || format!("giveup req={req}"));
-                self.completions.push(Completion {
-                    origin: self.id,
-                    req,
-                    kind: p.op.kind(),
-                    key: p.op.key_point().raw(),
-                    outcome: Outcome::TimedOut,
-                    responder: None,
-                    value: None,
-                    hops: 0,
-                    attempts: p.attempt + 1,
-                    issued_at: p.issued_at,
-                    completed_at: net.now,
-                });
+                self.complete(net.now, req, p, (Outcome::TimedOut, None, None), 0);
             }
         }
     }
@@ -555,9 +543,6 @@ impl NodeState {
                 *value,
             ),
             RpcResult::Granted(grant) => (Outcome::Ok, Some(grant.predecessor), None),
-            RpcResult::Status { primary, expected } => {
-                (Outcome::Ok, Some(*primary), Some(u64::from(*expected)))
-            }
         };
         if let RpcResult::Granted(grant) = result {
             self.apply_grant(net, grant);
@@ -565,6 +550,19 @@ impl NodeState {
         self.log(net.now, || {
             format!("done req={req} {outcome:?} hops={hops}")
         });
+        self.complete(net.now, req, p, (outcome, responder, value), hops);
+    }
+
+    /// Records request `req`'s [`Completion`] at `now`: its outcome,
+    /// responder and value, and the hops the answered attempt took.
+    fn complete(
+        &mut self,
+        now: Tick,
+        req: u64,
+        p: Pending,
+        (outcome, responder, value): (Outcome, Option<NodeId>, Option<u64>),
+        hops: u32,
+    ) {
         self.completions.push(Completion {
             origin: self.id,
             req,
@@ -576,7 +574,7 @@ impl NodeState {
             hops,
             attempts: p.attempt + 1,
             issued_at: p.issued_at,
-            completed_at: net.now,
+            completed_at: now,
         });
     }
 
@@ -675,13 +673,19 @@ impl NodeState {
             Some(Step::Forward(nb)) => {
                 self.count_forward();
                 let append = self.grows_path(&head.op).then_some(self.id);
-                if !(net.framed && head.forwardable()) {
-                    self.ledger.decoded += 1;
-                    self.ledger.forwarded_typed += 1;
-                    self.send(net, nb, head.forwarded(append));
-                } else if let Some((slot, deliver_at)) = self.schedule(net, nb) {
-                    let seq = self.seq;
-                    self.outbox.forward(slot, nb, deliver_at, seq, head, append);
+                match net.outbox {
+                    Some(outbox) if head.forwardable() => {
+                        if let Some((slot, deliver_at)) = self.schedule(net, nb) {
+                            outbox
+                                .borrow_mut()
+                                .forward(slot, nb, deliver_at, self.seq, head, append);
+                        }
+                    }
+                    _ => {
+                        self.ledger.decoded += 1;
+                        self.ledger.forwarded_typed += 1;
+                        self.send(net, nb, head.forwarded(append));
+                    }
                 }
             }
             Some(Step::Serve) => {
@@ -874,10 +878,6 @@ impl NodeState {
                 }
             }
             Op::Join { joiner } => RpcResult::Granted(self.grant_join(net, joiner)),
-            Op::Status { .. } => RpcResult::Status {
-                primary: self.id,
-                expected: self.replication.min(self.succ_list.len() + 1) as u32,
-            },
         }
     }
 
@@ -1020,19 +1020,7 @@ impl NodeState {
         for (req, p) in self.rpc.inflight_entries() {
             self.rpc.resolve(req);
             self.log(net.now, || format!("abandon req={req}"));
-            self.completions.push(Completion {
-                origin: self.id,
-                req,
-                kind: p.op.kind(),
-                key: p.op.key_point().raw(),
-                outcome: Outcome::Abandoned,
-                responder: None,
-                value: None,
-                hops: 0,
-                attempts: p.attempt + 1,
-                issued_at: p.issued_at,
-                completed_at: net.now,
-            });
+            self.complete(net.now, req, p, (Outcome::Abandoned, None, None), 0);
         }
         // Graceful departure keeps the cache coherent: every registered
         // cacher is invalidated before the shard moves to the heir.

@@ -84,9 +84,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 thread_local! {
-    /// The outbox of the worker thread running a node's round, lent to the
-    /// node for it (see [`crate::framed`] for why it is the worker's and
-    /// not the node's).
+    /// The outbox of the worker thread running a node's round, which the
+    /// node's framed sends go into (see [`crate::framed`] for why it is the
+    /// worker's and not the node's).
     static OUTBOX: RefCell<Outbox> = RefCell::default();
     /// The worker's round buffer: the frames its nodes flush in a round,
     /// until the exchange that ends the round queues them (see
@@ -497,12 +497,12 @@ impl Runtime {
     }
 
     /// Runs `body` on a locked node as one atomic unit. With a framing
-    /// transport in the stack the node's sends are encoded into its
-    /// outbox, one open frame per destination and tick, instead of
-    /// entering mailboxes; when `body` returns each frame is written into
-    /// `round` as bytes — all while the caller holds the node's lock. No
-    /// mailbox sees the frames until the caller passes `round` to
-    /// [`framed::exchange`].
+    /// transport in the stack the node's sends are encoded into the
+    /// worker's outbox ([`Net::outbox`]), one open frame per destination
+    /// and tick, instead of entering mailboxes; when `body` returns each
+    /// frame is written into `round` as bytes — all while the caller holds
+    /// the node's lock. No mailbox sees the frames until the caller passes
+    /// `round` to [`framed::exchange`].
     fn node_round<R>(
         &self,
         slot: usize,
@@ -514,18 +514,21 @@ impl Runtime {
         let net = Net {
             boxes: &self.boxes,
             transport: self.transport.as_ref(),
-            framed: self.transport.framed(),
+            outbox: None,
             directory: &self.directory,
             now,
         };
         self.republishing(slot, state, |state| {
-            if !net.framed {
+            if !self.transport.framed() {
                 return body(state, &net);
             }
-            OUTBOX.with_borrow_mut(|spare| {
-                spare.lend(state);
+            OUTBOX.with(|outbox| {
+                let net = Net {
+                    outbox: Some(outbox),
+                    ..net
+                };
                 let out = body(state, &net);
-                framed::flush_outbox(now, state, spare, round);
+                framed::flush_outbox(now, state, &mut outbox.borrow_mut(), round);
                 out
             })
         })

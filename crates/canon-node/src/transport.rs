@@ -724,22 +724,6 @@ impl<M> Mailboxes<M> {
         self.slots.reserve(more);
     }
 
-    /// Sends `env` to the node at `slot` through `transport`, which quotes
-    /// the delivery tick from `(sent_at, from, to, seq)` — whatever
-    /// `deliver_at` the caller filled in is overwritten (pass 0). Returns
-    /// the delivery tick, or `None` if the transport dropped the message.
-    pub fn send(
-        &self,
-        transport: &dyn Transport,
-        slot: usize,
-        mut env: Envelope<M>,
-    ) -> Option<Tick> {
-        let deliver_at = transport.schedule(env.sent_at, env.from, env.to, env.seq)?;
-        env.deliver_at = deliver_at;
-        self.push(slot, env);
-        Some(deliver_at)
-    }
-
     /// Pushes a pre-built envelope straight into `slot`, bypassing the
     /// transport — client command injection uses this, so injected work
     /// can never be lost to the network.
@@ -1032,7 +1016,8 @@ mod tests {
         NodeId::new(raw)
     }
 
-    /// Test shorthand: an envelope draft for [`Mailboxes::send`].
+    /// Test shorthand: an envelope draft, due at tick 0 until
+    /// [`scheduled`].
     fn env<M>(now: Tick, from: NodeId, to: NodeId, seq: u64, payload: M) -> Envelope<M> {
         Envelope {
             from,
@@ -1042,6 +1027,13 @@ mod tests {
             seq,
             payload,
         }
+    }
+
+    /// `env` due at the tick `transport` quotes for it, as a node's send
+    /// schedules one, or `None` if the transport drops it.
+    fn scheduled<M>(transport: &dyn Transport, mut env: Envelope<M>) -> Option<Envelope<M>> {
+        env.deliver_at = transport.schedule(env.sent_at, env.from, env.to, env.seq)?;
+        Some(env)
     }
 
     #[test]
@@ -1056,9 +1048,13 @@ mod tests {
         let boxes: Mailboxes<u32> = Mailboxes::new(1);
         let t = ChannelTransport::new(1);
         // Arrivals pushed out of order; drain must sort by (tick, from, seq).
-        boxes.send(&t, 0, env(4, id(9), id(0), 0, 30));
-        boxes.send(&t, 0, env(1, id(9), id(0), 0, 10));
-        boxes.send(&t, 0, env(1, id(3), id(0), 7, 20));
+        for e in [
+            env(4, id(9), id(0), 0, 30),
+            env(1, id(9), id(0), 0, 10),
+            env(1, id(3), id(0), 7, 20),
+        ] {
+            boxes.push(0, scheduled(&t, e).unwrap());
+        }
         let due: Vec<u32> = boxes
             .drain_due(0, 10)
             .into_iter()
@@ -1072,7 +1068,7 @@ mod tests {
     fn drain_due_leaves_future_messages() {
         let boxes: Mailboxes<u32> = Mailboxes::new(1);
         let t = ChannelTransport::new(5);
-        boxes.send(&t, 0, env(0, id(1), id(0), 0, 1));
+        boxes.push(0, scheduled(&t, env(0, id(1), id(0), 0, 1)).unwrap());
         assert!(boxes.drain_due(0, 4).is_empty());
         assert_eq!(boxes.next_due(0), Some(5));
         assert_eq!(boxes.drain_due(0, 5).len(), 1);
@@ -1190,8 +1186,8 @@ mod tests {
             const SLOTS: usize = 2;
             let boxes: Mailboxes<u32> = Mailboxes::new(SLOTS);
             let mut model: [Model; SLOTS] = Default::default();
-            // Jitter spreads sends over several ticks; loss exercises the
-            // dropped branch of `send`.
+            // Jitter spreads sends over several ticks; loss drops some
+            // before they are pushed.
             let lossy = FaultyTransport::new(ChannelTransport::new(1), Seed(99), 200, 4);
             let mut now: Tick = 0;
             let mut next_payload = 0u32;
@@ -1249,13 +1245,9 @@ mod tests {
                         }
                     }
                     2 => {
-                        if let Some(e) = draft(b, now) {
-                            let (from, seq, payload) = (e.from, e.seq, e.payload);
-                            let quoted = lossy.schedule(now, from, id(0), seq);
-                            prop_assert_eq!(boxes.send(&lossy, slot, e), quoted);
-                            if let Some(t) = quoted {
-                                model[slot].insert((t, from.raw(), seq), payload);
-                            }
+                        if let Some(e) = draft(b, now).and_then(|e| scheduled(&lossy, e)) {
+                            model[slot].insert(e.key(), e.payload);
+                            boxes.push(slot, e);
                         }
                     }
                     3 => {

@@ -231,10 +231,6 @@ impl WireEncode for Op {
                 e.tag(3);
                 e.encode(&joiner);
             }
-            Op::Status { key } => {
-                e.tag(4);
-                e.u64_fixed(key);
-            }
         }
     }
 }
@@ -255,9 +251,6 @@ impl WireDecode for Op {
             },
             3 => Op::Join {
                 joiner: d.decode()?,
-            },
-            4 => Op::Status {
-                key: d.u64_fixed()?,
             },
             tag => return Err(WireError::BadTag { ty: "Op", tag }),
         })
@@ -347,11 +340,6 @@ impl WireEncode for RpcResult {
                 e.tag(3);
                 e.encode(grant);
             }
-            RpcResult::Status { primary, expected } => {
-                e.tag(4);
-                e.encode(primary);
-                e.encode(expected);
-            }
         }
     }
 }
@@ -376,10 +364,6 @@ impl WireDecode for RpcResult {
                 served_by: d.decode()?,
             },
             3 => RpcResult::Granted(d.decode()?),
-            4 => RpcResult::Status {
-                primary: d.decode()?,
-                expected: d.decode()?,
-            },
             tag => {
                 return Err(WireError::BadTag {
                     ty: "RpcResult",
@@ -658,11 +642,6 @@ pub mod samples {
                 },
                 Op::Join { joiner: d.node() },
             ),
-            (
-                "Op::Status",
-                Op::Status { key: u64::MAX },
-                Op::Status { key: d.next() },
-            ),
         ]
     }
 
@@ -730,17 +709,6 @@ pub mod samples {
                 "RpcResult::Granted",
                 RpcResult::Granted(full_grant()),
                 RpcResult::Granted(drawn_grant(d)),
-            ),
-            (
-                "RpcResult::Status",
-                RpcResult::Status {
-                    primary: NodeId::new(u64::MAX),
-                    expected: u32::MAX,
-                },
-                RpcResult::Status {
-                    primary: d.node(),
-                    expected: (d.next() % 16) as u32,
-                },
             ),
         ]
     }
@@ -1077,6 +1045,12 @@ mod tests {
             assert!(from_bytes::<RpcResult>(&[ty]).is_err());
             assert!(from_bytes::<Command>(&[ty]).is_err());
         }
+        // Tag 4 names no variant of either enum, so it fails with a whole
+        // body behind it too: a key, or a node id and a count.
+        let key = [4, 5, 0, 0, 0, 0, 0, 0, 0];
+        assert!(from_bytes::<Op>(&key).is_err());
+        let answer = [4, 2, 0, 0, 0, 0, 0, 0, 0, 3];
+        assert!(from_bytes::<RpcResult>(&answer).is_err());
     }
 
     #[test]
@@ -1095,8 +1069,8 @@ mod tests {
         let a = samples::max_encoded_sizes(Seed(9), 8);
         let b = samples::max_encoded_sizes(Seed(9), 8);
         assert_eq!(a, b);
-        // 5 ops + 5 results + 9 payloads.
-        assert_eq!(a.len(), 19);
+        // 4 ops + 4 results + 9 payloads.
+        assert_eq!(a.len(), 17);
         for (label, size) in &a {
             assert!(*size > 0, "{label} has zero size");
         }

@@ -246,7 +246,7 @@ fn leave_hands_the_shard_to_the_range_inheritor() {
 }
 
 #[test]
-fn status_reports_the_replica_target_at_the_primary() {
+fn the_replica_probe_names_the_lookup_responder_first() {
     let config = RuntimeConfig::default();
     let mut rt = cluster(32, 19, config);
     let ids = rt.ids();
@@ -257,23 +257,24 @@ fn status_reports_the_replica_target_at_the_primary() {
     rt.inject(ids[1], Command::Issue(Op::Put { key, value: 7 }));
     rt.run_until_idle();
 
-    // Status round-trips the primary and the replica target count.
-    rt.inject(ids[2], Command::Issue(Op::Status { key }));
+    // A lookup routed over the network finds the node the probe lists
+    // first: the primary its replica set starts from.
+    rt.inject(ids[2], Command::Issue(Op::Lookup { key }));
     rt.run_until_idle();
-    let status = rt
+    let lookup = rt
         .completions()
         .into_iter()
-        .find(|c| c.kind == canon_node::OpKind::Status)
+        .find(|c| c.kind == canon_node::OpKind::Lookup)
         .unwrap();
-    assert_eq!(status.outcome, Outcome::Ok);
-    assert_eq!(status.responder, Some(holder));
-    let expected = replica_successors(&ring, NodeId::new(key), config.replication).len() as u64;
-    assert_eq!(status.value, Some(expected), "status carries target count");
-
-    // The runtime-level probe agrees and is satisfied after the put.
+    assert_eq!(lookup.outcome, Outcome::Ok);
     let probe = rt.replication_status(key);
+    assert_eq!(lookup.responder, Some(probe.expected[0]));
+    assert_eq!(probe.expected[0], holder);
+
+    // The probe is satisfied after the put, at the policy's count.
     assert!(probe.satisfied, "{probe:?}");
-    assert_eq!(probe.expected.len() as u64, expected);
+    let expected = replica_successors(&ring, NodeId::new(key), config.replication).len();
+    assert_eq!(probe.expected.len(), expected);
     assert!(rt.summary().zero_loss());
 }
 

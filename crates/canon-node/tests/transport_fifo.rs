@@ -8,18 +8,17 @@
 //! sent — no matter how sends from different senders interleave in time.
 
 use canon_id::NodeId;
-use canon_node::transport::{ChannelTransport, Envelope, Mailboxes};
+use canon_node::transport::{ChannelTransport, Envelope, Mailboxes, Transport};
 use canon_node::Tick;
 use proptest::prelude::*;
 
-/// An envelope draft for [`Mailboxes::send`] (the transport quotes the
-/// real `deliver_at`).
-fn env<M>(now: Tick, from: NodeId, to: NodeId, seq: u64, payload: M) -> Envelope<M> {
+/// An envelope sent at `now`, due at `deliver_at`.
+fn env<M>(now: Tick, deliver_at: Tick, from: NodeId, seq: u64, payload: M) -> Envelope<M> {
     Envelope {
         from,
-        to,
+        to: NodeId::new(0),
         sent_at: now,
-        deliver_at: 0,
+        deliver_at,
         seq,
         payload,
     }
@@ -42,17 +41,16 @@ proptest! {
         let mut now = 0u64;
         let mut seq = [0u64; 4];
         // Replay the script: per-sender seq counters increase in send
-        // order, exactly as NodeState::send allocates them.
+        // order, exactly as a node allocates them, and each message is
+        // scheduled through the transport, then pushed, as a node sends.
         for (i, &(sender, advance)) in sends.iter().enumerate() {
             now += advance;
             seq[sender as usize] += 1;
-            let from = NodeId::new(sender as u64 + 1);
-            let sent = boxes.send(
-                &transport,
-                0,
-                env(now, from, NodeId::new(0), seq[sender as usize], i as u64),
-            );
-            prop_assert!(sent.is_some(), "channel transport never drops");
+            let (from, n) = (NodeId::new(sender as u64 + 1), seq[sender as usize]);
+            let deliver_at = transport
+                .schedule(now, from, NodeId::new(0), n)
+                .expect("channel transport never drops");
+            boxes.push(0, env(now, deliver_at, from, n, i as u64));
         }
 
         // Drain everything and check each sender's subsequence is in send
@@ -83,10 +81,9 @@ proptest! {
     ) {
         let t = ChannelTransport::new(latency);
         let boxes: Mailboxes<u8> = Mailboxes::new(1);
-        let deliver = boxes
-            .send(&t, 0, env(now, NodeId::new(1), NodeId::new(0), 0, 0u8))
-            .unwrap();
+        let deliver = t.schedule(now, NodeId::new(1), NodeId::new(0), 0).unwrap();
         prop_assert_eq!(deliver, now + latency);
+        boxes.push(0, env(now, deliver, NodeId::new(1), 0, 0u8));
         prop_assert!(boxes.drain_due(0, deliver - 1).is_empty());
         prop_assert_eq!(boxes.drain_due(0, deliver).len(), 1);
     }

@@ -48,14 +48,13 @@ fn arb_node() -> impl Strategy<Value = NodeId> {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (any::<u8>(), any::<u64>(), any::<u64>()).prop_map(|(sel, a, b)| match sel % 5 {
+    (any::<u8>(), any::<u64>(), any::<u64>()).prop_map(|(sel, a, b)| match sel % 4 {
         0 => Op::Lookup { key: a },
         1 => Op::Put { key: a, value: b },
         2 => Op::Get { key: a },
-        3 => Op::Join {
+        _ => Op::Join {
             joiner: NodeId::new(a),
         },
-        _ => Op::Status { key: a },
     })
 }
 
@@ -92,7 +91,7 @@ fn arb_result() -> impl Strategy<Value = RpcResult> {
         (any::<bool>(), any::<u64>()),
         arb_grant(),
     )
-        .prop_map(|(sel, node, count, (some, value), grant)| match sel % 5 {
+        .prop_map(|(sel, node, count, (some, value), grant)| match sel % 4 {
             0 => RpcResult::Found { responsible: node },
             1 => RpcResult::Stored {
                 primary: node,
@@ -102,11 +101,7 @@ fn arb_result() -> impl Strategy<Value = RpcResult> {
                 value: some.then_some(value),
                 served_by: node,
             },
-            3 => RpcResult::Granted(grant),
-            _ => RpcResult::Status {
-                primary: node,
-                expected: count,
-            },
+            _ => RpcResult::Granted(grant),
         })
 }
 
@@ -248,7 +243,7 @@ proptest! {
 // not compile until it has an index here, and the test below fails until
 // `wire::samples` draws it and the codec decodes it.
 
-const OP_VARIANTS: usize = 5;
+const OP_VARIANTS: usize = 4;
 
 fn op_index(op: &Op) -> usize {
     match op {
@@ -256,7 +251,6 @@ fn op_index(op: &Op) -> usize {
         Op::Put { .. } => 1,
         Op::Get { .. } => 2,
         Op::Join { .. } => 3,
-        Op::Status { .. } => 4,
     }
 }
 
@@ -270,7 +264,7 @@ fn command_index(cmd: &Command) -> usize {
     }
 }
 
-const RESULT_VARIANTS: usize = 5;
+const RESULT_VARIANTS: usize = 4;
 
 fn result_index(result: &RpcResult) -> usize {
     match result {
@@ -278,7 +272,6 @@ fn result_index(result: &RpcResult) -> usize {
         RpcResult::Stored { .. } => 1,
         RpcResult::Value { .. } => 2,
         RpcResult::Granted(_) => 3,
-        RpcResult::Status { .. } => 4,
     }
 }
 
@@ -412,9 +405,9 @@ fn frame_digest() -> u64 {
 
 /// Per-input-class digests of every decode outcome.
 const DECODE_GOLDEN: [(&str, u64); 6] = [
-    ("Op", 0x5b29ad70fa4337ea),
+    ("Op", 0x139ae2e2f7ad056a),
     ("Command", 0xcea269436aa1add9),
-    ("RpcResult", 0xde2aac9bd7addeec),
+    ("RpcResult", 0x6392715db583cce1),
     ("Payload", 0xc9ef908c6aa8e13e),
     ("Envelope<Payload>", 0x9d4857b83874112d),
     ("frame", 0x78998d242fb9ef06),
