@@ -10,7 +10,6 @@
 //! replica-placement equivalence test possible).
 
 use crate::clock::Clock;
-use crate::node::row;
 use crate::runtime::{Runtime, RuntimeConfig};
 use crate::transport::Transport;
 use canon_overlay::OverlayGraph;
@@ -20,10 +19,9 @@ use std::sync::Arc;
 /// adjacency, successor lists and predecessors from the global ring over
 /// the graph's identifiers. Node slots follow graph index order.
 ///
-/// When identifiers ascend with the index — every graph a Canon walk
-/// builds — node `i` is ring position `i` and its row of the graph, sorted
-/// by index, is its link row as is, so a node costs no search and no
-/// sort. Any other graph pays one ring search and one row sort per node.
+/// Graph node `i` is ring position `i`, so its row of the graph, sorted
+/// by index, is its link row as is, and its successors are positions
+/// `i + 1, i + 2, …`: a node costs no search and no sort.
 ///
 /// # Panics
 ///
@@ -37,25 +35,18 @@ pub fn from_graph(
 ) -> Runtime {
     let mut rt = Runtime::new(clock, transport, config);
     rt.reserve(graph.len());
-    let ids = graph.ids();
-    let ring = graph.ring().as_slice();
+    let ring = graph.ids();
     let n = ring.len();
-    let ascending = ids == ring;
     for idx in graph.node_indices() {
-        let id = ids[idx.index()];
-        let neighbors = graph.neighbors(idx).iter().map(|&t| ids[t.index()]);
-        let (links, at) = if ascending {
-            (neighbors.collect(), idx.index())
-        } else {
-            (row::build(neighbors, id), ring.partition_point(|&r| r < id))
-        };
+        let at = idx.index();
+        let links = graph.neighbors(idx).iter().map(|&t| ring[t.index()]);
         // The node's successors and predecessor are the ring places
         // around its own, wrapping short of itself.
         let succ_list = (1..n.min(config.succ_list_len + 1))
             .map(|k| ring[(at + k) % n])
             .collect();
         let pred = (n > 1).then(|| ring[(at + n - 1) % n]);
-        rt.spawn_inner(id, links, succ_list, pred, true);
+        rt.spawn_inner(ring[at], links.collect(), succ_list, pred, true);
     }
     rt
 }
@@ -63,6 +54,7 @@ pub fn from_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::row;
     use crate::{ChannelTransport, VirtualClock};
     use canon_hierarchy::{Hierarchy, Placement};
     use canon_id::{rng::Seed, NodeId};
@@ -110,33 +102,16 @@ mod tests {
     }
 
     #[test]
-    fn nodes_added_out_of_id_order_get_their_ring_places() {
-        let raw = [50u64, 10, 90, 30, 70, 20, 80, 60, 40, 100, 5];
+    fn nodes_get_their_ring_places() {
+        let raw = [5u64, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
         let ids: Vec<NodeId> = raw.map(NodeId::new).to_vec();
-        let mut b = GraphBuilder::with_nodes(&ids);
-        for (k, &from) in ids.iter().enumerate() {
-            for step in [1, 3, 4] {
-                b.add_link(from, ids[(k + step) % ids.len()]);
-            }
-        }
-        let shuffled = b.build();
-        assert_ne!(shuffled.ids(), shuffled.ring().as_slice());
-        check(&shuffled);
-        let mut sorted_ids = ids;
-        sorted_ids.sort_unstable();
-        let ascending = GraphBuilder::from_per_node_links(
-            &sorted_ids,
-            &(0..sorted_ids.len())
-                .map(|k| {
-                    vec![
-                        sorted_ids[(k + 2) % sorted_ids.len()],
-                        sorted_ids[(k + 7) % sorted_ids.len()],
-                    ]
-                })
+        let graph = GraphBuilder::from_per_node_links(
+            &ids,
+            &(0..ids.len())
+                .map(|k| vec![ids[(k + 2) % ids.len()], ids[(k + 7) % ids.len()]])
                 .collect::<Vec<_>>(),
         );
-        assert_eq!(ascending.ids(), ascending.ring().as_slice());
-        check(&ascending);
+        check(&graph);
     }
 
     #[test]

@@ -888,7 +888,8 @@ pub(crate) fn flush_outbox(
 /// [`StagedFrame::key`]), so the order is a function of the frames alone:
 /// neither the worker count nor which worker flushed what changes a byte
 /// of any mailbox (a spare lends a bucket capacity, never contents).
-/// Returns the buffers' growth counters, which it resets.
+/// Returns the buffers' counters, which it resets, with the bytes and
+/// `(slot, tick)` groups it queued.
 pub(crate) fn exchange(boxes: &Mailboxes<Payload>, rounds: &mut [RoundBuffer]) -> WorkLedger {
     let mut ledger = WorkLedger::default();
     let Some((first, rest)) = rounds.split_first_mut() else {
@@ -900,13 +901,12 @@ pub(crate) fn exchange(boxes: &Mailboxes<Payload>, rounds: &mut [RoundBuffer]) -
         first.frames.extend(moved.map(|f| StagedFrame { buf, ..f }));
         spares.append(&mut round.spares);
     }
-    let mut queued = 0;
     if !first.frames.is_empty() {
-        queued = queue(boxes, rounds, &mut spares);
+        queue(boxes, rounds, &mut spares, &mut ledger);
     }
     // The spares left are kept by the rule `reset` applies to the round's
     // bytes: a burst's buckets are not held on to once rounds shrink.
-    spares.trim(RoundBuffer::KEPT.max(4 * queued));
+    spares.trim(RoundBuffer::KEPT.max(4 * ledger.exchange_bytes as usize));
     rounds[0].spares = spares;
     for round in rounds {
         ledger.add(&std::mem::take(&mut round.ledger));
@@ -916,13 +916,14 @@ pub(crate) fn exchange(boxes: &Mailboxes<Payload>, rounds: &mut [RoundBuffer]) -
 }
 
 /// The exchange's queueing: sorts the first buffer's index (every
-/// buffer's frames by now) and pushes each `(slot, tick)` group. Returns
-/// the bytes queued.
+/// buffer's frames by now) and pushes each `(slot, tick)` group, counting
+/// the groups and the bytes queued in `ledger`.
 fn queue(
     boxes: &Mailboxes<Payload>,
     rounds: &mut [RoundBuffer],
     spares: &mut Spares<Payload>,
-) -> usize {
+    ledger: &mut WorkLedger,
+) {
     let first = &mut rounds[0];
     let frames = std::mem::take(&mut first.frames);
     let (mut order, mut starts) = (
@@ -955,7 +956,6 @@ fn queue(
         slot.sort_unstable_by_key(|&at| frame(at).key());
     }
     let bucket = |&at: &u32| (frame(at).slot, frame(at).deliver_at);
-    let mut queued = 0;
     for group in order.chunk_by(|a, b| bucket(a) == bucket(b)) {
         let (slot, deliver_at) = bucket(&group[0]);
         let group = group.iter().map(|&at| {
@@ -963,12 +963,12 @@ fn queue(
             let bytes = &rounds[f.buf as usize].bytes[f.start..f.start + f.len as usize];
             (f.from, f.seq, f.count as usize, bytes)
         });
-        queued += boxes.push_frames(slot as usize, deliver_at, group, spares);
+        ledger.exchange_bytes += boxes.push_frames(slot as usize, deliver_at, group, spares) as u64;
+        ledger.groups_pushed += 1;
     }
     rounds[0].order = order;
     rounds[0].slot_starts = starts;
     rounds[0].frames = frames;
-    queued
 }
 
 #[cfg(test)]

@@ -64,11 +64,16 @@ pub struct WorkLedger {
     /// Requests forwarded as a value: sent typed over bare channels, or
     /// decoded off a frame and encoded again.
     pub forwarded_typed: u64,
+    /// Frame bytes the round's exchange copied into mailbox buckets.
+    pub exchange_bytes: u64,
+    /// `(slot, tick)` groups the exchange pushed: one bucket look-up and
+    /// one lock each.
+    pub groups_pushed: u64,
 }
 
 impl WorkLedger {
     /// Every counter, named, in declaration order.
-    pub fn fields(&self) -> [(&'static str, u64); 20] {
+    pub fn fields(&self) -> [(&'static str, u64); 22] {
         [
             ("node_rounds", self.node_rounds),
             ("buckets_created", self.buckets_created),
@@ -90,6 +95,8 @@ impl WorkLedger {
             ("cache_fills", self.cache_fills),
             ("cache_evictions", self.cache_evictions),
             ("forwarded_typed", self.forwarded_typed),
+            ("exchange_bytes", self.exchange_bytes),
+            ("groups_pushed", self.groups_pushed),
         ]
     }
 
@@ -124,7 +131,7 @@ impl WorkLedger {
     }
 
     /// Every counter, in the order of [`WorkLedger::fields`].
-    fn fields_mut(&mut self) -> [&mut u64; 20] {
+    fn fields_mut(&mut self) -> [&mut u64; 22] {
         [
             &mut self.node_rounds,
             &mut self.buckets_created,
@@ -146,6 +153,8 @@ impl WorkLedger {
             &mut self.cache_fills,
             &mut self.cache_evictions,
             &mut self.forwarded_typed,
+            &mut self.exchange_bytes,
+            &mut self.groups_pushed,
         ]
     }
 }

@@ -438,9 +438,9 @@ impl Runtime {
             })
             .into_iter()
             .unzip();
-        let grown = framed::exchange(&self.boxes, &mut rounds);
-        if grown != WorkLedger::default() {
-            lock_unpoisoned(&self.worker_ledger).add(&grown);
+        let counted = framed::exchange(&self.boxes, &mut rounds);
+        if counted != WorkLedger::default() {
+            lock_unpoisoned(&self.worker_ledger).add(&counted);
         }
         // One buffer stays with this thread, the worker of a one-worker run.
         ROUND.set(rounds.swap_remove(0));

@@ -1,11 +1,17 @@
 //! The overlay graph: nodes, directed links and identifier lookup.
 //!
+//! Node `i` is position `i` of the ring of identifiers — the one order
+//! the paper builds every DHT over — so a graph's ids ascend with its
+//! index, are stored once, as the graph's [`SortedRing`], and are looked
+//! up by the ring's binary search. The builders enforce the order: an id
+//! out of order is rejected, not sorted.
+//!
 //! Links are stored in compressed-sparse-row (CSR) form: one flat
-//! `targets` array plus per-node `offsets`, so a node's neighbor list is
-//! one contiguous slice and a routing walk touches two cache lines per
-//! hop instead of chasing a `Vec<Vec<_>>` double indirection. The public
-//! API is unchanged — [`OverlayGraph::neighbors`] still returns a sorted
-//! `&[NodeIndex]` — and [`OverlayGraph::link_count`] is O(1).
+//! `targets` array cut into rows by the [`NextHopIndex`]'s segment
+//! bounds, so a node's neighbor list is one contiguous slice and a
+//! routing walk touches two cache lines per hop instead of chasing a
+//! `Vec<Vec<_>>` double indirection. [`OverlayGraph::neighbors`] returns a
+//! sorted `&[NodeIndex]` and [`OverlayGraph::link_count`] is O(1).
 //!
 //! Every array is structure-of-arrays with `u32` entries where the ID
 //! space allows (node count and link count are both asserted below
@@ -14,7 +20,6 @@
 
 use crate::index::NextHopIndex;
 use canon_id::{ring::SortedRing, NodeId};
-use std::collections::HashMap;
 use std::fmt;
 use std::mem::size_of;
 
@@ -35,7 +40,8 @@ impl fmt::Display for NodeIndex {
     }
 }
 
-/// An immutable directed overlay graph over node identifiers.
+/// An immutable directed overlay graph over node identifiers, whose node
+/// `i` is position `i` of its ring.
 ///
 /// Out-links model the routing state a node maintains (the paper counts
 /// *out*-degree: "the degree of a node refers to its out-degree, and does
@@ -43,55 +49,43 @@ impl fmt::Display for NodeIndex {
 /// self-links are dropped, matching how real DHT routing tables behave.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OverlayGraph {
-    ids: Vec<NodeId>,
-    /// Node indices sorted by identifier: [`OverlayGraph::index_of`] is a
-    /// binary search over this permutation. 4 bytes per node where the
-    /// previous `HashMap<NodeId, NodeIndex>` cost ~48 including table
-    /// slack — the difference between a 2^20-node graph fitting in the
-    /// resident-bytes budget and blowing it.
-    by_id: Vec<NodeIndex>,
-    /// CSR row bounds: node `i`'s neighbors are
-    /// `targets[offsets[i]..offsets[i + 1]]`. Always `len() == n + 1`.
-    offsets: Vec<u32>,
-    /// All neighbor lists, concatenated in node order; sorted within each
-    /// node's segment.
-    targets: Vec<NodeIndex>,
+    /// The identifiers, ascending: node `i`'s id is position `i`.
     ring: SortedRing,
+    /// All neighbor lists, concatenated in node order; sorted within each
+    /// node's row. Node `i`'s row is `targets[next_hop.row(i)]`.
+    targets: Vec<NodeIndex>,
     next_hop: NextHopIndex,
 }
 
 impl OverlayGraph {
-    /// All node identifiers, in index order.
+    /// All node identifiers, in index order — ascending.
     pub fn ids(&self) -> &[NodeId] {
-        &self.ids
+        self.ring.as_slice()
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.ring.len()
     }
 
     /// Whether the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.ring.is_empty()
     }
 
-    /// The identifier of node `i`.
+    /// The identifier of node `i`: ring position `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
     pub fn id(&self, i: NodeIndex) -> NodeId {
-        self.ids[i.index()]
+        self.ids()[i.index()]
     }
 
-    /// The index of identifier `id`, if present. O(log n) binary search
-    /// over the id-sorted permutation.
+    /// The index of identifier `id`, if present: its ring position, by
+    /// binary search.
     pub fn index_of(&self, id: NodeId) -> Option<NodeIndex> {
-        self.by_id
-            .binary_search_by_key(&id, |i| self.ids[i.index()])
-            .ok()
-            .map(|k| self.by_id[k])
+        self.ring.index_of(id).map(|k| NodeIndex(k as u32))
     }
 
     /// The out-neighbors of node `i`, sorted by index.
@@ -100,7 +94,7 @@ impl OverlayGraph {
     ///
     /// Panics if `i` is out of bounds.
     pub fn neighbors(&self, i: NodeIndex) -> &[NodeIndex] {
-        &self.targets[self.offsets[i.index()] as usize..self.offsets[i.index() + 1] as usize]
+        &self.targets[self.next_hop.row(i)]
     }
 
     /// Out-degree of node `i`.
@@ -109,7 +103,7 @@ impl OverlayGraph {
     ///
     /// Panics if `i` is out of bounds.
     pub fn degree(&self, i: NodeIndex) -> usize {
-        (self.offsets[i.index() + 1] - self.offsets[i.index()]) as usize
+        self.next_hop.row(i).len()
     }
 
     /// Total number of directed links. O(1).
@@ -117,36 +111,33 @@ impl OverlayGraph {
         self.targets.len()
     }
 
-    /// The per-node sorted-id next-hop index (built once at
-    /// [`GraphBuilder::build`] time).
+    /// The per-node sorted-id next-hop index (built once with the graph).
     pub fn next_hop_index(&self) -> &NextHopIndex {
         &self.next_hop
     }
 
     /// The sorted ring over all node identifiers (for responsibility and
-    /// successor queries on the whole network).
+    /// successor queries on the whole network); its position `i` is
+    /// node `i`.
     pub fn ring(&self) -> &SortedRing {
         &self.ring
     }
 
     /// Iterates over all node indices.
     pub fn node_indices(&self) -> impl Iterator<Item = NodeIndex> {
-        (0..self.ids.len() as u32).map(NodeIndex)
+        (0..self.len() as u32).map(NodeIndex)
     }
 
-    /// Resident bytes of the graph's live arrays: identifiers, the
-    /// id-sorted lookup permutation, CSR offsets and targets, the sorted
-    /// ring, and the next-hop index. The accounting counts live entries
+    /// Resident bytes of the graph's live arrays: the ring of
+    /// identifiers, the CSR targets and the next-hop index (which holds
+    /// the row bounds). The accounting counts live entries
     /// (`len × entry size`), not allocator capacity or slack, so it is
     /// reproducible across allocators; the
     /// `resident_bytes_accounts_for_every_array` test pins the sum so a
     /// new field cannot silently escape the budget.
     pub fn resident_bytes(&self) -> usize {
-        self.ids.len() * size_of::<NodeId>()
-            + self.by_id.len() * size_of::<NodeIndex>()
-            + self.offsets.len() * size_of::<u32>()
+        self.ring.resident_bytes()
             + self.targets.len() * size_of::<NodeIndex>()
-            + self.ring.resident_bytes()
             + self.next_hop.resident_bytes()
     }
 
@@ -158,21 +149,20 @@ impl OverlayGraph {
 
     /// Iterates over all directed edges as `(from, to)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (NodeIndex, NodeIndex)> + '_ {
-        (0..self.ids.len() as u32).flat_map(move |i| {
-            let from = NodeIndex(i);
-            self.neighbors(from).iter().map(move |&t| (from, t))
-        })
+        self.node_indices()
+            .flat_map(move |from| self.neighbors(from).iter().map(move |&t| (from, t)))
     }
 }
 
 /// Incremental builder for [`OverlayGraph`].
 ///
-/// Nodes must be added before links referencing them; duplicate links and
-/// self-links are silently dropped when the graph is built.
+/// Nodes are added in ascending id order, and before links referencing
+/// them; duplicate links and self-links are silently dropped when the
+/// graph is built.
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
+    /// The nodes added so far, ascending.
     ids: Vec<NodeId>,
-    index_of: HashMap<NodeId, NodeIndex>,
     /// Each node's link targets in insertion order, duplicates and
     /// self-links included: [`GraphBuilder::build`] normalizes the rows.
     links: Vec<Vec<NodeId>>,
@@ -188,7 +178,7 @@ impl GraphBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `ids` contains duplicates.
+    /// Panics unless `ids` strictly ascend (see [`GraphBuilder::add_node`]).
     pub fn with_nodes(ids: &[NodeId]) -> Self {
         let mut b = GraphBuilder::new();
         for &id in ids {
@@ -197,16 +187,18 @@ impl GraphBuilder {
         b
     }
 
-    /// Adds a node, returning its index.
+    /// Adds a node, returning its index: its ring position.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was already added.
+    /// Panics if `id` was already added, or is below the last id added.
     pub fn add_node(&mut self, id: NodeId) -> NodeIndex {
         assert!(self.ids.len() < u32::MAX as usize, "too many nodes");
+        if let Some(&last) = self.ids.last() {
+            assert!(id != last, "duplicate node id {id}");
+            assert!(id > last, "ids must ascend: {id} after {last}");
+        }
         let idx = NodeIndex(self.ids.len() as u32);
-        let prev = self.index_of.insert(id, idx);
-        assert!(prev.is_none(), "duplicate node id {id}");
         self.ids.push(id);
         self.links.push(Vec::new());
         idx
@@ -219,9 +211,13 @@ impl GraphBuilder {
     ///
     /// Panics if either identifier has not been added as a node.
     pub fn add_link(&mut self, from: NodeId, to: NodeId) {
-        let f = self.index_of[&from];
-        let t = self.index_of[&to];
-        self.add_link_by_index(f, t);
+        let f = self.ids.binary_search(&from);
+        assert!(f.is_ok(), "link source {from} was not added as a node");
+        assert!(
+            self.ids.binary_search(&to).is_ok(),
+            "link target {to} was not added as a node"
+        );
+        self.links[f.unwrap_or(0)].push(to);
     }
 
     /// Adds a directed link by node index. Self-links and duplicates are
@@ -242,16 +238,16 @@ impl GraphBuilder {
     /// node's set of links, so it is independent of how (and in what
     /// order) the sets were computed.
     ///
-    /// This path allocates no hash scratch at all: duplicate-id detection
-    /// is one pass over the id-sorted permutation, a link's target is found
-    /// through the prefix table of [`SortedRing::positions`], and each row
-    /// is normalized (self-links out, sort, dedup) straight into the CSR
-    /// arrays.
+    /// `ids` are the ring: strictly ascending, so node `i` is ring
+    /// position `i`. This path allocates no hash scratch at all: a link's
+    /// target is found through the prefix table of
+    /// [`SortedRing::positions`], and each row is normalized (self-links
+    /// out, sort, dedup) straight into the CSR arrays.
     ///
     /// # Panics
     ///
-    /// Panics if `ids` and `per_node` differ in length, `ids` contains
-    /// duplicates, or a link targets an identifier not in `ids`.
+    /// Panics if `ids` and `per_node` differ in length, `ids` do not
+    /// strictly ascend, or a link targets an identifier not in `ids`.
     pub fn from_per_node_links(ids: &[NodeId], per_node: &[Vec<NodeId>]) -> OverlayGraph {
         assert_eq!(
             ids.len(),
@@ -259,20 +255,16 @@ impl GraphBuilder {
             "one link set per node is required"
         );
         assert!(ids.len() < u32::MAX as usize, "too many nodes");
-        let by_id = sorted_permutation(ids);
-        for w in by_id.windows(2) {
-            assert!(
-                ids[w[0].index()] != ids[w[1].index()],
-                "duplicate node id {}",
-                ids[w[1].index()]
-            );
+        for w in ids.windows(2) {
+            assert!(w[0] != w[1], "duplicate node id {}", w[1]);
+            assert!(w[0] < w[1], "ids must ascend: {} after {}", w[1], w[0]);
         }
         let ring = SortedRing::new(ids.to_vec());
         let positions = ring.positions();
         let index_of = |id: NodeId| -> NodeIndex {
             let found = positions.of(id);
             assert!(found.is_some(), "link target {id} was not added as a node");
-            by_id[found.unwrap_or(0)]
+            NodeIndex(found.unwrap_or(0) as u32)
         };
         let total: usize = per_node.iter().map(Vec::len).sum();
         assert!(total < u32::MAX as usize, "too many links for CSR offsets");
@@ -289,7 +281,7 @@ impl GraphBuilder {
             targets.extend_from_slice(&row);
             offsets.push(targets.len() as u32);
         }
-        assemble(ids.to_vec(), by_id, ring, offsets, targets)
+        assemble(ring, offsets, targets)
     }
 
     /// Builds the graph whose node `i` is position `i` of `ring`, from CSR
@@ -329,14 +321,7 @@ impl GraphBuilder {
                 "row {i} is not a strictly ascending set of other nodes"
             );
         }
-        let by_id = (0..n as u32).map(NodeIndex).collect();
-        assemble(
-            ring.as_slice().to_vec(),
-            by_id,
-            ring.clone(),
-            offsets,
-            targets,
-        )
+        assemble(ring.clone(), offsets, targets)
     }
 
     /// Finalizes the graph through [`GraphBuilder::from_per_node_links`]:
@@ -348,33 +333,16 @@ impl GraphBuilder {
     }
 }
 
-/// The graph over `ids` (with `by_id`, their id-sorted permutation, and
-/// `ring`, their sorted ring) and CSR rows over their indices: what both
-/// constructors finish with.
-fn assemble(
-    ids: Vec<NodeId>,
-    by_id: Vec<NodeIndex>,
-    ring: SortedRing,
-    offsets: Vec<u32>,
-    targets: Vec<NodeIndex>,
-) -> OverlayGraph {
-    let next_hop = NextHopIndex::build(&ids, &offsets, &targets);
+/// The graph whose node `i` is position `i` of `ring`, with CSR rows over
+/// those positions: what both constructors finish with. The next-hop
+/// index keeps `offsets` as its segment bounds.
+fn assemble(ring: SortedRing, offsets: Vec<u32>, targets: Vec<NodeIndex>) -> OverlayGraph {
+    let next_hop = NextHopIndex::build(ring.as_slice(), offsets, &targets);
     OverlayGraph {
-        ids,
-        by_id,
-        offsets,
-        targets,
         ring,
+        targets,
         next_hop,
     }
-}
-
-/// The identity permutation over `ids`, sorted by identifier — the
-/// binary-searchable id→index table of [`OverlayGraph::index_of`].
-fn sorted_permutation(ids: &[NodeId]) -> Vec<NodeIndex> {
-    let mut by_id: Vec<NodeIndex> = (0..ids.len() as u32).map(NodeIndex).collect();
-    by_id.sort_unstable_by_key(|i| ids[i.index()]);
-    by_id
 }
 
 #[cfg(test)]
@@ -437,16 +405,18 @@ mod tests {
 
     #[test]
     fn ring_reflects_all_ids() {
-        let b = GraphBuilder::with_nodes(&[id(30), id(10), id(20)]);
+        let b = GraphBuilder::with_nodes(&[id(10), id(20), id(30)]);
         let g = b.build();
         assert_eq!(g.ring().len(), 3);
         assert_eq!(g.ring().successor(id(15)), Some(id(20)));
+        assert_eq!(g.index_of(id(30)), Some(NodeIndex(2)));
+        assert_eq!(g.index_of(id(15)), None);
     }
 
     #[test]
     fn per_node_links_drop_self_links_and_duplicates() {
-        let ids = [id(5), id(1), id(9)];
-        let per_node = vec![vec![id(9), id(1), id(9)], vec![id(1)], vec![id(5), id(5)]];
+        let ids = [id(1), id(5), id(9)];
+        let per_node = vec![vec![id(9), id(5), id(9)], vec![id(5)], vec![id(1), id(1)]];
         let g = GraphBuilder::from_per_node_links(&ids, &per_node);
         assert_eq!(g.neighbors(NodeIndex(0)), &[NodeIndex(1), NodeIndex(2)]);
         assert_eq!(g.neighbors(NodeIndex(1)), &[]);
@@ -495,12 +465,15 @@ mod tests {
     }
 
     #[test]
-    fn index_of_works_on_unsorted_ids() {
-        let g = GraphBuilder::with_nodes(&[id(30), id(10), id(20)]).build();
-        assert_eq!(g.index_of(id(30)), Some(NodeIndex(0)));
-        assert_eq!(g.index_of(id(10)), Some(NodeIndex(1)));
-        assert_eq!(g.index_of(id(20)), Some(NodeIndex(2)));
-        assert_eq!(g.index_of(id(15)), None);
+    #[should_panic(expected = "ids must ascend")]
+    fn builder_rejects_ids_out_of_order() {
+        GraphBuilder::with_nodes(&[id(30), id(10), id(20)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ids must ascend")]
+    fn per_node_links_reject_ids_out_of_order() {
+        GraphBuilder::from_per_node_links(&[id(5), id(1)], &[vec![id(1)], vec![]]);
     }
 
     #[test]
@@ -509,9 +482,9 @@ mod tests {
         b.add_link(id(1), id(2));
         b.add_link(id(2), id(3));
         let g = b.build();
-        // ids: 3×8, by_id: 3×4, offsets: 4×4, targets: 2×4, ring: 3×8,
-        // next-hop index: offsets 4×4 + entries 2×16.
-        let expected = 3 * 8 + 3 * 4 + 4 * 4 + 2 * 4 + 3 * 8 + (4 * 4 + 2 * 16);
+        // ring: 3×8, targets: 2×4, next-hop index: offsets 4×4 + entries
+        // 2×16.
+        let expected = 3 * 8 + 2 * 4 + (4 * 4 + 2 * 16);
         assert_eq!(g.resident_bytes(), expected);
         let per_node = g.resident_bytes_per_node();
         assert!((per_node - expected as f64 / 3.0).abs() < 1e-9);

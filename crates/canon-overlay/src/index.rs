@@ -6,8 +6,9 @@
 //! lookup per neighbor) and sorting. [`NextHopIndex`] answers it from a
 //! single precomputed stream: for every node it stores `(neighbor id,
 //! neighbor index)` `Entry` pairs sorted ascending by id, interleaved in
-//! one flat CSR-style array sharing the graph's offsets, so one hop reads
-//! one short forward burst of memory and nothing else.
+//! one flat CSR-style array, so one hop reads one short forward burst of
+//! memory and nothing else. Its segment bounds are the graph's CSR row
+//! bounds too: the graph keeps no copy of its own.
 //!
 //! Selection over a *sorted* segment is cheap for both workspace metrics:
 //!
@@ -24,14 +25,16 @@
 //!   specification; segments are small enough that the streaming pass
 //!   wins).
 //!
-//! The index is built once inside
-//! [`GraphBuilder::build`](crate::graph::GraphBuilder::build) and consulted
-//! by the engine's fault-free fast path ([`crate::engine::execute`] and
-//! [`crate::route::route_to_key_sweep`]) — zero allocation, no sort, per
-//! hop.
+//! The index is built once with its graph, by either
+//! [`GraphBuilder`](crate::graph::GraphBuilder) constructor: node ids
+//! ascend with the index, so a row's entries come out ascending by id as
+//! they are. It is consulted by the engine's fault-free fast path
+//! ([`crate::engine::execute`] and [`crate::route::route_to_key_sweep`])
+//! — zero allocation, no sort, per hop.
 
 use crate::graph::NodeIndex;
 use canon_id::{metric::Metric, NodeId};
+use std::ops::Range;
 
 /// Segment length above which clockwise selection switches from the
 /// early-exit forward scan to `partition_point`. Finger tables in every
@@ -51,41 +54,40 @@ struct Entry {
 
 /// Immutable per-node index over neighbor ids in sorted order.
 ///
-/// Built by [`GraphBuilder::build`](crate::graph::GraphBuilder::build);
+/// Built with its graph by [`GraphBuilder`](crate::graph::GraphBuilder);
 /// query it via [`OverlayGraph::next_hop_index`](crate::graph::OverlayGraph::next_hop_index).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NextHopIndex {
-    /// Per-node segment bounds, `len() == n + 1` (same shape as the
-    /// graph's CSR offsets).
+    /// Per-node segment bounds, `len() == n + 1`: the CSR row bounds of
+    /// the graph's targets too, which it reads through
+    /// [`NextHopIndex::row`].
     offsets: Vec<u32>,
     /// Neighbor entries, ascending by id within each node's segment.
     entries: Vec<Entry>,
 }
 
 impl NextHopIndex {
-    /// Builds the index from a CSR adjacency (`ids[t]` is the identifier
-    /// of node `t`; node `i`'s neighbors are
-    /// `targets[offsets[i]..offsets[i+1]]`).
-    pub(crate) fn build(ids: &[NodeId], offsets: &[u32], targets: &[NodeIndex]) -> NextHopIndex {
-        let mut entries: Vec<Entry> = targets
+    /// Builds the index from a CSR adjacency over a ring (`ids[t]` is
+    /// the identifier of node `t`, ascending; node `i`'s neighbors are
+    /// `targets[offsets[i]..offsets[i+1]]`, ascending). It keeps `offsets`
+    /// as its segment bounds — the graph's one copy of its row bounds. A
+    /// row ascending by index is ascending by id, since ids ascend with
+    /// the index, so no row needs sorting.
+    pub(crate) fn build(ids: &[NodeId], offsets: Vec<u32>, targets: &[NodeIndex]) -> NextHopIndex {
+        let entries: Vec<Entry> = targets
             .iter()
             .map(|&t| Entry {
                 id: ids[t.index()],
                 target: t,
             })
             .collect();
-        // A row sorted by index is sorted by id already wherever ids
-        // ascend with the index, as on a Canon walk's graph.
-        for w in offsets.windows(2) {
-            let segment = &mut entries[w[0] as usize..w[1] as usize];
-            if !segment.is_sorted() {
-                segment.sort_unstable();
-            }
-        }
-        NextHopIndex {
-            offsets: offsets.to_vec(),
-            entries,
-        }
+        debug_assert!(
+            offsets
+                .windows(2)
+                .all(|w| entries[w[0] as usize..w[1] as usize].is_sorted()),
+            "every row ascends by id"
+        );
+        NextHopIndex { offsets, entries }
     }
 
     /// Resident bytes of the index's live arrays: per-node segment bounds
@@ -97,11 +99,10 @@ impl NextHopIndex {
             + self.entries.len() * std::mem::size_of::<Entry>()
     }
 
-    fn segment(&self, at: NodeIndex) -> (usize, usize) {
-        (
-            self.offsets[at.index()] as usize,
-            self.offsets[at.index() + 1] as usize,
-        )
+    /// The bounds of `at`'s segment: its row, in the graph's targets as
+    /// in the entries.
+    pub(crate) fn row(&self, at: NodeIndex) -> Range<usize> {
+        self.offsets[at.index()] as usize..self.offsets[at.index() + 1] as usize
     }
 
     /// The neighbor ids of `at`, ascending.
@@ -110,8 +111,7 @@ impl NextHopIndex {
     ///
     /// Panics if `at` is out of bounds.
     pub fn neighbor_ids(&self, at: NodeIndex) -> impl Iterator<Item = NodeId> + '_ {
-        let (lo, hi) = self.segment(at);
-        self.entries[lo..hi].iter().map(|e| e.id)
+        self.entries[self.row(at)].iter().map(|e| e.id)
     }
 
     /// Touches `at`'s segment bounds and first entries, returning a value
@@ -132,7 +132,7 @@ impl NextHopIndex {
     /// Panics if `at` is out of bounds.
     #[inline]
     pub fn warm(&self, at: NodeIndex) -> u64 {
-        let (lo, hi) = self.segment(at);
+        let Range { start: lo, end: hi } = self.row(at);
         if lo == hi {
             return 0;
         }
@@ -164,8 +164,7 @@ impl NextHopIndex {
         at: NodeIndex,
         target: NodeId,
     ) -> Option<(NodeIndex, u64)> {
-        let (lo, hi) = self.segment(at);
-        let seg = &self.entries[lo..hi];
+        let seg = &self.entries[self.row(at)];
         let best = if metric.is_symmetric() {
             // XOR: one streaming pass; the minimum is unique.
             seg.iter().min_by_key(|e| metric.distance(e.id, target))?
@@ -205,7 +204,7 @@ mod tests {
     }
 
     fn graph() -> crate::graph::OverlayGraph {
-        let ids: Vec<NodeId> = [7u64, 1, 30, 12, 55].iter().map(|&r| id(r)).collect();
+        let ids: Vec<NodeId> = [1u64, 7, 12, 30, 55].iter().map(|&r| id(r)).collect();
         let mut b = GraphBuilder::with_nodes(&ids);
         b.add_link(id(7), id(1));
         b.add_link(id(7), id(30));
@@ -219,11 +218,11 @@ mod tests {
         let g = graph();
         let idx = g.next_hop_index();
         assert_eq!(
-            idx.neighbor_ids(NodeIndex(0)).collect::<Vec<_>>(),
+            idx.neighbor_ids(NodeIndex(1)).collect::<Vec<_>>(),
             vec![id(1), id(12), id(30)]
         );
         assert_eq!(
-            idx.neighbor_ids(NodeIndex(1)).collect::<Vec<_>>(),
+            idx.neighbor_ids(NodeIndex(0)).collect::<Vec<_>>(),
             vec![id(55)]
         );
         assert_eq!(idx.neighbor_ids(NodeIndex(4)).count(), 0);

@@ -6,8 +6,9 @@
 //! (clockwise or XOR). This crate provides that shared substrate:
 //!
 //! * [`graph::OverlayGraph`] — an immutable directed graph over
-//!   [`canon_id::NodeId`]s in compressed-sparse-row layout with O(1)
-//!   neighbor access;
+//!   [`canon_id::NodeId`]s whose node `i` is position `i` of the ring of
+//!   identifiers (the one node order, enforced where a graph is built),
+//!   in compressed-sparse-row layout with O(1) neighbor access;
 //! * [`index::NextHopIndex`] — per-node neighbor ids in sorted order,
 //!   giving the engine's fault-free fast path its logarithmic next-hop
 //!   selection (one binary search per hop, zero allocation);

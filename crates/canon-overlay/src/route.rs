@@ -526,9 +526,10 @@ mod tests {
             let me = id(me);
             let links: BTreeSet<NodeId> =
                 raw_links.into_iter().map(id).filter(|&l| l != me).collect();
-            let mut b = GraphBuilder::with_nodes(&[me]);
+            let mut nodes = links.clone();
+            nodes.insert(me);
+            let mut b = GraphBuilder::with_nodes(&nodes.into_iter().collect::<Vec<_>>());
             for &l in &links {
-                b.add_node(l);
                 b.add_link(me, l);
             }
             let g = b.build();

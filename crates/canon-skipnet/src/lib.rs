@@ -218,17 +218,17 @@ impl SkipNet {
     }
 
     /// Exports the pointer structure as an [`OverlayGraph`] for degree
-    /// statistics. Graph indices equal SkipNet name-order indices; graph
-    /// identifiers are the numeric IDs.
+    /// statistics. Graph identifiers are the numeric IDs, ascending as
+    /// every graph's are, so graph indices are numeric-ID order, not
+    /// SkipNet's name order.
     pub fn graph(&self) -> OverlayGraph {
-        let mut b = GraphBuilder::new();
-        for &num in &self.numerics {
-            b.add_node(num);
-        }
+        let mut numerics = self.numerics.clone();
+        numerics.sort_unstable();
+        let mut b = GraphBuilder::with_nodes(&numerics);
         for level in &self.succ {
             for (i, &s) in level.iter().enumerate() {
                 if s != usize::MAX && s != i {
-                    b.add_link_by_index(NodeIndex(i as u32), NodeIndex(s as u32));
+                    b.add_link(self.numerics[i], self.numerics[s]);
                 }
             }
         }
